@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .algebra import arrow_function, star
 from .groupoid import FiniteGroupoid, product_arrow_id, product_with_pair_groupoid
@@ -33,9 +32,10 @@ from .sdp import DiagBoundSdp, SdpSolution, solve_diag_bound_sdp
 class NormCertificate:
     """A norm value together with the object that certifies it.
 
-    kind 'optimal' carries a feasible completion (rho, tau); 'upper' carries a
-    list of coefficient factorization terms; 'lower' carries the probe that
-    attains the bound.
+    kind 'optimal' carries a feasible completion (rho, tau) or (p, q) and the
+    solver's certified lower bound, Newton steps and status; 'upper' carries a
+    list of coefficient factorization terms; 'lower' carries the arrow that
+    attains the sup bound and the dual blocks that certify the SDP bound.
     """
 
     value: float
@@ -114,35 +114,37 @@ def _witness_functions(g: FiniteGroupoid, solution: SdpSolution) -> tuple[np.nda
     return rho, tau
 
 
-def fourier_stieltjes_norm(g: FiniteGroupoid, phi, rel_gap: float = 1e-7) -> NormCertificate:
-    """Coefficient norm bound of phi via the block completion SDP.
+def _telemetry(solution: SdpSolution) -> dict:
+    return {"lower": solution.lower, "iterations": solution.iterations, "status": solution.status}
 
-    Always >= the sup norm; equal to the largest unit value when phi is
-    positive definite; equal to the Schur multiplier cb-norm on pair
-    groupoids.  The witness is a feasible (rho, tau) completion.
-    """
+
+def _solve_stieltjes(g: FiniteGroupoid, phi, rel_gap: float) -> tuple[NormCertificate, SdpSolution]:
     phi = arrow_function(g, phi)
     problem = stieltjes_problem(g, phi)
     seeds, lower = _stieltjes_seeds(g, phi)
     solution = solve_diag_bound_sdp(problem, lower=lower, seeds=tuple(seeds), rel_gap=rel_gap)
     rho, tau = _witness_functions(g, solution)
-    return NormCertificate(solution.value, "optimal", {"rho": rho, "tau": tau})
+    witness = {"rho": rho, "tau": tau, **_telemetry(solution)}
+    return NormCertificate(solution.value, "optimal", witness), solution
+
+
+def fourier_stieltjes_norm(g: FiniteGroupoid, phi, rel_gap: float = 1e-7) -> NormCertificate:
+    """Coefficient norm bound of phi via the block completion SDP.
+
+    Always >= the sup norm; equal to the largest unit value when phi is
+    positive definite; equal to the Schur multiplier cb-norm on pair
+    groupoids.  The witness is a feasible (rho, tau) completion, with the
+    certified lower bound on the optimum under "lower".
+    """
+    return _solve_stieltjes(g, phi, rel_gap)[0]
 
 
 # ---------------------------------------------------------------------------
 # Schur multipliers
 
 
-def schur_cb_norm(a, rel_gap: float = 1e-7) -> NormCertificate:
-    """Completely bounded norm of the Schur (entrywise) multiplier by a.
-
-    min t with [[P, a], [a*, Q]] PSD and all diagonal entries <= t.  The
-    witness carries the diagonal blocks and a factorization a_ij =
-    sum_m left[i, m] conj(right[j, m]) with row norms <= sqrt(t).
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("need a square matrix")
+def schur_problem(a) -> DiagBoundSdp:
+    """min t with [[P, a], [a*, Q]] PSD and every diagonal entry of P, Q <= t."""
     n = a.shape[0]
     p = DiagBoundSdp()
     b = p.add_block(2 * n)
@@ -155,11 +157,25 @@ def schur_cb_norm(a, rel_gap: float = 1e-7) -> NormCertificate:
     for i in range(n):
         p.objective_var(("p", i, i))
         p.objective_var(("q", i, i))
+    return p
+
+
+def schur_cb_norm(a, rel_gap: float = 1e-7) -> NormCertificate:
+    """Completely bounded norm of the Schur (entrywise) multiplier by a.
+
+    The optimum of ``schur_problem(a)``.  The witness carries the diagonal
+    blocks, a factorization a_ij = sum_m left[i, m] conj(right[j, m]) with
+    row norms <= sqrt(t), and the solver's certified lower bound.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("need a square matrix")
+    n = a.shape[0]
     sigma = float(np.linalg.norm(a, 2)) if a.size else 0.0
     seed = {("p", i, j): (sigma if i == j else 0.0) for i in range(n) for j in range(i, n)}
     seed.update({("q", i, j): (sigma if i == j else 0.0) for i in range(n) for j in range(i, n)})
     lower = float(np.abs(a).max(initial=0.0))
-    solution = solve_diag_bound_sdp(p, lower=lower, seeds=(seed,), rel_gap=rel_gap)
+    solution = solve_diag_bound_sdp(schur_problem(a), lower=lower, seeds=(seed,), rel_gap=rel_gap)
     pm = np.zeros((n, n), dtype=complex)
     qm = np.zeros((n, n), dtype=complex)
     for i in range(n):
@@ -169,9 +185,8 @@ def schur_cb_norm(a, rel_gap: float = 1e-7) -> NormCertificate:
             qm[i, j] = solution.variables[("q", i, j)]
             qm[j, i] = np.conj(qm[i, j])
     left, right = _factorize_completion(pm, a, qm)
-    return NormCertificate(
-        solution.value, "optimal", {"p_block": pm, "q_block": qm, "left": left, "right": right}
-    )
+    witness = {"p_block": pm, "q_block": qm, "left": left, "right": right, **_telemetry(solution)}
+    return NormCertificate(solution.value, "optimal", witness)
 
 
 def _factorize_completion(pm, a, qm) -> tuple[np.ndarray, np.ndarray]:
@@ -281,19 +296,23 @@ def fourier_norm_bounds(
 ) -> tuple[NormCertificate, NormCertificate]:
     """Two-sided bounds for the decomposition norm inf sum ||f_k|| ||g_k||.
 
-    Lower: the larger of the sup norm and the coefficient norm bound.  Upper:
+    Lower: the larger of the sup norm and the certified dual bound of the
+    coefficient norm SDP; its witness holds the dual blocks Z, which are PSD
+    and dual feasible in ``stieltjes_problem(g, phi)``, so that -<F0, Z>
+    re-verifies the bound (None when the solver's seeded exit made the sup
+    norm the bound).  Upper:
     the cheapest verified decomposition among a single-coefficient pair
     factorization, a positive-definite square-root coefficient, the doubled
     two-term split, and the point-mass fallback.
     """
     phi = arrow_function(g, phi)
-    stieltjes = fourier_stieltjes_norm(g, phi, rel_gap=rel_gap)
+    stieltjes, solution = _solve_stieltjes(g, phi, rel_gap)
     sup = float(np.abs(phi).max(initial=0.0))
     sup_arrow = int(np.abs(phi).argmax()) if g.n_arrows else 0
     lower = NormCertificate(
-        max(sup, stieltjes.value),
+        max(sup, solution.lower),
         "lower",
-        {"sup_arrow": sup_arrow, "stieltjes": stieltjes},
+        {"sup_arrow": sup_arrow, "stieltjes": stieltjes, "dual": solution.dual},
     )
 
     candidates: list[list[tuple[np.ndarray, np.ndarray]]] = []
@@ -389,6 +408,8 @@ def _alternating_fit(g, phi, xi, eta, iters: int = 80):
 
 
 def _polish_factorization(g, phi, xi, eta) -> float:
+    from scipy.optimize import minimize  # costs most of the package's import time
+
     n = g.n_arrows
     bal = np.sqrt(section_norm(g, eta) / max(section_norm(g, xi), 1e-12))
     xi, eta = xi * bal, eta / bal

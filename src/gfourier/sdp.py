@@ -1,15 +1,28 @@
-"""A small structured SDP solver: bisection over alternating projections.
+"""A small structured SDP solver: a primal-dual interior-point method.
 
 The problem family: a list of Hermitian blocks whose entries are either fixed
 complex data or shared affine variables; a designated subset of variables
 ("objective" variables, all sitting on block diagonals) whose common bound t
-is minimized subject to every block being positive semidefinite.
+is minimized subject to every block being positive semidefinite.  Pinning them
+to t (raising a diagonal entry preserves feasibility, so this loses nothing)
+and splitting every other variable into its real and imaginary part gives
 
-Feasibility at a fixed t pins the objective variables to t (raising a
-diagonal entry preserves feasibility, so this loses nothing) and is decided
-by averaged alternating reflections between the affine structure subspace
-and the product of PSD cones.  Bisection on t then brackets the optimum; the
-returned value always carries a verified feasible witness.
+    minimize t  subject to  S = F0 + sum_k y_k A_k + t A_obj >= 0  blockwise,
+
+whose dual asks for Z >= 0 with <A_k, Z> = 0 and <A_obj, Z> = 1; every such Z
+proves t >= -<F0, Z>.  The solver follows the central path Z S = mu I with the
+HKM search direction and Mehrotra's predictor-corrector steps, starting
+infeasible on the dual side.  A solve returns two certificates:
+
+* the value t with a primal witness, the variables of an interior iterate,
+  so its blocks are positive definite;
+* a lower bound -<F0, Z> from the final dual iterate, made exactly dual
+  feasible: its components along the A_k are removed (the A_k have disjoint
+  supports, so this averages entries), a multiple of the identity on the
+  variable-free diagonal restores Z >= 0, and Z is rescaled to <A_obj, Z> = 1.
+
+A problem without objective variables is a feasibility problem, solved as
+min t with A_obj = I and accepted once t <= 0 up to 1e-10 of the data.
 """
 
 from __future__ import annotations
@@ -19,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_REL_GAP = 1e-7
-DEFAULT_CONV_TOL = 1e-9
-DEFAULT_MAX_ITER = 50_000
+DEFAULT_MAX_ITER = 100
+_STEP_FRACTION = 0.95
 
 
 class DiagBoundSdp:
@@ -29,6 +42,7 @@ class DiagBoundSdp:
     Entries are declared once per oriented position; the Hermitian mirror is
     implied.  Variables are named by arbitrary hashable keys; declaring an
     entry with ``conj=True`` stores the conjugate of the variable there.
+    Distinct variables occupy distinct positions.
     """
 
     def __init__(self):
@@ -50,9 +64,6 @@ class DiagBoundSdp:
     def objective_var(self, key) -> None:
         if key not in self._objective:
             self._objective.append(key)
-
-    def var_keys(self) -> list[object]:
-        return list(self._var_occ.keys())
 
     def validate(self) -> None:
         for key in self._objective:
@@ -104,173 +115,221 @@ class DiagBoundSdp:
 
 @dataclass
 class SdpSolution:
+    """``value`` is backed by the PSD blocks of ``variables``; ``lower`` is the
+    larger of the caller's sound lower bound and -<F0, Z> for the dual blocks
+    ``dual`` (in the problem's block order; None when no solve ran or no
+    dual certificate was found)."""
+
     value: float
     variables: dict
     status: str
     probes: int = 0
     iterations: int = 0
+    lower: float = -np.inf
+    dual: list[np.ndarray] | None = None
 
 
 class SdpInfeasibleError(RuntimeError):
     pass
 
 
-class _Projector:
-    """Precomputed index machinery for the affine/PSD alternating projections."""
+def _herm(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _min_eig(m: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(m)[:, 0].min(initial=np.inf))
+
+
+def _step(inv_factor: np.ndarray, direction: np.ndarray, fraction: float) -> float:
+    """min(1, fraction * the largest alpha keeping L L* + alpha D PSD)."""
+    low = _min_eig(inv_factor @ direction @ _herm(inv_factor))
+    return 1.0 if low >= -fraction else -fraction / low
+
+
+class _Lmi:
+    """The real parametrisation F(w) = F0 + sum_k w_k A_k of a DiagBoundSdp.
+
+    Coordinates are the real and imaginary parts of the free variables (parts
+    that vanish identically are dropped) and t, last.  Each A_k is a list of
+    (position, coefficient) entries.  Block matrices are stacked in one
+    (blocks, s, s) array: every block is padded to the largest size s with t
+    on the padded diagonal, which adds only t >= 0, already implied because
+    the objective entries are diagonal entries of PSD blocks.
+    """
 
     def __init__(self, problem: DiagBoundSdp):
-        problem.validate()
         self.problem = problem
-        self.sizes = problem.block_sizes
-        self.offsets = np.concatenate([[0], np.cumsum([s * s for s in self.sizes])]).astype(int)
-        self.total = int(self.offsets[-1])
-
-        def flat(b, i, j):
-            return int(self.offsets[b] + i * self.sizes[b] + j)
-
-        fixed_idx, fixed_val = [], []
+        sizes = problem.block_sizes
+        self.phase_one = not problem._objective
+        self.shape = (len(sizes), max(sizes, default=0), max(sizes, default=0))
+        self.f0 = np.zeros(self.shape, dtype=complex)
         for b, i, j, v in problem._fixed:
-            fixed_idx += [flat(b, i, j), flat(b, j, i)]
-            fixed_val += [v, np.conj(v)]
-        self.fixed_idx = np.array(fixed_idx, dtype=int)
-        self.fixed_val = np.array(fixed_val, dtype=complex)
+            self.f0[b, i, j], self.f0[b, j, i] = v, np.conj(v)
+        # each position holds one variable or its conjugate; a variable held
+        # both ways somewhere (a tied mirror pair) is real
+        held: dict[tuple, tuple] = {}
+        real = set()
+        for key, occs in problem._var_occ.items():
+            for b, i, j, conj in occs:
+                for pos, cj in (((b, i, j), conj), ((b, j, i), not conj)):
+                    prev = held.setdefault(pos, (key, cj))
+                    if prev[0] != key:
+                        raise ValueError(f"variables {prev[0]!r} and {key!r} share a position")
+                    if prev[1] != cj and i != j:
+                        real.add(key)
+        entries = []
+        for pos, (key, cj) in held.items():
+            if key in problem._objective:
+                entries.append((pos, "t", 1.0))
+            else:
+                entries.append((pos, (key, 0), 1.0))
+                if pos[1] != pos[2] and key not in real:
+                    entries.append((pos, (key, 1), -1j if cj else 1j))
+        for b, size in enumerate(sizes):
+            first = 0 if self.phase_one else size
+            entries += [((b, i, i), "t", 1.0) for i in range(first, self.shape[1])]
+        coords = list(dict.fromkeys(k for _, k, _ in entries if k != "t")) + ["t"]
+        self.m = len(coords)
+        self.coord = {k: n for n, k in enumerate(coords)}
+        block, row, col = np.array([pos for pos, _, _ in entries], dtype=int).reshape(-1, 3).T
+        self.e_flat = np.ravel_multi_index((block, row, col), self.shape)
+        self.e_tflat = np.ravel_multi_index((block, col, row), self.shape)
+        self.e_var = np.array([self.coord[k] for _, k, _ in entries], dtype=int)
+        self.e_coef = np.array([c for _, _, c in entries], dtype=complex)
+        self.norm2 = np.bincount(self.e_var, np.abs(self.e_coef) ** 2, minlength=self.m)
+        # per block: its coordinates, and each entry's local coordinate,
+        # position and coefficient, for the Newton matrix
+        self.block_entries = []
+        for b in range(len(sizes)):
+            sel = np.flatnonzero(block == b)
+            coords, local = np.unique(self.e_var[sel], return_inverse=True)
+            self.block_entries.append((b, coords, local, row[sel], col[sel], self.e_coef[sel]))
+        # the dual lift: every diagonal position that holds no free variable
+        self.lift = np.zeros(self.shape)
+        self.lift[:, range(self.shape[1]), range(self.shape[1])] = 1.0
+        self.lift.flat[self.e_flat[(row == col) & (self.e_var < self.m - 1)]] = 0.0
+        edge = np.arange(self.shape[1]) >= np.array(sizes)[:, None]
+        self.padding = edge[:, :, None] | edge[:, None, :]
 
-        self.var_keys = [k for k in problem.var_keys() if k not in problem._objective]
-        self.obj_keys = list(problem._objective)
-        gather_idx, gather_conj, gather_var = [], [], []
-        scatter_idx, scatter_conj, scatter_var = [], [], []
-        for vi, key in enumerate(self.var_keys):
-            for b, i, j, conj in problem._var_occ[key]:
-                gather_idx.append(flat(b, i, j))
-                gather_conj.append(conj)
-                gather_var.append(vi)
-                scatter_idx.append(flat(b, i, j))
-                scatter_conj.append(conj)
-                scatter_var.append(vi)
-                if i != j:
-                    gather_idx.append(flat(b, j, i))
-                    gather_conj.append(not conj)
-                    gather_var.append(vi)
-                    scatter_idx.append(flat(b, j, i))
-                    scatter_conj.append(not conj)
-                    scatter_var.append(vi)
-        self.gather_idx = np.array(gather_idx, dtype=int)
-        self.gather_conj = np.array(gather_conj, dtype=bool)
-        self.gather_var = np.array(gather_var, dtype=int)
-        self.scatter_idx = np.array(scatter_idx, dtype=int)
-        self.scatter_conj = np.array(scatter_conj, dtype=bool)
-        self.scatter_var = np.array(scatter_var, dtype=int)
-        self.var_counts = np.bincount(self.gather_var, minlength=len(self.var_keys)).astype(float)
+    def scatter(self, w: np.ndarray) -> np.ndarray:
+        """sum_k w_k A_k."""
+        vals, size = self.e_coef * w[self.e_var], self.f0.size
+        flat = np.bincount(self.e_flat, vals.real, size)
+        return (flat + 1j * np.bincount(self.e_flat, vals.imag, size)).reshape(self.shape)
 
-        obj_idx = []
-        for key in self.obj_keys:
-            for b, i, j, conj in problem._var_occ[key]:
-                obj_idx.append(flat(b, i, j))
-        self.obj_idx = np.array(obj_idx, dtype=int)
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """(Re <A_k, Y>)_k."""
+        return np.bincount(self.e_var, (self.e_coef * y.ravel()[self.e_tflat]).real, self.m)
 
-        # blocks grouped by size so eigendecompositions run batched
-        self.groups: list[tuple[int, np.ndarray]] = []
-        by_size: dict[int, list[int]] = {}
-        for b, s in enumerate(self.sizes):
-            by_size.setdefault(s, []).append(b)
-        for s, blocks in sorted(by_size.items()):
-            idx = np.concatenate(
-                [np.arange(self.offsets[b], self.offsets[b + 1]) for b in blocks]
-            )
-            self.groups.append((s, idx))
+    def slack(self, w: np.ndarray) -> np.ndarray:
+        return self.f0 + self.scatter(w)
 
-    def hermitianize(self, buf: np.ndarray) -> np.ndarray:
-        out = buf.copy()
-        for s, idx in self.groups:
-            m = out[idx].reshape(-1, s, s)
-            out[idx] = ((m + np.conj(np.swapaxes(m, 1, 2))) / 2).ravel()
-        return out
+    def newton_matrix(self, z: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
+        """M_ij = Re tr(A_i Z A_j S^-1), assembled one block at a time from
+        the block's dense A_j and U_j = Z A_j S^-1, read at A_i's entries."""
+        m = np.zeros((self.m, self.m))
+        for b, coords, local, p, q, c in self.block_entries:
+            n = coords.size
+            a = np.zeros((n, *self.shape[1:]), dtype=complex)
+            a[local, p, q] = c
+            u = (z[b] @ a @ s_inv[b])[:, q, p] * c
+            into = (np.arange(n)[:, None] * n + local).ravel()
+            m[coords[:, None], coords] += np.bincount(into, u.real.ravel(), n * n).reshape(n, n)
+        return m
 
-    def project_affine(self, buf: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Orthogonal projection onto the structure subspace at objective level t."""
-        out = self.hermitianize(buf)
-        if len(self.var_keys):
-            vals = out[self.gather_idx]
-            vals = np.where(self.gather_conj, np.conj(vals), vals)
-            sums = np.zeros(len(self.var_keys), dtype=complex)
-            np.add.at(sums, self.gather_var, vals)
-            means = sums / self.var_counts
-            write = means[self.scatter_var]
-            write = np.where(self.scatter_conj, np.conj(write), write)
-            out[self.scatter_idx] = write
+    def certify(self, z: np.ndarray) -> tuple[float, list[np.ndarray] | None]:
+        """The dual bound -<F0, Z> of Z made exactly dual feasible (padding
+        removed), and that Z as the problem's blocks."""
+        coeffs = self.adjoint(z) / self.norm2
+        coeffs[-1] = 0.0
+        z = z - self.scatter(coeffs)
+        low = _min_eig(z)
+        if low < 0:  # lift a rounding margin past zero, then demand PSD
+            z = z + (1e-14 * float(np.abs(z).max()) - low) * self.lift
+            if _min_eig(z) < 0:
+                return -np.inf, None
+        z = np.where(self.padding, 0.0, z)
+        z = z / self.adjoint(z)[-1]
+        blocks = [z[b, :size, :size] for b, size in enumerate(self.problem.block_sizes)]
+        return -float(np.vdot(z, self.f0).real), blocks
+
+    def values(self, w: np.ndarray) -> dict:
+        part = {k: w[n] for k, n in self.coord.items()}
+        out = {key: complex(part.get((key, 0), 0.0), part.get((key, 1), 0.0))
+               for key in self.problem._var_occ}
+        return {**out, **{key: complex(w[-1]) for key in self.problem._objective}}
+
+
+def _interior_point(lmi: _Lmi, lower: float, rel_gap: float, max_iter: int,
+                    limit: float, scale: float) -> SdpSolution:
+    psd_slack = 1e-10 * scale
+    target = psd_slack if lmi.phase_one else lower + rel_gap * max(1.0, abs(lower))
+    limit = psd_slack if lmi.phase_one else limit
+    w = np.zeros(lmi.m)
+    w[-1] = max(0.0, -_min_eig(lmi.f0)) + scale
+    s = lmi.slack(w)
+    feasible = _min_eig(s) > 0
+    if not feasible:  # the objective does not reach every diagonal: start infeasible
+        s = w[-1] * np.broadcast_to(np.eye(lmi.shape[1]), lmi.shape)
+    z = np.linalg.inv(s)
+    z = z / lmi.adjoint(z)[-1]
+    c = np.eye(lmi.m)[-1]
+    witness, status, steps = None, "max_iter", 0
+    for steps in range(max_iter + 1):
+        try:
+            s_fac, z_fac = (np.linalg.inv(np.linalg.cholesky(a)) for a in (s, z))
+        except np.linalg.LinAlgError:
+            status = "stalled"
+            break
+        t = float(w[-1])
+        if feasible:
+            witness = w.copy()
+            if t <= target:
+                status = "optimal"
+                break
+        gap = float(np.vdot(z, s).real)
+        if (feasible and not lmi.phase_one and gap <= rel_gap * abs(t)) \
+                or -np.vdot(z, lmi.f0).real > limit:
+            bound, _ = lmi.certify(z)
+            if bound > limit:
+                raise SdpInfeasibleError(
+                    f"no feasible point: a dual bound {bound:.3e} exceeds {limit:.3e}")
+            if feasible and not lmi.phase_one and t - bound <= max(rel_gap * abs(t), 1e-12 * scale):
+                status = "optimal"
+                break
+        if steps == max_iter:
+            break
+        s_inv = _herm(s_fac) @ s_fac
+        rp = c - lmi.adjoint(z)
+        rd = lmi.slack(w) - s  # zero once the slack is feasible
+        newton = lmi.newton_matrix(z, s_inv)
+
+        def direction(h):
+            """HKM step: dw from the Newton matrix, dZ = sym(H - Z dS S^-1)."""
+            dw = np.linalg.solve(newton, lmi.adjoint(h - z @ rd @ s_inv) - rp)
+            ds = lmi.scatter(dw) + rd
+            dz = h - z @ ds @ s_inv
+            return dw, ds, (dz + _herm(dz)) / 2
+
+        # Mehrotra: an affine predictor sets the centring, a corrector steps
+        mu = gap / (lmi.shape[0] * lmi.shape[1])
+        dw, ds, dz = direction(-z)
+        ap, ad = _step(z_fac, dz, 1.0), _step(s_fac, ds, 1.0)
+        sigma = min(1.0, max(0.0, np.vdot(z + ap * dz, s + ad * ds).real / gap) ** 3)
+        dw, ds, dz = direction(sigma * mu * s_inv - z - dz @ ds @ s_inv)
+        ap, ad = _step(z_fac, dz, _STEP_FRACTION), _step(s_fac, ds, _STEP_FRACTION)
+        z = z + ap * dz
+        w = w + ad * dw
+        if feasible or ad == 1.0:
+            s, feasible = lmi.slack(w), True
         else:
-            means = np.zeros(0, dtype=complex)
-        if self.fixed_idx.size:
-            out[self.fixed_idx] = self.fixed_val
-        if self.obj_idx.size:
-            out[self.obj_idx] = t
-        return out, means
-
-    def project_psd(self, buf: np.ndarray) -> tuple[np.ndarray, float]:
-        """Blockwise PSD projection; also returns the root-mean-square distance
-        moved per block, so convergence thresholds are block-count invariant."""
-        out = buf.copy()
-        dist2 = 0.0
-        for s, idx in self.groups:
-            m = out[idx].reshape(-1, s, s)
-            vals, vecs = np.linalg.eigh(m)
-            if vals.size == 0 or vals.min() >= 0:
-                continue
-            clipped = np.clip(vals, 0.0, None)
-            proj = np.einsum("bik,bk,bjk->bij", vecs, clipped, np.conj(vecs))
-            dist2 += float(np.sum(np.abs(proj - m) ** 2))
-            out[idx] = proj.ravel()
-        return out, float(np.sqrt(dist2 / max(1, len(self.sizes))))
-
-    def variables_from(self, buf: np.ndarray, t: float) -> dict:
-        _, means = self.project_affine(buf, t)
-        values = {k: complex(means[i]) for i, k in enumerate(self.var_keys)}
-        for k in self.obj_keys:
-            values[k] = complex(t)
-        return values
-
-
-def _feasible(
-    proj: _Projector, t: float, x0: np.ndarray, conv_tol: float, max_iter: int,
-    budget: int | None = None,
-):
-    """Feasibility by averaged alternating reflections of the two projections.
-
-    The governing sequence reflects through the affine structure set and the
-    PSD product cone; its affine shadow converges into the intersection when
-    one exists, while for inconsistent problems the iterates drift at a rate
-    equal to the gap between the sets, which is used to stop early.  Returns
-    (feasible, affine_point, iterations).
-    """
-    scale = proj.problem.data_scale() + abs(t)
-    z = x0.copy()
-    drift_best = np.inf
-    drift_best_at = 0
-    check_every = 10
-    slow_ok = 30 * conv_tol * scale
-    relax = 1.7
-    budget = min(max_iter, 6000 if budget is None else budget)
-    nb = np.sqrt(max(1, len(proj.sizes)))
-    for k in range(1, budget + 1):
-        xa, _ = proj.project_affine(z, t)
-        if k <= 4 or k % check_every == 0:
-            _, dist = proj.project_psd(xa)
-            if dist <= conv_tol * scale:
-                return True, xa, k
-            # slow tail inside a thin feasible set: accept with a slack the
-            # final witness lift absorbs
-            if k > 800 and dist <= slow_ok:
-                return True, xa, k
-        reflected, _ = proj.project_psd(2 * xa - z)
-        step = reflected - xa
-        z = z + relax * step
-        drift = float(np.linalg.norm(step)) / nb
-        if drift < drift_best * (1 - 1e-4):
-            drift_best, drift_best_at = drift, k
-        # drift stabilized above the convergence band: the sets do not meet
-        if k > 120 and k - drift_best_at > 120 and drift_best > 40 * conv_tol * scale:
-            return False, xa, k
-    return False, proj.project_affine(z, t)[0], budget
+            s = s + ad * ds
+    if witness is None:
+        raise SdpInfeasibleError(f"no feasible point found in {steps} Newton steps")
+    bound, dual = lmi.certify(z)
+    value = lower if lmi.phase_one else float(witness[-1])
+    return SdpSolution(value, lmi.values(witness), status, 1, steps, max(lower, bound), dual)
 
 
 def solve_diag_bound_sdp(
@@ -278,94 +337,32 @@ def solve_diag_bound_sdp(
     lower: float = 0.0,
     seeds: tuple[dict, ...] = (),
     rel_gap: float = DEFAULT_REL_GAP,
-    conv_tol: float = DEFAULT_CONV_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     cap: float | None = None,
 ) -> SdpSolution:
     """Minimize the common bound t on the objective entries subject to PSD blocks.
 
     ``lower`` must be a sound lower bound for the optimum (0 works whenever
-    the objective entries are diagonal).  ``seeds`` are candidate variable
-    assignments; any that verify as feasible initialize the upper bracket.
-    The returned value is always backed by a witness whose blocks are PSD.
+    the objective entries are diagonal); the solve stops as soon as its
+    value comes within ``rel_gap`` of it.  ``seeds`` are candidate variable
+    assignments; the best one that verifies as feasible within ``rel_gap``
+    of ``lower`` is returned without a solve.  Otherwise the interior-point
+    method runs for at most ``max_iter`` Newton steps, until the value and
+    its certified dual bound are within ``rel_gap``.  The returned value is
+    always backed by a witness whose blocks are PSD.  Raises
+    SdpInfeasibleError when a dual bound proves the optimum above ``cap``.
     """
-    proj = _Projector(problem)
+    problem.validate()
     scale = problem.data_scale()
-    psd_slack = 1e-10 * scale
-
-    best_t = np.inf
-    best_values: dict | None = None
+    target = lower + rel_gap * max(1.0, abs(lower))
+    best = None
     for seed in seeds:
-        t_seed = max(
-            [abs(complex(seed[k]).real) for k in problem._objective if k in seed] or [0.0]
-        )
-        t_seed = max(t_seed, lower)
-        mu = problem.min_eigenvalue(seed, t=t_seed)
-        if mu >= -psd_slack and t_seed < best_t:
-            best_t = t_seed
-            best_values = dict(seed)
-            for k in problem._objective:
-                best_values[k] = t_seed
-
-    probes = 0
-    iters = 0
-    if best_values is not None and best_t <= lower + rel_gap * max(1.0, abs(lower)):
-        return SdpSolution(float(best_t), best_values, "seeded", probes, iters)
-
-    if best_values is None:
-        hi = max(lower, 1.0, 2.0 * scale)
-        limit = cap if cap is not None else 1e6 * max(1.0, scale)
-        x = np.zeros(proj.total, dtype=complex)
-        while True:
-            ok, xa, k = _feasible(proj, hi, x, conv_tol, max_iter)
-            probes += 1
-            iters += k
-            if ok:
-                best_t = hi
-                best_values = proj.variables_from(xa, hi)
-                break
-            if hi > limit:
-                raise SdpInfeasibleError(
-                    f"no feasible point found below the cap {limit:.3e}"
-                )
-            hi *= 4.0
-    lo = lower
-    hi = best_t
-    x_warm = np.zeros(proj.total, dtype=complex)
-    witness_buf = None
-    # the optimum frequently sits exactly at the lower bound; probe it first
-    if hi - lo > max(1e-12, rel_gap * max(1.0, hi)):
-        ok, xa, k = _feasible(proj, lo, x_warm, conv_tol, max_iter)
-        probes += 1
-        iters += k
-        if ok:
-            hi = lo
-            witness_buf = xa
-    while hi - lo > max(1e-12, rel_gap * max(1.0, hi)):
-        mid = 0.5 * (lo + hi)
-        # misclassifying a probe inside a narrow bracket costs at most the
-        # bracket, so the endgame runs on a reduced iteration budget
-        narrow = hi - lo <= 2e-6 * max(1.0, hi)
-        ok, xa, k = _feasible(
-            proj, mid, x_warm, conv_tol, max_iter, budget=700 if narrow else None
-        )
-        probes += 1
-        iters += k
-        if ok:
-            hi = mid
-            witness_buf = xa
-            x_warm = xa
-        else:
-            lo = mid
-    if witness_buf is not None:
-        values = proj.variables_from(witness_buf, hi)
-        for _ in range(5):
-            mu = problem.min_eigenvalue(values, t=hi)
-            if mu >= 0:
-                break
-            lift = -mu * (1 + 1e-3)
-            hi = hi + lift
-            values = {k: (complex(v) + lift if k in problem._objective else v)
-                      for k, v in values.items()}
-        best_t, best_values = hi, values
-    return SdpSolution(float(best_t), best_values, "optimal", probes, iters)
+        t_seed = max([lower] + [abs(complex(seed[k]).real)
+                                for k in problem._objective if k in seed])
+        if t_seed <= target and (best is None or t_seed < best[0]) \
+                and problem.min_eigenvalue(seed, t=t_seed) >= -1e-10 * scale:
+            best = (t_seed, {**seed, **{k: t_seed for k in problem._objective}})
+    if best is not None:
+        return SdpSolution(float(best[0]), best[1], "seeded", lower=lower)
+    limit = cap if cap is not None else 1e6 * scale
+    return _interior_point(_Lmi(problem), lower, rel_gap, max_iter, limit, scale)

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import gfourier as gf
+from gfourier.norms import schur_problem, stieltjes_problem
 from gfourier.sdp import DiagBoundSdp, SdpInfeasibleError, solve_diag_bound_sdp
 from conftest import random_function, random_pd
 
@@ -94,6 +97,100 @@ class TestSolveDiagBoundSdp:
             cb = gf.schur_cb_norm(phi.reshape(2, 2))
             brute = gf.brute_force_factorization_norm(g2, phi, budget=40, seed=i)
             assert abs(cb.value - brute) <= 1e-5
+
+
+def _s3_transformation():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[i]] for i in range(3))] for b in perms] for a in perms]
+    return gf.transformation_groupoid(table, [list(p) for p in perms])
+
+
+DUAL_GROUPOIDS = {
+    "pair2": lambda: gf.pair_groupoid(2),
+    "pair3": lambda: gf.pair_groupoid(3),
+    "pair4": lambda: gf.pair_groupoid(4),
+    "z4": lambda: gf.group_groupoid(gf.cyclic_table(4)),
+    "z5": lambda: gf.group_groupoid(gf.cyclic_table(5)),
+    "bundle23": lambda: gf.group_bundle([gf.cyclic_table(2), gf.cyclic_table(3)]),
+    "weighted_bundle": lambda: gf.group_bundle(
+        [gf.cyclic_table(2), gf.cyclic_table(3)], unit_weights=[2.0, 0.5]
+    ),
+    "transf_s3": _s3_transformation,
+}
+
+
+def _dual_report(problem: DiagBoundSdp, z: list[np.ndarray]):
+    """Re-verify a dual certificate from the problem's declarations alone.
+
+    Returns (bound, worst equality residual, smallest eigenvalue), where the
+    bound is -<F0, Z>, the residuals are <A_k, Z> for every free variable
+    (real and imaginary part together) and <A_obj, Z> - 1.
+    """
+    bound = 0.0
+    for b, i, j, v in problem._fixed:
+        bound -= (v * z[b][j, i]).real if i == j else 2 * (v * z[b][j, i]).real
+    residual = 0.0
+    objective = 0.0
+    for key, occs in problem._var_occ.items():
+        pairing = 0j
+        for b, i, j, conj in occs:
+            entry = np.conj(z[b][j, i]) if conj else z[b][j, i]
+            pairing += entry.real if i == j else 2 * entry
+        if key in problem._objective:
+            objective += pairing.real
+        else:
+            residual = max(residual, abs(pairing))
+    residual = max(residual, abs(objective - 1.0))
+    low = min(float(np.linalg.eigvalsh(m)[0]) for m in z)
+    return bound, residual, low
+
+
+class TestDualCertificate:
+    """The interior-point solve's dual blocks are PSD, exactly dual feasible,
+    and bound the value from below to within the requested gap."""
+
+    def _check(self, problem):
+        sol = solve_diag_bound_sdp(problem)
+        assert sol.status == "optimal"
+        assert sol.probes == 1 and 0 < sol.iterations <= 100
+        bound, residual, low = _dual_report(problem, sol.dual)
+        scale = problem.data_scale()
+        assert low >= -1e-12 * max(float(np.abs(m).max()) for m in sol.dual)
+        assert residual <= 1e-12 * scale
+        assert bound == pytest.approx(sol.lower, rel=1e-12, abs=1e-12)
+        assert bound <= sol.value
+        assert (sol.value - bound) / sol.value <= 1e-7
+        assert problem.min_eigenvalue(sol.variables) >= 0.0
+
+    @pytest.mark.parametrize("name", sorted(DUAL_GROUPOIDS))
+    def test_stieltjes_problems(self, name, rng):
+        g = DUAL_GROUPOIDS[name]()
+        for _ in range(2):
+            self._check(stieltjes_problem(g, random_function(g, rng)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_schur_problems(self, n, rng):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        self._check(schur_problem(a))
+
+    def test_stops_at_a_lower_bound_it_reaches(self, rng):
+        # rank one: the cb norm is |x|_inf |y|_inf, the sup norm
+        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        a = np.outer(x, y.conj())
+        sup = float(np.abs(a).max())
+        full = solve_diag_bound_sdp(schur_problem(a))
+        early = solve_diag_bound_sdp(schur_problem(a), lower=sup)
+        assert early.iterations < full.iterations
+        assert sup <= early.value <= sup * (1 + 1e-7)
+        assert early.lower >= sup
+
+    def test_seeded_exit_reports_the_given_lower_bound(self, g3, rng):
+        cert = gf.fourier_stieltjes_norm(g3, random_pd(g3, rng))
+        assert cert.witness["status"] == "seeded"
+        assert cert.witness["iterations"] == 0
+        assert cert.witness["lower"] == pytest.approx(cert.value, rel=1e-12)
 
 
 class TestSchurCbNorm:
@@ -252,6 +349,20 @@ class TestFourierNormBounds:
         expect = float(np.max(phi[g3.unit_arrows].real))
         assert lower.value == pytest.approx(expect, abs=1e-6)
         assert upper.value == pytest.approx(expect, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_lower_is_below_the_exact_norm_on_cyclic_groups(self, n):
+        # on Z_n the norm is the l1 sum of the Fourier coefficients
+        g = gf.group_groupoid(gf.cyclic_table(n))
+        for seed in range(8):
+            phi = np.exp(2j * np.pi * np.random.default_rng(seed).random(n))
+            exact = float(np.abs(np.fft.fft(phi)).sum() / n)
+            lower, upper = gf.fourier_norm_bounds(g, phi)
+            assert lower.value <= exact <= upper.value
+            assert lower.value == pytest.approx(exact, rel=1e-7)
+            bound, residual, low = _dual_report(stieltjes_problem(g, phi), lower.witness["dual"])
+            assert bound == pytest.approx(lower.value, rel=1e-12)
+            assert residual <= 1e-12 and low >= -1e-12
 
     def test_weighted_groupoid_falls_back_to_point_masses(self, weighted_bundle, rng):
         phi = random_function(weighted_bundle, rng)
