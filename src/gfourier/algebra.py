@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groupoid import Bisection, FiniteGroupoid, source_permutation
+from .groupoid import UNDEFINED, Bisection, FiniteGroupoid, source_permutation
 
 
 def arrow_function(g: FiniteGroupoid, values) -> np.ndarray:
@@ -17,7 +17,7 @@ def arrow_function(g: FiniteGroupoid, values) -> np.ndarray:
     f = np.asarray(values, dtype=complex)
     if f.shape != (g.n_arrows,):
         raise ValueError(f"expected {g.n_arrows} values, got shape {f.shape}")
-    if not np.all(np.isfinite(f.view(float))):
+    if not np.all(np.isfinite(f)):
         raise ValueError("arrow function entries must be finite")
     return f
 
@@ -38,16 +38,13 @@ def unit_function(g: FiniteGroupoid, values) -> np.ndarray:
 def convolve(g: FiniteGroupoid, f, h) -> np.ndarray:
     """(f*h)(x) = sum over t in the range fiber of x of w(t) f(t) h(inverse(t) x).
 
-    Computed by a direct loop over fibers; both factors must live on g.
+    A gather over the composable pairs of g and a sum over each arrow's
+    segment; both factors must live on g.
     """
     f = arrow_function(g, f)
     h = arrow_function(g, h)
-    out = np.zeros(g.n_arrows, dtype=complex)
-    for x in range(g.n_arrows):
-        t = g.r_fibers[g.range_of[x]]
-        y = g.compose_table[g.inverse_of[t], x]
-        out[x] = np.sum(g.weights[t] * f[t] * h[y])
-    return out
+    _, t, y, starts = g.composable_pairs
+    return np.add.reduceat(g.weights[t] * f[t] * h[y], starts)
 
 
 def star(g: FiniteGroupoid, f) -> np.ndarray:
@@ -96,19 +93,19 @@ def act_bisection(g: FiniteGroupoid, a: Bisection, f, side: str) -> np.ndarray:
     (fa)(x) = f(a_with_source_range(x) . x).
     """
     f = arrow_function(g, f)
-    out = np.empty_like(f)
+    picks = np.asarray(a.picks, dtype=int)
+    ids = np.arange(g.n_arrows)
     if side == "left":
-        for x in range(g.n_arrows):
-            out[x] = f[g.compose(x, a.picks[int(g.source_of[x])])]
-        return out
-    if side == "right":
-        sigma = source_permutation(g, a)
+        moved = g.compose_table[ids, picks[g.source_of]]
+    elif side == "right":
         by_source = np.empty(g.n_units, dtype=int)
-        by_source[sigma] = np.asarray(a.picks, dtype=int)
-        for x in range(g.n_arrows):
-            out[x] = f[g.compose(int(by_source[int(g.range_of[x])]), x)]
-        return out
-    raise ValueError("side must be 'left' or 'right'")
+        by_source[source_permutation(g, a)] = picks
+        moved = g.compose_table[by_source[g.range_of], ids]
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+    if np.any(moved == UNDEFINED):
+        raise ValueError(f"bisection {a.picks} does not compose with every arrow")
+    return f[moved]
 
 
 def convolution_identity(g: FiniteGroupoid) -> np.ndarray:

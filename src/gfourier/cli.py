@@ -35,6 +35,7 @@ from .groupoid import (
     product_with_pair_groupoid,
     source_permutation,
     transformation_groupoid,
+    validate,
 )
 
 USAGE_ERROR = 2
@@ -91,6 +92,14 @@ def _summary(g: FiniteGroupoid) -> str:
     return f"{g.n_arrows} arrows, {g.n_units} units, {profile}"
 
 
+def _validated(g: FiniteGroupoid, path: str) -> FiniteGroupoid:
+    """g itself when it is a groupoid; otherwise a FileFormatError naming its first violation."""
+    violations = validate(g, max_report=1).violations
+    if violations:
+        raise FileFormatError(f"{path} does not define a groupoid: {violations[0]}")
+    return g
+
+
 def _build_groupoid(args) -> FiniteGroupoid:
     if args.kind == "pair":
         if args.n is None or args.n < 1:
@@ -109,7 +118,7 @@ def _build_groupoid(args) -> FiniteGroupoid:
     if args.kind == "product-i2":
         if not args.src:
             raise FileFormatError("product-i2 needs --from FILE")
-        return product_with_pair_groupoid(read_groupoid(args.src))
+        return product_with_pair_groupoid(_validated(read_groupoid(args.src), args.src))
     if args.kind == "transformation":
         table = _table_from_args(args)
         if args.action is None:
@@ -150,7 +159,7 @@ def _gap(cert) -> str:
 
 
 def cmd_norm(args) -> int:
-    g = read_groupoid(args.groupoid)
+    g = _validated(read_groupoid(args.groupoid), args.groupoid)
     phi = read_arrow_function(args.function, g)
     report = RunReport(
         command=f"norm {args.which}", seed=args.seed, groupoid=_summary(g)
@@ -215,6 +224,11 @@ def cmd_norm(args) -> int:
 
 def cmd_duality(args) -> int:
     g = read_groupoid(args.groupoid)
+    gamma = enumerate_bisections(g)
+    if gamma:
+        # the round trips compose arrows; finding that no bisection exists
+        # needs only ranges and sources, so that case is reported, not rejected
+        _validated(g, args.groupoid)
     rep = duality_report(g)
     report = RunReport(command="duality", seed=args.seed, groupoid=_summary(g))
     status = "warn" if rep.bisection_count == 0 else "pass"
@@ -228,7 +242,6 @@ def cmd_duality(args) -> int:
         )
     )
     if 0 < rep.bisection_count <= 24:
-        gamma = enumerate_bisections(g)
         for i, a in enumerate(gamma):
             sigma = source_permutation(g, a)
             report.records.append(

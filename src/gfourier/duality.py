@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import act_bisection, arrow_function, delta, module_action
-from .duality_types import ModuleMap
 from .groupoid import (
     Bisection,
     FiniteGroupoid,
@@ -26,6 +25,28 @@ from .groupoid import (
 )
 
 SUPPORT_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class ModuleMap:
+    """Linear map from arrow functions to unit functions, with a module side.
+
+    ``matrix`` has shape (n_units, n_arrows); column x is the image of the
+    point mass at arrow x.  A right map satisfies alpha(f b) = alpha(f) b for
+    unit functions b acting on the range side; a left map satisfies
+    beta(b f) = b beta(f) for the source-side action.
+    """
+
+    matrix: np.ndarray
+    side: str
+
+    def __post_init__(self):
+        if self.side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right'")
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
+
+    def __call__(self, f) -> np.ndarray:
+        return self.matrix @ np.asarray(f, dtype=complex)
 
 
 def range_evaluation_map(g: FiniteGroupoid, a: Bisection) -> ModuleMap:

@@ -107,24 +107,22 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
 
 
 def _derive_unit_arrows(n_units, rng, src, inv, compose) -> list[int]:
-    n = rng.shape[0]
+    ids = np.arange(rng.shape[0])
+    undefined = compose == UNDEFINED
+    # e fixes every arrow it composes with, on either side
+    two_sided = np.all(undefined | (compose == ids[:, None]), axis=0) & np.all(
+        undefined | (compose == ids[None, :]), axis=1
+    )
+    identity_like = two_sided & (inv == ids) & (compose[ids, ids] == ids)
     units = []
     for u in range(n_units):
-        candidates = []
-        for e in range(n):
-            if rng[e] != u or src[e] != u or inv[e] != e or compose[e, e] != e:
-                continue
-            two_sided = all(
-                compose[x, e] in (UNDEFINED, x) for x in range(n)
-            ) and all(compose[e, y] in (UNDEFINED, y) for y in range(n))
-            if two_sided:
-                candidates.append(e)
+        candidates = np.flatnonzero(identity_like & (rng == u) & (src == u))
         if len(candidates) != 1:
             raise FileFormatError(
                 f"cannot derive the unit arrow of unit {u}: "
                 f"{len(candidates)} candidates (add an explicit unit_arrows field)"
             )
-        units.append(candidates[0])
+        units.append(int(candidates[0]))
     return units
 
 

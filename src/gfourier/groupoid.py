@@ -5,6 +5,13 @@ marking non-composable pairs, so validation can be exhaustive and composition
 is O(1).  A Haar system at finite scale is a positive weight per arrow; left
 invariance forces the weight to depend only on the source unit, which
 ``validate`` checks rather than assumes.
+
+The composable pairs G^(2) are indexed once per groupoid and cached
+(``FiniteGroupoid.composable_pairs``): for each arrow x, every arrow t of its
+range fiber with y = inverse(t) x, so that x = t y.  Convolution, the regular
+operators and the regular coefficients are gathers over this index followed
+by a sum over each arrow's segment or a scatter into a matrix.  ``validate``
+reads the composition table instead, because its input may not be a groupoid.
 """
 
 from __future__ import annotations
@@ -50,6 +57,25 @@ class FiniteGroupoid:
     @cached_property
     def s_fibers(self) -> tuple[np.ndarray, ...]:
         return tuple(np.flatnonzero(self.source_of == u) for u in range(self.n_units))
+
+    @cached_property
+    def composable_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The composable pairs G^(2) as flat arrays (x, t, y, starts).
+
+        Entry k holds an arrow x, an arrow t of the range fiber of x and
+        y = inverse(t) x, so that x = t y.  Entries are grouped by x in
+        ascending order, t ascending within a group, and the group of x starts
+        at ``starts[x]``; there are sum over units u of |fiber(u)|^2 entries.
+        """
+        counts = np.array([fiber.size for fiber in self.r_fibers])
+        sizes = counts[self.range_of]
+        starts = np.cumsum(sizes) - sizes
+        x = np.repeat(np.arange(self.n_arrows), sizes)
+        by_range = np.concatenate(self.r_fibers)
+        fiber_starts = np.cumsum(counts) - counts
+        t = by_range[fiber_starts[self.range_of[x]] + np.arange(x.size) - starts[x]]
+        y = self.compose_table[self.inverse_of[t], x]
+        return x, t, y, starts
 
     @property
     def unit_weights(self) -> np.ndarray:
@@ -112,13 +138,11 @@ def pair_groupoid(n: int, unit_weights=None) -> FiniteGroupoid:
     """
     if n < 1:
         raise ValueError("need at least one point")
-    ids = np.arange(n * n)
-    i, j = divmod(ids, n)
+    i, j = divmod(np.arange(n * n), n)
     compose = np.full((n * n, n * n), UNDEFINED, dtype=int)
-    for x in ids:
-        for y in ids:
-            if j[x] == i[y]:
-                compose[x, y] = i[x] * n + j[y]
+    # (a, b)(b, c) = (a, c) for all points a, b, c at once
+    a, b, c = np.ix_(range(n), range(n), range(n))
+    compose[a * n + b, b * n + c] = a * n + c
     return _build(i, j, j * n + i, compose, np.arange(n) * n + np.arange(n), unit_weights)
 
 
@@ -129,23 +153,21 @@ def _check_group_table(table: np.ndarray) -> tuple[int, np.ndarray]:
         raise ValueError("multiplication table must be square and nonempty")
     if table.min() < 0 or table.max() >= k:
         raise ValueError("table entries must index group elements")
-    identity = None
-    for e in range(k):
-        if np.array_equal(table[e], np.arange(k)) and np.array_equal(table[:, e], np.arange(k)):
-            identity = e
-            break
-    if identity is None:
+    ids = np.arange(k)
+    two_sided = np.all(table == ids, axis=1) & np.all(table == ids[:, None], axis=0)
+    if not two_sided.any():
         raise ValueError("table has no two-sided identity")
-    inv = np.full(k, -1, dtype=int)
-    for g in range(k):
-        hits = np.flatnonzero(table[g] == identity)
-        if hits.size != 1 or table[hits[0], g] != identity:
-            raise ValueError(f"element {g} has no two-sided inverse")
-        inv[g] = hits[0]
+    identity = int(two_sided.argmax())
+    hits = table == identity
+    inv = hits.argmax(axis=1)
+    no_inverse = (hits.sum(axis=1) != 1) | (table[inv, ids] != identity)
+    if no_inverse.any():
+        raise ValueError(f"element {no_inverse.argmax()} has no two-sided inverse")
     for a in range(k):
-        for b in range(k):
-            if not np.array_equal(table[table[a, b]], table[a][table[b]]):
-                raise ValueError(f"table is not associative at ({a}, {b})")
+        # (ab)c against a(bc) for every b, c at once
+        bad = np.any(table[table[a]] != table[a][table], axis=1)
+        if bad.any():
+            raise ValueError(f"table is not associative at ({a}, {bad.argmax()})")
     return identity, inv
 
 
@@ -206,17 +228,13 @@ def product_with_pair_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     rng = 2 * g.range_of[x] + i
     src = 2 * g.source_of[x] + j
     inv = 4 * g.inverse_of[x] + 2 * j + i
+    xs, ys = np.nonzero(g.compose_table != UNDEFINED)
+    xy = g.compose_table[xs, ys]
+    # (x, i, j)(y, j, l) = (xy, i, l): one row per choice of i, j, l
+    i2, j2, l2 = np.indices((2, 2, 2)).reshape(3, 8, 1)
     compose = np.full((4 * n, 4 * n), UNDEFINED, dtype=int)
-    for a in ids:
-        xy = g.compose_table[x[a]]
-        for b in ids:
-            z = xy[x[b]]
-            if z != UNDEFINED and j[a] == i[b]:
-                compose[a, b] = 4 * z + 2 * i[a] + j[b]
-    units = np.empty(2 * g.n_units, dtype=int)
-    for u in range(g.n_units):
-        for t in (0, 1):
-            units[2 * u + t] = 4 * g.unit_arrows[u] + 3 * t
+    compose[4 * xs + 2 * i2 + j2, 4 * ys + 2 * j2 + l2] = 4 * xy + 2 * i2 + l2
+    units = 4 * np.repeat(g.unit_arrows, 2) + 3 * np.tile([0, 1], g.n_units)
     uw = np.repeat(g.unit_weights, 2)
     return _build(rng, src, inv, compose, units, uw)
 
@@ -238,20 +256,19 @@ def transformation_groupoid(table, action, unit_weights=None) -> FiniteGroupoid:
         raise ValueError("action entries must index points")
     if not np.array_equal(action[identity], np.arange(m)):
         raise ValueError("identity must act trivially")
-    for a in range(k):
-        for b in range(k):
-            if not np.array_equal(action[a][action[b]], action[table[a, b]]):
-                raise ValueError(f"action is not compatible with the product at ({a}, {b})")
+    incompatible = np.any(action[:, action] != action[table], axis=2)
+    if incompatible.any():
+        a, b = np.argwhere(incompatible)[0]
+        raise ValueError(f"action is not compatible with the product at ({a}, {b})")
     ids = np.arange(k * m)
     grp, pt = divmod(ids, m)
     rng = action[grp, pt]
     src = pt
     inv = ginv[grp] * m + action[grp, pt]
     compose = np.full((k * m, k * m), UNDEFINED, dtype=int)
-    for a in ids:
-        for b in ids:
-            if pt[a] == action[grp[b], pt[b]]:
-                compose[a, b] = table[grp[a], grp[b]] * m + pt[b]
+    # (a, b.p)(b, p) = (ab, p) for all group elements a, b and points p at once
+    a, b, p = np.ix_(range(k), range(k), range(m))
+    compose[a * m + action[b, p], b * m + p] = table[a, b] * m + p
     units = identity * m + np.arange(m)
     return _build(rng, src, inv, compose, units, unit_weights)
 
@@ -277,62 +294,71 @@ def validate(g: FiniteGroupoid, max_report: int = 50) -> ValidationReport:
         if len(bad) < max_report:
             bad.append(msg)
 
+    def note_where(*checks):
+        """Note per-index checks (failure mask, message of the index) by index, then by check."""
+        for i in np.flatnonzero(np.any([fails for fails, _ in checks], axis=0))[:max_report]:
+            for fails, msg in checks:
+                if fails[i]:
+                    note(msg(i))
+
     n = g.n_arrows
-    if sorted(map(int, g.unit_arrows)) != sorted(set(map(int, g.unit_arrows))):
+    ids = np.arange(n)
+    table = g.compose_table
+    rng, src, inv, e = g.range_of, g.source_of, g.inverse_of, g.unit_arrows
+    if len(set(e.tolist())) != e.size:
         note("unit arrows are not distinct")
-    for u, e in enumerate(g.unit_arrows):
-        if g.range_of[e] != u or g.source_of[e] != u:
-            note(f"unit arrow {e} of unit {u} has range {g.range_of[e]}, source {g.source_of[e]}")
-        if g.inverse_of[e] != e:
-            note(f"unit arrow {e} is not fixed by inversion")
+    units = np.arange(g.n_units)
+    note_where(
+        ((rng[e] != units) | (src[e] != units),
+         lambda u: f"unit arrow {e[u]} of unit {u} has range {rng[e[u]]}, source {src[e[u]]}"),
+        (inv[e] != e, lambda u: f"unit arrow {e[u]} is not fixed by inversion"),
+    )
+    note_where(
+        ((rng[inv] != src) | (src[inv] != rng),
+         lambda x: f"inverse of {x} swaps range/source incorrectly"),
+        (inv[inv] != ids, lambda x: f"inversion is not involutive at {x}"),
+    )
+    defined = table != UNDEFINED
+    should = src[:, None] == rng[None, :]
+    # products of the pairs that should compose, checked for their endpoints
+    left, right = np.nonzero(should)
+    prod = table[left, right]
+    wrong_ends = np.zeros_like(should)
+    wrong_ends[left, right] = (prod != UNDEFINED) & (
+        (rng[prod] != rng[left]) | (src[prod] != src[right])
+    )
+    # pairs (x, y) by flat index k = x n + y
+    note_where(
+        ((defined != should).ravel(),
+         lambda k: f"composition of ({k // n}, {k % n}) defined={defined.flat[k]}, "
+         f"expected {should.flat[k]}"),
+        (wrong_ends.ravel(),
+         lambda k: f"product {k // n}{k % n}={table.flat[k]} has wrong endpoints"),
+    )
+    er, es = e[rng], e[src]
+    note_where(
+        (table[er, ids] != ids, lambda x: f"left identity fails at arrow {x}"),
+        (table[ids, es] != ids, lambda x: f"right identity fails at arrow {x}"),
+        (table[inv, ids] != es, lambda x: f"inverse(x).x is not the source unit at arrow {x}"),
+        (table[ids, inv] != er, lambda x: f"x.inverse(x) is not the range unit at arrow {x}"),
+    )
     for x in range(n):
-        xi = g.inverse_of[x]
-        if g.range_of[xi] != g.source_of[x] or g.source_of[xi] != g.range_of[x]:
-            note(f"inverse of {x} swaps range/source incorrectly")
-        if g.inverse_of[xi] != x:
-            note(f"inversion is not involutive at {x}")
-    for x in range(n):
-        for y in range(n):
-            z = g.compose_table[x, y]
-            defined = z != UNDEFINED
-            should = g.source_of[x] == g.range_of[y]
-            if defined != should:
-                note(f"composition of ({x}, {y}) defined={defined}, expected {should}")
-            elif defined:
-                if g.range_of[z] != g.range_of[x] or g.source_of[z] != g.source_of[y]:
-                    note(f"product {x}{y}={z} has wrong endpoints")
-    for x in range(n):
-        er = g.unit_arrows[g.range_of[x]]
-        es = g.unit_arrows[g.source_of[x]]
-        if g.compose_table[er, x] != x:
-            note(f"left identity fails at arrow {x}")
-        if g.compose_table[x, es] != x:
-            note(f"right identity fails at arrow {x}")
-        if g.compose_table[g.inverse_of[x], x] != es:
-            note(f"inverse(x).x is not the source unit at arrow {x}")
-        if g.compose_table[x, g.inverse_of[x]] != er:
-            note(f"x.inverse(x) is not the range unit at arrow {x}")
-    for x in range(n):
-        for y in np.flatnonzero(g.range_of == g.source_of[x]):
-            xy = g.compose_table[x, y]
-            if xy == UNDEFINED:
-                continue
-            for z in np.flatnonzero(g.range_of == g.source_of[y]):
-                left = g.compose_table[xy, z]
-                right = g.compose_table[x, g.compose_table[y, z]]
-                if left != right:
-                    note(f"associativity fails on ({x}, {y}, {z})")
+        # (xy)z against x(yz) for every composable y, then every z with range source(y)
+        ys = np.flatnonzero(rng == src[x])
+        xy = table[x, ys]
+        ys, xy = ys[xy != UNDEFINED], xy[xy != UNDEFINED]
+        fails = (rng[None, :] == src[ys][:, None]) & (table[xy] != table[x][table[ys]])
+        for i, z in np.argwhere(fails)[:max_report]:
+            note(f"associativity fails on ({x}, {ys[i]}, {z})")
     if np.any(g.weights <= 0):
         note("weights must be positive")
     else:
-        uw = g.weights[g.unit_arrows]
-        for x in range(n):
-            expect = uw[g.source_of[x]]
-            if abs(g.weights[x] - expect) > 1e-12 * max(1.0, abs(expect)):
-                note(
-                    f"Haar weight of arrow {x} is {g.weights[x]}, "
-                    f"but left invariance needs the source-unit weight {expect}"
-                )
+        expect = g.weights[e][src]
+        note_where((
+            np.abs(g.weights - expect) > 1e-12 * np.maximum(1.0, np.abs(expect)),
+            lambda x: f"Haar weight of arrow {x} is {g.weights[x]}, "
+            f"but left invariance needs the source-unit weight {expect[x]}",
+        ))
     return ValidationReport(tuple(bad))
 
 

@@ -16,15 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import arrow_function, star
-from .groupoid import FiniteGroupoid, product_arrow_id, product_with_pair_groupoid
+from .groupoid import FiniteGroupoid, product_with_pair_groupoid
 from .numerics import orthonormal_span
 from .positivity import (
+    gram_matrix,
     is_positive_definite,
     off_diagonal_embed,
     pd_to_section,
     regular_coefficient,
 )
-from .regular import section_norm
+from .regular import left_op, right_op, section_norm
 from .sdp import DiagBoundSdp, SdpSolution, solve_diag_bound_sdp
 
 
@@ -51,14 +52,17 @@ def _canonical_arrow(g: FiniteGroupoid, z: int) -> tuple[int, bool]:
 def stieltjes_problem(g: FiniteGroupoid, phi) -> DiagBoundSdp:
     """The block completion problem whose optimum is the coefficient norm bound."""
     phi = arrow_function(g, phi)
+    _, _, y, starts = g.composable_pairs
     p = DiagBoundSdp()
     for u in range(g.n_units):
         fiber = g.r_fibers[u]
         m = fiber.shape[0]
         b = p.add_block(2 * m)
+        # the Gram block of arrow ids: inverse(fiber[pi]) fiber[qi] at (pi, qi)
+        ids = y[starts[fiber] + np.arange(m)[:, None]]
         for pi in range(m):
             for qi in range(m):
-                z = int(g.compose_table[g.inverse_of[fiber[pi]], fiber[qi]])
+                z = int(ids[pi, qi])
                 p.entry_fixed(b, pi, qi + m, phi[z])
                 if pi <= qi:
                     c, conj = _canonical_arrow(g, z)
@@ -89,8 +93,7 @@ def _stieltjes_seeds(g: FiniteGroupoid, phi) -> tuple[list[dict], float]:
         seeds.append({(name, c): complex(phi[c]) for name in ("r", "t") for c in keys})
     sigma = 0.0
     for u in range(g.n_units):
-        fiber = g.r_fibers[u]
-        block = phi[g.compose_table[np.ix_(g.inverse_of[fiber], fiber)]]
+        block = gram_matrix(g, phi, u)
         if block.size:
             sigma = max(sigma, float(np.linalg.norm(block, 2)))
     diag_seed = {(name, c): 0.0 for name in ("r", "t") for c in keys}
@@ -283,12 +286,9 @@ def _doubled_terms(g: FiniteGroupoid, stieltjes: NormCertificate, phi):
     embedded = off_diagonal_embed(g, rho, phi, tau)
     gp = product_with_pair_groupoid(g)
     xi = pd_to_section(gp, embedded, tol=1e-7)
-    parts = {}
-    for i in (0, 1):
-        for j in (0, 1):
-            part = np.array([xi[product_arrow_id(x, i, j)] for x in range(g.n_arrows)])
-            parts[(i, j)] = part
-    return [(parts[(1, 0)], parts[(0, 0)]), (parts[(1, 1)], parts[(0, 1)])]
+    # parts[x, i, j] = xi[product_arrow_id(x, i, j)]
+    parts = xi.reshape(g.n_arrows, 2, 2)
+    return [(parts[:, 1, 0], parts[:, 0, 0]), (parts[:, 1, 1], parts[:, 0, 1])]
 
 
 def fourier_norm_bounds(
@@ -317,9 +317,11 @@ def fourier_norm_bounds(
 
     candidates: list[list[tuple[np.ndarray, np.ndarray]]] = []
     if _unit_weights_only(g):
-        if is_positive_definite(g, phi):
+        try:
             xi = pd_to_section(g, phi)
             candidates.append([(xi, xi)])
+        except ValueError:
+            pass
         arrow_of = _pair_structure(g)
         if arrow_of is not None:
             candidates.append(_pair_terms(g, arrow_of, stieltjes, phi))
@@ -377,29 +379,13 @@ def brute_force_factorization_norm(
     return best
 
 
-def _coefficient_matrix_in_eta(g: FiniteGroupoid, xi) -> np.ndarray:
-    m = np.zeros((g.n_arrows, g.n_arrows), dtype=complex)
-    for x in range(g.n_arrows):
-        t = g.r_fibers[g.range_of[x]]
-        y = g.compose_table[g.inverse_of[x], t]
-        m[x, t] = g.weights[t] * np.conj(xi[y])
-    return m
-
-
-def _coefficient_matrix_in_xi_conj(g: FiniteGroupoid, eta) -> np.ndarray:
-    m = np.zeros((g.n_arrows, g.n_arrows), dtype=complex)
-    for x in range(g.n_arrows):
-        t = g.r_fibers[g.range_of[x]]
-        y = g.compose_table[g.inverse_of[x], t]
-        m[x, y] += g.weights[t] * eta[t]
-    return m
-
-
 def _alternating_fit(g, phi, xi, eta, iters: int = 80):
     resid = np.inf
     for _ in range(iters):
-        eta = np.linalg.lstsq(_coefficient_matrix_in_eta(g, xi), phi, rcond=None)[0]
-        chi = np.linalg.lstsq(_coefficient_matrix_in_xi_conj(g, eta), phi, rcond=None)[0]
+        # (xi, eta) is linear in eta through right_op(xi*) and in conj(xi)
+        # through left_op(eta) with its columns reindexed by inversion
+        eta = np.linalg.lstsq(right_op(g, star(g, xi)), phi, rcond=None)[0]
+        chi = np.linalg.lstsq(left_op(g, eta)[:, g.inverse_of], phi, rcond=None)[0]
         xi = np.conj(chi)
         resid = float(np.abs(regular_coefficient(g, xi, eta) - phi).max(initial=0.0))
         if resid < 1e-13 * max(1.0, float(np.abs(phi).max(initial=0.0))):

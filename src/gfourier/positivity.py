@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import arrow_function
-from .groupoid import FiniteGroupoid, product_arrow_id
+from .algebra import arrow_function, convolve, star
+from .groupoid import FiniteGroupoid
 from .numerics import hermitian_sqrt, rank_factor
 from .regular import right_op, unit_blocks
 
@@ -122,15 +122,8 @@ def pd_verdict_pointset(g: FiniteGroupoid, phi, tol: float = PSD_TOL, iters: int
 
 def integral_form(g: FiniteGroupoid, phi, u: int, f) -> complex:
     """Weighted double sum of phi(inverse(y) x) f(y) conj(f(x)) over the fiber of u."""
-    phi = arrow_function(g, phi)
     f = np.asarray(f, dtype=complex)
-    fiber = g.r_fibers[u]
-    total = 0.0 + 0.0j
-    for px, x in enumerate(fiber):
-        for py, y in enumerate(fiber):
-            z = g.compose_table[g.inverse_of[y], x]
-            total += g.weights[x] * g.weights[y] * phi[z] * f[py] * np.conj(f[px])
-    return complex(total)
+    return complex(f.conj() @ _integral_kernel(g, phi, u) @ f)
 
 
 def pd_verdict_integral(
@@ -138,9 +131,10 @@ def pd_verdict_integral(
 ) -> PdVerdict:
     """Haar-integral criterion probed on random test functions plus a descent polish.
 
-    Each probe evaluates the double sum literally.  The descent step improves
-    the worst probe by iterating the integral kernel, so a strictly negative
-    direction is found whenever one exists (up to the tolerance band).
+    Each probe evaluates the double sum as a form in the weighted Gram matrix.
+    The descent step improves the worst probe by iterating the integral
+    kernel, so a strictly negative direction is found whenever one exists (up
+    to the tolerance band).
     """
     phi = arrow_function(g, phi)
     rng = np.random.default_rng(seed)
@@ -158,10 +152,7 @@ def pd_verdict_integral(
             if val.real < best_val:
                 best_val, best_f = val.real, f
         f = best_f
-        kernel = np.array(
-            [[g.weights[x] * g.weights[y] * phi[g.compose_table[g.inverse_of[y], x]]
-              for y in fiber] for x in fiber]
-        )
+        kernel = _integral_kernel(g, phi, u)
         c = float(np.abs(kernel).sum(axis=1).max(initial=0.0)) + 1.0
         for _ in range(800):
             w = c * f - kernel.conj().T @ f
@@ -173,6 +164,12 @@ def pd_verdict_integral(
         if abs(val.imag) > tol * c or val.real < -tol * c:
             return PdVerdict(False, u, f, val)
     return PdVerdict(True)
+
+
+def _integral_kernel(g: FiniteGroupoid, phi, u: int) -> np.ndarray:
+    """The weighted kernel w(x) w(y) phi(inverse(y) x) over the fiber of u."""
+    w = g.weights[g.r_fibers[u]]
+    return (w[:, None] * w[None, :]) * gram_matrix(g, phi, u).T
 
 
 # ---------------------------------------------------------------------------
@@ -237,27 +234,25 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
     factors: list[np.ndarray] = []
     pinvs: list[np.ndarray] = []
     for u in range(g.n_units):
-        fiber = g.r_fibers[u]
-        w = g.weights[fiber]
-        kernel = (w[:, None] * w[None, :]) * gram_matrix(g, phi, u).T
+        kernel = _integral_kernel(g, phi, u)
         sym = (kernel + kernel.conj().T) / 2
         c = rank_factor(sym, tol)
         factors.append(c)
         pinvs.append(np.linalg.pinv(c))
+    position = np.empty(g.n_arrows, dtype=int)
+    for fiber in g.r_fibers:
+        position[fiber] = np.arange(fiber.size)
+    _, _, y, starts = g.composable_pairs
     maps = []
     for x in range(g.n_arrows):
         u, v = int(g.range_of[x]), int(g.source_of[x])
-        translate = np.zeros((len(g.r_fibers[u]), len(g.r_fibers[v])))
-        pos_in_range = {int(a): p for p, a in enumerate(g.r_fibers[u])}
-        for q, y in enumerate(g.r_fibers[v]):
-            translate[pos_in_range[int(g.compose_table[x, y])], q] = 1.0
-        maps.append(factors[u] @ translate @ pinvs[v])
+        # left translation by x sends inverse(x) t to t: row p of the translation
+        # matrix picks the position of inverse(x) t for the p-th t of the fiber of u
+        back = g.inverse_of[y[starts[x] : starts[x] + g.r_fibers[u].size]]
+        maps.append(factors[u] @ pinvs[v][position[back]])
     vectors = []
-    for u in range(g.n_units):
-        fiber = list(map(int, g.r_fibers[u]))
-        e = np.zeros(len(fiber), dtype=complex)
-        e[fiber.index(int(g.unit_arrows[u]))] = 1.0 / g.weights[g.unit_arrows[u]]
-        vectors.append(factors[u] @ e)
+    for u, e in enumerate(g.unit_arrows):
+        vectors.append(factors[u][:, position[e]] / g.weights[e])
     bundle = GHilbertBundle(dims=tuple(c.shape[0] for c in factors), maps=tuple(maps))
     return bundle, BundleSection(tuple(vectors))
 
@@ -265,17 +260,9 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
 def regular_coefficient(g: FiniteGroupoid, f, h) -> np.ndarray:
     """Coefficient of the left-regular module: (f,h)(x) = sum w(t) conj(f(inverse(x) t)) h(t).
 
-    Identical to convolving h with the involution of f; the explicit double
-    sum is kept as the defining formula.
+    Computed as the convolution of h with the involution of f.
     """
-    f = arrow_function(g, f)
-    h = arrow_function(g, h)
-    out = np.empty(g.n_arrows, dtype=complex)
-    for x in range(g.n_arrows):
-        t = g.r_fibers[g.range_of[x]]
-        y = g.compose_table[g.inverse_of[x], t]
-        out[x] = np.sum(g.weights[t] * np.conj(f[y]) * h[t])
-    return out
+    return convolve(g, h, star(g, f))
 
 
 def pd_to_section(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> np.ndarray:
@@ -311,10 +298,5 @@ def off_diagonal_embed(g: FiniteGroupoid, rho, phi, tau) -> np.ndarray:
     rho = arrow_function(g, rho)
     phi = arrow_function(g, phi)
     tau = arrow_function(g, tau)
-    out = np.zeros(4 * g.n_arrows, dtype=complex)
-    for x in range(g.n_arrows):
-        out[product_arrow_id(x, 0, 0)] = rho[x]
-        out[product_arrow_id(x, 0, 1)] = phi[x]
-        out[product_arrow_id(x, 1, 0)] = np.conj(phi[g.inverse_of[x]])
-        out[product_arrow_id(x, 1, 1)] = tau[x]
-    return out
+    # product_arrow_id(x, i, j) = 4 x + 2 i + j
+    return np.stack([rho, phi, star(g, phi), tau], axis=1).ravel()

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from gfourier.groupoid import UNDEFINED
+from gfourier.groupoid import UNDEFINED, ValidationReport
 
 
 def convolve_oracle(g, f, h):
@@ -128,3 +128,122 @@ def _respects_structure(g1, g2, assignment):
             if z1 != UNDEFINED and assignment[z1] != z2:
                 return False
     return True
+
+
+def validate_oracle(g, max_report=50):
+    """The axiom check as a plain loop over arrows, pairs and triples."""
+    bad: list[str] = []
+
+    def note(msg):
+        if len(bad) < max_report:
+            bad.append(msg)
+
+    n = g.n_arrows
+    if sorted(map(int, g.unit_arrows)) != sorted(set(map(int, g.unit_arrows))):
+        note("unit arrows are not distinct")
+    for u, e in enumerate(g.unit_arrows):
+        if g.range_of[e] != u or g.source_of[e] != u:
+            note(f"unit arrow {e} of unit {u} has range {g.range_of[e]}, source {g.source_of[e]}")
+        if g.inverse_of[e] != e:
+            note(f"unit arrow {e} is not fixed by inversion")
+    for x in range(n):
+        xi = g.inverse_of[x]
+        if g.range_of[xi] != g.source_of[x] or g.source_of[xi] != g.range_of[x]:
+            note(f"inverse of {x} swaps range/source incorrectly")
+        if g.inverse_of[xi] != x:
+            note(f"inversion is not involutive at {x}")
+    for x in range(n):
+        for y in range(n):
+            z = g.compose_table[x, y]
+            defined = z != UNDEFINED
+            should = g.source_of[x] == g.range_of[y]
+            if defined != should:
+                note(f"composition of ({x}, {y}) defined={defined}, expected {should}")
+            elif defined:
+                if g.range_of[z] != g.range_of[x] or g.source_of[z] != g.source_of[y]:
+                    note(f"product {x}{y}={z} has wrong endpoints")
+    for x in range(n):
+        er = g.unit_arrows[g.range_of[x]]
+        es = g.unit_arrows[g.source_of[x]]
+        if g.compose_table[er, x] != x:
+            note(f"left identity fails at arrow {x}")
+        if g.compose_table[x, es] != x:
+            note(f"right identity fails at arrow {x}")
+        if g.compose_table[g.inverse_of[x], x] != es:
+            note(f"inverse(x).x is not the source unit at arrow {x}")
+        if g.compose_table[x, g.inverse_of[x]] != er:
+            note(f"x.inverse(x) is not the range unit at arrow {x}")
+    for x in range(n):
+        for y in np.flatnonzero(g.range_of == g.source_of[x]):
+            xy = g.compose_table[x, y]
+            if xy == UNDEFINED:
+                continue
+            for z in np.flatnonzero(g.range_of == g.source_of[y]):
+                left = g.compose_table[xy, z]
+                right = g.compose_table[x, g.compose_table[y, z]]
+                if left != right:
+                    note(f"associativity fails on ({x}, {y}, {z})")
+    if np.any(g.weights <= 0):
+        note("weights must be positive")
+    else:
+        uw = g.weights[g.unit_arrows]
+        for x in range(n):
+            expect = uw[g.source_of[x]]
+            if abs(g.weights[x] - expect) > 1e-12 * max(1.0, abs(expect)):
+                note(
+                    f"Haar weight of arrow {x} is {g.weights[x]}, "
+                    f"but left invariance needs the source-unit weight {expect}"
+                )
+    return ValidationReport(tuple(bad))
+
+
+def act_bisection_oracle(g, a, f, side):
+    """Translation by a bisection, one arrow at a time from its definition."""
+    out = np.empty(g.n_arrows, dtype=complex)
+    for x in range(g.n_arrows):
+        if side == "left":
+            # (af)(x) = f(x . a(source x))
+            out[x] = f[g.compose(x, a.picks[int(g.source_of[x])])]
+        else:
+            # (fa)(x) = f(b . x) for the arrow b of a with source range(x)
+            b = next(p for p in a.picks if g.source_of[p] == g.range_of[x])
+            out[x] = f[g.compose(b, x)]
+    return out
+
+
+def pair_table_oracle(n):
+    """Composition table of the pair groupoid on n points, entry by entry."""
+    table = np.full((n * n, n * n), UNDEFINED, dtype=int)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                table[i * n + j, j * n + k] = i * n + k
+    return table
+
+
+def product_table_oracle(g):
+    """Composition table of g times the 2-point pair groupoid, entry by entry."""
+    n = g.n_arrows
+    table = np.full((4 * n, 4 * n), UNDEFINED, dtype=int)
+    for x in range(n):
+        for y in range(n):
+            xy = g.compose_table[x, y]
+            if xy == UNDEFINED:
+                continue
+            for i in (0, 1):
+                for j in (0, 1):
+                    for k in (0, 1):
+                        table[4 * x + 2 * i + j, 4 * y + 2 * j + k] = 4 * xy + 2 * i + k
+    return table
+
+
+def transformation_table_oracle(table, action):
+    """Composition table of the action groupoid, (g, h.p)(h, p) = (gh, p), entry by entry."""
+    table, action = np.asarray(table), np.asarray(action)
+    k, m = action.shape
+    out = np.full((k * m, k * m), UNDEFINED, dtype=int)
+    for a in range(k):
+        for b in range(k):
+            for p in range(m):
+                out[a * m + action[b, p], b * m + p] = table[a, b] * m + p
+    return out

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +146,38 @@ class TestCheckCommand:
             assert rec["value"] in matching[0]
 
 
+def _pair3_missing_a_product(tmp_path):
+    """pair(3)'s file without the triple [1, 3, 0]; validate reports (1, 3) undefined."""
+    data = groupoid_to_dict(gf.pair_groupoid(3))
+    data["compose"] = [t for t in data["compose"] if t != [1, 3, 0]]
+    f = tmp_path / "missing.json"
+    f.write_text(json.dumps(data))
+    return f
+
+
+class TestInvalidGroupoidFiles:
+    @pytest.mark.parametrize("which", ["stieltjes", "reduced"])
+    def test_norm_exits_2_with_first_violation(self, tmp_path, capsys, which):
+        gfile = _pair3_missing_a_product(tmp_path)
+        ffile = tmp_path / "f.json"
+        write_arrow_function(str(ffile), np.arange(9) + 1.0)
+        assert main(["norm", str(gfile), str(ffile), "--which", which]) == 2
+        captured = capsys.readouterr()
+        assert "composition of (1, 3) defined=False" in captured.err and captured.out == ""
+
+    def test_duality_exits_2_with_first_violation(self, tmp_path, capsys):
+        gfile = _pair3_missing_a_product(tmp_path)
+        assert main(["duality", str(gfile)]) == 2
+        assert "composition of (1, 3) defined=False" in capsys.readouterr().err
+
+    def test_product_exits_2_with_first_violation(self, tmp_path, capsys):
+        gfile = _pair3_missing_a_product(tmp_path)
+        out = tmp_path / "product.json"
+        assert main(["build", "product-i2", "--from", str(gfile), "--out", str(out)]) == 2
+        assert "composition of (1, 3) defined=False" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestNormCommand:
     def test_stieltjes_of_pd_function_reports_max_unit_value(self, tmp_path, capsys, rng):
         g = gf.pair_groupoid(2)
@@ -231,3 +266,19 @@ class TestUsageErrors:
 
     def test_missing_required_argument(self):
         assert main(["build", "pair", "3"]) == 2
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        """scipy costs most of the start-up time; only the brute-force oracle imports it."""
+        code = (
+            "import sys, gfourier, gfourier.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        # a fresh interpreter that imports the same copy of the package as this one
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gf.__file__))}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            timeout=120, env=env,
+        )
+        assert out.stdout.strip() == "[]"
