@@ -5,26 +5,37 @@ range section (a right module map) and along its source section (a left
 module map), linked by the unit bijection of the bisection.  The round trip
 recovers the bisection from the support of the maps on point masses, and the
 assignment bisection -> map pair is injective.
+
+Each axiom is checked once on the whole matrix rather than point mass by
+point mass.  On point masses the module law says that column x of a map is
+supported on x's own unit (its range for a right map, its source for a left
+map); multiplicativity compares each row's outer product with its diagonal,
+one row at a time; the unit bijection J is read off by matching the rows of
+beta against the rows of alpha.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import act_bisection, arrow_function, delta, module_action
+from .algebra import act_bisection, arrow_function
 from .groupoid import (
     Bisection,
     FiniteGroupoid,
+    bisection_inverse,
     bisection_product,
-    bisection_through,
     enumerate_bisections,
+    identity_bisection,
     is_bisection,
     source_permutation,
 )
 
 SUPPORT_TOL = 1e-12
+# products of bisections whose round trip duality_report checks
+MAX_PRODUCT_CHECKS = 64
 
 
 @dataclass(frozen=True)
@@ -43,7 +54,10 @@ class ModuleMap:
     def __post_init__(self):
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
+        matrix = np.asarray(self.matrix, dtype=complex)
+        if matrix.ndim != 2 or not np.all(np.isfinite(matrix)):
+            raise ValueError(f"a module map needs a finite 2-D matrix, got shape {matrix.shape}")
+        object.__setattr__(self, "matrix", matrix)
 
     def __call__(self, f) -> np.ndarray:
         return self.matrix @ np.asarray(f, dtype=complex)
@@ -52,17 +66,14 @@ class ModuleMap:
 def range_evaluation_map(g: FiniteGroupoid, a: Bisection) -> ModuleMap:
     """alpha(f)(u) = f(arrow of a with range u); a right module map."""
     m = np.zeros((g.n_units, g.n_arrows), dtype=complex)
-    for u, x in enumerate(a.picks):
-        m[u, x] = 1.0
+    m[np.arange(g.n_units), np.asarray(a.picks, dtype=int)] = 1.0
     return ModuleMap(matrix=m, side="right")
 
 
 def source_evaluation_map(g: FiniteGroupoid, a: Bisection) -> ModuleMap:
     """beta(f)(u) = f(arrow of a with source u); a left module map."""
     m = np.zeros((g.n_units, g.n_arrows), dtype=complex)
-    sigma = source_permutation(g, a)
-    for u, x in enumerate(a.picks):
-        m[int(sigma[u]), x] = 1.0
+    m[source_permutation(g, a), np.asarray(a.picks, dtype=int)] = 1.0
     return ModuleMap(matrix=m, side="left")
 
 
@@ -89,22 +100,29 @@ class PairReport:
 
 
 def _module_law_defect(g: FiniteGroupoid, m: ModuleMap) -> tuple[float, str]:
-    worst, where = 0.0, ""
-    side = m.side
-    for u in range(g.n_units):
-        b = np.zeros(g.n_units, dtype=complex)
-        b[u] = 1.0
-        for x in range(g.n_arrows):
-            f = delta(g, x)
-            acted = m(module_action(g, b, f, side))
-            if side == "right":
-                expect = m(f) * b
-            else:
-                expect = b * m(f)
-            d = float(np.abs(acted - expect).max(initial=0.0))
-            if d > worst:
-                worst, where = d, f"unit function at {u}, point mass at arrow {x}"
-    return worst, where
+    """Largest module-law failure on (unit function at u, point mass at x).
+
+    The law keeps column x on x's own unit only, so the defect at (u, x) is
+    |m[u, x]| off that unit and the largest |m[v, x]|, v != u, on it; the
+    witness is the first maximum in (u, x) row-major order.
+    """
+    own = g.range_of if m.side == "right" else g.source_of
+    cols = np.arange(g.n_arrows)
+    defect = np.abs(m.matrix)
+    defect[own, cols] = 0.0
+    defect[own, cols] = defect.max(axis=0, initial=0.0)
+    worst = float(defect.max(initial=0.0))
+    if worst == 0.0:
+        return 0.0, ""
+    u, x = divmod(int(defect.argmax()), g.n_arrows)
+    return worst, f"unit function at {u}, point mass at arrow {x}"
+
+
+def _check_shape(g: FiniteGroupoid, *maps: ModuleMap) -> None:
+    for m in maps:
+        if m.matrix.shape != (g.n_units, g.n_arrows):
+            raise ValueError(f"a module map needs shape (n_units, n_arrows) = "
+                             f"({g.n_units}, {g.n_arrows}), got {m.matrix.shape}")
 
 
 def verify_module_map_pair(
@@ -113,6 +131,7 @@ def verify_module_map_pair(
     """Check the multiplicative-module-map axioms for a candidate pair."""
     if alpha.side != "right" or beta.side != "left":
         raise ValueError("expected a right map and a left map, in that order")
+    _check_shape(g, alpha, beta)
     failures: list[str] = []
 
     defect_a, where_a = _module_law_defect(g, alpha)
@@ -149,33 +168,32 @@ def verify_module_map_pair(
 
 def _match_unit_bijection(g, alpha, beta, tol) -> tuple[int, ...] | None:
     """J with beta-row at J(u) equal to alpha-row at u; None if absent or ambiguous."""
-    n = g.n_units
-    j = []
-    for u in range(n):
-        hits = [
-            v for v in range(n)
-            if float(np.abs(beta.matrix[v] - alpha.matrix[u]).max(initial=0.0)) <= tol
-        ]
-        if len(hits) != 1:
-            return None
-        j.append(hits[0])
-    if sorted(j) != list(range(n)):
+    # close[u, v]: beta's row v matches alpha's row u
+    close = np.abs(beta.matrix - alpha.matrix[:, None, :]).max(axis=2, initial=0.0) <= tol
+    j = close.argmax(axis=1)
+    if np.any(close.sum(axis=1) != 1) or not np.array_equal(np.sort(j), np.arange(g.n_units)):
         return None
-    return tuple(j)
+    return tuple(j.tolist())
 
 
 def _multiplicativity(g, alpha, tol) -> tuple[bool, str]:
-    """Pointwise multiplicativity over point masses (spans the product behavior)."""
-    m = alpha.matrix
-    for x in range(g.n_arrows):
-        for y in range(g.n_arrows):
-            product = m[:, x] * m[:, y]
-            expect = m[:, x] if x == y else np.zeros(g.n_units, dtype=complex)
-            if float(np.abs(product - expect).max(initial=0.0)) > tol:
-                return False, (
-                    f"multiplicativity fails on point masses at arrows {x}, {y}"
-                )
-    return True, ""
+    """Multiplicativity on point masses: m[u, x] m[u, y] = delta_xy m[u, x].
+
+    Checked for all (x, y) at once, one unit row u at a time; the witness is
+    the first failing (x, y) in row-major order.
+    """
+    n = g.n_arrows
+    first = n * n
+    for row in alpha.matrix:
+        defect = np.outer(row, row)
+        defect.flat[:: n + 1] -= row
+        fails = np.abs(defect) > tol
+        if fails.any():
+            first = min(first, int(fails.argmax()))
+    if first == n * n:
+        return True, ""
+    x, y = divmod(first, n)
+    return False, f"multiplicativity fails on point masses at arrows {x}, {y}"
 
 
 @dataclass(frozen=True)
@@ -194,24 +212,22 @@ class SupportAnalysis:
     singleton_ok: bool
 
 
+def _own_support(m: ModuleMap, own: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
+    """Mask of the arrows x with |m[own[x], x]| > tol."""
+    return np.abs(m.matrix[own, np.arange(own.size)]) > tol
+
+
 def support_analysis(g: FiniteGroupoid, alpha: ModuleMap, tol: float = SUPPORT_TOL) -> SupportAnalysis:
-    active, dead = set(), set()
-    for x in range(g.n_arrows):
-        col = alpha.matrix[:, x]
-        if abs(col[int(g.range_of[x])]) > tol:
-            active.add(x)
-        elif float(np.abs(col).max(initial=0.0)) <= tol:
-            dead.add(x)
-    active_units = {int(g.range_of[x]) for x in active}
-    singleton_ok = all(
-        sum(1 for x in active if int(g.range_of[x]) == u) == 1 for u in active_units
-    )
+    _check_shape(g, alpha)
+    active = _own_support(alpha, g.range_of, tol)
+    dead = np.abs(alpha.matrix).max(axis=0, initial=0.0) <= tol
+    per_unit = np.bincount(g.range_of[active], minlength=g.n_units)
     return SupportAnalysis(
-        active=frozenset(active),
-        dead=frozenset(dead),
-        active_units=frozenset(active_units),
-        dead_units=frozenset(set(range(g.n_units)) - active_units),
-        singleton_ok=singleton_ok,
+        active=frozenset(np.flatnonzero(active).tolist()),
+        dead=frozenset(np.flatnonzero(dead).tolist()),
+        active_units=frozenset(np.flatnonzero(per_unit).tolist()),
+        dead_units=frozenset(np.flatnonzero(per_unit == 0).tolist()),
+        singleton_ok=bool(np.all(per_unit <= 1)),
     )
 
 
@@ -231,45 +247,33 @@ def reconstruct_bisection(g: FiniteGroupoid, alpha: ModuleMap, beta: ModuleMap) 
     report = verify_module_map_pair(g, alpha, beta)
     if not report.ok:
         raise ReconstructionError("; ".join(report.failures) or "pair axioms fail")
-    analysis = support_analysis(g, alpha)
-    if analysis.active_units != set(range(g.n_units)):
-        missing = min(set(range(g.n_units)) - set(analysis.active_units))
+    active = _own_support(alpha, g.range_of)
+    per_unit = np.bincount(g.range_of[active], minlength=g.n_units)
+    if not per_unit.all():
+        missing = int(np.argmin(per_unit))
         raise ReconstructionError(f"no active arrow over unit {missing}", unit=missing)
-    if not analysis.singleton_ok:
-        for u in range(g.n_units):
-            if sum(1 for x in analysis.active if int(g.range_of[x]) == u) != 1:
-                raise ReconstructionError(f"support over unit {u} is not a singleton", unit=u)
-    picks = [0] * g.n_units
-    for x in analysis.active:
-        picks[int(g.range_of[x])] = int(x)
+    if np.any(per_unit != 1):
+        u = int(np.argmax(per_unit != 1))
+        raise ReconstructionError(f"support over unit {u} is not a singleton", unit=u)
+    picks = np.empty(g.n_units, dtype=int)
+    picks[g.range_of[active]] = np.flatnonzero(active)
+    sigma = g.source_of[picks]
     if not is_bisection(g, picks):
-        bad = _first_source_collision(g, picks)
+        # the first unit whose pick has the source of an earlier unit's pick
+        bad = int(np.argmax(np.tril(sigma[:, None] == sigma[None, :], k=-1).any(axis=1)))
         raise ReconstructionError(f"support sources collide at unit {bad}", unit=bad)
-    sigma = tuple(int(g.source_of[x]) for x in picks)
-    if report.unit_bijection != sigma:
-        bad = next(u for u in range(g.n_units) if report.unit_bijection[u] != sigma[u])
+    if report.unit_bijection != tuple(sigma.tolist()):
+        bad = int(np.argmax(np.array(report.unit_bijection) != sigma))
         raise ReconstructionError(
             f"unit bijection disagrees with the support sources at unit {bad}", unit=bad
         )
-    beta_active = {
-        x for x in range(g.n_arrows)
-        if abs(beta.matrix[int(g.source_of[x]), x]) > SUPPORT_TOL
-    }
-    if beta_active != set(picks):
-        bad_arrows = beta_active.symmetric_difference(picks)
-        bad = min(int(g.range_of[x]) for x in bad_arrows)
+    picked = np.zeros(g.n_arrows, dtype=bool)
+    picked[picks] = True
+    disagree = _own_support(beta, g.source_of) != picked
+    if disagree.any():
+        bad = int(g.range_of[disagree].min())
         raise ReconstructionError(f"left/right supports disagree near unit {bad}", unit=bad)
-    return Bisection(tuple(picks))
-
-
-def _first_source_collision(g, picks) -> int:
-    seen: dict[int, int] = {}
-    for u, x in enumerate(picks):
-        s = int(g.source_of[x])
-        if s in seen:
-            return u
-        seen[s] = u
-    return 0
+    return Bisection(tuple(picks.tolist()))
 
 
 @dataclass(frozen=True)
@@ -288,23 +292,26 @@ class DualityReport:
         return all(self.roundtrip_ok) and self.injective and self.product_spot_ok
 
 
-def duality_report(g: FiniteGroupoid, max_product_checks: int = 64) -> DualityReport:
+def duality_report(g: FiniteGroupoid) -> DualityReport:
     """Enumerate the bisection group and run the full duality round trip.
 
     Checks per arrow whether some bisection passes through it, per bisection
     that the evaluation pair reconstructs it, that distinct bisections give
-    distinct pairs, and that reconstruction intertwines the group product.
+    distinct pairs, and that reconstruction intertwines the group product on
+    the first ``MAX_PRODUCT_CHECKS`` pairs of bisections.
     """
     gamma = enumerate_bisections(g)
     failures: list[str] = []
-    covered = tuple(bisection_through(g, x) is not None for x in range(g.n_arrows))
+    # an arrow lies on a bisection exactly when some enumerated bisection picks it
+    covered = np.zeros(g.n_arrows, dtype=bool)
+    covered[np.array([a.picks for a in gamma], dtype=int).ravel()] = True
 
-    pairs = []
     roundtrip = []
-    for a in gamma:
+    by_pair: dict[bytes, list[int]] = {}
+    for i, a in enumerate(gamma):
         alpha = range_evaluation_map(g, a)
         beta = source_evaluation_map(g, a)
-        pairs.append((alpha, beta))
+        by_pair.setdefault(alpha.matrix.tobytes() + beta.matrix.tobytes(), []).append(i)
         try:
             back = reconstruct_bisection(g, alpha, beta)
             ok = back == a
@@ -315,40 +322,28 @@ def duality_report(g: FiniteGroupoid, max_product_checks: int = 64) -> DualityRe
             failures.append(f"round trip failed for {a.picks}")
         roundtrip.append(ok)
 
-    injective = True
-    for i in range(len(gamma)):
-        for k in range(i + 1, len(gamma)):
-            same = np.array_equal(pairs[i][0].matrix, pairs[k][0].matrix) and \
-                np.array_equal(pairs[i][1].matrix, pairs[k][1].matrix)
-            if same:
-                injective = False
-                failures.append(f"pairs coincide for {gamma[i].picks} and {gamma[k].picks}")
+    coincide = sorted(
+        pair for group in by_pair.values() for pair in itertools.combinations(group, 2)
+    )
+    failures += [f"pairs coincide for {gamma[i].picks} and {gamma[k].picks}" for i, k in coincide]
 
     product_ok = True
-    checked = 0
-    for a in gamma:
-        for b in gamma:
-            if checked >= max_product_checks:
-                break
-            ab = bisection_product(g, a, b)
-            alpha = range_evaluation_map(g, ab)
-            beta = source_evaluation_map(g, ab)
-            try:
-                if reconstruct_bisection(g, alpha, beta) != ab:
-                    product_ok = False
-            except ReconstructionError:
+    for a, b in itertools.islice(itertools.product(gamma, gamma), MAX_PRODUCT_CHECKS):
+        ab = bisection_product(g, a, b)
+        alpha, beta = range_evaluation_map(g, ab), source_evaluation_map(g, ab)
+        try:
+            if reconstruct_bisection(g, alpha, beta) != ab:
                 product_ok = False
-            checked += 1
-        if checked >= max_product_checks:
-            break
+        except ReconstructionError:
+            product_ok = False
     if not product_ok:
         failures.append("product compatibility spot check failed")
 
     return DualityReport(
         bisection_count=len(gamma),
-        arrows_on_bisections=covered,
+        arrows_on_bisections=tuple(covered.tolist()),
         roundtrip_ok=tuple(roundtrip),
-        injective=injective,
+        injective=not coincide,
         product_spot_ok=product_ok,
         failures=tuple(failures),
     )
@@ -357,8 +352,6 @@ def duality_report(g: FiniteGroupoid, max_product_checks: int = 64) -> DualityRe
 def translation_covariance_defect(g: FiniteGroupoid, a: Bisection, f) -> float:
     """Evaluating along a after untranslating by a equals evaluating at units."""
     f = arrow_function(g, f)
-    from .groupoid import bisection_inverse, identity_bisection
-
     alpha_a = range_evaluation_map(g, a)
     alpha_e = range_evaluation_map(g, identity_bisection(g))
     moved = act_bisection(g, bisection_inverse(g, a), f, side="left")

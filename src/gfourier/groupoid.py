@@ -380,14 +380,13 @@ class Bisection:
 
 
 def is_bisection(g: FiniteGroupoid, picks) -> bool:
-    picks = tuple(int(p) for p in picks)
-    if len(picks) != g.n_units:
+    picks = np.asarray([int(p) for p in picks])
+    if picks.shape != (g.n_units,) or not np.all((picks >= 0) & (picks < g.n_arrows)):
         return False
-    for u, x in enumerate(picks):
-        if not 0 <= x < g.n_arrows or g.range_of[x] != u:
-            return False
-    sources = [int(g.source_of[x]) for x in picks]
-    return sorted(sources) == list(range(g.n_units))
+    picks = picks.astype(int)
+    units = np.arange(g.n_units)
+    ranges_ok = np.array_equal(g.range_of[picks], units)
+    return ranges_ok and np.array_equal(np.sort(g.source_of[picks]), units)
 
 
 def identity_bisection(g: FiniteGroupoid) -> Bisection:
@@ -442,22 +441,22 @@ def bisection_through(g: FiniteGroupoid, x: int) -> Bisection | None:
 
 def bisection_product(g: FiniteGroupoid, a: Bisection, b: Bisection) -> Bisection:
     """Setwise product: the pick at u is a(u) composed with b at source(a(u))."""
-    picks = []
-    for u in range(g.n_units):
-        x = a.picks[u]
-        y = b.picks[int(g.source_of[x])]
-        picks.append(g.compose(x, y))
-    out = Bisection(tuple(picks))
+    x = np.asarray(a.picks, dtype=int)
+    y = np.asarray(b.picks, dtype=int)[g.source_of[x]]
+    picks = g.compose_table[x, y]
+    if np.any(picks == UNDEFINED):
+        u = int(np.argmax(picks == UNDEFINED))
+        raise ValueError(f"arrows {x[u]} and {y[u]} do not compose")
+    out = Bisection(tuple(picks.tolist()))
     assert is_bisection(g, out.picks)
     return out
 
 
 def bisection_inverse(g: FiniteGroupoid, a: Bisection) -> Bisection:
     """Inverse arrows of a, reindexed by their ranges."""
-    picks = [UNDEFINED] * g.n_units
-    for x in a.picks:
-        y = int(g.inverse_of[x])
-        picks[int(g.range_of[y])] = y
-    out = Bisection(tuple(picks))
+    inverses = g.inverse_of[np.asarray(a.picks, dtype=int)]
+    picks = np.full(g.n_units, UNDEFINED)
+    picks[g.range_of[inverses]] = inverses
+    out = Bisection(tuple(picks.tolist()))
     assert is_bisection(g, out.picks)
     return out

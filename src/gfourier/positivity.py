@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import arrow_function, convolve, star
 from .groupoid import FiniteGroupoid
 from .numerics import hermitian_sqrt, rank_factor
-from .regular import right_op, unit_blocks
+from .regular import _right_op_blocks
 
 PSD_TOL = 1e-9
 
@@ -280,16 +280,15 @@ def pd_to_section(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> np.ndarray:
         raise ValueError(
             f"not positive definite: unit {verdict.unit} has form value {verdict.value}"
         )
-    op = right_op(g, phi)
-    root = np.zeros_like(op)
-    for fiber, block in zip(g.r_fibers, unit_blocks(g, op)):
-        root[np.ix_(fiber, fiber)] = hermitian_sqrt(block, tol)
     support = np.abs(phi) > 1e-13 * max(1.0, float(np.abs(phi).max(initial=0.0)))
-    marked = set(map(int, g.range_of[support])) | set(map(int, g.source_of[support]))
+    marked = np.zeros(g.n_units, dtype=bool)
+    marked[g.range_of[support]] = marked[g.source_of[support]] = True
     h = np.zeros(g.n_arrows, dtype=complex)
-    for u in marked:
-        h[g.unit_arrows[u]] = 1.0
-    return root @ h
+    h[g.unit_arrows[marked]] = 1.0
+    xi = np.zeros(g.n_arrows, dtype=complex)
+    for fiber, block in zip(g.r_fibers, _right_op_blocks(g, phi)):
+        xi[fiber] = hermitian_sqrt(block, tol) @ h[fiber]
+    return xi
 
 
 def off_diagonal_embed(g: FiniteGroupoid, rho, phi, tau) -> np.ndarray:

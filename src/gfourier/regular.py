@@ -91,19 +91,34 @@ def operator_norm(g: FiniteGroupoid, op) -> float:
     op = np.asarray(op, dtype=complex)
     if not is_adjointable(g, op):
         raise ValueError("exact operator norms are only computed blockwise")
+    return _block_norm(g, unit_blocks(g, op))
+
+
+def _block_norm(g: FiniteGroupoid, blocks) -> float:
     best = 0.0
-    for t in g.r_fibers:
+    for t, block in zip(g.r_fibers, blocks):
         rw = np.sqrt(g.weights[t])
-        block = op[np.ix_(t, t)]
         tilted = block * (rw[:, None] / rw[None, :])
         if tilted.size:
             best = max(best, float(np.linalg.norm(tilted, 2)))
     return best
 
 
+def _right_op_blocks(g: FiniteGroupoid, f) -> list[np.ndarray]:
+    """unit_blocks(g, right_op(g, f)), gathered from the composable pairs.
+
+    The entries of the arrows x of a range fiber come x-ascending, t ascending
+    within each x, so each x's segment is one row of its fiber's block.
+    """
+    f = arrow_function(g, f)
+    _, t, y, starts = g.composable_pairs
+    values = g.weights[t] * f[y]
+    return [values[starts[fiber][:, None] + np.arange(fiber.size)] for fiber in g.r_fibers]
+
+
 def reduced_norm(g: FiniteGroupoid, f) -> float:
     """C*-norm of f: the largest spectral norm of a unit block of right convolution."""
-    return operator_norm(g, right_op(g, f))
+    return _block_norm(g, _right_op_blocks(g, f))
 
 
 def operator_norm_bounds(

@@ -2,14 +2,26 @@
 
 Everything here works straight from the composition table by exhaustive
 summation or search, deliberately avoiding the fiber-indexed code paths of
-the package.
+the package.  The last section keeps the earlier loop versions of the
+bisection layer, the duality axioms and two block computations, which the
+array versions in the package must reproduce exactly.
 """
 
 import itertools
 
 import numpy as np
 
-from gfourier.groupoid import UNDEFINED, ValidationReport
+from gfourier.algebra import arrow_function, delta, module_action
+from gfourier.duality import (
+    SUPPORT_TOL,
+    ReconstructionError,
+    SupportAnalysis,
+    verify_module_map_pair,
+)
+from gfourier.groupoid import UNDEFINED, Bisection, ValidationReport, identity_bisection
+from gfourier.numerics import hermitian_sqrt
+from gfourier.positivity import PSD_TOL, is_positive_definite
+from gfourier.regular import operator_norm, right_op, unit_blocks
 
 
 def convolve_oracle(g, f, h):
@@ -247,3 +259,202 @@ def transformation_table_oracle(table, action):
             for p in range(m):
                 out[a * m + action[b, p], b * m + p] = table[a, b] * m + p
     return out
+
+
+# ---------------------------------------------------------------------------
+# the bisection layer and the duality axioms as loops, point mass by point mass
+
+
+def module_law_defect_oracle(g, m):
+    worst, where = 0.0, ""
+    side = m.side
+    for u in range(g.n_units):
+        b = np.zeros(g.n_units, dtype=complex)
+        b[u] = 1.0
+        for x in range(g.n_arrows):
+            f = delta(g, x)
+            acted = m(module_action(g, b, f, side))
+            if side == "right":
+                expect = m(f) * b
+            else:
+                expect = b * m(f)
+            d = float(np.abs(acted - expect).max(initial=0.0))
+            if d > worst:
+                worst, where = d, f"unit function at {u}, point mass at arrow {x}"
+    return worst, where
+
+
+def match_unit_bijection_oracle(g, alpha, beta, tol):
+    """J with beta-row at J(u) equal to alpha-row at u; None if absent or ambiguous."""
+    n = g.n_units
+    j = []
+    for u in range(n):
+        hits = [
+            v for v in range(n)
+            if float(np.abs(beta.matrix[v] - alpha.matrix[u]).max(initial=0.0)) <= tol
+        ]
+        if len(hits) != 1:
+            return None
+        j.append(hits[0])
+    if sorted(j) != list(range(n)):
+        return None
+    return tuple(j)
+
+
+def multiplicativity_oracle(g, alpha, tol):
+    """Pointwise multiplicativity over point masses (spans the product behavior)."""
+    m = alpha.matrix
+    for x in range(g.n_arrows):
+        for y in range(g.n_arrows):
+            product = m[:, x] * m[:, y]
+            expect = m[:, x] if x == y else np.zeros(g.n_units, dtype=complex)
+            if float(np.abs(product - expect).max(initial=0.0)) > tol:
+                return False, (
+                    f"multiplicativity fails on point masses at arrows {x}, {y}"
+                )
+    return True, ""
+
+
+def support_analysis_oracle(g, alpha, tol=SUPPORT_TOL):
+    active, dead = set(), set()
+    for x in range(g.n_arrows):
+        col = alpha.matrix[:, x]
+        if abs(col[int(g.range_of[x])]) > tol:
+            active.add(x)
+        elif float(np.abs(col).max(initial=0.0)) <= tol:
+            dead.add(x)
+    active_units = {int(g.range_of[x]) for x in active}
+    singleton_ok = all(
+        sum(1 for x in active if int(g.range_of[x]) == u) == 1 for u in active_units
+    )
+    return SupportAnalysis(
+        active=frozenset(active),
+        dead=frozenset(dead),
+        active_units=frozenset(active_units),
+        dead_units=frozenset(set(range(g.n_units)) - active_units),
+        singleton_ok=singleton_ok,
+    )
+
+
+def reconstruct_bisection_oracle(g, alpha, beta):
+    """The reconstruction with its support checks as loops over units and arrows."""
+    report = verify_module_map_pair(g, alpha, beta)
+    if not report.ok:
+        raise ReconstructionError("; ".join(report.failures) or "pair axioms fail")
+    analysis = support_analysis_oracle(g, alpha)
+    if analysis.active_units != set(range(g.n_units)):
+        missing = min(set(range(g.n_units)) - set(analysis.active_units))
+        raise ReconstructionError(f"no active arrow over unit {missing}", unit=missing)
+    if not analysis.singleton_ok:
+        for u in range(g.n_units):
+            if sum(1 for x in analysis.active if int(g.range_of[x]) == u) != 1:
+                raise ReconstructionError(f"support over unit {u} is not a singleton", unit=u)
+    picks = [0] * g.n_units
+    for x in analysis.active:
+        picks[int(g.range_of[x])] = int(x)
+    if not is_bisection_oracle(g, picks):
+        bad = _first_source_collision_oracle(g, picks)
+        raise ReconstructionError(f"support sources collide at unit {bad}", unit=bad)
+    sigma = tuple(int(g.source_of[x]) for x in picks)
+    if report.unit_bijection != sigma:
+        bad = next(u for u in range(g.n_units) if report.unit_bijection[u] != sigma[u])
+        raise ReconstructionError(
+            f"unit bijection disagrees with the support sources at unit {bad}", unit=bad
+        )
+    beta_active = {
+        x for x in range(g.n_arrows)
+        if abs(beta.matrix[int(g.source_of[x]), x]) > SUPPORT_TOL
+    }
+    if beta_active != set(picks):
+        bad_arrows = beta_active.symmetric_difference(picks)
+        bad = min(int(g.range_of[x]) for x in bad_arrows)
+        raise ReconstructionError(f"left/right supports disagree near unit {bad}", unit=bad)
+    return Bisection(tuple(picks))
+
+
+def _first_source_collision_oracle(g, picks):
+    seen = {}
+    for u, x in enumerate(picks):
+        s = int(g.source_of[x])
+        if s in seen:
+            return u
+        seen[s] = u
+    return 0
+
+
+def is_bisection_oracle(g, picks):
+    picks = tuple(int(p) for p in picks)
+    if len(picks) != g.n_units:
+        return False
+    for u, x in enumerate(picks):
+        if not 0 <= x < g.n_arrows or g.range_of[x] != u:
+            return False
+    sources = [int(g.source_of[x]) for x in picks]
+    return sorted(sources) == list(range(g.n_units))
+
+
+def bisection_product_oracle(g, a, b):
+    """Setwise product: the pick at u is a(u) composed with b at source(a(u))."""
+    picks = []
+    for u in range(g.n_units):
+        x = a.picks[u]
+        y = b.picks[int(g.source_of[x])]
+        picks.append(g.compose(x, y))
+    out = Bisection(tuple(picks))
+    assert is_bisection_oracle(g, out.picks)
+    return out
+
+
+def bisection_inverse_oracle(g, a):
+    """Inverse arrows of a, reindexed by their ranges."""
+    picks = [UNDEFINED] * g.n_units
+    for x in a.picks:
+        y = int(g.inverse_of[x])
+        picks[int(g.range_of[y])] = y
+    out = Bisection(tuple(picks))
+    assert is_bisection_oracle(g, out.picks)
+    return out
+
+
+def bisection_group_oracle(g, gamma):
+    """Identity, inverses, closure and associativity of gamma, product by product."""
+    ok = identity_bisection(g) in gamma
+    table = set(gamma)
+    for a in gamma:
+        ok = ok and bisection_inverse_oracle(g, a) in table
+        for b in gamma:
+            ok = ok and bisection_product_oracle(g, a, b) in table
+    for a in gamma:
+        for b in gamma:
+            for c in gamma:
+                left = bisection_product_oracle(g, bisection_product_oracle(g, a, b), c)
+                right = bisection_product_oracle(g, a, bisection_product_oracle(g, b, c))
+                ok = ok and left == right
+    return ok
+
+
+def reduced_norm_oracle(g, f):
+    """The largest block norm of the dense right convolution matrix."""
+    return operator_norm(g, right_op(g, f))
+
+
+def pd_to_section_oracle(g, phi, tol=PSD_TOL):
+    """The square-root section from the dense block-diagonal square root."""
+    phi = arrow_function(g, phi)
+    if np.abs(g.weights - 1.0).max(initial=0.0) > 1e-12:
+        raise ValueError("square-root section construction needs all Haar weights equal to 1")
+    verdict = is_positive_definite(g, phi, tol)
+    if not verdict:
+        raise ValueError(
+            f"not positive definite: unit {verdict.unit} has form value {verdict.value}"
+        )
+    op = right_op(g, phi)
+    root = np.zeros_like(op)
+    for fiber, block in zip(g.r_fibers, unit_blocks(g, op)):
+        root[np.ix_(fiber, fiber)] = hermitian_sqrt(block, tol)
+    support = np.abs(phi) > 1e-13 * max(1.0, float(np.abs(phi).max(initial=0.0)))
+    marked = set(map(int, g.range_of[support])) | set(map(int, g.source_of[support]))
+    h = np.zeros(g.n_arrows, dtype=complex)
+    for u in marked:
+        h[g.unit_arrows[u]] = 1.0
+    return root @ h

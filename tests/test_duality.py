@@ -176,7 +176,7 @@ class TestReconstructBisection:
 
 
 class TestDualityReport:
-    @pytest.mark.parametrize("n,count", [(2, 2), (3, 6), (4, 24)])
+    @pytest.mark.parametrize("n,count", [(2, 2), (3, 6), (4, 24), (5, 120)])
     def test_pair_groupoids_roundtrip(self, n, count):
         rep = gf.duality_report(gf.pair_groupoid(n))
         assert rep.bisection_count == count
