@@ -50,7 +50,6 @@ from .groupoid import (
 )
 from .norms import (
     NormCertificate,
-    brute_force_factorization_norm,
     fourier_norm_bounds,
     fourier_stieltjes_norm,
     schur_cb_norm,

@@ -284,7 +284,7 @@ def suite_positivity(g: FiniteGroupoid, rng, tol: float, trials: int = 30) -> li
             phi = (phi + alg.star(g, phi)) / 2
         v1 = bool(pos.is_positive_definite(g, phi, tol))
         v2 = bool(pos.pd_verdict_pointset(g, phi, tol))
-        v3 = bool(pos.pd_verdict_integral(g, phi, tol, seed=i))
+        v3 = bool(pos.pd_verdict_integral(g, phi, tol))
         if not v1 == v2 == v3:
             agree = False
         if v1:

@@ -86,8 +86,8 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
         if not 0 <= u < n_units or u in seen_units:
             raise FileFormatError(f"weights must name each unit at most once; got {u}")
         seen_units.add(u)
-        if w <= 0:
-            raise FileFormatError(f"weight of unit {u} must be positive")
+        if not 0 < w < np.inf:
+            raise FileFormatError(f"weight of unit {u} must be positive and finite")
         unit_weights[u] = w
     if "unit_arrows" in data:
         units = [int(e) for e in data["unit_arrows"]]

@@ -96,8 +96,8 @@ class FiniteGroupoid:
     def with_unit_weights(self, unit_weights) -> "FiniteGroupoid":
         """Same groupoid with the Haar weight of each source unit replaced."""
         uw = np.asarray(unit_weights, dtype=float)
-        if uw.shape != (self.n_units,) or np.any(uw <= 0):
-            raise ValueError("need one positive weight per unit")
+        if uw.shape != (self.n_units,) or not np.all((uw > 0) & (uw < np.inf)):
+            raise ValueError("need one positive finite weight per unit")
         return FiniteGroupoid(
             range_of=self.range_of,
             source_of=self.source_of,
@@ -113,18 +113,15 @@ def _build(range_of, source_of, inverse_of, compose_table, unit_arrows, unit_wei
     source_of = np.asarray(source_of, dtype=int)
     inverse_of = np.asarray(inverse_of, dtype=int)
     compose_table = np.asarray(compose_table, dtype=int)
-    unit_arrows = np.asarray(unit_arrows, dtype=int)
-    if unit_weights is None:
-        unit_weights = np.ones(unit_arrows.shape[0])
-    unit_weights = np.asarray(unit_weights, dtype=float)
-    return FiniteGroupoid(
+    g = FiniteGroupoid(
         range_of=range_of,
         source_of=source_of,
         inverse_of=inverse_of,
         compose_table=compose_table,
-        unit_arrows=unit_arrows,
-        weights=unit_weights[source_of],
+        unit_arrows=np.asarray(unit_arrows, dtype=int),
+        weights=np.ones(range_of.shape[0]),
     )
+    return g if unit_weights is None else g.with_unit_weights(unit_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +347,12 @@ def validate(g: FiniteGroupoid, max_report: int = 50) -> ValidationReport:
         fails = (rng[None, :] == src[ys][:, None]) & (table[xy] != table[x][table[ys]])
         for i, z in np.argwhere(fails)[:max_report]:
             note(f"associativity fails on ({x}, {ys[i]}, {z})")
+    finite = bool(np.all(np.isfinite(g.weights)))
+    if not finite:
+        note("weights must be finite")
     if np.any(g.weights <= 0):
         note("weights must be positive")
-    else:
+    elif finite:
         expect = g.weights[e][src]
         note_where((
             np.abs(g.weights - expect) > 1e-12 * np.maximum(1.0, np.abs(expect)),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import arrow_function, star
+from .algebra import arrow_function
 from .groupoid import FiniteGroupoid, product_with_pair_groupoid
 from .numerics import orthonormal_span
 from .positivity import (
@@ -25,7 +25,7 @@ from .positivity import (
     pd_to_section,
     regular_coefficient,
 )
-from .regular import left_op, right_op, section_norm
+from .regular import section_norm
 from .sdp import DiagBoundSdp, SdpSolution, solve_diag_bound_sdp
 
 
@@ -344,103 +344,3 @@ def fourier_norm_bounds(
         raise RuntimeError("no decomposition reconstructed the input; this should not happen")
     upper = NormCertificate(best_cost, "upper", {"terms": tuple(best_terms)})
     return lower, upper
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-def brute_force_factorization_norm(
-    g: FiniteGroupoid, phi, budget: int = 40, seed: int = 0
-) -> float:
-    """Best single-coefficient cost ||xi|| ||eta|| with (xi, eta) reproducing phi.
-
-    Multi-start local search (alternating linear solves, then a constrained
-    polish); a test oracle for tiny groupoids, never a production norm.
-    Returns inf when no start reproduces phi within the budget.
-    """
-    phi = arrow_function(g, phi)
-    n = g.n_arrows
-    if n > 6:
-        raise ValueError("oracle is restricted to groupoids with at most 6 arrows")
-    if budget <= 0 or not np.any(phi):
-        return 0.0 if not np.any(phi) else np.inf
-    rng = np.random.default_rng(seed)
-    scale = float(np.abs(phi).max(initial=1.0))
-    best = np.inf
-    for _ in range(budget):
-        xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        eta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        xi, eta, resid = _alternating_fit(g, phi, xi, eta)
-        if resid > 1e-9 * scale:
-            continue
-        val = _polish_factorization(g, phi, xi, eta)
-        best = min(best, val)
-    return best
-
-
-def _alternating_fit(g, phi, xi, eta, iters: int = 80):
-    resid = np.inf
-    for _ in range(iters):
-        # (xi, eta) is linear in eta through right_op(xi*) and in conj(xi)
-        # through left_op(eta) with its columns reindexed by inversion
-        eta = np.linalg.lstsq(right_op(g, star(g, xi)), phi, rcond=None)[0]
-        chi = np.linalg.lstsq(left_op(g, eta)[:, g.inverse_of], phi, rcond=None)[0]
-        xi = np.conj(chi)
-        resid = float(np.abs(regular_coefficient(g, xi, eta) - phi).max(initial=0.0))
-        if resid < 1e-13 * max(1.0, float(np.abs(phi).max(initial=0.0))):
-            break
-    return xi, eta, resid
-
-
-def _polish_factorization(g, phi, xi, eta) -> float:
-    from scipy.optimize import minimize  # costs most of the package's import time
-
-    n = g.n_arrows
-    bal = np.sqrt(section_norm(g, eta) / max(section_norm(g, xi), 1e-12))
-    xi, eta = xi * bal, eta / bal
-
-    def unpack(z):
-        x = z[:n] + 1j * z[n : 2 * n]
-        e = z[2 * n : 3 * n] + 1j * z[3 * n : 4 * n]
-        return x, e, z[4 * n], z[4 * n + 1]
-
-    def objective(z):
-        return z[4 * n] * z[4 * n + 1]
-
-    def eq_constraints(z):
-        x, e, _, _ = unpack(z)
-        d = regular_coefficient(g, x, e) - phi
-        return np.concatenate([d.real, d.imag])
-
-    def ineq_constraints(z):
-        x, e, t1, t2 = unpack(z)
-        w = g.weights
-        rows = []
-        for t in g.r_fibers:
-            rows.append(t1 - float(np.sum(w[t] * np.abs(x[t]) ** 2)))
-            rows.append(t2 - float(np.sum(w[t] * np.abs(e[t]) ** 2)))
-        return np.array(rows)
-
-    z0 = np.concatenate(
-        [xi.real, xi.imag, eta.real, eta.imag,
-         [section_norm(g, xi) ** 2 * (1 + 1e-9), section_norm(g, eta) ** 2 * (1 + 1e-9)]]
-    )
-    res = minimize(
-        objective,
-        z0,
-        method="SLSQP",
-        constraints=[
-            {"type": "eq", "fun": eq_constraints},
-            {"type": "ineq", "fun": ineq_constraints},
-        ],
-        options={"maxiter": 300, "ftol": 1e-14},
-    )
-    fallback = section_norm(g, xi) * section_norm(g, eta)
-    if not res.success:
-        return fallback
-    x, e, t1, t2 = unpack(res.x)
-    resid = float(np.abs(regular_coefficient(g, x, e) - phi).max(initial=0.0))
-    if resid > 1e-8 * max(1.0, float(np.abs(phi).max(initial=0.0))):
-        return fallback
-    return min(fallback, section_norm(g, x) * section_norm(g, e))

@@ -33,20 +33,6 @@ def hermitian_sqrt(m, tol: float = 1e-9) -> np.ndarray:
     return (vecs * np.sqrt(clamped)) @ vecs.conj().T
 
 
-def psd_project(m) -> np.ndarray:
-    """Nearest (Frobenius) positive semidefinite matrix to a Hermitian m."""
-    vals, vecs = np.linalg.eigh(m)
-    pos = vals > 0
-    if pos.all():
-        return m
-    v = vecs[:, pos]
-    return (v * vals[pos]) @ v.conj().T
-
-
-def min_eig(m) -> float:
-    return float(np.linalg.eigvalsh(m)[0])
-
-
 def rank_factor(m, tol: float = RANK_TOL) -> np.ndarray:
     """C with C^H C = m (Hermitian PSD m), C of shape (rank, n)."""
     vals, vecs = hermitian_eigen(m)

@@ -1,9 +1,12 @@
 """Positive definiteness, bundle coefficients, and GNS reconstruction.
 
 A function on arrows is positive definite when every unit's Gram matrix
-phi(inverse(x) y), indexed by the range fiber, is positive semidefinite.
-Weighted Haar variants of the criterion are congruent to this one, so the
-unweighted Gram test is used everywhere.
+phi(inverse(x) y), indexed by the range fiber, is positive semidefinite.  The
+Haar-integral criterion uses the weighted kernel instead, which is congruent
+to the Gram matrix.  All three verdicts use one threshold per unit and decide
+it exactly: the eigenvalue test by ``eigh``, the point-set and integral tests
+by the inertia of an LDL^H factorization (Sylvester's law of inertia).  Every
+"not positive definite" verdict carries a witness vector.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ PSD_TOL = 1e-9
 class PdVerdict:
     """Outcome of a positive-definiteness test, with a witness on failure.
 
-    ``vector`` lives on the range fiber of ``unit`` and makes the quadratic
-    form negative (or non-real) when ``is_pd`` is false.
+    ``vector`` lives on the range fiber of ``unit`` and makes the criterion's
+    form (``quadratic_form``, or ``integral_form`` for the integral criterion)
+    negative or non-real when ``is_pd`` is false; ``value`` is that form.
     """
 
     is_pd: bool
@@ -44,43 +48,85 @@ def gram_matrix(g: FiniteGroupoid, phi, u: int) -> np.ndarray:
     return phi[g.compose_table[np.ix_(g.inverse_of[fiber], fiber)]]
 
 
-def is_positive_definite(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerdict:
-    """Gram-PSD criterion: every unit Gram has smallest eigenvalue >= -tol*scale."""
+def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False) -> PdVerdict:
+    """The per-unit loop of the three criteria, at delta = tol * max(1, max|Gram entry|).
+
+    A Gram matrix that is not Hermitian to delta fails with a non-real form.
+    Otherwise the form matrix k is the Gram matrix with shift delta or, when
+    ``weighted``, the Haar kernel K = D conj(Gram) D with shift delta * w**2;
+    K + delta D^2 is congruent to conj(Gram) + delta, so both have the same
+    inertia.  ``decide(a)`` returns a direction v with v^H a v <= 0 when
+    a = Hermitian part of k + diag(shift) is not positive definite, and then
+    v^H k v <= -v^H diag(shift) v < 0.
+    """
     phi = arrow_function(g, phi)
     for u in range(g.n_units):
         m = gram_matrix(g, phi, u)
-        herm_defect = float(np.abs(m - m.conj().T).max(initial=0.0))
-        scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-        if herm_defect > tol * scale:
-            vec, val = _non_hermitian_witness(m)
-            return PdVerdict(False, u, vec, val)
-        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-        scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-        if vals[0] < -tol * scale:
-            return PdVerdict(False, u, vecs[:, 0], complex(vals[0]))
+        delta = tol * max(1.0, float(np.abs(m).max(initial=0.0)))
+        defect = float(np.abs(m - m.conj().T).max(initial=0.0))
+        shift = delta
+        if weighted:
+            m, shift = _integral_kernel(g, phi, u), delta * g.weights[g.r_fibers[u]] ** 2
+        if defect > delta:
+            vec = _non_hermitian_witness(m)
+        else:
+            a = (m + m.conj().T) / 2
+            a.flat[:: a.shape[0] + 1] += shift
+            vec = decide(a)
+        if vec is not None:
+            return PdVerdict(False, u, vec, complex(vec.conj() @ m @ vec))
     return PdVerdict(True)
 
 
-def _non_hermitian_witness(m: np.ndarray) -> tuple[np.ndarray, complex]:
-    """A vector whose quadratic form against m is not real (conjugate-symmetry failure)."""
-    n = m.shape[0]
-    for p in range(n):
-        if abs(m[p, p].imag) > 0:
+def is_positive_definite(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerdict:
+    """Gram-PSD criterion: every unit Gram has smallest eigenvalue >= -delta.
+
+    The witness is the eigenvector of the smallest eigenvalue.
+    """
+    return _verdict(g, phi, tol, _lowest_eigenvector)
+
+
+def _lowest_eigenvector(a: np.ndarray) -> np.ndarray | None:
+    vals, vecs = np.linalg.eigh(a)
+    return vecs[:, 0] if vals[0] < 0 else None
+
+
+def _negative_direction(a: np.ndarray) -> np.ndarray | None:
+    """A unit vector v with v^H a v <= 0 when the Hermitian a is not positive definite.
+
+    Unpivoted LDL^H of a in plain numpy, with no LAPACK call; a is overwritten.
+    By Sylvester's law of inertia a is positive definite exactly when every
+    pivot is positive (then None).  At the first pivot d_k <= 0, the
+    back-substituted v = L^{-H} e_k has v^H a v = d_k.
+    """
+    n = a.shape[0]
+    low = np.eye(n, dtype=a.dtype)
+    for k in range(n):
+        pivot = a[k, k].real
+        if pivot <= 0:
             v = np.zeros(n, dtype=complex)
-            v[p] = 1.0
-            return v, complex(m[p, p])
-    defect = np.abs(m - m.conj().T)
-    p, q = np.unravel_index(int(defect.argmax()), defect.shape)
-    for phase in (1.0, 1j):
-        v = np.zeros(n, dtype=complex)
-        v[p] = 1.0
-        v[q] = phase
-        val = complex(v.conj() @ m @ v)
-        if abs(val.imag) >= abs(defect[p, q]) / 4:
-            return v, val
-    v = np.zeros(n, dtype=complex)
-    v[p], v[q] = 1.0, 1.0
-    return v, complex(v.conj() @ m @ v)
+            v[k] = 1.0
+            for j in range(k - 1, -1, -1):
+                v[j] = -(low[j + 1 : k + 1, j].conj() @ v[j + 1 : k + 1])
+            return v / np.linalg.norm(v)
+        low[k + 1 :, k] = a[k + 1 :, k] / pivot
+        a[k + 1 :, k + 1 :] -= np.outer(low[k + 1 :, k], a[k, k + 1 :])
+    return None
+
+
+def _non_hermitian_witness(m: np.ndarray) -> np.ndarray:
+    """A vector whose quadratic form against m is not real (conjugate-symmetry failure)."""
+    v = np.zeros(m.shape[0], dtype=complex)
+    diag = np.abs(m.diagonal().imag)
+    if diag.max() > 0:
+        v[int(diag.argmax())] = 1.0
+        return v
+    # e_p + phase e_q has form imaginary part Im(d) (phase 1) or Re(d) (phase i)
+    defect = m - m.conj().T
+    p, q = np.unravel_index(int(np.abs(defect).argmax()), defect.shape)
+    v[p] = 1.0
+    v[q] = 1.0 if abs(defect[p, q].imag) >= abs(defect[p, q].real) else 1j
+    return v
 
 
 def quadratic_form(g: FiniteGroupoid, phi, u: int, alpha) -> complex:
@@ -90,34 +136,13 @@ def quadratic_form(g: FiniteGroupoid, phi, u: int, alpha) -> complex:
     return complex(alpha.conj() @ m @ alpha)
 
 
-def pd_verdict_pointset(g: FiniteGroupoid, phi, tol: float = PSD_TOL, iters: int = 1200) -> PdVerdict:
-    """Point-set criterion decided by shifted power iteration, LAPACK-free.
+def pd_verdict_pointset(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerdict:
+    """Point-set criterion decided by inertia: LDL^H of each Gram matrix plus delta.
 
-    Minimizes the quadratic form over unit vectors on each fiber by power
-    iteration on (c - form); agrees with the Gram eigenvalue test away from
-    the tolerance boundary.
+    LAPACK-free, so it stays independent of the eigenvalue test.  The witness
+    makes ``quadratic_form`` negative.
     """
-    phi = arrow_function(g, phi)
-    for u in range(g.n_units):
-        m = gram_matrix(g, phi, u)
-        scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-        if float(np.abs(m - m.conj().T).max(initial=0.0)) > tol * scale:
-            vec, val = _non_hermitian_witness(m)
-            return PdVerdict(False, u, vec, val)
-        n = m.shape[0]
-        c = float(np.abs(m).sum(axis=1).max(initial=0.0)) + 1.0
-        v = np.ones(n, dtype=complex) + 0.01 * np.arange(n)
-        v /= np.linalg.norm(v)
-        for _ in range(iters):
-            w = c * v - m @ v
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                break
-            v = w / nw
-        lam = float((v.conj() @ m @ v).real)
-        if lam < -tol * max(1.0, c):
-            return PdVerdict(False, u, v, complex(lam))
-    return PdVerdict(True)
+    return _verdict(g, phi, tol, _negative_direction)
 
 
 def integral_form(g: FiniteGroupoid, phi, u: int, f) -> complex:
@@ -126,44 +151,14 @@ def integral_form(g: FiniteGroupoid, phi, u: int, f) -> complex:
     return complex(f.conj() @ _integral_kernel(g, phi, u) @ f)
 
 
-def pd_verdict_integral(
-    g: FiniteGroupoid, phi, tol: float = PSD_TOL, n_probes: int = 50, seed: int = 0
-) -> PdVerdict:
-    """Haar-integral criterion probed on random test functions plus a descent polish.
+def pd_verdict_integral(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerdict:
+    """Haar-integral criterion decided by inertia on the weighted kernel.
 
-    Each probe evaluates the double sum as a form in the weighted Gram matrix.
-    The descent step improves the worst probe by iterating the integral
-    kernel, so a strictly negative direction is found whenever one exists (up
-    to the tolerance band).
+    LDL^H of each unit's kernel w(x) w(y) phi(inverse(y) x) plus delta * w**2.
+    The witness is a test function on the fiber that makes ``integral_form``
+    negative.
     """
-    phi = arrow_function(g, phi)
-    rng = np.random.default_rng(seed)
-    for u in range(g.n_units):
-        fiber = g.r_fibers[u]
-        n = fiber.shape[0]
-        best_val = np.inf
-        best_f = None
-        for _ in range(n_probes):
-            f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            f /= np.linalg.norm(f)
-            val = integral_form(g, phi, u, f)
-            if abs(val.imag) > tol * max(1.0, abs(val)):
-                return PdVerdict(False, u, f, val)
-            if val.real < best_val:
-                best_val, best_f = val.real, f
-        f = best_f
-        kernel = _integral_kernel(g, phi, u)
-        c = float(np.abs(kernel).sum(axis=1).max(initial=0.0)) + 1.0
-        for _ in range(800):
-            w = c * f - kernel.conj().T @ f
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                break
-            f = w / nw
-        val = integral_form(g, phi, u, f)
-        if abs(val.imag) > tol * c or val.real < -tol * c:
-            return PdVerdict(False, u, f, val)
-    return PdVerdict(True)
+    return _verdict(g, phi, tol, _negative_direction, weighted=True)
 
 
 def _integral_kernel(g: FiniteGroupoid, phi, u: int) -> np.ndarray:

@@ -156,6 +156,21 @@ def _pair3_missing_a_product(tmp_path):
 
 
 class TestInvalidGroupoidFiles:
+    @pytest.mark.parametrize("bad_weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_exits_2(self, tmp_path, capsys, bad_weight):
+        data = groupoid_to_dict(gf.pair_groupoid(2))
+        data["weights"][1]["w"] = bad_weight
+        with pytest.raises(FileFormatError, match="positive and finite"):
+            groupoid_from_dict(data)
+        gfile, ffile = tmp_path / "g.json", tmp_path / "f.json"
+        gfile.write_text(json.dumps(data))
+        write_arrow_function(str(ffile), np.arange(4) + 1.0)
+        assert main(["check", str(gfile), "--suite", "axioms"]) == 2
+        for which in ("i", "stieltjes"):
+            assert main(["norm", str(gfile), str(ffile), "--which", which]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+
+
     @pytest.mark.parametrize("which", ["stieltjes", "reduced"])
     def test_norm_exits_2_with_first_violation(self, tmp_path, capsys, which):
         gfile = _pair3_missing_a_product(tmp_path)
@@ -269,10 +284,15 @@ class TestUsageErrors:
 
 
 class TestStartup:
-    def test_import_loads_no_scipy(self):
-        """scipy costs most of the start-up time; only the brute-force oracle imports it."""
+    def test_import_loads_no_scipy(self, tmp_path):
+        """scipy is a test-only dependency: norms and check suites run without loading it."""
+        gfile, report = tmp_path / "g.json", tmp_path / "report.txt"
+        write_groupoid(str(gfile), gf.pair_groupoid(3))
         code = (
-            "import sys, gfourier, gfourier.cli; "
+            "import sys, numpy as np, gfourier, gfourier.cli; "
+            "gfourier.fourier_norm_bounds(gfourier.pair_groupoid(3), np.arange(9) + 1j); "
+            f"args = ['check', {str(gfile)!r}, '--suite', 'positivity', '--out', {str(report)!r}]; "
+            "assert gfourier.cli.main(args) == 0; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         # a fresh interpreter that imports the same copy of the package as this one

@@ -102,6 +102,8 @@ def _corruptions():
         "unit arrow repeated": changed("unit_arrows", 2, 0),
         "weight changed": changed("weights", 5, 2.0),
         "weight negative": changed("weights", 5, -1.0),
+        "weight not a number": changed("weights", 5, np.nan),
+        "weight infinite": changed("weights", 5, np.inf),
         "range changed": changed("range_of", 7, 0),
     }
 

@@ -142,6 +142,18 @@ class TestValidate:
         assert not report.ok
         assert any("Haar" in v for v in report.violations)
 
+    @pytest.mark.parametrize("bad_weight", [np.nan, np.inf])
+    def test_non_finite_weight_flagged(self, g2, bad_weight):
+        bad = dataclasses.replace(g2, weights=np.array([1.0, bad_weight, 1.0, bad_weight]))
+        assert "weights must be finite" in gf.validate(bad).violations
+
+    @pytest.mark.parametrize("bad_weight", [np.nan, np.inf, 0.0, -1.0])
+    def test_constructors_reject_bad_weights(self, g2, bad_weight):
+        with pytest.raises(ValueError, match="positive finite weight"):
+            gf.pair_groupoid(2, unit_weights=[1.0, bad_weight])
+        with pytest.raises(ValueError, match="positive finite weight"):
+            g2.with_unit_weights([bad_weight, 1.0])
+
     def test_non_associative_table_flagged(self, z3):
         table = z3.compose_table.copy()
         table[1, 1] = 1  # 1+1 should be 2

@@ -7,6 +7,7 @@ import gfourier as gf
 from gfourier.norms import schur_problem, stieltjes_problem
 from gfourier.sdp import DiagBoundSdp, SdpInfeasibleError, solve_diag_bound_sdp
 from conftest import random_function, random_pd
+from oracles import brute_force_factorization_norm
 
 
 class TestHermitianEigen:
@@ -95,7 +96,7 @@ class TestSolveDiagBoundSdp:
         for i in range(3):
             phi = random_function(g2, rng)
             cb = gf.schur_cb_norm(phi.reshape(2, 2))
-            brute = gf.brute_force_factorization_norm(g2, phi, budget=40, seed=i)
+            brute = brute_force_factorization_norm(g2, phi, budget=40, seed=i)
             assert abs(cb.value - brute) <= 1e-5
 
 
@@ -214,7 +215,7 @@ class TestSchurCbNorm:
         y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         a = np.outer(x, y.conj())
         cert = gf.schur_cb_norm(a)
-        brute = gf.brute_force_factorization_norm(g2, a.ravel(), budget=40, seed=5)
+        brute = brute_force_factorization_norm(g2, a.ravel(), budget=40, seed=5)
         assert abs(cert.value - brute) <= 1e-5
 
     def test_witness_factorization_reconstructs(self, rng):
@@ -379,7 +380,7 @@ class TestGroupCase:
         for i in range(2):
             phi = random_function(g, rng)
             fs = gf.fourier_stieltjes_norm(g, phi)
-            brute = gf.brute_force_factorization_norm(g, phi, budget=40, seed=i)
+            brute = brute_force_factorization_norm(g, phi, budget=40, seed=i)
             assert abs(fs.value - brute) <= 1e-5
             _, upper = gf.fourier_norm_bounds(g, phi)
             assert abs(upper.value - fs.value) <= 1e-5
@@ -389,17 +390,17 @@ class TestBruteForceOracle:
     def test_pd_matches_stieltjes_norm(self, g2, rng):
         phi = random_pd(g2, rng, mixture=False)
         fs = gf.fourier_stieltjes_norm(g2, phi)
-        brute = gf.brute_force_factorization_norm(g2, phi, budget=40, seed=1)
+        brute = brute_force_factorization_norm(g2, phi, budget=40, seed=1)
         assert abs(fs.value - brute) <= 1e-3
 
     def test_point_mass_cost(self, g2):
-        brute = gf.brute_force_factorization_norm(g2, gf.delta(g2, 1), budget=20, seed=0)
+        brute = brute_force_factorization_norm(g2, gf.delta(g2, 1), budget=20, seed=0)
         assert brute <= 1.0 + 1e-6
 
     def test_exhausted_budget_returns_infinity(self, g2, rng):
         phi = random_function(g2, rng)
-        assert gf.brute_force_factorization_norm(g2, phi, budget=0) == np.inf
+        assert brute_force_factorization_norm(g2, phi, budget=0) == np.inf
 
     def test_rejects_large_groupoids(self, g3, rng):
         with pytest.raises(ValueError, match="at most 6"):
-            gf.brute_force_factorization_norm(g3, random_function(g3, rng))
+            brute_force_factorization_norm(g3, random_function(g3, rng))

@@ -36,7 +36,7 @@ class TestIsPositiveDefinite:
                 phi = (phi + gf.star(g, phi)) / 2
             v1 = bool(gf.is_positive_definite(g, phi))
             v2 = bool(gf.pd_verdict_pointset(g, phi))
-            v3 = bool(gf.pd_verdict_integral(g, phi, seed=i))
+            v3 = bool(gf.pd_verdict_integral(g, phi))
             assert v1 == v2 == v3
 
     def test_integral_criterion_against_double_sum_oracle(self, bundle23, rng):
@@ -65,6 +65,131 @@ class TestIsPositiveDefinite:
         phi = random_pd(bundle23, rng)
         assert gf.is_positive_definite(bundle23, np.conj(phi))
         assert gf.is_positive_definite(bundle23, gf.star(bundle23, phi))
+
+
+# each verdict with the form its witness vector makes negative or non-real
+VERDICT_FORMS = (
+    (gf.is_positive_definite, gf.quadratic_form),
+    (gf.pd_verdict_pointset, gf.quadratic_form),
+    (gf.pd_verdict_integral, gf.integral_form),
+)
+
+BOUNDARY_GROUPOIDS = {
+    "g2": lambda request: request.getfixturevalue("g2"),
+    "g3": lambda request: request.getfixturevalue("g3"),
+    "g4": lambda request: request.getfixturevalue("g4"),
+    "bundle23": lambda request: request.getfixturevalue("bundle23"),
+    "weighted_bundle": lambda request: request.getfixturevalue("weighted_bundle"),
+    "transf": lambda request: request.getfixturevalue("transf"),
+    "g3xI2": lambda request: gf.product_with_pair_groupoid(request.getfixturevalue("g3")),
+    "weighted_pair3": lambda request: gf.pair_groupoid(3, unit_weights=[1, 2, 0.5]),
+}
+
+
+def _gram_spectra(g, phi):
+    """Per unit: smallest and largest eigenvalue of the Gram's Hermitian part, and
+    the verdicts' entry scale max(1, max|entry|)."""
+    out = []
+    for u in range(g.n_units):
+        m = gf.gram_matrix(g, phi, u)
+        vals = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        out.append((vals[0], vals[-1], max(1.0, float(np.abs(m).max()))))
+    return np.array(out).T
+
+
+def _boundary_family(g, rng, count, tol=gf.positivity.PSD_TOL):
+    """Hermitian phi whose smallest Gram eigenvalue is level * tol * scale, spectra up to 20.
+
+    The bound is attained at one unit and holds at the others, where scale is
+    the unit's max(1, max|Gram entry|).  Levels cycle through +10 and -0.5
+    (inside the tolerance band) and -10 and -2 (outside).  Kinds cycle through
+    full-rank coefficients, rank-one and sparse coefficients (repeated small
+    eigenvalues) and Hermitian parts of random functions.  The unit indicator
+    has identity Grams, so adding a multiple of it moves every Gram spectrum
+    rigidly.
+    """
+    units = np.zeros(g.n_arrows, dtype=complex)
+    units[g.unit_arrows] = 1.0
+    family = []
+    for i in range(count):
+        level = (10.0, -10.0, -0.5, -2.0)[i % 4]
+        kind = (i // 4) % 4
+        if kind == 0:
+            psi = random_pd(g, rng)
+        elif kind == 1:
+            f = np.zeros(g.n_arrows, dtype=complex)
+            f[rng.integers(g.n_arrows)] = 1.0 + 1j * rng.standard_normal()
+            psi = gf.regular_coefficient(g, f, f)
+        elif kind == 2:
+            f = random_function(g, rng)
+            f[rng.random(g.n_arrows) < 0.5] = 0.0
+            psi = gf.regular_coefficient(g, f, f)
+        else:
+            psi = random_function(g, rng)
+            psi = (psi + gf.star(g, psi)) / 2
+        low, top, _ = _gram_spectra(g, psi)
+        phi = psi * rng.uniform(0.5, 20.0) / max(top.max() - low.min(), 1e-12)
+        for _ in range(2):  # the second pass absorbs the shift's effect on the scale
+            low, _, scale = _gram_spectra(g, phi)
+            phi = phi + (level * tol * scale - low).max() * units
+        family.append((level > -1, phi))
+    return family
+
+
+class TestVerdictsByInertia:
+    def test_negative_direction_almost_orthogonal_to_ones(self, g3):
+        """Gram spectrum (-1e-6, 0, 1e-6) whose negative eigenvector is almost
+        orthogonal to ones + 0.01 arange: every criterion must reject it."""
+        s = np.ones(3) + 0.01 * np.arange(3)
+        s /= np.linalg.norm(s)
+        a = np.array([1.0, -1.0, 0.0])
+        a -= (a @ s) * s
+        q, _ = np.linalg.qr(np.column_stack([a / np.linalg.norm(a) + 0.01 * s, s, [0.0, 0.0, 1.0]]))
+        fiber = g3.r_fibers[0]
+        phi = np.zeros(g3.n_arrows, dtype=complex)
+        phi[g3.compose_table[np.ix_(g3.inverse_of[fiber], fiber)]] = q @ np.diag([-1e-6, 1e-6, 0.0]) @ q.T
+        for u in range(g3.n_units):
+            assert np.allclose(np.linalg.eigvalsh(gf.gram_matrix(g3, phi, u)), [-1e-6, 0.0, 1e-6])
+        for verdict, _ in VERDICT_FORMS:
+            assert not verdict(g3, phi, 1e-9)
+
+    @pytest.mark.parametrize("gname", list(BOUNDARY_GROUPOIDS))
+    def test_verdicts_agree_on_boundary_family(self, gname, request):
+        g = BOUNDARY_GROUPOIDS[gname](request)
+        rng = np.random.default_rng(sum(map(ord, gname)))
+        for inside, phi in _boundary_family(g, rng, 48):
+            assert [bool(verdict(g, phi)) for verdict, _ in VERDICT_FORMS] == [inside] * 3
+
+    @pytest.mark.parametrize("gname", list(BOUNDARY_GROUPOIDS))
+    def test_witnesses_are_strictly_negative(self, gname, request):
+        g = BOUNDARY_GROUPOIDS[gname](request)
+        rng = np.random.default_rng(sum(map(ord, gname)) + 1)
+        inputs = [phi for inside, phi in _boundary_family(g, rng, 24) if not inside]
+        for _ in range(12):
+            phi = random_function(g, rng)
+            inputs.append((phi + gf.star(g, phi)) / 2)
+        failures = 0
+        for phi in inputs:
+            for verdict, form in VERDICT_FORMS:
+                out = verdict(g, phi)
+                if not out:
+                    failures += 1
+                    value = form(g, phi, out.unit, out.vector)
+                    assert value.real < 0 and abs(value.imag) <= 1e-12 * max(1.0, abs(value))
+                    assert abs(value - out.value) <= 1e-12 * max(1.0, abs(value))
+        assert failures >= 3 * 12
+
+    @pytest.mark.parametrize("gname", ["g3", "weighted_pair3"])
+    def test_non_hermitian_input_has_non_real_witness(self, gname, request, rng):
+        g = BOUNDARY_GROUPOIDS[gname](request)
+        for i in range(12):
+            # real inputs are non-Hermitian at every unit of a pair groupoid and have
+            # real diagonals, so only a pair of points with phase i gives a non-real form
+            phi = random_function(g, rng).real if i % 2 else random_function(g, rng)
+            for verdict, form in VERDICT_FORMS:
+                out = verdict(g, phi)
+                assert not out
+                assert abs(form(g, phi, out.unit, out.vector).imag) > 0
 
 
 class TestGnsBundle:
