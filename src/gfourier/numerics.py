@@ -33,14 +33,6 @@ def hermitian_sqrt(m, tol: float = 1e-9) -> np.ndarray:
     return (vecs * np.sqrt(clamped)) @ vecs.conj().T
 
 
-def rank_factor(m, tol: float = RANK_TOL) -> np.ndarray:
-    """C with C^H C = m (Hermitian PSD m), C of shape (rank, n)."""
-    vals, vecs = hermitian_eigen(m)
-    scale = float(vals[0]) if vals.size and vals[0] > 0 else 1.0
-    keep = vals > tol * scale
-    return (np.sqrt(vals[keep])[:, None] * vecs[:, keep].conj().T)
-
-
 def orthonormal_span(vectors, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis (rows) of the span of the given row vectors."""
     a = np.asarray(vectors, dtype=complex)

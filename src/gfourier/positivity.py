@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import arrow_function, convolve, star
 from .groupoid import FiniteGroupoid
-from .numerics import hermitian_sqrt, rank_factor
+from .numerics import hermitian_eigen, hermitian_sqrt
 from .regular import _right_op_blocks
 
 PSD_TOL = 1e-9
@@ -226,14 +226,17 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
         raise ValueError(
             f"not positive definite: unit {verdict.unit} has form value {verdict.value}"
         )
+    # one eigh per unit: the kept eigenpairs (L, V) give the factor C = sqrt(L) V^H
+    # with C^H C = kernel and its pseudo-inverse V / sqrt(L)
     factors: list[np.ndarray] = []
     pinvs: list[np.ndarray] = []
     for u in range(g.n_units):
         kernel = _integral_kernel(g, phi, u)
-        sym = (kernel + kernel.conj().T) / 2
-        c = rank_factor(sym, tol)
-        factors.append(c)
-        pinvs.append(np.linalg.pinv(c))
+        vals, vecs = hermitian_eigen((kernel + kernel.conj().T) / 2)
+        keep = vals > tol * (vals[0] if vals.size and vals[0] > 0 else 1.0)
+        root = np.sqrt(vals[keep])
+        factors.append(root[:, None] * vecs[:, keep].conj().T)
+        pinvs.append(vecs[:, keep] / root[None, :])
     position = np.empty(g.n_arrows, dtype=int)
     for fiber in g.r_fibers:
         position[fiber] = np.arange(fiber.size)

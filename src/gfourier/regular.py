@@ -5,6 +5,12 @@ the largest weighted l2 norm of its restrictions to range fibers.  Operators
 are dense complex matrices acting on section value vectors.  Adjointability
 is equivalent to being block diagonal with respect to the range-fiber
 partition of the arrows, and is computed, never assumed.
+
+Right convolution by a point mass is a weighted partial permutation, with at
+most one nonzero per row and column.  Its commutation equations therefore tie
+two matrix positions by a scale or force one to zero, and the commutant of the
+right regular representation is read off the classes of tied positions
+exactly, with no null space and no rank tolerance.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ from .algebra import arrow_function, convolve, delta, star
 from .duality import ModuleMap
 from .groupoid import FiniteGroupoid
 from .numerics import RANK_TOL, nullspace, orthonormal_span
+
+# relative disagreement of tie scales around a cycle that empties a commutant class
+TIE_TOL = 1e-10
 
 
 def d_inner(g: FiniteGroupoid, xi, eta) -> np.ndarray:
@@ -153,7 +162,11 @@ def operator_norm_bounds(
 
 
 def right_delta_ops(g: FiniteGroupoid) -> list[np.ndarray]:
-    return [right_op(g, delta(g, x)) for x in range(g.n_arrows)]
+    """right_op(g, delta(g, a)) for every arrow a, scattered from the composable pairs."""
+    x, t, y, _ = g.composable_pairs
+    ops = np.zeros((g.n_arrows,) * 3, dtype=complex)
+    ops[y, x, t] = g.weights[t]
+    return list(ops)
 
 
 def left_delta_ops(g: FiniteGroupoid) -> list[np.ndarray]:
@@ -174,20 +187,97 @@ def span_dim(mats, tol: float = RANK_TOL) -> int:
     return len(span_basis(mats, tol))
 
 
-def commutant(generators, dim: int, tol: float = RANK_TOL) -> list[np.ndarray]:
-    """Basis of {T : TA = AT for every generator A}, by null-space extraction.
+def commutant(generators, dim: int) -> list[np.ndarray]:
+    """Basis of {T : TA = AT for every generator A}, by tying matrix positions.
 
-    With no generators this is the full matrix space on ``dim`` coordinates.
+    Every generator must be a weighted partial permutation: A[p(j), j] = a_j
+    for the nonempty columns j, with at most one nonzero per row and column.
+    Entry (i, j) of TA = AT then reads a_j T[i, p(j)] = b_i T[s(i), j] with
+    s = p^-1 and b_i = A[i, s(i)], where a side is zero when column j or row i
+    of A is empty.  So each equation either ties two positions of T by a scale
+    or forces one position to zero.  The ties join the positions into classes.
+    A class survives when it holds no forced zero and its scales agree around
+    every cycle (to ``TIE_TOL``, relative); it gives one Frobenius-normalised
+    matrix supported on it.  The supports are disjoint, so the basis is
+    orthonormal; it is ordered by the smallest position of each class.  With
+    no generators this is the full matrix space on ``dim`` coordinates.
     """
     gens = [np.asarray(a, dtype=complex) for a in generators]
-    if not gens:
-        return [m.reshape(dim, dim) for m in np.eye(dim * dim, dtype=complex)]
-    eye = np.eye(dim, dtype=complex)
-    rows = []
-    for a in gens:
-        rows.append(np.kron(eye, a) - np.kron(a.T, eye))
-    basis = nullspace(np.vstack(rows), tol)
-    return [v.reshape(dim, dim) for v in basis]
+    stack = np.stack(gens) if gens else np.zeros((0, dim, dim), dtype=complex)
+    if stack.shape[1:] != (dim, dim):
+        raise ValueError(f"generators have shape {stack.shape[1:]}, expected {(dim, dim)}")
+    k, r, c = np.nonzero(stack)
+    for axis, line in (("row", r), ("column", c)):
+        counts = np.bincount(k * dim + line)
+        if counts.max(initial=0) > 1:
+            gen, at = divmod(int(counts.argmax()), dim)
+            raise ValueError(
+                f"generator {gen} is not a weighted partial permutation: "
+                f"{axis} {at} has {int(counts.max())} nonzero entries"
+            )
+    vals = stack[k, r, c]
+    row_col = np.full((len(stack), dim), -1)
+    row_col[k, r] = c
+    row_val = np.zeros((len(stack), dim), dtype=complex)
+    row_val[k, r] = vals
+    col_empty = np.ones((len(stack), dim), dtype=bool)
+    col_empty[k, c] = False
+    # the nonzero A[r, c] is column c of TA: vals T[i, r] = row_val[i] T[row_col[i], c]
+    i = np.arange(dim)
+    left = i[None, :] * dim + r[:, None]
+    right_row = row_col[k]
+    tied = right_row >= 0
+    p = left[tied]
+    q = (right_row * dim + c[:, None])[tied]
+    ratio = (row_val[k] / vals[:, None])[tied]
+    # row r of AT against the empty columns j of A: T[c, j] = 0
+    zeros = np.concatenate([left[~tied], (c[:, None] * dim + i[None, :])[col_empty[k]]])
+    root, factor = _tie_classes(dim * dim, p, q, ratio)
+    dead = np.zeros(dim * dim, dtype=bool)
+    dead[root[zeros]] = True
+    slack = np.abs(factor[p] - ratio * factor[q])
+    dead[root[p[slack > TIE_TOL * np.abs(factor[p])]]] = True
+    alive = np.flatnonzero(~dead[root])
+    heads, which = np.unique(root[alive], return_inverse=True)
+    norms = np.sqrt(np.bincount(which, weights=np.abs(factor[alive]) ** 2))
+    basis = np.zeros((heads.size, dim * dim), dtype=complex)
+    basis[which, alive] = factor[alive] / norms[which]
+    return list(basis.reshape(-1, dim, dim))
+
+
+def _tie_classes(size: int, p, q, ratio) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of ``size`` positions joined by the ties x[p] = ratio x[q].
+
+    Returns each position's root, the smallest position of its class, and the
+    factor with x[pos] = factor[pos] x[root] along a spanning forest.  Each
+    round hooks every root that meets a tie to another class onto the smallest
+    such root below it, then jumps pointers until every position points at
+    its root; hooks only go down, so the links form a forest.
+    """
+    parent = np.arange(size)
+    factor = np.ones(size, dtype=complex)
+    while True:
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            factor = factor * factor[parent]
+            parent = up
+        rp, rq = parent[p], parent[q]
+        cross = rp != rq
+        if not cross.any():
+            return parent, factor
+        rp, rq = rp[cross], rq[cross]
+        # x[rp] = rel x[rq]
+        rel = ratio[cross] * factor[q[cross]] / factor[p[cross]]
+        down = rp > rq
+        hi = np.where(down, rp, rq)
+        lo = np.where(down, rq, rp)
+        scale = np.where(down, rel, 1.0 / rel)
+        order = np.lexsort((lo, hi))
+        first = order[np.r_[True, hi[order][1:] != hi[order][:-1]]]
+        parent[hi[first]] = lo[first]
+        factor[hi[first]] = scale[first]
 
 
 def intersect_spans(basis_a, basis_b, tol: float = RANK_TOL) -> list[np.ndarray]:
@@ -253,19 +343,28 @@ def extract_multiplier(r, tol: float = 1e-12) -> np.ndarray:
 
 
 def vn_commutation_defect(g: FiniteGroupoid, op) -> float:
-    """Largest commutator entry of op against the right convolution generators."""
+    """Largest commutator entry of op against the right convolution generators.
+
+    The generator of arrow y has the entry w(t) at (x, t) for each composable
+    pair x = t y, so op @ A_y has column t equal to w(t) op[:, x] and A_y @ op
+    has row x equal to w(t) op[t, :]; all commutators are scattered at once.
+    """
     op = np.asarray(op, dtype=complex)
-    worst = 0.0
-    for a in right_delta_ops(g):
-        worst = max(worst, float(np.abs(op @ a - a @ op).max(initial=0.0)))
-    return worst
+    x, t, y, _ = g.composable_pairs
+    w = g.weights[t][:, None]
+    comm = np.zeros((g.n_arrows,) * 3, dtype=complex)
+    comm[y, :, t] = op[:, x].T * w
+    comm[y, x, :] -= w * op[t, :]
+    return float(np.abs(comm).max(initial=0.0))
 
 
 def operator_to_module_map(g: FiniteGroupoid, op, tol: float = 1e-9) -> ModuleMap:
     """Right module map on arrow functions induced by a commutant operator.
 
-    Sends f to conj(op(f*)) restricted to the unit arrows.  Requires op to
-    commute with every right convolution operator (checked to ``tol``).
+    Sends f to conj(op(f*)) restricted to the unit arrows; the point mass at x
+    has f* the point mass at inverse(x), so column x is conj(op[units, inverse(x)]).
+    Requires op to commute with every right convolution operator (checked to
+    ``tol``).
     """
     op = np.asarray(op, dtype=complex)
     scale = max(1.0, float(np.abs(op).max(initial=0.0)))
@@ -274,11 +373,7 @@ def operator_to_module_map(g: FiniteGroupoid, op, tol: float = 1e-9) -> ModuleMa
         raise ValueError(
             f"operator does not commute with right convolutions (defect {defect:.3e})"
         )
-    cols = []
-    for x in range(g.n_arrows):
-        image = np.conj(op @ star(g, delta(g, x)))
-        cols.append(image[g.unit_arrows])
-    return ModuleMap(matrix=np.stack(cols, axis=1), side="right")
+    return ModuleMap(matrix=np.conj(op[np.ix_(g.unit_arrows, g.inverse_of)]), side="right")
 
 
 def apply_operator_identity_check(g: FiniteGroupoid, op, f, h) -> tuple[np.ndarray, np.ndarray]:

@@ -2,11 +2,12 @@
 
 Everything here works straight from the composition table by exhaustive
 summation or search, deliberately avoiding the fiber-indexed code paths of
-the package.  A later section keeps the earlier loop versions of the
-bisection layer, the duality axioms and two block computations, which the
-array versions in the package must reproduce exactly.  The last one is the
-brute-force factorization search that the coefficient-norm tests compare
-against; it is the only user of scipy.
+the package.  Later sections keep the earlier loop versions of the
+bisection layer, the duality axioms and two block computations, and the
+Kronecker null-space commutant with the dense per-generator loops of the
+regular representation, which the array versions in the package must
+reproduce.  The last section is the brute-force factorization search that
+the coefficient-norm tests compare against; it is the only user of scipy.
 """
 
 import itertools
@@ -28,7 +29,7 @@ from gfourier.groupoid import (
     ValidationReport,
     identity_bisection,
 )
-from gfourier.numerics import hermitian_sqrt
+from gfourier.numerics import RANK_TOL, hermitian_sqrt, nullspace
 from gfourier.positivity import PSD_TOL, is_positive_definite, regular_coefficient
 from gfourier.regular import left_op, operator_norm, right_op, section_norm, unit_blocks
 
@@ -470,6 +471,50 @@ def pd_to_section_oracle(g, phi, tol=PSD_TOL):
     for u in marked:
         h[g.unit_arrows[u]] = 1.0
     return root @ h
+
+
+# ---------------------------------------------------------------------------
+# the commutant as a Kronecker null space, and the dense per-generator loops
+
+
+def right_delta_ops_oracle(g):
+    """Right convolution by each point mass, one dense matrix at a time."""
+    return [right_op(g, delta(g, x)) for x in range(g.n_arrows)]
+
+
+def commutant_oracle(generators, dim: int, tol: float = RANK_TOL) -> list[np.ndarray]:
+    """Basis of {T : TA = AT for every generator A}, by null-space extraction.
+
+    With no generators this is the full matrix space on ``dim`` coordinates.
+    """
+    gens = [np.asarray(a, dtype=complex) for a in generators]
+    if not gens:
+        return [m.reshape(dim, dim) for m in np.eye(dim * dim, dtype=complex)]
+    eye = np.eye(dim, dtype=complex)
+    rows = []
+    for a in gens:
+        rows.append(np.kron(eye, a) - np.kron(a.T, eye))
+    basis = nullspace(np.vstack(rows), tol)
+    return [v.reshape(dim, dim) for v in basis]
+
+
+def vn_commutation_defect_oracle(g, op) -> float:
+    """Largest commutator entry of op against the right convolution generators."""
+    op = np.asarray(op, dtype=complex)
+    worst = 0.0
+    for a in right_delta_ops_oracle(g):
+        worst = max(worst, float(np.abs(op @ a - a @ op).max(initial=0.0)))
+    return worst
+
+
+def module_map_matrix_oracle(g, op) -> np.ndarray:
+    """The matrix of f -> conj(op(f*)) at the units, point mass by point mass."""
+    op = np.asarray(op, dtype=complex)
+    cols = []
+    for x in range(g.n_arrows):
+        image = np.conj(op @ star(g, delta(g, x)))
+        cols.append(image[g.unit_arrows])
+    return np.stack(cols, axis=1)
 
 
 # ---------------------------------------------------------------------------

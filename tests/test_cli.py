@@ -18,7 +18,7 @@ from gfourier.fileio import (
     write_arrow_function,
     write_groupoid,
 )
-from conftest import no_bisection_structure, random_pd
+from conftest import forced_arrow_structure, no_bisection_structure, random_pd
 
 
 class TestFileRoundtrip:
@@ -124,6 +124,19 @@ class TestCheckCommand:
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(data))
         assert main(["check", str(f), "--suite", "axioms", "--out", "/dev/null"]) == 1
+
+    def test_regular_suite_on_a_non_groupoid_exits_1(self, tmp_path):
+        # right translation by arrow 3 has two entries in row 3, so the commutant
+        # fails with that witness instead of a traceback
+        f = tmp_path / "forced.json"
+        write_groupoid(str(f), forced_arrow_structure())
+        out = tmp_path / "r.json"
+        args = ["check", str(f), "--suite", "regular-rep", "--format", "machine", "--out", str(out)]
+        assert main(args) == 1
+        rec = next(r for r in json.loads(out.read_text())["records"]
+                   if r["name"] == "regular/commutant-is-left-convolutions")
+        assert rec["status"] == "fail"
+        assert "generator 3 is not a weighted partial permutation: row 3" in rec["witness"]
 
     def test_reports_byte_stable_and_mirrored(self, tmp_path):
         f = tmp_path / "g.json"

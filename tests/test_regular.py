@@ -1,9 +1,18 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 import gfourier as gf
-from conftest import random_function
-from oracles import d_inner_oracle
+from conftest import no_bisection_structure, random_function
+from oracles import (
+    commutant_oracle,
+    d_inner_oracle,
+    module_map_matrix_oracle,
+    right_delta_ops_oracle,
+    vn_commutation_defect_oracle,
+)
 
 TOL = 1e-10
 
@@ -147,9 +156,128 @@ class TestSpans:
             assert gf.regular.in_span(basis, m)
 
 
+def s3_on_three_points():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[i]] for i in range(3))] for b in perms] for a in perms]
+    return gf.transformation_groupoid(table, [list(p) for p in perms])
+
+
+def range_weighted_pair3():
+    """pair(3) with Haar weights of the range unit: not left invariant."""
+    g = gf.pair_groupoid(3)
+    return dataclasses.replace(g, weights=np.array([1.0, 2.0, 0.5])[g.range_of])
+
+
+COMMUTANT_CASES = {
+    **{f"pair{n}": lambda n=n: gf.pair_groupoid(n) for n in (1, 2, 3, 4)},
+    "z2": lambda: gf.group_groupoid(gf.cyclic_table(2)),
+    "z3": lambda: gf.group_groupoid(gf.cyclic_table(3)),
+    "bundle23": lambda: gf.group_bundle([gf.cyclic_table(2), gf.cyclic_table(3)]),
+    "weighted_bundle": lambda: gf.group_bundle(
+        [gf.cyclic_table(2), gf.cyclic_table(3)], unit_weights=[2.0, 0.5]
+    ),
+    "transf": lambda: gf.transformation_groupoid(
+        gf.cyclic_table(3), [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    ),
+    "s3_on_3": s3_on_three_points,
+    "pair3_x_i2": lambda: gf.product_with_pair_groupoid(gf.pair_groupoid(3)),
+    "weighted_pair3": lambda: gf.pair_groupoid(3, unit_weights=[1.0, 2.0, 0.5]),
+    "no_bisection": no_bisection_structure,
+    "range_weighted_pair3": range_weighted_pair3,
+}
+
+
+def _same_span(a, b):
+    return len(a) == len(b) and all(gf.regular.in_span(a, m, 1e-10) for m in b) and all(
+        gf.regular.in_span(b, m, 1e-10) for m in a
+    )
+
+
 class TestCommutant:
     def test_empty_generators_give_full_matrix_space(self):
-        assert len(gf.commutant([], 3)) == 9
+        basis = gf.commutant([], 3)
+        assert len(basis) == 9
+        assert np.array_equal(np.stack(basis).reshape(9, 9), np.eye(9))
+
+    @pytest.mark.parametrize("name", sorted(set(COMMUTANT_CASES) - {"pair3_x_i2"}))
+    def test_matches_kronecker_oracle(self, name):
+        g = COMMUTANT_CASES[name]()
+        ops = gf.right_delta_ops(g)
+        got = gf.commutant(ops, g.n_arrows)
+        assert _same_span(got, commutant_oracle(ops, g.n_arrows))
+        flat = np.stack([m.ravel() for m in got])
+        assert np.abs(flat.conj() @ flat.T - np.eye(len(got))).max() < 1e-12
+
+    def test_matches_kronecker_oracle_on_two_generators(self):
+        # pair(3) x I2 is principal and transitive on 6 units.  Its right
+        # convolution algebra is generated by a unit function with distinct
+        # values and a cyclic shift through the units, so the oracle needs two
+        # generators (a 2592 x 1296 system) instead of 36 (46656 x 1296)
+        g = COMMUTANT_CASES["pair3_x_i2"]()
+        n = g.n_units
+        d = np.zeros(g.n_arrows)
+        d[g.unit_arrows] = np.arange(1, n + 1)
+        shift = np.zeros(g.n_arrows)
+        for u in range(n):
+            shift[np.flatnonzero((g.range_of == (u + 1) % n) & (g.source_of == u))[0]] = 1.0
+        want = commutant_oracle([gf.right_op(g, d), gf.right_op(g, shift)], g.n_arrows)
+        got = gf.vn_basis(g)
+        assert len(got) == 36
+        assert _same_span(got, want)
+
+    def test_range_weights_shrink_the_commutant(self):
+        g = range_weighted_pair3()
+        assert not gf.validate(g).ok
+        assert len(gf.vn_basis(g)) == len(commutant_oracle(gf.right_delta_ops(g), 9)) == 3
+
+    def test_weighted_shift_ties_positions_by_scale(self):
+        # a^2 = 2: the commutant is span{1, a}, with the tie T[0,1] = 2 T[1,0]
+        a = np.array([[0.0, 2.0], [1.0, 0.0]])
+        got = gf.commutant([a], 2)
+        assert np.allclose(got[1], a / np.sqrt(5), atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "a, dim",
+        [
+            (np.array([[0.0, 2.0], [1.0, 0.0]]), 2),
+            # a weighted 4-cycle: ties chain through four positions with scales
+            (np.roll(np.diag([1.0, 2.0, 3.0, 4.0j]), 1, axis=0), 4),
+            # one arrow: forced zeros from the empty rows and the empty columns
+            (np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 3),
+            (np.diag([1.0, 2.0, 2.0]), 3),
+        ],
+    )
+    def test_matches_oracle_on_single_generators(self, a, dim):
+        got = gf.commutant([a], dim)
+        for m in got:
+            assert np.abs(m @ a - a @ m).max() < 1e-14
+        # the oracle's row-major Kronecker rows solve T a^T = a^T T, so its
+        # transposes span the commutant of a
+        assert _same_span(got, [m.T for m in commutant_oracle([a], dim)])
+
+    def test_rejects_two_nonzeros_in_a_column(self):
+        bad = np.zeros((3, 3))
+        bad[0, 1] = bad[2, 1] = 1.0
+        with pytest.raises(ValueError, match="generator 1 .* column 1 has 2 nonzero"):
+            gf.commutant([np.eye(3), bad], 3)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            gf.commutant([np.eye(2)], 3)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_large_pair_groupoid_dimension(self, n):
+        vn = gf.vn_basis(gf.pair_groupoid(n))
+        assert len(vn) == n * n
+        flat = np.stack([m.ravel() for m in vn])
+        assert np.abs(flat.conj() @ flat.T - np.eye(n * n)).max() < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(COMMUTANT_CASES))
+    def test_right_delta_ops_match_dense_loop(self, name):
+        g = COMMUTANT_CASES[name]()
+        for got, want in zip(gf.right_delta_ops(g), right_delta_ops_oracle(g), strict=True):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_pair_groupoid_commutant_is_left_algebra(self, n):
@@ -268,6 +396,17 @@ class TestOperatorToModuleMap:
             vn = gf.vn_basis(g)
             rows = np.stack([gf.operator_to_module_map(g, t).matrix.ravel() for t in vn])
             assert np.linalg.matrix_rank(rows, tol=1e-9) == len(vn)
+
+    @pytest.mark.parametrize("name", ["pair3", "weighted_bundle", "transf", "s3_on_3"])
+    def test_matches_dense_loops(self, name, rng):
+        g = COMMUTANT_CASES[name]()
+        ops = gf.vn_basis(g)[:4] + [gf.left_op(g, random_function(g, rng))]
+        for op in ops:
+            alpha = gf.operator_to_module_map(g, op)
+            assert np.abs(alpha.matrix - module_map_matrix_oracle(g, op)).max() < 1e-12
+        for op in ops + [random_function(g, rng)[:, None] * random_function(g, rng)[None, :]]:
+            got = gf.regular.vn_commutation_defect(g, op)
+            assert abs(got - vn_commutation_defect_oracle(g, op)) < 1e-12
 
     def test_rejects_operators_outside_commutant(self, g2):
         bad = np.zeros((4, 4), dtype=complex)
