@@ -62,13 +62,13 @@ def vee(g: FiniteGroupoid, f) -> np.ndarray:
 def i_norm_range(g: FiniteGroupoid, f) -> float:
     """Largest weighted l1 mass of f over a range fiber."""
     f = arrow_function(g, f)
-    return max(float(np.sum(g.weights[t] * np.abs(f[t]))) for t in g.r_fibers)
+    return float(np.bincount(g.range_of, g.weights * np.abs(f), g.n_units).max())
 
 
 def i_norm_source(g: FiniteGroupoid, f) -> float:
     f = arrow_function(g, f)
     inv_w = g.weights[g.inverse_of]
-    return max(float(np.sum(inv_w[t] * np.abs(f[t]))) for t in g.s_fibers)
+    return float(np.bincount(g.source_of, inv_w * np.abs(f), g.n_units).max())
 
 
 def i_norm(g: FiniteGroupoid, f) -> float:

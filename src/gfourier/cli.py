@@ -8,6 +8,7 @@ in the same order, and are byte-stable for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field
@@ -148,7 +149,10 @@ def cmd_check(args) -> int:
     report = RunReport(
         command=f"check {args.suite}", seed=args.seed, groupoid=_summary(g)
     )
-    report.records = run_suites(g, names, seed=args.seed, tol=args.tol)
+    timings = {} if args.timings else None
+    report.records = run_suites(g, names, seed=args.seed, tol=args.tol, timings=timings)
+    for name, seconds in (timings or {}).items():
+        print(f"timing {name} {seconds:.4f} s", file=sys.stderr)
     return _emit(report, args.format, args.out)
 
 
@@ -302,13 +306,12 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--action", help="action table as JSON (rows: group, cols: points)")
     b.add_argument("--from", dest="src", help="input groupoid file for product-i2")
     b.add_argument("--out", required=True)
-    b.set_defaults(func=cmd_build)
 
     c = sub.add_parser("check", help="run a verification suite")
     c.add_argument("groupoid")
     c.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
+    c.add_argument("--timings", action="store_true", help="print each suite's CPU seconds to stderr")
     common(c)
-    c.set_defaults(func=cmd_check)
 
     n = sub.add_parser("norm", help="compute norms of a function file")
     n.add_argument("groupoid")
@@ -316,31 +319,46 @@ def make_parser() -> argparse.ArgumentParser:
     n.add_argument("--which", choices=("stieltjes", "cb", "decomp", "reduced", "i"),
                    default="stieltjes")
     common(n)
-    n.set_defaults(func=cmd_norm)
 
     d = sub.add_parser("duality", help="enumerate bisections and run the round trip")
     d.add_argument("groupoid")
     common(d)
-    d.set_defaults(func=cmd_duality)
 
     r = sub.add_parser("report", help="machine report of every suite")
     r.add_argument("groupoid")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--tol", type=float, default=1e-9)
     r.add_argument("--out", default="-")
-    r.set_defaults(func=cmd_report)
+    r.add_argument("--timings", action="store_true", help="print each suite's CPU seconds to stderr")
 
     return parser
 
 
+# the commands by verb; ``main`` looks them up at each call instead of binding them
+# into the parser, which is built once per process, so a replaced command function
+# (a tracer's wrapper, say) takes effect
+COMMANDS = {
+    "build": cmd_build,
+    "check": cmd_check,
+    "norm": cmd_norm,
+    "duality": cmd_duality,
+    "report": cmd_report,
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return USAGE_ERROR if err.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return COMMANDS[args.verb](args)
     except (FileFormatError, ValueError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR

@@ -10,8 +10,14 @@ The composable pairs G^(2) are indexed once per groupoid and cached
 (``FiniteGroupoid.composable_pairs``): for each arrow x, every arrow t of its
 range fiber with y = inverse(t) x, so that x = t y.  Convolution, the regular
 operators and the regular coefficients are gathers over this index followed
-by a sum over each arrow's segment or a scatter into a matrix.  ``validate``
-reads the composition table instead, because its input may not be a groupoid.
+by a sum over each arrow's segment or a scatter into a matrix.  A second
+cached index built from it (``FiniteGroupoid.fiber_classes``) stacks the unit
+blocks: the units are grouped by range-fiber size, so that the Gram matrices
+or the right convolution blocks of all units of a group are one gather, and
+the per-unit linear algebra is one stacked LAPACK call.  Both indexes need
+every product inverse(t) x to be defined and raise ``UndefinedProductError``
+otherwise.  ``validate`` reads the composition table instead, because its
+input may not be a groupoid.
 """
 
 from __future__ import annotations
@@ -22,6 +28,24 @@ from functools import cached_property
 import numpy as np
 
 UNDEFINED = -1
+
+
+class UndefinedProductError(ValueError):
+    """A product that the composable-pairs index needs is undefined (not a groupoid)."""
+
+
+@dataclass(frozen=True)
+class FiberClass:
+    """The units whose range fibers have the same size m, with their unit blocks.
+
+    Row i of ``arrows`` is the range fiber of ``units[i]``, ascending, and
+    ``gram[i, p, q]`` is the arrow inverse(arrows[i, p]) arrows[i, q], so that
+    ``phi[gram]`` stacks the Gram matrices of an arrow function phi.
+    """
+
+    units: np.ndarray
+    arrows: np.ndarray
+    gram: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -55,10 +79,6 @@ class FiniteGroupoid:
         return tuple(np.flatnonzero(self.range_of == u) for u in range(self.n_units))
 
     @cached_property
-    def s_fibers(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.flatnonzero(self.source_of == u) for u in range(self.n_units))
-
-    @cached_property
     def composable_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The composable pairs G^(2) as flat arrays (x, t, y, starts).
 
@@ -75,7 +95,36 @@ class FiniteGroupoid:
         fiber_starts = np.cumsum(counts) - counts
         t = by_range[fiber_starts[self.range_of[x]] + np.arange(x.size) - starts[x]]
         y = self.compose_table[self.inverse_of[t], x]
+        if np.any(y == UNDEFINED):
+            k = int(np.argmax(y == UNDEFINED))
+            raise UndefinedProductError(
+                f"arrows {self.inverse_of[t[k]]} = inverse({t[k]}) and {x[k]} do not compose"
+            )
         return x, t, y, starts
+
+    @cached_property
+    def fiber_classes(self) -> tuple[FiberClass, ...]:
+        """The units grouped by range-fiber size, with their Gram arrow ids.
+
+        The groups come in the order of their first units, so unit 0 is the
+        first unit of the first group.
+
+        Within the group of size m the entries of the arrows x of a fiber come
+        x-ascending in the composable pairs, t ascending within each x, so the
+        segment of the q-th arrow is column q of the fiber's Gram block.
+        """
+        _, _, y, starts = self.composable_pairs
+        counts = np.bincount(self.range_of, minlength=self.n_units)
+        by_range = np.argsort(self.range_of, kind="stable")
+        fiber_starts = np.cumsum(counts) - counts
+        classes = []
+        sizes, first_units = np.unique(counts, return_index=True)
+        for m in sizes[np.argsort(first_units)]:
+            units = np.flatnonzero(counts == m)
+            arrows = by_range[fiber_starts[units][:, None] + np.arange(m)]
+            gram = y[starts[arrows][:, None, :] + np.arange(m)[:, None]]
+            classes.append(FiberClass(units, arrows, gram))
+        return tuple(classes)
 
     @property
     def unit_weights(self) -> np.ndarray:

@@ -19,7 +19,6 @@ from .algebra import arrow_function
 from .groupoid import FiniteGroupoid, product_with_pair_groupoid
 from .numerics import orthonormal_span
 from .positivity import (
-    gram_matrix,
     is_positive_definite,
     off_diagonal_embed,
     pd_to_section,
@@ -84,18 +83,15 @@ def _stieltjes_seeds(g: FiniteGroupoid, phi) -> tuple[list[dict], float]:
     spectral diagonal completion.  Also returns the sup-norm lower bound."""
     phi = arrow_function(g, phi)
     seeds = []
-    keys = []
-    for z in range(g.n_arrows):
-        c, conj = _canonical_arrow(g, z)
-        if not conj:
-            keys.append(c)
+    # the canonical arrow of each pair {z, inverse(z)} is the smaller id
+    keys = np.flatnonzero(np.arange(g.n_arrows) <= g.inverse_of).tolist()
     if is_positive_definite(g, phi):
         seeds.append({(name, c): complex(phi[c]) for name in ("r", "t") for c in keys})
-    sigma = 0.0
-    for u in range(g.n_units):
-        block = gram_matrix(g, phi, u)
-        if block.size:
-            sigma = max(sigma, float(np.linalg.norm(block, 2)))
+    sigma = max(
+        (float(np.linalg.norm(phi[c.gram], 2, axis=(1, 2)).max()) for c in g.fiber_classes
+         if c.gram.size),
+        default=0.0,
+    )
     diag_seed = {(name, c): 0.0 for name in ("r", "t") for c in keys}
     for e in map(int, g.unit_arrows):
         diag_seed[("r", e)] = sigma

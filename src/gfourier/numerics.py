@@ -10,27 +10,36 @@ RANK_TOL = 1e-9
 def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending, real) and orthonormal eigenvectors of a Hermitian matrix.
 
-    The input is symmetrized internally; it must be Hermitian to 1e-12
+    A stack of matrices (the last two axes) is decomposed in one call.  The
+    input is symmetrized internally; each matrix must be Hermitian to 1e-12
     relative to its largest entry.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("need a square matrix")
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if np.abs(m - m.conj().T).max(initial=0.0) > 1e-12 * scale:
+    h = m.conj().swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    if np.any(np.abs(m - h).max(axis=(-2, -1), initial=0.0) > 1e-12 * scale):
         raise ValueError("matrix is not Hermitian")
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
+    vals, vecs = np.linalg.eigh((m + h) / 2)
+    return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
 def hermitian_sqrt(m, tol: float = 1e-9) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues in [-tol*scale, 0) are clamped to 0."""
+    """Hermitian PSD square root; eigenvalues in [-tol*scale, 0) are clamped to 0.
+
+    A stack of matrices (the last two axes) is handled in one call; the error
+    names the smallest eigenvalue of the first matrix that is not PSD.
+    """
     vals, vecs = hermitian_eigen(m)
-    scale = max(1.0, float(vals[0]) if vals.size else 1.0)
-    if vals.size and vals[-1] < -tol * scale:
-        raise ValueError(f"matrix is not positive semidefinite (eigenvalue {vals[-1]:.3e})")
-    clamped = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(clamped)) @ vecs.conj().T
+    if vals.shape[-1]:
+        scale = np.maximum(1.0, vals[..., 0])
+        bad = vals[..., -1] < -tol * scale
+        if bad.any():
+            low = vals[..., -1][bad][0]
+            raise ValueError(f"matrix is not positive semidefinite (eigenvalue {low:.3e})")
+    root = np.sqrt(np.clip(vals, 0.0, None))
+    return (vecs * root[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def orthonormal_span(vectors, tol: float = RANK_TOL) -> np.ndarray:

@@ -4,9 +4,13 @@ A function on arrows is positive definite when every unit's Gram matrix
 phi(inverse(x) y), indexed by the range fiber, is positive semidefinite.  The
 Haar-integral criterion uses the weighted kernel instead, which is congruent
 to the Gram matrix.  All three verdicts use one threshold per unit and decide
-it exactly: the eigenvalue test by ``eigh``, the point-set and integral tests
-by the inertia of an LDL^H factorization (Sylvester's law of inertia).  Every
-"not positive definite" verdict carries a witness vector.
+it exactly: the eigenvalue test by ``eigvalsh``, the point-set and integral
+tests by the inertia of an LDL^H factorization (Sylvester's law of inertia).
+Every "not positive definite" verdict carries a witness vector.
+
+The units are decided, factored and square-rooted in stacks, one per fiber
+class of ``FiniteGroupoid.fiber_classes``: the Gram matrices of a class are
+one gather and its linear algebra one stacked call.
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ from .numerics import hermitian_eigen, hermitian_sqrt
 from .regular import _right_op_blocks
 
 PSD_TOL = 1e-9
+# matrix entries that ``gns_bundle`` and ``coefficient`` stack at once: 64 KB of
+# complex values, below the size from which the allocator maps fresh pages,
+# whose faults would cost more than the stacked products save
+STACK_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -44,38 +52,59 @@ class PdVerdict:
 def gram_matrix(g: FiniteGroupoid, phi, u: int) -> np.ndarray:
     """Gram matrix phi(inverse(x) y) over the range fiber of unit u."""
     phi = arrow_function(g, phi)
+    _, _, y, starts = g.composable_pairs
     fiber = g.r_fibers[u]
-    return phi[g.compose_table[np.ix_(g.inverse_of[fiber], fiber)]]
+    return phi[y[starts[fiber] + np.arange(fiber.size)[:, None]]]
 
 
 def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False) -> PdVerdict:
-    """The per-unit loop of the three criteria, at delta = tol * max(1, max|Gram entry|).
+    """The three criteria, decided for every unit at delta = tol * max(1, max|Gram entry|).
 
     A Gram matrix that is not Hermitian to delta fails with a non-real form.
     Otherwise the form matrix k is the Gram matrix with shift delta or, when
     ``weighted``, the Haar kernel K = D conj(Gram) D with shift delta * w**2;
     K + delta D^2 is congruent to conj(Gram) + delta, so both have the same
-    inertia.  ``decide(a)`` returns a direction v with v^H a v <= 0 when
-    a = Hermitian part of k + diag(shift) is not positive definite, and then
-    v^H k v <= -v^H diag(shift) v < 0.
+    inertia.  ``decide(a)`` takes a stack of a = Hermitian part of
+    k + diag(shift) and returns the mask of the matrices that are not positive
+    definite, with a function giving, for row i of the stack, a direction v
+    with v^H a v <= 0; then v^H k v <= -v^H diag(shift) v < 0.  The witness is
+    taken at the first failing unit.
+
+    Unit 0 is decided alone first: on a transitive groupoid every unit's Gram
+    matrix is a permutation of unit 0's, so a failure shows there at the cost
+    of one small call.  The other units follow stacked per fiber class, and a
+    stack whose units all come after a failure already found is skipped.
     """
     phi = arrow_function(g, phi)
-    for u in range(g.n_units):
-        m = gram_matrix(g, phi, u)
-        delta = tol * max(1.0, float(np.abs(m).max(initial=0.0)))
-        defect = float(np.abs(m - m.conj().T).max(initial=0.0))
-        shift = delta
+    head, *rest = g.fiber_classes
+    first = None
+    for c, rows in [(head, slice(0, 1)), (head, slice(1, None)), *((c, slice(None)) for c in rest)]:
+        units = c.units[rows]
+        if not units.size or (first is not None and units[0] > first[0]):
+            continue
+        m = phi[c.gram[rows]]
+        mh = m.conj().swapaxes(1, 2)
+        delta = tol * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+        non_hermitian = np.abs(m - mh).max(axis=(1, 2)) > delta
+        shift = delta[:, None]
         if weighted:
-            m, shift = _integral_kernel(g, phi, u), delta * g.weights[g.r_fibers[u]] ** 2
-        if defect > delta:
-            vec = _non_hermitian_witness(m)
-        else:
-            a = (m + m.conj().T) / 2
-            a.flat[:: a.shape[0] + 1] += shift
-            vec = decide(a)
-        if vec is not None:
-            return PdVerdict(False, u, vec, complex(vec.conj() @ m @ vec))
-    return PdVerdict(True)
+            w = g.weights[c.arrows[rows]]
+            m, shift = _integral_kernels(w, m), shift * w**2
+            mh = m.conj().swapaxes(1, 2)
+        a = (m + mh) / 2
+        diagonal = np.arange(m.shape[1])
+        a[:, diagonal, diagonal] += shift
+        # only the units before the first non-Hermitian one can fail first
+        cut = int(np.argmax(non_hermitian)) if non_hermitian.any() else units.size
+        not_pd, direction = decide(a[:cut]) if cut else ([], None)
+        i = int(np.argmax(not_pd)) if np.any(not_pd) else cut
+        if i < units.size and (first is None or units[i] < first[0]):
+            vec = direction(i) if i < cut else _non_hermitian_witness(m[i])
+            first = (int(units[i]), vec, m[i])
+    if first is None:
+        return PdVerdict(True)
+    u, vec, m = first
+    return PdVerdict(False, u, vec, complex(vec.conj() @ m @ vec))
 
 
 def is_positive_definite(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerdict:
@@ -83,35 +112,45 @@ def is_positive_definite(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerd
 
     The witness is the eigenvector of the smallest eigenvalue.
     """
-    return _verdict(g, phi, tol, _lowest_eigenvector)
+    return _verdict(g, phi, tol, _lowest_eigenvalues)
 
 
-def _lowest_eigenvector(a: np.ndarray) -> np.ndarray | None:
-    vals, vecs = np.linalg.eigh(a)
-    return vecs[:, 0] if vals[0] < 0 else None
+def _lowest_eigenvalues(a: np.ndarray):
+    """Decide the stack by ``eigvalsh``; only a witness needs the eigenvectors."""
+    return np.linalg.eigvalsh(a)[:, 0] < 0, lambda i: np.linalg.eigh(a[i])[1][:, 0]
 
 
-def _negative_direction(a: np.ndarray) -> np.ndarray | None:
-    """A unit vector v with v^H a v <= 0 when the Hermitian a is not positive definite.
+def _negative_directions(a: np.ndarray):
+    """Unpivoted LDL^H of a stack of Hermitian matrices in plain numpy; a is overwritten.
 
-    Unpivoted LDL^H of a in plain numpy, with no LAPACK call; a is overwritten.
-    By Sylvester's law of inertia a is positive definite exactly when every
-    pivot is positive (then None).  At the first pivot d_k <= 0, the
-    back-substituted v = L^{-H} e_k has v^H a v = d_k.
+    No LAPACK call.  By Sylvester's law of inertia a matrix is positive
+    definite exactly when every pivot is positive.  Returns the mask of the
+    matrices with a pivot d_k <= 0 and a function giving, for row i of the
+    stack, the unit vector v = L^{-H} e_k of its first such pivot, which has
+    v^H a v = d_k.
     """
-    n = a.shape[0]
-    low = np.eye(n, dtype=a.dtype)
-    for k in range(n):
-        pivot = a[k, k].real
-        if pivot <= 0:
-            v = np.zeros(n, dtype=complex)
-            v[k] = 1.0
-            for j in range(k - 1, -1, -1):
-                v[j] = -(low[j + 1 : k + 1, j].conj() @ v[j + 1 : k + 1])
-            return v / np.linalg.norm(v)
-        low[k + 1 :, k] = a[k + 1 :, k] / pivot
-        a[k + 1 :, k + 1 :] -= np.outer(low[k + 1 :, k], a[k, k + 1 :])
-    return None
+    n, m, _ = a.shape
+    low = np.zeros_like(a)
+    pivots = np.empty((n, m))
+    # a matrix keeps eliminating past its first pivot <= 0; what follows, inf
+    # or nan included, is never read
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(m):
+            pivots[:, k] = a[:, k, k].real
+            low[:, k + 1 :, k] = a[:, k + 1 :, k] / pivots[:, k, None]
+            a[:, k + 1 :, k + 1 :] -= low[:, k + 1 :, k, None] * a[:, None, k, k + 1 :]
+    failed = ~(pivots > 0)
+    first = np.where(failed.any(axis=1), failed.argmax(axis=1), m)
+
+    def direction(i: int) -> np.ndarray:
+        k = first[i]
+        v = np.zeros(m, dtype=complex)
+        v[k] = 1.0
+        for j in range(k - 1, -1, -1):
+            v[j] = -(low[i, j + 1 : k + 1, j].conj() @ v[j + 1 : k + 1])
+        return v / np.linalg.norm(v)
+
+    return first < m, direction
 
 
 def _non_hermitian_witness(m: np.ndarray) -> np.ndarray:
@@ -142,7 +181,7 @@ def pd_verdict_pointset(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerdi
     LAPACK-free, so it stays independent of the eigenvalue test.  The witness
     makes ``quadratic_form`` negative.
     """
-    return _verdict(g, phi, tol, _negative_direction)
+    return _verdict(g, phi, tol, _negative_directions)
 
 
 def integral_form(g: FiniteGroupoid, phi, u: int, f) -> complex:
@@ -158,13 +197,17 @@ def pd_verdict_integral(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerdi
     The witness is a test function on the fiber that makes ``integral_form``
     negative.
     """
-    return _verdict(g, phi, tol, _negative_direction, weighted=True)
+    return _verdict(g, phi, tol, _negative_directions, weighted=True)
 
 
 def _integral_kernel(g: FiniteGroupoid, phi, u: int) -> np.ndarray:
     """The weighted kernel w(x) w(y) phi(inverse(y) x) over the fiber of u."""
-    w = g.weights[g.r_fibers[u]]
-    return (w[:, None] * w[None, :]) * gram_matrix(g, phi, u).T
+    return _integral_kernels(g.weights[g.r_fibers[u]], gram_matrix(g, phi, u))
+
+
+def _integral_kernels(w: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Weighted kernels from Gram matrices (last two axes) and fiber weights w."""
+    return (w[..., :, None] * w[..., None, :]) * gram.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +243,60 @@ def constant_section(g: FiniteGroupoid, bundle: GHilbertBundle, value=1.0) -> Bu
 
 
 def coefficient(g: FiniteGroupoid, bundle: GHilbertBundle, xi: BundleSection, eta: BundleSection) -> np.ndarray:
-    """The arrow function <L_x xi(source x), eta(range x)>, conjugate linear in xi."""
+    """The arrow function <L_x xi(source x), eta(range x)>, conjugate linear in xi.
+
+    The arrows are taken in groups of one map shape, and each group in stacks
+    of about ``STACK_ENTRIES`` map entries.
+    """
+    dims = np.asarray(bundle.dims, dtype=int)
     for name, sec in (("xi", xi), ("eta", eta)):
-        for u, v in enumerate(sec.vectors):
-            if v.shape != (bundle.dims[u],):
-                raise ValueError(f"{name} has wrong dimension at unit {u}")
+        u = _first_mismatch(list(map(np.shape, sec.vectors)), list(zip(bundle.dims)))
+        if u is not None:
+            raise ValueError(f"{name} has wrong dimension at unit {u}")
+    rows, cols = dims[g.range_of], dims[g.source_of]
+    x = _first_mismatch(list(map(np.shape, bundle.maps)), list(zip(rows.tolist(), cols.tolist())))
+    if x is not None:
+        raise ValueError(f"map of arrow {x} does not go from its source fiber to its range fiber")
+    maps = np.fromiter(bundle.maps, dtype=object, count=g.n_arrows)
+    moving = np.fromiter(xi.vectors, dtype=object, count=g.n_units)
+    onto = np.fromiter(eta.vectors, dtype=object, count=g.n_units)
     out = np.empty(g.n_arrows, dtype=complex)
-    for x in range(g.n_arrows):
-        moved = bundle.maps[x] @ xi.vectors[int(g.source_of[x])]
-        out[x] = moved.conj() @ eta.vectors[int(g.range_of[x])]
+    for (r, c), ids in _groups(rows, cols):
+        for part in _stacks(ids, r * c):
+            moved = _stacked(maps[part]) @ _stacked(moving[g.source_of[part]])[:, :, None]
+            out[part] = np.sum(moved[:, :, 0].conj() * _stacked(onto[g.range_of[part]]), axis=1)
     return out
+
+
+def _stacked(arrays: np.ndarray) -> np.ndarray:
+    """One array from an object array of arrays of one shape (faster than np.stack)."""
+    return np.array(arrays.tolist())
+
+
+def _groups(*sizes) -> list[tuple[list[int], np.ndarray]]:
+    """(shape, ids) for each distinct combination of the per-item sizes."""
+    key = sizes[0]
+    for size in sizes[1:]:
+        key = key * (size.max() + 1) + size
+    groups = []
+    for kind in sorted(set(key.tolist())):
+        ids = np.flatnonzero(key == kind)
+        groups.append(([int(size[ids[0]]) for size in sizes], ids))
+    return groups
+
+
+def _stacks(ids: np.ndarray, entries: int) -> list[np.ndarray]:
+    """ids in consecutive parts of at most STACK_ENTRIES entries (at least one id
+    each), at ``entries`` entries per id."""
+    step = max(1, STACK_ENTRIES // max(1, entries))
+    return [ids[i : i + step] for i in range(0, ids.size, step)]
+
+
+def _first_mismatch(got: list, want: list) -> int | None:
+    """The first index where two lists differ, or None when they are equal."""
+    if got == want:
+        return None
+    return next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
 
 
 def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBundle, BundleSection]:
@@ -226,32 +313,46 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
         raise ValueError(
             f"not positive definite: unit {verdict.unit} has form value {verdict.value}"
         )
-    # one eigh per unit: the kept eigenpairs (L, V) give the factor C = sqrt(L) V^H
-    # with C^H C = kernel and its pseudo-inverse V / sqrt(L)
-    factors: list[np.ndarray] = []
-    pinvs: list[np.ndarray] = []
-    for u in range(g.n_units):
-        kernel = _integral_kernel(g, phi, u)
-        vals, vecs = hermitian_eigen((kernel + kernel.conj().T) / 2)
-        keep = vals > tol * (vals[0] if vals.size and vals[0] > 0 else 1.0)
-        root = np.sqrt(vals[keep])
-        factors.append(root[:, None] * vecs[:, keep].conj().T)
-        pinvs.append(vecs[:, keep] / root[None, :])
-    position = np.empty(g.n_arrows, dtype=int)
-    for fiber in g.r_fibers:
-        position[fiber] = np.arange(fiber.size)
     _, _, y, starts = g.composable_pairs
-    maps = []
-    for x in range(g.n_arrows):
-        u, v = int(g.range_of[x]), int(g.source_of[x])
+    dims = np.empty(g.n_units, dtype=int)
+    row = np.empty(g.n_units, dtype=int)
+    position = np.empty(g.n_arrows, dtype=int)
+    maps = np.empty(g.n_arrows, dtype=object)
+    vectors = np.empty(g.n_units, dtype=object)
+    for c in g.fiber_classes:
+        k, m = c.arrows.shape
+        kernels = _integral_kernels(g.weights[c.arrows], phi[c.gram])
+        # one eigh per fiber class: the kept eigenpairs (L, V) of a unit give the
+        # factor C = sqrt(L) V^H with C^H C = kernel and its pseudo-inverse
+        # V / sqrt(L); the stacks hold d >= rank columns, and a unit of rank r
+        # only ever reads its first r
+        vals, vecs = hermitian_eigen((kernels + kernels.conj().swapaxes(1, 2)) / 2)
+        top = vals[:, :1]
+        keep = vals > tol * np.where(top > 0, top, 1.0)
+        rank = keep.sum(axis=1)
+        d = rank.max()
+        root = np.sqrt(np.where(keep, vals, 1.0))[:, :d]
+        # C order keeps the gathered products below on BLAS
+        factor = root[:, :, None] * np.ascontiguousarray(vecs[:, :, :d].conj().swapaxes(1, 2))
+        pinv = vecs[:, :, :d] / root[:, None, :]
+        dims[c.units] = rank
+        row[c.units] = np.arange(k)
+        position[c.arrows] = np.arange(m)
         # left translation by x sends inverse(x) t to t: row p of the translation
-        # matrix picks the position of inverse(x) t for the p-th t of the fiber of u
-        back = g.inverse_of[y[starts[x] : starts[x] + g.r_fibers[u].size]]
-        maps.append(factors[u] @ pinvs[v][position[back]])
-    vectors = []
-    for u, e in enumerate(g.unit_arrows):
-        vectors.append(factors[u][:, position[e]] / g.weights[e])
-    bundle = GHilbertBundle(dims=tuple(c.shape[0] for c in factors), maps=tuple(maps))
+        # matrix picks the position of inverse(x) t for the p-th t of the fiber of
+        # range(x), which lies in the fiber of source(x), a unit of the same class
+        xs = c.arrows.ravel()
+        back = position[g.inverse_of[y[starts[xs][:, None] + np.arange(m)]]]
+        target, source = np.repeat(np.arange(k), m), row[g.source_of[xs]]
+        for (r, s), ids in _groups(rank[target], rank[source]):
+            for part in _stacks(ids, m * m):
+                products = factor[target[part], :r] @ pinv[source[part, None], back[part], :s]
+                maps[xs[part]] = np.fromiter(products, dtype=object, count=part.size)
+        e = g.unit_arrows[c.units]
+        at_units = factor[np.arange(k), :, position[e]] / g.weights[e][:, None]
+        for (r,), ids in _groups(rank):
+            vectors[c.units[ids]] = np.fromiter(at_units[ids, :r], dtype=object, count=ids.size)
+    bundle = GHilbertBundle(dims=tuple(dims.tolist()), maps=tuple(maps))
     return bundle, BundleSection(tuple(vectors))
 
 
@@ -284,8 +385,8 @@ def pd_to_section(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> np.ndarray:
     h = np.zeros(g.n_arrows, dtype=complex)
     h[g.unit_arrows[marked]] = 1.0
     xi = np.zeros(g.n_arrows, dtype=complex)
-    for fiber, block in zip(g.r_fibers, _right_op_blocks(g, phi)):
-        xi[fiber] = hermitian_sqrt(block, tol) @ h[fiber]
+    for c, blocks in zip(g.fiber_classes, _right_op_blocks(g, phi)):
+        xi[c.arrows] = (hermitian_sqrt(blocks, tol) @ h[c.arrows][:, :, None])[:, :, 0]
     return xi
 
 

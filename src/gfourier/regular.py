@@ -31,14 +31,16 @@ def d_inner(g: FiniteGroupoid, xi, eta) -> np.ndarray:
     xi = arrow_function(g, xi)
     eta = arrow_function(g, eta)
     vals = g.weights * np.conj(xi) * eta
-    return np.array([vals[t].sum() for t in g.r_fibers])
+    return np.bincount(g.range_of, vals.real, g.n_units) + 1j * np.bincount(
+        g.range_of, vals.imag, g.n_units
+    )
 
 
 def section_norm(g: FiniteGroupoid, xi) -> float:
     """max over units of the weighted l2 norm of the range-fiber restriction."""
     xi = arrow_function(g, xi)
     mass = g.weights * np.abs(xi) ** 2
-    return float(np.sqrt(max(mass[t].sum() for t in g.r_fibers)))
+    return float(np.sqrt(np.bincount(g.range_of, mass, g.n_units).max()))
 
 
 def right_op(g: FiniteGroupoid, f) -> np.ndarray:
@@ -84,12 +86,8 @@ def adjoint_op(g: FiniteGroupoid, op) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if not is_adjointable(g, op):
         raise ValueError("operator is not adjointable: it moves mass across range fibers")
-    out = np.zeros_like(op)
-    for t in g.r_fibers:
-        w = g.weights[t]
-        block = op[np.ix_(t, t)]
-        out[np.ix_(t, t)] = (block.conj().T * w[None, :]) / w[:, None]
-    return out
+    same_fiber = g.range_of[:, None] == g.range_of[None, :]
+    return np.where(same_fiber, op.conj().T * g.weights[None, :] / g.weights[:, None], 0)
 
 
 def operator_norm(g: FiniteGroupoid, op) -> float:
@@ -100,29 +98,30 @@ def operator_norm(g: FiniteGroupoid, op) -> float:
     op = np.asarray(op, dtype=complex)
     if not is_adjointable(g, op):
         raise ValueError("exact operator norms are only computed blockwise")
-    return _block_norm(g, unit_blocks(g, op))
+    return _block_norm(
+        g, [op[c.arrows[:, :, None], c.arrows[:, None, :]] for c in g.fiber_classes]
+    )
 
 
 def _block_norm(g: FiniteGroupoid, blocks) -> float:
+    """Largest spectral norm of the unit blocks, stacked per fiber class, in the weighted metric."""
     best = 0.0
-    for t, block in zip(g.r_fibers, blocks):
-        rw = np.sqrt(g.weights[t])
-        tilted = block * (rw[:, None] / rw[None, :])
+    for c, stack in zip(g.fiber_classes, blocks):
+        rw = np.sqrt(g.weights[c.arrows])
+        tilted = stack * (rw[:, :, None] / rw[:, None, :])
         if tilted.size:
-            best = max(best, float(np.linalg.norm(tilted, 2)))
+            best = max(best, float(np.linalg.norm(tilted, 2, axis=(1, 2)).max()))
     return best
 
 
 def _right_op_blocks(g: FiniteGroupoid, f) -> list[np.ndarray]:
-    """unit_blocks(g, right_op(g, f)), gathered from the composable pairs.
+    """unit_blocks(g, right_op(g, f)), stacked per fiber class.
 
-    The entries of the arrows x of a range fiber come x-ascending, t ascending
-    within each x, so each x's segment is one row of its fiber's block.
+    Entry (a, b) of the block of a fiber is w(t) f(inverse(t) x) at x = fiber[a],
+    t = fiber[b], which is the transposed Gram entry at (b, a).
     """
     f = arrow_function(g, f)
-    _, t, y, starts = g.composable_pairs
-    values = g.weights[t] * f[y]
-    return [values[starts[fiber][:, None] + np.arange(fiber.size)] for fiber in g.r_fibers]
+    return [f[c.gram].swapaxes(1, 2) * g.weights[c.arrows][:, None, :] for c in g.fiber_classes]
 
 
 def reduced_norm(g: FiniteGroupoid, f) -> float:
@@ -207,6 +206,15 @@ def commutant(generators, dim: int) -> list[np.ndarray]:
     if stack.shape[1:] != (dim, dim):
         raise ValueError(f"generators have shape {stack.shape[1:]}, expected {(dim, dim)}")
     k, r, c = np.nonzero(stack)
+    return _commutant_of_entries(len(stack), dim, k, r, c, stack[k, r, c])
+
+
+def _commutant_of_entries(n_gens: int, dim: int, k, r, c, vals) -> list[np.ndarray]:
+    """``commutant`` of n_gens generators given by their nonzeros A_k[r, c] = vals.
+
+    The classes do not depend on the order of the nonzeros; the scales along a
+    class can, at roundoff, when two ties join the same pair of classes.
+    """
     for axis, line in (("row", r), ("column", c)):
         counts = np.bincount(k * dim + line)
         if counts.max(initial=0) > 1:
@@ -215,12 +223,11 @@ def commutant(generators, dim: int) -> list[np.ndarray]:
                 f"generator {gen} is not a weighted partial permutation: "
                 f"{axis} {at} has {int(counts.max())} nonzero entries"
             )
-    vals = stack[k, r, c]
-    row_col = np.full((len(stack), dim), -1)
+    row_col = np.full((n_gens, dim), -1)
     row_col[k, r] = c
-    row_val = np.zeros((len(stack), dim), dtype=complex)
+    row_val = np.zeros((n_gens, dim), dtype=complex)
     row_val[k, r] = vals
-    col_empty = np.ones((len(stack), dim), dtype=bool)
+    col_empty = np.ones((n_gens, dim), dtype=bool)
     col_empty[k, c] = False
     # the nonzero A[r, c] is column c of TA: vals T[i, r] = row_val[i] T[row_col[i], c]
     i = np.arange(dim)
@@ -303,8 +310,14 @@ def reduced_algebra_basis(g: FiniteGroupoid) -> list[np.ndarray]:
 
 
 def vn_basis(g: FiniteGroupoid) -> list[np.ndarray]:
-    """Basis of the commutant of all right convolution operators."""
-    return commutant(right_delta_ops(g), g.n_arrows)
+    """Basis of the commutant of all right convolution operators.
+
+    Equal to ``commutant(right_delta_ops(g), g.n_arrows)``, but the nonzeros of
+    the generators come straight from the composable pairs: right convolution
+    by the point mass at y has the entry w(t) at (x, t) for each x = t y.
+    """
+    x, t, y, _ = g.composable_pairs
+    return _commutant_of_entries(g.n_arrows, g.n_arrows, y, x, t, g.weights[t].astype(complex))
 
 
 def in_span(basis, m, tol: float = 1e-8) -> bool:

@@ -29,8 +29,16 @@ from gfourier.groupoid import (
     ValidationReport,
     identity_bisection,
 )
-from gfourier.numerics import RANK_TOL, hermitian_sqrt, nullspace
-from gfourier.positivity import PSD_TOL, is_positive_definite, regular_coefficient
+from gfourier.numerics import RANK_TOL, hermitian_eigen, hermitian_sqrt, nullspace
+from gfourier.positivity import (
+    PSD_TOL,
+    BundleSection,
+    GHilbertBundle,
+    PdVerdict,
+    _non_hermitian_witness,
+    is_positive_definite,
+    regular_coefficient,
+)
 from gfourier.regular import left_op, operator_norm, right_op, section_norm, unit_blocks
 
 
@@ -478,8 +486,18 @@ def pd_to_section_oracle(g, phi, tol=PSD_TOL):
 
 
 def right_delta_ops_oracle(g):
-    """Right convolution by each point mass, one dense matrix at a time."""
-    return [right_op(g, delta(g, x)) for x in range(g.n_arrows)]
+    """Right convolution by each point mass a, straight from the composition table:
+    w(t) at (x, t) whenever inverse(t) x = a.  Undefined products contribute
+    nothing, so a structure that is not a groupoid gets partial translations."""
+    ops = [np.zeros((g.n_arrows, g.n_arrows), dtype=complex) for _ in range(g.n_arrows)]
+    for x in range(g.n_arrows):
+        for t in range(g.n_arrows):
+            if g.range_of[t] != g.range_of[x]:
+                continue
+            a = g.compose_table[g.inverse_of[t], x]
+            if a != UNDEFINED:
+                ops[a][x, t] = g.weights[t]
+    return ops
 
 
 def commutant_oracle(generators, dim: int, tol: float = RANK_TOL) -> list[np.ndarray]:
@@ -515,6 +533,217 @@ def module_map_matrix_oracle(g, op) -> np.ndarray:
         image = np.conj(op @ star(g, delta(g, x)))
         cols.append(image[g.unit_arrows])
     return np.stack(cols, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the per-unit and per-arrow loops that the stacked unit-block layer replaced
+
+
+def gram_matrix_oracle(g, phi, u):
+    """Gram matrix phi(inverse(x) y) over the range fiber of unit u."""
+    phi = arrow_function(g, phi)
+    fiber = g.r_fibers[u]
+    return phi[g.compose_table[np.ix_(g.inverse_of[fiber], fiber)]]
+
+
+def _verdict_oracle(g, phi, tol, decide, weighted=False):
+    """The per-unit loop of the three criteria, at delta = tol * max(1, max|Gram entry|)."""
+    phi = arrow_function(g, phi)
+    for u in range(g.n_units):
+        m = gram_matrix_oracle(g, phi, u)
+        delta = tol * max(1.0, float(np.abs(m).max(initial=0.0)))
+        defect = float(np.abs(m - m.conj().T).max(initial=0.0))
+        shift = delta
+        if weighted:
+            m, shift = _integral_kernel_oracle(g, phi, u), delta * g.weights[g.r_fibers[u]] ** 2
+        if defect > delta:
+            vec = _non_hermitian_witness(m)
+        else:
+            a = (m + m.conj().T) / 2
+            a.flat[:: a.shape[0] + 1] += shift
+            vec = decide(a)
+        if vec is not None:
+            return PdVerdict(False, u, vec, complex(vec.conj() @ m @ vec))
+    return PdVerdict(True)
+
+
+def is_positive_definite_oracle(g, phi, tol=PSD_TOL):
+    return _verdict_oracle(g, phi, tol, _lowest_eigenvector_oracle)
+
+
+def _lowest_eigenvector_oracle(a):
+    vals, vecs = np.linalg.eigh(a)
+    return vecs[:, 0] if vals[0] < 0 else None
+
+
+def _negative_direction_oracle(a):
+    """Unpivoted LDL^H of one Hermitian matrix; the direction of its first pivot <= 0."""
+    n = a.shape[0]
+    low = np.eye(n, dtype=a.dtype)
+    for k in range(n):
+        pivot = a[k, k].real
+        if pivot <= 0:
+            v = np.zeros(n, dtype=complex)
+            v[k] = 1.0
+            for j in range(k - 1, -1, -1):
+                v[j] = -(low[j + 1 : k + 1, j].conj() @ v[j + 1 : k + 1])
+            return v / np.linalg.norm(v)
+        low[k + 1 :, k] = a[k + 1 :, k] / pivot
+        a[k + 1 :, k + 1 :] -= np.outer(low[k + 1 :, k], a[k, k + 1 :])
+    return None
+
+
+def pd_verdict_pointset_oracle(g, phi, tol=PSD_TOL):
+    return _verdict_oracle(g, phi, tol, _negative_direction_oracle)
+
+
+def pd_verdict_integral_oracle(g, phi, tol=PSD_TOL):
+    return _verdict_oracle(g, phi, tol, _negative_direction_oracle, weighted=True)
+
+
+def _integral_kernel_oracle(g, phi, u):
+    w = g.weights[g.r_fibers[u]]
+    return (w[:, None] * w[None, :]) * gram_matrix_oracle(g, phi, u).T
+
+
+def bundle_coefficient_oracle(g, bundle, xi, eta):
+    """The arrow function <L_x xi(source x), eta(range x)>, one arrow at a time."""
+    for name, sec in (("xi", xi), ("eta", eta)):
+        for u, v in enumerate(sec.vectors):
+            if v.shape != (bundle.dims[u],):
+                raise ValueError(f"{name} has wrong dimension at unit {u}")
+    out = np.empty(g.n_arrows, dtype=complex)
+    for x in range(g.n_arrows):
+        moved = bundle.maps[x] @ xi.vectors[int(g.source_of[x])]
+        out[x] = moved.conj() @ eta.vectors[int(g.range_of[x])]
+    return out
+
+
+def gns_bundle_oracle(g, phi, tol=PSD_TOL):
+    """GNS bundle and section with one eigh per unit and one map product per arrow."""
+    phi = arrow_function(g, phi)
+    verdict = is_positive_definite_oracle(g, phi, tol)
+    if not verdict:
+        raise ValueError(
+            f"not positive definite: unit {verdict.unit} has form value {verdict.value}"
+        )
+    factors = []
+    pinvs = []
+    for u in range(g.n_units):
+        kernel = _integral_kernel_oracle(g, phi, u)
+        vals, vecs = hermitian_eigen((kernel + kernel.conj().T) / 2)
+        keep = vals > tol * (vals[0] if vals.size and vals[0] > 0 else 1.0)
+        root = np.sqrt(vals[keep])
+        factors.append(root[:, None] * vecs[:, keep].conj().T)
+        pinvs.append(vecs[:, keep] / root[None, :])
+    position = np.empty(g.n_arrows, dtype=int)
+    for fiber in g.r_fibers:
+        position[fiber] = np.arange(fiber.size)
+    maps = []
+    for x in range(g.n_arrows):
+        u, v = int(g.range_of[x]), int(g.source_of[x])
+        fiber = g.r_fibers[u]
+        back = g.compose_table[g.inverse_of[x], fiber]
+        maps.append(factors[u] @ pinvs[v][position[back]])
+    vectors = []
+    for u, e in enumerate(g.unit_arrows):
+        vectors.append(factors[u][:, position[e]] / g.weights[e])
+    bundle = GHilbertBundle(dims=tuple(c.shape[0] for c in factors), maps=tuple(maps))
+    return bundle, BundleSection(tuple(vectors))
+
+
+def right_op_blocks_oracle(g, f):
+    """unit_blocks(g, right_op(g, f)), one fiber at a time from the composition table."""
+    f = arrow_function(g, f)
+    blocks = []
+    for fiber in g.r_fibers:
+        w = g.weights[fiber]
+        blocks.append(w[None, :] * f[g.compose_table[np.ix_(g.inverse_of[fiber], fiber)]].T)
+    return blocks
+
+
+def block_norm_oracle(g, blocks):
+    best = 0.0
+    for t, block in zip(g.r_fibers, blocks):
+        rw = np.sqrt(g.weights[t])
+        tilted = block * (rw[:, None] / rw[None, :])
+        if tilted.size:
+            best = max(best, float(np.linalg.norm(tilted, 2)))
+    return best
+
+
+def reduced_norm_loop_oracle(g, f):
+    return block_norm_oracle(g, right_op_blocks_oracle(g, f))
+
+
+def pd_to_section_loop_oracle(g, phi, tol=PSD_TOL):
+    """The square-root section with one square root per fiber block."""
+    phi = arrow_function(g, phi)
+    if np.abs(g.weights - 1.0).max(initial=0.0) > 1e-12:
+        raise ValueError("square-root section construction needs all Haar weights equal to 1")
+    verdict = is_positive_definite_oracle(g, phi, tol)
+    if not verdict:
+        raise ValueError(
+            f"not positive definite: unit {verdict.unit} has form value {verdict.value}"
+        )
+    support = np.abs(phi) > 1e-13 * max(1.0, float(np.abs(phi).max(initial=0.0)))
+    marked = np.zeros(g.n_units, dtype=bool)
+    marked[g.range_of[support]] = marked[g.source_of[support]] = True
+    h = np.zeros(g.n_arrows, dtype=complex)
+    h[g.unit_arrows[marked]] = 1.0
+    xi = np.zeros(g.n_arrows, dtype=complex)
+    for fiber, block in zip(g.r_fibers, right_op_blocks_oracle(g, phi)):
+        xi[fiber] = hermitian_sqrt(block, tol) @ h[fiber]
+    return xi
+
+
+def d_inner_loop_oracle(g, xi, eta):
+    vals = g.weights * np.conj(xi) * eta
+    return np.array([vals[t].sum() for t in g.r_fibers])
+
+
+def section_norm_oracle(g, xi):
+    mass = g.weights * np.abs(xi) ** 2
+    return float(np.sqrt(max(mass[t].sum() for t in g.r_fibers)))
+
+
+def adjoint_op_oracle(g, op):
+    """Blockwise adjoint in the weighted inner product, one fiber at a time."""
+    out = np.zeros_like(op)
+    for t in g.r_fibers:
+        w = g.weights[t]
+        block = op[np.ix_(t, t)]
+        out[np.ix_(t, t)] = (block.conj().T * w[None, :]) / w[:, None]
+    return out
+
+
+def i_norm_range_oracle(g, f):
+    return max(float(np.sum(g.weights[t] * np.abs(f[t]))) for t in g.r_fibers)
+
+
+def i_norm_source_oracle(g, f):
+    inv_w = g.weights[g.inverse_of]
+    s_fibers = [np.flatnonzero(g.source_of == u) for u in range(g.n_units)]
+    return max(float(np.sum(inv_w[t] * np.abs(f[t]))) for t in s_fibers)
+
+
+def stieltjes_seeds_oracle(g, phi):
+    """The SDP's candidate witnesses and sup-norm lower bound, one unit at a time."""
+    seeds = []
+    keys = [z for z in range(g.n_arrows) if z <= g.inverse_of[z]]
+    if is_positive_definite_oracle(g, phi):
+        seeds.append({(name, c): complex(phi[c]) for name in ("r", "t") for c in keys})
+    sigma = 0.0
+    for u in range(g.n_units):
+        block = gram_matrix_oracle(g, phi, u)
+        if block.size:
+            sigma = max(sigma, float(np.linalg.norm(block, 2)))
+    diag_seed = {(name, c): 0.0 for name in ("r", "t") for c in keys}
+    for e in map(int, g.unit_arrows):
+        diag_seed[("r", e)] = sigma
+        diag_seed[("t", e)] = sigma
+    seeds.append(diag_seed)
+    return seeds, float(np.abs(phi).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gfourier as gf
+from gfourier.checks import SUITES
 from gfourier.cli import main
 from gfourier.fileio import (
     FileFormatError,
@@ -126,17 +127,17 @@ class TestCheckCommand:
         assert main(["check", str(f), "--suite", "axioms", "--out", "/dev/null"]) == 1
 
     def test_regular_suite_on_a_non_groupoid_exits_1(self, tmp_path):
-        # right translation by arrow 3 has two entries in row 3, so the commutant
-        # fails with that witness instead of a traceback
+        # 3 . 0 is undefined although arrow 3 is its own claimed inverse, so the
+        # right translations do not exist: the suite fails naming that product
+        # instead of raising a traceback
         f = tmp_path / "forced.json"
         write_groupoid(str(f), forced_arrow_structure())
         out = tmp_path / "r.json"
         args = ["check", str(f), "--suite", "regular-rep", "--format", "machine", "--out", str(out)]
         assert main(args) == 1
-        rec = next(r for r in json.loads(out.read_text())["records"]
-                   if r["name"] == "regular/commutant-is-left-convolutions")
-        assert rec["status"] == "fail"
-        assert "generator 3 is not a weighted partial permutation: row 3" in rec["witness"]
+        (rec,) = json.loads(out.read_text())["records"]
+        assert rec["name"] == "regular/composable-pairs" and rec["status"] == "fail"
+        assert rec["witness"] == "arrows 3 = inverse(3) and 0 do not compose"
 
     def test_reports_byte_stable_and_mirrored(self, tmp_path):
         f = tmp_path / "g.json"
@@ -294,6 +295,45 @@ class TestUsageErrors:
 
     def test_missing_required_argument(self):
         assert main(["build", "pair", "3"]) == 2
+
+    def test_usage_error_then_valid_command_in_one_process(self, tmp_path):
+        """The parser is built once per process; a usage error leaves it unchanged."""
+        gfile = tmp_path / "g.json"
+        write_groupoid(str(gfile), gf.pair_groupoid(2))
+        valid = ["check", str(gfile), "--suite", "axioms", "--seed", "3"]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gf.__file__))}
+
+        def run(*argvs):
+            # exit status 10 a + b for the statuses a, b of two commands
+            code = f"import sys, gfourier.cli as c; s = [c.main(a) for a in {list(argvs)!r}]; " \
+                "sys.exit(int(''.join(map(str, s))))"
+            return subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120,
+                                  env=env)
+
+        both, alone = run(["check", str(gfile), "--suite", "nope"], valid), run(valid)
+        assert both.returncode == 20 and alone.returncode == 0
+        assert both.stdout == alone.stdout and b"axioms/validate" in alone.stdout
+
+
+class TestTimings:
+    @pytest.mark.parametrize("verb", ["check", "report"])
+    def test_timings_go_to_stderr_only(self, tmp_path, capsys, verb):
+        gfile = tmp_path / "g.json"
+        write_groupoid(str(gfile), gf.pair_groupoid(2))
+        capsys.readouterr()
+        outputs = {}
+        for flag in ([], ["--timings"]):
+            out = tmp_path / f"out{len(flag)}.txt"
+            assert main([verb, str(gfile), *flag]) == 0
+            stdout, stderr = capsys.readouterr()
+            assert main([verb, str(gfile), "--out", str(out), *flag]) == 0
+            outputs[bool(flag)] = stdout, out.read_bytes(), stderr, capsys.readouterr().err
+        assert outputs[True][:2] == outputs[False][:2]
+        assert outputs[False][2:] == ("", "")
+        for stderr in outputs[True][2:]:
+            lines = stderr.splitlines()
+            assert [ln.split()[:2] for ln in lines] == [["timing", name] for name in SUITES]
+            assert all(float(ln.split()[2]) >= 0 and ln.endswith(" s") for ln in lines)
 
 
 class TestStartup:

@@ -203,7 +203,7 @@ class TestCommutant:
     @pytest.mark.parametrize("name", sorted(set(COMMUTANT_CASES) - {"pair3_x_i2"}))
     def test_matches_kronecker_oracle(self, name):
         g = COMMUTANT_CASES[name]()
-        ops = gf.right_delta_ops(g)
+        ops = right_delta_ops_oracle(g)
         got = gf.commutant(ops, g.n_arrows)
         assert _same_span(got, commutant_oracle(ops, g.n_arrows))
         flat = np.stack([m.ravel() for m in got])
@@ -276,6 +276,12 @@ class TestCommutant:
     @pytest.mark.parametrize("name", sorted(COMMUTANT_CASES))
     def test_right_delta_ops_match_dense_loop(self, name):
         g = COMMUTANT_CASES[name]()
+        if name == "no_bisection":
+            # arrow 1 (1 <- 0) is its own claimed inverse and 1 . 1 is undefined,
+            # so right convolution is not defined there
+            with pytest.raises(gf.UndefinedProductError, match=r"arrows 1 = inverse\(1\) and 1 "):
+                gf.right_delta_ops(g)
+            return
         for got, want in zip(gf.right_delta_ops(g), right_delta_ops_oracle(g), strict=True):
             assert np.array_equal(got, want)
 

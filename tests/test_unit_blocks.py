@@ -1,0 +1,301 @@
+"""The stacked unit-block layer against the per-unit loops it replaced.
+
+Every function that decides or builds something one unit fiber at a time is
+compared with its loop version in ``oracles.py`` on the conftest fixtures and
+on the larger groupoids of the kernels benchmark.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import gfourier as gf
+from conftest import forced_arrow_structure, random_function, random_pd
+from gfourier.checks import run_suites
+from gfourier.regular import _right_op_blocks
+from oracles import (
+    adjoint_op_oracle,
+    block_norm_oracle,
+    bundle_coefficient_oracle,
+    d_inner_loop_oracle,
+    gns_bundle_oracle,
+    gram_matrix_oracle,
+    i_norm_range_oracle,
+    i_norm_source_oracle,
+    is_positive_definite_oracle,
+    pd_to_section_loop_oracle,
+    pd_verdict_integral_oracle,
+    pd_verdict_pointset_oracle,
+    reduced_norm_loop_oracle,
+    right_op_blocks_oracle,
+    section_norm_oracle,
+    stieltjes_seeds_oracle,
+)
+
+
+def _z12_on_16_points():
+    # a free orbit of 12 points and an orbit of 4 points with isotropy Z3
+    action = [[(p + k) % 12 for p in range(12)] + [12 + (p + k) % 4 for p in range(4)]
+              for k in range(12)]
+    return gf.transformation_groupoid(gf.cyclic_table(12), action)
+
+
+FIXTURES = ["g2", "g3", "g4", "z2", "z3", "bundle23", "weighted_bundle", "transf"]
+LARGE = {
+    # Haar weights that vary within a fiber, unlike those of the fixtures
+    "weighted_pair3": lambda: gf.pair_groupoid(3, unit_weights=[1.0, 2.0, 0.5]),
+    "pair16": lambda: gf.pair_groupoid(16),
+    "bundle30-40-50w": lambda: gf.group_bundle(
+        [gf.cyclic_table(k) for k in (30, 40, 50)], unit_weights=[0.5, 1.5, 2.0]),
+    "z12-on-16": _z12_on_16_points,
+    "pair7xI2": lambda: gf.product_with_pair_groupoid(gf.pair_groupoid(7)),
+}
+_built = {}
+
+
+@pytest.fixture(params=FIXTURES + list(LARGE))
+def g(request):
+    if request.param in FIXTURES:
+        return request.getfixturevalue(request.param)
+    if request.param not in _built:
+        _built[request.param] = LARGE[request.param]()
+    return _built[request.param]
+
+
+def _rng(g):
+    return np.random.default_rng([g.n_arrows, g.n_units])
+
+
+def _orbit_of_last_unit(g) -> np.ndarray:
+    return np.unique(g.source_of[g.r_fibers[g.n_units - 1]])
+
+
+def _close(a, b, tol):
+    return np.abs(np.asarray(a) - np.asarray(b)).max(initial=0.0) <= tol * max(
+        1.0, float(np.abs(b).max(initial=0.0)))
+
+
+class TestFiberClasses:
+    def test_every_unit_once_with_its_fiber_and_gram_ids(self, g):
+        seen = []
+        for c in g.fiber_classes:
+            assert c.gram.shape == (c.units.size, c.arrows.shape[1], c.arrows.shape[1])
+            for i, u in enumerate(c.units):
+                fiber = g.r_fibers[u]
+                assert np.array_equal(c.arrows[i], fiber)
+                assert np.array_equal(c.gram[i], g.compose_table[np.ix_(g.inverse_of[fiber], fiber)])
+            seen += c.units.tolist()
+        assert sorted(seen) == list(range(g.n_units))
+
+    def test_undefined_product_is_named(self):
+        # arrow 3 (0 <- 1) is its own claimed inverse, and 3 . 0 is undefined
+        g = forced_arrow_structure()
+        with pytest.raises(gf.UndefinedProductError,
+                           match=r"^arrows 3 = inverse\(3\) and 0 do not compose$"):
+            g.composable_pairs
+        for call in (lambda: gf.convolve(g, np.ones(4), np.ones(4)), lambda: gf.vn_basis(g),
+                     lambda: g.fiber_classes, lambda: gf.is_positive_definite(g, np.ones(4))):
+            with pytest.raises(gf.UndefinedProductError, match="inverse"):
+                call()
+
+    def test_suites_report_the_undefined_product(self):
+        records = run_suites(forced_arrow_structure(), ["axioms", "regular-rep", "positivity"])
+        names = [r.name for r in records]
+        assert names[0] == "axioms/validate" and records[0].status == "fail"
+        assert names[-2:] == ["regular/composable-pairs", "positivity/composable-pairs"]
+        for r in records[-2:]:
+            assert r.status == "fail" and r.witness == "arrows 3 = inverse(3) and 0 do not compose"
+
+
+class TestKernelsAgainstLoops:
+    def test_blocks_and_fiber_sums(self, g):
+        rng = _rng(g)
+        f, h = random_function(g, rng), random_function(g, rng)
+        for u in range(g.n_units):
+            assert np.array_equal(gf.gram_matrix(g, f, u), gram_matrix_oracle(g, f, u))
+        loops = right_op_blocks_oracle(g, f)
+        for c, stack in zip(g.fiber_classes, _right_op_blocks(g, f)):
+            for i, u in enumerate(c.units):
+                assert np.array_equal(stack[i], loops[u])
+        assert _close(gf.reduced_norm(g, f), reduced_norm_loop_oracle(g, f), 1e-12)
+        assert _close(gf.d_inner(g, f, h), d_inner_loop_oracle(g, f, h), 1e-12)
+        assert _close(gf.section_norm(g, f), section_norm_oracle(g, f), 1e-12)
+        assert _close(gf.i_norm_range(g, f), i_norm_range_oracle(g, f), 1e-12)
+        assert _close(gf.i_norm_source(g, f), i_norm_source_oracle(g, f), 1e-12)
+
+    def test_adjoint_and_operator_norm(self, g):
+        rng = _rng(g)
+        op = gf.right_op(g, random_function(g, rng)) + gf.left_op(g, random_function(g, rng))
+        op[g.range_of[:, None] != g.range_of[None, :]] = 0.0
+        assert np.array_equal(gf.adjoint_op(g, op), adjoint_op_oracle(g, op))
+        assert _close(gf.operator_norm(g, op), block_norm_oracle(g, gf.unit_blocks(g, op)), 1e-12)
+
+    @pytest.mark.parametrize("pd", [True, False])
+    def test_stieltjes_seeds(self, g, pd):
+        if g.n_arrows > 64:
+            pytest.skip("the seeds feed the SDP, which runs on small groupoids only")
+        rng = _rng(g)
+        phi = random_pd(g, rng) if pd else random_function(g, rng)
+        got, got_lower = gf.norms._stieltjes_seeds(g, phi)
+        want, want_lower = stieltjes_seeds_oracle(g, phi)
+        assert got_lower == want_lower and len(got) == len(want) == (2 if pd else 1)
+        for a, b in zip(got, want):
+            assert list(a) == list(b)
+            assert _close(list(a.values()), list(b.values()), 1e-12)
+
+
+VERDICTS = [
+    (gf.is_positive_definite, is_positive_definite_oracle),
+    (gf.pd_verdict_pointset, pd_verdict_pointset_oracle),
+    (gf.pd_verdict_integral, pd_verdict_integral_oracle),
+]
+
+
+def _verdict_inputs(g):
+    """Positive definite; failing on the orbit of the last unit (so after unit 0
+    unless g is transitive); non-Hermitian there; non-Hermitian everywhere."""
+    rng = _rng(g)
+    phi = random_pd(g, rng)
+    orbit = np.zeros(g.n_arrows)
+    orbit[g.unit_arrows[_orbit_of_last_unit(g)]] = 1.0
+    big = 10.0 * (1.0 + np.abs(phi).max() * max(f.size for f in g.r_fibers))
+    return {
+        "pd": phi,
+        "not-pd": phi - big * orbit,
+        "non-hermitian-orbit": phi + 0.5j * orbit,
+        "non-hermitian": random_function(g, rng),
+    }
+
+
+class TestVerdictsAgainstLoops:
+    @pytest.mark.parametrize("kind", ["pd", "not-pd", "non-hermitian-orbit", "non-hermitian"])
+    @pytest.mark.parametrize("which", range(3))
+    def test_same_verdict_unit_and_witness(self, g, kind, which):
+        phi = _verdict_inputs(g)[kind]
+        verdict, oracle = VERDICTS[which]
+        got, want = verdict(g, phi), oracle(g, phi)
+        assert got.is_pd == want.is_pd == (kind == "pd")
+        assert got.unit == want.unit
+        if kind != "pd":
+            assert np.abs(got.vector - want.vector).max() <= 1e-12
+            assert abs(got.value - want.value) <= 1e-12 * max(1.0, abs(want.value))
+        if kind in ("not-pd", "non-hermitian-orbit"):
+            assert got.unit == _orbit_of_last_unit(g).min()
+
+    def test_a_failure_after_unit_0_is_covered(self):
+        g = _z12_on_16_points()
+        assert is_positive_definite_oracle(g, _verdict_inputs(g)["not-pd"]).unit == 12
+
+    def test_a_zero_pivot_fails_the_inertia_verdicts(self):
+        # phi(e) = -delta makes the shifted Gram matrix 0, whose first pivot is 0
+        g = gf.group_groupoid(gf.cyclic_table(2))
+        phi = np.array([-gf.positivity.PSD_TOL, 0.0])
+        for verdict, oracle in VERDICTS[1:]:
+            got, want = verdict(g, phi), oracle(g, phi)
+            assert not got and not want and got.unit == want.unit == 0
+            assert np.array_equal(got.vector, want.vector)
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_first_failure_across_interleaved_fiber_classes(self, which):
+        # units 0, 2 have fibers of size 2 and units 1, 3 of size 3; the first
+        # class fails at unit 2, but the first failing unit is 1, in the second
+        g = gf.group_bundle([gf.cyclic_table(k) for k in (2, 3, 2, 3)])
+        phi = random_pd(g, _rng(g))
+        phi[g.unit_arrows[[1, 2]]] -= 100.0
+        verdict, oracle = VERDICTS[which]
+        got, want = verdict(g, phi), oracle(g, phi)
+        assert got.unit == want.unit == 1
+        assert np.abs(got.vector - want.vector).max() <= 1e-12
+
+
+class TestReconstructionsAgainstLoops:
+    def test_gns_and_square_root(self, g):
+        phi = random_pd(g, _rng(g))
+        bundle, xi = gf.gns_bundle(g, phi)
+        want_bundle, want_xi = gns_bundle_oracle(g, phi)
+        assert bundle.dims == want_bundle.dims
+        back = gf.coefficient(g, bundle, xi, xi)
+        assert _close(back, phi, 1e-10)
+        assert _close(back, bundle_coefficient_oracle(g, bundle, xi, xi), 1e-12)
+        assert _close(gf.coefficient(g, want_bundle, want_xi, want_xi), phi, 1e-10)
+        if np.all(g.weights == 1.0):
+            section = gf.pd_to_section(g, phi)
+            assert _close(section, pd_to_section_loop_oracle(g, phi), 1e-10)
+            assert _close(gf.regular_coefficient(g, section, section), phi, 1e-10)
+
+    @pytest.mark.parametrize("build, phi", [
+        # constant 1 on the first Z3 (rank 1), the unit point mass on the second (rank 3)
+        (lambda: gf.group_bundle([gf.cyclic_table(3)] * 2), [1, 1, 1, 1, 0, 0]),
+        # on Z4: the trivial character (rank 1), the point mass (rank 4), two characters (rank 2)
+        (lambda: gf.group_bundle([gf.cyclic_table(4)] * 3, unit_weights=[1, 2, 0.5]),
+         [1, 1, 1, 1, 1, 0, 0, 0, 2, 0, 2, 0]),
+    ])
+    def test_mixed_ranks_in_one_fiber_class(self, build, phi):
+        g = build()
+        assert len(g.fiber_classes) == 1
+        bundle, xi = gf.gns_bundle(g, phi)
+        want_bundle, _ = gns_bundle_oracle(g, phi)
+        assert bundle.dims == want_bundle.dims and len(set(bundle.dims)) == len(bundle.dims)
+        assert [m.shape for m in bundle.maps] == [m.shape for m in want_bundle.maps]
+        assert _close(gf.coefficient(g, bundle, xi, xi), phi, 1e-10)
+        other = gf.BundleSection(tuple(v * (1 + 1j) for v in xi.vectors))
+        assert _close(gf.coefficient(g, bundle, xi, other),
+                      bundle_coefficient_oracle(g, bundle, xi, other), 1e-12)
+
+    def test_rank_threshold_is_relative_to_the_largest_eigenvalue(self):
+        # Gram eigenvalues 3e6 + 1e-4 and 1e-4 (twice): the small ones are
+        # below tol * 3e6, so the GNS fiber has dimension 1
+        g = gf.group_groupoid(gf.cyclic_table(3))
+        phi = np.array([1e6 + 1e-4, 1e6, 1e6])
+        bundle, xi = gf.gns_bundle(g, phi)
+        assert bundle.dims == gns_bundle_oracle(g, phi)[0].dims == (1,)
+        assert _close(gf.coefficient(g, bundle, xi, xi), phi, 1e-10)
+
+    def test_z12_with_isotropy_has_mixed_ranks(self):
+        # point masses at the units 0 and 12: rank 1 on the free orbit, where one
+        # arrow of each fiber has source 0, and rank 3 on the orbit with isotropy Z3
+        g = _z12_on_16_points()
+        f = 1.0 * gf.delta(g, g.unit_arrows[0]) + 2.0 * gf.delta(g, g.unit_arrows[12])
+        phi = gf.regular_coefficient(g, f, f)
+        bundle, xi = gf.gns_bundle(g, phi)
+        assert len(g.fiber_classes) == 1
+        assert bundle.dims == gns_bundle_oracle(g, phi)[0].dims == (1,) * 12 + (3,) * 4
+        assert _close(gf.coefficient(g, bundle, xi, xi), phi, 1e-10)
+
+    def test_coefficient_rejects_a_map_of_the_wrong_shape(self, g3):
+        bundle, xi = gf.gns_bundle(g3, random_pd(g3, _rng(g3)))
+        maps = list(bundle.maps)
+        maps[4] = np.zeros((1, 1))
+        with pytest.raises(ValueError, match="map of arrow 4"):
+            gf.coefficient(g3, gf.GHilbertBundle(bundle.dims, tuple(maps)), xi, xi)
+
+
+class TestVnBasisFromPairs:
+    @pytest.mark.parametrize("build", [
+        lambda: gf.pair_groupoid(5),
+        lambda: gf.group_bundle([gf.cyclic_table(2), gf.cyclic_table(3)], unit_weights=[2.0, 0.5]),
+        lambda: gf.transformation_groupoid(gf.cyclic_table(3), [[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+        lambda: gf.product_with_pair_groupoid(gf.pair_groupoid(3)),
+        lambda: gf.pair_groupoid(3, unit_weights=[1.0, 2.0, 0.5]),
+        lambda: gf.pair_groupoid(4, unit_weights=[1.0, 3.0, 0.7, 1.3]),
+    ])
+    def test_identical_to_the_commutant_of_the_dense_generators(self, build):
+        g = build()
+        got = gf.vn_basis(g)
+        want = gf.commutant(gf.right_delta_ops(g), g.n_arrows)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_peak_memory_is_close_to_the_basis(self):
+        g = gf.pair_groupoid(8)
+        g.composable_pairs
+        tracemalloc.start()
+        try:
+            basis = gf.vn_basis(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = sum(m.nbytes for m in basis)
+        assert len(basis) == 64 and size == 64 * 64 * 64 * 16
+        assert peak <= 1.6 * size
