@@ -392,15 +392,9 @@ def suite_norms(g: FiniteGroupoid, rng, tol: float, trials: int = 5) -> list[Che
 
 
 def _stieltjes_witness_min_eig(g, cert, phi) -> float:
-    problem = nrm.stieltjes_problem(g, phi)
-    values = {}
-    rho, tau = cert.witness["rho"], cert.witness["tau"]
-    for z in range(g.n_arrows):
-        c, conj = nrm._canonical_arrow(g, z)
-        if not conj:
-            values[("r", c)] = complex(rho[c])
-            values[("t", c)] = complex(tau[c])
-    return problem.min_eigenvalue(values)
+    # rho at arrow c is variable c and tau at c is variable c + n_arrows
+    values = np.concatenate([cert.witness["rho"], cert.witness["tau"]])
+    return nrm.stieltjes_problem(g, phi).min_eigenvalue(values)
 
 
 def suite_duality(g: FiniteGroupoid, rng, tol: float) -> list[CheckRecord]:

@@ -43,91 +43,82 @@ class NormCertificate:
     witness: dict
 
 
-def _canonical_arrow(g: FiniteGroupoid, z: int) -> tuple[int, bool]:
-    zi = int(g.inverse_of[z])
-    return (z, False) if z <= zi else (zi, True)
+def _arrow_variables(g: FiniteGroupoid) -> tuple[np.ndarray, np.ndarray]:
+    """The variable id of rho at each arrow z, min(z, inverse(z)), and whether
+    z holds its conjugate (z > inverse(z)); tau's ids are these plus n_arrows."""
+    z = np.arange(g.n_arrows)
+    return np.minimum(z, g.inverse_of), z > g.inverse_of
 
 
 def stieltjes_problem(g: FiniteGroupoid, phi) -> DiagBoundSdp:
-    """The block completion problem whose optimum is the coefficient norm bound."""
+    """The block completion problem whose optimum is the coefficient norm bound.
+
+    Block u is [[rho, phi], [phi*, tau]] read at the Gram block of arrow ids
+    of the range fiber of u.  Conjugation symmetry holds by construction: the
+    arrows z and inverse(z) share a variable, conjugated at the larger id, and
+    a self-inverse arrow holds its variable unconjugated at both orientations,
+    which pins it to the real axis.
+    """
     phi = arrow_function(g, phi)
-    _, _, y, starts = g.composable_pairs
-    p = DiagBoundSdp()
-    for u in range(g.n_units):
-        fiber = g.r_fibers[u]
-        m = fiber.shape[0]
-        b = p.add_block(2 * m)
-        # the Gram block of arrow ids: inverse(fiber[pi]) fiber[qi] at (pi, qi)
-        ids = y[starts[fiber] + np.arange(m)[:, None]]
-        for pi in range(m):
-            for qi in range(m):
-                z = int(ids[pi, qi])
-                p.entry_fixed(b, pi, qi + m, phi[z])
-                if pi <= qi:
-                    c, conj = _canonical_arrow(g, z)
-                    self_inverse = g.inverse_of[z] == z
-                    for name, off in (("r", 0), ("t", m)):
-                        p.entry_var(b, pi + off, qi + off, (name, c), conj=conj)
-                        if self_inverse and pi < qi:
-                            # conjugation symmetry pins a self-inverse arrow's
-                            # value to the real axis: tie both orientations
-                            p.entry_var(b, qi + off, pi + off, (name, c), conj=conj)
-    for e in map(int, g.unit_arrows):
-        p.objective_var(("r", e))
-        p.objective_var(("t", e))
-    return p
+    ids, flip = _arrow_variables(g)
+    s = 2 * max(c.gram.shape[1] for c in g.fiber_classes)
+    data = np.zeros((g.n_units, s, s), dtype=complex)
+    var = np.full(data.shape, -1)
+    conj = np.zeros(data.shape, dtype=bool)
+    sizes = np.zeros(g.n_units, dtype=int)
+    for c in g.fiber_classes:
+        m = c.gram.shape[1]
+        top, bottom = slice(0, m), slice(m, 2 * m)
+        data[c.units, top, bottom] = phi[c.gram]
+        data[c.units, bottom, top] = phi[c.gram].conj().swapaxes(1, 2)
+        var[c.units, top, top] = ids[c.gram]
+        var[c.units, bottom, bottom] = ids[c.gram] + g.n_arrows
+        conj[c.units, top, top] = conj[c.units, bottom, bottom] = flip[c.gram]
+        sizes[c.units] = 2 * m
+    objective = np.concatenate([g.unit_arrows, g.unit_arrows + g.n_arrows])
+    return DiagBoundSdp(data, var, conj, sizes, objective)
 
 
-def _stieltjes_seeds(g: FiniteGroupoid, phi) -> tuple[list[dict], float]:
+def _stieltjes_seeds(g: FiniteGroupoid, phi) -> tuple[list[np.ndarray], float]:
     """Candidate witnesses: the function itself when positive definite, and a
     spectral diagonal completion.  Also returns the sup-norm lower bound."""
     phi = arrow_function(g, phi)
     seeds = []
-    # the canonical arrow of each pair {z, inverse(z)} is the smaller id
-    keys = np.flatnonzero(np.arange(g.n_arrows) <= g.inverse_of).tolist()
     if is_positive_definite(g, phi):
-        seeds.append({(name, c): complex(phi[c]) for name in ("r", "t") for c in keys})
+        seeds.append(np.concatenate([phi, phi]))
     sigma = max(
         (float(np.linalg.norm(phi[c.gram], 2, axis=(1, 2)).max()) for c in g.fiber_classes
          if c.gram.size),
         default=0.0,
     )
-    diag_seed = {(name, c): 0.0 for name in ("r", "t") for c in keys}
-    for e in map(int, g.unit_arrows):
-        diag_seed[("r", e)] = sigma
-        diag_seed[("t", e)] = sigma
+    diag_seed = np.zeros(2 * g.n_arrows, dtype=complex)
+    diag_seed[np.concatenate([g.unit_arrows, g.unit_arrows + g.n_arrows])] = sigma
     seeds.append(diag_seed)
     lower = float(np.abs(phi).max(initial=0.0))
     return seeds, lower
 
 
 def _witness_functions(g: FiniteGroupoid, solution: SdpSolution) -> tuple[np.ndarray, np.ndarray]:
-    rho = np.zeros(g.n_arrows, dtype=complex)
-    tau = np.zeros(g.n_arrows, dtype=complex)
-    for z in range(g.n_arrows):
-        c, conj = _canonical_arrow(g, z)
-        r = complex(solution.variables[("r", c)])
-        t = complex(solution.variables[("t", c)])
-        rho[z] = np.conj(r) if conj else r
-        tau[z] = np.conj(t) if conj else t
-    return rho, tau
+    ids, flip = _arrow_variables(g)
+    rho, tau = solution.variables[ids], solution.variables[ids + g.n_arrows]
+    return np.where(flip, rho.conj(), rho), np.where(flip, tau.conj(), tau)
 
 
 def _telemetry(solution: SdpSolution) -> dict:
     return {"lower": solution.lower, "iterations": solution.iterations, "status": solution.status}
 
 
-def _solve_stieltjes(g: FiniteGroupoid, phi, rel_gap: float) -> tuple[NormCertificate, SdpSolution]:
+def _solve_stieltjes(g: FiniteGroupoid, phi) -> tuple[NormCertificate, SdpSolution]:
     phi = arrow_function(g, phi)
     problem = stieltjes_problem(g, phi)
     seeds, lower = _stieltjes_seeds(g, phi)
-    solution = solve_diag_bound_sdp(problem, lower=lower, seeds=tuple(seeds), rel_gap=rel_gap)
+    solution = solve_diag_bound_sdp(problem, lower=lower, seeds=tuple(seeds))
     rho, tau = _witness_functions(g, solution)
     witness = {"rho": rho, "tau": tau, **_telemetry(solution)}
     return NormCertificate(solution.value, "optimal", witness), solution
 
 
-def fourier_stieltjes_norm(g: FiniteGroupoid, phi, rel_gap: float = 1e-7) -> NormCertificate:
+def fourier_stieltjes_norm(g: FiniteGroupoid, phi) -> NormCertificate:
     """Coefficient norm bound of phi via the block completion SDP.
 
     Always >= the sup norm; equal to the largest unit value when phi is
@@ -135,7 +126,7 @@ def fourier_stieltjes_norm(g: FiniteGroupoid, phi, rel_gap: float = 1e-7) -> Nor
     groupoids.  The witness is a feasible (rho, tau) completion, with the
     certified lower bound on the optimum under "lower".
     """
-    return _solve_stieltjes(g, phi, rel_gap)[0]
+    return _solve_stieltjes(g, phi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -143,23 +134,27 @@ def fourier_stieltjes_norm(g: FiniteGroupoid, phi, rel_gap: float = 1e-7) -> Nor
 
 
 def schur_problem(a) -> DiagBoundSdp:
-    """min t with [[P, a], [a*, Q]] PSD and every diagonal entry of P, Q <= t."""
+    """min t with [[P, a], [a*, Q]] PSD and every diagonal entry of P, Q <= t.
+
+    P[i, j] is variable n min(i, j) + max(i, j), conjugated below the
+    diagonal, and Q[i, j] is that id plus n**2.
+    """
     n = a.shape[0]
-    p = DiagBoundSdp()
-    b = p.add_block(2 * n)
-    for i in range(n):
-        for j in range(n):
-            p.entry_fixed(b, i, j + n, a[i, j])
-            if i <= j:
-                p.entry_var(b, i, j, ("p", i, j))
-                p.entry_var(b, i + n, j + n, ("q", i, j))
-    for i in range(n):
-        p.objective_var(("p", i, i))
-        p.objective_var(("q", i, i))
-    return p
+    i, j = np.indices((n, n))
+    ids = n * np.minimum(i, j) + np.maximum(i, j)
+    top, bottom = slice(0, n), slice(n, 2 * n)
+    data = np.zeros((1, 2 * n, 2 * n), dtype=complex)
+    data[0, top, bottom] = a
+    data[0, bottom, top] = np.conj(a).T
+    var = np.full(data.shape, -1)
+    var[0, top, top], var[0, bottom, bottom] = ids, ids + n * n
+    conj = np.zeros(data.shape, dtype=bool)
+    conj[0, top, top] = conj[0, bottom, bottom] = i > j
+    objective = np.concatenate([ids.diagonal(), ids.diagonal() + n * n])
+    return DiagBoundSdp(data, var, conj, np.array([2 * n]), objective)
 
 
-def schur_cb_norm(a, rel_gap: float = 1e-7) -> NormCertificate:
+def schur_cb_norm(a) -> NormCertificate:
     """Completely bounded norm of the Schur (entrywise) multiplier by a.
 
     The optimum of ``schur_problem(a)``.  The witness carries the diagonal
@@ -169,20 +164,22 @@ def schur_cb_norm(a, rel_gap: float = 1e-7) -> NormCertificate:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        i, j = map(int, bad[0])
+        raise ValueError(f"entry ({i}, {j}) is not finite: {a[i, j]}")
     n = a.shape[0]
-    sigma = float(np.linalg.norm(a, 2)) if a.size else 0.0
-    seed = {("p", i, j): (sigma if i == j else 0.0) for i in range(n) for j in range(i, n)}
-    seed.update({("q", i, j): (sigma if i == j else 0.0) for i in range(n) for j in range(i, n)})
-    lower = float(np.abs(a).max(initial=0.0))
-    solution = solve_diag_bound_sdp(schur_problem(a), lower=lower, seeds=(seed,), rel_gap=rel_gap)
-    pm = np.zeros((n, n), dtype=complex)
-    qm = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            pm[i, j] = solution.variables[("p", i, j)]
-            pm[j, i] = np.conj(pm[i, j])
-            qm[i, j] = solution.variables[("q", i, j)]
-            qm[j, i] = np.conj(qm[i, j])
+    if n == 0:
+        empty = {key: np.zeros((0, 0), dtype=complex)
+                 for key in ("p_block", "q_block", "left", "right")}
+        return NormCertificate(0.0, "optimal",
+                               {**empty, "lower": 0.0, "iterations": 0, "status": "seeded"})
+    problem = schur_problem(a)
+    seed = np.zeros(problem.n_vars, dtype=complex)
+    seed[problem.objective] = float(np.linalg.norm(a, 2))
+    solution = solve_diag_bound_sdp(problem, lower=float(np.abs(a).max()), seeds=(seed,))
+    big = problem.blocks_for(solution.variables)[0]
+    pm, qm = big[:n, :n], big[n:, n:]
     left, right = _factorize_completion(pm, a, qm)
     witness = {"p_block": pm, "q_block": qm, "left": left, "right": right, **_telemetry(solution)}
     return NormCertificate(solution.value, "optimal", witness)
@@ -194,7 +191,7 @@ def _factorize_completion(pm, a, qm) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     big = np.block([[pm, a], [a.conj().T, qm]])
     vals, vecs = np.linalg.eigh((big + big.conj().T) / 2)
-    keep = vals > 1e-12 * max(1.0, float(vals.max(initial=0.0)))
+    keep = vals > 1e-12 * float(vals.max(initial=0.0))
     c = (np.sqrt(vals[keep])[:, None] * vecs[:, keep].conj().T)
     xs = c[:, :n].T
     ys = c[:, n:].T
@@ -220,12 +217,9 @@ def _pair_structure(g: FiniteGroupoid) -> np.ndarray | None:
     if g.n_arrows != n * n:
         return None
     arrow_of = np.full((n, n), -1, dtype=int)
-    for x in range(g.n_arrows):
-        u, v = int(g.range_of[x]), int(g.source_of[x])
-        if arrow_of[u, v] != -1:
-            return None
-        arrow_of[u, v] = x
-    return arrow_of
+    arrow_of[g.range_of, g.source_of] = np.arange(g.n_arrows)
+    # n * n arrows fill every pair exactly when no two share one
+    return arrow_of if arrow_of.min(initial=0) >= 0 else None
 
 
 def _unit_weights_only(g: FiniteGroupoid) -> bool:
@@ -240,8 +234,7 @@ def _terms_reconstruct(g: FiniteGroupoid, terms, phi, tol: float = 1e-8) -> bool
     total = np.zeros(g.n_arrows, dtype=complex)
     for f, h in terms:
         total += regular_coefficient(g, f, h)
-    scale = max(1.0, float(np.abs(phi).max(initial=0.0)))
-    return bool(np.abs(total - phi).max(initial=0.0) <= tol * scale)
+    return bool(np.abs(total - phi).max(initial=0.0) <= tol * np.abs(phi).max(initial=0.0))
 
 
 def _delta_terms(g: FiniteGroupoid, phi) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -261,16 +254,12 @@ def _delta_terms(g: FiniteGroupoid, phi) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _pair_terms(g, arrow_of, stieltjes: NormCertificate, phi):
     """Single-coefficient factorization on a pair groupoid from the SDP witness."""
-    n = arrow_of.shape[0]
-    a = phi[arrow_of]
     rho, tau = stieltjes.witness["rho"], stieltjes.witness["tau"]
-    left, right = _factorize_completion(rho[arrow_of], a, tau[arrow_of])
+    left, right = _factorize_completion(rho[arrow_of], phi[arrow_of], tau[arrow_of])
     f = np.zeros(g.n_arrows, dtype=complex)
     h = np.zeros(g.n_arrows, dtype=complex)
-    for i in range(n):
-        for m in range(n):
-            h[arrow_of[i, m]] = left[i, m]
-            f[arrow_of[i, m]] = right[i, m]
+    h[arrow_of] = left
+    f[arrow_of] = right
     return [(f, h)]
 
 
@@ -287,9 +276,7 @@ def _doubled_terms(g: FiniteGroupoid, stieltjes: NormCertificate, phi):
     return [(parts[:, 1, 0], parts[:, 0, 0]), (parts[:, 1, 1], parts[:, 0, 1])]
 
 
-def fourier_norm_bounds(
-    g: FiniteGroupoid, phi, rel_gap: float = 1e-7
-) -> tuple[NormCertificate, NormCertificate]:
+def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCertificate]:
     """Two-sided bounds for the decomposition norm inf sum ||f_k|| ||g_k||.
 
     Lower: the larger of the sup norm and the certified dual bound of the
@@ -302,7 +289,7 @@ def fourier_norm_bounds(
     two-term split, and the point-mass fallback.
     """
     phi = arrow_function(g, phi)
-    stieltjes, solution = _solve_stieltjes(g, phi, rel_gap)
+    stieltjes, solution = _solve_stieltjes(g, phi)
     sup = float(np.abs(phi).max(initial=0.0))
     sup_arrow = int(np.abs(phi).argmax()) if g.n_arrows else 0
     lower = NormCertificate(

@@ -1,6 +1,6 @@
 """A small structured SDP solver: a primal-dual interior-point method.
 
-The problem family: a list of Hermitian blocks whose entries are either fixed
+The problem family: a stack of Hermitian blocks whose entries are either fixed
 complex data or shared affine variables; a designated subset of variables
 ("objective" variables, all sitting on block diagonals) whose common bound t
 is minimized subject to every block being positive semidefinite.  Pinning them
@@ -21,8 +21,8 @@ infeasible on the dual side.  A solve returns two certificates:
   supports, so this averages entries), a multiple of the identity on the
   variable-free diagonal restores Z >= 0, and Z is rescaled to <A_obj, Z> = 1.
 
-A problem without objective variables is a feasibility problem, solved as
-min t with A_obj = I and accepted once t <= 0 up to 1e-10 of the data.
+Every tolerance is relative to the largest modulus of the fixed data, so the
+solve is homogeneous: scaling the data scales the value and both certificates.
 """
 
 from __future__ import annotations
@@ -31,110 +31,105 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_REL_GAP = 1e-7
-DEFAULT_MAX_ITER = 100
+_REL_GAP = 1e-7
+_MAX_ITER = 100
+_CAP = 1e6  # a dual bound above this multiple of the data scale proves infeasibility
 _STEP_FRACTION = 0.95
-
-
-class DiagBoundSdp:
-    """Block problem builder.
-
-    Entries are declared once per oriented position; the Hermitian mirror is
-    implied.  Variables are named by arbitrary hashable keys; declaring an
-    entry with ``conj=True`` stores the conjugate of the variable there.
-    Distinct variables occupy distinct positions.
-    """
-
-    def __init__(self):
-        self.block_sizes: list[int] = []
-        self._fixed: list[tuple[int, int, int, complex]] = []
-        self._var_occ: dict[object, list[tuple[int, int, int, bool]]] = {}
-        self._objective: list[object] = []
-
-    def add_block(self, size: int) -> int:
-        self.block_sizes.append(int(size))
-        return len(self.block_sizes) - 1
-
-    def entry_fixed(self, block: int, i: int, j: int, value: complex) -> None:
-        self._fixed.append((block, i, j, complex(value)))
-
-    def entry_var(self, block: int, i: int, j: int, key, conj: bool = False) -> None:
-        self._var_occ.setdefault(key, []).append((block, i, j, conj))
-
-    def objective_var(self, key) -> None:
-        if key not in self._objective:
-            self._objective.append(key)
-
-    def validate(self) -> None:
-        for key in self._objective:
-            if key not in self._var_occ:
-                raise ValueError(f"objective variable {key!r} never occurs")
-            for b, i, j, conj in self._var_occ[key]:
-                if i != j:
-                    raise ValueError(
-                        f"objective variable {key!r} occurs off the diagonal at {(b, i, j)}"
-                    )
-        for b, i, j, _ in self._fixed:
-            if not (0 <= i < self.block_sizes[b] and 0 <= j < self.block_sizes[b]):
-                raise ValueError("fixed entry out of range")
-
-    # -- assembly -----------------------------------------------------------
-
-    def blocks_for(self, values: dict, t: float | None = None) -> list[np.ndarray]:
-        """Dense Hermitian blocks for a full variable assignment.
-
-        Objective variables may be supplied in ``values`` or pinned to ``t``.
-        """
-        mats = [np.zeros((s, s), dtype=complex) for s in self.block_sizes]
-        for b, i, j, v in self._fixed:
-            mats[b][i, j] = v
-            mats[b][j, i] = np.conj(v)
-        for key, occs in self._var_occ.items():
-            if key in values:
-                v = complex(values[key])
-            elif t is not None and key in self._objective:
-                v = complex(t)
-            else:
-                raise KeyError(f"no value for variable {key!r}")
-            for b, i, j, conj in occs:
-                z = np.conj(v) if conj else v
-                mats[b][i, j] = z
-                mats[b][j, i] = np.conj(z)
-        return mats
-
-    def min_eigenvalue(self, values: dict, t: float | None = None) -> float:
-        worst = np.inf
-        for m in self.blocks_for(values, t):
-            if m.size:
-                worst = min(worst, float(np.linalg.eigvalsh(m)[0]))
-        return 0.0 if worst is np.inf else worst
-
-    def data_scale(self) -> float:
-        return max(1.0, max((abs(v) for *_, v in self._fixed), default=0.0))
-
-
-@dataclass
-class SdpSolution:
-    """``value`` is backed by the PSD blocks of ``variables``; ``lower`` is the
-    larger of the caller's sound lower bound and -<F0, Z> for the dual blocks
-    ``dual`` (in the problem's block order; None when no solve ran or no
-    dual certificate was found)."""
-
-    value: float
-    variables: dict
-    status: str
-    probes: int = 0
-    iterations: int = 0
-    lower: float = -np.inf
-    dual: list[np.ndarray] | None = None
-
-
-class SdpInfeasibleError(RuntimeError):
-    pass
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
+
+
+def _id_mask(ids: np.ndarray, size: int) -> np.ndarray:
+    """True at ``ids`` among ``size`` variable ids, plus a last False slot
+    that the id -1 of a variable-free position reads."""
+    mask = np.zeros(size + 1, dtype=bool)
+    mask[ids] = True
+    return mask
+
+
+@dataclass(frozen=True)
+class DiagBoundSdp:
+    """A block problem declared as padded (blocks, s, s) stacks.
+
+    ``data`` holds the fixed Hermitian entries, ``var`` the integer id of the
+    variable at each position (-1 where there is none) and ``conj`` whether
+    the position holds the variable's conjugate.  Block b fills the top left
+    ``sizes[b]`` square of its slot.  A variable's mirror position holds the
+    same id; one held the same way at an off-diagonal position and at its
+    mirror is real, and diagonal positions read the real part.  The common
+    bound of the ``objective`` variables is minimized.
+    """
+
+    data: np.ndarray
+    var: np.ndarray
+    conj: np.ndarray
+    sizes: np.ndarray
+    objective: np.ndarray
+
+    def __post_init__(self):
+        if self.objective.size == 0:
+            raise ValueError("no objective variables: nothing to minimize")
+        size = max(self.var.max(), self.objective.max()) + 1
+        b, i, j = _id_mask(self.objective, size)[self.var].nonzero()
+        if not _id_mask(self.var[b, i, j], size)[self.objective].all():
+            raise ValueError("an objective variable never occurs")
+        off = (i != j).nonzero()[0]
+        if off.size:
+            k = off[0]
+            raise ValueError(f"objective variable {self.var[b[k], i[k], j[k]]} occurs off the "
+                             f"diagonal at {(int(b[k]), int(i[k]), int(j[k]))}")
+        if (self.var != self.var.swapaxes(1, 2)).any():
+            raise ValueError("a variable's mirror position holds another variable")
+        if (self.data != _herm(self.data)).any():
+            raise ValueError("the fixed data is not Hermitian")
+        inside = np.arange(self.var.shape[1]) < self.sizes[:, None]
+        if ((self.var >= 0) | (self.data != 0))[~(inside[:, :, None] & inside[:, None, :])].any():
+            raise ValueError("an entry lies outside its block")
+
+    @property
+    def n_vars(self) -> int:
+        return int(self.var.max()) + 1
+
+    def blocks_for(self, values: np.ndarray, t: float | None = None) -> np.ndarray:
+        """The padded block stack for a variable assignment indexed by id,
+        with the objective variables pinned to ``t`` when it is given."""
+        values = np.array(values, dtype=complex)
+        if t is not None:
+            values[self.objective] = t
+        held = np.where(self.var >= 0, values[self.var], 0.0)
+        held = np.where(self.conj, held.conj(), held)
+        return self.data + (held + _herm(held)) / 2
+
+    def min_eigenvalue(self, values: np.ndarray, t: float | None = None) -> float:
+        blocks = self.blocks_for(values, t)
+        return min(float(np.linalg.eigvalsh(blocks[self.sizes == k, :k, :k])[:, 0].min())
+                   for k in np.bincount(self.sizes).nonzero()[0] if k)
+
+    def data_scale(self) -> float:
+        return float(np.abs(self.data).max(initial=0.0))
+
+
+@dataclass
+class SdpSolution:
+    """``value`` is backed by the PSD blocks of ``variables`` (indexed by
+    variable id); ``lower`` is the larger of the caller's sound lower bound
+    and -<F0, Z> for the dual stack ``dual`` (in the problem's padded layout,
+    zero outside the blocks; None when no solve ran or no dual certificate
+    was found)."""
+
+    value: float
+    variables: np.ndarray
+    status: str
+    probes: int = 0
+    iterations: int = 0
+    lower: float = -np.inf
+    dual: np.ndarray | None = None
+
+
+class SdpInfeasibleError(RuntimeError):
+    pass
 
 
 def _min_eig(m: np.ndarray) -> float:
@@ -152,64 +147,56 @@ class _Lmi:
 
     Coordinates are the real and imaginary parts of the free variables (parts
     that vanish identically are dropped) and t, last.  Each A_k is a list of
-    (position, coefficient) entries.  Block matrices are stacked in one
-    (blocks, s, s) array: every block is padded to the largest size s with t
-    on the padded diagonal, which adds only t >= 0, already implied because
-    the objective entries are diagonal entries of PSD blocks.
+    (position, coefficient) entries, grouped by block.  Every block is padded
+    to the stack's size s with t on the padded diagonal, which adds only
+    t >= 0, already implied because the objective entries are diagonal
+    entries of PSD blocks.
     """
 
     def __init__(self, problem: DiagBoundSdp):
         self.problem = problem
-        sizes = problem.block_sizes
-        self.phase_one = not problem._objective
-        self.shape = (len(sizes), max(sizes, default=0), max(sizes, default=0))
-        self.f0 = np.zeros(self.shape, dtype=complex)
-        for b, i, j, v in problem._fixed:
-            self.f0[b, i, j], self.f0[b, j, i] = v, np.conj(v)
-        # each position holds one variable or its conjugate; a variable held
-        # both ways somewhere (a tied mirror pair) is real
-        held: dict[tuple, tuple] = {}
-        real = set()
-        for key, occs in problem._var_occ.items():
-            for b, i, j, conj in occs:
-                for pos, cj in (((b, i, j), conj), ((b, j, i), not conj)):
-                    prev = held.setdefault(pos, (key, cj))
-                    if prev[0] != key:
-                        raise ValueError(f"variables {prev[0]!r} and {key!r} share a position")
-                    if prev[1] != cj and i != j:
-                        real.add(key)
-        entries = []
-        for pos, (key, cj) in held.items():
-            if key in problem._objective:
-                entries.append((pos, "t", 1.0))
-            else:
-                entries.append((pos, (key, 0), 1.0))
-                if pos[1] != pos[2] and key not in real:
-                    entries.append((pos, (key, 1), -1j if cj else 1j))
-        for b, size in enumerate(sizes):
-            first = 0 if self.phase_one else size
-            entries += [((b, i, i), "t", 1.0) for i in range(first, self.shape[1])]
-        coords = list(dict.fromkeys(k for _, k, _ in entries if k != "t")) + ["t"]
-        self.m = len(coords)
-        self.coord = {k: n for n, k in enumerate(coords)}
-        block, row, col = np.array([pos for pos, _, _ in entries], dtype=int).reshape(-1, 3).T
-        self.e_flat = np.ravel_multi_index((block, row, col), self.shape)
-        self.e_tflat = np.ravel_multi_index((block, col, row), self.shape)
-        self.e_var = np.array([self.coord[k] for _, k, _ in entries], dtype=int)
-        self.e_coef = np.array([c for _, _, c in entries], dtype=complex)
+        self.shape = blocks, s, _ = problem.data.shape
+        self.f0 = problem.data.astype(complex)
+        n = problem.n_vars
+        var = problem.var.copy()
+        edge = np.arange(s) >= problem.sizes[:, None]
+        pad_block, pad = edge.nonzero()
+        var[pad_block, pad, pad] = problem.objective[0]  # t on the padded diagonal
+        block, row, col = (var >= 0).nonzero()
+        key, cj = var[block, row, col], problem.conj[block, row, col]
+        objective = _id_mask(problem.objective, n)[key]
+        tied = (row != col) & (cj == problem.conj[block, col, row])
+        imag = ((row != col) & ~_id_mask(key[tied], n)[key] & ~objective).nonzero()[0]
+        # every position takes the real part of its variable (id k) or t (id
+        # 2n); a position of a complex variable also takes its imaginary part
+        # (id n + k); the ids that occur are numbered in order, t last
+        raw = np.concatenate([np.where(objective, 2 * n, key), n + key[imag]])
+        used = _id_mask(raw, 2 * n + 1)
+        self.coords = used[:2 * n].nonzero()[0]
+        self.m = self.coords.size + 1
+        entry = np.concatenate([np.arange(key.size), imag])
+        e_var = (np.cumsum(used) - 1)[raw]
+        e_coef = np.concatenate([np.ones(key.size), np.where(cj[imag], -1j, 1j)])
+        # entries grouped by block, each block's coordinates, and each entry's
+        # index among them, for the Newton matrix
+        order = np.argsort(block[entry], kind="stable")
+        block, row, col = (a[entry[order]] for a in (block, row, col))
+        self.e_var, self.e_coef = e_var[order], e_coef[order]
+        pair = block * self.m + self.e_var
+        used = _id_mask(pair, blocks * self.m)
+        before = np.cumsum(used) - used
+        self.coord_bounds = before[np.arange(blocks + 1) * self.m]
+        self.block_coords = used.nonzero()[0] % self.m
+        self.local = before[pair] - self.coord_bounds[block]
+        self.entry_bounds = np.searchsorted(block, np.arange(blocks + 1))
+        self.row, self.col = row, col
+        self.e_flat = (block * s + row) * s + col
+        self.e_tflat = (block * s + col) * s + row
         self.norm2 = np.bincount(self.e_var, np.abs(self.e_coef) ** 2, minlength=self.m)
-        # per block: its coordinates, and each entry's local coordinate,
-        # position and coefficient, for the Newton matrix
-        self.block_entries = []
-        for b in range(len(sizes)):
-            sel = np.flatnonzero(block == b)
-            coords, local = np.unique(self.e_var[sel], return_inverse=True)
-            self.block_entries.append((b, coords, local, row[sel], col[sel], self.e_coef[sel]))
         # the dual lift: every diagonal position that holds no free variable
         self.lift = np.zeros(self.shape)
-        self.lift[:, range(self.shape[1]), range(self.shape[1])] = 1.0
+        self.lift[:, range(s), range(s)] = 1.0
         self.lift.flat[self.e_flat[(row == col) & (self.e_var < self.m - 1)]] = 0.0
-        edge = np.arange(self.shape[1]) >= np.array(sizes)[:, None]
         self.padding = edge[:, :, None] | edge[:, None, :]
 
     def scatter(self, w: np.ndarray) -> np.ndarray:
@@ -229,7 +216,10 @@ class _Lmi:
         """M_ij = Re tr(A_i Z A_j S^-1), assembled one block at a time from
         the block's dense A_j and U_j = Z A_j S^-1, read at A_i's entries."""
         m = np.zeros((self.m, self.m))
-        for b, coords, local, p, q, c in self.block_entries:
+        for b in range(self.shape[0]):
+            e = slice(*self.entry_bounds[b:b + 2])
+            coords = self.block_coords[slice(*self.coord_bounds[b:b + 2])]
+            local, p, q, c = self.local[e], self.row[e], self.col[e], self.e_coef[e]
             n = coords.size
             a = np.zeros((n, *self.shape[1:]), dtype=complex)
             a[local, p, q] = c
@@ -238,9 +228,9 @@ class _Lmi:
             m[coords[:, None], coords] += np.bincount(into, u.real.ravel(), n * n).reshape(n, n)
         return m
 
-    def certify(self, z: np.ndarray) -> tuple[float, list[np.ndarray] | None]:
-        """The dual bound -<F0, Z> of Z made exactly dual feasible (padding
-        removed), and that Z as the problem's blocks."""
+    def certify(self, z: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """The dual bound -<F0, Z> of Z made exactly dual feasible, and that
+        Z with its padding removed."""
         coeffs = self.adjoint(z) / self.norm2
         coeffs[-1] = 0.0
         z = z - self.scatter(coeffs)
@@ -251,21 +241,20 @@ class _Lmi:
                 return -np.inf, None
         z = np.where(self.padding, 0.0, z)
         z = z / self.adjoint(z)[-1]
-        blocks = [z[b, :size, :size] for b, size in enumerate(self.problem.block_sizes)]
-        return -float(np.vdot(z, self.f0).real), blocks
+        return -float(np.vdot(z, self.f0).real), z
 
-    def values(self, w: np.ndarray) -> dict:
-        part = {k: w[n] for k, n in self.coord.items()}
-        out = {key: complex(part.get((key, 0), 0.0), part.get((key, 1), 0.0))
-               for key in self.problem._var_occ}
-        return {**out, **{key: complex(w[-1]) for key in self.problem._objective}}
+    def values(self, w: np.ndarray) -> np.ndarray:
+        n = self.problem.n_vars
+        parts = np.zeros(2 * n)
+        parts[self.coords] = w[:-1]
+        out = parts[:n] + 1j * parts[n:]
+        out[self.problem.objective] = w[-1]
+        return out
 
 
-def _interior_point(lmi: _Lmi, lower: float, rel_gap: float, max_iter: int,
-                    limit: float, scale: float) -> SdpSolution:
-    psd_slack = 1e-10 * scale
-    target = psd_slack if lmi.phase_one else lower + rel_gap * max(1.0, abs(lower))
-    limit = psd_slack if lmi.phase_one else limit
+def _interior_point(lmi: _Lmi, lower: float, scale: float) -> SdpSolution:
+    target = lower + _REL_GAP * abs(lower)
+    limit = _CAP * scale
     w = np.zeros(lmi.m)
     w[-1] = max(0.0, -_min_eig(lmi.f0)) + scale
     s = lmi.slack(w)
@@ -276,7 +265,7 @@ def _interior_point(lmi: _Lmi, lower: float, rel_gap: float, max_iter: int,
     z = z / lmi.adjoint(z)[-1]
     c = np.eye(lmi.m)[-1]
     witness, status, steps = None, "max_iter", 0
-    for steps in range(max_iter + 1):
+    for steps in range(_MAX_ITER + 1):
         try:
             s_fac, z_fac = (np.linalg.inv(np.linalg.cholesky(a)) for a in (s, z))
         except np.linalg.LinAlgError:
@@ -289,16 +278,15 @@ def _interior_point(lmi: _Lmi, lower: float, rel_gap: float, max_iter: int,
                 status = "optimal"
                 break
         gap = float(np.vdot(z, s).real)
-        if (feasible and not lmi.phase_one and gap <= rel_gap * abs(t)) \
-                or -np.vdot(z, lmi.f0).real > limit:
+        if (feasible and gap <= _REL_GAP * abs(t)) or -np.vdot(z, lmi.f0).real > limit:
             bound, _ = lmi.certify(z)
             if bound > limit:
                 raise SdpInfeasibleError(
                     f"no feasible point: a dual bound {bound:.3e} exceeds {limit:.3e}")
-            if feasible and not lmi.phase_one and t - bound <= max(rel_gap * abs(t), 1e-12 * scale):
+            if feasible and t - bound <= max(_REL_GAP * abs(t), 1e-12 * scale):
                 status = "optimal"
                 break
-        if steps == max_iter:
+        if steps == _MAX_ITER:
             break
         s_inv = _herm(s_fac) @ s_fac
         rp = c - lmi.adjoint(z)
@@ -328,41 +316,38 @@ def _interior_point(lmi: _Lmi, lower: float, rel_gap: float, max_iter: int,
     if witness is None:
         raise SdpInfeasibleError(f"no feasible point found in {steps} Newton steps")
     bound, dual = lmi.certify(z)
-    value = lower if lmi.phase_one else float(witness[-1])
-    return SdpSolution(value, lmi.values(witness), status, 1, steps, max(lower, bound), dual)
+    return SdpSolution(float(witness[-1]), lmi.values(witness), status, 1, steps,
+                       max(lower, bound), dual)
 
 
 def solve_diag_bound_sdp(
-    problem: DiagBoundSdp,
-    lower: float = 0.0,
-    seeds: tuple[dict, ...] = (),
-    rel_gap: float = DEFAULT_REL_GAP,
-    max_iter: int = DEFAULT_MAX_ITER,
-    cap: float | None = None,
+    problem: DiagBoundSdp, lower: float = 0.0, seeds: tuple[np.ndarray, ...] = ()
 ) -> SdpSolution:
     """Minimize the common bound t on the objective entries subject to PSD blocks.
 
     ``lower`` must be a sound lower bound for the optimum (0 works whenever
     the objective entries are diagonal); the solve stops as soon as its
-    value comes within ``rel_gap`` of it.  ``seeds`` are candidate variable
-    assignments; the best one that verifies as feasible within ``rel_gap``
-    of ``lower`` is returned without a solve.  Otherwise the interior-point
-    method runs for at most ``max_iter`` Newton steps, until the value and
-    its certified dual bound are within ``rel_gap``.  The returned value is
-    always backed by a witness whose blocks are PSD.  Raises
-    SdpInfeasibleError when a dual bound proves the optimum above ``cap``.
+    value comes within a relative 1e-7 of it.  ``seeds`` are candidate
+    variable assignments indexed by id; the best one that verifies as
+    feasible within that gap of ``lower`` is returned without a solve.
+    Otherwise the interior-point method runs for at most 100 Newton steps,
+    until the value and its certified dual bound are within the gap.  The
+    returned value is always backed by a witness whose blocks are PSD.
+    Raises SdpInfeasibleError when a dual bound proves the optimum above
+    1e6 times the largest modulus of the data.
     """
-    problem.validate()
     scale = problem.data_scale()
-    target = lower + rel_gap * max(1.0, abs(lower))
+    target = lower + _REL_GAP * abs(lower)
     best = None
     for seed in seeds:
-        t_seed = max([lower] + [abs(complex(seed[k]).real)
-                                for k in problem._objective if k in seed])
+        t_seed = max(lower, float(np.abs(seed[problem.objective].real).max()))
         if t_seed <= target and (best is None or t_seed < best[0]) \
                 and problem.min_eigenvalue(seed, t=t_seed) >= -1e-10 * scale:
-            best = (t_seed, {**seed, **{k: t_seed for k in problem._objective}})
+            best = (t_seed, seed)
     if best is not None:
-        return SdpSolution(float(best[0]), best[1], "seeded", lower=lower)
-    limit = cap if cap is not None else 1e6 * scale
-    return _interior_point(_Lmi(problem), lower, rel_gap, max_iter, limit, scale)
+        values = np.array(best[1], dtype=complex)
+        values[problem.objective] = best[0]
+        return SdpSolution(best[0], values, "seeded", lower=lower)
+    if scale == 0.0:  # no data: the zero assignment is feasible at t = 0
+        return SdpSolution(0.0, np.zeros(problem.n_vars, dtype=complex), "optimal", lower=0.0)
+    return _interior_point(_Lmi(problem), lower, scale)

@@ -5,9 +5,10 @@ summation or search, deliberately avoiding the fiber-indexed code paths of
 the package.  Later sections keep the earlier loop versions of the
 bisection layer, the duality axioms and two block computations, and the
 Kronecker null-space commutant with the dense per-generator loops of the
-regular representation, which the array versions in the package must
-reproduce.  The last section is the brute-force factorization search that
-the coefficient-norm tests compare against; it is the only user of scipy.
+regular representation, and the entry-by-entry SDP builder, which the array
+versions in the package must reproduce.  The last section is the brute-force
+factorization search that the coefficient-norm tests compare against; it is
+the only user of scipy.
 """
 
 import itertools
@@ -744,6 +745,99 @@ def stieltjes_seeds_oracle(g, phi):
         diag_seed[("t", e)] = sigma
     seeds.append(diag_seed)
     return seeds, float(np.abs(phi).max(initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# the entry-by-entry SDP builder the array declarations replaced
+
+
+class EntrySdp:
+    """Block problem builder.
+
+    Entries are declared once per oriented position; the Hermitian mirror is
+    implied.  Variables are named by arbitrary hashable keys; declaring an
+    entry with ``conj=True`` stores the conjugate of the variable there.
+    """
+
+    def __init__(self):
+        self.block_sizes: list[int] = []
+        self._fixed: list[tuple[int, int, int, complex]] = []
+        self._var_occ: dict[object, list[tuple[int, int, int, bool]]] = {}
+        self._objective: list[object] = []
+
+    def add_block(self, size: int) -> int:
+        self.block_sizes.append(int(size))
+        return len(self.block_sizes) - 1
+
+    def entry_fixed(self, block: int, i: int, j: int, value: complex) -> None:
+        self._fixed.append((block, i, j, complex(value)))
+
+    def entry_var(self, block: int, i: int, j: int, key, conj: bool = False) -> None:
+        self._var_occ.setdefault(key, []).append((block, i, j, conj))
+
+    def objective_var(self, key) -> None:
+        if key not in self._objective:
+            self._objective.append(key)
+
+    def blocks_for(self, values: dict) -> list[np.ndarray]:
+        """Dense Hermitian blocks for a full variable assignment."""
+        mats = [np.zeros((s, s), dtype=complex) for s in self.block_sizes]
+        for b, i, j, v in self._fixed:
+            mats[b][i, j] = v
+            mats[b][j, i] = np.conj(v)
+        for key, occs in self._var_occ.items():
+            v = complex(values[key])
+            for b, i, j, conj in occs:
+                z = np.conj(v) if conj else v
+                mats[b][i, j] = z
+                mats[b][j, i] = np.conj(z)
+        return mats
+
+
+def stieltjes_problem_oracle(g, phi) -> EntrySdp:
+    """The coefficient-norm completion problem, one entry at a time: block u
+    holds rho, phi and tau on the Gram block of the range fiber of u, with
+    variables ("r", c) and ("t", c) for the smaller id c of {z, inverse(z)}."""
+    phi = arrow_function(g, phi)
+    p = EntrySdp()
+    for u in range(g.n_units):
+        fiber = np.flatnonzero(g.range_of == u)
+        m = fiber.size
+        b = p.add_block(2 * m)
+        for pi in range(m):
+            for qi in range(m):
+                z = int(g.compose_table[g.inverse_of[fiber[pi]], fiber[qi]])
+                p.entry_fixed(b, pi, qi + m, phi[z])
+                if pi <= qi:
+                    zi = int(g.inverse_of[z])
+                    c, conj = (z, False) if z <= zi else (zi, True)
+                    for name, off in (("r", 0), ("t", m)):
+                        p.entry_var(b, pi + off, qi + off, (name, c), conj=conj)
+                        if zi == z and pi < qi:
+                            # a self-inverse arrow's value is real: tie both orientations
+                            p.entry_var(b, qi + off, pi + off, (name, c), conj=conj)
+    for e in map(int, g.unit_arrows):
+        p.objective_var(("r", e))
+        p.objective_var(("t", e))
+    return p
+
+
+def schur_problem_oracle(a) -> EntrySdp:
+    """min t with [[P, a], [a*, Q]] PSD and every diagonal entry of P, Q <= t,
+    with variables ("p", i, j) and ("q", i, j) for i <= j."""
+    n = a.shape[0]
+    p = EntrySdp()
+    b = p.add_block(2 * n)
+    for i in range(n):
+        for j in range(n):
+            p.entry_fixed(b, i, j + n, a[i, j])
+            if i <= j:
+                p.entry_var(b, i, j, ("p", i, j))
+                p.entry_var(b, i + n, j + n, ("q", i, j))
+    for i in range(n):
+        p.objective_var(("p", i, i))
+        p.objective_var(("q", i, i))
+    return p
 
 
 # ---------------------------------------------------------------------------

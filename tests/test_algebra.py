@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import gfourier as gf
 from conftest import random_function
-from oracles import convolve_oracle, triple_convolve_oracle
+from reference import convolve_oracle, triple_convolve_oracle
 
 
 class TestConvolve:

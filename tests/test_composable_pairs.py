@@ -8,7 +8,7 @@ import pytest
 
 import gfourier as gf
 from conftest import forced_arrow_structure, no_bisection_structure, random_function
-from oracles import (
+from reference import (
     act_bisection_oracle,
     coefficient_oracle,
     convolve_oracle,

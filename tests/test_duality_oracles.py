@@ -1,5 +1,5 @@
 """The array forms of the duality axioms and of the bisection layer against
-their loop versions in ``oracles.py``: identical defects, witnesses, unit
+their loop versions in ``reference.py``: identical defects, witnesses, unit
 bijections, supports, reconstructions and bisections."""
 
 import re
@@ -11,7 +11,7 @@ import gfourier as gf
 from gfourier import duality as dual
 from gfourier.checks import suite_axioms
 from conftest import forced_arrow_structure, no_bisection_structure, random_function, random_pd
-from oracles import (
+from reference import (
     bisection_group_oracle,
     bisection_inverse_oracle,
     bisection_product_oracle,

@@ -5,7 +5,7 @@ import pytest
 
 import gfourier as gf
 from conftest import forced_arrow_structure, no_bisection_structure
-from oracles import (
+from reference import (
     bisections_brute_force,
     bisections_through_brute_force,
     groupoids_isomorphic,

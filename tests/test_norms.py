@@ -7,7 +7,7 @@ import gfourier as gf
 from gfourier.norms import schur_problem, stieltjes_problem
 from gfourier.sdp import DiagBoundSdp, SdpInfeasibleError, solve_diag_bound_sdp
 from conftest import random_function, random_pd
-from oracles import brute_force_factorization_norm
+from reference import brute_force_factorization_norm, schur_problem_oracle, stieltjes_problem_oracle
 
 
 class TestHermitianEigen:
@@ -53,44 +53,35 @@ class TestHermitianSqrt:
             gf.hermitian_sqrt(np.diag([1.0, -0.5]))
 
 
+def _one_block(data, var, objective) -> DiagBoundSdp:
+    var = np.array([var])
+    return DiagBoundSdp(np.array([data], dtype=complex), var, np.zeros(var.shape, dtype=bool),
+                        np.array([var.shape[1]]), np.array(objective, dtype=int))
+
+
 class TestSolveDiagBoundSdp:
     def test_two_by_two_completion(self):
-        p = DiagBoundSdp()
-        b = p.add_block(2)
-        p.entry_fixed(b, 0, 1, 1.0)
-        p.entry_var(b, 0, 0, "t1")
-        p.entry_var(b, 1, 1, "t2")
-        p.objective_var("t1")
-        p.objective_var("t2")
+        p = _one_block([[0, 1], [1, 0]], [[0, -1], [-1, 1]], [0, 1])
         sol = solve_diag_bound_sdp(p)
         assert sol.value == pytest.approx(1.0, abs=1e-6)
 
-    def test_psd_data_with_zero_objective(self):
-        p = DiagBoundSdp()
-        b = p.add_block(2)
-        p.entry_fixed(b, 0, 0, 2.0)
-        p.entry_fixed(b, 1, 1, 2.0)
-        p.entry_fixed(b, 0, 1, 1.0)
-        sol = solve_diag_bound_sdp(p)
-        assert sol.value == pytest.approx(0.0, abs=1e-8)
+    def test_zero_data_answers_zero(self):
+        p = _one_block([[0, 0], [0, 0]], [[0, -1], [-1, 1]], [0, 1])
+        assert solve_diag_bound_sdp(p).value == 0.0
+
+    def test_problem_without_objective_is_rejected(self):
+        with pytest.raises(ValueError, match="no objective"):
+            _one_block([[2, 1], [1, 2]], [[-1, -1], [-1, -1]], [])
 
     def test_objective_must_be_diagonal(self):
-        p = DiagBoundSdp()
-        b = p.add_block(2)
-        p.entry_var(b, 0, 1, "v")
-        p.objective_var("v")
         with pytest.raises(ValueError, match="diagonal"):
-            solve_diag_bound_sdp(p)
+            _one_block([[0, 0], [0, 0]], [[-1, 0], [0, -1]], [0])
 
     def test_infeasible_cap(self):
         # a diagonal entry fixed negative can never be completed
-        p = DiagBoundSdp()
-        b = p.add_block(2)
-        p.entry_fixed(b, 0, 0, -1.0)
-        p.entry_var(b, 1, 1, "t")
-        p.objective_var("t")
+        p = _one_block([[-1, 0], [0, 0]], [[-1, -1], [-1, 0]], [0])
         with pytest.raises(SdpInfeasibleError):
-            solve_diag_bound_sdp(p, cap=100.0)
+            solve_diag_bound_sdp(p)
 
     def test_cross_validated_against_factorization_search(self, g2, rng):
         for i in range(3):
@@ -121,29 +112,23 @@ DUAL_GROUPOIDS = {
 }
 
 
-def _dual_report(problem: DiagBoundSdp, z: list[np.ndarray]):
-    """Re-verify a dual certificate from the problem's declarations alone.
+def _dual_report(problem: DiagBoundSdp, z: np.ndarray):
+    """Re-verify a dual certificate from the problem's declaration alone.
 
     Returns (bound, worst equality residual, smallest eigenvalue), where the
     bound is -<F0, Z>, the residuals are <A_k, Z> for every free variable
     (real and imaginary part together) and <A_obj, Z> - 1.
     """
-    bound = 0.0
-    for b, i, j, v in problem._fixed:
-        bound -= (v * z[b][j, i]).real if i == j else 2 * (v * z[b][j, i]).real
-    residual = 0.0
-    objective = 0.0
-    for key, occs in problem._var_occ.items():
-        pairing = 0j
-        for b, i, j, conj in occs:
-            entry = np.conj(z[b][j, i]) if conj else z[b][j, i]
-            pairing += entry.real if i == j else 2 * entry
-        if key in problem._objective:
-            objective += pairing.real
-        else:
-            residual = max(residual, abs(pairing))
-    residual = max(residual, abs(objective - 1.0))
-    low = min(float(np.linalg.eigvalsh(m)[0]) for m in z)
+    zt = z.swapaxes(1, 2)
+    bound = -float(np.sum(problem.data * zt).real)
+    held = problem.var >= 0
+    ids = problem.var[held]
+    entry = np.where(problem.conj, zt.conj(), zt)[held]
+    pairing = np.bincount(ids, entry.real) + 1j * np.bincount(ids, entry.imag)
+    free = np.setdiff1d(ids, problem.objective)
+    objective = float(pairing[problem.objective].real.sum())
+    residual = max(float(np.abs(pairing[free]).max(initial=0.0)), abs(objective - 1.0))
+    low = float(np.linalg.eigvalsh(z)[:, 0].min())
     return bound, residual, low
 
 
@@ -157,7 +142,7 @@ class TestDualCertificate:
         assert sol.probes == 1 and 0 < sol.iterations <= 100
         bound, residual, low = _dual_report(problem, sol.dual)
         scale = problem.data_scale()
-        assert low >= -1e-12 * max(float(np.abs(m).max()) for m in sol.dual)
+        assert low >= -1e-12 * float(np.abs(sol.dual).max())
         assert residual <= 1e-12 * scale
         assert bound == pytest.approx(sol.lower, rel=1e-12, abs=1e-12)
         assert bound <= sol.value
@@ -218,6 +203,13 @@ class TestSchurCbNorm:
         brute = brute_force_factorization_norm(g2, a.ravel(), budget=40, seed=5)
         assert abs(cert.value - brute) <= 1e-5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        a = np.ones((3, 3), dtype=complex)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match=r"entry \(1, 2\) is not finite"):
+            gf.schur_cb_norm(a)
+
     def test_witness_factorization_reconstructs(self, rng):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         cert = gf.schur_cb_norm(a)
@@ -227,6 +219,104 @@ class TestSchurCbNorm:
         row_bound = np.sqrt(cert.value) + 1e-6
         assert np.linalg.norm(left, axis=1).max() <= row_bound
         assert np.linalg.norm(right, axis=1).max() <= row_bound
+
+
+SCALES = [1e-12, 1e-8, 1e-4, 1e4]
+SCALE_GROUPOIDS = ["g3", "z3", "bundle23", "transf"]
+
+
+class TestDataScale:
+    """Every tolerance is relative to the data, so scaling it scales every
+    value and every certificate."""
+
+    def test_small_schur_value_is_the_optimum(self):
+        # an absolute floor on the gap target once stopped this solve at its
+        # first feasible iterate, 28% above the optimum
+        a = np.array([[1.0, 2.0], [3.0, -4.0]])
+        expect = 1e-8 * gf.schur_cb_norm(a).value
+        assert gf.schur_cb_norm(1e-8 * a).value == pytest.approx(expect, rel=1e-6)
+
+    def test_small_upper_bound_is_above_the_exact_norm(self):
+        # on Z_4 the norm is the l1 sum of the Fourier coefficients; an
+        # absolute floor on the reconstruction test once let terms that do not
+        # reproduce phi through, whose cost fell below the norm
+        g = gf.group_groupoid(gf.cyclic_table(4))
+        phi = 1e-12 * np.exp(2j * np.pi * np.random.default_rng(0).random(4))
+        exact = float(np.abs(np.fft.fft(phi)).sum() / 4)
+        lower, upper = gf.fourier_norm_bounds(g, phi)
+        assert lower.value <= exact <= upper.value
+        assert lower.value == pytest.approx(exact, rel=1e-7)
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_schur_cb_norm(self, s, rng):
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        base = gf.schur_cb_norm(a).value
+        assert gf.schur_cb_norm(s * a).value / s == pytest.approx(base, rel=1e-6)
+
+    @pytest.mark.parametrize("s", SCALES)
+    @pytest.mark.parametrize("gname", SCALE_GROUPOIDS)
+    def test_fourier_stieltjes_norm(self, s, gname, request, rng):
+        g = request.getfixturevalue(gname)
+        phi = random_function(g, rng)
+        base = gf.fourier_stieltjes_norm(g, phi).value
+        assert gf.fourier_stieltjes_norm(g, s * phi).value / s == pytest.approx(base, rel=1e-6)
+
+    @pytest.mark.parametrize("s", SCALES)
+    @pytest.mark.parametrize("gname", SCALE_GROUPOIDS)
+    def test_fourier_norm_bounds(self, s, gname, request, rng):
+        # conjugation-symmetric inputs too: at small scales the positivity
+        # verdict's absolute floor accepts them, and the square-root candidate
+        # that follows does not reproduce phi
+        g = request.getfixturevalue(gname)
+        base = random_function(g, rng)
+        for phi in (s * base, s * (base + gf.star(g, base)) / 2):
+            lower, upper = gf.fourier_norm_bounds(g, phi)
+            sup = float(np.abs(phi).max())
+            assert sup <= lower.value <= upper.value
+            total = sum(gf.regular_coefficient(g, f, h) for f, h in upper.witness["terms"])
+            assert np.abs(total - phi).max() <= 1e-8 * sup
+
+
+FIXTURE_GROUPOIDS = ["g2", "g3", "g4", "z2", "z3", "bundle23", "weighted_bundle", "transf"]
+
+
+def _assert_same_blocks(new, old, key_id, real, rng):
+    """The array declaration and the entry-by-entry one declare the same
+    problem: the same objective, and the same blocks up to their order for
+    random assignments by id (real where the variable is)."""
+    assert sorted(map(key_id, old._objective)) == sorted(new.objective.tolist())
+    for _ in range(3):
+        v = rng.standard_normal(real.size) + 1j * rng.standard_normal(real.size)
+        v[real] = v[real].real
+        stack = new.blocks_for(v)
+        unmatched = [stack[b, :k, :k] for b, k in enumerate(new.sizes)]
+        want = old.blocks_for({key: v[key_id(key)] for key in old._var_occ})
+        assert len(unmatched) == len(want)
+        for block in want:
+            hits = [i for i, m in enumerate(unmatched)
+                    if m.shape == block.shape and np.array_equal(m, block)]
+            assert hits, "a block of the entry-by-entry declaration has no match"
+            unmatched.pop(hits[0])
+
+
+class TestArrayDeclaration:
+    @pytest.mark.parametrize("gname", FIXTURE_GROUPOIDS)
+    def test_stieltjes_problem_matches_entry_builder(self, gname, request, rng):
+        g = request.getfixturevalue(gname)
+        phi = random_function(g, rng)
+        n = g.n_arrows
+        arrow = np.arange(2 * n) % n
+        _assert_same_blocks(stieltjes_problem(g, phi), stieltjes_problem_oracle(g, phi),
+                            lambda key: key[1] + (n if key[0] == "t" else 0),
+                            g.inverse_of[arrow] == arrow, rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_schur_problem_matches_entry_builder(self, n, rng):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        position = np.arange(2 * n * n) % (n * n)
+        _assert_same_blocks(schur_problem(a), schur_problem_oracle(a),
+                            lambda key: (key[0] == "q") * n * n + key[1] * n + key[2],
+                            position // n == position % n, rng)
 
 
 class TestFourierStieltjesNorm:

@@ -3,7 +3,7 @@ import pytest
 
 import gfourier as gf
 from conftest import random_function, random_pd
-from oracles import coefficient_oracle, pd_double_sum_oracle
+from reference import coefficient_oracle, pd_double_sum_oracle
 
 
 class TestIsPositiveDefinite:

@@ -6,7 +6,7 @@ import pytest
 
 import gfourier as gf
 from conftest import no_bisection_structure, random_function
-from oracles import (
+from reference import (
     commutant_oracle,
     d_inner_oracle,
     module_map_matrix_oracle,

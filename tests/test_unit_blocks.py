@@ -1,7 +1,7 @@
 """The stacked unit-block layer against the per-unit loops it replaced.
 
 Every function that decides or builds something one unit fiber at a time is
-compared with its loop version in ``oracles.py`` on the conftest fixtures and
+compared with its loop version in ``reference.py`` on the conftest fixtures and
 on the larger groupoids of the kernels benchmark.
 """
 
@@ -14,7 +14,7 @@ import gfourier as gf
 from conftest import forced_arrow_structure, random_function, random_pd
 from gfourier.checks import run_suites
 from gfourier.regular import _right_op_blocks
-from oracles import (
+from reference import (
     adjoint_op_oracle,
     block_norm_oracle,
     bundle_coefficient_oracle,
@@ -141,8 +141,10 @@ class TestKernelsAgainstLoops:
         want, want_lower = stieltjes_seeds_oracle(g, phi)
         assert got_lower == want_lower and len(got) == len(want) == (2 if pd else 1)
         for a, b in zip(got, want):
-            assert list(a) == list(b)
-            assert _close(list(a.values()), list(b.values()), 1e-12)
+            # the oracle's ("r", c) and ("t", c) are the variable ids c and c + n_arrows
+            ids = [c + (g.n_arrows if name == "t" else 0) for name, c in b]
+            assert a.shape == (2 * g.n_arrows,)
+            assert _close(a[ids], list(b.values()), 1e-12)
 
 
 VERDICTS = [
