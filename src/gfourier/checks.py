@@ -392,9 +392,16 @@ def suite_norms(g: FiniteGroupoid, rng, tol: float, trials: int = 5) -> list[Che
 
 
 def _stieltjes_witness_min_eig(g, cert, phi) -> float:
-    # rho at arrow c is variable c and tau at c is variable c + n_arrows
-    values = np.concatenate([cert.witness["rho"], cert.witness["tau"]])
-    return nrm.stieltjes_problem(g, phi).min_eigenvalue(values)
+    """Smallest eigenvalue of the witness's completion block [[rho, phi], [phi*, tau]]
+    over every unit, read from the Gram arrow ids of each fiber class."""
+    rho, tau = cert.witness["rho"], cert.witness["tau"]
+    low = np.inf
+    for c in g.fiber_classes:
+        blocks = np.block([[rho[c.gram], phi[c.gram]],
+                           [phi[c.gram].conj().swapaxes(1, 2), tau[c.gram]]])
+        blocks = (blocks + blocks.conj().swapaxes(1, 2)) / 2
+        low = min(low, float(np.linalg.eigvalsh(blocks)[:, 0].min()))
+    return low
 
 
 def suite_duality(g: FiniteGroupoid, rng, tol: float) -> list[CheckRecord]:

@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -162,9 +163,22 @@ def _gap(cert) -> str:
     return f"gap {gap:.1e}"
 
 
+def _print_stats(cert, seconds: float) -> None:
+    """The SDP solve behind ``cert`` (None when no SDP ran) and the CPU seconds, on stderr."""
+    if cert is not None:
+        w = cert.witness
+        print(f"stats newton-steps {w['iterations']}", file=sys.stderr)
+        print(f"stats status {w['status']}", file=sys.stderr)
+        print(f"stats bracket {cert.value:.12g} {w['lower']:.12g}", file=sys.stderr)
+        print(f"stats sdp-blocks {w['blocks']}", file=sys.stderr)
+    print(f"stats cpu {seconds:.4f} s", file=sys.stderr)
+
+
 def cmd_norm(args) -> int:
+    start = time.process_time()
     g = _validated(read_groupoid(args.groupoid), args.groupoid)
     phi = read_arrow_function(args.function, g)
+    solved = None
     report = RunReport(
         command=f"norm {args.which}", seed=args.seed, groupoid=_summary(g)
     )
@@ -176,10 +190,10 @@ def cmd_norm(args) -> int:
             raise FileFormatError(
                 "unsupported: the cb norm is exact only on pair groupoids"
             )
-        cert = nrm.schur_cb_norm(phi[arrow_of])
+        cert = solved = nrm.schur_cb_norm(phi[arrow_of])
         report.records.append(CheckRecord("norm/cb", "info", f"{cert.value:.12g}", _gap(cert)))
     elif args.which == "stieltjes":
-        cert = nrm.fourier_stieltjes_norm(g, phi)
+        cert = solved = nrm.fourier_stieltjes_norm(g, phi)
         report.records.append(
             CheckRecord("norm/stieltjes", "info", f"{cert.value:.12g}", _gap(cert))
         )
@@ -193,6 +207,7 @@ def cmd_norm(args) -> int:
         )
     elif args.which == "decomp":
         lower, upper = nrm.fourier_norm_bounds(g, phi)
+        solved = lower.witness["stieltjes"]
         report.records.append(
             CheckRecord(
                 "norm/decomp-lower", "info", f"{lower.value:.12g}", _gap(lower.witness["stieltjes"])
@@ -223,6 +238,8 @@ def cmd_norm(args) -> int:
         report.records.append(
             CheckRecord("norm/i", "info", f"{alg.i_norm(g, phi):.12g}", "")
         )
+    if args.stats:
+        _print_stats(solved, time.process_time() - start)
     return _emit(report, args.format, args.out)
 
 
@@ -318,6 +335,9 @@ def make_parser() -> argparse.ArgumentParser:
     n.add_argument("function")
     n.add_argument("--which", choices=("stieltjes", "cb", "decomp", "reduced", "i"),
                    default="stieltjes")
+    n.add_argument("--stats", action="store_true",
+                   help="print the SDP's Newton steps, status, bracket, block count and "
+                        "the CPU seconds to stderr")
     common(n)
 
     d = sub.add_parser("duality", help="enumerate bisections and run the round trip")

@@ -2,11 +2,14 @@
 and two-sided bounds for the decomposition norm.
 
 The coefficient norm of phi is computed from its block completion problem:
-one Hermitian block per unit, holding phi and its involution off-diagonal and
-two free conjugation-symmetric functions on the diagonal, with the largest
-unit value minimized subject to every block being PSD.  For positive definite
-phi the optimum is the largest unit value of phi, and on pair groupoids the
-problem specializes entry-for-entry to the classical Schur multiplier SDP.
+one Hermitian block per orbit of units, read at the range fiber of the
+orbit's smallest unit, holding phi and its involution off-diagonal and two
+free conjugation-symmetric functions on the diagonal, with the largest unit
+value minimized subject to every block being PSD.  The blocks of the other
+units of an orbit are permuted copies and are left out.  For positive
+definite phi the optimum is the largest unit value of phi, and on pair
+groupoids (one orbit) the problem is, entry for entry, the classical Schur
+multiplier SDP.
 """
 
 from __future__ import annotations
@@ -19,12 +22,11 @@ from .algebra import arrow_function
 from .groupoid import FiniteGroupoid, product_with_pair_groupoid
 from .numerics import orthonormal_span
 from .positivity import (
+    _stacks,
     is_positive_definite,
     off_diagonal_embed,
     pd_to_section,
-    regular_coefficient,
 )
-from .regular import section_norm
 from .sdp import DiagBoundSdp, SdpSolution, solve_diag_bound_sdp
 
 
@@ -33,7 +35,8 @@ class NormCertificate:
     """A norm value together with the object that certifies it.
 
     kind 'optimal' carries a feasible completion (rho, tau) or (p, q) and the
-    solver's certified lower bound, Newton steps and status; 'upper' carries a
+    solver's certified lower bound, Newton steps, status and number of SDP
+    blocks; 'upper' carries a
     list of coefficient factorization terms; 'lower' carries the arrow that
     attains the sup bound and the dual blocks that certify the SDP bound.
     """
@@ -53,28 +56,46 @@ def _arrow_variables(g: FiniteGroupoid) -> tuple[np.ndarray, np.ndarray]:
 def stieltjes_problem(g: FiniteGroupoid, phi) -> DiagBoundSdp:
     """The block completion problem whose optimum is the coefficient norm bound.
 
-    Block u is [[rho, phi], [phi*, tau]] read at the Gram block of arrow ids
-    of the range fiber of u.  Conjugation symmetry holds by construction: the
-    arrows z and inverse(z) share a variable, conjugated at the larger id, and
-    a self-inverse arrow holds its variable unconjugated at both orientations,
+    One block per orbit, at the orbit's smallest unit u, in ascending order of
+    u: [[rho, phi], [phi*, tau]] read at the Gram block of arrow ids of the
+    range fiber of u.  Conjugation symmetry holds by construction: the arrows
+    z and inverse(z) share a variable, conjugated at the larger id, and a
+    self-inverse arrow holds its variable unconjugated at both orientations,
     which pins it to the real axis.
+
+    The other units' blocks are left out because the groupoid axioms make
+    them copies: for an arrow gamma from u to v, the range fiber of v is
+    gamma times that of u and inverse(gamma x) gamma y = inverse(x) y, so the
+    block of v is the block of u with rows and columns permuted alike.  The
+    same axioms put every arrow of the orbit, unit arrows included, in the
+    block of u.  Dropping blocks can only lower the optimum, so a dual bound
+    of this problem bounds the all-units problem too; that its optimum equals
+    the all-units one rests on g being a groupoid.
     """
     phi = arrow_function(g, phi)
     ids, flip = _arrow_variables(g)
-    s = 2 * max(c.gram.shape[1] for c in g.fiber_classes)
-    data = np.zeros((g.n_units, s, s), dtype=complex)
+    # every unit of an orbit has an arrow into v, so the smallest source of
+    # the arrows into v is the smallest unit of its orbit
+    first = np.full(g.n_units, g.n_units)
+    np.minimum.at(first, g.range_of, g.source_of)
+    kept = first == np.arange(g.n_units)
+    classes = [(c, kept[c.units]) for c in g.fiber_classes if kept[c.units].any()]
+    s = 2 * max(c.gram.shape[1] for c, _ in classes)
+    block_of = np.cumsum(kept) - 1
+    data = np.zeros((kept.sum(), s, s), dtype=complex)
     var = np.full(data.shape, -1)
     conj = np.zeros(data.shape, dtype=bool)
-    sizes = np.zeros(g.n_units, dtype=int)
-    for c in g.fiber_classes:
+    sizes = np.zeros(data.shape[0], dtype=int)
+    for c, rows in classes:
         m = c.gram.shape[1]
+        b, gram = block_of[c.units[rows]], c.gram[rows]
         top, bottom = slice(0, m), slice(m, 2 * m)
-        data[c.units, top, bottom] = phi[c.gram]
-        data[c.units, bottom, top] = phi[c.gram].conj().swapaxes(1, 2)
-        var[c.units, top, top] = ids[c.gram]
-        var[c.units, bottom, bottom] = ids[c.gram] + g.n_arrows
-        conj[c.units, top, top] = conj[c.units, bottom, bottom] = flip[c.gram]
-        sizes[c.units] = 2 * m
+        data[b, top, bottom] = phi[gram]
+        data[b, bottom, top] = phi[gram].conj().swapaxes(1, 2)
+        var[b, top, top] = ids[gram]
+        var[b, bottom, bottom] = ids[gram] + g.n_arrows
+        conj[b, top, top] = conj[b, bottom, bottom] = flip[gram]
+        sizes[b] = 2 * m
     objective = np.concatenate([g.unit_arrows, g.unit_arrows + g.n_arrows])
     return DiagBoundSdp(data, var, conj, sizes, objective)
 
@@ -104,8 +125,9 @@ def _witness_functions(g: FiniteGroupoid, solution: SdpSolution) -> tuple[np.nda
     return np.where(flip, rho.conj(), rho), np.where(flip, tau.conj(), tau)
 
 
-def _telemetry(solution: SdpSolution) -> dict:
-    return {"lower": solution.lower, "iterations": solution.iterations, "status": solution.status}
+def _telemetry(problem: DiagBoundSdp, solution: SdpSolution) -> dict:
+    return {"lower": solution.lower, "iterations": solution.iterations, "status": solution.status,
+            "blocks": int(problem.sizes.size)}
 
 
 def _solve_stieltjes(g: FiniteGroupoid, phi) -> tuple[NormCertificate, SdpSolution]:
@@ -114,7 +136,7 @@ def _solve_stieltjes(g: FiniteGroupoid, phi) -> tuple[NormCertificate, SdpSoluti
     seeds, lower = _stieltjes_seeds(g, phi)
     solution = solve_diag_bound_sdp(problem, lower=lower, seeds=tuple(seeds))
     rho, tau = _witness_functions(g, solution)
-    witness = {"rho": rho, "tau": tau, **_telemetry(solution)}
+    witness = {"rho": rho, "tau": tau, **_telemetry(problem, solution)}
     return NormCertificate(solution.value, "optimal", witness), solution
 
 
@@ -173,7 +195,8 @@ def schur_cb_norm(a) -> NormCertificate:
         empty = {key: np.zeros((0, 0), dtype=complex)
                  for key in ("p_block", "q_block", "left", "right")}
         return NormCertificate(0.0, "optimal",
-                               {**empty, "lower": 0.0, "iterations": 0, "status": "seeded"})
+                               {**empty, "lower": 0.0, "iterations": 0, "status": "seeded",
+                                "blocks": 0})
     problem = schur_problem(a)
     seed = np.zeros(problem.n_vars, dtype=complex)
     seed[problem.objective] = float(np.linalg.norm(a, 2))
@@ -181,7 +204,8 @@ def schur_cb_norm(a) -> NormCertificate:
     big = problem.blocks_for(solution.variables)[0]
     pm, qm = big[:n, :n], big[n:, n:]
     left, right = _factorize_completion(pm, a, qm)
-    witness = {"p_block": pm, "q_block": qm, "left": left, "right": right, **_telemetry(solution)}
+    witness = {"p_block": pm, "q_block": qm, "left": left, "right": right,
+               **_telemetry(problem, solution)}
     return NormCertificate(solution.value, "optimal", witness)
 
 
@@ -226,29 +250,43 @@ def _unit_weights_only(g: FiniteGroupoid) -> bool:
     return bool(np.abs(g.weights - 1.0).max(initial=0.0) <= 1e-12)
 
 
-def _term_cost(g: FiniteGroupoid, terms) -> float:
-    return float(sum(section_norm(g, f) * section_norm(g, h) for f, h in terms))
+def _term_cost(g: FiniteGroupoid, terms: np.ndarray) -> float:
+    """sum over k of ||f_k|| ||h_k|| for a (k, 2, n_arrows) stack of terms (f_k, h_k)."""
+    by_range = np.argsort(g.range_of, kind="stable")
+    fiber_starts = np.searchsorted(g.range_of[by_range], np.arange(g.n_units))
+    cost = 0.0
+    for part in _stacks(np.arange(len(terms)), 2 * g.n_arrows):
+        mass = g.weights[by_range] * np.abs(terms[part][:, :, by_range]) ** 2
+        norms = np.sqrt(np.add.reduceat(mass, fiber_starts, axis=2).max(axis=2))
+        cost += float(np.sum(norms[:, 0] * norms[:, 1]))
+    return cost
 
 
-def _terms_reconstruct(g: FiniteGroupoid, terms, phi, tol: float = 1e-8) -> bool:
-    total = np.zeros(g.n_arrows, dtype=complex)
-    for f, h in terms:
-        total += regular_coefficient(g, f, h)
+def _terms_reconstruct(g: FiniteGroupoid, terms: np.ndarray, phi, tol: float = 1e-8) -> bool:
+    """Whether sum over k of regular_coefficient(f_k, h_k) is phi to tol relative.
+
+    The coefficient at x sums w(t) conj(f(inverse(y))) h(t) over the
+    composable pairs x = t y; the terms are summed first, a stack of them at a
+    time."""
+    _, t, y, starts = g.composable_pairs
+    back = g.inverse_of[y]
+    paired = np.zeros(t.size, dtype=complex)
+    for part in _stacks(np.arange(len(terms)), t.size):
+        paired += np.sum(terms[part, 0][:, back].conj() * terms[part, 1][:, t], axis=0)
+    total = np.add.reduceat(g.weights[t] * paired, starts)
     return bool(np.abs(total - phi).max(initial=0.0) <= tol * np.abs(phi).max(initial=0.0))
 
 
-def _delta_terms(g: FiniteGroupoid, phi) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-arrow point-mass decomposition; always succeeds, rarely tight."""
-    terms = []
-    for x in range(g.n_arrows):
-        if phi[x] == 0:
-            continue
-        u = int(g.source_of[x])
-        f = np.zeros(g.n_arrows, dtype=complex)
-        f[g.unit_arrows[u]] = 1.0 / g.weights[g.unit_arrows[u]]
-        h = np.zeros(g.n_arrows, dtype=complex)
-        h[x] = phi[x]
-        terms.append((f, h))
+def _delta_terms(g: FiniteGroupoid, phi) -> np.ndarray:
+    """Per-arrow point-mass decomposition; always succeeds, rarely tight.
+
+    Term k pairs the normalized unit point mass at the source of the k-th
+    arrow x in the support of phi with phi(x) at x."""
+    xs = np.flatnonzero(phi)
+    units = g.unit_arrows[g.source_of[xs]]
+    terms = np.zeros((xs.size, 2, g.n_arrows), dtype=complex)
+    terms[np.arange(xs.size), 0, units] = 1.0 / g.weights[units]
+    terms[np.arange(xs.size), 1, xs] = phi[xs]
     return terms
 
 
@@ -280,10 +318,10 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     """Two-sided bounds for the decomposition norm inf sum ||f_k|| ||g_k||.
 
     Lower: the larger of the sup norm and the certified dual bound of the
-    coefficient norm SDP; its witness holds the dual blocks Z, which are PSD
-    and dual feasible in ``stieltjes_problem(g, phi)``, so that -<F0, Z>
-    re-verifies the bound (None when the solver's seeded exit made the sup
-    norm the bound).  Upper:
+    coefficient norm SDP; its witness holds the dual blocks Z, one per orbit
+    in the padded layout of ``stieltjes_problem(g, phi)``, PSD and dual
+    feasible there, so that -<F0, Z> re-verifies the bound (None when the
+    solver's seeded exit made the sup norm the bound).  Upper:
     the cheapest verified decomposition among a single-coefficient pair
     factorization, a positive-definite square-root coefficient, the doubled
     two-term split, and the point-mass fallback.
@@ -298,19 +336,20 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
         {"sup_arrow": sup_arrow, "stieltjes": stieltjes, "dual": solution.dual},
     )
 
-    candidates: list[list[tuple[np.ndarray, np.ndarray]]] = []
+    # each candidate is a (k, 2, n_arrows) stack of terms (f_k, h_k)
+    candidates: list[np.ndarray] = []
     if _unit_weights_only(g):
         try:
             xi = pd_to_section(g, phi)
-            candidates.append([(xi, xi)])
+            candidates.append(np.array([(xi, xi)]))
         except ValueError:
             pass
         arrow_of = _pair_structure(g)
         if arrow_of is not None:
-            candidates.append(_pair_terms(g, arrow_of, stieltjes, phi))
+            candidates.append(np.array(_pair_terms(g, arrow_of, stieltjes, phi)))
         else:
             try:
-                candidates.append(_doubled_terms(g, stieltjes, phi))
+                candidates.append(np.array(_doubled_terms(g, stieltjes, phi)))
             except ValueError:
                 pass
     candidates.append(_delta_terms(g, phi))
@@ -325,5 +364,5 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
             best_cost, best_terms = cost, terms
     if best_terms is None:
         raise RuntimeError("no decomposition reconstructed the input; this should not happen")
-    upper = NormCertificate(best_cost, "upper", {"terms": tuple(best_terms)})
+    upper = NormCertificate(best_cost, "upper", {"terms": tuple(map(tuple, best_terms))})
     return lower, upper

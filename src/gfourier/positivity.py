@@ -58,17 +58,20 @@ def gram_matrix(g: FiniteGroupoid, phi, u: int) -> np.ndarray:
 
 
 def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False) -> PdVerdict:
-    """The three criteria, decided for every unit at delta = tol * max(1, max|Gram entry|).
+    """The three criteria, decided for every unit at delta = tol * max|Gram entry|.
 
-    A Gram matrix that is not Hermitian to delta fails with a non-real form.
-    Otherwise the form matrix k is the Gram matrix with shift delta or, when
-    ``weighted``, the Haar kernel K = D conj(Gram) D with shift delta * w**2;
-    K + delta D^2 is congruent to conj(Gram) + delta, so both have the same
-    inertia.  ``decide(a)`` takes a stack of a = Hermitian part of
-    k + diag(shift) and returns the mask of the matrices that are not positive
-    definite, with a function giving, for row i of the stack, a direction v
-    with v^H a v <= 0; then v^H k v <= -v^H diag(shift) v < 0.  The witness is
-    taken at the first failing unit.
+    The threshold is relative to each unit's own entries, with no absolute
+    floor, so a verdict does not change when phi is scaled; a unit whose Gram
+    matrix is zero passes.  A Gram matrix that is not Hermitian to delta
+    fails with a non-real form.  Otherwise the form matrix k is the Gram
+    matrix with shift delta or, when ``weighted``, the Haar kernel
+    K = D conj(Gram) D with shift delta * w**2; K + delta D^2 is congruent to
+    conj(Gram) + delta, so both have the same inertia.  ``decide(a)`` takes a
+    stack of a = Hermitian part of k + diag(shift) and returns the mask of the
+    matrices that are not positive definite, with a function giving, for row
+    i of the stack, a direction v with v^H a v <= 0; then
+    v^H k v <= -v^H diag(shift) v < 0.  The witness is taken at the first
+    failing unit.
 
     Unit 0 is decided alone first: on a transitive groupoid every unit's Gram
     matrix is a permutation of unit 0's, so a failure shows there at the cost
@@ -84,9 +87,11 @@ def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False)
             continue
         m = phi[c.gram[rows]]
         mh = m.conj().swapaxes(1, 2)
-        delta = tol * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+        scale = np.abs(m).max(axis=(1, 2))
+        delta = tol * scale
         non_hermitian = np.abs(m - mh).max(axis=(1, 2)) > delta
-        shift = delta[:, None]
+        # a zero Gram matrix is PSD, and any positive shift says so
+        shift = np.where(scale > 0, delta, 1.0)[:, None]
         if weighted:
             w = g.weights[c.arrows[rows]]
             m, shift = _integral_kernels(w, m), shift * w**2
@@ -379,7 +384,7 @@ def pd_to_section(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> np.ndarray:
         raise ValueError(
             f"not positive definite: unit {verdict.unit} has form value {verdict.value}"
         )
-    support = np.abs(phi) > 1e-13 * max(1.0, float(np.abs(phi).max(initial=0.0)))
+    support = np.abs(phi) > 1e-13 * float(np.abs(phi).max(initial=0.0))
     marked = np.zeros(g.n_units, dtype=bool)
     marked[g.range_of[support]] = marked[g.source_of[support]] = True
     h = np.zeros(g.n_arrows, dtype=complex)

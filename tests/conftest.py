@@ -89,6 +89,13 @@ def forced_arrow_structure():
     )
 
 
+def z12_on_16_points():
+    """Z12 acting on a free orbit of 12 points and an orbit of 4 points with isotropy Z3."""
+    action = [[(p + k) % 12 for p in range(12)] + [12 + (p + k) % 4 for p in range(4)]
+              for k in range(12)]
+    return gf.transformation_groupoid(gf.cyclic_table(12), action)
+
+
 def random_function(g, rng):
     return rng.standard_normal(g.n_arrows) + 1j * rng.standard_normal(g.n_arrows)
 

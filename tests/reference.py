@@ -548,11 +548,14 @@ def gram_matrix_oracle(g, phi, u):
 
 
 def _verdict_oracle(g, phi, tol, decide, weighted=False):
-    """The per-unit loop of the three criteria, at delta = tol * max(1, max|Gram entry|)."""
+    """The per-unit loop of the three criteria, at delta = tol * max|Gram entry|;
+    a unit whose Gram matrix is zero passes."""
     phi = arrow_function(g, phi)
     for u in range(g.n_units):
         m = gram_matrix_oracle(g, phi, u)
-        delta = tol * max(1.0, float(np.abs(m).max(initial=0.0)))
+        if not m.any():
+            continue
+        delta = tol * float(np.abs(m).max())
         defect = float(np.abs(m - m.conj().T).max(initial=0.0))
         shift = delta
         if weighted:
@@ -745,6 +748,19 @@ def stieltjes_seeds_oracle(g, phi):
         diag_seed[("t", e)] = sigma
     seeds.append(diag_seed)
     return seeds, float(np.abs(phi).max(initial=0.0))
+
+
+def term_cost_oracle(g, terms):
+    """sum over the terms (f, h) of section_norm(f) section_norm(h), one term at a time."""
+    return float(sum(section_norm(g, f) * section_norm(g, h) for f, h in terms))
+
+
+def terms_sum_oracle(g, terms):
+    """sum over the terms (f, h) of regular_coefficient(f, h), one term at a time."""
+    total = np.zeros(g.n_arrows, dtype=complex)
+    for f, h in terms:
+        total += regular_coefficient(g, f, h)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,34 @@ class TestTimings:
             assert all(float(ln.split()[2]) >= 0 and ln.endswith(" s") for ln in lines)
 
 
+class TestNormStats:
+    @pytest.mark.parametrize("which", ["stieltjes", "cb", "decomp", "reduced"])
+    def test_stats_go_to_stderr_only(self, tmp_path, capsys, rng, which):
+        gfile, ffile = tmp_path / "g.json", tmp_path / "f.json"
+        write_groupoid(str(gfile), gf.pair_groupoid(3))
+        write_arrow_function(str(ffile), rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        capsys.readouterr()
+        outputs = {}
+        for flag in ([], ["--stats"]):
+            assert main(["norm", str(gfile), str(ffile), "--which", which, *flag]) == 0
+            outputs[bool(flag)] = capsys.readouterr()
+        assert outputs[True].out == outputs[False].out
+        assert outputs[False].err == ""
+        lines = [ln.split() for ln in outputs[True].err.splitlines()]
+        keys = [ln[1] for ln in lines]
+        if which == "reduced":
+            assert keys == ["cpu"]
+        else:
+            assert keys == ["newton-steps", "status", "bracket", "sdp-blocks", "cpu"]
+            stats = dict((ln[1], ln[2:]) for ln in lines)
+            assert int(stats["newton-steps"][0]) > 0 and stats["status"] == ["optimal"]
+            value, lower = map(float, stats["bracket"])
+            assert 0 < lower <= value <= lower * (1 + 1e-6)
+            assert stats["sdp-blocks"] == ["1"]  # pair(3) is one orbit
+        assert all(ln[0] == "stats" for ln in lines)
+        assert float(lines[-1][2]) >= 0 and lines[-1][3] == "s"
+
+
 class TestStartup:
     def test_import_loads_no_scipy(self, tmp_path):
         """scipy is a test-only dependency: norms and check suites run without loading it."""

@@ -6,8 +6,14 @@ import pytest
 import gfourier as gf
 from gfourier.norms import schur_problem, stieltjes_problem
 from gfourier.sdp import DiagBoundSdp, SdpInfeasibleError, solve_diag_bound_sdp
-from conftest import random_function, random_pd
-from reference import brute_force_factorization_norm, schur_problem_oracle, stieltjes_problem_oracle
+from conftest import random_function, random_pd, z12_on_16_points
+from reference import (
+    brute_force_factorization_norm,
+    schur_problem_oracle,
+    stieltjes_problem_oracle,
+    term_cost_oracle,
+    terms_sum_oracle,
+)
 
 
 class TestHermitianEigen:
@@ -280,14 +286,19 @@ class TestDataScale:
 FIXTURE_GROUPOIDS = ["g2", "g3", "g4", "z2", "z3", "bundle23", "weighted_bundle", "transf"]
 
 
+def _random_assignment(real, rng):
+    v = rng.standard_normal(real.size) + 1j * rng.standard_normal(real.size)
+    v[real] = v[real].real
+    return v
+
+
 def _assert_same_blocks(new, old, key_id, real, rng):
     """The array declaration and the entry-by-entry one declare the same
     problem: the same objective, and the same blocks up to their order for
     random assignments by id (real where the variable is)."""
     assert sorted(map(key_id, old._objective)) == sorted(new.objective.tolist())
     for _ in range(3):
-        v = rng.standard_normal(real.size) + 1j * rng.standard_normal(real.size)
-        v[real] = v[real].real
+        v = _random_assignment(real, rng)
         stack = new.blocks_for(v)
         unmatched = [stack[b, :k, :k] for b, k in enumerate(new.sizes)]
         want = old.blocks_for({key: v[key_id(key)] for key in old._var_occ})
@@ -299,16 +310,52 @@ def _assert_same_blocks(new, old, key_id, real, rng):
             unmatched.pop(hits[0])
 
 
+def _stieltjes_key_id(g):
+    return lambda key: key[1] + (g.n_arrows if key[0] == "t" else 0)
+
+
+def _stieltjes_real_ids(g):
+    arrow = np.arange(2 * g.n_arrows) % g.n_arrows
+    return g.inverse_of[arrow] == arrow
+
+
 class TestArrayDeclaration:
     @pytest.mark.parametrize("gname", FIXTURE_GROUPOIDS)
     def test_stieltjes_problem_matches_entry_builder(self, gname, request, rng):
+        """One block per orbit, equal to the entry-by-entry block of the orbit's
+        first unit; the block of every unit w is that block under the
+        simultaneous permutation x -> gamma x, for an arrow gamma from the
+        first unit u to w."""
         g = request.getfixturevalue(gname)
         phi = random_function(g, rng)
-        n = g.n_arrows
-        arrow = np.arange(2 * n) % n
-        _assert_same_blocks(stieltjes_problem(g, phi), stieltjes_problem_oracle(g, phi),
-                            lambda key: key[1] + (n if key[0] == "t" else 0),
-                            g.inverse_of[arrow] == arrow, rng)
+        new, old = stieltjes_problem(g, phi), stieltjes_problem_oracle(g, phi)
+        key_id = _stieltjes_key_id(g)
+        assert sorted(map(key_id, old._objective)) == sorted(new.objective.tolist())
+        # the orbit of w is the set of sources of the arrows into w
+        first_of = [int(g.source_of[g.range_of == w].min()) for w in range(g.n_units)]
+        firsts = sorted(set(first_of))
+        assert new.sizes.size == len(firsts)
+        for _ in range(3):
+            v = _random_assignment(_stieltjes_real_ids(g), rng)
+            stack = new.blocks_for(v)
+            want = old.blocks_for({key: v[key_id(key)] for key in old._var_occ})
+            kept = [stack[b, :k, :k] for b, k in enumerate(new.sizes)]
+            for b, u in enumerate(firsts):
+                assert np.array_equal(kept[b], want[u])
+            for w, u in enumerate(first_of):
+                gamma = np.flatnonzero((g.source_of == u) & (g.range_of == w))[0]
+                moved = g.compose_table[gamma, np.flatnonzero(g.range_of == u)]
+                at = np.searchsorted(np.flatnonzero(g.range_of == w), moved)
+                perm = np.concatenate([at, at + at.size])
+                assert np.array_equal(want[w][np.ix_(perm, perm)], kept[firsts.index(u)])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_stieltjes_problem_on_pair_groupoids_is_the_schur_problem(self, n, rng):
+        g = gf.pair_groupoid(n)
+        phi = random_function(g, rng)
+        new, schur = stieltjes_problem(g, phi), schur_problem(phi.reshape(n, n))
+        for field in ("data", "var", "conj", "sizes", "objective"):
+            assert np.array_equal(getattr(new, field), getattr(schur, field)), field
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_schur_problem_matches_entry_builder(self, n, rng):
@@ -371,6 +418,25 @@ class TestFourierStieltjesNorm:
         assert gf.is_positive_definite(prod, embedded, tol=1e-8)
         top = max(float(rho[g.unit_arrows].real.max()), float(tau[g.unit_arrows].real.max()))
         assert top == pytest.approx(cert.value, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("gname", ["g3", "transf", "s3", "z12_on_16", "g3xI2"])
+    def test_witness_is_psd_on_every_unit_block(self, gname, request, rng):
+        # the problem keeps one block per orbit; the witness must hold on all units
+        g = {
+            "s3": _s3_transformation,
+            "z12_on_16": z12_on_16_points,
+            "g3xI2": lambda: gf.product_with_pair_groupoid(request.getfixturevalue("g3")),
+        }.get(gname, lambda: request.getfixturevalue(gname))()
+        phi = random_function(g, rng)
+        cert = gf.fourier_stieltjes_norm(g, phi)
+        assert cert.witness["status"] == "optimal"
+        values = np.concatenate([cert.witness["rho"], cert.witness["tau"]])
+        oracle = stieltjes_problem_oracle(g, phi)
+        key_id = _stieltjes_key_id(g)
+        blocks = oracle.blocks_for({key: values[key_id(key)] for key in oracle._var_occ})
+        assert len(blocks) == g.n_units
+        scale = float(np.abs(phi).max())
+        assert min(float(np.linalg.eigvalsh(b)[0]) for b in blocks) >= -1e-9 * scale
 
     def test_doubled_split_reconstructs_on_self_inverse_arrows(self, bundle23, rng):
         # the two-term decomposition through the doubled groupoid must survive
@@ -459,6 +525,28 @@ class TestFourierNormBounds:
         phi = random_function(weighted_bundle, rng)
         lower, upper = gf.fourier_norm_bounds(weighted_bundle, phi)
         assert lower.value <= upper.value + 1e-6
+
+
+class TestStackedTerms:
+    """The stacked reverification of candidate decompositions against the
+    per-term loop; pair(16)'s point-mass terms take many stacks."""
+
+    @pytest.mark.parametrize("gname", FIXTURE_GROUPOIDS + ["pair16"])
+    def test_cost_and_reconstruction_match_the_loop(self, gname, request, rng):
+        g = gf.pair_groupoid(16) if gname == "pair16" else request.getfixturevalue(gname)
+        phi = random_function(g, rng)
+        phi[rng.random(g.n_arrows) < 0.3] = 0.0
+        shape = (3, 2, g.n_arrows)
+        generic = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for terms in (gf.norms._delta_terms(g, phi), generic):
+            cost = gf.norms._term_cost(g, terms)
+            assert cost == pytest.approx(term_cost_oracle(g, terms), rel=1e-12)
+            total = terms_sum_oracle(g, terms)
+            assert gf.norms._terms_reconstruct(g, terms, total)
+            off = total.copy()
+            off[rng.integers(g.n_arrows)] += 1e-6 * np.abs(total).max()
+            assert not gf.norms._terms_reconstruct(g, terms, off)
+        assert gf.norms._terms_reconstruct(g, gf.norms._delta_terms(g, phi), phi)
 
 
 class TestGroupCase:

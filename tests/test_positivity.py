@@ -88,30 +88,45 @@ BOUNDARY_GROUPOIDS = {
 
 def _gram_spectra(g, phi):
     """Per unit: smallest and largest eigenvalue of the Gram's Hermitian part, and
-    the verdicts' entry scale max(1, max|entry|)."""
+    the verdicts' entry scale max|entry|."""
     out = []
     for u in range(g.n_units):
         m = gf.gram_matrix(g, phi, u)
         vals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        out.append((vals[0], vals[-1], max(1.0, float(np.abs(m).max()))))
+        out.append((vals[0], vals[-1], float(np.abs(m).max())))
     return np.array(out).T
+
+
+def _has_scalar_gram(g, phi):
+    """Whether some unit's Gram matrix is a multiple of the identity, to roundoff."""
+    for u in range(g.n_units):
+        m = gf.gram_matrix(g, phi, u)
+        if np.abs(m - m[0, 0] * np.eye(m.shape[0])).max() <= 1e-12 * np.abs(m).max():
+            return True
+    return False
 
 
 def _boundary_family(g, rng, count, tol=gf.positivity.PSD_TOL):
     """Hermitian phi whose smallest Gram eigenvalue is level * tol * scale, spectra up to 20.
 
     The bound is attained at one unit and holds at the others, where scale is
-    the unit's max(1, max|Gram entry|).  Levels cycle through +10 and -0.5
+    the unit's max|Gram entry|.  Levels cycle through +10 and -0.5
     (inside the tolerance band) and -10 and -2 (outside).  Kinds cycle through
     full-rank coefficients, rank-one and sparse coefficients (repeated small
     eigenvalues) and Hermitian parts of random functions.  The unit indicator
     has identity Grams, so adding a multiple of it moves every Gram spectrum
-    rigidly.
+    rigidly.  Draws in which some unit's Gram matrix is a multiple of the
+    identity (zero included) are left out, and drawing goes on until there are
+    ``count`` inputs: lambda I passes exactly when lambda >= 0, so such a unit
+    has no band relative to its own scale, and a rigid shift cannot place it
+    at one.
     """
     units = np.zeros(g.n_arrows, dtype=complex)
     units[g.unit_arrows] = 1.0
     family = []
-    for i in range(count):
+    for i in range(8 * count):
+        if len(family) == count:
+            break
         level = (10.0, -10.0, -0.5, -2.0)[i % 4]
         kind = (i // 4) % 4
         if kind == 0:
@@ -127,12 +142,15 @@ def _boundary_family(g, rng, count, tol=gf.positivity.PSD_TOL):
         else:
             psi = random_function(g, rng)
             psi = (psi + gf.star(g, psi)) / 2
+        if _has_scalar_gram(g, psi):
+            continue
         low, top, _ = _gram_spectra(g, psi)
         phi = psi * rng.uniform(0.5, 20.0) / max(top.max() - low.min(), 1e-12)
         for _ in range(2):  # the second pass absorbs the shift's effect on the scale
             low, _, scale = _gram_spectra(g, phi)
             phi = phi + (level * tol * scale - low).max() * units
         family.append((level > -1, phi))
+    assert len(family) == count, "too many draws had a scalar Gram matrix"
     return family
 
 
@@ -178,6 +196,30 @@ class TestVerdictsByInertia:
                     assert value.real < 0 and abs(value.imag) <= 1e-12 * max(1.0, abs(value))
                     assert abs(value - out.value) <= 1e-12 * max(1.0, abs(value))
         assert failures >= 3 * 12
+
+    def test_verdict_does_not_change_with_scale(self, g3):
+        # on a pair groupoid every Gram matrix is phi as a matrix, here with
+        # eigenvalues 1 - sqrt(2), 1 and 1 + sqrt(2); an absolute floor on the
+        # threshold once called its 1e-12 multiple positive definite
+        phi = np.array([[1, 1, 0], [1, 1, 1j], [0, -1j, 1]]).ravel()
+        for verdict, form in VERDICT_FORMS:
+            base = verdict(g3, phi)
+            assert not base
+            for s in (1e-8, 1e-12):
+                out = verdict(g3, s * phi)
+                assert not out and out.unit == base.unit
+                assert abs(np.vdot(out.vector, base.vector)) == pytest.approx(1.0, abs=1e-12)
+                assert form(g3, s * phi, out.unit, out.vector).real < 0
+                assert out.value / s == pytest.approx(base.value, rel=1e-9)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-12])
+    def test_scalar_gram_units_pass_exactly_when_nonnegative(self, bundle23, s):
+        # phi on the unit arrows only: unit 0 has Gram a I, unit 1 has Gram b I
+        for a, b in [(0.0, 0.0), (1.0, 0.0), (0.0, 1e-100), (1.0, -1e-100), (-1e-20, 0.0)]:
+            phi = np.zeros(bundle23.n_arrows, dtype=complex)
+            phi[bundle23.unit_arrows] = s * a, s * b
+            for verdict, _ in VERDICT_FORMS:
+                assert bool(verdict(bundle23, phi)) == (a >= 0 and b >= 0)
 
     @pytest.mark.parametrize("gname", ["g3", "weighted_pair3"])
     def test_non_hermitian_input_has_non_real_witness(self, gname, request, rng):
@@ -329,6 +371,16 @@ class TestPdToSection:
             phi = random_pd(g, rng)
             xi = gf.pd_to_section(g, phi)
             assert np.abs(gf.regular_coefficient(g, xi, xi) - phi).max() < 1e-10
+
+    @pytest.mark.parametrize("s", [1.0, 1e-12])
+    def test_small_component_at_every_scale(self, bundle23, s):
+        # the Z3 component's values are below 1e-13 at scale 1e-12; an
+        # absolute floor on the support once left that unit out of the section
+        f = np.array([1.0, 0.5, 0.2, 0.1, 0.05], dtype=complex)
+        phi = s * gf.regular_coefficient(bundle23, f, f)
+        xi = gf.pd_to_section(bundle23, phi)
+        back = gf.regular_coefficient(bundle23, xi, xi)
+        assert np.abs(back - phi).max() <= 1e-12 * np.abs(phi).max()
 
     def test_rejects_weighted_haar(self, weighted_bundle, rng):
         phi = random_pd(weighted_bundle, rng)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gfourier as gf
-from conftest import forced_arrow_structure, random_function, random_pd
+from conftest import forced_arrow_structure, random_function, random_pd, z12_on_16_points
 from gfourier.checks import run_suites
 from gfourier.regular import _right_op_blocks
 from reference import (
@@ -34,13 +34,6 @@ from reference import (
 )
 
 
-def _z12_on_16_points():
-    # a free orbit of 12 points and an orbit of 4 points with isotropy Z3
-    action = [[(p + k) % 12 for p in range(12)] + [12 + (p + k) % 4 for p in range(4)]
-              for k in range(12)]
-    return gf.transformation_groupoid(gf.cyclic_table(12), action)
-
-
 FIXTURES = ["g2", "g3", "g4", "z2", "z3", "bundle23", "weighted_bundle", "transf"]
 LARGE = {
     # Haar weights that vary within a fiber, unlike those of the fixtures
@@ -48,7 +41,7 @@ LARGE = {
     "pair16": lambda: gf.pair_groupoid(16),
     "bundle30-40-50w": lambda: gf.group_bundle(
         [gf.cyclic_table(k) for k in (30, 40, 50)], unit_weights=[0.5, 1.5, 2.0]),
-    "z12-on-16": _z12_on_16_points,
+    "z12-on-16": z12_on_16_points,
     "pair7xI2": lambda: gf.product_with_pair_groupoid(gf.pair_groupoid(7)),
 }
 _built = {}
@@ -186,7 +179,7 @@ class TestVerdictsAgainstLoops:
             assert got.unit == _orbit_of_last_unit(g).min()
 
     def test_a_failure_after_unit_0_is_covered(self):
-        g = _z12_on_16_points()
+        g = z12_on_16_points()
         assert is_positive_definite_oracle(g, _verdict_inputs(g)["not-pd"]).unit == 12
 
     def test_a_zero_pivot_fails_the_inertia_verdicts(self):
@@ -257,7 +250,7 @@ class TestReconstructionsAgainstLoops:
     def test_z12_with_isotropy_has_mixed_ranks(self):
         # point masses at the units 0 and 12: rank 1 on the free orbit, where one
         # arrow of each fiber has source 0, and rank 3 on the orbit with isotropy Z3
-        g = _z12_on_16_points()
+        g = z12_on_16_points()
         f = 1.0 * gf.delta(g, g.unit_arrows[0]) + 2.0 * gf.delta(g, g.unit_arrows[12])
         phi = gf.regular_coefficient(g, f, f)
         bundle, xi = gf.gns_bundle(g, phi)
