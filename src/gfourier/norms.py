@@ -10,11 +10,25 @@ units of an orbit are permuted copies and are left out.  For positive
 definite phi the optimum is the largest unit value of phi, and on pair
 groupoids (one orbit) the problem is, entry for entry, the classical Schur
 multiplier SDP.
+
+On an orbit of one unit u (every unit of a group or a group bundle) the
+problem has a closed form: the block is a group matrix Phi_u of the
+isotropy group of order m, and the optimum is ||Phi_u||_tr / m, Eymard's
+norm of the group case.  One stacked SVD per fiber class gives the value,
+the completion (seeded into the solver, which re-verifies it and, when every
+orbit is one unit, runs no Newton step), a dual block that certifies the
+value exactly, and one decomposition term (f, h) whose cost is the value
+(see ``_group_orbits``).  On other groupoids the largest such value is a
+lower bound that the interior-point method starts from.  The closed-form
+values carry the SVD's rounding of a few ulps per fiber element, so the
+reported lower bound is rounded down, and the upper bound up, by
+8 eps times the largest fiber size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +41,10 @@ from .positivity import (
     off_diagonal_embed,
     pd_to_section,
 )
-from .sdp import DiagBoundSdp, SdpSolution, solve_diag_bound_sdp
+from .sdp import DiagBoundSdp, SdpSolution, _herm, solve_diag_bound_sdp
+
+# relative rounding margin per fiber element of the closed-form group-orbit bounds
+_ROUNDING = 8 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -53,6 +70,15 @@ def _arrow_variables(g: FiniteGroupoid) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(z, g.inverse_of), z > g.inverse_of
 
 
+def _orbit_firsts(g: FiniteGroupoid) -> np.ndarray:
+    """Whether each unit is the smallest of its orbit."""
+    # every unit of an orbit has an arrow into v, so the smallest source of
+    # the arrows into v is the smallest unit of its orbit
+    first = np.full(g.n_units, g.n_units)
+    np.minimum.at(first, g.range_of, g.source_of)
+    return first == np.arange(g.n_units)
+
+
 def stieltjes_problem(g: FiniteGroupoid, phi) -> DiagBoundSdp:
     """The block completion problem whose optimum is the coefficient norm bound.
 
@@ -74,11 +100,7 @@ def stieltjes_problem(g: FiniteGroupoid, phi) -> DiagBoundSdp:
     """
     phi = arrow_function(g, phi)
     ids, flip = _arrow_variables(g)
-    # every unit of an orbit has an arrow into v, so the smallest source of
-    # the arrows into v is the smallest unit of its orbit
-    first = np.full(g.n_units, g.n_units)
-    np.minimum.at(first, g.range_of, g.source_of)
-    kept = first == np.arange(g.n_units)
+    kept = _orbit_firsts(g)
     classes = [(c, kept[c.units]) for c in g.fiber_classes if kept[c.units].any()]
     s = 2 * max(c.gram.shape[1] for c, _ in classes)
     block_of = np.cumsum(kept) - 1
@@ -119,6 +141,83 @@ def _stieltjes_seeds(g: FiniteGroupoid, phi) -> tuple[list[np.ndarray], float]:
     return seeds, lower
 
 
+class _GroupOrbits(NamedTuple):
+    """The closed form of the completion problem on the orbits that are one unit.
+
+    ``value`` is the largest ||Phi_u||_tr / m over such units u (-inf
+    without one); ``complete`` says whether every orbit is one unit.
+    ``seeds`` holds the completion on their blocks by variable id, zero
+    elsewhere, and ``dual`` the dual stack at the block of the largest value
+    (no seed and None without such a unit); ``term`` is the single
+    decomposition term (f, h) as a (1, 2, n_arrows) stack, a decomposition
+    of phi when ``complete``; ``margin`` is the relative rounding margin of
+    the values, zero without such a unit.
+    """
+
+    value: float
+    complete: bool
+    seeds: tuple[np.ndarray, ...]
+    dual: np.ndarray | None
+    term: np.ndarray
+    margin: float
+
+
+def _group_orbits(g: FiniteGroupoid, phi, problem: DiagBoundSdp) -> _GroupOrbits:
+    """Solve the completion problem in closed form on every one-unit orbit.
+
+    On a unit u whose range fiber all has source u, the fiber is the
+    isotropy group and the Gram block Phi_u = phi[gram] is a group matrix,
+    Phi_u[p, q] = phi(inverse(x_p) x_q).  With the SVD Phi_u = U S V^H, the
+    completion rho = U S U^H, tau = V S V^H is PSD beside Phi_u, and both are
+    group matrices (the polar parts of Phi_u lie in the algebra of group
+    matrices), so the ties of ``stieltjes_problem`` hold and their diagonal
+    is tr S / m.  The dual Z = [[I, -W], [-W^H, I]] / (2m) with W = U V^H is
+    PSD, is zero at every free variable, sums to 1 on the objective
+    diagonal, and has -<F0, Z> = tr S / m: the optimum of that block is
+    ||Phi_u||_tr / m, Eymard's norm sum_pi d_pi ||phi^(pi)||_1 / |G|.
+    A = U S^1/2 V^H and B = V S^1/2 V^H are group matrices with A B = Phi_u,
+    so phi = a * b, and h = a, f(z) = conj(b(inverse(z))), both divided by
+    sqrt(w_u), is one term whose sections have norm^2 tr S / m on fiber u.
+    The values carry the SVD's rounding of a few ulps per fiber element;
+    ``margin`` is 8 eps times the largest such fiber.
+    """
+    ids, flip = _arrow_variables(g)
+    seed = np.zeros(2 * g.n_arrows, dtype=complex)
+    term = np.zeros((1, 2, g.n_arrows), dtype=complex)
+    top, size, complete = None, 0, True
+    for c in g.fiber_classes:
+        alone = (g.source_of[c.arrows] == c.units[:, None]).all(1)
+        complete &= bool(alone.all())
+        if not alone.any():
+            continue
+        units, arrows, gram = c.units[alone], c.arrows[alone], c.gram[alone]
+        m = gram.shape[1]
+        size = max(size, m)
+        u, s, vh = np.linalg.svd(phi[gram])
+        values = s.sum(1) / m
+        rho, tau = (u * s[:, None, :]) @ _herm(u), (_herm(vh) * s[:, None, :]) @ vh
+        seed[ids[gram]] = np.where(flip[gram], rho.conj(), rho)
+        seed[ids[gram] + g.n_arrows] = np.where(flip[gram], tau.conj(), tau)
+        # the unit rows of A and B, scaled by 1 / sqrt(w_u)
+        k = np.arange(units.size)
+        at = (arrows == g.unit_arrows[units][:, None]).argmax(1)
+        root = np.sqrt(s) / np.sqrt(g.weights[g.unit_arrows[units]])[:, None]
+        term[0, 1, arrows] = ((u[k, at] * root)[:, None, :] @ vh)[:, 0]
+        term[0, 0, arrows] = ((vh[k, :, at].conj() * root)[:, None, :] @ vh)[:, 0]
+        i = int(values.argmax())
+        if top is None or values[i] > top[0]:
+            top = float(values[i]), units[i], m, u[i] @ vh[i]
+    if top is None:
+        return _GroupOrbits(-np.inf, False, (), None, term, 0.0)
+    value, unit, m, w = top
+    dual = np.zeros(problem.data.shape, dtype=complex)
+    z = dual[np.count_nonzero(_orbit_firsts(g)[:unit]), :2 * m, :2 * m]
+    z[:m, m:], z[m:, :m] = -w, -_herm(w)
+    z.flat[::2 * m + 1] = 1.0
+    z /= 2 * m
+    return _GroupOrbits(value, complete, (seed,), dual, term, _ROUNDING * size)
+
+
 def _witness_functions(g: FiniteGroupoid, solution: SdpSolution) -> tuple[np.ndarray, np.ndarray]:
     ids, flip = _arrow_variables(g)
     rho, tau = solution.variables[ids], solution.variables[ids + g.n_arrows]
@@ -130,14 +229,24 @@ def _telemetry(problem: DiagBoundSdp, solution: SdpSolution) -> dict:
             "blocks": int(problem.sizes.size)}
 
 
-def _solve_stieltjes(g: FiniteGroupoid, phi) -> tuple[NormCertificate, SdpSolution]:
+def _solve_stieltjes(g: FiniteGroupoid, phi) -> tuple[NormCertificate, SdpSolution, _GroupOrbits]:
+    """The SDP seeded and bounded by the closed form on one-unit orbits: when
+    every orbit is one unit, the closed-form completion verifies and no
+    Newton step runs."""
     phi = arrow_function(g, phi)
     problem = stieltjes_problem(g, phi)
-    seeds, lower = _stieltjes_seeds(g, phi)
-    solution = solve_diag_bound_sdp(problem, lower=lower, seeds=tuple(seeds))
+    orbits = _group_orbits(g, phi, problem)
+    if orbits.complete:  # the closed-form seed is optimal; no other can beat it
+        seeds, sup = [], float(np.abs(phi).max(initial=0.0))
+    else:
+        seeds, sup = _stieltjes_seeds(g, phi)
+    lower = max(sup, orbits.value * (1 - orbits.margin))
+    # the closed-form dual certifies its unrounded value, hence lower, unless sup is larger
+    dual = orbits.dual if orbits.value >= sup else None
+    solution = solve_diag_bound_sdp(problem, lower=lower, seeds=(*seeds, *orbits.seeds), dual=dual)
     rho, tau = _witness_functions(g, solution)
     witness = {"rho": rho, "tau": tau, **_telemetry(problem, solution)}
-    return NormCertificate(solution.value, "optimal", witness), solution
+    return NormCertificate(solution.value, "optimal", witness), solution, orbits
 
 
 def fourier_stieltjes_norm(g: FiniteGroupoid, phi) -> NormCertificate:
@@ -145,8 +254,10 @@ def fourier_stieltjes_norm(g: FiniteGroupoid, phi) -> NormCertificate:
 
     Always >= the sup norm; equal to the largest unit value when phi is
     positive definite; equal to the Schur multiplier cb-norm on pair
-    groupoids.  The witness is a feasible (rho, tau) completion, with the
-    certified lower bound on the optimum under "lower".
+    groupoids; equal to Eymard's norm, max over units of ||Phi_u||_tr / m, on
+    groups and group bundles, with no Newton step.  The witness is a
+    feasible (rho, tau) completion, with the certified lower bound on the
+    optimum under "lower".
     """
     return _solve_stieltjes(g, phi)[0]
 
@@ -314,6 +425,34 @@ def _doubled_terms(g: FiniteGroupoid, stieltjes: NormCertificate, phi):
     return [(parts[:, 1, 0], parts[:, 0, 0]), (parts[:, 1, 1], parts[:, 0, 1])]
 
 
+def _candidates(g: FiniteGroupoid, phi, stieltjes: NormCertificate, orbits: _GroupOrbits):
+    """Candidate decompositions, each a (k, 2, n_arrows) stack of terms
+    (f_k, h_k), built lazily, cheapest first: the closed form's single term
+    when every orbit is one unit, a positive-definite square-root
+    coefficient, a single-coefficient pair factorization or the doubled
+    two-term split, and the point-mass fallback."""
+    if orbits.complete:
+        yield orbits.term
+    if _unit_weights_only(g):
+        try:
+            xi = pd_to_section(g, phi)
+        except ValueError:
+            pass
+        else:
+            yield np.array([(xi, xi)])
+        arrow_of = _pair_structure(g)
+        if arrow_of is not None:
+            yield np.array(_pair_terms(g, arrow_of, stieltjes, phi))
+        else:
+            try:
+                doubled = _doubled_terms(g, stieltjes, phi)
+            except ValueError:
+                pass
+            else:
+                yield np.array(doubled)
+    yield _delta_terms(g, phi)
+
+
 def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCertificate]:
     """Two-sided bounds for the decomposition norm inf sum ||f_k|| ||g_k||.
 
@@ -321,13 +460,15 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     coefficient norm SDP; its witness holds the dual blocks Z, one per orbit
     in the padded layout of ``stieltjes_problem(g, phi)``, PSD and dual
     feasible there, so that -<F0, Z> re-verifies the bound (None when the
-    solver's seeded exit made the sup norm the bound).  Upper:
-    the cheapest verified decomposition among a single-coefficient pair
-    factorization, a positive-definite square-root coefficient, the doubled
-    two-term split, and the point-mass fallback.
+    solver's seeded exit made the sup norm the bound).  On groups and group
+    bundles Z is the closed form's, at the unit of the largest value.
+    Upper: the cheapest verified decomposition among ``_candidates``, which
+    are tried in turn until one costs at most the lower bound times
+    1 + 1e-7.  The closed-form lower bound is rounded down, and the upper
+    bound up, by the closed form's rounding margin.
     """
     phi = arrow_function(g, phi)
-    stieltjes, solution = _solve_stieltjes(g, phi)
+    stieltjes, solution, orbits = _solve_stieltjes(g, phi)
     sup = float(np.abs(phi).max(initial=0.0))
     sup_arrow = int(np.abs(phi).argmax()) if g.n_arrows else 0
     lower = NormCertificate(
@@ -335,34 +476,18 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
         "lower",
         {"sup_arrow": sup_arrow, "stieltjes": stieltjes, "dual": solution.dual},
     )
-
-    # each candidate is a (k, 2, n_arrows) stack of terms (f_k, h_k)
-    candidates: list[np.ndarray] = []
-    if _unit_weights_only(g):
-        try:
-            xi = pd_to_section(g, phi)
-            candidates.append(np.array([(xi, xi)]))
-        except ValueError:
-            pass
-        arrow_of = _pair_structure(g)
-        if arrow_of is not None:
-            candidates.append(np.array(_pair_terms(g, arrow_of, stieltjes, phi)))
-        else:
-            try:
-                candidates.append(np.array(_doubled_terms(g, stieltjes, phi)))
-            except ValueError:
-                pass
-    candidates.append(_delta_terms(g, phi))
-
     best_terms = None
     best_cost = np.inf
-    for terms in candidates:
+    for terms in _candidates(g, phi, stieltjes, orbits):
         if not _terms_reconstruct(g, terms, phi):
             continue
         cost = _term_cost(g, terms)
         if cost < best_cost:
             best_cost, best_terms = cost, terms
+        if cost <= lower.value * (1 + 1e-7):
+            break
     if best_terms is None:
         raise RuntimeError("no decomposition reconstructed the input; this should not happen")
-    upper = NormCertificate(best_cost, "upper", {"terms": tuple(map(tuple, best_terms))})
+    upper = NormCertificate(best_cost * (1 + orbits.margin), "upper",
+                            {"terms": tuple(map(tuple, best_terms))})
     return lower, upper

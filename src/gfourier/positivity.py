@@ -138,11 +138,14 @@ def _negative_directions(a: np.ndarray):
     low = np.zeros_like(a)
     pivots = np.empty((n, m))
     # a matrix keeps eliminating past its first pivot <= 0; what follows, inf
-    # or nan included, is never read
+    # or nan included, is never read.  The real and imaginary parts are
+    # divided by the real pivot apiece: numpy's complex division by a
+    # subnormal pivot overflows.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(m):
             pivots[:, k] = a[:, k, k].real
-            low[:, k + 1 :, k] = a[:, k + 1 :, k] / pivots[:, k, None]
+            low.real[:, k + 1 :, k] = a.real[:, k + 1 :, k] / pivots[:, k, None]
+            low.imag[:, k + 1 :, k] = a.imag[:, k + 1 :, k] / pivots[:, k, None]
             a[:, k + 1 :, k + 1 :] -= low[:, k + 1 :, k, None] * a[:, None, k, k + 1 :]
     failed = ~(pivots > 0)
     first = np.where(failed.any(axis=1), failed.argmax(axis=1), m)

@@ -115,9 +115,10 @@ class DiagBoundSdp:
 class SdpSolution:
     """``value`` is backed by the PSD blocks of ``variables`` (indexed by
     variable id); ``lower`` is the larger of the caller's sound lower bound
-    and -<F0, Z> for the dual stack ``dual`` (in the problem's padded layout,
-    zero outside the blocks; None when no solve ran or no dual certificate
-    was found)."""
+    and -<F0, Z> for the solve's dual stack.  ``dual`` is that stack, or the
+    caller's certificate of its bound when the solve certified no more (in
+    the problem's padded layout, zero outside the blocks; None when neither
+    exists)."""
 
     value: float
     variables: np.ndarray
@@ -321,13 +322,16 @@ def _interior_point(lmi: _Lmi, lower: float, scale: float) -> SdpSolution:
 
 
 def solve_diag_bound_sdp(
-    problem: DiagBoundSdp, lower: float = 0.0, seeds: tuple[np.ndarray, ...] = ()
+    problem: DiagBoundSdp, lower: float = 0.0, seeds: tuple[np.ndarray, ...] = (),
+    dual: np.ndarray | None = None,
 ) -> SdpSolution:
     """Minimize the common bound t on the objective entries subject to PSD blocks.
 
     ``lower`` must be a sound lower bound for the optimum (0 works whenever
     the objective entries are diagonal); the solve stops as soon as its
-    value comes within a relative 1e-7 of it.  ``seeds`` are candidate
+    value comes within a relative 1e-7 of it.  ``dual``, when given, is a
+    dual stack that certifies ``lower``; the solution carries it unless the
+    solve certifies more.  ``seeds`` are candidate
     variable assignments indexed by id; the best one that verifies as
     feasible within that gap of ``lower`` is returned without a solve.
     Otherwise the interior-point method runs for at most 100 Newton steps,
@@ -347,7 +351,10 @@ def solve_diag_bound_sdp(
     if best is not None:
         values = np.array(best[1], dtype=complex)
         values[problem.objective] = best[0]
-        return SdpSolution(best[0], values, "seeded", lower=lower)
+        return SdpSolution(best[0], values, "seeded", lower=lower, dual=dual)
     if scale == 0.0:  # no data: the zero assignment is feasible at t = 0
         return SdpSolution(0.0, np.zeros(problem.n_vars, dtype=complex), "optimal", lower=0.0)
-    return _interior_point(_Lmi(problem), lower, scale)
+    solution = _interior_point(_Lmi(problem), lower, scale)
+    if dual is not None and solution.lower == lower:  # the solve certified no more
+        solution.dual = dual
+    return solution

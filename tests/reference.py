@@ -6,9 +6,10 @@ the package.  Later sections keep the earlier loop versions of the
 bisection layer, the duality axioms and two block computations, and the
 Kronecker null-space commutant with the dense per-generator loops of the
 regular representation, and the entry-by-entry SDP builder, which the array
-versions in the package must reproduce.  The last section is the brute-force
-factorization search that the coefficient-norm tests compare against; it is
-the only user of scipy.
+versions in the package must reproduce.  Then comes the brute-force
+factorization search that the coefficient-norm tests compare against (the
+only user of scipy), and last the coefficient norm as solved before its
+closed form on one-unit orbits, with Eymard's norm from explicit irreps.
 """
 
 import itertools
@@ -30,6 +31,7 @@ from gfourier.groupoid import (
     ValidationReport,
     identity_bisection,
 )
+from gfourier.norms import stieltjes_problem
 from gfourier.numerics import RANK_TOL, hermitian_eigen, hermitian_sqrt, nullspace
 from gfourier.positivity import (
     PSD_TOL,
@@ -41,6 +43,7 @@ from gfourier.positivity import (
     regular_coefficient,
 )
 from gfourier.regular import left_op, operator_norm, right_op, section_norm, unit_blocks
+from gfourier.sdp import solve_diag_bound_sdp
 
 
 def convolve_oracle(g, f, h):
@@ -952,3 +955,44 @@ def _polish_factorization(g, phi, xi, eta) -> float:
     if resid > 1e-8 * max(1.0, float(np.abs(phi).max(initial=0.0))):
         return fallback
     return min(fallback, section_norm(g, x) * section_norm(g, e))
+
+
+# ---------------------------------------------------------------------------
+# the coefficient norm without the closed form on group orbits
+
+
+def stieltjes_solve_oracle(g, phi):
+    """The completion SDP of ``stieltjes_problem`` solved from the sup-norm
+    bound and the candidate witnesses of ``stieltjes_seeds_oracle`` alone, as
+    the coefficient norm was computed before its closed form on one-unit
+    orbits: the interior-point method runs on groups too."""
+    seeds, lower = stieltjes_seeds_oracle(g, phi)
+    arrays = []
+    for seed in seeds:
+        values = np.zeros(2 * g.n_arrows, dtype=complex)
+        for (name, c), v in seed.items():
+            values[c + (g.n_arrows if name == "t" else 0)] = v
+        arrays.append(values)
+    return solve_diag_bound_sdp(stieltjes_problem(g, phi), lower=lower, seeds=tuple(arrays))
+
+
+def fourier_norm_oracle(irreps, phi) -> float:
+    """Eymard's norm sum over the irreps pi of d_pi ||phi^(pi)||_1 / |G| on a
+    finite group, with phi^(pi) = sum_x phi(x) pi(x); ``irreps`` holds one
+    (|G|, d_pi, d_pi) stack of unitary matrices per irrep, indexed like phi."""
+    phi = np.asarray(phi, dtype=complex)
+    total = 0.0
+    for rep in irreps:
+        hat = np.tensordot(phi, rep, axes=1)
+        total += rep.shape[1] * float(np.linalg.svd(hat, compute_uv=False).sum())
+    return total / phi.size
+
+
+def s3_irreps(perms) -> list[np.ndarray]:
+    """The trivial, sign and two-dimensional irreps of S3 at the permutations
+    ``perms`` of (0, 1, 2): the last is the permutation action on the
+    vectors with coordinate sum 0, in an orthonormal basis of them."""
+    mats = np.array([np.eye(3)[:, list(p)] for p in perms])  # e_i -> e_p(i)
+    basis = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T / np.sqrt([2.0, 6.0])
+    return [np.ones((len(perms), 1, 1)), np.linalg.det(mats)[:, None, None],
+            basis.T @ mats @ basis]

@@ -9,8 +9,11 @@ from gfourier.sdp import DiagBoundSdp, SdpInfeasibleError, solve_diag_bound_sdp
 from conftest import random_function, random_pd, z12_on_16_points
 from reference import (
     brute_force_factorization_norm,
+    fourier_norm_oracle,
+    s3_irreps,
     schur_problem_oracle,
     stieltjes_problem_oracle,
+    stieltjes_solve_oracle,
     term_cost_oracle,
     terms_sum_oracle,
 )
@@ -97,11 +100,16 @@ class TestSolveDiagBoundSdp:
             assert abs(cb.value - brute) <= 1e-5
 
 
+S3_PERMS = list(itertools.permutations(range(3)))
+
+
+def _s3_table():
+    index = {p: i for i, p in enumerate(S3_PERMS)}
+    return [[index[tuple(a[b[i]] for i in range(3))] for b in S3_PERMS] for a in S3_PERMS]
+
+
 def _s3_transformation():
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(a[b[i]] for i in range(3))] for b in perms] for a in perms]
-    return gf.transformation_groupoid(table, [list(p) for p in perms])
+    return gf.transformation_groupoid(_s3_table(), [list(p) for p in S3_PERMS])
 
 
 DUAL_GROUPOIDS = {
@@ -115,7 +123,10 @@ DUAL_GROUPOIDS = {
         [gf.cyclic_table(2), gf.cyclic_table(3)], unit_weights=[2.0, 0.5]
     ),
     "transf_s3": _s3_transformation,
+    "s3_group": lambda: gf.group_groupoid(_s3_table()),
 }
+# every orbit is one unit: the closed form answers with no Newton step
+GROUP_ORBITS = ["z4", "z5", "bundle23", "weighted_bundle", "s3_group"]
 
 
 def _dual_report(problem: DiagBoundSdp, z: np.ndarray):
@@ -177,6 +188,23 @@ class TestDualCertificate:
         assert early.iterations < full.iterations
         assert sup <= early.value <= sup * (1 + 1e-7)
         assert early.lower >= sup
+
+    @pytest.mark.parametrize("name", GROUP_ORBITS)
+    def test_closed_form_on_group_orbits(self, name, rng):
+        g = DUAL_GROUPOIDS[name]()
+        for _ in range(2):
+            phi = random_function(g, rng)
+            problem = stieltjes_problem(g, phi)
+            _, sol, _ = gf.norms._solve_stieltjes(g, phi)
+            assert sol.status == "seeded" and sol.iterations == 0
+            bound, residual, low = _dual_report(problem, sol.dual)
+            scale = problem.data_scale()
+            assert low >= -1e-12 * float(np.abs(sol.dual).max())
+            assert residual <= 1e-12 * scale
+            # the reported bound is rounded down from -<F0, Z> by a few ulps
+            assert sol.lower <= bound == pytest.approx(sol.lower, rel=1e-12)
+            assert bound == pytest.approx(sol.value, rel=1e-12)
+            assert problem.min_eigenvalue(sol.variables) >= -1e-12 * scale
 
     def test_seeded_exit_reports_the_given_lower_bound(self, g3, rng):
         cert = gf.fourier_stieltjes_norm(g3, random_pd(g3, rng))
@@ -562,6 +590,105 @@ class TestGroupCase:
             assert abs(fs.value - brute) <= 1e-5
             _, upper = gf.fourier_norm_bounds(g, phi)
             assert abs(upper.value - fs.value) <= 1e-5
+
+
+LARGE_GROUP_ORBITS = {
+    "z48": lambda: gf.group_groupoid(gf.cyclic_table(48)),
+    "z30-40-50": lambda: gf.group_bundle([gf.cyclic_table(k) for k in (30, 40, 50)]),
+}
+
+
+def _cyclic_bundle_norm(g, phi) -> float:
+    """The largest FFT l1 norm over |G_u| among the fibers of a bundle of
+    cyclic groups (one cyclic group included), each fiber's arrows in order."""
+    return max(float(np.abs(np.fft.fft(phi[g.range_of == u])).sum()) / np.sum(g.range_of == u)
+               for u in range(g.n_units))
+
+
+def _min_eig_on_every_unit(g, phi, cert) -> float:
+    """The completion's smallest eigenvalue over the blocks of all units, from
+    the entry-by-entry builder."""
+    values = np.concatenate([cert.witness["rho"], cert.witness["tau"]])
+    oracle = stieltjes_problem_oracle(g, phi)
+    key_id = _stieltjes_key_id(g)
+    blocks = oracle.blocks_for({key: values[key_id(key)] for key in oracle._var_occ})
+    assert len(blocks) == g.n_units
+    return min(float(np.linalg.eigvalsh(b)[0]) for b in blocks)
+
+
+class TestGroupOrbits:
+    """The closed form on orbits of one unit against independent oracles."""
+
+    def _check_certificates(self, g, phi, lower, upper):
+        cert = lower.witness["stieltjes"]
+        assert cert.witness["status"] == "seeded" and cert.witness["iterations"] == 0
+        scale = float(np.abs(phi).max())
+        assert _min_eig_on_every_unit(g, phi, cert) >= -1e-12 * scale
+        assert max(cert.witness["rho"][g.unit_arrows].real.max(),
+                   cert.witness["tau"][g.unit_arrows].real.max()) <= cert.value
+        bound, residual, low = _dual_report(stieltjes_problem(g, phi), lower.witness["dual"])
+        assert low >= -1e-12 and residual <= 1e-12 * scale
+        assert lower.value <= bound == pytest.approx(cert.value, rel=1e-12)
+        terms = np.array(upper.witness["terms"])
+        assert len(terms) == 1
+        assert np.abs(terms_sum_oracle(g, terms) - phi).max() <= 1e-10 * scale
+        assert term_cost_oracle(g, terms) == pytest.approx(upper.value, rel=1e-12)
+        assert (upper.value - lower.value) / upper.value <= 1e-6
+
+    def test_s3_group_against_explicit_irreps(self, rng):
+        g = gf.group_groupoid(_s3_table())
+        for _ in range(3):
+            phi = random_function(g, rng)
+            exact = fourier_norm_oracle(s3_irreps(S3_PERMS), phi)
+            assert gf.fourier_stieltjes_norm(g, phi).value == pytest.approx(exact, rel=1e-12)
+            lower, upper = gf.fourier_norm_bounds(g, phi)
+            assert lower.value <= exact <= upper.value
+            self._check_certificates(g, phi, lower, upper)
+
+    @pytest.mark.parametrize("name", sorted(LARGE_GROUP_ORBITS))
+    def test_large_cyclic_groups_against_the_fft(self, name):
+        g = LARGE_GROUP_ORBITS[name]()
+        phi = np.exp(2j * np.pi * np.random.default_rng(g.n_arrows).random(g.n_arrows))
+        exact = _cyclic_bundle_norm(g, phi)
+        cert = gf.fourier_stieltjes_norm(g, phi)
+        assert cert.witness["iterations"] == 0
+        assert cert.value == pytest.approx(exact, rel=1e-9)
+        lower, upper = gf.fourier_norm_bounds(g, phi)
+        assert lower.value <= exact <= upper.value
+        self._check_certificates(g, phi, lower, upper)
+
+    @pytest.mark.parametrize("name", ["z4", "z5", "bundle23", "weighted_bundle", "z30-40-50"])
+    def test_bracket_closes_on_cyclic_bundles(self, name):
+        g = {**DUAL_GROUPOIDS, **LARGE_GROUP_ORBITS}[name]()
+        for seed in range(5):
+            phi = random_function(g, np.random.default_rng(seed))
+            exact = _cyclic_bundle_norm(g, phi)
+            lower, upper = gf.fourier_norm_bounds(g, phi)
+            assert lower.value <= exact <= upper.value
+            self._check_certificates(g, phi, lower, upper)
+
+    def test_mixed_orbits_match_the_solve_without_closed_form(self):
+        # Z2 swaps points 0 and 1 and fixes 2: the closed form bounds the
+        # fixed point's block, and the interior-point method does the rest
+        g = gf.transformation_groupoid(gf.cyclic_table(2), [[0, 1, 2], [1, 0, 2]])
+        for seed in range(20):
+            phi = random_function(g, np.random.default_rng(seed))
+            cert = gf.fourier_stieltjes_norm(g, phi)
+            want = stieltjes_solve_oracle(g, phi)
+            assert cert.value == pytest.approx(want.value, rel=1e-7)
+            assert cert.witness["iterations"] <= want.iterations
+            assert _min_eig_on_every_unit(g, phi, cert) >= -1e-9 * float(np.abs(phi).max())
+
+    def test_scaled_dual_fails_the_psd_check(self, rng):
+        g = gf.group_groupoid(gf.cyclic_table(5))
+        phi = random_function(g, rng)
+        lower, _ = gf.fourier_norm_bounds(g, phi)
+        z = lower.witness["dual"].copy()
+        problem = stieltjes_problem(g, phi)
+        assert _dual_report(problem, z)[2] >= -1e-12
+        z[:, :5, 5:] *= 1.01
+        z[:, 5:, :5] *= 1.01
+        assert _dual_report(problem, z)[2] < -1e-4
 
 
 class TestBruteForceOracle:

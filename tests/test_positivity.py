@@ -221,6 +221,16 @@ class TestVerdictsByInertia:
             for verdict, _ in VERDICT_FORMS:
                 assert bool(verdict(bundle23, phi)) == (a >= 0 and b >= 0)
 
+    def test_subnormal_pivot_is_positive(self, bundle23):
+        # the Z3 unit's Gram matrix is 1e-312 I plus its shift; a complex
+        # division by that subnormal pivot once overflowed to an all-NaN witness
+        phi = np.zeros(bundle23.n_arrows, dtype=complex)
+        phi[bundle23.unit_arrows[1]] = 1e-312
+        assert gf.is_positive_definite(bundle23, phi)
+        for verdict in (gf.pd_verdict_pointset, gf.pd_verdict_integral):
+            out = verdict(bundle23, phi)
+            assert out.is_pd and out.vector is None
+
     @pytest.mark.parametrize("gname", ["g3", "weighted_pair3"])
     def test_non_hermitian_input_has_non_real_witness(self, gname, request, rng):
         g = BOUNDARY_GROUPOIDS[gname](request)
