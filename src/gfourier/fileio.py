@@ -21,6 +21,7 @@ class FileFormatError(ValueError):
 
 
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:
+    x, y = np.nonzero(g.compose_table != UNDEFINED)
     return {
         "units": g.n_units,
         "unit_arrows": [int(e) for e in g.unit_arrows],
@@ -29,12 +30,7 @@ def groupoid_to_dict(g: FiniteGroupoid) -> dict:
              "inv": int(g.inverse_of[x])}
             for x in range(g.n_arrows)
         ],
-        "compose": [
-            [x, y, int(g.compose_table[x, y])]
-            for x in range(g.n_arrows)
-            for y in range(g.n_arrows)
-            if g.compose_table[x, y] != UNDEFINED
-        ],
+        "compose": np.stack([x, y, g.compose_table[x, y]], axis=1).tolist(),
         "weights": [
             {"unit": u, "w": float(g.weights[g.unit_arrows[u]])} for u in range(g.n_units)
         ],

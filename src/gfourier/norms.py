@@ -9,7 +9,7 @@ value minimized subject to every block being PSD.  The blocks of the other
 units of an orbit are permuted copies and are left out.  For positive
 definite phi the optimum is the largest unit value of phi, and on pair
 groupoids (one orbit) the problem is, entry for entry, the classical Schur
-multiplier SDP.
+multiplier SDP, and ``schur_cb_norm`` is this solve.
 
 On an orbit of one unit u (every unit of a group or a group bundle) the
 problem has a closed form: the block is a group matrix Phi_u of the
@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import arrow_function
-from .groupoid import FiniteGroupoid, product_with_pair_groupoid
+from .groupoid import FiniteGroupoid, pair_groupoid, product_with_pair_groupoid
 from .numerics import orthonormal_span
 from .positivity import (
     _stacks,
@@ -224,11 +224,6 @@ def _witness_functions(g: FiniteGroupoid, solution: SdpSolution) -> tuple[np.nda
     return np.where(flip, rho.conj(), rho), np.where(flip, tau.conj(), tau)
 
 
-def _telemetry(problem: DiagBoundSdp, solution: SdpSolution) -> dict:
-    return {"lower": solution.lower, "iterations": solution.iterations, "status": solution.status,
-            "blocks": int(problem.sizes.size)}
-
-
 def _solve_stieltjes(g: FiniteGroupoid, phi) -> tuple[NormCertificate, SdpSolution, _GroupOrbits]:
     """The SDP seeded and bounded by the closed form on one-unit orbits: when
     every orbit is one unit, the closed-form completion verifies and no
@@ -245,7 +240,8 @@ def _solve_stieltjes(g: FiniteGroupoid, phi) -> tuple[NormCertificate, SdpSoluti
     dual = orbits.dual if orbits.value >= sup else None
     solution = solve_diag_bound_sdp(problem, lower=lower, seeds=(*seeds, *orbits.seeds), dual=dual)
     rho, tau = _witness_functions(g, solution)
-    witness = {"rho": rho, "tau": tau, **_telemetry(problem, solution)}
+    witness = {"rho": rho, "tau": tau, "lower": solution.lower, "iterations": solution.iterations,
+               "status": solution.status, "blocks": int(problem.sizes.size)}
     return NormCertificate(solution.value, "optimal", witness), solution, orbits
 
 
@@ -266,33 +262,15 @@ def fourier_stieltjes_norm(g: FiniteGroupoid, phi) -> NormCertificate:
 # Schur multipliers
 
 
-def schur_problem(a) -> DiagBoundSdp:
-    """min t with [[P, a], [a*, Q]] PSD and every diagonal entry of P, Q <= t.
-
-    P[i, j] is variable n min(i, j) + max(i, j), conjugated below the
-    diagonal, and Q[i, j] is that id plus n**2.
-    """
-    n = a.shape[0]
-    i, j = np.indices((n, n))
-    ids = n * np.minimum(i, j) + np.maximum(i, j)
-    top, bottom = slice(0, n), slice(n, 2 * n)
-    data = np.zeros((1, 2 * n, 2 * n), dtype=complex)
-    data[0, top, bottom] = a
-    data[0, bottom, top] = np.conj(a).T
-    var = np.full(data.shape, -1)
-    var[0, top, top], var[0, bottom, bottom] = ids, ids + n * n
-    conj = np.zeros(data.shape, dtype=bool)
-    conj[0, top, top] = conj[0, bottom, bottom] = i > j
-    objective = np.concatenate([ids.diagonal(), ids.diagonal() + n * n])
-    return DiagBoundSdp(data, var, conj, np.array([2 * n]), objective)
-
-
 def schur_cb_norm(a) -> NormCertificate:
     """Completely bounded norm of the Schur (entrywise) multiplier by a.
 
-    The optimum of ``schur_problem(a)``.  The witness carries the diagonal
-    blocks, a factorization a_ij = sum_m left[i, m] conj(right[j, m]) with
-    row norms <= sqrt(t), and the solver's certified lower bound.
+    The coefficient norm of a.ravel() on the pair groupoid of n points, whose
+    arrow (i, j) has id i n + j, by the solve of ``fourier_stieltjes_norm``.
+    The witness carries the completion's diagonal blocks P = rho.reshape(n, n)
+    and Q = tau.reshape(n, n), a factorization a_ij = sum_m left[i, m]
+    conj(right[j, m]) with row norms <= sqrt(t), and the solver's certified
+    lower bound, Newton steps, status and number of SDP blocks.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -308,16 +286,12 @@ def schur_cb_norm(a) -> NormCertificate:
         return NormCertificate(0.0, "optimal",
                                {**empty, "lower": 0.0, "iterations": 0, "status": "seeded",
                                 "blocks": 0})
-    problem = schur_problem(a)
-    seed = np.zeros(problem.n_vars, dtype=complex)
-    seed[problem.objective] = float(np.linalg.norm(a, 2))
-    solution = solve_diag_bound_sdp(problem, lower=float(np.abs(a).max()), seeds=(seed,))
-    big = problem.blocks_for(solution.variables)[0]
-    pm, qm = big[:n, :n], big[n:, n:]
+    cert = _solve_stieltjes(pair_groupoid(n), a.ravel())[0]
+    telemetry = dict(cert.witness)
+    pm, qm = telemetry.pop("rho").reshape(n, n), telemetry.pop("tau").reshape(n, n)
     left, right = _factorize_completion(pm, a, qm)
-    witness = {"p_block": pm, "q_block": qm, "left": left, "right": right,
-               **_telemetry(problem, solution)}
-    return NormCertificate(solution.value, "optimal", witness)
+    witness = {"p_block": pm, "q_block": qm, "left": left, "right": right, **telemetry}
+    return NormCertificate(cert.value, "optimal", witness)
 
 
 def _factorize_completion(pm, a, qm) -> tuple[np.ndarray, np.ndarray]:

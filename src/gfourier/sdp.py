@@ -21,8 +21,10 @@ infeasible on the dual side.  A solve returns two certificates:
   supports, so this averages entries), a multiple of the identity on the
   variable-free diagonal restores Z >= 0, and Z is rescaled to <A_obj, Z> = 1.
 
-Every tolerance is relative to the largest modulus of the fixed data, so the
-solve is homogeneous: scaling the data scales the value and both certificates.
+The interior-point method runs on the data divided once by its largest
+modulus, and every tolerance is relative, so the solve is homogeneous:
+scaling the data scales the value and both certificates, down to the
+subnormal range.
 """
 
 from __future__ import annotations
@@ -154,10 +156,13 @@ class _Lmi:
     entries of PSD blocks.
     """
 
-    def __init__(self, problem: DiagBoundSdp):
+    def __init__(self, problem: DiagBoundSdp, scale: float):
         self.problem = problem
         self.shape = blocks, s, _ = problem.data.shape
-        self.f0 = problem.data.astype(complex)
+        # F0 / scale, real and imaginary parts apart: a complex division by a
+        # subnormal scale overflows
+        parts = np.ascontiguousarray(problem.data, dtype=complex).view(float)
+        self.f0 = (parts / scale).view(complex)
         n = problem.n_vars
         var = problem.var.copy()
         edge = np.arange(s) >= problem.sizes[:, None]
@@ -253,11 +258,12 @@ class _Lmi:
         return out
 
 
-def _interior_point(lmi: _Lmi, lower: float, scale: float) -> SdpSolution:
+def _interior_point(lmi: _Lmi, lower: float) -> SdpSolution:
+    """The solve on data of largest modulus 1 from the sound bound ``lower``;
+    the solution's ``lower`` is the final dual iterate's bound alone."""
     target = lower + _REL_GAP * abs(lower)
-    limit = _CAP * scale
     w = np.zeros(lmi.m)
-    w[-1] = max(0.0, -_min_eig(lmi.f0)) + scale
+    w[-1] = max(0.0, -_min_eig(lmi.f0)) + 1.0
     s = lmi.slack(w)
     feasible = _min_eig(s) > 0
     if not feasible:  # the objective does not reach every diagonal: start infeasible
@@ -279,12 +285,13 @@ def _interior_point(lmi: _Lmi, lower: float, scale: float) -> SdpSolution:
                 status = "optimal"
                 break
         gap = float(np.vdot(z, s).real)
-        if (feasible and gap <= _REL_GAP * abs(t)) or -np.vdot(z, lmi.f0).real > limit:
+        if (feasible and gap <= _REL_GAP * abs(t)) or -np.vdot(z, lmi.f0).real > _CAP:
             bound, _ = lmi.certify(z)
-            if bound > limit:
+            if bound > _CAP:
                 raise SdpInfeasibleError(
-                    f"no feasible point: a dual bound {bound:.3e} exceeds {limit:.3e}")
-            if feasible and t - bound <= max(_REL_GAP * abs(t), 1e-12 * scale):
+                    f"no feasible point: a dual bound {bound:.3e} times the data scale "
+                    f"exceeds {_CAP:.0e}")
+            if feasible and t - bound <= max(_REL_GAP * abs(t), 1e-12):
                 status = "optimal"
                 break
         if steps == _MAX_ITER:
@@ -317,8 +324,7 @@ def _interior_point(lmi: _Lmi, lower: float, scale: float) -> SdpSolution:
     if witness is None:
         raise SdpInfeasibleError(f"no feasible point found in {steps} Newton steps")
     bound, dual = lmi.certify(z)
-    return SdpSolution(float(witness[-1]), lmi.values(witness), status, 1, steps,
-                       max(lower, bound), dual)
+    return SdpSolution(float(witness[-1]), lmi.values(witness), status, 1, steps, bound, dual)
 
 
 def solve_diag_bound_sdp(
@@ -354,7 +360,11 @@ def solve_diag_bound_sdp(
         return SdpSolution(best[0], values, "seeded", lower=lower, dual=dual)
     if scale == 0.0:  # no data: the zero assignment is feasible at t = 0
         return SdpSolution(0.0, np.zeros(problem.n_vars, dtype=complex), "optimal", lower=0.0)
-    solution = _interior_point(_Lmi(problem), lower, scale)
-    if dual is not None and solution.lower == lower:  # the solve certified no more
+    solution = _interior_point(_Lmi(problem, scale), lower / scale)
+    bound = solution.lower * scale
+    solution.value *= scale
+    solution.variables *= scale
+    solution.lower = max(lower, bound)
+    if dual is not None and bound <= lower:  # the solve certified no more
         solution.dual = dual
     return solution

@@ -958,6 +958,21 @@ def _polish_factorization(g, phi, xi, eta) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the definition file's composition triples, pair by pair
+
+
+def compose_triples_oracle(g: FiniteGroupoid) -> list[list[int]]:
+    """The [x, y, xy] triples of every defined product, x-major, as the
+    groupoid file lists them."""
+    return [
+        [x, y, int(g.compose_table[x, y])]
+        for x in range(g.n_arrows)
+        for y in range(g.n_arrows)
+        if g.compose_table[x, y] != UNDEFINED
+    ]
+
+
+# ---------------------------------------------------------------------------
 # the coefficient norm without the closed form on group orbits
 
 

@@ -19,7 +19,8 @@ from gfourier.fileio import (
     write_arrow_function,
     write_groupoid,
 )
-from conftest import forced_arrow_structure, no_bisection_structure, random_pd
+from conftest import forced_arrow_structure, no_bisection_structure, random_pd, z12_on_16_points
+from reference import compose_triples_oracle
 
 
 class TestFileRoundtrip:
@@ -41,6 +42,21 @@ class TestFileRoundtrip:
         assert np.array_equal(g.compose_table, g2.compose_table)
         assert np.array_equal(g.unit_arrows, g2.unit_arrows)
         assert np.allclose(g.weights, g2.weights)
+
+    @pytest.mark.parametrize("name", ["pair2", "pair3", "pair4", "pair5", "pair6", "g2", "g3",
+                                      "g4", "z2", "z3", "bundle23", "weighted_bundle", "transf",
+                                      "z12_on_16", "no_bisection", "forced_arrow"])
+    def test_file_bytes_match_the_pairwise_triples(self, name, request, tmp_path):
+        g = {
+            **{f"pair{n}": lambda n=n: gf.pair_groupoid(n) for n in range(2, 7)},
+            "z12_on_16": z12_on_16_points,
+            "no_bisection": no_bisection_structure,
+            "forced_arrow": forced_arrow_structure,
+        }.get(name, lambda: request.getfixturevalue(name))()
+        path = tmp_path / "g.json"
+        write_groupoid(str(path), g)
+        want = {**groupoid_to_dict(g), "compose": compose_triples_oracle(g)}
+        assert path.read_text(encoding="utf-8") == json.dumps(want, indent=1) + "\n"
 
     def test_unit_arrows_derived_when_absent(self, g3):
         data = groupoid_to_dict(g3)
@@ -334,6 +350,9 @@ class TestTimings:
             lines = stderr.splitlines()
             assert [ln.split()[:2] for ln in lines] == [["timing", name] for name in SUITES]
             assert all(float(ln.split()[2]) >= 0 and ln.endswith(" s") for ln in lines)
+            # CPU seconds, then wall seconds
+            assert all(ln.split()[3:5] == ["s", "wall"] and float(ln.split()[5]) >= 0
+                       for ln in lines)
 
 
 class TestNormStats:
@@ -362,6 +381,7 @@ class TestNormStats:
             assert stats["sdp-blocks"] == ["1"]  # pair(3) is one orbit
         assert all(ln[0] == "stats" for ln in lines)
         assert float(lines[-1][2]) >= 0 and lines[-1][3] == "s"
+        assert lines[-1][4] == "wall" and float(lines[-1][5]) >= 0 and lines[-1][6] == "s"
 
 
 class TestStartup:

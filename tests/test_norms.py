@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gfourier as gf
-from gfourier.norms import schur_problem, stieltjes_problem
+from gfourier.norms import stieltjes_problem
 from gfourier.sdp import DiagBoundSdp, SdpInfeasibleError, solve_diag_bound_sdp
 from conftest import random_function, random_pd, z12_on_16_points
 from reference import (
@@ -60,6 +60,12 @@ class TestHermitianSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="not positive semidefinite"):
             gf.hermitian_sqrt(np.diag([1.0, -0.5]))
+
+
+def _schur_problem(a) -> DiagBoundSdp:
+    """The coefficient-norm declaration of a.ravel() on the pair groupoid of
+    n points, the Schur multiplier problem of a."""
+    return stieltjes_problem(gf.pair_groupoid(a.shape[0]), a.ravel())
 
 
 def _one_block(data, var, objective) -> DiagBoundSdp:
@@ -175,7 +181,7 @@ class TestDualCertificate:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_schur_problems(self, n, rng):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        self._check(schur_problem(a))
+        self._check(_schur_problem(a))
 
     def test_stops_at_a_lower_bound_it_reaches(self, rng):
         # rank one: the cb norm is |x|_inf |y|_inf, the sup norm
@@ -183,8 +189,8 @@ class TestDualCertificate:
         y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         a = np.outer(x, y.conj())
         sup = float(np.abs(a).max())
-        full = solve_diag_bound_sdp(schur_problem(a))
-        early = solve_diag_bound_sdp(schur_problem(a), lower=sup)
+        full = solve_diag_bound_sdp(_schur_problem(a))
+        early = solve_diag_bound_sdp(_schur_problem(a), lower=sup)
         assert early.iterations < full.iterations
         assert sup <= early.value <= sup * (1 + 1e-7)
         assert early.lower >= sup
@@ -244,6 +250,22 @@ class TestSchurCbNorm:
         with pytest.raises(ValueError, match=r"entry \(1, 2\) is not finite"):
             gf.schur_cb_norm(a)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_is_the_coefficient_norm_on_the_pair_groupoid(self, n, rng):
+        # one solve behind both; a PSD matrix is a positive definite function
+        # on the pair groupoid and takes the seeded exit (n = 1: the closed form)
+        g = gf.pair_groupoid(n)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for a in (x, x @ x.conj().T):
+            cb, fs = gf.schur_cb_norm(a), gf.fourier_stieltjes_norm(g, a.ravel())
+            assert cb.value == fs.value
+            for key in ("lower", "iterations", "status", "blocks"):
+                assert cb.witness[key] == fs.witness[key], key
+            assert np.array_equal(cb.witness["p_block"], fs.witness["rho"].reshape(n, n))
+            assert np.array_equal(cb.witness["q_block"], fs.witness["tau"].reshape(n, n))
+        assert cb.witness["status"] == "seeded"
+        assert cb.value == pytest.approx(a.diagonal().real.max(), rel=1e-12)
+
     def test_witness_factorization_reconstructs(self, rng):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         cert = gf.schur_cb_norm(a)
@@ -255,7 +277,7 @@ class TestSchurCbNorm:
         assert np.linalg.norm(right, axis=1).max() <= row_bound
 
 
-SCALES = [1e-12, 1e-8, 1e-4, 1e4]
+SCALES = [1e-306, 1e-12, 1e-8, 1e-4, 1e4]
 SCALE_GROUPOIDS = ["g3", "z3", "bundle23", "transf"]
 
 
@@ -294,6 +316,26 @@ class TestDataScale:
         phi = random_function(g, rng)
         base = gf.fourier_stieltjes_norm(g, phi).value
         assert gf.fourier_stieltjes_norm(g, s * phi).value / s == pytest.approx(base, rel=1e-6)
+
+    @pytest.mark.parametrize("s", [1e-306, 1e-310])
+    @pytest.mark.parametrize("case", ["pair3", "z2_on_3", "schur3"])
+    def test_solve_at_the_bottom_of_the_float_range(self, s, case, rng):
+        # the interior-point method runs on the data divided by its scale, so
+        # subnormal data takes the same Newton steps to the scaled value
+        if case == "z2_on_3":
+            g = gf.transformation_groupoid(gf.cyclic_table(2), [[0, 1, 2], [1, 0, 2]])
+        else:
+            g = gf.pair_groupoid(3)
+
+        def norm(x):
+            if case == "schur3":
+                return gf.schur_cb_norm(x.reshape(3, 3))
+            return gf.fourier_stieltjes_norm(g, x)
+
+        phi = random_function(g, rng)
+        base, scaled = norm(phi), norm(s * phi)
+        assert scaled.value / s == pytest.approx(base.value, rel=1e-9)
+        assert scaled.witness["iterations"] == base.witness["iterations"]
 
     @pytest.mark.parametrize("s", SCALES)
     @pytest.mark.parametrize("gname", SCALE_GROUPOIDS)
@@ -342,6 +384,10 @@ def _stieltjes_key_id(g):
     return lambda key: key[1] + (g.n_arrows if key[0] == "t" else 0)
 
 
+def _schur_key_id(n):
+    return lambda key: (key[0] == "q") * n * n + key[1] * n + key[2]
+
+
 def _stieltjes_real_ids(g):
     arrow = np.arange(2 * g.n_arrows) % g.n_arrows
     return g.inverse_of[arrow] == arrow
@@ -379,18 +425,19 @@ class TestArrayDeclaration:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_stieltjes_problem_on_pair_groupoids_is_the_schur_problem(self, n, rng):
+        # one block, whose P and Q entries (i, j) are rho and tau at the arrow id i n + j
         g = gf.pair_groupoid(n)
         phi = random_function(g, rng)
-        new, schur = stieltjes_problem(g, phi), schur_problem(phi.reshape(n, n))
-        for field in ("data", "var", "conj", "sizes", "objective"):
-            assert np.array_equal(getattr(new, field), getattr(schur, field)), field
+        new = stieltjes_problem(g, phi)
+        assert new.sizes.tolist() == [2 * n]
+        _assert_same_blocks(new, schur_problem_oracle(phi.reshape(n, n)), _schur_key_id(n),
+                            _stieltjes_real_ids(g), rng)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_schur_problem_matches_entry_builder(self, n, rng):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         position = np.arange(2 * n * n) % (n * n)
-        _assert_same_blocks(schur_problem(a), schur_problem_oracle(a),
-                            lambda key: (key[0] == "q") * n * n + key[1] * n + key[2],
+        _assert_same_blocks(_schur_problem(a), schur_problem_oracle(a), _schur_key_id(n),
                             position // n == position % n, rng)
 
 
