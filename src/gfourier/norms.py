@@ -6,23 +6,19 @@ one Hermitian block per orbit of units, read at the range fiber of the
 orbit's smallest unit, holding phi and its involution off-diagonal and two
 free conjugation-symmetric functions on the diagonal, with the largest unit
 value minimized subject to every block being PSD.  The blocks of the other
-units of an orbit are permuted copies and are left out.  For positive
-definite phi the optimum is the largest unit value of phi, and on pair
-groupoids (one orbit) the problem is, entry for entry, the classical Schur
-multiplier SDP, and ``schur_cb_norm`` is this solve.
+units of an orbit are permuted copies and are left out.  On pair groupoids
+(one orbit) the problem is, entry for entry, the classical Schur multiplier
+SDP, and ``schur_cb_norm`` is this solve.
 
-On an orbit of one unit u (every unit of a group or a group bundle) the
-problem has a closed form: the block is a group matrix Phi_u of the
-isotropy group of order m, and the optimum is ||Phi_u||_tr / m, Eymard's
-norm of the group case.  One stacked SVD per fiber class gives the value,
-the completion (seeded into the solver, which re-verifies it and, when every
-orbit is one unit, runs no Newton step), a dual block that certifies the
-value exactly, and one decomposition term (f, h) whose cost is the value
-(see ``_group_orbits``).  On other groupoids the largest such value is a
-lower bound that the interior-point method starts from.  The closed-form
-values carry the SVD's rounding of a few ulps per fiber element, so the
-reported lower bound is rounded down, and the upper bound up, by
-8 eps times the largest fiber size.
+One stacked SVD per fiber class completes every block by its balanced polar
+parts (``_group_orbits``), a seed the solver re-verifies.  It is optimal, and
+no Newton step runs, on groups and group bundles (Eymard's norm, with a dual
+block and one decomposition term from the same SVD), on positive definite
+phi and on rank-one blocks; elsewhere the interior-point method starts from
+the larger of the sup norm and the closed form on one-unit orbits.  The
+closed-form values and decomposition costs carry a rounding of a few ulps
+per fiber element, so the lower bound is rounded down, and the upper bound
+up, by 8 eps times the largest fiber size, or as many ulps where that is more.
 """
 
 from __future__ import annotations
@@ -35,16 +31,12 @@ import numpy as np
 from .algebra import arrow_function
 from .groupoid import FiniteGroupoid, pair_groupoid, product_with_pair_groupoid
 from .numerics import orthonormal_span
-from .positivity import (
-    _stacks,
-    is_positive_definite,
-    off_diagonal_embed,
-    pd_to_section,
-)
+from .positivity import _stacks, off_diagonal_embed, pd_to_section
 from .sdp import DiagBoundSdp, SdpSolution, _herm, solve_diag_bound_sdp
 
-# relative rounding margin per fiber element of the closed-form group-orbit bounds
-_ROUNDING = 8 * float(np.finfo(float).eps)
+# the rounding margin of closed-form values and decomposition costs, in eps
+# (or ulps, below the normal range) per fiber element
+_ROUNDING = 8
 
 
 @dataclass(frozen=True)
@@ -122,82 +114,73 @@ def stieltjes_problem(g: FiniteGroupoid, phi) -> DiagBoundSdp:
     return DiagBoundSdp(data, var, conj, sizes, objective)
 
 
-def _stieltjes_seeds(g: FiniteGroupoid, phi) -> tuple[list[np.ndarray], float]:
-    """Candidate witnesses: the function itself when positive definite, and a
-    spectral diagonal completion.  Also returns the sup-norm lower bound."""
-    phi = arrow_function(g, phi)
-    seeds = []
-    if is_positive_definite(g, phi):
-        seeds.append(np.concatenate([phi, phi]))
-    sigma = max(
-        (float(np.linalg.norm(phi[c.gram], 2, axis=(1, 2)).max()) for c in g.fiber_classes
-         if c.gram.size),
-        default=0.0,
-    )
-    diag_seed = np.zeros(2 * g.n_arrows, dtype=complex)
-    diag_seed[np.concatenate([g.unit_arrows, g.unit_arrows + g.n_arrows])] = sigma
-    seeds.append(diag_seed)
-    lower = float(np.abs(phi).max(initial=0.0))
-    return seeds, lower
-
-
 class _GroupOrbits(NamedTuple):
-    """The closed form of the completion problem on the orbits that are one unit.
-
-    ``value`` is the largest ||Phi_u||_tr / m over such units u (-inf
-    without one); ``complete`` says whether every orbit is one unit.
-    ``seeds`` holds the completion on their blocks by variable id, zero
-    elsewhere, and ``dual`` the dual stack at the block of the largest value
-    (no seed and None without such a unit); ``term`` is the single
-    decomposition term (f, h) as a (1, 2, n_arrows) stack, a decomposition
-    of phi when ``complete``; ``margin`` is the relative rounding margin of
-    the values, zero without such a unit.
-    """
+    """The polar completion of every orbit block by variable id (``seed``),
+    and the closed form on the orbits that are one unit: ``value``, the
+    largest ||Phi_u||_tr / m over their units (-inf without one); whether
+    every orbit is one unit (``complete``); the dual stack at the block of
+    the largest value (``dual``, None without such a unit); the single
+    decomposition term (f, h) as a (1, 2, n_arrows) stack (``term``), a
+    decomposition of phi when ``complete``; and the largest of their fibers
+    (``fiber``, 0 without one)."""
 
     value: float
     complete: bool
-    seeds: tuple[np.ndarray, ...]
+    seed: np.ndarray
     dual: np.ndarray | None
     term: np.ndarray
-    margin: float
+    fiber: int
 
 
 def _group_orbits(g: FiniteGroupoid, phi, problem: DiagBoundSdp) -> _GroupOrbits:
-    """Solve the completion problem in closed form on every one-unit orbit.
+    """Complete every orbit block by the polar parts of its Gram block, and
+    solve the completion problem in closed form on one-unit orbits.
 
-    On a unit u whose range fiber all has source u, the fiber is the
-    isotropy group and the Gram block Phi_u = phi[gram] is a group matrix,
-    Phi_u[p, q] = phi(inverse(x_p) x_q).  With the SVD Phi_u = U S V^H, the
-    completion rho = U S U^H, tau = V S V^H is PSD beside Phi_u, and both are
-    group matrices (the polar parts of Phi_u lie in the algebra of group
-    matrices), so the ties of ``stieltjes_problem`` hold and their diagonal
-    is tr S / m.  The dual Z = [[I, -W], [-W^H, I]] / (2m) with W = U V^H is
-    PSD, is zero at every free variable, sums to 1 on the objective
-    diagonal, and has -<F0, Z> = tr S / m: the optimum of that block is
-    ||Phi_u||_tr / m, Eymard's norm sum_pi d_pi ||phi^(pi)||_1 / |G|.
-    A = U S^1/2 V^H and B = V S^1/2 V^H are group matrices with A B = Phi_u,
-    so phi = a * b, and h = a, f(z) = conj(b(inverse(z))), both divided by
-    sqrt(w_u), is one term whose sections have norm^2 tr S / m on fiber u.
-    The values carry the SVD's rounding of a few ulps per fiber element;
-    ``margin`` is 8 eps times the largest such fiber.
+    At an orbit's first unit, with Phi = phi[gram] = U S V^H, the block with
+    rho = c U S U^H and tau = V S V^H / c is congruent to [U; V] S [U; V]^H,
+    so PSD.  The ties of ``stieltjes_problem`` are the permutations p -> k p
+    of the fiber by the isotropy arrows k; they commute with Phi, hence with
+    its polar parts, so every variable gets one value.  One scalar per
+    orbit, c^2 = max diag V S V^H / max diag U S U^H (1 when Phi = 0), puts
+    the block's value at sqrt(max diag U S U^H max diag V S V^H), at most
+    ||Phi||_2.  That is the optimum on positive definite phi (U S U^H =
+    V S V^H = Phi: the largest unit value), on rank-one Phi = x y^H
+    (|x|_inf |y|_inf, the sup norm) and on one-unit orbits.
+
+    There the fiber of u is the isotropy group and Phi_u a group matrix, as
+    are its polar parts, with diagonal tr S / m, so c = 1.  The dual Z =
+    [[I, -W], [-W^H, I]] / (2m) with W = U V^H is PSD, is zero at every free
+    variable, sums to 1 on the objective diagonal, and has -<F0, Z> =
+    tr S / m: the optimum is ||Phi_u||_tr / m, Eymard's norm sum_pi d_pi
+    ||phi^(pi)||_1 / |G|.  A = U S^1/2 V^H and B = V S^1/2 V^H are group
+    matrices with A B = Phi_u, so phi = a * b, and h = a, f(z) =
+    conj(b(inverse(z))), both divided by sqrt(w_u), is one term whose
+    sections have norm^2 tr S / m on fiber u.  The values carry the SVD's
+    rounding of a few ulps per fiber element.
     """
     ids, flip = _arrow_variables(g)
+    kept = _orbit_firsts(g)
     seed = np.zeros(2 * g.n_arrows, dtype=complex)
     term = np.zeros((1, 2, g.n_arrows), dtype=complex)
     top, size, complete = None, 0, True
     for c in g.fiber_classes:
-        alone = (g.source_of[c.arrows] == c.units[:, None]).all(1)
+        rows = kept[c.units]
+        units, arrows, gram = c.units[rows], c.arrows[rows], c.gram[rows]
+        m = gram.shape[1]
+        u, s, vh = np.linalg.svd(phi[gram])
+        rho, tau = (u * s[:, None, :]) @ _herm(u), (_herm(vh) * s[:, None, :]) @ vh
+        high_rho, high_tau = (x.diagonal(axis1=1, axis2=2).real.max(1) for x in (rho, tau))
+        balance = np.sqrt(np.divide(high_tau, high_rho, out=np.ones(units.size),
+                                    where=np.minimum(high_rho, high_tau) > 0))[:, None, None]
+        seed[ids[gram]] = np.where(flip[gram], rho.conj(), rho) * balance
+        seed[ids[gram] + g.n_arrows] = np.where(flip[gram], tau.conj(), tau) / balance
+        alone = (g.source_of[arrows] == units[:, None]).all(1)
         complete &= bool(alone.all())
         if not alone.any():
             continue
-        units, arrows, gram = c.units[alone], c.arrows[alone], c.gram[alone]
-        m = gram.shape[1]
+        units, arrows, u, s, vh = units[alone], arrows[alone], u[alone], s[alone], vh[alone]
         size = max(size, m)
-        u, s, vh = np.linalg.svd(phi[gram])
         values = s.sum(1) / m
-        rho, tau = (u * s[:, None, :]) @ _herm(u), (_herm(vh) * s[:, None, :]) @ vh
-        seed[ids[gram]] = np.where(flip[gram], rho.conj(), rho)
-        seed[ids[gram] + g.n_arrows] = np.where(flip[gram], tau.conj(), tau)
         # the unit rows of A and B, scaled by 1 / sqrt(w_u)
         k = np.arange(units.size)
         at = (arrows == g.unit_arrows[units][:, None]).argmax(1)
@@ -208,14 +191,25 @@ def _group_orbits(g: FiniteGroupoid, phi, problem: DiagBoundSdp) -> _GroupOrbits
         if top is None or values[i] > top[0]:
             top = float(values[i]), units[i], m, u[i] @ vh[i]
     if top is None:
-        return _GroupOrbits(-np.inf, False, (), None, term, 0.0)
+        return _GroupOrbits(-np.inf, False, seed, None, term, 0)
     value, unit, m, w = top
     dual = np.zeros(problem.data.shape, dtype=complex)
-    z = dual[np.count_nonzero(_orbit_firsts(g)[:unit]), :2 * m, :2 * m]
+    z = dual[np.count_nonzero(kept[:unit]), :2 * m, :2 * m]
     z[:m, m:], z[m:, :m] = -w, -_herm(w)
     z.flat[::2 * m + 1] = 1.0
     z /= 2 * m
-    return _GroupOrbits(value, complete, (seed,), dual, term, _ROUNDING * size)
+    return _GroupOrbits(value, complete, seed, dual, term, size)
+
+
+def _rounded(value: float, fiber: int, direction: int) -> float:
+    """``value`` moved up (``direction`` 1) or down (-1) by ``_ROUNDING`` eps
+    per element of ``fiber``, or by as many ulps where that is more (below
+    the normal range); zero, which is computed exactly, stays."""
+    if not value or not fiber:
+        return value
+    ulps = _ROUNDING * fiber
+    moved = value * (1 + direction * ulps * np.finfo(float).eps), value + direction * ulps * np.spacing(value)
+    return float(max(moved) if direction > 0 else min(moved))
 
 
 def _witness_functions(g: FiniteGroupoid, solution: SdpSolution) -> tuple[np.ndarray, np.ndarray]:
@@ -225,20 +219,16 @@ def _witness_functions(g: FiniteGroupoid, solution: SdpSolution) -> tuple[np.nda
 
 
 def _solve_stieltjes(g: FiniteGroupoid, phi) -> tuple[NormCertificate, SdpSolution, _GroupOrbits]:
-    """The SDP seeded and bounded by the closed form on one-unit orbits: when
-    every orbit is one unit, the closed-form completion verifies and no
-    Newton step runs."""
+    """The SDP from the polar completion and the larger of the sup norm and
+    the rounded closed form; an optimal seed verifies with no Newton step."""
     phi = arrow_function(g, phi)
     problem = stieltjes_problem(g, phi)
     orbits = _group_orbits(g, phi, problem)
-    if orbits.complete:  # the closed-form seed is optimal; no other can beat it
-        seeds, sup = [], float(np.abs(phi).max(initial=0.0))
-    else:
-        seeds, sup = _stieltjes_seeds(g, phi)
-    lower = max(sup, orbits.value * (1 - orbits.margin))
+    sup = float(np.abs(phi).max(initial=0.0))
+    lower = max(sup, _rounded(orbits.value, orbits.fiber, -1))
     # the closed-form dual certifies its unrounded value, hence lower, unless sup is larger
     dual = orbits.dual if orbits.value >= sup else None
-    solution = solve_diag_bound_sdp(problem, lower=lower, seeds=(*seeds, *orbits.seeds), dual=dual)
+    solution = solve_diag_bound_sdp(problem, lower=lower, seeds=(orbits.seed,), dual=dual)
     rho, tau = _witness_functions(g, solution)
     witness = {"rho": rho, "tau": tau, "lower": solution.lower, "iterations": solution.iterations,
                "status": solution.status, "blocks": int(problem.sizes.size)}
@@ -248,12 +238,12 @@ def _solve_stieltjes(g: FiniteGroupoid, phi) -> tuple[NormCertificate, SdpSoluti
 def fourier_stieltjes_norm(g: FiniteGroupoid, phi) -> NormCertificate:
     """Coefficient norm bound of phi via the block completion SDP.
 
-    Always >= the sup norm; equal to the largest unit value when phi is
-    positive definite; equal to the Schur multiplier cb-norm on pair
-    groupoids; equal to Eymard's norm, max over units of ||Phi_u||_tr / m, on
-    groups and group bundles, with no Newton step.  The witness is a
-    feasible (rho, tau) completion, with the certified lower bound on the
-    optimum under "lower".
+    Always >= the sup norm; equal to the Schur multiplier cb-norm on pair
+    groupoids.  With no Newton step it is the largest unit value when phi is
+    positive definite, the sup norm when every orbit's Gram block has rank
+    one, and Eymard's norm, max over units of ||Phi_u||_tr / m, on groups
+    and group bundles.  The witness is a feasible (rho, tau) completion,
+    with the certified lower bound on the optimum under "lower".
     """
     return _solve_stieltjes(g, phi)[0]
 
@@ -336,13 +326,17 @@ def _unit_weights_only(g: FiniteGroupoid) -> bool:
 
 
 def _term_cost(g: FiniteGroupoid, terms: np.ndarray) -> float:
-    """sum over k of ||f_k|| ||h_k|| for a (k, 2, n_arrows) stack of terms (f_k, h_k)."""
+    """sum over k of ||f_k|| ||h_k|| for a (k, 2, n_arrows) stack of terms (f_k, h_k);
+    each section is divided by a power of two near its largest modulus before
+    it is squared, so subnormal entries do not square to zero."""
     by_range = np.argsort(g.range_of, kind="stable")
     fiber_starts = np.searchsorted(g.range_of[by_range], np.arange(g.n_units))
     cost = 0.0
     for part in _stacks(np.arange(len(terms)), 2 * g.n_arrows):
-        mass = g.weights[by_range] * np.abs(terms[part][:, :, by_range]) ** 2
-        norms = np.sqrt(np.add.reduceat(mass, fiber_starts, axis=2).max(axis=2))
+        size = np.abs(terms[part][:, :, by_range])
+        _, exponent = np.frexp(size.max(axis=2, initial=0.0))
+        mass = g.weights[by_range] * np.ldexp(size, -exponent[:, :, None]) ** 2
+        norms = np.ldexp(np.sqrt(np.add.reduceat(mass, fiber_starts, axis=2).max(axis=2)), exponent)
         cost += float(np.sum(norms[:, 0] * norms[:, 1]))
     return cost
 
@@ -438,8 +432,9 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     bundles Z is the closed form's, at the unit of the largest value.
     Upper: the cheapest verified decomposition among ``_candidates``, which
     are tried in turn until one costs at most the lower bound times
-    1 + 1e-7.  The closed-form lower bound is rounded down, and the upper
-    bound up, by the closed form's rounding margin.
+    1 + 1e-7.  The closed-form lower bound is rounded down by the closed
+    form's rounding margin, and the upper bound up by 8 eps times the
+    largest fiber size (or as many ulps, below the normal range).
     """
     phi = arrow_function(g, phi)
     stieltjes, solution, orbits = _solve_stieltjes(g, phi)
@@ -462,6 +457,8 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
             break
     if best_terms is None:
         raise RuntimeError("no decomposition reconstructed the input; this should not happen")
-    upper = NormCertificate(best_cost * (1 + orbits.margin), "upper",
+    # a term cost rounds like the closed form, by a few ulps per fiber element
+    fiber = int(np.bincount(g.range_of).max(initial=0))
+    upper = NormCertificate(_rounded(best_cost, fiber, 1), "upper",
                             {"terms": tuple(map(tuple, best_terms))})
     return lower, upper

@@ -9,7 +9,8 @@ regular representation, and the entry-by-entry SDP builder, which the array
 versions in the package must reproduce.  Then comes the brute-force
 factorization search that the coefficient-norm tests compare against (the
 only user of scipy), and last the coefficient norm as solved before its
-closed form on one-unit orbits, with Eymard's norm from explicit irreps.
+closed form on one-unit orbits and before its polar completion, with
+Eymard's norm from explicit irreps.
 """
 
 import itertools
@@ -735,7 +736,8 @@ def i_norm_source_oracle(g, f):
 
 
 def stieltjes_seeds_oracle(g, phi):
-    """The SDP's candidate witnesses and sup-norm lower bound, one unit at a time."""
+    """The SDP's candidate witnesses before the polar completion, and the
+    sup-norm lower bound, one unit at a time."""
     seeds = []
     keys = [z for z in range(g.n_arrows) if z <= g.inverse_of[z]]
     if is_positive_definite_oracle(g, phi):
@@ -751,6 +753,37 @@ def stieltjes_seeds_oracle(g, phi):
         diag_seed[("t", e)] = sigma
     seeds.append(diag_seed)
     return seeds, float(np.abs(phi).max(initial=0.0))
+
+
+def polar_seed_oracle(g, phi):
+    """The balanced polar completion, one orbit at a time, as a dict of
+    values at ("r", c) and ("t", c) for the smaller id c of {z, inverse(z)};
+    and sigma, the largest spectral norm of a Gram block, the diagonal value
+    of the spectral seed it replaced.
+
+    At the smallest unit of each orbit, with the SVD Phi = U S V^H of its
+    Gram block, rho = c U S U^H and tau = V S V^H / c with c^2 =
+    max diag V S V^H / max diag U S U^H (c = 1 when Phi = 0)."""
+    phi = arrow_function(g, phi)
+    seed, sigma = {}, 0.0
+    for u in range(g.n_units):
+        fiber = np.flatnonzero(g.range_of == u)
+        block = gram_matrix_oracle(g, phi, u)
+        sigma = max(sigma, float(np.linalg.norm(block, 2)))
+        if g.source_of[fiber].min() < u:  # not the smallest unit of its orbit
+            continue
+        left, s, right = np.linalg.svd(block)
+        rho = left @ np.diag(s) @ left.conj().T
+        tau = right.conj().T @ np.diag(s) @ right
+        high_rho, high_tau = rho.diagonal().real.max(), tau.diagonal().real.max()
+        c = np.sqrt(high_tau / high_rho) if high_rho > 0 and high_tau > 0 else 1.0
+        for p, x in enumerate(fiber):
+            for q, y in enumerate(fiber):
+                z = int(g.compose_table[g.inverse_of[x], y])
+                zi = int(g.inverse_of[z])
+                for name, part in (("r", c * rho), ("t", tau / c)):
+                    seed[name, min(z, zi)] = part[p, q] if z <= zi else np.conj(part[p, q])
+    return seed, sigma
 
 
 def term_cost_oracle(g, terms):
@@ -976,12 +1009,34 @@ def compose_triples_oracle(g: FiniteGroupoid) -> list[list[int]]:
 # the coefficient norm without the closed form on group orbits
 
 
-def stieltjes_solve_oracle(g, phi):
+def closed_form_oracle(g, phi):
+    """The largest ||Phi_u||_tr / m over the units u that are an orbit alone,
+    and the largest such m, one unit at a time; (-inf, 0) without one."""
+    value, size = -np.inf, 0
+    for u in range(g.n_units):
+        fiber = np.flatnonzero(g.range_of == u)
+        if (g.source_of[fiber] == u).all():
+            s = np.linalg.svd(gram_matrix_oracle(g, phi, u))[1]
+            value, size = max(value, s.sum() / fiber.size), max(size, fiber.size)
+    return value, size
+
+
+def stieltjes_solve_oracle(g, phi, closed_form=False):
     """The completion SDP of ``stieltjes_problem`` solved from the sup-norm
     bound and the candidate witnesses of ``stieltjes_seeds_oracle`` alone, as
     the coefficient norm was computed before its closed form on one-unit
-    orbits: the interior-point method runs on groups too."""
+    orbits: the interior-point method runs on groups too.
+
+    With ``closed_form`` the bound is raised to the closed form on one-unit
+    orbits, rounded down by 8 eps per element of the largest such fiber, as
+    the coefficient norm was solved before the polar completion on every
+    groupoid with an orbit of more than one unit (the closed form's own
+    completion, then its third seed, verifies only when every orbit is one
+    unit)."""
     seeds, lower = stieltjes_seeds_oracle(g, phi)
+    if closed_form:
+        value, size = closed_form_oracle(g, phi)
+        lower = max(lower, value * (1 - 8 * float(np.finfo(float).eps) * size))
     arrays = []
     for seed in seeds:
         values = np.zeros(2 * g.n_arrows, dtype=complex)

@@ -383,6 +383,22 @@ class TestNormStats:
         assert float(lines[-1][2]) >= 0 and lines[-1][3] == "s"
         assert lines[-1][4] == "wall" and float(lines[-1][5]) >= 0 and lines[-1][6] == "s"
 
+    @pytest.mark.parametrize("which", ["stieltjes", "cb", "decomp"])
+    def test_rank_one_takes_no_newton_step(self, tmp_path, capsys, rng, which):
+        # the cb norm of x y* is |x|_inf |y|_inf, the sup norm: the seed is optimal
+        gfile, ffile = tmp_path / "g.json", tmp_path / "f.json"
+        write_groupoid(str(gfile), gf.pair_groupoid(3))
+        x, y = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+        write_arrow_function(str(ffile), np.outer(x, y.conj()).ravel())
+        capsys.readouterr()
+        outputs = {}
+        for flag in ([], ["--stats"]):
+            assert main(["norm", str(gfile), str(ffile), "--which", which, *flag]) == 0
+            outputs[bool(flag)] = capsys.readouterr()
+        assert outputs[True].out == outputs[False].out
+        stats = {ln.split()[1]: ln.split()[2:] for ln in outputs[True].err.splitlines()}
+        assert stats["newton-steps"] == ["0"] and stats["status"] == ["seeded"]
+
 
 class TestStartup:
     def test_import_loads_no_scipy(self, tmp_path):

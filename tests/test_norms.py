@@ -352,6 +352,25 @@ class TestDataScale:
             total = sum(gf.regular_coefficient(g, f, h) for f, h in upper.witness["terms"])
             assert np.abs(total - phi).max() <= 1e-8 * sup
 
+    @pytest.mark.parametrize("s", [1e-310, 1e-312, 1e-315, 1e-320])
+    @pytest.mark.parametrize("orders", [(2, 3), (4, 5, 6)], ids=["bundle23", "bundle456"])
+    def test_bundle_bracket_below_the_normal_range(self, s, orders):
+        # a subnormal value's unit in the last place is more than eps of it,
+        # so the closed form's rounding margin is counted in ulps there too;
+        # the FFT oracle runs on phi lifted exactly by a power of two
+        g = gf.group_bundle([gf.cyclic_table(k) for k in orders])
+        lift = 1100
+        for seed in range(20):
+            base = random_function(g, np.random.default_rng(seed))
+            for phi in (s * base, s * (base + gf.star(g, base)) / 2):
+                lower, upper = gf.fourier_norm_bounds(g, phi)
+                assert lower.value <= upper.value
+                exact = np.ldexp(_cyclic_bundle_norm(g, np.ldexp(phi.real, lift)
+                                                     + 1j * np.ldexp(phi.imag, lift)), -lift)
+                # the oracle rounds to the subnormal grid once, by half an ulp
+                assert lower.value <= np.nextafter(exact, np.inf)
+                assert np.nextafter(exact, 0.0) <= upper.value
+
 
 FIXTURE_GROUPOIDS = ["g2", "g3", "g4", "z2", "z3", "bundle23", "weighted_bundle", "transf"]
 
@@ -736,6 +755,51 @@ class TestGroupOrbits:
         z[:, :5, 5:] *= 1.01
         z[:, 5:, :5] *= 1.01
         assert _dual_report(problem, z)[2] < -1e-4
+
+
+GROUP_FIXTURES = ["z2", "z3", "bundle23", "weighted_bundle"]
+MORE_GROUPOIDS = {
+    "z12-on-16": z12_on_16_points,
+    "pair2xz3": lambda: gf.product_with_pair_groupoid(gf.group_groupoid(gf.cyclic_table(3))),
+}
+
+
+class TestPolarSeed:
+    """The balanced polar completion is optimal on rank-one matrices and is
+    taken with no Newton step; where it is not, the solve is the one seeded
+    with the candidates it replaced."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_rank_one_takes_the_seeded_exit(self, n, rng):
+        x, y = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+        a = np.outer(x, y.conj())
+        exact = float(np.abs(x).max() * np.abs(y).max())
+        g = gf.pair_groupoid(n)
+        for cert in (gf.fourier_stieltjes_norm(g, a.ravel()), gf.schur_cb_norm(a)):
+            assert cert.witness["status"] == "seeded" and cert.witness["iterations"] == 0
+            assert cert.value == pytest.approx(exact, rel=1e-12)
+        lower, upper = gf.fourier_norm_bounds(g, a.ravel())
+        assert lower.value == pytest.approx(exact, rel=1e-12)
+        assert lower.value <= upper.value <= lower.value * (1 + 1e-12)
+
+    @pytest.mark.parametrize("name", FIXTURE_GROUPOIDS + sorted(MORE_GROUPOIDS))
+    def test_other_inputs_solve_as_before(self, name, request):
+        g = request.getfixturevalue(name) if name in FIXTURE_GROUPOIDS else MORE_GROUPOIDS[name]()
+        generic = 0
+        for seed in range(3):
+            phi = random_function(g, np.random.default_rng(seed))
+            for f in (phi, (phi + gf.star(g, phi)) / 2):
+                cert = gf.fourier_stieltjes_norm(g, f)
+                w = cert.witness
+                want = stieltjes_solve_oracle(g, f, closed_form=True)
+                if w["status"] == "seeded":  # where the seed verifies it can only do better
+                    assert w["iterations"] == 0 and cert.value <= want.value * (1 + 1e-7)
+                    continue
+                generic += 1
+                got = cert.value, w["lower"], w["iterations"], w["status"]
+                assert got == (want.value, want.lower, want.iterations, want.status)
+        # every orbit of a group bundle is one unit, where the seed is the closed form
+        assert (generic == 0) == (name in GROUP_FIXTURES)
 
 
 class TestBruteForceOracle:

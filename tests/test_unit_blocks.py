@@ -27,10 +27,11 @@ from reference import (
     pd_to_section_loop_oracle,
     pd_verdict_integral_oracle,
     pd_verdict_pointset_oracle,
+    polar_seed_oracle,
     reduced_norm_loop_oracle,
     right_op_blocks_oracle,
     section_norm_oracle,
-    stieltjes_seeds_oracle,
+    stieltjes_problem_oracle,
 )
 
 
@@ -125,17 +126,26 @@ class TestKernelsAgainstLoops:
         assert _close(gf.operator_norm(g, op), block_norm_oracle(g, gf.unit_blocks(g, op)), 1e-12)
 
     @pytest.mark.parametrize("pd", [True, False])
-    def test_stieltjes_seeds(self, g, pd):
+    def test_polar_seed(self, g, pd):
         rng = _rng(g)
         phi = random_pd(g, rng) if pd else random_function(g, rng)
-        got, got_lower = gf.norms._stieltjes_seeds(g, phi)
-        want, want_lower = stieltjes_seeds_oracle(g, phi)
-        assert got_lower == want_lower and len(got) == len(want) == (2 if pd else 1)
-        for a, b in zip(got, want):
-            # the oracle's ("r", c) and ("t", c) are the variable ids c and c + n_arrows
-            ids = [c + (g.n_arrows if name == "t" else 0) for name, c in b]
-            assert a.shape == (2 * g.n_arrows,)
-            assert _close(a[ids], list(b.values()), 1e-12)
+        seed = gf.norms._group_orbits(g, phi, gf.norms.stieltjes_problem(g, phi)).seed
+        want, sigma = polar_seed_oracle(g, phi)
+        # the oracle's ("r", c) and ("t", c) are the variable ids c and c + n_arrows
+        key_id = {key: key[1] + (g.n_arrows if key[0] == "t" else 0) for key in want}
+        assert seed.shape == (2 * g.n_arrows,) and len(want) == 2 * np.sum(
+            np.arange(g.n_arrows) <= g.inverse_of)
+        assert _close(seed[list(key_id.values())], list(want.values()), 1e-12)
+        # PSD on the block of every unit, not only those of the orbits' first units
+        scale = float(np.abs(phi).max())
+        blocks = stieltjes_problem_oracle(g, phi).blocks_for(
+            {key: seed[c] for key, c in key_id.items()})
+        assert len(blocks) == g.n_units
+        assert min(float(np.linalg.eigvalsh(b)[0]) for b in blocks) >= -1e-12 * scale
+        value = float(np.concatenate([seed[g.unit_arrows], seed[g.unit_arrows + g.n_arrows]]).real.max())
+        assert value <= sigma * (1 + 1e-12)
+        if pd:
+            assert value == pytest.approx(phi[g.unit_arrows].real.max(), rel=1e-12)
 
 
 VERDICTS = [
