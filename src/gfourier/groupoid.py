@@ -17,15 +17,21 @@ or the right convolution blocks of all units of a group are one gather, and
 the per-unit linear algebra is one stacked LAPACK call.  Both indexes need
 every product inverse(t) x to be defined and raise ``UndefinedProductError``
 otherwise.  ``validate`` reads the composition table instead, because its
-input may not be a groupoid.
+input may not be a groupoid.  The coefficient-norm problem keeps its
+function-independent layout with the groupoid too
+(``FiniteGroupoid.coefficient_layout``, built by ``gfourier.norms``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .norms import CoefficientLayout
 
 UNDEFINED = -1
 
@@ -125,6 +131,14 @@ class FiniteGroupoid:
             gram = y[starts[arrows][:, None, :] + np.arange(m)[:, None]]
             classes.append(FiberClass(units, arrows, gram))
         return tuple(classes)
+
+    @cached_property
+    def coefficient_layout(self) -> CoefficientLayout:
+        """The part of the coefficient-norm problem that does not depend on
+        the function (``gfourier.norms.CoefficientLayout``), built on first use."""
+        from .norms import CoefficientLayout  # norms imports this module
+
+        return CoefficientLayout(self)
 
     @property
     def unit_weights(self) -> np.ndarray:

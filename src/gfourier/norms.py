@@ -19,11 +19,21 @@ the larger of the sup norm and the closed form on one-unit orbits.  The
 closed-form values and decomposition costs carry a rounding of a few ulps
 per fiber element, so the lower bound is rounded down, and the upper bound
 up, by 8 eps times the largest fiber size, or as many ulps where that is more.
+A phi below the normal range is solved lifted into it by a power of two, and
+its values are scaled back and rounded outwards by the same margin.
+
+Everything of the problem that does not depend on phi (the variable layout
+of the blocks, checked once, the positions phi fills, the kept rows of each
+fiber class and the range-fiber index of the term costs) is built once per
+groupoid, as ``FiniteGroupoid.coefficient_layout``, and shared read-only by
+every solve; a solve only gathers phi into it.  ``schur_cb_norm`` keeps the
+pair groupoids of the last few sizes it solved on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +42,7 @@ from .algebra import arrow_function
 from .groupoid import FiniteGroupoid, pair_groupoid, product_with_pair_groupoid
 from .numerics import orthonormal_span
 from .positivity import _stacks, off_diagonal_embed, pd_to_section
-from .sdp import DiagBoundSdp, SdpSolution, _herm, solve_diag_bound_sdp
+from .sdp import BlockLayout, DiagBoundSdp, SdpSolution, _herm, _read_only, solve_diag_bound_sdp
 
 # the rounding margin of closed-form values and decomposition costs, in eps
 # (or ulps, below the normal range) per fiber element
@@ -71,6 +81,96 @@ def _orbit_firsts(g: FiniteGroupoid) -> np.ndarray:
     return first == np.arange(g.n_units)
 
 
+class _KeptClass(NamedTuple):
+    """The orbits' first units in one fiber class, whose range fibers have m
+    arrows: their Gram blocks ``gram``, the variable ids and conjugation
+    flags there, and their ``blocks`` in the declaration; then the one-unit
+    orbits among them (``alone``) with their fibers (``arrows``), the place
+    of each unit arrow in its fiber (``at``) and the square root of its
+    weight (``root_weight``)."""
+
+    m: int
+    gram: np.ndarray
+    ids: np.ndarray
+    flip: np.ndarray
+    blocks: np.ndarray
+    alone: np.ndarray
+    arrows: np.ndarray
+    at: np.ndarray
+    root_weight: np.ndarray
+
+
+class CoefficientLayout:
+    """Everything of the coefficient-norm problem on g that does not depend
+    on phi, built once per groupoid (``FiniteGroupoid.coefficient_layout``).
+
+    It holds the variable ids and conjugation flags of the arrows, the kept
+    rows of every fiber class (``_KeptClass``), whether every orbit is one
+    unit (``complete``), the checked ``BlockLayout`` of ``stieltjes_problem``
+    with the data positions that phi fills, the range fibers as
+    ``_term_cost`` reads them, and the rounding margins: the largest fiber
+    of a one-unit orbit (``group_fiber``, 0 without one) and of any unit
+    (``fiber``).  Its arrays are read-only: a layout is shared by every
+    solve on g, and a groupoid made from g by ``with_unit_weights`` or
+    ``dataclasses.replace`` builds its own.
+    """
+
+    def __init__(self, g: FiniteGroupoid):
+        ids, flip = _arrow_variables(g)
+        kept = _orbit_firsts(g)
+        block_of = np.cumsum(kept) - 1
+        classes = []
+        for c in g.fiber_classes:
+            rows = kept[c.units]
+            if not rows.any():
+                continue
+            units, arrows, gram = c.units[rows], c.arrows[rows], c.gram[rows]
+            alone = (g.source_of[arrows] == units[:, None]).all(1)
+            units, arrows = units[alone], arrows[alone]
+            at = (arrows == g.unit_arrows[units][:, None]).argmax(1)
+            root = np.sqrt(g.weights[g.unit_arrows[units]])
+            classes.append(_KeptClass(gram.shape[1], *map(_read_only, (
+                gram, ids[gram], flip[gram], block_of[c.units[rows]], alone, arrows, at, root))))
+        self.ids, self.flip = _read_only(ids), _read_only(flip)
+        self.classes = tuple(classes)
+        self.complete = all(c.alone.all() for c in classes)
+        self.group_fiber = max((c.m for c in classes if c.alone.any()), default=0)
+        s = 2 * max(c.m for c in classes)
+        var = np.full((kept.sum(), s, s), -1)
+        conj = np.zeros(var.shape, dtype=bool)
+        sizes = np.zeros(var.shape[0], dtype=int)
+        upper, lower, sources = [], [], []
+        for c in classes:
+            m, b = c.m, c.blocks
+            top, bottom = slice(0, m), slice(m, 2 * m)
+            var[b, top, top] = c.ids
+            var[b, bottom, bottom] = c.ids + g.n_arrows
+            conj[b, top, top] = conj[b, bottom, bottom] = c.flip
+            sizes[b] = 2 * m
+            # phi[gram] at the top right of block b, its conjugate transpose at the bottom left
+            corner, p, q = b[:, None, None] * s * s, np.arange(m)[:, None], np.arange(m)
+            upper.append((corner + p * s + q + m).ravel())
+            lower.append((corner + (q + m) * s + p).ravel())
+            sources.append(c.gram.ravel())
+        objective = np.concatenate([g.unit_arrows, g.unit_arrows + g.n_arrows])
+        self.sdp = BlockLayout(var, conj, sizes, objective)
+        self.upper, self.lower, self.sources = (_read_only(np.concatenate(x))
+                                                for x in (upper, lower, sources))
+        by_range = np.argsort(g.range_of, kind="stable")
+        self.by_range = _read_only(by_range)
+        self.fiber_starts = _read_only(np.searchsorted(g.range_of[by_range], np.arange(g.n_units)))
+        self.range_weights = _read_only(g.weights[by_range])
+        self.fiber = int(np.bincount(g.range_of).max(initial=0))
+
+    def declare(self, phi: np.ndarray) -> DiagBoundSdp:
+        """The problem of phi: its Gram blocks gathered into the layout."""
+        data = np.zeros(self.sdp.var.shape, dtype=complex)
+        values = phi[self.sources]
+        data.flat[self.upper] = values
+        data.flat[self.lower] = values.conj()
+        return DiagBoundSdp(data, self.sdp)
+
+
 def stieltjes_problem(g: FiniteGroupoid, phi) -> DiagBoundSdp:
     """The block completion problem whose optimum is the coefficient norm bound.
 
@@ -89,47 +189,25 @@ def stieltjes_problem(g: FiniteGroupoid, phi) -> DiagBoundSdp:
     block of u.  Dropping blocks can only lower the optimum, so a dual bound
     of this problem bounds the all-units problem too; that its optimum equals
     the all-units one rests on g being a groupoid.
+
+    The layout is g's cached ``coefficient_layout``; only phi is gathered.
     """
-    phi = arrow_function(g, phi)
-    ids, flip = _arrow_variables(g)
-    kept = _orbit_firsts(g)
-    classes = [(c, kept[c.units]) for c in g.fiber_classes if kept[c.units].any()]
-    s = 2 * max(c.gram.shape[1] for c, _ in classes)
-    block_of = np.cumsum(kept) - 1
-    data = np.zeros((kept.sum(), s, s), dtype=complex)
-    var = np.full(data.shape, -1)
-    conj = np.zeros(data.shape, dtype=bool)
-    sizes = np.zeros(data.shape[0], dtype=int)
-    for c, rows in classes:
-        m = c.gram.shape[1]
-        b, gram = block_of[c.units[rows]], c.gram[rows]
-        top, bottom = slice(0, m), slice(m, 2 * m)
-        data[b, top, bottom] = phi[gram]
-        data[b, bottom, top] = phi[gram].conj().swapaxes(1, 2)
-        var[b, top, top] = ids[gram]
-        var[b, bottom, bottom] = ids[gram] + g.n_arrows
-        conj[b, top, top] = conj[b, bottom, bottom] = flip[gram]
-        sizes[b] = 2 * m
-    objective = np.concatenate([g.unit_arrows, g.unit_arrows + g.n_arrows])
-    return DiagBoundSdp(data, var, conj, sizes, objective)
+    return g.coefficient_layout.declare(arrow_function(g, phi))
 
 
 class _GroupOrbits(NamedTuple):
     """The polar completion of every orbit block by variable id (``seed``),
     and the closed form on the orbits that are one unit: ``value``, the
-    largest ||Phi_u||_tr / m over their units (-inf without one); whether
-    every orbit is one unit (``complete``); the dual stack at the block of
-    the largest value (``dual``, None without such a unit); the single
-    decomposition term (f, h) as a (1, 2, n_arrows) stack (``term``), a
-    decomposition of phi when ``complete``; and the largest of their fibers
-    (``fiber``, 0 without one)."""
+    largest ||Phi_u||_tr / m over their units (-inf without one); the dual
+    stack at the block of the largest value (``dual``, None without such a
+    unit); and the single decomposition term (f, h) as a (1, 2, n_arrows)
+    stack (``term``), a decomposition of phi when every orbit is one unit
+    (``CoefficientLayout.complete``)."""
 
     value: float
-    complete: bool
     seed: np.ndarray
     dual: np.ndarray | None
     term: np.ndarray
-    fiber: int
 
 
 def _group_orbits(g: FiniteGroupoid, phi, problem: DiagBoundSdp) -> _GroupOrbits:
@@ -158,47 +236,38 @@ def _group_orbits(g: FiniteGroupoid, phi, problem: DiagBoundSdp) -> _GroupOrbits
     sections have norm^2 tr S / m on fiber u.  The values carry the SVD's
     rounding of a few ulps per fiber element.
     """
-    ids, flip = _arrow_variables(g)
-    kept = _orbit_firsts(g)
     seed = np.zeros(2 * g.n_arrows, dtype=complex)
     term = np.zeros((1, 2, g.n_arrows), dtype=complex)
-    top, size, complete = None, 0, True
-    for c in g.fiber_classes:
-        rows = kept[c.units]
-        units, arrows, gram = c.units[rows], c.arrows[rows], c.gram[rows]
-        m = gram.shape[1]
-        u, s, vh = np.linalg.svd(phi[gram])
+    top = None
+    for c in g.coefficient_layout.classes:
+        u, s, vh = np.linalg.svd(phi[c.gram])
         rho, tau = (u * s[:, None, :]) @ _herm(u), (_herm(vh) * s[:, None, :]) @ vh
         high_rho, high_tau = (x.diagonal(axis1=1, axis2=2).real.max(1) for x in (rho, tau))
-        balance = np.sqrt(np.divide(high_tau, high_rho, out=np.ones(units.size),
+        balance = np.sqrt(np.divide(high_tau, high_rho, out=np.ones(c.blocks.size),
                                     where=np.minimum(high_rho, high_tau) > 0))[:, None, None]
-        seed[ids[gram]] = np.where(flip[gram], rho.conj(), rho) * balance
-        seed[ids[gram] + g.n_arrows] = np.where(flip[gram], tau.conj(), tau) / balance
-        alone = (g.source_of[arrows] == units[:, None]).all(1)
-        complete &= bool(alone.all())
-        if not alone.any():
+        seed[c.ids] = np.where(c.flip, rho.conj(), rho) * balance
+        seed[c.ids + g.n_arrows] = np.where(c.flip, tau.conj(), tau) / balance
+        if not c.alone.any():
             continue
-        units, arrows, u, s, vh = units[alone], arrows[alone], u[alone], s[alone], vh[alone]
-        size = max(size, m)
-        values = s.sum(1) / m
+        u, s, vh = u[c.alone], s[c.alone], vh[c.alone]
+        values = s.sum(1) / c.m
         # the unit rows of A and B, scaled by 1 / sqrt(w_u)
-        k = np.arange(units.size)
-        at = (arrows == g.unit_arrows[units][:, None]).argmax(1)
-        root = np.sqrt(s) / np.sqrt(g.weights[g.unit_arrows[units]])[:, None]
-        term[0, 1, arrows] = ((u[k, at] * root)[:, None, :] @ vh)[:, 0]
-        term[0, 0, arrows] = ((vh[k, :, at].conj() * root)[:, None, :] @ vh)[:, 0]
+        k = np.arange(c.at.size)
+        root = np.sqrt(s) / c.root_weight[:, None]
+        term[0, 1, c.arrows] = ((u[k, c.at] * root)[:, None, :] @ vh)[:, 0]
+        term[0, 0, c.arrows] = ((vh[k, :, c.at].conj() * root)[:, None, :] @ vh)[:, 0]
         i = int(values.argmax())
         if top is None or values[i] > top[0]:
-            top = float(values[i]), units[i], m, u[i] @ vh[i]
+            top = float(values[i]), c.blocks[c.alone][i], c.m, u[i] @ vh[i]
     if top is None:
-        return _GroupOrbits(-np.inf, False, seed, None, term, 0)
-    value, unit, m, w = top
+        return _GroupOrbits(-np.inf, seed, None, term)
+    value, block, m, w = top
     dual = np.zeros(problem.data.shape, dtype=complex)
-    z = dual[np.count_nonzero(kept[:unit]), :2 * m, :2 * m]
+    z = dual[block, :2 * m, :2 * m]
     z[:m, m:], z[m:, :m] = -w, -_herm(w)
     z.flat[::2 * m + 1] = 1.0
     z /= 2 * m
-    return _GroupOrbits(value, complete, seed, dual, term, size)
+    return _GroupOrbits(value, seed, dual, term)
 
 
 def _rounded(value: float, fiber: int, direction: int) -> float:
@@ -213,19 +282,19 @@ def _rounded(value: float, fiber: int, direction: int) -> float:
 
 
 def _witness_functions(g: FiniteGroupoid, solution: SdpSolution) -> tuple[np.ndarray, np.ndarray]:
-    ids, flip = _arrow_variables(g)
+    ids, flip = g.coefficient_layout.ids, g.coefficient_layout.flip
     rho, tau = solution.variables[ids], solution.variables[ids + g.n_arrows]
     return np.where(flip, rho.conj(), rho), np.where(flip, tau.conj(), tau)
 
 
-def _solve_stieltjes(g: FiniteGroupoid, phi) -> tuple[NormCertificate, SdpSolution, _GroupOrbits]:
-    """The SDP from the polar completion and the larger of the sup norm and
-    the rounded closed form; an optimal seed verifies with no Newton step."""
-    phi = arrow_function(g, phi)
-    problem = stieltjes_problem(g, phi)
+def _solve_stieltjes(g: FiniteGroupoid, phi: np.ndarray) -> tuple[NormCertificate, SdpSolution, _GroupOrbits]:
+    """The SDP of the arrow function phi from the polar completion and the
+    larger of the sup norm and the rounded closed form; an optimal seed
+    verifies with no Newton step."""
+    problem = g.coefficient_layout.declare(phi)
     orbits = _group_orbits(g, phi, problem)
     sup = float(np.abs(phi).max(initial=0.0))
-    lower = max(sup, _rounded(orbits.value, orbits.fiber, -1))
+    lower = max(sup, _rounded(orbits.value, g.coefficient_layout.group_fiber, -1))
     # the closed-form dual certifies its unrounded value, hence lower, unless sup is larger
     dual = orbits.dual if orbits.value >= sup else None
     solution = solve_diag_bound_sdp(problem, lower=lower, seeds=(orbits.seed,), dual=dual)
@@ -233,6 +302,41 @@ def _solve_stieltjes(g: FiniteGroupoid, phi) -> tuple[NormCertificate, SdpSoluti
     witness = {"rho": rho, "tau": tau, "lower": solution.lower, "iterations": solution.iterations,
                "status": solution.status, "blocks": int(problem.sizes.size)}
     return NormCertificate(solution.value, "optimal", witness), solution, orbits
+
+
+def _lift(phi: np.ndarray) -> int:
+    """The power of two that lifts phi into the normal range when its largest
+    modulus lies below it, else 0."""
+    top = float(np.abs(phi).max(initial=0.0))
+    return -int(np.frexp(top)[1]) if 0.0 < top < np.finfo(float).tiny else 0
+
+
+def _ldexp(x: np.ndarray, k: int) -> np.ndarray:
+    """x times 2**k, real and imaginary parts apart (a complex product by 2**k
+    overflows where 2**k does)."""
+    return np.ldexp(np.ascontiguousarray(x, dtype=complex).view(float), k).view(complex)
+
+
+def _lowered(g: FiniteGroupoid, cert: NormCertificate, lift: int, sup: float) -> NormCertificate:
+    """The coefficient-norm certificate of phi from that of phi lifted by
+    2**lift: the completion scaled back, the value rounded up and the lower
+    bound down, by the rounding margin, because scaling back into the
+    subnormal range rounds; sup, the sup norm of phi, stays a lower bound."""
+    fiber, w = g.coefficient_layout.fiber, cert.witness
+    witness = {**w, "rho": _ldexp(w["rho"], -lift), "tau": _ldexp(w["tau"], -lift),
+               "lower": max(sup, _rounded(np.ldexp(w["lower"], -lift), fiber, -1))}
+    return NormCertificate(_rounded(np.ldexp(cert.value, -lift), fiber, 1), cert.kind, witness)
+
+
+def _stieltjes_certificate(g: FiniteGroupoid, phi) -> NormCertificate:
+    """The certificate of ``_solve_stieltjes``; phi below the normal range is
+    solved lifted into it by a power of two, where the closed form and the
+    seeded exit keep their relative margins, and scaled back."""
+    phi = arrow_function(g, phi)
+    lift = _lift(phi)
+    if not lift:
+        return _solve_stieltjes(g, phi)[0]
+    return _lowered(g, _solve_stieltjes(g, _ldexp(phi, lift))[0], lift, float(np.abs(phi).max()))
 
 
 def fourier_stieltjes_norm(g: FiniteGroupoid, phi) -> NormCertificate:
@@ -245,11 +349,18 @@ def fourier_stieltjes_norm(g: FiniteGroupoid, phi) -> NormCertificate:
     and group bundles.  The witness is a feasible (rho, tau) completion,
     with the certified lower bound on the optimum under "lower".
     """
-    return _solve_stieltjes(g, phi)[0]
+    return _stieltjes_certificate(g, phi)
 
 
 # ---------------------------------------------------------------------------
 # Schur multipliers
+
+
+@lru_cache(maxsize=8)
+def _pair_groupoid(n: int) -> FiniteGroupoid:
+    """``pair_groupoid(n)`` with its cached indexes and coefficient-norm
+    layout, kept for the 8 sizes ``schur_cb_norm`` used last."""
+    return pair_groupoid(n)
 
 
 def schur_cb_norm(a) -> NormCertificate:
@@ -276,7 +387,7 @@ def schur_cb_norm(a) -> NormCertificate:
         return NormCertificate(0.0, "optimal",
                                {**empty, "lower": 0.0, "iterations": 0, "status": "seeded",
                                 "blocks": 0})
-    cert = _solve_stieltjes(pair_groupoid(n), a.ravel())[0]
+    cert = _stieltjes_certificate(_pair_groupoid(n), a.ravel())
     telemetry = dict(cert.witness)
     pm, qm = telemetry.pop("rho").reshape(n, n), telemetry.pop("tau").reshape(n, n)
     left, right = _factorize_completion(pm, a, qm)
@@ -329,14 +440,13 @@ def _term_cost(g: FiniteGroupoid, terms: np.ndarray) -> float:
     """sum over k of ||f_k|| ||h_k|| for a (k, 2, n_arrows) stack of terms (f_k, h_k);
     each section is divided by a power of two near its largest modulus before
     it is squared, so subnormal entries do not square to zero."""
-    by_range = np.argsort(g.range_of, kind="stable")
-    fiber_starts = np.searchsorted(g.range_of[by_range], np.arange(g.n_units))
+    layout = g.coefficient_layout
     cost = 0.0
     for part in _stacks(np.arange(len(terms)), 2 * g.n_arrows):
-        size = np.abs(terms[part][:, :, by_range])
+        size = np.abs(terms[part][:, :, layout.by_range])
         _, exponent = np.frexp(size.max(axis=2, initial=0.0))
-        mass = g.weights[by_range] * np.ldexp(size, -exponent[:, :, None]) ** 2
-        norms = np.ldexp(np.sqrt(np.add.reduceat(mass, fiber_starts, axis=2).max(axis=2)), exponent)
+        mass = layout.range_weights * np.ldexp(size, -exponent[:, :, None]) ** 2
+        norms = np.ldexp(np.sqrt(np.add.reduceat(mass, layout.fiber_starts, axis=2).max(axis=2)), exponent)
         cost += float(np.sum(norms[:, 0] * norms[:, 1]))
     return cost
 
@@ -399,7 +509,7 @@ def _candidates(g: FiniteGroupoid, phi, stieltjes: NormCertificate, orbits: _Gro
     when every orbit is one unit, a positive-definite square-root
     coefficient, a single-coefficient pair factorization or the doubled
     two-term split, and the point-mass fallback."""
-    if orbits.complete:
+    if g.coefficient_layout.complete:
         yield orbits.term
     if _unit_weights_only(g):
         try:
@@ -437,6 +547,9 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     largest fiber size (or as many ulps, below the normal range).
     """
     phi = arrow_function(g, phi)
+    lift = _lift(phi)
+    if lift:
+        return _lowered_bounds(g, phi, lift)
     stieltjes, solution, orbits = _solve_stieltjes(g, phi)
     sup = float(np.abs(phi).max(initial=0.0))
     sup_arrow = int(np.abs(phi).argmax()) if g.n_arrows else 0
@@ -458,7 +571,21 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     if best_terms is None:
         raise RuntimeError("no decomposition reconstructed the input; this should not happen")
     # a term cost rounds like the closed form, by a few ulps per fiber element
-    fiber = int(np.bincount(g.range_of).max(initial=0))
-    upper = NormCertificate(_rounded(best_cost, fiber, 1), "upper",
+    upper = NormCertificate(_rounded(best_cost, g.coefficient_layout.fiber, 1), "upper",
                             {"terms": tuple(map(tuple, best_terms))})
     return lower, upper
+
+
+def _lowered_bounds(g: FiniteGroupoid, phi: np.ndarray, lift: int) -> tuple[NormCertificate, NormCertificate]:
+    """The bounds of phi below the normal range from those of phi lifted by
+    2**lift, whose closed form, term reconstruction and costs keep their
+    relative margins: the bounds scaled back and moved out by the rounding
+    margin, each term's two sections scaled back by half the lift, which
+    stays exact, and the dual blocks as they are, since they are scale-free."""
+    lower, upper = fourier_norm_bounds(g, _ldexp(phi, lift))
+    fiber, sup = g.coefficient_layout.fiber, float(np.abs(phi).max())
+    half = lift // 2
+    terms = tuple((_ldexp(f, -half), _ldexp(h, half - lift)) for f, h in upper.witness["terms"])
+    witness = {**lower.witness, "stieltjes": _lowered(g, lower.witness["stieltjes"], lift, sup)}
+    return (NormCertificate(max(sup, _rounded(np.ldexp(lower.value, -lift), fiber, -1)), "lower", witness),
+            NormCertificate(_rounded(np.ldexp(upper.value, -lift), fiber, 1), "upper", {"terms": terms}))

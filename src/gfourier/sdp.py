@@ -25,11 +25,16 @@ The interior-point method runs on the data divided once by its largest
 modulus, and every tolerance is relative, so the solve is homogeneous:
 scaling the data scales the value and both certificates, down to the
 subnormal range.
+
+A problem (``DiagBoundSdp``) is its fixed data on a ``BlockLayout`` of
+variable ids, conjugation flags, block sizes and objective ids.  The layout
+is checked once, when it is made, and is read-only, so the problems of many
+data stacks share it and only their data is checked again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,26 +56,36 @@ def _id_mask(ids: np.ndarray, size: int) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
-class DiagBoundSdp:
-    """A block problem declared as padded (blocks, s, s) stacks.
+def _read_only(a) -> np.ndarray:
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
 
-    ``data`` holds the fixed Hermitian entries, ``var`` the integer id of the
-    variable at each position (-1 where there is none) and ``conj`` whether
-    the position holds the variable's conjugate.  Block b fills the top left
-    ``sizes[b]`` square of its slot.  A variable's mirror position holds the
-    same id; one held the same way at an off-diagonal position and at its
-    mirror is real, and diagonal positions read the real part.  The common
-    bound of the ``objective`` variables is minimized.
+
+@dataclass(frozen=True)
+class BlockLayout:
+    """Where the variables of a block problem sit, in padded (blocks, s, s) stacks.
+
+    ``var`` holds the integer id of the variable at each position (-1 where
+    there is none) and ``conj`` whether the position holds the variable's
+    conjugate.  Block b fills the top left ``sizes[b]`` square of its slot.
+    A variable's mirror position holds the same id; one held the same way at
+    an off-diagonal position and at its mirror is real, and diagonal
+    positions read the real part.  The common bound of the ``objective``
+    variables is minimized.  The layout is checked once, when it is made,
+    and its arrays are read-only views, so one layout serves every problem
+    declared on it.
     """
 
-    data: np.ndarray
     var: np.ndarray
     conj: np.ndarray
     sizes: np.ndarray
     objective: np.ndarray
+    outside: np.ndarray = field(init=False, repr=False)  # the padding of each slot
 
     def __post_init__(self):
+        for name in ("var", "conj", "sizes", "objective"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         if self.objective.size == 0:
             raise ValueError("no objective variables: nothing to minimize")
         size = max(self.var.max(), self.objective.max()) + 1
@@ -84,15 +99,53 @@ class DiagBoundSdp:
                              f"diagonal at {(int(b[k]), int(i[k]), int(j[k]))}")
         if (self.var != self.var.swapaxes(1, 2)).any():
             raise ValueError("a variable's mirror position holds another variable")
-        if (self.data != _herm(self.data)).any():
-            raise ValueError("the fixed data is not Hermitian")
         inside = np.arange(self.var.shape[1]) < self.sizes[:, None]
-        if ((self.var >= 0) | (self.data != 0))[~(inside[:, :, None] & inside[:, None, :])].any():
+        object.__setattr__(self, "outside", _read_only(~(inside[:, :, None] & inside[:, None, :])))
+        if (self.var[self.outside] >= 0).any():
             raise ValueError("an entry lies outside its block")
 
     @property
     def n_vars(self) -> int:
         return int(self.var.max()) + 1
+
+
+@dataclass(frozen=True)
+class DiagBoundSdp:
+    """A block problem: the fixed Hermitian entries ``data`` in the padded
+    stacks of a checked ``layout``, zero outside the blocks.  Only the data
+    is checked here."""
+
+    data: np.ndarray
+    layout: BlockLayout
+
+    def __post_init__(self):
+        if self.data.shape != self.layout.var.shape:
+            raise ValueError(f"data of shape {self.data.shape} for a layout of shape "
+                             f"{self.layout.var.shape}")
+        if (self.data != _herm(self.data)).any():
+            raise ValueError("the fixed data is not Hermitian")
+        if self.data[self.layout.outside].any():
+            raise ValueError("an entry lies outside its block")
+
+    @property
+    def var(self) -> np.ndarray:
+        return self.layout.var
+
+    @property
+    def conj(self) -> np.ndarray:
+        return self.layout.conj
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return self.layout.sizes
+
+    @property
+    def objective(self) -> np.ndarray:
+        return self.layout.objective
+
+    @property
+    def n_vars(self) -> int:
+        return self.layout.n_vars
 
     def blocks_for(self, values: np.ndarray, t: float | None = None) -> np.ndarray:
         """The padded block stack for a variable assignment indexed by id,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import gfourier as gf
 from gfourier.norms import stieltjes_problem
-from gfourier.sdp import DiagBoundSdp, SdpInfeasibleError, solve_diag_bound_sdp
+from gfourier.sdp import BlockLayout, DiagBoundSdp, SdpInfeasibleError, solve_diag_bound_sdp
 from conftest import random_function, random_pd, z12_on_16_points
 from reference import (
     brute_force_factorization_norm,
@@ -70,8 +71,9 @@ def _schur_problem(a) -> DiagBoundSdp:
 
 def _one_block(data, var, objective) -> DiagBoundSdp:
     var = np.array([var])
-    return DiagBoundSdp(np.array([data], dtype=complex), var, np.zeros(var.shape, dtype=bool),
-                        np.array([var.shape[1]]), np.array(objective, dtype=int))
+    layout = BlockLayout(var, np.zeros(var.shape, dtype=bool), np.array([var.shape[1]]),
+                         np.array(objective, dtype=int))
+    return DiagBoundSdp(np.array([data], dtype=complex), layout)
 
 
 class TestSolveDiagBoundSdp:
@@ -91,6 +93,23 @@ class TestSolveDiagBoundSdp:
     def test_objective_must_be_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
             _one_block([[0, 0], [0, 0]], [[-1, 0], [0, -1]], [0])
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(var=[[-1, 0], [0, -1]], objective=[1]), "never occurs"),
+        (dict(var=[[0, 2], [3, 1]]), "mirror position"),
+        (dict(var=[[0, -1], [-1, 1]], sizes=[1]), "outside its block"),
+        (dict(data=[[0, 1], [2, 0]]), "not Hermitian"),
+        (dict(var=[[0, -1], [-1, -1]], objective=[0], sizes=[1]), "outside its block"),
+        (dict(data=[[0, 0, 0]] * 3), "shape"),
+    ])
+    def test_rejects_a_bad_declaration(self, bad, message):
+        # the layout's checks run when it is made, the data's on every declaration
+        fields = {**dict(data=[[0, 1], [1, 0]], var=[[0, -1], [-1, 1]], sizes=[2], objective=[0, 1]), **bad}
+        var = np.array([fields["var"]])
+        with pytest.raises(ValueError, match=message):
+            layout = BlockLayout(var, np.zeros(var.shape, dtype=bool), np.array(fields["sizes"]),
+                                 np.array(fields["objective"]))
+            DiagBoundSdp(np.array([fields["data"]], dtype=complex), layout)
 
     def test_infeasible_cap(self):
         # a diagonal entry fixed negative can never be completed
@@ -320,8 +339,9 @@ class TestDataScale:
     @pytest.mark.parametrize("s", [1e-306, 1e-310])
     @pytest.mark.parametrize("case", ["pair3", "z2_on_3", "schur3"])
     def test_solve_at_the_bottom_of_the_float_range(self, s, case, rng):
-        # the interior-point method runs on the data divided by its scale, so
-        # subnormal data takes the same Newton steps to the scaled value
+        # subnormal data is lifted by a power of two and the interior-point
+        # method runs on the data divided by its scale, so it takes the same
+        # Newton steps to the scaled value
         if case == "z2_on_3":
             g = gf.transformation_groupoid(gf.cyclic_table(2), [[0, 1, 2], [1, 0, 2]])
         else:
@@ -352,21 +372,31 @@ class TestDataScale:
             total = sum(gf.regular_coefficient(g, f, h) for f, h in upper.witness["terms"])
             assert np.abs(total - phi).max() <= 1e-8 * sup
 
-    @pytest.mark.parametrize("s", [1e-310, 1e-312, 1e-315, 1e-320])
+    @pytest.mark.parametrize("s", [1e-310, 1e-312, 1e-315, 1e-316, 1e-318, 1e-320])
     @pytest.mark.parametrize("orders", [(2, 3), (4, 5, 6)], ids=["bundle23", "bundle456"])
     def test_bundle_bracket_below_the_normal_range(self, s, orders):
-        # a subnormal value's unit in the last place is more than eps of it,
-        # so the closed form's rounding margin is counted in ulps there too;
-        # the FFT oracle runs on phi lifted exactly by a power of two
+        # phi is solved lifted into the normal range by a power of two, so the
+        # closed form answers with no Newton step, and the bounds are scaled
+        # back and moved out by the rounding margin, which a subnormal value's
+        # unit in the last place sets: the bracket is the lifted phi's, scaled
+        # back, widened by that margin and half an ulp on either side.  The
+        # FFT oracle runs on the lifted phi too
         g = gf.group_bundle([gf.cyclic_table(k) for k in orders])
+        margin = 2 * (gf.norms._ROUNDING * max(orders) + 1)
         lift = 1100
         for seed in range(20):
             base = random_function(g, np.random.default_rng(seed))
             for phi in (s * base, s * (base + gf.star(g, base)) / 2):
                 lower, upper = gf.fourier_norm_bounds(g, phi)
+                lifted = np.ldexp(phi.real, lift) + 1j * np.ldexp(phi.imag, lift)
+                low, up = (b.value for b in gf.fourier_norm_bounds(g, lifted))
                 assert lower.value <= upper.value
-                exact = np.ldexp(_cyclic_bundle_norm(g, np.ldexp(phi.real, lift)
-                                                     + 1j * np.ldexp(phi.imag, lift)), -lift)
+                widened = np.ldexp(up - low, -lift) + margin * np.spacing(upper.value)
+                assert upper.value - lower.value <= widened
+                assert len(upper.witness["terms"]) == 1
+                assert lower.witness["stieltjes"].witness["iterations"] == 0
+                assert gf.fourier_stieltjes_norm(g, phi).witness["iterations"] == 0
+                exact = np.ldexp(_cyclic_bundle_norm(g, lifted), -lift)
                 # the oracle rounds to the subnormal grid once, by half an ulp
                 assert lower.value <= np.nextafter(exact, np.inf)
                 assert np.nextafter(exact, 0.0) <= upper.value
@@ -820,3 +850,80 @@ class TestBruteForceOracle:
     def test_rejects_large_groupoids(self, g3, rng):
         with pytest.raises(ValueError, match="at most 6"):
             brute_force_factorization_norm(g3, random_function(g3, rng))
+
+
+def _results(g, phi):
+    """Every number and array of the three norms of phi on g, for an exact comparison."""
+    def flat(x):
+        if isinstance(x, gf.NormCertificate):
+            return (x.value, x.kind, flat(x.witness))
+        if isinstance(x, dict):
+            return {k: flat(v) for k, v in x.items()}
+        if isinstance(x, (tuple, list)):
+            return tuple(map(flat, x))
+        return (x.dtype.str, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x
+    return flat((gf.fourier_stieltjes_norm(g, phi), gf.fourier_norm_bounds(g, phi)))
+
+
+class TestCoefficientLayout:
+    """The layout of the coefficient-norm problem is built once per groupoid
+    object and shared, read-only, by every solve on it."""
+
+    def test_interleaved_solves_match_a_fresh_groupoid(self, bundle23, weighted_bundle, rng):
+        for _ in range(4):
+            for g in (bundle23, weighted_bundle):
+                phi = random_function(g, rng)
+                fresh = dataclasses.replace(g)
+                problem = stieltjes_problem(g, phi)
+                assert problem.layout is g.coefficient_layout.sdp
+                assert problem.layout is not fresh.coefficient_layout.sdp
+                _assert_same_blocks(problem, stieltjes_problem_oracle(g, phi), _stieltjes_key_id(g),
+                                    _stieltjes_real_ids(g), rng)
+                assert _results(g, phi) == _results(fresh, phi)
+
+    def test_new_weights_build_a_new_layout(self, bundle23, rng):
+        # the weights enter the closed-form term, so a reweighted copy of a
+        # groupoid solved before must not read its layout
+        phi = random_function(bundle23, rng)
+        gf.fourier_norm_bounds(bundle23, phi)
+        want = gf.group_bundle([gf.cyclic_table(2), gf.cyclic_table(3)], unit_weights=[2.0, 0.5])
+        for g in (bundle23.with_unit_weights([2.0, 0.5]),
+                  dataclasses.replace(bundle23, weights=want.weights)):
+            assert g.coefficient_layout is not bundle23.coefficient_layout
+            assert _results(g, phi) == _results(want, phi)
+            assert _results(g, phi) != _results(bundle23, phi)
+
+    def test_cached_arrays_are_read_only(self, g3, rng):
+        phi = random_function(g3, rng)
+        before = _results(g3, phi)
+        problem = stieltjes_problem(g3, phi)
+        for name in ("var", "conj", "sizes", "objective"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(problem, name)[...] = 0
+        layout = g3.coefficient_layout
+        arrays = [x for x in (*vars(layout).values(), *vars(layout.sdp).values(),
+                              *(x for c in layout.classes for x in c)) if isinstance(x, np.ndarray)]
+        assert arrays and not any(x.flags.writeable for x in arrays)
+        assert _results(g3, phi) == before
+
+    def test_built_once_per_groupoid(self, monkeypatch, rng):
+        calls = {}
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("_orbit_firsts", "_arrow_variables", "pair_groupoid"):
+            monkeypatch.setattr(gf.norms, name, counted(getattr(gf.norms, name)))
+        g = gf.transformation_groupoid(gf.cyclic_table(2), [[0, 1, 2], [1, 0, 2]])
+        for _ in range(2):
+            gf.fourier_stieltjes_norm(g, random_function(g, rng))
+        gf.fourier_norm_bounds(g, random_function(g, rng))
+        assert calls == {"_orbit_firsts": 1, "_arrow_variables": 1}
+        gf.norms._pair_groupoid.cache_clear()
+        for _ in range(2):
+            gf.schur_cb_norm(rng.standard_normal((4, 4)))
+        assert calls["pair_groupoid"] == 1
+        assert calls["_orbit_firsts"] == calls["_arrow_variables"] == 2
