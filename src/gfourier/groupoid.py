@@ -17,7 +17,12 @@ or the right convolution blocks of all units of a group are one gather, and
 the per-unit linear algebra is one stacked LAPACK call.  Both indexes need
 every product inverse(t) x to be defined and raise ``UndefinedProductError``
 otherwise.  ``validate`` reads the composition table instead, because its
-input may not be a groupoid.  The coefficient-norm problem keeps its
+input may not be a groupoid: it checks associativity on the composable
+triples (x with source u, y with range u, z in the range fiber of source(y))
+stacked over the units with equal fiber sizes, by flat gathers from the table
+in passes of at most 2^14 triples.  The group-table check of the constructors
+compares (ab)c with a(bc) in passes of the same size, so no k^3 array is
+built for a group of order k.  The coefficient-norm problem keeps its
 function-independent layout with the groupoid too
 (``FiniteGroupoid.coefficient_layout``, built by ``gfourier.norms``).
 """
@@ -34,6 +39,11 @@ if TYPE_CHECKING:
     from .norms import CoefficientLayout
 
 UNDEFINED = -1
+
+# the most triples that one stacked comparison holds; passes of 2^13-2^14
+# triples ran fastest on pair(16..48) and Z30+Z40+Z50 on a 2-core machine (the
+# arrays of a pass stay in cache)
+_STACK = 1 << 14
 
 
 class UndefinedProductError(ValueError):
@@ -223,11 +233,15 @@ def _check_group_table(table: np.ndarray) -> tuple[int, np.ndarray]:
     no_inverse = (hits.sum(axis=1) != 1) | (table[inv, ids] != identity)
     if no_inverse.any():
         raise ValueError(f"element {no_inverse.argmax()} has no two-sided inverse")
-    for a in range(k):
-        # (ab)c against a(bc) for every b, c at once
-        bad = np.any(table[table[a]] != table[a][table], axis=1)
+    flat = table.ravel()
+    rows = max(1, _STACK // k)
+    for r0 in range(0, k * k, rows):
+        # (ab)c against a(bc) for the pairs (a, b) = divmod(r, k) of the chunk and every c
+        a, b = divmod(np.arange(r0, min(r0 + rows, k * k)), k)
+        bad = np.any(table[flat[r0 : r0 + rows]] != flat.take(a[:, None] * k + table[b]), axis=1)
         if bad.any():
-            raise ValueError(f"table is not associative at ({a}, {bad.argmax()})")
+            a, b = divmod(r0 + int(bad.argmax()), k)
+            raise ValueError(f"table is not associative at ({a}, {b})")
     return identity, inv
 
 
@@ -346,8 +360,89 @@ class ValidationReport:
         return not self.violations
 
 
+def _associativity_failures(g: FiniteGroupoid, limit: int) -> list[tuple[int, int, int]]:
+    """The first ``limit`` triples (x, y, z), ascending, whose (xy)z and x(yz) differ.
+
+    The triples are those of ``validate``: xy defined, z in the range fiber
+    of source(y); x(yz) counts as undefined where yz is.  The triples of a
+    unit u are x with source u, y with range u and z in the range fiber of
+    source(y), padded to the widest such fiber and masked.  Units with equal
+    (source-fiber, range-fiber) sizes form one class and are compared as
+    stacked arrays through flat gathers from the composition table, whole
+    units or runs of x at a time, at most ``_STACK`` triples a pass (or one
+    x when its (y, z) block alone is larger).  Each pass keeps its first
+    ``limit`` failures; the kept ones are merged in order at the end.
+    """
+    n = g.n_arrows
+    flat = g.compose_table.ravel()
+    # unit ids shifted to start at 0, so that a negative one (not a unit) has a
+    # fiber too; range fibers are rows [0, m) of ``fibers``, source fibers rows [m, 2m)
+    low = min(0, int(g.range_of.min(initial=0)), int(g.source_of.min(initial=0)))
+    m = max(int(g.range_of.max(initial=-1)), int(g.source_of.max(initial=-1))) + 1 - low
+    s_key = g.source_of - low
+    keys = np.concatenate([g.range_of - low, s_key + m])
+    counts = np.bincount(keys, minlength=2 * m)
+    order = np.argsort(keys, kind="stable")
+    starts = np.cumsum(counts) - counts
+    fibers = np.zeros((2 * m, counts.max(initial=0)), dtype=int)
+    fibers[keys[order], np.arange(2 * n) - starts[keys[order]]] = order % n
+    r_counts, s_counts = counts[:m], counts[m:]
+    hits = []  # failures as (x n + y) n + z
+    sizes = s_counts * (n + 1) + r_counts  # (a, b) as a (n + 1) + b
+    for size in sorted(set(sizes[(s_counts > 0) & (r_counts > 0)].tolist())):
+        units = np.flatnonzero(sizes == size)
+        a, b = divmod(size, n + 1)
+        xs = fibers[units + m, :a]
+        ys = fibers[units, :b]
+        z_counts = r_counts[s_key[ys]]
+        w = int(z_counts.max())
+        zs = fibers[s_key[ys], :w]
+        z_ok = np.arange(w) < z_counts[..., None]
+        # an undefined product (-1) indexes the table from its end: the masks drop
+        # the triples with xy undefined, and x(yz) is set back to UNDEFINED below
+        yz = flat[ys[..., None] * n + zs]
+        yz_undefined = (yz == UNDEFINED) & z_ok
+        some_yz_undefined = bool(yz_undefined.any())
+        xy = flat[xs[..., None] * n + ys[:, None, :]]
+        xy_defined = xy != UNDEFINED
+        left_at = xy[..., None] * n
+        per_pass = max(1, _STACK // max(b * w, 1))  # x's per pass
+        unit_step, x_step = max(1, per_pass // a), min(a, per_pass)
+        for u0 in range(0, units.size, unit_step):
+            u = slice(u0, u0 + unit_step)
+            for x0 in range(0, a, x_step):
+                x = slice(x0, x0 + x_step)
+                left = flat.take(left_at[u, x] + zs[u, None])
+                right = flat.take(xs[u, x, None, None] * n + yz[u, None])
+                if some_yz_undefined:
+                    right = np.where(yz_undefined[u, None], UNDEFINED, right)
+                fails = left != right
+                fails &= xy_defined[u, x, :, None]
+                fails &= z_ok[u, None]
+                if not fails.any():
+                    continue
+                ui, xi, yi, zi = np.nonzero(fails)
+                ui += u0
+                key = (xs[ui, xi + x0] * n + ys[ui, yi]) * n + zs[ui, yi, zi]
+                hits.append(np.sort(key)[:limit])
+    if not hits:
+        return []
+    found = np.sort(np.concatenate(hits))[:limit]
+    x, yz = divmod(found, n * n)
+    return list(zip(x.tolist(), *(v.tolist() for v in divmod(yz, n))))
+
+
 def validate(g: FiniteGroupoid, max_report: int = 50) -> ValidationReport:
-    """Check every groupoid axiom and Haar left-invariance; list violations."""
+    """Check every groupoid axiom and Haar left-invariance; list violations.
+
+    The violations come check by check, each check's ascending by arrow,
+    pair or triple, and at most ``max_report`` in all.  The endpoint,
+    identity and inverse laws are whole-array comparisons.  Associativity
+    compares (xy)z with x(yz) on exactly the composable triples, where x(yz)
+    is undefined when yz is, as stacked passes of at most ``_STACK`` triples
+    per class of units with equal source- and range-fiber sizes
+    (``_associativity_failures``); no Python loop runs per arrow.
+    """
     bad: list[str] = []
 
     def note(msg):
@@ -355,10 +450,14 @@ def validate(g: FiniteGroupoid, max_report: int = 50) -> ValidationReport:
             bad.append(msg)
 
     def note_where(*checks):
-        """Note per-index checks (failure mask, message of the index) by index, then by check."""
-        for i in np.flatnonzero(np.any([fails for fails, _ in checks], axis=0))[:max_report]:
-            for fails, msg in checks:
-                if fails[i]:
+        """Note per-index checks (failure mask, message of the index) by index, then by check.
+
+        A mask may also be given as its failing indices, ascending."""
+        hits = [set((np.flatnonzero(fails) if fails.dtype == bool else fails)[:max_report].tolist())
+                for fails, _ in checks]
+        for i in sorted(set().union(*hits))[:max_report]:
+            for at, (_, msg) in zip(hits, checks):
+                if i in at:
                     note(msg(i))
 
     n = g.n_arrows
@@ -378,23 +477,23 @@ def validate(g: FiniteGroupoid, max_report: int = 50) -> ValidationReport:
          lambda x: f"inverse of {x} swaps range/source incorrectly"),
         (inv[inv] != ids, lambda x: f"inversion is not involutive at {x}"),
     )
-    defined = table != UNDEFINED
+    # the n^2 masks are dropped once read, before the associativity passes
     should = src[:, None] == rng[None, :]
+    mismatch = (table != UNDEFINED) != should
     # products of the pairs that should compose, checked for their endpoints
     left, right = np.nonzero(should)
+    del should
     prod = table[left, right]
-    wrong_ends = np.zeros_like(should)
-    wrong_ends[left, right] = (prod != UNDEFINED) & (
-        (rng[prod] != rng[left]) | (src[prod] != src[right])
-    )
+    wrong_ends = (prod != UNDEFINED) & ((rng[prod] != rng[left]) | (src[prod] != src[right]))
     # pairs (x, y) by flat index k = x n + y
     note_where(
-        ((defined != should).ravel(),
-         lambda k: f"composition of ({k // n}, {k % n}) defined={defined.flat[k]}, "
-         f"expected {should.flat[k]}"),
-        (wrong_ends.ravel(),
+        (mismatch.ravel(),
+         lambda k: f"composition of ({k // n}, {k % n}) defined={table.flat[k] != UNDEFINED}, "
+         f"expected {src[k // n] == rng[k % n]}"),
+        ((left * n + right)[wrong_ends],
          lambda k: f"product {k // n}{k % n}={table.flat[k]} has wrong endpoints"),
     )
+    del mismatch
     er, es = e[rng], e[src]
     note_where(
         (table[er, ids] != ids, lambda x: f"left identity fails at arrow {x}"),
@@ -402,14 +501,9 @@ def validate(g: FiniteGroupoid, max_report: int = 50) -> ValidationReport:
         (table[inv, ids] != es, lambda x: f"inverse(x).x is not the source unit at arrow {x}"),
         (table[ids, inv] != er, lambda x: f"x.inverse(x) is not the range unit at arrow {x}"),
     )
-    for x in range(n):
-        # (xy)z against x(yz) for every composable y, then every z with range source(y)
-        ys = np.flatnonzero(rng == src[x])
-        xy = table[x, ys]
-        ys, xy = ys[xy != UNDEFINED], xy[xy != UNDEFINED]
-        fails = (rng[None, :] == src[ys][:, None]) & (table[xy] != table[x][table[ys]])
-        for i, z in np.argwhere(fails)[:max_report]:
-            note(f"associativity fails on ({x}, {ys[i]}, {z})")
+    if len(bad) < max_report:
+        for x, y, z in _associativity_failures(g, max_report - len(bad)):
+            note(f"associativity fails on ({x}, {y}, {z})")
     finite = bool(np.all(np.isfinite(g.weights)))
     if not finite:
         note("weights must be finite")

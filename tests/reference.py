@@ -215,7 +215,9 @@ def validate_oracle(g, max_report=50):
                 continue
             for z in np.flatnonzero(g.range_of == g.source_of[y]):
                 left = g.compose_table[xy, z]
-                right = g.compose_table[x, g.compose_table[y, z]]
+                yz = g.compose_table[y, z]
+                # x(yz) is undefined when yz is
+                right = UNDEFINED if yz == UNDEFINED else g.compose_table[x, yz]
                 if left != right:
                     note(f"associativity fails on ({x}, {y}, {z})")
     finite = all(np.isfinite(w) for w in g.weights)

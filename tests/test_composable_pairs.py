@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,7 @@ def _corruptions():
 
     return {
         "compose removed": changed("compose_table", (1, 3), gf.groupoid.UNDEFINED),
+        "compose removed at (6, 2)": changed("compose_table", (6, 2), gf.groupoid.UNDEFINED),
         "compose changed": changed("compose_table", (1, 3), 8),
         "compose added": changed("compose_table", (1, 1), 2),
         "inverse changed": changed("inverse_of", 1, 2),
@@ -105,6 +107,8 @@ def _corruptions():
         "weight not a number": changed("weights", 5, np.nan),
         "weight infinite": changed("weights", 5, np.inf),
         "range changed": changed("range_of", 7, 0),
+        "range negative": changed("range_of", 7, -1),
+        "source negative": changed("source_of", 7, -1),
     }
 
 
@@ -121,6 +125,49 @@ class TestValidateMatchesLoopOracle:
     def test_invalid_structures(self, build):
         g = build()
         assert gf.validate(g).violations == validate_oracle(g).violations
+
+    def test_undefined_inner_product_is_not_read_as_the_last_column(self):
+        # with the product 6 2 = (2, 0)(0, 2) removed, x(6 2) is undefined; a
+        # gather at column -1 reads x 8 instead, which equals (x 6) 2 for x = 2, 5
+        # and differs from the undefined (8 6) 2
+        g = _corruptions()["compose removed at (6, 2)"]
+        failures = [v for v in gf.validate(g).violations if v.startswith("associativity")]
+        assert failures == [
+            "associativity fails on (2, 6, 2)",
+            "associativity fails on (5, 6, 2)",
+            "associativity fails on (6, 1, 5)",
+            "associativity fails on (7, 3, 2)",
+        ]
+
+    @pytest.mark.parametrize("groupoid", FIXTURES, indirect=True)
+    @pytest.mark.parametrize("max_report", [1, 3, 50])
+    def test_random_single_entry_corruptions(self, groupoid, max_report, rng):
+        g = groupoid
+        pairs = np.argwhere(g.compose_table != gf.groupoid.UNDEFINED)
+        associativity = 0
+        for kind in ("removed", "changed", "range_of", "source_of") * 3:
+            if kind in ("range_of", "source_of"):
+                if g.n_units == 1:
+                    continue
+                x = rng.integers(g.n_arrows)
+                # another unit, so that the fiber sizes become unequal
+                moved = getattr(g, kind).copy()
+                moved[x] = (moved[x] + rng.integers(1, g.n_units)) % g.n_units
+                bad = dataclasses.replace(g, **{kind: moved})
+            else:
+                x, y = pairs[rng.integers(len(pairs))]
+                table = g.compose_table.copy()
+                if kind == "removed":
+                    table[x, y] = gf.groupoid.UNDEFINED
+                else:
+                    table[x, y] = (table[x, y] + rng.integers(1, g.n_arrows)) % g.n_arrows
+                bad = dataclasses.replace(g, compose_table=table)
+            expect = validate_oracle(bad, max_report).violations
+            assert expect
+            assert gf.validate(bad, max_report).violations == expect
+            associativity += any(v.startswith("associativity") for v in expect)
+        if max_report == 50 and g.n_arrows > 2:
+            assert associativity
 
 
 class TestConstructorTables:
@@ -153,3 +200,28 @@ class TestConstructorTables:
                  [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
         with pytest.raises(ValueError, match=r"not associative at \(1, 1\)"):
             gf.group_groupoid(table)
+
+    def test_non_associative_table_names_first_pair_past_the_first_pass(self):
+        # Z200 with 1 and 2 swapped in row 150 keeps its identity and inverses
+        k = 200
+        table = gf.cyclic_table(k)
+        ones, twos = table[150] == 1, table[150] == 2
+        table[150, ones], table[150, twos] = 2, 1
+        for a in range(k):  # the first (a, b) by a loop over a, as an oracle
+            bad = np.any(table[table[a]] != table[a][table], axis=1)
+            if bad.any():
+                break
+        assert a * k + bad.argmax() > gf.groupoid._STACK // k  # not in the first pass
+        with pytest.raises(ValueError, match=rf"not associative at \({a}, {bad.argmax()}\)"):
+            gf.group_groupoid(table)
+
+    def test_group_check_never_holds_all_triples(self):
+        table = gf.cyclic_table(200)
+        tracemalloc.start()
+        try:
+            gf.group_groupoid(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # all 200^3 triples at once would take 64 MB per int64 array
+        assert peak <= 4e6
