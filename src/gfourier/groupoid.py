@@ -14,10 +14,17 @@ by a sum over each arrow's segment or a scatter into a matrix.  A second
 cached index built from it (``FiniteGroupoid.fiber_classes``) stacks the unit
 blocks: the units are grouped by range-fiber size, so that the Gram matrices
 or the right convolution blocks of all units of a group are one gather, and
-the per-unit linear algebra is one stacked LAPACK call.  Both indexes need
-every product inverse(t) x to be defined and raise ``UndefinedProductError``
-otherwise.  ``validate`` reads the composition table instead, because its
-input may not be a groupoid: it checks associativity on the composable
+the per-unit linear algebra is one stacked LAPACK call.  A third
+(``FiniteGroupoid.orbit_index``) names, in each fiber class, the base of every
+unit's orbit (its smallest unit) and the permutation of the base fiber that a
+transport arrow from the base makes: by the groupoid axioms a unit's Gram
+block is its base's with rows and columns permuted, and with left-invariant
+weights so are its weighted kernel and its right convolution block.  So the
+positivity verdicts, the GNS factors, the square roots and the reduced norm
+decompose one block per orbit.  These indexes need every product
+inverse(t) x to be defined and raise ``UndefinedProductError`` otherwise.
+``validate`` reads the composition table instead, because its input may
+not be a groupoid: it checks associativity on the composable
 triples (x with source u, y with range u, z in the range fiber of source(y))
 stacked over the units with equal fiber sizes, by flat gathers from the table
 in passes of at most 2^14 triples.  The group-table check of the constructors
@@ -62,6 +69,41 @@ class FiberClass:
     units: np.ndarray
     arrows: np.ndarray
     gram: np.ndarray
+
+
+@dataclass(frozen=True)
+class OrbitClass:
+    """The orbits of the units of one fiber class, each read at its base.
+
+    The base of an orbit is its smallest unit.  ``bases`` holds the rows of
+    the class that are bases, ascending, and ``orbit[i]`` the index in
+    ``bases`` of the base of row i.  ``transport[i]`` is the column of row i's
+    fiber holding the first arrow a from the base to ``units[i]``, and
+    ``perm[i, p]`` is the place in the base fiber of inverse(a) arrows[i, p].
+    Left multiplication by a maps the base fiber onto row i's, and
+    inverse(a x) a y = inverse(x) y, so ``gram[i]`` is the base's
+    ``gram[b][perm[i]][:, perm[i]]`` with b = ``bases[orbit[i]]``; the source
+    units, and so left-invariant weights, are carried along unchanged.
+    ``home[i]`` is the place of inverse(a) in the base fiber, where perm[i]
+    sends the unit arrow of ``units[i]``.
+    """
+
+    bases: np.ndarray
+    orbit: np.ndarray
+    transport: np.ndarray
+    perm: np.ndarray
+    home: np.ndarray
+
+    @property
+    def alone(self) -> bool:
+        """Whether every orbit of the class is one unit (its own base)."""
+        return self.bases.size == self.orbit.size
+
+    @property
+    def rows(self) -> np.ndarray | slice:
+        """``bases`` as an index of the class's rows: every row, as a slice
+        that gathers nothing, when every orbit is one unit."""
+        return slice(None) if self.alone else self.bases
 
 
 @dataclass(frozen=True)
@@ -140,6 +182,30 @@ class FiniteGroupoid:
             arrows = by_range[fiber_starts[units][:, None] + np.arange(m)]
             gram = y[starts[arrows][:, None, :] + np.arange(m)[:, None]]
             classes.append(FiberClass(units, arrows, gram))
+        return tuple(classes)
+
+    @cached_property
+    def orbit_index(self) -> tuple[OrbitClass, ...]:
+        """The orbits of the units, one ``OrbitClass`` per fiber class, in the
+        order of ``fiber_classes``.
+
+        Every unit of an orbit has an arrow into v, so the smallest source of
+        the arrows into v is the smallest unit of its orbit, and the units of
+        an orbit have fibers of one size.
+        """
+        place = np.empty(self.n_arrows, dtype=int)
+        for c in self.fiber_classes:
+            place[c.arrows] = np.arange(c.arrows.shape[1])
+        classes = []
+        for c in self.fiber_classes:
+            sources = self.source_of[c.arrows]
+            base = sources.min(axis=1)
+            bases, orbit = np.unique(np.searchsorted(c.units, base), return_inverse=True)
+            transport = (sources == base[:, None]).argmax(axis=1)
+            rows = np.arange(c.units.size)
+            perm = place[c.gram[rows, transport]]
+            home = place[self.inverse_of[c.arrows[rows, transport]]]
+            classes.append(OrbitClass(bases, orbit, transport, perm, home))
         return tuple(classes)
 
     @cached_property

@@ -8,9 +8,15 @@ it exactly: the eigenvalue test by ``eigvalsh``, the point-set and integral
 tests by the inertia of an LDL^H factorization (Sylvester's law of inertia).
 Every "not positive definite" verdict carries a witness vector.
 
-The units are decided, factored and square-rooted in stacks, one per fiber
-class of ``FiniteGroupoid.fiber_classes``: the Gram matrices of a class are
-one gather and its linear algebra one stacked call.
+The units are decided, factored and square-rooted once per orbit, at the
+orbit's smallest unit (``FiniteGroupoid.orbit_index``): every other unit's
+Gram matrix, weighted kernel and right convolution block is the base's with
+rows and columns permuted alike.  That rests on the groupoid axioms and on
+left-invariant weights, as the one block per orbit of
+``gfourier.norms.stieltjes_problem`` does.  The bases of a fiber class of
+``FiniteGroupoid.fiber_classes`` are one gather and their linear algebra one
+stacked call, and the GNS bundle is induced from each base's isotropy group,
+with one map per isotropy element.
 """
 
 from __future__ import annotations
@@ -73,19 +79,21 @@ def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False)
     v^H k v <= -v^H diag(shift) v < 0.  The witness is taken at the first
     failing unit.
 
-    Unit 0 is decided alone first: on a transitive groupoid every unit's Gram
-    matrix is a permutation of unit 0's, so a failure shows there at the cost
-    of one small call.  The other units follow stacked per fiber class, and a
-    stack whose units all come after a failure already found is skipped.
+    Only the base of each orbit (``FiniteGroupoid.orbit_index``) is decided:
+    the other units' Gram matrices, fiber weights and so their form matrices
+    are permuted copies of the base's, by the groupoid axioms and the left
+    invariance of the weights.  A unit fails exactly when its base does, and
+    the base is the orbit's smallest unit, so the first failing unit is the
+    base of the first failing orbit.  The bases are stacked per fiber class,
+    and a stack whose bases all come after a failure already found is skipped.
     """
     phi = arrow_function(g, phi)
-    head, *rest = g.fiber_classes
     first = None
-    for c, rows in [(head, slice(0, 1)), (head, slice(1, None)), *((c, slice(None)) for c in rest)]:
-        units = c.units[rows]
-        if not units.size or (first is not None and units[0] > first[0]):
+    for c, o in zip(g.fiber_classes, g.orbit_index):
+        units = c.units[o.rows]
+        if first is not None and units[0] > first[0]:
             continue
-        m = phi[c.gram[rows]]
+        m = phi[c.gram[o.rows]]
         mh = m.conj().swapaxes(1, 2)
         scale = np.abs(m).max(axis=(1, 2))
         delta = tol * scale
@@ -93,13 +101,13 @@ def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False)
         # a zero Gram matrix is PSD, and any positive shift says so
         shift = np.where(scale > 0, delta, 1.0)[:, None]
         if weighted:
-            w = g.weights[c.arrows[rows]]
+            w = g.weights[c.arrows[o.rows]]
             m, shift = _integral_kernels(w, m), shift * w**2
             mh = m.conj().swapaxes(1, 2)
         a = (m + mh) / 2
         diagonal = np.arange(m.shape[1])
         a[:, diagonal, diagonal] += shift
-        # only the units before the first non-Hermitian one can fail first
+        # only the bases before the first non-Hermitian one can fail first
         cut = int(np.argmax(non_hermitian)) if non_hermitian.any() else units.size
         not_pd, direction = decide(a[:cut]) if cut else ([], None)
         i = int(np.argmax(not_pd)) if np.any(not_pd) else cut
@@ -314,6 +322,15 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
     semi-inner product with kernel w w phi(inverse(y) x); arrows act by left
     translation; the section is the class of the normalized unit point mass.
     Raises with the Gram witness when phi is not positive definite.
+
+    The bundle is induced from the isotropy group of each orbit's base b
+    (``FiniteGroupoid.orbit_index``).  The kernel of a unit u is the base's
+    permuted by perm_u, so one ``eigh`` per orbit factors it as C_b^H C_b and
+    C_u = C_b[:, perm_u] factors u's.  With a_v the transport arrow from b to
+    v, the map of an arrow x from s to t is then pi(h) = C_b T_h C_b^+ for
+    the isotropy element h = inverse(a_t) x a_s, where T_h translates the base
+    fiber by h: one product per isotropy element, shared read-only by every
+    arrow that reaches it.  On a pair groupoid every map is the identity.
     """
     phi = arrow_function(g, phi)
     verdict = is_positive_definite(g, phi, tol)
@@ -321,18 +338,17 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
         raise ValueError(
             f"not positive definite: unit {verdict.unit} has form value {verdict.value}"
         )
-    _, _, y, starts = g.composable_pairs
     dims = np.empty(g.n_units, dtype=int)
     row = np.empty(g.n_units, dtype=int)
-    position = np.empty(g.n_arrows, dtype=int)
+    place = np.empty(g.n_arrows, dtype=int)
     maps = np.empty(g.n_arrows, dtype=object)
     vectors = np.empty(g.n_units, dtype=object)
-    for c in g.fiber_classes:
+    for c, o in zip(g.fiber_classes, g.orbit_index):
         k, m = c.arrows.shape
-        kernels = _integral_kernels(g.weights[c.arrows], phi[c.gram])
-        # one eigh per fiber class: the kept eigenpairs (L, V) of a unit give the
+        kernels = _integral_kernels(g.weights[c.arrows[o.rows]], phi[c.gram[o.rows]])
+        # one eigh per orbit: the kept eigenpairs (L, V) of a base give the
         # factor C = sqrt(L) V^H with C^H C = kernel and its pseudo-inverse
-        # V / sqrt(L); the stacks hold d >= rank columns, and a unit of rank r
+        # V / sqrt(L); the stacks hold d >= rank columns, and an orbit of rank r
         # only ever reads its first r
         vals, vecs = hermitian_eigen((kernels + kernels.conj().swapaxes(1, 2)) / 2)
         top = vals[:, :1]
@@ -343,22 +359,36 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
         # C order keeps the gathered products below on BLAS
         factor = root[:, :, None] * np.ascontiguousarray(vecs[:, :, :d].conj().swapaxes(1, 2))
         pinv = vecs[:, :, :d] / root[:, None, :]
-        dims[c.units] = rank
+        dims[c.units] = rank[o.orbit]
         row[c.units] = np.arange(k)
-        position[c.arrows] = np.arange(m)
-        # left translation by x sends inverse(x) t to t: row p of the translation
-        # matrix picks the position of inverse(x) t for the p-th t of the fiber of
-        # range(x), which lies in the fiber of source(x), a unit of the same class
+        place[c.arrows] = np.arange(m)
         xs = c.arrows.ravel()
-        back = position[g.inverse_of[y[starts[xs][:, None] + np.arange(m)]]]
-        target, source = np.repeat(np.arange(k), m), row[g.source_of[xs]]
-        for (r, s), ids in _groups(rank[target], rank[source]):
+        # translation by h sends inverse(h) y to y: row p of T_h picks the place
+        # of inverse(h) y for the p-th arrow y of the base fiber
+        if o.alone:
+            # one-unit orbits: the transport arrows are units, so every arrow is
+            # its own isotropy element, and its row of Gram ids gives T_h
+            owner, which = np.repeat(np.arange(k), m), slice(None)
+            back = place[c.gram.reshape(k * m, m)]
+        else:
+            # place in the base fiber of inverse(h) = inverse(a_s) inverse(x) a_t,
+            # where inverse(x) a_t is read from the Gram ids of t's fiber
+            t, s = np.repeat(np.arange(k), m), row[g.source_of[xs]]
+            key = o.perm[s, place[c.gram[t, place[xs], o.transport[t]]]]
+            elements, which = np.unique(o.orbit[t] * m + key, return_inverse=True)
+            owner, key = divmod(elements, m)
+            base = o.bases[owner]
+            back = place[c.gram[base, place[g.inverse_of[c.arrows[base, key]]]]]
+        shared = np.empty(owner.size, dtype=object)
+        for (r,), ids in _groups(rank[owner]):
             for part in _stacks(ids, m * m):
-                products = factor[target[part], :r] @ pinv[source[part, None], back[part], :s]
-                maps[xs[part]] = np.fromiter(products, dtype=object, count=part.size)
-        e = g.unit_arrows[c.units]
-        at_units = factor[np.arange(k), :, position[e]] / g.weights[e][:, None]
-        for (r,), ids in _groups(rank):
+                products = factor[owner[part], :r] @ pinv[owner[part, None], back[part], :r]
+                products.flags.writeable = False
+                shared[part] = np.fromiter(products, dtype=object, count=part.size)
+        maps[xs] = shared[which]
+        # the unit point mass of u sits at the place of inverse(a_u) in the base fiber
+        at_units = factor[o.orbit, :, o.home] / g.unit_weights[c.units][:, None]
+        for (r,), ids in _groups(rank[o.orbit]):
             vectors[c.units[ids]] = np.fromiter(at_units[ids, :r], dtype=object, count=ids.size)
     bundle = GHilbertBundle(dims=tuple(dims.tolist()), maps=tuple(maps))
     return bundle, BundleSection(tuple(vectors))
@@ -377,7 +407,9 @@ def pd_to_section(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> np.ndarray:
 
     Uses the square root of right convolution by phi applied to the indicator
     of the units meeting the support of phi.  Only defined for counting-measure
-    Haar systems (all weights 1).
+    Haar systems (all weights 1).  A unit's block is its orbit base's permuted
+    by perm_u (``FiniteGroupoid.orbit_index``), and so is its square root, so
+    one ``hermitian_sqrt`` per orbit serves every unit.
     """
     phi = arrow_function(g, phi)
     if np.abs(g.weights - 1.0).max(initial=0.0) > 1e-12:
@@ -390,11 +422,15 @@ def pd_to_section(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> np.ndarray:
     support = np.abs(phi) > 1e-13 * float(np.abs(phi).max(initial=0.0))
     marked = np.zeros(g.n_units, dtype=bool)
     marked[g.range_of[support]] = marked[g.source_of[support]] = True
-    h = np.zeros(g.n_arrows, dtype=complex)
-    h[g.unit_arrows[marked]] = 1.0
     xi = np.zeros(g.n_arrows, dtype=complex)
-    for c, blocks in zip(g.fiber_classes, _right_op_blocks(g, phi)):
-        xi[c.arrows] = (hermitian_sqrt(blocks, tol) @ h[c.arrows][:, :, None])[:, :, 0]
+    rows = [o.rows for o in g.orbit_index]
+    for c, o, blocks in zip(g.fiber_classes, g.orbit_index, _right_op_blocks(g, phi, rows)):
+        # the root at u applied to the point mass at its unit arrow: the column
+        # of the base root at the place of inverse(a_u), permuted by perm_u
+        column = hermitian_sqrt(blocks, tol)[o.orbit, :, o.home]
+        if not o.alone:
+            column = np.take_along_axis(column, o.perm, axis=1)
+        xi[c.arrows] = column * marked[c.units][:, None]
     return xi
 
 

@@ -103,30 +103,42 @@ def operator_norm(g: FiniteGroupoid, op) -> float:
     )
 
 
-def _block_norm(g: FiniteGroupoid, blocks) -> float:
-    """Largest spectral norm of the unit blocks, stacked per fiber class, in the weighted metric."""
+def _block_norm(g: FiniteGroupoid, blocks, rows=None) -> float:
+    """Largest spectral norm of the unit blocks, stacked per fiber class, in the weighted metric.
+
+    ``rows`` names, per fiber class, the rows of the class that ``blocks`` holds
+    (all of them when None).
+    """
     best = 0.0
-    for c, stack in zip(g.fiber_classes, blocks):
-        rw = np.sqrt(g.weights[c.arrows])
+    for c, stack, at in zip(g.fiber_classes, blocks, rows or [slice(None)] * len(blocks)):
+        rw = np.sqrt(g.weights[c.arrows[at]])
         tilted = stack * (rw[:, :, None] / rw[:, None, :])
         if tilted.size:
-            best = max(best, float(np.linalg.norm(tilted, 2, axis=(1, 2)).max()))
+            best = max(best, float(np.linalg.svd(tilted, compute_uv=False)[:, 0].max()))
     return best
 
 
-def _right_op_blocks(g: FiniteGroupoid, f) -> list[np.ndarray]:
-    """unit_blocks(g, right_op(g, f)), stacked per fiber class.
+def _right_op_blocks(g: FiniteGroupoid, f, rows=None) -> list[np.ndarray]:
+    """unit_blocks(g, right_op(g, f)), stacked per fiber class, or at the given
+    ``rows`` of each class.
 
     Entry (a, b) of the block of a fiber is w(t) f(inverse(t) x) at x = fiber[a],
     t = fiber[b], which is the transposed Gram entry at (b, a).
     """
     f = arrow_function(g, f)
-    return [f[c.gram].swapaxes(1, 2) * g.weights[c.arrows][:, None, :] for c in g.fiber_classes]
+    return [f[c.gram[at]].swapaxes(1, 2) * g.weights[c.arrows[at]][:, None, :]
+            for c, at in zip(g.fiber_classes, rows or [slice(None)] * len(g.fiber_classes))]
 
 
 def reduced_norm(g: FiniteGroupoid, f) -> float:
-    """C*-norm of f: the largest spectral norm of a unit block of right convolution."""
-    return _block_norm(g, _right_op_blocks(g, f))
+    """C*-norm of f: the largest spectral norm of a unit block of right convolution.
+
+    A unit's block is its orbit base's permuted by perm_u
+    (``FiniteGroupoid.orbit_index``), with the same norm, so one SVD per orbit
+    decides it.
+    """
+    rows = [o.rows for o in g.orbit_index]
+    return _block_norm(g, _right_op_blocks(g, f, rows), rows)
 
 
 def operator_norm_bounds(

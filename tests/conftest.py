@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -89,11 +91,19 @@ def forced_arrow_structure():
     )
 
 
-def z12_on_16_points():
+def z12_on_16_points(unit_weights=None):
     """Z12 acting on a free orbit of 12 points and an orbit of 4 points with isotropy Z3."""
     action = [[(p + k) % 12 for p in range(12)] + [12 + (p + k) % 4 for p in range(4)]
               for k in range(12)]
-    return gf.transformation_groupoid(gf.cyclic_table(12), action)
+    return gf.transformation_groupoid(gf.cyclic_table(12), action, unit_weights)
+
+
+def s3_on_three_points(unit_weights=None):
+    """S3 permuting three points: one orbit of 3 units with isotropy Z2."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[i]] for i in range(3))] for b in perms] for a in perms]
+    return gf.transformation_groupoid(table, [list(p) for p in perms], unit_weights)
 
 
 def random_function(g, rng):

@@ -1,11 +1,10 @@
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
 
 import gfourier as gf
-from conftest import no_bisection_structure, random_function
+from conftest import no_bisection_structure, random_function, s3_on_three_points
 from reference import (
     commutant_oracle,
     d_inner_oracle,
@@ -154,13 +153,6 @@ class TestSpans:
         assert len(inter) == len(basis)
         for m in inter:
             assert gf.regular.in_span(basis, m)
-
-
-def s3_on_three_points():
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(a[b[i]] for i in range(3))] for b in perms] for a in perms]
-    return gf.transformation_groupoid(table, [list(p) for p in perms])
 
 
 def range_weighted_pair3():

@@ -5,13 +5,20 @@ compared with its loop version in ``reference.py`` on the conftest fixtures and
 on the larger groupoids of the kernels benchmark.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import gfourier as gf
-from conftest import forced_arrow_structure, random_function, random_pd, z12_on_16_points
+from conftest import (
+    forced_arrow_structure,
+    random_function,
+    random_pd,
+    s3_on_three_points,
+    z12_on_16_points,
+)
 from gfourier.checks import run_suites
 from gfourier.regular import _right_op_blocks
 from reference import (
@@ -44,6 +51,10 @@ LARGE = {
         [gf.cyclic_table(k) for k in (30, 40, 50)], unit_weights=[0.5, 1.5, 2.0]),
     "z12-on-16": z12_on_16_points,
     "pair7xI2": lambda: gf.product_with_pair_groupoid(gf.pair_groupoid(7)),
+    # orbits with isotropy whose units carry different weights, so the weights
+    # vary within each fiber and are transported across the orbit
+    "s3-on-3w": lambda: s3_on_three_points(unit_weights=[1.0, 2.0, 0.5]),
+    "z12-on-16w": lambda: z12_on_16_points(unit_weights=np.linspace(0.5, 2.0, 16)),
 }
 _built = {}
 
@@ -100,6 +111,103 @@ class TestFiberClasses:
         assert names[-2:] == ["regular/composable-pairs", "positivity/composable-pairs"]
         for r in records[-2:]:
             assert r.status == "fail" and r.witness == "arrows 3 = inverse(3) and 0 do not compose"
+
+
+def _orbit_count(g) -> int:
+    """Units that are the smallest source of the arrows into them: one per orbit."""
+    return sum(int(g.source_of[fiber].min()) == u for u, fiber in enumerate(g.r_fibers))
+
+
+class TestOrbitIndex:
+    def test_every_unit_is_a_permuted_copy_of_its_base(self, g):
+        assert len(g.orbit_index) == len(g.fiber_classes)
+        bases = 0
+        for c, o in zip(g.fiber_classes, g.orbit_index):
+            k, m = c.arrows.shape
+            assert np.array_equal(o.orbit[o.bases], np.arange(o.bases.size))
+            assert np.all(np.diff(o.bases) > 0) and o.alone == (o.bases.size == k)
+            bases += o.bases.size
+            for i in range(k):
+                b, p = o.bases[o.orbit[i]], o.perm[i]
+                assert c.units[b] == g.source_of[g.r_fibers[c.units[i]]].min()
+                a = c.arrows[i, o.transport[i]]
+                assert g.source_of[a] == c.units[b] and g.range_of[a] == c.units[i]
+                assert np.array_equal(np.sort(p), np.arange(m))
+                assert np.array_equal(c.gram[i], c.gram[b][np.ix_(p, p)])
+                assert np.array_equal(g.weights[c.arrows[i]], g.weights[c.arrows[b]][p])
+                assert c.arrows[b, o.home[i]] == g.inverse_of[a]
+                assert o.home[i] == p[list(c.arrows[i]).index(g.unit_arrows[c.units[i]])]
+        assert bases == _orbit_count(g)
+
+
+class TestOnePerOrbit:
+    @pytest.mark.parametrize("build", [lambda: gf.pair_groupoid(16), z12_on_16_points])
+    def test_each_stacked_call_holds_one_matrix_per_orbit(self, build, monkeypatch):
+        g = build()
+        rng = _rng(g)
+        phi, f = random_pd(g, rng), random_function(g, rng)
+        calls = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            def spy(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        for verdict, _ in VERDICTS:
+            assert verdict(g, phi)
+        gf.gns_bundle(g, phi)
+        gf.pd_to_section(g, phi)
+        gf.reduced_norm(g, f)
+        # one fiber class, whose units fall into one orbit (pair16) or two (Z12 on 16 points)
+        assert len(g.fiber_classes) == 1
+        assert all(len(shape) == 3 and shape[0] == _orbit_count(g) for _, shape in calls), calls
+        assert {name for name, _ in calls} == {"eigh", "eigvalsh", "svd"}
+
+    @pytest.mark.parametrize("build", [
+        lambda: gf.pair_groupoid(2),
+        lambda: gf.pair_groupoid(16),
+        lambda: gf.pair_groupoid(3, unit_weights=[1.0, 2.0, 0.5]),
+    ])
+    def test_pair_groupoid_maps_are_one_shared_read_only_identity(self, build):
+        g = build()
+        bundle, xi = gf.gns_bundle(g, random_pd(g, _rng(g)))
+        d = bundle.dims[0]
+        assert set(bundle.dims) == {d}
+        assert all(np.abs(m - np.eye(d)).max() <= 1e-12 for m in bundle.maps)
+        assert len({id(m) for m in bundle.maps}) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            bundle.maps[0][0, 0] = 0.0
+
+    def test_maps_are_shared_per_isotropy_element(self):
+        # the orbit of 12 units is free and the orbit of 4 has isotropy Z3: one
+        # map for the first and three for the second, whatever the arrow
+        g = z12_on_16_points()
+        bundle, _ = gf.gns_bundle(g, random_pd(g, _rng(g)))
+        assert len({id(m) for m in bundle.maps}) == 1 + 3
+        assert not any(m.flags.writeable for m in bundle.maps)
+
+    def test_pair_48_within_budget(self):
+        # the stack of one map per arrow took 0.25 s and peaked at 94 MB here
+        g = gf.pair_groupoid(48)
+        phi = random_pd(g, _rng(g))
+        calls = (lambda: gf.gns_bundle(g, phi), lambda: gf.pd_to_section(g, phi))
+        for call in calls:
+            call()  # builds the cached indexes of g
+        cpu = []
+        for _ in range(3):
+            start = time.process_time()
+            for call in calls:
+                call()
+            cpu.append(time.process_time() - start)
+        assert min(cpu) <= 0.1
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4e6
 
 
 class TestKernelsAgainstLoops:
