@@ -20,11 +20,13 @@ unit's orbit (its smallest unit) and the permutation of the base fiber that a
 transport arrow from the base makes: by the groupoid axioms a unit's Gram
 block is its base's with rows and columns permuted, and with left-invariant
 weights so are its weighted kernel and its right convolution block.  So the
-positivity verdicts, the GNS factors, the square roots and the reduced norm
-decompose one block per orbit.  These indexes need every product
-inverse(t) x to be defined and raise ``UndefinedProductError`` otherwise.
-``validate`` reads the composition table instead, because its input may
-not be a groupoid: it checks associativity on the composable
+positivity verdicts, the GNS factors, the square roots, the reduced norm and
+the coefficient-norm problem decompose one block per orbit; with weights
+that are not left invariant every unit is its own base.  A base is carried
+by its unit arrow, so its permutation is the identity.  These indexes need
+every product inverse(t) x to be defined and raise ``UndefinedProductError``
+otherwise.  ``validate`` reads the composition table instead, because its
+input may not be a groupoid: it checks associativity on the composable
 triples (x with source u, y with range u, z in the range fiber of source(y))
 stacked over the units with equal fiber sizes, by flat gathers from the table
 in passes of at most 2^14 triples.  The group-table check of the constructors
@@ -78,14 +80,16 @@ class OrbitClass:
     The base of an orbit is its smallest unit.  ``bases`` holds the rows of
     the class that are bases, ascending, and ``orbit[i]`` the index in
     ``bases`` of the base of row i.  ``transport[i]`` is the column of row i's
-    fiber holding the first arrow a from the base to ``units[i]``, and
+    fiber holding the transport arrow a from the base to ``units[i]``: the
+    unit arrow on a base row, the first arrow from the base elsewhere.
     ``perm[i, p]`` is the place in the base fiber of inverse(a) arrows[i, p].
     Left multiplication by a maps the base fiber onto row i's, and
     inverse(a x) a y = inverse(x) y, so ``gram[i]`` is the base's
     ``gram[b][perm[i]][:, perm[i]]`` with b = ``bases[orbit[i]]``; the source
-    units, and so left-invariant weights, are carried along unchanged.
-    ``home[i]`` is the place of inverse(a) in the base fiber, where perm[i]
-    sends the unit arrow of ``units[i]``.
+    units, and so left-invariant weights, are carried along unchanged.  On a
+    base row perm is the identity.  ``home[i]`` is the place of inverse(a) in
+    the base fiber, where perm[i] sends the unit arrow of ``units[i]``; on a
+    base row it is the place of the unit arrow.
     """
 
     bases: np.ndarray
@@ -191,21 +195,26 @@ class FiniteGroupoid:
 
         Every unit of an orbit has an arrow into v, so the smallest source of
         the arrows into v is the smallest unit of its orbit, and the units of
-        an orbit have fibers of one size.
+        an orbit have fibers of one size.  Weights that are not left
+        invariant (no Haar system; ``validate`` rejects them) are not carried
+        across an orbit, and then every unit is its own base.
         """
         place = np.empty(self.n_arrows, dtype=int)
         for c in self.fiber_classes:
             place[c.arrows] = np.arange(c.arrows.shape[1])
+        invariant = np.array_equal(self.weights, self.unit_weights[self.source_of])
         classes = []
         for c in self.fiber_classes:
             sources = self.source_of[c.arrows]
-            base = sources.min(axis=1)
-            bases, orbit = np.unique(np.searchsorted(c.units, base), return_inverse=True)
-            transport = (sources == base[:, None]).argmax(axis=1)
+            base = sources.min(axis=1) if invariant else c.units
+            own = base == c.units
+            orbit = (np.cumsum(own) - 1)[np.searchsorted(c.units, base)]
+            transport = np.where(own, place[self.unit_arrows[c.units]],
+                                 (sources == base[:, None]).argmax(axis=1))
             rows = np.arange(c.units.size)
             perm = place[c.gram[rows, transport]]
             home = place[self.inverse_of[c.arrows[rows, transport]]]
-            classes.append(OrbitClass(bases, orbit, transport, perm, home))
+            classes.append(OrbitClass(np.flatnonzero(own), orbit, transport, perm, home))
         return tuple(classes)
 
     @cached_property

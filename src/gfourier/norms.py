@@ -72,20 +72,12 @@ def _arrow_variables(g: FiniteGroupoid) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(z, g.inverse_of), z > g.inverse_of
 
 
-def _orbit_firsts(g: FiniteGroupoid) -> np.ndarray:
-    """Whether each unit is the smallest of its orbit."""
-    # every unit of an orbit has an arrow into v, so the smallest source of
-    # the arrows into v is the smallest unit of its orbit
-    first = np.full(g.n_units, g.n_units)
-    np.minimum.at(first, g.range_of, g.source_of)
-    return first == np.arange(g.n_units)
-
-
 class _KeptClass(NamedTuple):
-    """The orbits' first units in one fiber class, whose range fibers have m
-    arrows: their Gram blocks ``gram``, the variable ids and conjugation
-    flags there, and their ``blocks`` in the declaration; then the one-unit
-    orbits among them (``alone``) with their fibers (``arrows``), the place
+    """The orbit bases (``FiniteGroupoid.orbit_index``) in one fiber class,
+    whose range fibers have m arrows: their Gram blocks ``gram``, the
+    variable ids and conjugation flags there, and their ``blocks`` in the
+    declaration; then the one-unit orbits among them (``alone``), whose
+    fiber is the isotropy group, with their fibers (``arrows``), the place
     of each unit arrow in its fiber (``at``) and the square root of its
     weight (``root_weight``)."""
 
@@ -117,20 +109,20 @@ class CoefficientLayout:
 
     def __init__(self, g: FiniteGroupoid):
         ids, flip = _arrow_variables(g)
-        kept = _orbit_firsts(g)
+        kept = np.zeros(g.n_units, dtype=bool)
+        for c, o in zip(g.fiber_classes, g.orbit_index):
+            kept[c.units[o.bases]] = True
         block_of = np.cumsum(kept) - 1
         classes = []
-        for c in g.fiber_classes:
-            rows = kept[c.units]
-            if not rows.any():
-                continue
-            units, arrows, gram = c.units[rows], c.arrows[rows], c.gram[rows]
+        for c, o in zip(g.fiber_classes, g.orbit_index):
+            units, arrows, gram = c.units[o.bases], c.arrows[o.bases], c.gram[o.bases]
+            # the orbits whose fiber is the isotropy group; a base's unit arrow
+            # is at its home place
             alone = (g.source_of[arrows] == units[:, None]).all(1)
-            units, arrows = units[alone], arrows[alone]
-            at = (arrows == g.unit_arrows[units][:, None]).argmax(1)
+            units, arrows, at = units[alone], arrows[alone], o.home[o.bases][alone]
             root = np.sqrt(g.weights[g.unit_arrows[units]])
             classes.append(_KeptClass(gram.shape[1], *map(_read_only, (
-                gram, ids[gram], flip[gram], block_of[c.units[rows]], alone, arrows, at, root))))
+                gram, ids[gram], flip[gram], block_of[c.units[o.bases]], alone, arrows, at, root))))
         self.ids, self.flip = _read_only(ids), _read_only(flip)
         self.classes = tuple(classes)
         self.complete = all(c.alone.all() for c in classes)
@@ -191,6 +183,8 @@ def stieltjes_problem(g: FiniteGroupoid, phi) -> DiagBoundSdp:
     the all-units one rests on g being a groupoid.
 
     The layout is g's cached ``coefficient_layout``; only phi is gathered.
+    Its orbits are those of ``FiniteGroupoid.orbit_index``, which makes every
+    unit its own base when the weights are not left invariant.
     """
     return g.coefficient_layout.declare(arrow_function(g, phi))
 

@@ -13,7 +13,8 @@ orbit's smallest unit (``FiniteGroupoid.orbit_index``): every other unit's
 Gram matrix, weighted kernel and right convolution block is the base's with
 rows and columns permuted alike.  That rests on the groupoid axioms and on
 left-invariant weights, as the one block per orbit of
-``gfourier.norms.stieltjes_problem`` does.  The bases of a fiber class of
+``gfourier.norms.stieltjes_problem`` does; with weights that are not left
+invariant the index makes every unit its own base.  The bases of a fiber class of
 ``FiniteGroupoid.fiber_classes`` are one gather and their linear algebra one
 stacked call, and the GNS bundle is induced from each base's isotropy group,
 with one map per isotropy element.
@@ -364,21 +365,15 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
         place[c.arrows] = np.arange(m)
         xs = c.arrows.ravel()
         # translation by h sends inverse(h) y to y: row p of T_h picks the place
-        # of inverse(h) y for the p-th arrow y of the base fiber
-        if o.alone:
-            # one-unit orbits: the transport arrows are units, so every arrow is
-            # its own isotropy element, and its row of Gram ids gives T_h
-            owner, which = np.repeat(np.arange(k), m), slice(None)
-            back = place[c.gram.reshape(k * m, m)]
-        else:
-            # place in the base fiber of inverse(h) = inverse(a_s) inverse(x) a_t,
-            # where inverse(x) a_t is read from the Gram ids of t's fiber
-            t, s = np.repeat(np.arange(k), m), row[g.source_of[xs]]
-            key = o.perm[s, place[c.gram[t, place[xs], o.transport[t]]]]
-            elements, which = np.unique(o.orbit[t] * m + key, return_inverse=True)
-            owner, key = divmod(elements, m)
-            base = o.bases[owner]
-            back = place[c.gram[base, place[g.inverse_of[c.arrows[base, key]]]]]
+        # of inverse(h) y for the p-th arrow y of the base fiber; the place of
+        # inverse(h) = inverse(a_s) inverse(x) a_t is read from the Gram ids of
+        # t's fiber, where inverse(x) a_t lies
+        t, s = np.repeat(np.arange(k), m), row[g.source_of[xs]]
+        key = o.perm[s, place[c.gram[t, place[xs], o.transport[t]]]]
+        elements, which = np.unique(o.orbit[t] * m + key, return_inverse=True)
+        owner, key = divmod(elements, m)
+        base = o.bases[owner]
+        back = place[c.gram[base, place[g.inverse_of[c.arrows[base, key]]]]]
         shared = np.empty(owner.size, dtype=object)
         for (r,), ids in _groups(rank[owner]):
             for part in _stacks(ids, m * m):
@@ -427,9 +422,7 @@ def pd_to_section(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> np.ndarray:
     for c, o, blocks in zip(g.fiber_classes, g.orbit_index, _right_op_blocks(g, phi, rows)):
         # the root at u applied to the point mass at its unit arrow: the column
         # of the base root at the place of inverse(a_u), permuted by perm_u
-        column = hermitian_sqrt(blocks, tol)[o.orbit, :, o.home]
-        if not o.alone:
-            column = np.take_along_axis(column, o.perm, axis=1)
+        column = np.take_along_axis(hermitian_sqrt(blocks, tol)[o.orbit, :, o.home], o.perm, axis=1)
         xi[c.arrows] = column * marked[c.units][:, None]
     return xi
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -98,12 +99,36 @@ def z12_on_16_points(unit_weights=None):
     return gf.transformation_groupoid(gf.cyclic_table(12), action, unit_weights)
 
 
-def s3_on_three_points(unit_weights=None):
-    """S3 permuting three points: one orbit of 3 units with isotropy Z2."""
+def _s3(identity_last=False):
+    """The permutations of three points, in lexicographic order or reversed
+    so that the identity is the last element, and their multiplication table."""
     perms = list(itertools.permutations(range(3)))
+    if identity_last:
+        perms.reverse()
     index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(a[b[i]] for i in range(3))] for b in perms] for a in perms]
+    return perms, [[index[tuple(a[b[i]] for i in range(3))] for b in perms] for a in perms]
+
+
+def s3_on_three_points(unit_weights=None, identity_last=False):
+    """S3 permuting three points: one orbit of 3 units with isotropy Z2.
+
+    With ``identity_last`` the identity is the last group element, so every
+    unit arrow comes after the other arrows of its fiber.
+    """
+    perms, table = _s3(identity_last)
     return gf.transformation_groupoid(table, [list(p) for p in perms], unit_weights)
+
+
+@pytest.fixture(scope="session")
+def s3_moved():
+    """S3 as a one-unit groupoid whose identity is its last arrow."""
+    return gf.group_groupoid(_s3(identity_last=True)[1])
+
+
+def range_weighted_pair3():
+    """pair(3) with Haar weights of the range unit: not left invariant."""
+    g = gf.pair_groupoid(3)
+    return dataclasses.replace(g, weights=np.array([1.0, 2.0, 0.5])[g.range_of])
 
 
 def random_function(g, rng):

@@ -915,15 +915,15 @@ class TestCoefficientLayout:
                 return fn(*args)
             return wrapper
 
-        for name in ("_orbit_firsts", "_arrow_variables", "pair_groupoid"):
+        for name in ("_arrow_variables", "pair_groupoid"):
             monkeypatch.setattr(gf.norms, name, counted(getattr(gf.norms, name)))
         g = gf.transformation_groupoid(gf.cyclic_table(2), [[0, 1, 2], [1, 0, 2]])
         for _ in range(2):
             gf.fourier_stieltjes_norm(g, random_function(g, rng))
         gf.fourier_norm_bounds(g, random_function(g, rng))
-        assert calls == {"_orbit_firsts": 1, "_arrow_variables": 1}
+        assert calls == {"_arrow_variables": 1}
         gf.norms._pair_groupoid.cache_clear()
         for _ in range(2):
             gf.schur_cb_norm(rng.standard_normal((4, 4)))
         assert calls["pair_groupoid"] == 1
-        assert calls["_orbit_firsts"] == calls["_arrow_variables"] == 2
+        assert calls["_arrow_variables"] == 2

@@ -1,10 +1,13 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 import gfourier as gf
-from conftest import no_bisection_structure, random_function, s3_on_three_points
+from conftest import (
+    no_bisection_structure,
+    random_function,
+    range_weighted_pair3,
+    s3_on_three_points,
+)
 from reference import (
     commutant_oracle,
     d_inner_oracle,
@@ -153,12 +156,6 @@ class TestSpans:
         assert len(inter) == len(basis)
         for m in inter:
             assert gf.regular.in_span(basis, m)
-
-
-def range_weighted_pair3():
-    """pair(3) with Haar weights of the range unit: not left invariant."""
-    g = gf.pair_groupoid(3)
-    return dataclasses.replace(g, weights=np.array([1.0, 2.0, 0.5])[g.range_of])
 
 
 COMMUTANT_CASES = {

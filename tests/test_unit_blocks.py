@@ -16,6 +16,7 @@ from conftest import (
     forced_arrow_structure,
     random_function,
     random_pd,
+    range_weighted_pair3,
     s3_on_three_points,
     z12_on_16_points,
 )
@@ -42,7 +43,7 @@ from reference import (
 )
 
 
-FIXTURES = ["g2", "g3", "g4", "z2", "z3", "bundle23", "weighted_bundle", "transf"]
+FIXTURES = ["g2", "g3", "g4", "z2", "z3", "bundle23", "weighted_bundle", "transf", "s3_moved"]
 LARGE = {
     # Haar weights that vary within a fiber, unlike those of the fixtures
     "weighted_pair3": lambda: gf.pair_groupoid(3, unit_weights=[1.0, 2.0, 0.5]),
@@ -55,6 +56,8 @@ LARGE = {
     # vary within each fiber and are transported across the orbit
     "s3-on-3w": lambda: s3_on_three_points(unit_weights=[1.0, 2.0, 0.5]),
     "z12-on-16w": lambda: z12_on_16_points(unit_weights=np.linspace(0.5, 2.0, 16)),
+    # the unit arrow last in every fiber, after the other arrows from the base
+    "s3-on-3w-moved": lambda: s3_on_three_points(unit_weights=[1.0, 2.0, 0.5], identity_last=True),
 }
 _built = {}
 
@@ -137,7 +140,32 @@ class TestOrbitIndex:
                 assert np.array_equal(g.weights[c.arrows[i]], g.weights[c.arrows[b]][p])
                 assert c.arrows[b, o.home[i]] == g.inverse_of[a]
                 assert o.home[i] == p[list(c.arrows[i]).index(g.unit_arrows[c.units[i]])]
+                if i == b:
+                    # a base is carried by its unit arrow
+                    assert a == g.unit_arrows[c.units[i]] == c.arrows[i, o.home[i]]
+                    assert np.array_equal(p, np.arange(m))
         assert bases == _orbit_count(g)
+
+    def test_weights_that_are_not_left_invariant_keep_every_unit(self):
+        g = range_weighted_pair3()
+        (c,), (o,) = g.fiber_classes, g.orbit_index
+        assert np.array_equal(o.bases, np.arange(3)) and o.alone
+        assert np.array_equal(o.perm, np.tile(np.arange(3), (3, 1)))
+        rng = _rng(g)
+        # positive definite on pair(3) whatever the weights
+        phi, f = random_pd(gf.pair_groupoid(3), rng), random_function(g, rng)
+        assert _close(gf.reduced_norm(g, f), reduced_norm_loop_oracle(g, f), 1e-12)
+        for verdict, oracle in VERDICTS:
+            for x in (phi, phi - 10.0 * (1 + np.abs(phi).max()) * gf.delta(g, g.unit_arrows[2])):
+                got, want = verdict(g, x), oracle(g, x)
+                assert got.is_pd == want.is_pd and got.unit == want.unit
+        bundle, xi = gf.gns_bundle(g, phi)
+        assert bundle.dims == gns_bundle_oracle(g, phi)[0].dims
+        assert _close(gf.coefficient(g, bundle, xi, xi), phi, 1e-10)
+        # the coefficient-norm problem keeps a block per unit, to the same value
+        assert gf.norms.stieltjes_problem(g, phi).data.shape[0] == 3
+        assert gf.fourier_stieltjes_norm(g, phi).value == pytest.approx(
+            gf.fourier_stieltjes_norm(gf.pair_groupoid(3), phi).value, rel=1e-9)
 
 
 class TestOnePerOrbit:
