@@ -89,7 +89,8 @@ class OrbitClass:
     units, and so left-invariant weights, are carried along unchanged.  On a
     base row perm is the identity.  ``home[i]`` is the place of inverse(a) in
     the base fiber, where perm[i] sends the unit arrow of ``units[i]``; on a
-    base row it is the place of the unit arrow.
+    base row it is the place of the unit arrow.  ``spread`` reads base
+    matrices onto every row's fiber by this index.
     """
 
     bases: np.ndarray
@@ -108,6 +109,14 @@ class OrbitClass:
         """``bases`` as an index of the class's rows: every row, as a slice
         that gathers nothing, when every orbit is one unit."""
         return slice(None) if self.alone else self.bases
+
+    def spread(self, stack: np.ndarray) -> np.ndarray:
+        """Arrow values ``stack[..., orbit[i], home[i], perm[i]]`` on the fiber
+        of every row i, from a (..., n_bases, m, m) stack of base matrices.
+        A base matrix M that commutes with the isotropy permutations of the
+        base fiber (as polar parts and square roots of a Gram block do), or
+        any M with trivial isotropy, gives the x with x[gram[b]] = M."""
+        return stack[..., self.orbit[:, None], self.home[:, None], self.perm]
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,20 @@ SDP, and ``schur_cb_norm`` is this solve.
 One stacked SVD per fiber class completes every block by its balanced polar
 parts (``_group_orbits``), a seed the solver re-verifies.  It is optimal, and
 no Newton step runs, on groups and group bundles (Eymard's norm, with a dual
-block and one decomposition term from the same SVD), on positive definite
-phi and on rank-one blocks; elsewhere the interior-point method starts from
-the larger of the sup norm and the closed form on one-unit orbits.  The
-closed-form values and decomposition costs carry a rounding of a few ulps
-per fiber element, so the lower bound is rounded down, and the upper bound
-up, by 8 eps times the largest fiber size, or as many ulps where that is more.
-A phi below the normal range is solved lifted into it by a power of two, and
-its values are scaled back and rounded outwards by the same margin.
+block from the same SVD), on positive definite phi and on rank-one blocks;
+elsewhere the interior-point method starts from the larger of the sup norm
+and the closed form on one-unit orbits.  The upper bound of
+``fourier_norm_bounds`` is the cheapest of three decompositions: the polar
+term of the same SVD and the terms of the square root of the solver's
+completion blocks (or of their row factorization when no orbit has
+isotropy), both read from base matrices by ``OrbitClass.spread``, and
+point masses.  The closed-form values and decomposition costs carry a
+rounding of a few ulps per fiber element, so the lower bound is rounded
+down, and the upper bound up, by 8 eps times the largest fiber size, or as
+many ulps where that is more.  A phi below the normal range or above
+2**1000 is solved brought into [1/2, 1) by a power of two, and its values
+are scaled back and rounded outwards by the same margin, or raise
+ValueError when they overflow.
 
 Everything of the problem that does not depend on phi (the variable layout
 of the blocks, checked once, the positions phi fills, the kept rows of each
@@ -32,6 +38,7 @@ pair groupoids of the last few sizes it solved on.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -39,9 +46,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import arrow_function
-from .groupoid import FiniteGroupoid, pair_groupoid, product_with_pair_groupoid
-from .numerics import orthonormal_span
-from .positivity import _stacks, off_diagonal_embed, pd_to_section
+from .groupoid import FiniteGroupoid, pair_groupoid
+from .numerics import hermitian_sqrt, orthonormal_span
+from .positivity import _stacks
 from .sdp import BlockLayout, DiagBoundSdp, SdpSolution, _herm, _read_only, solve_diag_bound_sdp
 
 # the rounding margin of closed-form values and decomposition costs, in eps
@@ -55,9 +62,9 @@ class NormCertificate:
 
     kind 'optimal' carries a feasible completion (rho, tau) or (p, q) and the
     solver's certified lower bound, Newton steps, status and number of SDP
-    blocks; 'upper' carries a
-    list of coefficient factorization terms; 'lower' carries the arrow that
-    attains the sup bound and the dual blocks that certify the SDP bound.
+    blocks; 'upper' carries a list of coefficient factorization terms;
+    'lower' carries the arrow that attains the sup bound and the dual blocks
+    that certify the SDP bound.
     """
 
     value: float
@@ -75,11 +82,9 @@ def _arrow_variables(g: FiniteGroupoid) -> tuple[np.ndarray, np.ndarray]:
 class _KeptClass(NamedTuple):
     """The orbit bases (``FiniteGroupoid.orbit_index``) in one fiber class,
     whose range fibers have m arrows: their Gram blocks ``gram``, the
-    variable ids and conjugation flags there, and their ``blocks`` in the
-    declaration; then the one-unit orbits among them (``alone``), whose
-    fiber is the isotropy group, with their fibers (``arrows``), the place
-    of each unit arrow in its fiber (``at``) and the square root of its
-    weight (``root_weight``)."""
+    variable ids and conjugation flags there, their ``blocks`` in the
+    declaration, and which of them are one-unit orbits, whose fiber is the
+    isotropy group (``alone``)."""
 
     m: int
     gram: np.ndarray
@@ -87,9 +92,6 @@ class _KeptClass(NamedTuple):
     flip: np.ndarray
     blocks: np.ndarray
     alone: np.ndarray
-    arrows: np.ndarray
-    at: np.ndarray
-    root_weight: np.ndarray
 
 
 class CoefficientLayout:
@@ -97,10 +99,11 @@ class CoefficientLayout:
     on phi, built once per groupoid (``FiniteGroupoid.coefficient_layout``).
 
     It holds the variable ids and conjugation flags of the arrows, the kept
-    rows of every fiber class (``_KeptClass``), whether every orbit is one
-    unit (``complete``), the checked ``BlockLayout`` of ``stieltjes_problem``
-    with the data positions that phi fills, the range fibers as
-    ``_term_cost`` reads them, and the rounding margins: the largest fiber
+    rows of every fiber class (``_KeptClass``), whether every orbit has
+    trivial isotropy, as many units as fiber arrows (``free``), the checked
+    ``BlockLayout`` of ``stieltjes_problem`` with the data positions that phi
+    fills, the range fibers as ``_term_cost`` reads them, and the rounding
+    margins: the largest fiber
     of a one-unit orbit (``group_fiber``, 0 without one) and of any unit
     (``fiber``).  Its arrays are read-only: a layout is shared by every
     solve on g, and a groupoid made from g by ``with_unit_weights`` or
@@ -115,17 +118,14 @@ class CoefficientLayout:
         block_of = np.cumsum(kept) - 1
         classes = []
         for c, o in zip(g.fiber_classes, g.orbit_index):
-            units, arrows, gram = c.units[o.bases], c.arrows[o.bases], c.gram[o.bases]
-            # the orbits whose fiber is the isotropy group; a base's unit arrow
-            # is at its home place
-            alone = (g.source_of[arrows] == units[:, None]).all(1)
-            units, arrows, at = units[alone], arrows[alone], o.home[o.bases][alone]
-            root = np.sqrt(g.weights[g.unit_arrows[units]])
+            units, gram = c.units[o.bases], c.gram[o.bases]
+            # the orbits whose fiber is the isotropy group
+            alone = (g.source_of[c.arrows[o.bases]] == units[:, None]).all(1)
             classes.append(_KeptClass(gram.shape[1], *map(_read_only, (
-                gram, ids[gram], flip[gram], block_of[c.units[o.bases]], alone, arrows, at, root))))
+                gram, ids[gram], flip[gram], block_of[units], alone))))
         self.ids, self.flip = _read_only(ids), _read_only(flip)
         self.classes = tuple(classes)
-        self.complete = all(c.alone.all() for c in classes)
+        self.free = all((np.bincount(o.orbit) == c.m).all() for c, o in zip(classes, g.orbit_index))
         self.group_fiber = max((c.m for c in classes if c.alone.any()), default=0)
         s = 2 * max(c.m for c in classes)
         var = np.full((kept.sum(), s, s), -1)
@@ -191,17 +191,14 @@ def stieltjes_problem(g: FiniteGroupoid, phi) -> DiagBoundSdp:
 
 class _GroupOrbits(NamedTuple):
     """The polar completion of every orbit block by variable id (``seed``),
-    and the closed form on the orbits that are one unit: ``value``, the
-    largest ||Phi_u||_tr / m over their units (-inf without one); the dual
-    stack at the block of the largest value (``dual``, None without such a
-    unit); and the single decomposition term (f, h) as a (1, 2, n_arrows)
-    stack (``term``), a decomposition of phi when every orbit is one unit
-    (``CoefficientLayout.complete``)."""
+    the SVD factors (U, S, V^H) and balance c of each fiber class (``polar``),
+    and the closed form on one-unit orbits: ``value``, the largest
+    ||Phi_u||_tr / m (-inf without one), and the dual stack at its block."""
 
     value: float
     seed: np.ndarray
     dual: np.ndarray | None
-    term: np.ndarray
+    polar: tuple
 
 
 def _group_orbits(g: FiniteGroupoid, phi, problem: DiagBoundSdp) -> _GroupOrbits:
@@ -217,21 +214,19 @@ def _group_orbits(g: FiniteGroupoid, phi, problem: DiagBoundSdp) -> _GroupOrbits
     the block's value at sqrt(max diag U S U^H max diag V S V^H), at most
     ||Phi||_2.  That is the optimum on positive definite phi (U S U^H =
     V S V^H = Phi: the largest unit value), on rank-one Phi = x y^H
-    (|x|_inf |y|_inf, the sup norm) and on one-unit orbits.
+    (|x|_inf |y|_inf, the sup norm) and on one-unit orbits.  The same
+    factors give a decomposition term of this cost (``_polar_term``).
 
-    There the fiber of u is the isotropy group and Phi_u a group matrix, as
-    are its polar parts, with diagonal tr S / m, so c = 1.  The dual Z =
-    [[I, -W], [-W^H, I]] / (2m) with W = U V^H is PSD, is zero at every free
-    variable, sums to 1 on the objective diagonal, and has -<F0, Z> =
-    tr S / m: the optimum is ||Phi_u||_tr / m, Eymard's norm sum_pi d_pi
-    ||phi^(pi)||_1 / |G|.  A = U S^1/2 V^H and B = V S^1/2 V^H are group
-    matrices with A B = Phi_u, so phi = a * b, and h = a, f(z) =
-    conj(b(inverse(z))), both divided by sqrt(w_u), is one term whose
-    sections have norm^2 tr S / m on fiber u.  The values carry the SVD's
-    rounding of a few ulps per fiber element.
+    On a one-unit orbit the fiber of u is the isotropy group and Phi_u a
+    group matrix, as are its polar parts, with diagonal tr S / m, so c = 1.
+    The dual Z = [[I, -W], [-W^H, I]] / (2m) with W = U V^H is PSD, is zero
+    at every free variable, sums to 1 on the objective diagonal, and has
+    -<F0, Z> = tr S / m: the optimum is ||Phi_u||_tr / m, Eymard's norm
+    sum_pi d_pi ||phi^(pi)||_1 / |G|.  The values carry the SVD's rounding
+    of a few ulps per fiber element.
     """
     seed = np.zeros(2 * g.n_arrows, dtype=complex)
-    term = np.zeros((1, 2, g.n_arrows), dtype=complex)
+    polar = []
     top = None
     for c in g.coefficient_layout.classes:
         u, s, vh = np.linalg.svd(phi[c.gram])
@@ -241,27 +236,23 @@ def _group_orbits(g: FiniteGroupoid, phi, problem: DiagBoundSdp) -> _GroupOrbits
                                     where=np.minimum(high_rho, high_tau) > 0))[:, None, None]
         seed[c.ids] = np.where(c.flip, rho.conj(), rho) * balance
         seed[c.ids + g.n_arrows] = np.where(c.flip, tau.conj(), tau) / balance
+        polar.append((u, s, vh, balance))
         if not c.alone.any():
             continue
         u, s, vh = u[c.alone], s[c.alone], vh[c.alone]
         values = s.sum(1) / c.m
-        # the unit rows of A and B, scaled by 1 / sqrt(w_u)
-        k = np.arange(c.at.size)
-        root = np.sqrt(s) / c.root_weight[:, None]
-        term[0, 1, c.arrows] = ((u[k, c.at] * root)[:, None, :] @ vh)[:, 0]
-        term[0, 0, c.arrows] = ((vh[k, :, c.at].conj() * root)[:, None, :] @ vh)[:, 0]
         i = int(values.argmax())
         if top is None or values[i] > top[0]:
             top = float(values[i]), c.blocks[c.alone][i], c.m, u[i] @ vh[i]
     if top is None:
-        return _GroupOrbits(-np.inf, seed, None, term)
+        return _GroupOrbits(-np.inf, seed, None, tuple(polar))
     value, block, m, w = top
     dual = np.zeros(problem.data.shape, dtype=complex)
     z = dual[block, :2 * m, :2 * m]
     z[:m, m:], z[m:, :m] = -w, -_herm(w)
     z.flat[::2 * m + 1] = 1.0
     z /= 2 * m
-    return _GroupOrbits(value, seed, dual, term)
+    return _GroupOrbits(value, seed, dual, tuple(polar))
 
 
 def _rounded(value: float, fiber: int, direction: int) -> float:
@@ -275,34 +266,40 @@ def _rounded(value: float, fiber: int, direction: int) -> float:
     return float(max(moved) if direction > 0 else min(moved))
 
 
-def _witness_functions(g: FiniteGroupoid, solution: SdpSolution) -> tuple[np.ndarray, np.ndarray]:
-    ids, flip = g.coefficient_layout.ids, g.coefficient_layout.flip
-    rho, tau = solution.variables[ids], solution.variables[ids + g.n_arrows]
-    return np.where(flip, rho.conj(), rho), np.where(flip, tau.conj(), tau)
-
-
 def _solve_stieltjes(g: FiniteGroupoid, phi: np.ndarray) -> tuple[NormCertificate, SdpSolution, _GroupOrbits]:
     """The SDP of the arrow function phi from the polar completion and the
     larger of the sup norm and the rounded closed form; an optimal seed
     verifies with no Newton step."""
-    problem = g.coefficient_layout.declare(phi)
+    layout = g.coefficient_layout
+    problem = layout.declare(phi)
     orbits = _group_orbits(g, phi, problem)
     sup = float(np.abs(phi).max(initial=0.0))
-    lower = max(sup, _rounded(orbits.value, g.coefficient_layout.group_fiber, -1))
+    lower = max(sup, _rounded(orbits.value, layout.group_fiber, -1))
     # the closed-form dual certifies its unrounded value, hence lower, unless sup is larger
     dual = orbits.dual if orbits.value >= sup else None
     solution = solve_diag_bound_sdp(problem, lower=lower, seeds=(orbits.seed,), dual=dual)
-    rho, tau = _witness_functions(g, solution)
+    rho, tau = (np.where(layout.flip, x.conj(), x)
+                for x in (solution.variables[layout.ids], solution.variables[layout.ids + g.n_arrows]))
     witness = {"rho": rho, "tau": tau, "lower": solution.lower, "iterations": solution.iterations,
                "status": solution.status, "blocks": int(problem.sizes.size)}
     return NormCertificate(solution.value, "optimal", witness), solution, orbits
 
 
 def _lift(phi: np.ndarray) -> int:
-    """The power of two that lifts phi into the normal range when its largest
-    modulus lies below it, else 0."""
+    """The power of two that brings the largest modulus of phi into [1/2, 1)
+    when it lies below the normal range, or above 2**1000, where the sums
+    inside the solve could overflow; else 0."""
     top = float(np.abs(phi).max(initial=0.0))
-    return -int(np.frexp(top)[1]) if 0.0 < top < np.finfo(float).tiny else 0
+    return -int(np.frexp(top)[1]) if 0.0 < top < np.finfo(float).tiny or top > 2.0 ** 1000 else 0
+
+
+def _scaled_back(value: float, lift: int, fiber: int, direction: int) -> float:
+    """``_rounded`` of value times 2**-lift; ValueError when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        back = _rounded(np.ldexp(value, -lift), fiber, direction)
+    if not np.isfinite(back):
+        raise ValueError(f"the norm overflows: {value:.17g} x 2**{-lift} is above the largest float")
+    return back
 
 
 def _ldexp(x: np.ndarray, k: int) -> np.ndarray:
@@ -315,17 +312,19 @@ def _lowered(g: FiniteGroupoid, cert: NormCertificate, lift: int, sup: float) ->
     """The coefficient-norm certificate of phi from that of phi lifted by
     2**lift: the completion scaled back, the value rounded up and the lower
     bound down, by the rounding margin, because scaling back into the
-    subnormal range rounds; sup, the sup norm of phi, stays a lower bound."""
+    subnormal range rounds (ValueError on overflow); sup, the sup norm of
+    phi, stays a lower bound."""
     fiber, w = g.coefficient_layout.fiber, cert.witness
+    value = _scaled_back(cert.value, lift, fiber, 1)
     witness = {**w, "rho": _ldexp(w["rho"], -lift), "tau": _ldexp(w["tau"], -lift),
-               "lower": max(sup, _rounded(np.ldexp(w["lower"], -lift), fiber, -1))}
-    return NormCertificate(_rounded(np.ldexp(cert.value, -lift), fiber, 1), cert.kind, witness)
+               "lower": max(sup, _scaled_back(w["lower"], lift, fiber, -1))}
+    return NormCertificate(value, cert.kind, witness)
 
 
 def _stieltjes_certificate(g: FiniteGroupoid, phi) -> NormCertificate:
-    """The certificate of ``_solve_stieltjes``; phi below the normal range is
-    solved lifted into it by a power of two, where the closed form and the
-    seeded exit keep their relative margins, and scaled back."""
+    """The certificate of ``_solve_stieltjes``; phi below the normal range or
+    above 2**1000 is solved brought into [1/2, 1) by a power of two, where
+    the closed form and the seeded exit keep their margins, and scaled back."""
     phi = arrow_function(g, phi)
     lift = _lift(phi)
     if not lift:
@@ -384,31 +383,28 @@ def schur_cb_norm(a) -> NormCertificate:
     cert = _stieltjes_certificate(_pair_groupoid(n), a.ravel())
     telemetry = dict(cert.witness)
     pm, qm = telemetry.pop("rho").reshape(n, n), telemetry.pop("tau").reshape(n, n)
-    left, right = _factorize_completion(pm, a, qm)
-    witness = {"p_block": pm, "q_block": qm, "left": left, "right": right, **telemetry}
+    # factored at the scale the solve ran at; each factor takes half the lift back
+    lift = _lift(a)
+    left, right = _factorize_completion(*(_ldexp(x, lift) for x in (pm, a, qm)))
+    half = lift // 2
+    witness = {"p_block": pm, "q_block": qm, "left": _ldexp(left, -half),
+               "right": _ldexp(right, half - lift), **telemetry}
     return NormCertificate(cert.value, "optimal", witness)
 
 
 def _factorize_completion(pm, a, qm) -> tuple[np.ndarray, np.ndarray]:
-    """Row-vector factorization a_ij = <x_i, y_j> from a PSD completion,
-    compressed to inner dimension <= n and padded back to n columns."""
+    """Row-vector factorization a_ij = sum_k left[i, k] conj(right[j, k]) from
+    a PSD completion C = c^H c: the columns of c, read in an orthonormal basis
+    of the span of its last n columns (at most n vectors), padded to n."""
     n = a.shape[0]
     big = np.block([[pm, a], [a.conj().T, qm]])
     vals, vecs = np.linalg.eigh((big + big.conj().T) / 2)
     keep = vals > 1e-12 * float(vals.max(initial=0.0))
-    c = (np.sqrt(vals[keep])[:, None] * vecs[:, keep].conj().T)
-    xs = c[:, :n].T
-    ys = c[:, n:].T
-    basis = orthonormal_span(ys)
-    xs = xs @ basis.conj().T @ basis if len(basis) else np.zeros_like(xs)
-    gx = (basis.conj() @ xs.T).T if len(basis) else np.zeros((n, 0))
-    gy = (basis.conj() @ ys.T).T if len(basis) else np.zeros((n, 0))
-    d = gx.shape[1]
-    left = np.zeros((n, n), dtype=complex)
-    right = np.zeros((n, n), dtype=complex)
-    left[:, :d] = np.conj(gx)
-    right[:, :d] = np.conj(gy)
-    return left, right
+    c = np.sqrt(vals[keep])[:, None] * vecs[:, keep].conj().T
+    basis = orthonormal_span(c[:, n:].T)
+    factors = np.zeros((2 * n, n), dtype=complex)
+    factors[:, :len(basis)] = (basis @ c.conj()).T
+    return factors[:n], factors[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +420,6 @@ def _pair_structure(g: FiniteGroupoid) -> np.ndarray | None:
     arrow_of[g.range_of, g.source_of] = np.arange(g.n_arrows)
     # n * n arrows fill every pair exactly when no two share one
     return arrow_of if arrow_of.min(initial=0) >= 0 else None
-
-
-def _unit_weights_only(g: FiniteGroupoid) -> bool:
-    return bool(np.abs(g.weights - 1.0).max(initial=0.0) <= 1e-12)
 
 
 def _term_cost(g: FiniteGroupoid, terms: np.ndarray) -> float:
@@ -473,55 +465,57 @@ def _delta_terms(g: FiniteGroupoid, phi) -> np.ndarray:
     return terms
 
 
-def _pair_terms(g, arrow_of, stieltjes: NormCertificate, phi):
-    """Single-coefficient factorization on a pair groupoid from the SDP witness."""
-    rho, tau = stieltjes.witness["rho"], stieltjes.witness["tau"]
-    left, right = _factorize_completion(rho[arrow_of], phi[arrow_of], tau[arrow_of])
-    f = np.zeros(g.n_arrows, dtype=complex)
-    h = np.zeros(g.n_arrows, dtype=complex)
-    h[arrow_of] = left
-    f[arrow_of] = right
-    return [(f, h)]
+def _spread_terms(g: FiniteGroupoid, stacks) -> np.ndarray:
+    """The (k, 2, n_arrows) terms (f_k, h_k) read by ``OrbitClass.spread``
+    from the (k, 2, n_bases, m, m) base matrices (B_k, A_k) of each fiber
+    class, divided by sqrt(w): h_k[gram] W^1/2 = A_k at a base with fiber
+    weights W, so the Gram block of the sum of the coefficients is
+    sum_k A_k B_k^H, and ||h_k|| is the largest row norm of A_k."""
+    terms = np.zeros((len(stacks[0]), 2, g.n_arrows), dtype=complex)
+    for c, o, stack in zip(g.fiber_classes, g.orbit_index, stacks):
+        terms[:, :, c.arrows] = o.spread(np.asarray(stack))
+    return terms / np.sqrt(g.weights)
 
 
-def _doubled_terms(g: FiniteGroupoid, stieltjes: NormCertificate, phi):
-    """Two-coefficient decomposition through the block embedding on the doubled
-    groupoid: reconstruct the embedded completion as a single coefficient there
-    and split it back."""
+def _polar_term(g: FiniteGroupoid, orbits: _GroupOrbits) -> np.ndarray:
+    """The term A = sqrt(c) U S^1/2 V^H, B = V S^1/2 V^H / sqrt(c) of each
+    Phi_b = U S V^H = A B^H and balance c of ``_group_orbits``: its cost is
+    the polar seed's value, the optimum on one-unit orbits, positive
+    definite phi and rank-one blocks."""
+    stacks = []
+    for u, s, vh, balance in orbits.polar:
+        root, scale = np.sqrt(s)[:, None, :], np.sqrt(balance)
+        stacks.append([[(_herm(vh) * root) @ vh / scale, (u * root) @ vh * scale]])
+    return _spread_terms(g, stacks)
+
+
+def _completion_terms(g: FiniteGroupoid, phi, stieltjes: NormCertificate) -> np.ndarray:
+    """Terms from the PSD blocks C_b = [[rho_b, Phi_b], [Phi_b^H, tau_b]] of
+    the SDP's completion: one from their row factorizations when no orbit has
+    isotropy, else two from R = C_b^1/2, which commutes with the isotropy
+    permutations: Phi_b = (R R^H)_01 = R00 R10^H + R01 R11^H.  ValueError
+    when a C_b is not PSD to 1e-7."""
+    layout = g.coefficient_layout
     rho, tau = stieltjes.witness["rho"], stieltjes.witness["tau"]
-    embedded = off_diagonal_embed(g, rho, phi, tau)
-    gp = product_with_pair_groupoid(g)
-    xi = pd_to_section(gp, embedded, tol=1e-7)
-    # parts[x, i, j] = xi[product_arrow_id(x, i, j)]
-    parts = xi.reshape(g.n_arrows, 2, 2)
-    return [(parts[:, 1, 0], parts[:, 0, 0]), (parts[:, 1, 1], parts[:, 0, 1])]
+    stacks = []
+    for c in layout.classes:
+        p, a, q = rho[c.gram], phi[c.gram], tau[c.gram]
+        if layout.free:
+            left, right = zip(*map(_factorize_completion, p, a, q))
+            stacks.append([[right, left]])
+        else:
+            r, m = hermitian_sqrt(np.block([[p, a], [_herm(a), q]]), 1e-7), c.m
+            stacks.append([[r[:, m:, :m], r[:, :m, :m]], [r[:, m:, m:], r[:, :m, m:]]])
+    return _spread_terms(g, stacks)
 
 
 def _candidates(g: FiniteGroupoid, phi, stieltjes: NormCertificate, orbits: _GroupOrbits):
     """Candidate decompositions, each a (k, 2, n_arrows) stack of terms
-    (f_k, h_k), built lazily, cheapest first: the closed form's single term
-    when every orbit is one unit, a positive-definite square-root
-    coefficient, a single-coefficient pair factorization or the doubled
-    two-term split, and the point-mass fallback."""
-    if g.coefficient_layout.complete:
-        yield orbits.term
-    if _unit_weights_only(g):
-        try:
-            xi = pd_to_section(g, phi)
-        except ValueError:
-            pass
-        else:
-            yield np.array([(xi, xi)])
-        arrow_of = _pair_structure(g)
-        if arrow_of is not None:
-            yield np.array(_pair_terms(g, arrow_of, stieltjes, phi))
-        else:
-            try:
-                doubled = _doubled_terms(g, stieltjes, phi)
-            except ValueError:
-                pass
-            else:
-                yield np.array(doubled)
+    (f_k, h_k), built lazily: the polar term, the completion terms (skipped
+    when the completion is not PSD to 1e-7) and the point masses."""
+    yield _polar_term(g, orbits)
+    with suppress(ValueError):
+        yield _completion_terms(g, phi, stieltjes)
     yield _delta_terms(g, phi)
 
 
@@ -534,8 +528,9 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     feasible there, so that -<F0, Z> re-verifies the bound (None when the
     solver's seeded exit made the sup norm the bound).  On groups and group
     bundles Z is the closed form's, at the unit of the largest value.
-    Upper: the cheapest verified decomposition among ``_candidates``, which
-    are tried in turn until one costs at most the lower bound times
+    Upper: the cheapest decomposition that reproduces phi among
+    ``_candidates`` (the polar term, the completion terms and the point
+    masses), tried in turn until one costs at most the lower bound times
     1 + 1e-7.  The closed-form lower bound is rounded down by the closed
     form's rounding margin, and the upper bound up by 8 eps times the
     largest fiber size (or as many ulps, below the normal range).
@@ -547,17 +542,11 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     stieltjes, solution, orbits = _solve_stieltjes(g, phi)
     sup = float(np.abs(phi).max(initial=0.0))
     sup_arrow = int(np.abs(phi).argmax()) if g.n_arrows else 0
-    lower = NormCertificate(
-        max(sup, solution.lower),
-        "lower",
-        {"sup_arrow": sup_arrow, "stieltjes": stieltjes, "dual": solution.dual},
-    )
-    best_terms = None
-    best_cost = np.inf
+    lower = NormCertificate(max(sup, solution.lower), "lower",
+                            {"sup_arrow": sup_arrow, "stieltjes": stieltjes, "dual": solution.dual})
+    best_cost, best_terms = np.inf, None
     for terms in _candidates(g, phi, stieltjes, orbits):
-        if not _terms_reconstruct(g, terms, phi):
-            continue
-        cost = _term_cost(g, terms)
+        cost = _term_cost(g, terms) if _terms_reconstruct(g, terms, phi) else np.inf
         if cost < best_cost:
             best_cost, best_terms = cost, terms
         if cost <= lower.value * (1 + 1e-7):
@@ -571,15 +560,16 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
 
 
 def _lowered_bounds(g: FiniteGroupoid, phi: np.ndarray, lift: int) -> tuple[NormCertificate, NormCertificate]:
-    """The bounds of phi below the normal range from those of phi lifted by
-    2**lift, whose closed form, term reconstruction and costs keep their
-    relative margins: the bounds scaled back and moved out by the rounding
-    margin, each term's two sections scaled back by half the lift, which
-    stays exact, and the dual blocks as they are, since they are scale-free."""
+    """The bounds of phi below the normal range, or above 2**1000, from
+    those of phi brought into [1/2, 1) by 2**lift, whose closed form, term
+    reconstruction and costs keep their relative margins: the bounds scaled
+    back and moved out by the rounding margin (ValueError on overflow), each
+    term's two sections scaled back by half the lift, which stays exact, and
+    the dual blocks as they are, since they are scale-free."""
     lower, upper = fourier_norm_bounds(g, _ldexp(phi, lift))
     fiber, sup = g.coefficient_layout.fiber, float(np.abs(phi).max())
     half = lift // 2
     terms = tuple((_ldexp(f, -half), _ldexp(h, half - lift)) for f, h in upper.witness["terms"])
     witness = {**lower.witness, "stieltjes": _lowered(g, lower.witness["stieltjes"], lift, sup)}
-    return (NormCertificate(max(sup, _rounded(np.ldexp(lower.value, -lift), fiber, -1)), "lower", witness),
-            NormCertificate(_rounded(np.ldexp(upper.value, -lift), fiber, 1), "upper", {"terms": terms}))
+    return (NormCertificate(max(sup, _scaled_back(lower.value, lift, fiber, -1)), "lower", witness),
+            NormCertificate(_scaled_back(upper.value, lift, fiber, 1), "upper", {"terms": terms}))

@@ -404,7 +404,7 @@ def pd_to_section(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> np.ndarray:
     of the units meeting the support of phi.  Only defined for counting-measure
     Haar systems (all weights 1).  A unit's block is its orbit base's permuted
     by perm_u (``FiniteGroupoid.orbit_index``), and so is its square root, so
-    one ``hermitian_sqrt`` per orbit serves every unit.
+    one ``hermitian_sqrt`` per orbit serves every unit (``OrbitClass.spread``).
     """
     phi = arrow_function(g, phi)
     if np.abs(g.weights - 1.0).max(initial=0.0) > 1e-12:
@@ -422,8 +422,7 @@ def pd_to_section(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> np.ndarray:
     for c, o, blocks in zip(g.fiber_classes, g.orbit_index, _right_op_blocks(g, phi, rows)):
         # the root at u applied to the point mass at its unit arrow: the column
         # of the base root at the place of inverse(a_u), permuted by perm_u
-        column = np.take_along_axis(hermitian_sqrt(blocks, tol)[o.orbit, :, o.home], o.perm, axis=1)
-        xi[c.arrows] = column * marked[c.units][:, None]
+        xi[c.arrows] = o.spread(hermitian_sqrt(blocks, tol).swapaxes(1, 2)) * marked[c.units][:, None]
     return xi
 
 

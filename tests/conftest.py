@@ -99,6 +99,11 @@ def z12_on_16_points(unit_weights=None):
     return gf.transformation_groupoid(gf.cyclic_table(12), action, unit_weights)
 
 
+def z4_on_4_points_through_z2():
+    """Z4 acting on 4 points through Z2: two orbits of 2 units, isotropy Z2 = {0, 2}."""
+    return gf.transformation_groupoid(gf.cyclic_table(4), [[0, 1, 2, 3], [1, 0, 3, 2]] * 2)
+
+
 def _s3(identity_last=False):
     """The permutations of three points, in lexicographic order or reversed
     so that the identity is the last element, and their multiplication table."""

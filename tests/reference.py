@@ -8,9 +8,10 @@ Kronecker null-space commutant with the dense per-generator loops of the
 regular representation, and the entry-by-entry SDP builder, which the array
 versions in the package must reproduce.  Then comes the brute-force
 factorization search that the coefficient-norm tests compare against (the
-only user of scipy), and last the coefficient norm as solved before its
-closed form on one-unit orbits and before its polar completion, with
-Eymard's norm from explicit irreps.
+only user of scipy), the coefficient norm as solved before its closed form
+on one-unit orbits and before its polar completion, with Eymard's norm from
+explicit irreps, and last the two-term decomposition through the doubled
+groupoid that the square-root split of each orbit block replaced.
 """
 
 import itertools
@@ -31,6 +32,7 @@ from gfourier.groupoid import (
     FiniteGroupoid,
     ValidationReport,
     identity_bisection,
+    product_with_pair_groupoid,
 )
 from gfourier.norms import stieltjes_problem
 from gfourier.numerics import RANK_TOL, hermitian_eigen, hermitian_sqrt, nullspace
@@ -41,6 +43,7 @@ from gfourier.positivity import (
     PdVerdict,
     _non_hermitian_witness,
     is_positive_definite,
+    off_diagonal_embed,
     regular_coefficient,
 )
 from gfourier.regular import left_op, operator_norm, right_op, section_norm, unit_blocks
@@ -1068,3 +1071,21 @@ def s3_irreps(perms) -> list[np.ndarray]:
     basis = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T / np.sqrt([2.0, 6.0])
     return [np.ones((len(perms), 1, 1)), np.linalg.det(mats)[:, None, None],
             basis.T @ mats @ basis]
+
+
+# ---------------------------------------------------------------------------
+# the two-term decomposition through the doubled groupoid
+
+
+def doubled_split_oracle(g, stieltjes, phi):
+    """The (2, 2, n_arrows) terms (f, h) from the completion (rho, tau) of the
+    certificate ``stieltjes``: the block function (rho, phi; phi*, tau) on the
+    product of g with the pair groupoid of 2 points is reconstructed there as
+    one coefficient (xi, xi) by the square-root section, one fiber at a time,
+    and xi is split back into two terms on g."""
+    rho, tau = stieltjes.witness["rho"], stieltjes.witness["tau"]
+    embedded = off_diagonal_embed(g, rho, phi, tau)
+    xi = pd_to_section_loop_oracle(product_with_pair_groupoid(g), embedded, tol=1e-7)
+    # parts[x, i, j] = xi[product_arrow_id(x, i, j)]
+    parts = xi.reshape(g.n_arrows, 2, 2)
+    return np.array([(parts[:, 1, 0], parts[:, 0, 0]), (parts[:, 1, 1], parts[:, 0, 1])])

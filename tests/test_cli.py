@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from gfourier.fileio import (
     write_arrow_function,
     write_groupoid,
 )
-from conftest import forced_arrow_structure, no_bisection_structure, random_pd, z12_on_16_points
+from conftest import (
+    forced_arrow_structure,
+    no_bisection_structure,
+    random_pd,
+    s3_on_three_points,
+    z12_on_16_points,
+)
 from reference import compose_triples_oracle
 
 
@@ -256,6 +263,23 @@ class TestNormCommand:
         text = capsys.readouterr().out
         line = next(ln for ln in text.splitlines() if "norm/reduced" in ln)
         assert float(line.split()[2]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("which", ["stieltjes", "decomp"])
+    def test_norm_above_the_largest_float_exits_2(self, tmp_path, capsys, rng, which):
+        g = s3_on_three_points()
+        phi = rng.standard_normal(g.n_arrows) + 1j * rng.standard_normal(g.n_arrows)
+        phi /= np.abs(phi).max()
+        top = 1.5e308
+        assert gf.fourier_stieltjes_norm(g, phi).value > np.finfo(float).max / top
+        gfile, ffile = tmp_path / "g.json", tmp_path / "phi.json"
+        write_groupoid(str(gfile), g)
+        write_arrow_function(str(ffile), top * phi)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["norm", str(gfile), str(ffile), "--which", which]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the norm overflows") and captured.out == ""
 
     def test_dimension_mismatch_exits_2(self, tmp_path, g3):
         gfile = tmp_path / "g.json"

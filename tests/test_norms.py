@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,16 @@ import pytest
 import gfourier as gf
 from gfourier.norms import stieltjes_problem
 from gfourier.sdp import BlockLayout, DiagBoundSdp, SdpInfeasibleError, solve_diag_bound_sdp
-from conftest import random_function, random_pd, z12_on_16_points
+from conftest import (
+    random_function,
+    random_pd,
+    s3_on_three_points,
+    z4_on_4_points_through_z2,
+    z12_on_16_points,
+)
 from reference import (
     brute_force_factorization_norm,
+    doubled_split_oracle,
     fourier_norm_oracle,
     s3_irreps,
     schur_problem_oracle,
@@ -360,9 +368,10 @@ class TestDataScale:
     @pytest.mark.parametrize("s", SCALES)
     @pytest.mark.parametrize("gname", SCALE_GROUPOIDS)
     def test_fourier_norm_bounds(self, s, gname, request, rng):
-        # conjugation-symmetric inputs too: at small scales the positivity
-        # verdict's absolute floor accepts them, and the square-root candidate
-        # that follows does not reproduce phi
+        # conjugation-symmetric inputs too: the square root of the completion
+        # blocks clamps their eigenvalues against an absolute floor, which
+        # accepts every block at small scales, so its terms are only kept
+        # where they reproduce phi
         g = request.getfixturevalue(gname)
         base = random_function(g, rng)
         for phi in (s * base, s * (base + gf.star(g, base)) / 2):
@@ -400,6 +409,49 @@ class TestDataScale:
                 # the oracle rounds to the subnormal grid once, by half an ulp
                 assert lower.value <= np.nextafter(exact, np.inf)
                 assert np.nextafter(exact, 0.0) <= upper.value
+
+    def test_lift_brings_only_extreme_inputs_into_range(self):
+        lift = gf.norms._lift
+        for top in (np.finfo(float).tiny, 1.0, 1e300, 2.0 ** 1000):
+            assert lift(np.array([top])) == 0
+        for top, want in ((1e-310, 1029), (1e302, -1004), (np.finfo(float).max, -1024)):
+            assert lift(np.array([top])) == want
+            assert 0.5 <= np.ldexp(top, want) < 1.0
+
+    @pytest.mark.parametrize("gname", ["g3", "bundle23"])
+    def test_largest_floats_are_solved_lowered(self, gname, request, rng):
+        # above 2**1000 phi is solved lowered by a power of two, so the sums
+        # inside the SVDs and eigenvalue solvers stay finite, and the norms
+        # are scaled back; each section of a term takes half the scale
+        g = request.getfixturevalue(gname)
+        phi = random_function(g, rng)
+        phi /= np.abs(phi).max()
+        s, half = 1e308, 2.0 ** 512
+        base = (gf.fourier_stieltjes_norm(g, phi), *gf.fourier_norm_bounds(g, phi))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = (gf.fourier_stieltjes_norm(g, s * phi), *gf.fourier_norm_bounds(g, s * phi))
+            cb = gf.schur_cb_norm(s * phi.reshape(3, 3)) if gname == "g3" else None
+        for got, want in zip(big, base):
+            assert got.value / s == pytest.approx(want.value, rel=1e-12)
+        total = terms_sum_oracle(g, np.array(big[2].witness["terms"]) / half) * half * half
+        assert np.abs(total - s * phi).max() <= 1e-8 * s
+        if cb is not None:
+            assert cb.value / s == pytest.approx(base[0].value, rel=1e-12)
+            left, right = (cb.witness[key] / half for key in ("left", "right"))
+            assert np.abs((left @ right.conj().T) * half * half - s * phi.reshape(3, 3)).max() <= 1e-8 * s
+
+    def test_a_norm_above_the_largest_float_raises(self, rng):
+        g = s3_on_three_points()
+        phi = random_function(g, rng)
+        phi /= np.abs(phi).max()
+        top = 1.5e308
+        assert gf.fourier_stieltjes_norm(g, phi).value > np.finfo(float).max / top
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for norm in (gf.fourier_stieltjes_norm, gf.fourier_norm_bounds):
+                with pytest.raises(ValueError, match="the norm overflows"):
+                    norm(g, top * phi)
 
 
 FIXTURE_GROUPOIDS = ["g2", "g3", "g4", "z2", "z3", "bundle23", "weighted_bundle", "transf"]
@@ -490,6 +542,14 @@ class TestArrayDeclaration:
                             position // n == position % n, rng)
 
 
+SPLIT_GROUPOIDS = {
+    "s3-on-3": s3_on_three_points,
+    "z12-on-16": z12_on_16_points,
+    "pair2xz3": lambda: gf.product_with_pair_groupoid(gf.group_groupoid(gf.cyclic_table(3))),
+    "z4-on-4-through-z2": z4_on_4_points_through_z2,
+}
+
+
 class TestFourierStieltjesNorm:
     @pytest.mark.parametrize("gname", ["g2", "g3", "bundle23", "weighted_bundle", "transf"])
     def test_positive_definite_value_is_max_unit_value(self, gname, request, rng):
@@ -562,17 +622,31 @@ class TestFourierStieltjesNorm:
         scale = float(np.abs(phi).max())
         assert min(float(np.linalg.eigvalsh(b)[0]) for b in blocks) >= -1e-9 * scale
 
-    def test_doubled_split_reconstructs_on_self_inverse_arrows(self, bundle23, rng):
-        # the two-term decomposition through the doubled groupoid must survive
-        # fibers containing self-inverse arrows
-        phi = random_function(bundle23, rng)
-        cert = gf.fourier_stieltjes_norm(bundle23, phi)
-        terms = gf.norms._doubled_terms(bundle23, cert, phi)
-        total = sum(gf.regular_coefficient(bundle23, f, h) for f, h in terms)
+    def test_split_reconstructs_on_self_inverse_arrows(self, rng):
+        # the two-term split of the completion's square root must survive
+        # fibers containing self-inverse arrows: the isotropy group of S3 on
+        # three points is Z2, a transposition
+        g = s3_on_three_points()
+        phi = random_function(g, rng)
+        cert = gf.fourier_stieltjes_norm(g, phi)
+        terms = gf.norms._completion_terms(g, phi, cert)
+        assert len(terms) == 2
+        total = sum(gf.regular_coefficient(g, f, h) for f, h in terms)
         assert np.abs(total - phi).max() < 1e-7
-        cost = sum(gf.section_norm(bundle23, f) * gf.section_norm(bundle23, h)
-                   for f, h in terms)
+        cost = sum(gf.section_norm(g, f) * gf.section_norm(g, h) for f, h in terms)
         assert cost <= 2 * cert.value + 1e-6
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_GROUPOIDS))
+    def test_split_costs_what_the_doubled_groupoid_split_costs(self, name):
+        g = SPLIT_GROUPOIDS[name]()
+        for seed in range(3):
+            phi = random_function(g, np.random.default_rng(seed))
+            cert = gf.fourier_stieltjes_norm(g, phi)
+            terms = gf.norms._completion_terms(g, phi, cert)
+            want = doubled_split_oracle(g, cert, phi)
+            assert len(terms) == 2
+            assert term_cost_oracle(g, terms) == pytest.approx(term_cost_oracle(g, want), rel=1e-9)
+            assert np.abs(terms_sum_oracle(g, terms) - phi).max() <= 1e-8 * np.abs(phi).max()
 
     def test_module_rescaling_bound(self, g3, rng):
         phi = random_function(g3, rng)
@@ -588,6 +662,13 @@ class TestFourierStieltjesNorm:
         b = gf.fourier_stieltjes_norm(g3, phi)
         assert a.value == b.value
         assert np.array_equal(a.witness["rho"], b.witness["rho"])
+
+
+WEIGHTED_ORBITS = {
+    "s3-on-3w": lambda: s3_on_three_points([0.5, 2.0, 1.5]),
+    "z12-on-16w": lambda: z12_on_16_points(np.linspace(0.5, 2.0, 16)),
+    "pair3w": lambda: gf.pair_groupoid(3).with_unit_weights([0.5, 2.0, 1.5]),
+}
 
 
 class TestFourierNormBounds:
@@ -645,10 +726,23 @@ class TestFourierNormBounds:
             assert bound == pytest.approx(lower.value, rel=1e-12)
             assert residual <= 1e-12 and low >= -1e-12
 
-    def test_weighted_groupoid_falls_back_to_point_masses(self, weighted_bundle, rng):
-        phi = random_function(weighted_bundle, rng)
-        lower, upper = gf.fourier_norm_bounds(weighted_bundle, phi)
-        assert lower.value <= upper.value + 1e-6
+    @pytest.mark.parametrize("name", sorted(WEIGHTED_ORBITS))
+    def test_weighted_orbits_of_several_units(self, name):
+        # the terms are read from the orbit bases and divided by sqrt(w), so
+        # unit weights that differ across an orbit keep the unweighted brackets
+        g = WEIGHTED_ORBITS[name]()
+        generic = 1e-6 if name == "pair3w" else 0.25
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            lower, upper = gf.fourier_norm_bounds(g, random_pd(g, rng))
+            assert len(upper.witness["terms"]) == 1
+            assert lower.value <= upper.value <= lower.value * (1 + 1e-6)
+            phi = random_function(g, rng)
+            lower, upper = gf.fourier_norm_bounds(g, phi)
+            total = terms_sum_oracle(g, np.array(upper.witness["terms"]))
+            assert np.abs(total - phi).max() <= 1e-8 * np.abs(phi).max()
+            assert lower.value <= upper.value
+            assert (upper.value - lower.value) / upper.value <= generic
 
 
 class TestStackedTerms:
@@ -927,3 +1021,46 @@ class TestCoefficientLayout:
             gf.schur_cb_norm(rng.standard_normal((4, 4)))
         assert calls["pair_groupoid"] == 1
         assert calls["_arrow_variables"] == 2
+
+
+class TestNoRepeatedWork:
+    """The norm bounds read their decompositions from the factors the solve
+    already computed, and the norms alone build no decomposition."""
+
+    @staticmethod
+    def _spy(monkeypatch, calls, owners, names):
+        for owner in owners:
+            for name in names:
+                if hasattr(owner, name):
+                    fn = getattr(owner, name)
+
+                    def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                        calls.append(_name)
+                        return _fn(*args, **kwargs)
+                    monkeypatch.setattr(owner, name, wrapper)
+
+    @pytest.mark.parametrize("gname", ["g3", "bundle23", "s3-on-3", "z12-on-16", "pair5"])
+    def test_bounds_on_positive_definite_input_repeat_no_work(self, gname, request, monkeypatch, rng):
+        g = {"s3-on-3": s3_on_three_points, "z12-on-16": z12_on_16_points,
+             "pair5": lambda: gf.pair_groupoid(5)}.get(gname, lambda: request.getfixturevalue(gname))()
+        phi = random_pd(g, rng)
+        gf.fourier_norm_bounds(g, phi)  # builds the cached indexes and layout
+        calls = []
+        self._spy(monkeypatch, calls, (gf.positivity, gf.norms, gf),
+                  ("pd_to_section", "is_positive_definite", "_verdict"))
+        self._spy(monkeypatch, calls, (gf.FiniteGroupoid,), ("__init__",))
+        lower, upper = gf.fourier_norm_bounds(g, phi)
+        assert calls == []
+        assert len(upper.witness["terms"]) == 1
+        assert upper.value <= lower.value * (1 + 1e-9)
+
+    def test_norms_build_no_term(self, monkeypatch, g3, bundle23, rng):
+        calls = []
+        self._spy(monkeypatch, calls, (gf.norms,), ("_spread_terms", "_delta_terms"))
+        self._spy(monkeypatch, calls, (gf.groupoid.OrbitClass,), ("spread",))
+        for g in (g3, bundle23, s3_on_three_points()):
+            gf.fourier_stieltjes_norm(g, random_function(g, rng))
+        gf.schur_cb_norm(rng.standard_normal((4, 4)))
+        assert calls == []
+        gf.fourier_norm_bounds(g3, random_function(g3, rng))
+        assert "spread" in calls
