@@ -7,6 +7,8 @@ the integration variable's arrow is used throughout.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .groupoid import UNDEFINED, Bisection, FiniteGroupoid, source_permutation
@@ -60,19 +62,34 @@ def vee(g: FiniteGroupoid, f) -> np.ndarray:
 
 
 def i_norm_range(g: FiniteGroupoid, f) -> float:
-    """Largest weighted l1 mass of f over a range fiber."""
-    f = arrow_function(g, f)
-    return float(np.bincount(g.range_of, g.weights * np.abs(f), g.n_units).max())
+    """Largest weighted l1 mass of f over a range fiber; ValueError when it overflows."""
+    return _largest_mass(g, arrow_function(g, f), g.range_of, g.weights)
 
 
 def i_norm_source(g: FiniteGroupoid, f) -> float:
-    f = arrow_function(g, f)
-    inv_w = g.weights[g.inverse_of]
-    return float(np.bincount(g.source_of, inv_w * np.abs(f), g.n_units).max())
+    """Largest l1 mass of f over a source fiber, weighted by the inverse arrows;
+    ValueError when it overflows."""
+    return _largest_mass(g, arrow_function(g, f), g.source_of, g.weights[g.inverse_of])
 
 
 def i_norm(g: FiniteGroupoid, f) -> float:
-    return max(i_norm_range(g, f), i_norm_source(g, f))
+    f = arrow_function(g, f)
+    return max(_largest_mass(g, f, g.range_of, g.weights),
+               _largest_mass(g, f, g.source_of, g.weights[g.inverse_of]))
+
+
+def _largest_mass(g: FiniteGroupoid, f: np.ndarray, fibers: np.ndarray, weights: np.ndarray) -> float:
+    with np.errstate(over="ignore"):
+        return _finite_norm(np.bincount(fibers, weights * np.abs(f), g.n_units).max())
+
+
+def _finite_norm(value) -> float:
+    """A norm of finite entries as a float; ValueError when it is not finite,
+    which only an overflow of the sums and products behind it can make it."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("the norm overflows: its sums exceed the largest float")
+    return value
 
 
 def module_action(g: FiniteGroupoid, b, f, side: str) -> np.ndarray:

@@ -17,7 +17,10 @@ left-invariant weights, as the one block per orbit of
 invariant the index makes every unit its own base.  The bases of a fiber class of
 ``FiniteGroupoid.fiber_classes`` are one gather and their linear algebra one
 stacked call, and the GNS bundle is induced from each base's isotropy group,
-with one map per isotropy element.
+with one map per isotropy element.  A base kernel of full rank commutes with
+the translations of its isotropy group, and so does its Hermitian square
+root, so with that root as the factor every map of the orbit is the 0/1
+translation matrix itself, written without a product.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from .numerics import hermitian_eigen, hermitian_sqrt
 from .regular import _right_op_blocks
 
 PSD_TOL = 1e-9
-# matrix entries that ``gns_bundle`` and ``coefficient`` stack at once: 64 KB of
-# complex values, below the size from which the allocator maps fresh pages,
-# whose faults would cost more than the stacked products save
+# matrix entries that ``gns_bundle`` (translation matrices, gathered rows of a
+# pseudo-inverse) and ``coefficient`` (moved vectors read by their arrows) stack
+# at once: 64 KB of complex values, below the size from which the allocator
+# maps fresh pages, whose faults would cost more than the stacked work saves
 STACK_ENTRIES = 1 << 12
 
 
@@ -235,8 +239,8 @@ def _integral_kernels(w: np.ndarray, gram: np.ndarray) -> np.ndarray:
 class GHilbertBundle:
     """Finite-dimensional Hilbert fibers over units with arrow isometries.
 
-    ``maps[x]`` is a complex matrix from the fiber at source(x) to the fiber
-    at range(x); composable arrows multiply, inverses transpose-conjugate,
+    ``maps[x]`` is a complex or real matrix from the fiber at source(x) to the
+    fiber at range(x); composable arrows multiply, inverses transpose-conjugate,
     and unit arrows map to identities (all checked by the test suites, not
     assumed here).
     """
@@ -262,8 +266,12 @@ def constant_section(g: FiniteGroupoid, bundle: GHilbertBundle, value=1.0) -> Bu
 def coefficient(g: FiniteGroupoid, bundle: GHilbertBundle, xi: BundleSection, eta: BundleSection) -> np.ndarray:
     """The arrow function <L_x xi(source x), eta(range x)>, conjugate linear in xi.
 
-    The arrows are taken in groups of one map shape, and each group in stacks
-    of about ``STACK_ENTRIES`` map entries.
+    Arrows that carry the same map object (``gns_bundle`` shares one per
+    isotropy element) and the same source share the moved vector
+    L_x xi(source x): each map is applied once, to the stacked vectors of its
+    sources.  The object identity decides only which work is shared, never a
+    value.  The inner products are taken in stacks of about ``STACK_ENTRIES``
+    entries.
     """
     dims = np.asarray(bundle.dims, dtype=int)
     for name, sec in (("xi", xi), ("eta", eta)):
@@ -274,32 +282,39 @@ def coefficient(g: FiniteGroupoid, bundle: GHilbertBundle, xi: BundleSection, et
     x = _first_mismatch(list(map(np.shape, bundle.maps)), list(zip(rows.tolist(), cols.tolist())))
     if x is not None:
         raise ValueError(f"map of arrow {x} does not go from its source fiber to its range fiber")
-    maps = np.fromiter(bundle.maps, dtype=object, count=g.n_arrows)
-    moving = np.fromiter(xi.vectors, dtype=object, count=g.n_units)
-    onto = np.fromiter(eta.vectors, dtype=object, count=g.n_units)
+    # each arrow is keyed by the first arrow that carries its map object; sorted
+    # by that key, the (map, source) pairs of one map are consecutive
+    first = {}
+    holder = np.fromiter(map(first.setdefault, map(id, bundle.maps), range(g.n_arrows)),
+                         dtype=int, count=g.n_arrows)
+    pairs, which = np.unique(holder * g.n_units + g.source_of, return_inverse=True)
+    pair_holder, pair_source = divmod(pairs, g.n_units)
+    width = int(dims.max(initial=0))
+    moving = _padded(xi, dims, width)
+    onto = moving if eta is xi else _padded(eta, dims, width)
+    moved = np.zeros((pairs.size, width), dtype=complex)
+    firsts = list(first.values())
+    bounds = np.searchsorted(pair_holder, firsts + [g.n_arrows]).tolist()
+    for arrow, lo, hi in zip(firsts, bounds, bounds[1:]):
+        a = bundle.maps[arrow]
+        moved[lo:hi, : a.shape[0]] = moving[pair_source[lo:hi], : a.shape[1]] @ a.T
     out = np.empty(g.n_arrows, dtype=complex)
-    for (r, c), ids in _groups(rows, cols):
-        for part in _stacks(ids, r * c):
-            moved = _stacked(maps[part]) @ _stacked(moving[g.source_of[part]])[:, :, None]
-            out[part] = np.sum(moved[:, :, 0].conj() * _stacked(onto[g.range_of[part]]), axis=1)
+    for part in _stacks(np.arange(g.n_arrows), width):
+        out[part] = np.sum(moved[which[part]].conj() * onto[g.range_of[part]], axis=1)
     return out
 
 
-def _stacked(arrays: np.ndarray) -> np.ndarray:
-    """One array from an object array of arrays of one shape (faster than np.stack)."""
-    return np.array(arrays.tolist())
+def _padded(section: BundleSection, dims: np.ndarray, width: int) -> np.ndarray:
+    """The vectors of a section as the rows of one array, zero past each unit's dimension."""
+    out = np.zeros((dims.size, width), dtype=complex)
+    # a row-major mask takes the concatenated vectors in order
+    out[dims[:, None] > np.arange(width)] = np.concatenate([np.zeros(0), *section.vectors])
+    return out
 
 
-def _groups(*sizes) -> list[tuple[list[int], np.ndarray]]:
-    """(shape, ids) for each distinct combination of the per-item sizes."""
-    key = sizes[0]
-    for size in sizes[1:]:
-        key = key * (size.max() + 1) + size
-    groups = []
-    for kind in sorted(set(key.tolist())):
-        ids = np.flatnonzero(key == kind)
-        groups.append(([int(size[ids[0]]) for size in sizes], ids))
-    return groups
+def _groups(sizes: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(size, ids) for each distinct size, in ascending order."""
+    return [(size, np.flatnonzero(sizes == size)) for size in sorted(set(sizes.tolist()))]
 
 
 def _stacks(ids: np.ndarray, entries: int) -> list[np.ndarray]:
@@ -330,8 +345,13 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
     C_u = C_b[:, perm_u] factors u's.  With a_v the transport arrow from b to
     v, the map of an arrow x from s to t is then pi(h) = C_b T_h C_b^+ for
     the isotropy element h = inverse(a_t) x a_s, where T_h translates the base
-    fiber by h: one product per isotropy element, shared read-only by every
-    arrow that reaches it.  On a pair groupoid every map is the identity.
+    fiber by h; one map per isotropy element, shared read-only by every arrow
+    that reaches it.  When K_b has full rank, C_b is its Hermitian square root
+    V sqrt(L) V^H (one product per orbit), which commutes with every T_h, so
+    pi(h) = T_h: the exact permutation matrix, gathered from the identity with
+    no product.  On a pair groupoid every map is then the identity.  A
+    rank-deficient orbit keeps C_b = sqrt(L) V^H and one product per element.
+    The section at u is C_b[:, home_u] / w_u either way.
     """
     phi = arrow_function(g, phi)
     verdict = is_positive_definite(g, phi, tol)
@@ -360,6 +380,11 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
         # C order keeps the gathered products below on BLAS
         factor = root[:, :, None] * np.ascontiguousarray(vecs[:, :, :d].conj().swapaxes(1, 2))
         pinv = vecs[:, :, :d] / root[:, None, :]
+        # a full-rank orbit takes the Hermitian root V sqrt(L) V^H as its factor
+        # (d = m exactly when some orbit has full rank)
+        full = rank == m
+        if d == m:
+            np.copyto(factor, vecs @ factor, where=full[:, None, None])
         dims[c.units] = rank[o.orbit]
         row[c.units] = np.arange(k)
         place[c.arrows] = np.arange(m)
@@ -375,18 +400,29 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
         base = o.bases[owner]
         back = place[c.gram[base, place[g.inverse_of[c.arrows[base, key]]]]]
         shared = np.empty(owner.size, dtype=object)
-        for (r,), ids in _groups(rank[owner]):
-            for part in _stacks(ids, m * m):
-                products = factor[owner[part], :r] @ pinv[owner[part, None], back[part], :r]
-                products.flags.writeable = False
-                shared[part] = np.fromiter(products, dtype=object, count=part.size)
+        # real 0/1 entries: half the memory of complex ones, and exact
+        identity = np.eye(m)
+        for part in _stacks(np.flatnonzero(full[owner]), m * m):
+            shared[part] = _read_only(identity[back[part]])
+        # elsewhere pi(h) = C T_h C^+, one product per element
+        for b in np.flatnonzero(~full):
+            r = rank[b]
+            inverse = pinv[b, :, :r]
+            for part in _stacks(np.flatnonzero(owner == b), m * r):
+                shared[part] = _read_only(factor[b, :r] @ inverse[back[part]])
         maps[xs] = shared[which]
         # the unit point mass of u sits at the place of inverse(a_u) in the base fiber
         at_units = factor[o.orbit, :, o.home] / g.unit_weights[c.units][:, None]
-        for (r,), ids in _groups(rank[o.orbit]):
+        for r, ids in _groups(rank[o.orbit]):
             vectors[c.units[ids]] = np.fromiter(at_units[ids, :r], dtype=object, count=ids.size)
     bundle = GHilbertBundle(dims=tuple(dims.tolist()), maps=tuple(maps))
     return bundle, BundleSection(tuple(vectors))
+
+
+def _read_only(stack: np.ndarray) -> np.ndarray:
+    """An object array of the matrices of a stack, as read-only views."""
+    stack.flags.writeable = False
+    return np.fromiter(stack, dtype=object, count=len(stack))
 
 
 def regular_coefficient(g: FiniteGroupoid, f, h) -> np.ndarray:

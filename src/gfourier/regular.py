@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import arrow_function, convolve, delta, star
+from .algebra import _finite_norm, arrow_function, convolve, delta, star
 from .duality import ModuleMap
 from .groupoid import FiniteGroupoid
 from .numerics import RANK_TOL, nullspace, orthonormal_span
@@ -103,15 +103,11 @@ def operator_norm(g: FiniteGroupoid, op) -> float:
     )
 
 
-def _block_norm(g: FiniteGroupoid, blocks, rows=None) -> float:
-    """Largest spectral norm of the unit blocks, stacked per fiber class, in the weighted metric.
-
-    ``rows`` names, per fiber class, the rows of the class that ``blocks`` holds
-    (all of them when None).
-    """
+def _block_norm(g: FiniteGroupoid, blocks) -> float:
+    """Largest spectral norm of the unit blocks, stacked per fiber class, in the weighted metric."""
     best = 0.0
-    for c, stack, at in zip(g.fiber_classes, blocks, rows or [slice(None)] * len(blocks)):
-        rw = np.sqrt(g.weights[c.arrows[at]])
+    for c, stack in zip(g.fiber_classes, blocks):
+        rw = np.sqrt(g.weights[c.arrows])
         tilted = stack * (rw[:, :, None] / rw[:, None, :])
         if tilted.size:
             best = max(best, float(np.linalg.svd(tilted, compute_uv=False)[:, 0].max()))
@@ -133,12 +129,25 @@ def _right_op_blocks(g: FiniteGroupoid, f, rows=None) -> list[np.ndarray]:
 def reduced_norm(g: FiniteGroupoid, f) -> float:
     """C*-norm of f: the largest spectral norm of a unit block of right convolution.
 
+    In the weighted metric the block of a range fiber is, up to transposition,
+    f(inverse(x) t) sqrt(w(x) w(t)): the Gram matrix of f scaled on both sides.
     A unit's block is its orbit base's permuted by perm_u
     (``FiniteGroupoid.orbit_index``), with the same norm, so one SVD per orbit
-    decides it.
+    decides it.  ValueError when the norm overflows.
     """
-    rows = [o.rows for o in g.orbit_index]
-    return _block_norm(g, _right_op_blocks(g, f, rows), rows)
+    f = arrow_function(g, f)
+    best = 0.0
+    # a complex product that overflows also makes nan parts (inf * 0), which
+    # LAPACK would read as zeros
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, o in zip(g.fiber_classes, g.orbit_index):
+            rw = np.sqrt(g.weights[c.arrows[o.rows]])
+            tilted = f[c.gram[o.rows]] * (rw[:, :, None] * rw[:, None, :])
+            if not np.isfinite(tilted).all():
+                best = np.inf
+                break
+            best = max(best, float(np.linalg.svd(tilted, compute_uv=False)[:, 0].max()))
+    return _finite_norm(best)
 
 
 def operator_norm_bounds(

@@ -281,6 +281,33 @@ class TestNormCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: the norm overflows") and captured.out == ""
 
+    @pytest.mark.parametrize("weights", [None, [1.0, 4.0, 0.5]])
+    def test_i_and_reduced_norms_that_overflow_raise(self, weights):
+        g = gf.pair_groupoid(3, unit_weights=weights)
+        f = np.full(g.n_arrows, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for norm in (gf.i_norm_range, gf.i_norm_source, gf.i_norm, gf.reduced_norm):
+                with pytest.raises(ValueError, match="^the norm overflows"):
+                    norm(g, f)
+        # one entry near the top of the range has finite norms
+        w = max(g.weights[1], g.weights[g.inverse_of[1]])
+        assert gf.i_norm(g, 1e307 * gf.delta(g, 1)) == pytest.approx(1e307 * w)
+        assert gf.reduced_norm(gf.pair_groupoid(3), 1e308 * gf.delta(g, 1)) == pytest.approx(1e308)
+
+    @pytest.mark.parametrize("which", ["i", "reduced"])
+    def test_i_and_reduced_norms_above_the_largest_float_exit_2(self, tmp_path, capsys, which):
+        g = gf.pair_groupoid(3)
+        gfile, ffile = tmp_path / "g.json", tmp_path / "f.json"
+        write_groupoid(str(gfile), g)
+        write_arrow_function(str(ffile), np.full(g.n_arrows, 1e308))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["norm", str(gfile), str(ffile), "--which", which]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the norm overflows") and captured.out == ""
+
     def test_dimension_mismatch_exits_2(self, tmp_path, g3):
         gfile = tmp_path / "g.json"
         write_groupoid(str(gfile), g3)

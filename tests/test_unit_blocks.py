@@ -238,6 +238,104 @@ class TestOnePerOrbit:
             assert peak <= 4e6
 
 
+NONSINGULAR = {name: LARGE[name] for name in ("bundle30-40-50w", "z12-on-16", "pair7xI2")}
+
+
+def _exact_permutation(a) -> bool:
+    """Entries 0 or 1 exactly, with one 1 in every row and column."""
+    ones = a == 1
+    return (bool(np.all(ones | (a == 0))) and a.shape[0] == a.shape[1]
+            and bool(np.all(ones.sum(axis=0) == 1)) and bool(np.all(ones.sum(axis=1) == 1)))
+
+
+class TestTranslationMaps:
+    """On an orbit whose kernel has full rank every map is its isotropy translation."""
+
+    @pytest.mark.parametrize("name", list(NONSINGULAR))
+    def test_maps_are_exact_permutations(self, name):
+        g = NONSINGULAR[name]()
+        phi = random_pd(g, _rng(g))
+        bundle, xi = gf.gns_bundle(g, phi)
+        assert bundle.dims == tuple(fiber.size for fiber in g.r_fibers)
+        assert all(_exact_permutation(a) for a in bundle.maps)
+        assert not any(a.flags.writeable for a in bundle.maps)
+        assert _close(gf.coefficient(g, bundle, xi, xi), phi, 1e-10)
+
+    @pytest.mark.parametrize("name", list(NONSINGULAR))
+    def test_bundle_axioms_hold_exactly(self, name):
+        g = NONSINGULAR[name]()
+        maps = gf.gns_bundle(g, random_pd(g, _rng(g)))[0].maps
+        x, t, y, _ = g.composable_pairs
+        for a, b, c in zip(x, t, y):
+            assert np.array_equal(maps[a], maps[b] @ maps[c])
+        for a in range(g.n_arrows):
+            assert np.array_equal(maps[g.inverse_of[a]], maps[a].conj().T)
+        for e in g.unit_arrows:
+            assert np.array_equal(maps[e], np.eye(maps[e].shape[0]))
+
+    def test_full_and_deficient_orbits_in_one_fiber_class(self):
+        # on Z4: the trivial character (rank 1), the point mass (rank 4), two characters (rank 2)
+        g = gf.group_bundle([gf.cyclic_table(4)] * 3, unit_weights=[1, 2, 0.5])
+        phi = np.array([1, 1, 1, 1, 1, 0, 0, 0, 2, 0, 2, 0])
+        bundle, xi = gf.gns_bundle(g, phi)
+        want, _ = gns_bundle_oracle(g, phi)
+        assert len(g.fiber_classes) == 1
+        assert bundle.dims == want.dims == (1, 4, 2)
+        assert all(_exact_permutation(bundle.maps[x]) for x in g.r_fibers[1])
+        # the rank-deficient orbits keep C T_h C^+: unitary, with the oracle's
+        # character (the eigenbasis of a repeated eigenvalue is not unique)
+        for x in np.concatenate([g.r_fibers[0], g.r_fibers[2]]):
+            a = bundle.maps[x]
+            assert np.abs(a @ a.conj().T - np.eye(a.shape[0])).max() <= 1e-12
+            assert abs(np.trace(a) - np.trace(want.maps[x])) <= 1e-12
+        assert _close(gf.coefficient(g, bundle, xi, xi), phi, 1e-10)
+
+
+class TestCoefficientSharing:
+    """``coefficient`` applies each map object once per source, whatever is shared."""
+
+    def _sections(self, g, dims):
+        rng = _rng(g)
+        return [gf.BundleSection(tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                                       for d in dims)) for _ in range(2)]
+
+    @pytest.mark.parametrize("build", [lambda: gf.pair_groupoid(16), z12_on_16_points,
+                                       NONSINGULAR["bundle30-40-50w"]])
+    def test_shared_maps_and_their_copies(self, build):
+        g = build()
+        bundle, _ = gf.gns_bundle(g, random_pd(g, _rng(g)))
+        xi, eta = self._sections(g, bundle.dims)
+        # equal values held as distinct objects share no work but give the same values
+        copies = gf.GHilbertBundle(bundle.dims, tuple(a.copy() for a in bundle.maps))
+        assert len({id(a) for a in copies.maps}) == g.n_arrows
+        for b in (bundle, copies):
+            for left, right in ((xi, xi), (xi, eta), (eta, xi)):
+                assert _close(gf.coefficient(g, b, left, right),
+                              bundle_coefficient_oracle(g, b, left, right), 1e-12)
+
+    def test_all_distinct_maps_of_mixed_shapes(self):
+        # fibers of dimension 1 on the free orbit and 3 on the orbit with isotropy
+        g = z12_on_16_points()
+        dims = (1,) * 12 + (3,) * 4
+        rng = _rng(g)
+        maps = tuple(rng.standard_normal((dims[r], dims[s])) + 1j * rng.standard_normal((dims[r], dims[s]))
+                     for r, s in zip(g.range_of, g.source_of))
+        bundle = gf.GHilbertBundle(dims, maps)
+        xi, eta = self._sections(g, dims)
+        assert _close(gf.coefficient(g, bundle, xi, eta),
+                      bundle_coefficient_oracle(g, bundle, xi, eta), 1e-12)
+
+    def test_one_map_object_of_each_shape(self):
+        g = gf.pair_groupoid(5)
+        dims = (2, 2, 3, 2, 3)
+        shared = {(r, c): np.arange(r * c).reshape(r, c) * (1 - 0.5j) for r in (2, 3) for c in (2, 3)}
+        bundle = gf.GHilbertBundle(dims, tuple(shared[dims[r], dims[s]]
+                                               for r, s in zip(g.range_of, g.source_of)))
+        xi, eta = self._sections(g, dims)
+        assert _close(gf.coefficient(g, bundle, xi, eta),
+                      bundle_coefficient_oracle(g, bundle, xi, eta), 1e-12)
+
+
 class TestKernelsAgainstLoops:
     def test_blocks_and_fiber_sums(self, g):
         rng = _rng(g)
