@@ -46,6 +46,9 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
     n = len(arrows)
     if n == 0 or n_units <= 0:
         raise FileFormatError("need at least one arrow and one unit")
+    if n_units > n:
+        raise FileFormatError(f"more units ({n_units}) than arrows ({n}): "
+                              "every unit needs its own unit arrow")
     rng = np.full(n, -1, dtype=int)
     src = np.full(n, -1, dtype=int)
     inv = np.full(n, -1, dtype=int)

@@ -28,12 +28,13 @@ many ulps where that is more.  A phi below the normal range or above
 are scaled back and rounded outwards by the same margin, or raise
 ValueError when they overflow.
 
-Everything of the problem that does not depend on phi (the variable layout
-of the blocks, checked once, the positions phi fills, the kept rows of each
-fiber class and the range-fiber index of the term costs) is built once per
-groupoid, as ``FiniteGroupoid.coefficient_layout``, and shared read-only by
-every solve; a solve only gathers phi into it.  ``schur_cb_norm`` keeps the
-pair groupoids of the last few sizes it solved on.
+Everything of the problem that does not depend on phi (the variable ids,
+conjugation flags, sizes and objective of the blocks, the positions phi
+fills, the kept rows of each fiber class and the range-fiber index of the
+term costs) is built once per groupoid, as
+``FiniteGroupoid.coefficient_layout``, and shared read-only by every solve;
+a solve only gathers phi into it.  ``schur_cb_norm`` keeps the pair
+groupoids of the last few sizes it solved on.
 """
 
 from __future__ import annotations
@@ -49,11 +50,17 @@ from .algebra import arrow_function
 from .groupoid import FiniteGroupoid, pair_groupoid
 from .numerics import hermitian_sqrt, orthonormal_span
 from .positivity import _stacks
-from .sdp import BlockLayout, DiagBoundSdp, SdpSolution, _herm, _read_only, solve_diag_bound_sdp
+from .sdp import DiagBoundSdp, SdpSolution, _herm, solve_diag_bound_sdp
 
 # the rounding margin of closed-form values and decomposition costs, in eps
 # (or ulps, below the normal range) per fiber element
 _ROUNDING = 8
+
+
+def _read_only(a) -> np.ndarray:
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -100,14 +107,15 @@ class CoefficientLayout:
 
     It holds the variable ids and conjugation flags of the arrows, the kept
     rows of every fiber class (``_KeptClass``), whether every orbit has
-    trivial isotropy, as many units as fiber arrows (``free``), the checked
-    ``BlockLayout`` of ``stieltjes_problem`` with the data positions that phi
-    fills, the range fibers as ``_term_cost`` reads them, and the rounding
-    margins: the largest fiber
+    trivial isotropy, as many units as fiber arrows (``free``), the
+    ``var``, ``conj``, ``sizes`` and ``objective`` of ``stieltjes_problem``
+    with the data positions that phi fills, the range fibers as
+    ``_term_cost`` reads them, and the rounding margins: the largest fiber
     of a one-unit orbit (``group_fiber``, 0 without one) and of any unit
-    (``fiber``).  Its arrays are read-only: a layout is shared by every
-    solve on g, and a groupoid made from g by ``with_unit_weights`` or
-    ``dataclasses.replace`` builds its own.
+    (``fiber``).  Every diagonal position of a block holds a unit arrow,
+    an objective variable: Gram[p, p] = inverse(x_p) x_p.  Its arrays are
+    read-only: a layout is shared by every solve on g, and a groupoid made
+    from g by ``with_unit_weights`` or ``dataclasses.replace`` builds its own.
     """
 
     def __init__(self, g: FiniteGroupoid):
@@ -145,7 +153,7 @@ class CoefficientLayout:
             lower.append((corner + (q + m) * s + p).ravel())
             sources.append(c.gram.ravel())
         objective = np.concatenate([g.unit_arrows, g.unit_arrows + g.n_arrows])
-        self.sdp = BlockLayout(var, conj, sizes, objective)
+        self.var, self.conj, self.sizes, self.objective = map(_read_only, (var, conj, sizes, objective))
         self.upper, self.lower, self.sources = (_read_only(np.concatenate(x))
                                                 for x in (upper, lower, sources))
         by_range = np.argsort(g.range_of, kind="stable")
@@ -156,11 +164,11 @@ class CoefficientLayout:
 
     def declare(self, phi: np.ndarray) -> DiagBoundSdp:
         """The problem of phi: its Gram blocks gathered into the layout."""
-        data = np.zeros(self.sdp.var.shape, dtype=complex)
+        data = np.zeros(self.var.shape, dtype=complex)
         values = phi[self.sources]
         data.flat[self.upper] = values
         data.flat[self.lower] = values.conj()
-        return DiagBoundSdp(data, self.sdp)
+        return DiagBoundSdp(data, self.var, self.conj, self.sizes, self.objective)
 
 
 def stieltjes_problem(g: FiniteGroupoid, phi) -> DiagBoundSdp:

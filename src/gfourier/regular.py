@@ -93,25 +93,29 @@ def adjoint_op(g: FiniteGroupoid, op) -> np.ndarray:
 def operator_norm(g: FiniteGroupoid, op) -> float:
     """Exact operator norm for adjointable (block diagonal) operators.
 
-    Per block, the spectral norm in the weighted fiber metric.
+    Per block, the spectral norm in the weighted fiber metric.  ValueError
+    when an entry of op is not finite or the norm overflows.
     """
     op = np.asarray(op, dtype=complex)
+    bad = np.argwhere(~np.isfinite(op))
+    if bad.size:
+        at = tuple(map(int, bad[0]))
+        raise ValueError(f"entry {at} is not finite: {op[at]}")
     if not is_adjointable(g, op):
         raise ValueError("exact operator norms are only computed blockwise")
-    return _block_norm(
-        g, [op[c.arrows[:, :, None], c.arrows[:, None, :]] for c in g.fiber_classes]
-    )
-
-
-def _block_norm(g: FiniteGroupoid, blocks) -> float:
-    """Largest spectral norm of the unit blocks, stacked per fiber class, in the weighted metric."""
     best = 0.0
-    for c, stack in zip(g.fiber_classes, blocks):
-        rw = np.sqrt(g.weights[c.arrows])
-        tilted = stack * (rw[:, :, None] / rw[:, None, :])
-        if tilted.size:
-            best = max(best, float(np.linalg.svd(tilted, compute_uv=False)[:, 0].max()))
-    return best
+    # an overflowing tilt makes inf and nan parts (inf * 0), which LAPACK
+    # would read as zeros
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in g.fiber_classes:
+            rw = np.sqrt(g.weights[c.arrows])
+            tilted = op[c.arrows[:, :, None], c.arrows[:, None, :]] * (rw[:, :, None] / rw[:, None, :])
+            if not np.isfinite(tilted).all():
+                best = np.inf
+                break
+            if tilted.size:
+                best = max(best, float(np.linalg.svd(tilted, compute_uv=False)[:, 0].max()))
+    return _finite_norm(best)
 
 
 def _right_op_blocks(g: FiniteGroupoid, f, rows=None) -> list[np.ndarray]:

@@ -2,45 +2,46 @@
 
 The problem family: a stack of Hermitian blocks whose entries are either fixed
 complex data or shared affine variables; a designated subset of variables
-("objective" variables, all sitting on block diagonals) whose common bound t
+("objective" variables) holds every diagonal entry, and their common bound t
 is minimized subject to every block being positive semidefinite.  Pinning them
 to t (raising a diagonal entry preserves feasibility, so this loses nothing)
 and splitting every other variable into its real and imaginary part gives
 
-    minimize t  subject to  S = F0 + sum_k y_k A_k + t A_obj >= 0  blockwise,
+    minimize t  subject to  S = F0 + sum_k y_k A_k + t I >= 0  blockwise,
 
-whose dual asks for Z >= 0 with <A_k, Z> = 0 and <A_obj, Z> = 1; every such Z
+whose dual asks for Z >= 0 with <A_k, Z> = 0 and tr Z = 1; every such Z
 proves t >= -<F0, Z>.  The solver follows the central path Z S = mu I with the
-HKM search direction and Mehrotra's predictor-corrector steps, starting
+HKM search direction and Mehrotra's predictor-corrector steps, from the
+strictly feasible t = 1 - lambda_min(F0) with every other variable 0,
 infeasible on the dual side.  A solve returns two certificates:
 
 * the value t with a primal witness, the variables of an interior iterate,
   so its blocks are positive definite;
 * a lower bound -<F0, Z> from the final dual iterate, made exactly dual
   feasible: its components along the A_k are removed (the A_k have disjoint
-  supports, so this averages entries), a multiple of the identity on the
-  variable-free diagonal restores Z >= 0, and Z is rescaled to <A_obj, Z> = 1.
+  supports, so this averages entries), a multiple of the identity, which
+  no A_k meets, restores Z >= 0, and Z is rescaled to tr Z = 1.
 
 The interior-point method runs on the data divided once by its largest
 modulus, and every tolerance is relative, so the solve is homogeneous:
 scaling the data scales the value and both certificates, down to the
 subnormal range.
 
-A problem (``DiagBoundSdp``) is its fixed data on a ``BlockLayout`` of
-variable ids, conjugation flags, block sizes and objective ids.  The layout
-is checked once, when it is made, and is read-only, so the problems of many
-data stacks share it and only their data is checked again.
+A problem (``DiagBoundSdp``) is its fixed data with the variable ids,
+conjugation flags, block sizes and objective ids of its positions.  The one
+problem declared is the coefficient norm's, by
+``gfourier.norms.CoefficientLayout``, which builds those arrays once per
+groupoid, read-only, and gathers each phi into Hermitian data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 _REL_GAP = 1e-7
 _MAX_ITER = 100
-_CAP = 1e6  # a dual bound above this multiple of the data scale proves infeasibility
 _STEP_FRACTION = 0.95
 
 
@@ -56,96 +57,27 @@ def _id_mask(ids: np.ndarray, size: int) -> np.ndarray:
     return mask
 
 
-def _read_only(a) -> np.ndarray:
-    view = np.asarray(a).view()
-    view.flags.writeable = False
-    return view
-
-
 @dataclass(frozen=True)
-class BlockLayout:
-    """Where the variables of a block problem sit, in padded (blocks, s, s) stacks.
+class DiagBoundSdp:
+    """A block problem in padded (blocks, s, s) stacks: the fixed Hermitian
+    entries ``data``, zero outside the blocks, the integer id of the variable
+    at each position (``var``, -1 where there is none) and whether the
+    position holds the variable's conjugate (``conj``).  Block b fills the
+    top left ``sizes[b]`` square of its slot.  A variable's mirror position
+    holds the same id; one held the same way at an off-diagonal position and
+    at its mirror is real, and diagonal positions read the real part.  Every
+    diagonal position of a block holds one of the ``objective`` variables,
+    whose common bound is minimized."""
 
-    ``var`` holds the integer id of the variable at each position (-1 where
-    there is none) and ``conj`` whether the position holds the variable's
-    conjugate.  Block b fills the top left ``sizes[b]`` square of its slot.
-    A variable's mirror position holds the same id; one held the same way at
-    an off-diagonal position and at its mirror is real, and diagonal
-    positions read the real part.  The common bound of the ``objective``
-    variables is minimized.  The layout is checked once, when it is made,
-    and its arrays are read-only views, so one layout serves every problem
-    declared on it.
-    """
-
+    data: np.ndarray
     var: np.ndarray
     conj: np.ndarray
     sizes: np.ndarray
     objective: np.ndarray
-    outside: np.ndarray = field(init=False, repr=False)  # the padding of each slot
-
-    def __post_init__(self):
-        for name in ("var", "conj", "sizes", "objective"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
-        if self.objective.size == 0:
-            raise ValueError("no objective variables: nothing to minimize")
-        size = max(self.var.max(), self.objective.max()) + 1
-        b, i, j = _id_mask(self.objective, size)[self.var].nonzero()
-        if not _id_mask(self.var[b, i, j], size)[self.objective].all():
-            raise ValueError("an objective variable never occurs")
-        off = (i != j).nonzero()[0]
-        if off.size:
-            k = off[0]
-            raise ValueError(f"objective variable {self.var[b[k], i[k], j[k]]} occurs off the "
-                             f"diagonal at {(int(b[k]), int(i[k]), int(j[k]))}")
-        if (self.var != self.var.swapaxes(1, 2)).any():
-            raise ValueError("a variable's mirror position holds another variable")
-        inside = np.arange(self.var.shape[1]) < self.sizes[:, None]
-        object.__setattr__(self, "outside", _read_only(~(inside[:, :, None] & inside[:, None, :])))
-        if (self.var[self.outside] >= 0).any():
-            raise ValueError("an entry lies outside its block")
 
     @property
     def n_vars(self) -> int:
         return int(self.var.max()) + 1
-
-
-@dataclass(frozen=True)
-class DiagBoundSdp:
-    """A block problem: the fixed Hermitian entries ``data`` in the padded
-    stacks of a checked ``layout``, zero outside the blocks.  Only the data
-    is checked here."""
-
-    data: np.ndarray
-    layout: BlockLayout
-
-    def __post_init__(self):
-        if self.data.shape != self.layout.var.shape:
-            raise ValueError(f"data of shape {self.data.shape} for a layout of shape "
-                             f"{self.layout.var.shape}")
-        if (self.data != _herm(self.data)).any():
-            raise ValueError("the fixed data is not Hermitian")
-        if self.data[self.layout.outside].any():
-            raise ValueError("an entry lies outside its block")
-
-    @property
-    def var(self) -> np.ndarray:
-        return self.layout.var
-
-    @property
-    def conj(self) -> np.ndarray:
-        return self.layout.conj
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return self.layout.sizes
-
-    @property
-    def objective(self) -> np.ndarray:
-        return self.layout.objective
-
-    @property
-    def n_vars(self) -> int:
-        return self.layout.n_vars
 
     def blocks_for(self, values: np.ndarray, t: float | None = None) -> np.ndarray:
         """The padded block stack for a variable assignment indexed by id,
@@ -184,10 +116,6 @@ class SdpSolution:
     dual: np.ndarray | None = None
 
 
-class SdpInfeasibleError(RuntimeError):
-    pass
-
-
 def _min_eig(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[:, 0].min(initial=np.inf))
 
@@ -206,7 +134,7 @@ class _Lmi:
     (position, coefficient) entries, grouped by block.  Every block is padded
     to the stack's size s with t on the padded diagonal, which adds only
     t >= 0, already implied because the objective entries are diagonal
-    entries of PSD blocks.
+    entries of PSD blocks; so t's matrix is the identity.
     """
 
     def __init__(self, problem: DiagBoundSdp, scale: float):
@@ -252,10 +180,6 @@ class _Lmi:
         self.e_flat = (block * s + row) * s + col
         self.e_tflat = (block * s + col) * s + row
         self.norm2 = np.bincount(self.e_var, np.abs(self.e_coef) ** 2, minlength=self.m)
-        # the dual lift: every diagonal position that holds no free variable
-        self.lift = np.zeros(self.shape)
-        self.lift[:, range(s), range(s)] = 1.0
-        self.lift.flat[self.e_flat[(row == col) & (self.e_var < self.m - 1)]] = 0.0
         self.padding = edge[:, :, None] | edge[:, None, :]
 
     def scatter(self, w: np.ndarray) -> np.ndarray:
@@ -295,7 +219,7 @@ class _Lmi:
         z = z - self.scatter(coeffs)
         low = _min_eig(z)
         if low < 0:  # lift a rounding margin past zero, then demand PSD
-            z = z + (1e-14 * float(np.abs(z).max()) - low) * self.lift
+            z = z + (1e-14 * float(np.abs(z).max()) - low) * np.eye(self.shape[1])
             if _min_eig(z) < 0:
                 return -np.inf, None
         z = np.where(self.padding, 0.0, z)
@@ -316,48 +240,36 @@ def _interior_point(lmi: _Lmi, lower: float) -> SdpSolution:
     the solution's ``lower`` is the final dual iterate's bound alone."""
     target = lower + _REL_GAP * abs(lower)
     w = np.zeros(lmi.m)
-    w[-1] = max(0.0, -_min_eig(lmi.f0)) + 1.0
+    w[-1] = max(0.0, -_min_eig(lmi.f0)) + 1.0  # S = F0 + t I is positive definite
     s = lmi.slack(w)
-    feasible = _min_eig(s) > 0
-    if not feasible:  # the objective does not reach every diagonal: start infeasible
-        s = w[-1] * np.broadcast_to(np.eye(lmi.shape[1]), lmi.shape)
     z = np.linalg.inv(s)
     z = z / lmi.adjoint(z)[-1]
     c = np.eye(lmi.m)[-1]
-    witness, status, steps = None, "max_iter", 0
+    witness, status, steps = w, "max_iter", 0
     for steps in range(_MAX_ITER + 1):
         try:
             s_fac, z_fac = (np.linalg.inv(np.linalg.cholesky(a)) for a in (s, z))
         except np.linalg.LinAlgError:
             status = "stalled"
             break
-        t = float(w[-1])
-        if feasible:
-            witness = w.copy()
-            if t <= target:
-                status = "optimal"
-                break
+        witness, t = w, float(w[-1])
+        if t <= target:
+            status = "optimal"
+            break
         gap = float(np.vdot(z, s).real)
-        if (feasible and gap <= _REL_GAP * abs(t)) or -np.vdot(z, lmi.f0).real > _CAP:
-            bound, _ = lmi.certify(z)
-            if bound > _CAP:
-                raise SdpInfeasibleError(
-                    f"no feasible point: a dual bound {bound:.3e} times the data scale "
-                    f"exceeds {_CAP:.0e}")
-            if feasible and t - bound <= max(_REL_GAP * abs(t), 1e-12):
-                status = "optimal"
-                break
+        if gap <= _REL_GAP * abs(t) and t - lmi.certify(z)[0] <= max(_REL_GAP * abs(t), 1e-12):
+            status = "optimal"
+            break
         if steps == _MAX_ITER:
             break
         s_inv = _herm(s_fac) @ s_fac
         rp = c - lmi.adjoint(z)
-        rd = lmi.slack(w) - s  # zero once the slack is feasible
         newton = lmi.newton_matrix(z, s_inv)
 
         def direction(h):
             """HKM step: dw from the Newton matrix, dZ = sym(H - Z dS S^-1)."""
-            dw = np.linalg.solve(newton, lmi.adjoint(h - z @ rd @ s_inv) - rp)
-            ds = lmi.scatter(dw) + rd
+            dw = np.linalg.solve(newton, lmi.adjoint(h) - rp)
+            ds = lmi.scatter(dw)
             dz = h - z @ ds @ s_inv
             return dw, ds, (dz + _herm(dz)) / 2
 
@@ -370,12 +282,7 @@ def _interior_point(lmi: _Lmi, lower: float) -> SdpSolution:
         ap, ad = _step(z_fac, dz, _STEP_FRACTION), _step(s_fac, ds, _STEP_FRACTION)
         z = z + ap * dz
         w = w + ad * dw
-        if feasible or ad == 1.0:
-            s, feasible = lmi.slack(w), True
-        else:
-            s = s + ad * ds
-    if witness is None:
-        raise SdpInfeasibleError(f"no feasible point found in {steps} Newton steps")
+        s = lmi.slack(w)
     bound, dual = lmi.certify(z)
     return SdpSolution(float(witness[-1]), lmi.values(witness), status, 1, steps, bound, dual)
 
@@ -386,7 +293,7 @@ def solve_diag_bound_sdp(
 ) -> SdpSolution:
     """Minimize the common bound t on the objective entries subject to PSD blocks.
 
-    ``lower`` must be a sound lower bound for the optimum (0 works whenever
+    ``lower`` must be a sound lower bound for the optimum (0 always works:
     the objective entries are diagonal); the solve stops as soon as its
     value comes within a relative 1e-7 of it.  ``dual``, when given, is a
     dual stack that certifies ``lower``; the solution carries it unless the
@@ -395,9 +302,9 @@ def solve_diag_bound_sdp(
     feasible within that gap of ``lower`` is returned without a solve.
     Otherwise the interior-point method runs for at most 100 Newton steps,
     until the value and its certified dual bound are within the gap.  The
-    returned value is always backed by a witness whose blocks are PSD.
-    Raises SdpInfeasibleError when a dual bound proves the optimum above
-    1e6 times the largest modulus of the data.
+    returned value is always backed by a witness whose blocks are PSD: the
+    objective holds every diagonal entry, so the method starts feasible and
+    stays so.
     """
     scale = problem.data_scale()
     target = lower + _REL_GAP * abs(lower)

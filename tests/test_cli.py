@@ -193,6 +193,16 @@ def _pair3_missing_a_product(tmp_path):
 
 
 class TestInvalidGroupoidFiles:
+    @pytest.mark.parametrize("units", [10**15, 2])
+    def test_more_units_than_arrows_exits_2(self, tmp_path, capsys, units):
+        # each unit needs its own unit arrow; the count is refused before any allocation
+        data = {"units": units, "arrows": [{"id": 0, "r": 0, "s": 0, "inv": 0}],
+                "compose": [[0, 0, 0]]}
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(data))
+        assert main(["check", str(f), "--suite", "axioms"]) == 2
+        assert f"more units ({units}) than arrows (1)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad_weight", [float("nan"), float("inf")])
     def test_non_finite_weight_exits_2(self, tmp_path, capsys, bad_weight):
         data = groupoid_to_dict(gf.pair_groupoid(2))

@@ -7,7 +7,7 @@ import pytest
 
 import gfourier as gf
 from gfourier.norms import stieltjes_problem
-from gfourier.sdp import BlockLayout, DiagBoundSdp, SdpInfeasibleError, solve_diag_bound_sdp
+from gfourier.sdp import DiagBoundSdp, solve_diag_bound_sdp
 from conftest import (
     random_function,
     random_pd,
@@ -77,53 +77,15 @@ def _schur_problem(a) -> DiagBoundSdp:
     return stieltjes_problem(gf.pair_groupoid(a.shape[0]), a.ravel())
 
 
-def _one_block(data, var, objective) -> DiagBoundSdp:
-    var = np.array([var])
-    layout = BlockLayout(var, np.zeros(var.shape, dtype=bool), np.array([var.shape[1]]),
-                         np.array(objective, dtype=int))
-    return DiagBoundSdp(np.array([data], dtype=complex), layout)
-
-
 class TestSolveDiagBoundSdp:
     def test_two_by_two_completion(self):
-        p = _one_block([[0, 1], [1, 0]], [[0, -1], [-1, 1]], [0, 1])
-        sol = solve_diag_bound_sdp(p)
+        # the one block [[rho, 1], [1, tau]] of pair(1): the optimum is 1
+        sol = solve_diag_bound_sdp(stieltjes_problem(gf.pair_groupoid(1), [1]))
+        assert sol.status == "optimal" and sol.iterations > 0
         assert sol.value == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_data_answers_zero(self):
-        p = _one_block([[0, 0], [0, 0]], [[0, -1], [-1, 1]], [0, 1])
-        assert solve_diag_bound_sdp(p).value == 0.0
-
-    def test_problem_without_objective_is_rejected(self):
-        with pytest.raises(ValueError, match="no objective"):
-            _one_block([[2, 1], [1, 2]], [[-1, -1], [-1, -1]], [])
-
-    def test_objective_must_be_diagonal(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            _one_block([[0, 0], [0, 0]], [[-1, 0], [0, -1]], [0])
-
-    @pytest.mark.parametrize("bad, message", [
-        (dict(var=[[-1, 0], [0, -1]], objective=[1]), "never occurs"),
-        (dict(var=[[0, 2], [3, 1]]), "mirror position"),
-        (dict(var=[[0, -1], [-1, 1]], sizes=[1]), "outside its block"),
-        (dict(data=[[0, 1], [2, 0]]), "not Hermitian"),
-        (dict(var=[[0, -1], [-1, -1]], objective=[0], sizes=[1]), "outside its block"),
-        (dict(data=[[0, 0, 0]] * 3), "shape"),
-    ])
-    def test_rejects_a_bad_declaration(self, bad, message):
-        # the layout's checks run when it is made, the data's on every declaration
-        fields = {**dict(data=[[0, 1], [1, 0]], var=[[0, -1], [-1, 1]], sizes=[2], objective=[0, 1]), **bad}
-        var = np.array([fields["var"]])
-        with pytest.raises(ValueError, match=message):
-            layout = BlockLayout(var, np.zeros(var.shape, dtype=bool), np.array(fields["sizes"]),
-                                 np.array(fields["objective"]))
-            DiagBoundSdp(np.array([fields["data"]], dtype=complex), layout)
-
-    def test_infeasible_cap(self):
-        # a diagonal entry fixed negative can never be completed
-        p = _one_block([[-1, 0], [0, 0]], [[-1, -1], [-1, 0]], [0])
-        with pytest.raises(SdpInfeasibleError):
-            solve_diag_bound_sdp(p)
+        assert solve_diag_bound_sdp(stieltjes_problem(gf.pair_groupoid(1), [0])).value == 0.0
 
     def test_cross_validated_against_factorization_search(self, g2, rng):
         for i in range(3):
@@ -969,8 +931,8 @@ class TestCoefficientLayout:
                 phi = random_function(g, rng)
                 fresh = dataclasses.replace(g)
                 problem = stieltjes_problem(g, phi)
-                assert problem.layout is g.coefficient_layout.sdp
-                assert problem.layout is not fresh.coefficient_layout.sdp
+                assert problem.var is g.coefficient_layout.var
+                assert problem.var is not fresh.coefficient_layout.var
                 _assert_same_blocks(problem, stieltjes_problem_oracle(g, phi), _stieltjes_key_id(g),
                                     _stieltjes_real_ids(g), rng)
                 assert _results(g, phi) == _results(fresh, phi)
@@ -995,8 +957,8 @@ class TestCoefficientLayout:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(problem, name)[...] = 0
         layout = g3.coefficient_layout
-        arrays = [x for x in (*vars(layout).values(), *vars(layout.sdp).values(),
-                              *(x for c in layout.classes for x in c)) if isinstance(x, np.ndarray)]
+        arrays = [x for x in (*vars(layout).values(), *(x for c in layout.classes for x in c))
+                  if isinstance(x, np.ndarray)]
         assert arrays and not any(x.flags.writeable for x in arrays)
         assert _results(g3, phi) == before
 
@@ -1021,6 +983,24 @@ class TestCoefficientLayout:
             gf.schur_cb_norm(rng.standard_normal((4, 4)))
         assert calls["pair_groupoid"] == 1
         assert calls["_arrow_variables"] == 2
+
+    @pytest.mark.parametrize("gname", [*FIXTURE_GROUPOIDS, "s3", "z12_on_16", "pair2xz3", "pair1",
+                                       "weighted_pair3"])
+    def test_objective_holds_every_diagonal_position(self, gname, request, rng):
+        """The premise of the solver's feasible start and of its dual lift by
+        the identity: every diagonal entry of every declared block is rho or
+        tau at a unit arrow, Gram[p, p] = inverse(x_p) x_p."""
+        g = {
+            "s3": s3_on_three_points,
+            "z12_on_16": z12_on_16_points,
+            "pair2xz3": lambda: gf.product_with_pair_groupoid(gf.group_groupoid(gf.cyclic_table(3))),
+            "pair1": lambda: gf.pair_groupoid(1),
+            "weighted_pair3": lambda: gf.pair_groupoid(3).with_unit_weights([1.0, 4.0, 0.5]),
+        }.get(gname, lambda: request.getfixturevalue(gname))()
+        problem = stieltjes_problem(g, random_function(g, rng))
+        assert problem.sizes.size and problem.objective.size
+        for b, k in enumerate(problem.sizes):
+            assert np.isin(problem.var[b, range(k), range(k)], problem.objective).all()
 
 
 class TestNoRepeatedWork:

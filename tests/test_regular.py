@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,32 @@ class TestReducedNorm:
             f = random_function(g, rng)
             lhs = gf.reduced_norm(g, gf.convolve(g, gf.star(g, f), f))
             assert lhs == pytest.approx(gf.reduced_norm(g, f) ** 2, abs=1e-9, rel=1e-9)
+
+
+class TestOperatorNorm:
+    @staticmethod
+    def _weighted_right_op(scale):
+        g = gf.pair_groupoid(3).with_unit_weights([1.0, 4.0, 0.5])
+        return g, gf.right_op(g, np.ones(g.n_arrows)) * scale
+
+    def test_rejects_a_non_finite_entry(self, capfd):
+        g, op = self._weighted_right_op(1.0)
+        op[0, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"entry \(0, 1\) is not finite"):
+                gf.operator_norm(g, op)
+        assert capfd.readouterr() == ("", "")
+
+    def test_an_overflowing_weighted_tilt_raises(self, capfd):
+        # the entries are finite, their tilt by sqrt(w(x) / w(t)) is not
+        g, op = self._weighted_right_op(4e307)
+        assert np.isfinite(op).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the norm overflows"):
+                gf.operator_norm(g, op)
+        assert capfd.readouterr() == ("", "")
 
 
 class TestOperatorNormBounds:
