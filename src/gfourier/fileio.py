@@ -20,6 +20,25 @@ class FileFormatError(ValueError):
     pass
 
 
+def _list_field(data: dict, name: str) -> list:
+    """data[name], an empty list when absent; FileFormatError when it is not a list."""
+    value = data.get(name, [])
+    if not isinstance(value, list):
+        raise FileFormatError(f"field {name!r} must be a list; got {value!r}")
+    return value
+
+
+def _ints(entry, field: str, length: int | None = None) -> list[int]:
+    """The list entry of field as ints; FileFormatError naming field when it
+    is not a list (of ``length`` items) of integers."""
+    try:
+        if not isinstance(entry, list) or length is not None and len(entry) != length:
+            raise TypeError
+        return [int(v) for v in entry]
+    except (TypeError, ValueError) as err:
+        raise FileFormatError(f"malformed {field} entry {entry!r}") from err
+
+
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:
     x, y = np.nonzero(g.compose_table != UNDEFINED)
     return {
@@ -43,6 +62,8 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
         arrows = data["arrows"]
     except (KeyError, TypeError, ValueError) as err:
         raise FileFormatError(f"missing or malformed required field: {err}") from err
+    if not isinstance(arrows, list):
+        raise FileFormatError(f"field 'arrows' must be a list; got {arrows!r}")
     n = len(arrows)
     if n == 0 or n_units <= 0:
         raise FileFormatError("need at least one arrow and one unit")
@@ -66,10 +87,8 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
             raise FileFormatError(f"arrow {x} references out-of-range data")
         rng[x], src[x], inv[x] = r, s, iv
     compose = np.full((n, n), UNDEFINED, dtype=int)
-    for triple in data.get("compose", []):
-        if len(triple) != 3:
-            raise FileFormatError(f"composition entries are [x, y, xy]; got {triple!r}")
-        x, y, xy = (int(v) for v in triple)
+    for triple in _list_field(data, "compose"):
+        x, y, xy = _ints(triple, "compose (entries are [x, y, xy])", 3)
         if not (0 <= x < n and 0 <= y < n and 0 <= xy < n):
             raise FileFormatError(f"composition entry {triple!r} out of range")
         if compose[x, y] != UNDEFINED and compose[x, y] != xy:
@@ -77,7 +96,7 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
         compose[x, y] = xy
     unit_weights = np.ones(n_units)
     seen_units = set()
-    for entry in data.get("weights", []):
+    for entry in _list_field(data, "weights"):
         try:
             u, w = int(entry["unit"]), float(entry["w"])
         except (KeyError, TypeError, ValueError) as err:
@@ -89,7 +108,7 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
             raise FileFormatError(f"weight of unit {u} must be positive and finite")
         unit_weights[u] = w
     if "unit_arrows" in data:
-        units = [int(e) for e in data["unit_arrows"]]
+        units = _ints(data["unit_arrows"], "unit_arrows")
         if len(units) != n_units or any(not 0 <= e < n for e in units):
             raise FileFormatError("unit_arrows must list one arrow id per unit")
     else:
@@ -149,11 +168,11 @@ def arrow_function_to_dict(f) -> dict:
 
 
 def arrow_function_from_dict(data: dict, g: FiniteGroupoid) -> np.ndarray:
-    values = data.get("values")
+    values = data.get("values") if isinstance(data, dict) else None
     if not isinstance(values, dict):
         raise FileFormatError("function file needs a 'values' mapping of id -> [re, im]")
     declared = data.get("arrows")
-    if declared is not None and int(declared) != g.n_arrows:
+    if declared is not None and _ints([declared], "arrows")[0] != g.n_arrows:
         raise FileFormatError(
             f"function is defined on {declared} arrows, groupoid has {g.n_arrows}"
         )
@@ -162,7 +181,7 @@ def arrow_function_from_dict(data: dict, g: FiniteGroupoid) -> np.ndarray:
         try:
             x = int(key)
             re, im = float(pair[0]), float(pair[1])
-        except (TypeError, ValueError, IndexError) as err:
+        except (TypeError, ValueError, IndexError, KeyError) as err:
             raise FileFormatError(f"malformed value entry {key!r}: {pair!r}") from err
         if not 0 <= x < g.n_arrows:
             raise FileFormatError(f"value for unknown arrow id {x}")

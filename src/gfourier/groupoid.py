@@ -114,8 +114,9 @@ class OrbitClass:
         """Arrow values ``stack[..., orbit[i], home[i], perm[i]]`` on the fiber
         of every row i, from a (..., n_bases, m, m) stack of base matrices.
         A base matrix M that commutes with the isotropy permutations of the
-        base fiber (as polar parts and square roots of a Gram block do), or
-        any M with trivial isotropy, gives the x with x[gram[b]] = M."""
+        base fiber (as square roots of a Gram block and the completion
+        factors of ``gfourier.norms`` do), or any M with trivial isotropy,
+        gives the x with x[gram[b]] = M."""
         return stack[..., self.orbit[:, None], self.home[:, None], self.perm]
 
 

@@ -16,14 +16,14 @@ no Newton step runs, on groups and group bundles (Eymard's norm, with a dual
 block from the same SVD), on positive definite phi and on rank-one blocks;
 elsewhere the interior-point method starts from the larger of the sup norm
 and the closed form on one-unit orbits.  The upper bound of
-``fourier_norm_bounds`` is the cheapest of three decompositions: the polar
-term of the same SVD and the terms of the square root of the solver's
-completion blocks (or of their row factorization when no orbit has
-isotropy), both read from base matrices by ``OrbitClass.spread``, and
-point masses.  The closed-form values and decomposition costs carry a
-rounding of a few ulps per fiber element, so the lower bound is rounded
-down, and the upper bound up, by 8 eps times the largest fiber size, or as
-many ulps where that is more.  A phi below the normal range or above
+``fourier_norm_bounds`` is one term per orbit base from the solver's
+completion block [[rho, Phi], [Phi^H, tau]], A = Phi (tau^1/2)^+ and
+B = tau^1/2, read onto every unit by ``OrbitClass.spread``: Phi = A B^H,
+and the PSD Schur complement rho - Phi tau^+ Phi^H puts its cost at most
+at the SDP value.  Point masses are the fallback.  The closed-form values
+and decomposition costs carry a rounding of a few ulps per fiber element,
+so the lower bound is rounded down, and the upper bound up, by 8 eps times
+the largest fiber size, or as many ulps where that is more.  A phi below the normal range or above
 2**1000 is solved brought into [1/2, 1) by a power of two, and its values
 are scaled back and rounded outwards by the same margin, or raise
 ValueError when they overflow.
@@ -39,7 +39,6 @@ groupoids of the last few sizes it solved on.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -48,7 +47,6 @@ import numpy as np
 
 from .algebra import arrow_function
 from .groupoid import FiniteGroupoid, pair_groupoid
-from .numerics import hermitian_sqrt, orthonormal_span
 from .positivity import _stacks
 from .sdp import DiagBoundSdp, SdpSolution, _herm, solve_diag_bound_sdp
 
@@ -106,13 +104,11 @@ class CoefficientLayout:
     on phi, built once per groupoid (``FiniteGroupoid.coefficient_layout``).
 
     It holds the variable ids and conjugation flags of the arrows, the kept
-    rows of every fiber class (``_KeptClass``), whether every orbit has
-    trivial isotropy, as many units as fiber arrows (``free``), the
-    ``var``, ``conj``, ``sizes`` and ``objective`` of ``stieltjes_problem``
-    with the data positions that phi fills, the range fibers as
-    ``_term_cost`` reads them, and the rounding margins: the largest fiber
-    of a one-unit orbit (``group_fiber``, 0 without one) and of any unit
-    (``fiber``).  Every diagonal position of a block holds a unit arrow,
+    rows of every fiber class (``_KeptClass``), the ``var``, ``conj``,
+    ``sizes`` and ``objective`` of ``stieltjes_problem`` with the data
+    positions that phi fills, the range fibers as ``_term_cost`` reads
+    them, and the rounding margins: the largest fiber of a one-unit orbit
+    (``group_fiber``, 0 without one) and of any unit (``fiber``).  Every diagonal position of a block holds a unit arrow,
     an objective variable: Gram[p, p] = inverse(x_p) x_p.  Its arrays are
     read-only: a layout is shared by every solve on g, and a groupoid made
     from g by ``with_unit_weights`` or ``dataclasses.replace`` builds its own.
@@ -133,7 +129,6 @@ class CoefficientLayout:
                 gram, ids[gram], flip[gram], block_of[units], alone))))
         self.ids, self.flip = _read_only(ids), _read_only(flip)
         self.classes = tuple(classes)
-        self.free = all((np.bincount(o.orbit) == c.m).all() for c, o in zip(classes, g.orbit_index))
         self.group_fiber = max((c.m for c in classes if c.alone.any()), default=0)
         s = 2 * max(c.m for c in classes)
         var = np.full((kept.sum(), s, s), -1)
@@ -198,15 +193,13 @@ def stieltjes_problem(g: FiniteGroupoid, phi) -> DiagBoundSdp:
 
 
 class _GroupOrbits(NamedTuple):
-    """The polar completion of every orbit block by variable id (``seed``),
-    the SVD factors (U, S, V^H) and balance c of each fiber class (``polar``),
+    """The polar completion of every orbit block by variable id (``seed``)
     and the closed form on one-unit orbits: ``value``, the largest
     ||Phi_u||_tr / m (-inf without one), and the dual stack at its block."""
 
     value: float
     seed: np.ndarray
     dual: np.ndarray | None
-    polar: tuple
 
 
 def _group_orbits(g: FiniteGroupoid, phi, problem: DiagBoundSdp) -> _GroupOrbits:
@@ -222,8 +215,9 @@ def _group_orbits(g: FiniteGroupoid, phi, problem: DiagBoundSdp) -> _GroupOrbits
     the block's value at sqrt(max diag U S U^H max diag V S V^H), at most
     ||Phi||_2.  That is the optimum on positive definite phi (U S U^H =
     V S V^H = Phi: the largest unit value), on rank-one Phi = x y^H
-    (|x|_inf |y|_inf, the sup norm) and on one-unit orbits.  The same
-    factors give a decomposition term of this cost (``_polar_term``).
+    (|x|_inf |y|_inf, the sup norm) and on one-unit orbits.  When the
+    solver exits on this seed, ``_completion_term`` reads from it the term
+    A = sqrt(c) U S^1/2 V^H, B = V S^1/2 V^H / sqrt(c), of this cost.
 
     On a one-unit orbit the fiber of u is the isotropy group and Phi_u a
     group matrix, as are its polar parts, with diagonal tr S / m, so c = 1.
@@ -234,7 +228,6 @@ def _group_orbits(g: FiniteGroupoid, phi, problem: DiagBoundSdp) -> _GroupOrbits
     of a few ulps per fiber element.
     """
     seed = np.zeros(2 * g.n_arrows, dtype=complex)
-    polar = []
     top = None
     for c in g.coefficient_layout.classes:
         u, s, vh = np.linalg.svd(phi[c.gram])
@@ -244,7 +237,6 @@ def _group_orbits(g: FiniteGroupoid, phi, problem: DiagBoundSdp) -> _GroupOrbits
                                     where=np.minimum(high_rho, high_tau) > 0))[:, None, None]
         seed[c.ids] = np.where(c.flip, rho.conj(), rho) * balance
         seed[c.ids + g.n_arrows] = np.where(c.flip, tau.conj(), tau) / balance
-        polar.append((u, s, vh, balance))
         if not c.alone.any():
             continue
         u, s, vh = u[c.alone], s[c.alone], vh[c.alone]
@@ -253,14 +245,14 @@ def _group_orbits(g: FiniteGroupoid, phi, problem: DiagBoundSdp) -> _GroupOrbits
         if top is None or values[i] > top[0]:
             top = float(values[i]), c.blocks[c.alone][i], c.m, u[i] @ vh[i]
     if top is None:
-        return _GroupOrbits(-np.inf, seed, None, tuple(polar))
+        return _GroupOrbits(-np.inf, seed, None)
     value, block, m, w = top
     dual = np.zeros(problem.data.shape, dtype=complex)
     z = dual[block, :2 * m, :2 * m]
     z[:m, m:], z[m:, :m] = -w, -_herm(w)
     z.flat[::2 * m + 1] = 1.0
     z /= 2 * m
-    return _GroupOrbits(value, seed, dual, tuple(polar))
+    return _GroupOrbits(value, seed, dual)
 
 
 def _rounded(value: float, fiber: int, direction: int) -> float:
@@ -274,7 +266,7 @@ def _rounded(value: float, fiber: int, direction: int) -> float:
     return float(max(moved) if direction > 0 else min(moved))
 
 
-def _solve_stieltjes(g: FiniteGroupoid, phi: np.ndarray) -> tuple[NormCertificate, SdpSolution, _GroupOrbits]:
+def _solve_stieltjes(g: FiniteGroupoid, phi: np.ndarray) -> tuple[NormCertificate, SdpSolution]:
     """The SDP of the arrow function phi from the polar completion and the
     larger of the sup norm and the rounded closed form; an optimal seed
     verifies with no Newton step."""
@@ -290,7 +282,7 @@ def _solve_stieltjes(g: FiniteGroupoid, phi: np.ndarray) -> tuple[NormCertificat
                 for x in (solution.variables[layout.ids], solution.variables[layout.ids + g.n_arrows]))
     witness = {"rho": rho, "tau": tau, "lower": solution.lower, "iterations": solution.iterations,
                "status": solution.status, "blocks": int(problem.sizes.size)}
-    return NormCertificate(solution.value, "optimal", witness), solution, orbits
+    return NormCertificate(solution.value, "optimal", witness), solution
 
 
 def _lift(phi: np.ndarray) -> int:
@@ -370,9 +362,11 @@ def schur_cb_norm(a) -> NormCertificate:
     The coefficient norm of a.ravel() on the pair groupoid of n points, whose
     arrow (i, j) has id i n + j, by the solve of ``fourier_stieltjes_norm``.
     The witness carries the completion's diagonal blocks P = rho.reshape(n, n)
-    and Q = tau.reshape(n, n), a factorization a_ij = sum_m left[i, m]
-    conj(right[j, m]) with row norms <= sqrt(t), and the solver's certified
-    lower bound, Newton steps, status and number of SDP blocks.
+    and Q = tau.reshape(n, n), the factorization a_ij = sum_m left[i, m]
+    conj(right[j, m]) of ``_completion_factors``, right = Q^1/2 and
+    left = a (Q^1/2)^+, whose row norms are at most sqrt(t) (Haagerup's
+    a_ij = <x_i, y_j>), and the solver's certified lower bound, Newton
+    steps, status and number of SDP blocks.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -391,28 +385,13 @@ def schur_cb_norm(a) -> NormCertificate:
     cert = _stieltjes_certificate(_pair_groupoid(n), a.ravel())
     telemetry = dict(cert.witness)
     pm, qm = telemetry.pop("rho").reshape(n, n), telemetry.pop("tau").reshape(n, n)
-    # factored at the scale the solve ran at; each factor takes half the lift back
-    lift = _lift(a)
-    left, right = _factorize_completion(*(_ldexp(x, lift) for x in (pm, a, qm)))
-    half = lift // 2
-    witness = {"p_block": pm, "q_block": qm, "left": _ldexp(left, -half),
-               "right": _ldexp(right, half - lift), **telemetry}
+    # factored near the scale the solve ran at, by an even power of two whose
+    # half each factor takes back, so both keep their row norms <= sqrt(t)
+    half = -(-_lift(a) // 2)
+    right, left = (_ldexp(x, -half)
+                   for x in _completion_factors(_ldexp(a, 2 * half), _ldexp(qm, 2 * half)))
+    witness = {"p_block": pm, "q_block": qm, "left": left, "right": right, **telemetry}
     return NormCertificate(cert.value, "optimal", witness)
-
-
-def _factorize_completion(pm, a, qm) -> tuple[np.ndarray, np.ndarray]:
-    """Row-vector factorization a_ij = sum_k left[i, k] conj(right[j, k]) from
-    a PSD completion C = c^H c: the columns of c, read in an orthonormal basis
-    of the span of its last n columns (at most n vectors), padded to n."""
-    n = a.shape[0]
-    big = np.block([[pm, a], [a.conj().T, qm]])
-    vals, vecs = np.linalg.eigh((big + big.conj().T) / 2)
-    keep = vals > 1e-12 * float(vals.max(initial=0.0))
-    c = np.sqrt(vals[keep])[:, None] * vecs[:, keep].conj().T
-    basis = orthonormal_span(c[:, n:].T)
-    factors = np.zeros((2 * n, n), dtype=complex)
-    factors[:, :len(basis)] = (basis @ c.conj()).T
-    return factors[:n], factors[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -473,57 +452,43 @@ def _delta_terms(g: FiniteGroupoid, phi) -> np.ndarray:
     return terms
 
 
-def _spread_terms(g: FiniteGroupoid, stacks) -> np.ndarray:
-    """The (k, 2, n_arrows) terms (f_k, h_k) read by ``OrbitClass.spread``
-    from the (k, 2, n_bases, m, m) base matrices (B_k, A_k) of each fiber
-    class, divided by sqrt(w): h_k[gram] W^1/2 = A_k at a base with fiber
-    weights W, so the Gram block of the sum of the coefficients is
-    sum_k A_k B_k^H, and ||h_k|| is the largest row norm of A_k."""
-    terms = np.zeros((len(stacks[0]), 2, g.n_arrows), dtype=complex)
-    for c, o, stack in zip(g.fiber_classes, g.orbit_index, stacks):
-        terms[:, :, c.arrows] = o.spread(np.asarray(stack))
-    return terms / np.sqrt(g.weights)
+def _completion_factors(phi: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, A) = (tau^1/2, phi (tau^1/2)^+) for a stack of PSD completion
+    blocks [[rho, phi], [phi^H, tau]], so that phi = A B^H: PSD gives
+    phi = phi tau^+ tau and a PSD Schur complement rho - phi tau^+ phi^H, so
+    the squared row norms of B are diag tau and those of A at most diag rho.
+    The pseudo-inverse keeps the eigenvalues of tau above 1e-12 times the
+    largest, and above 0."""
+    vals, vecs = np.linalg.eigh(tau)
+    keep = vals > np.maximum(1e-12 * vals[..., -1:], 0.0)
+    root = np.sqrt(vals, where=keep, out=np.zeros_like(vals))
+    inverse = np.divide(1.0, root, where=keep, out=np.zeros_like(vals))
+    back = _herm(vecs)
+    return (vecs * root[..., None, :]) @ back, ((phi @ vecs) * inverse[..., None, :]) @ back
 
 
-def _polar_term(g: FiniteGroupoid, orbits: _GroupOrbits) -> np.ndarray:
-    """The term A = sqrt(c) U S^1/2 V^H, B = V S^1/2 V^H / sqrt(c) of each
-    Phi_b = U S V^H = A B^H and balance c of ``_group_orbits``: its cost is
-    the polar seed's value, the optimum on one-unit orbits, positive
-    definite phi and rank-one blocks."""
-    stacks = []
-    for u, s, vh, balance in orbits.polar:
-        root, scale = np.sqrt(s)[:, None, :], np.sqrt(balance)
-        stacks.append([[(_herm(vh) * root) @ vh / scale, (u * root) @ vh * scale]])
-    return _spread_terms(g, stacks)
+def _completion_term(g: FiniteGroupoid, phi, stieltjes: NormCertificate) -> np.ndarray:
+    """The (1, 2, n_arrows) term (f, h) of ``_completion_factors`` of each
+    orbit base's block [[rho_b, Phi_b], [Phi_b^H, tau_b]] of the SDP's
+    completion, at most the SDP value in cost.  Phi_b and tau_b commute with
+    the isotropy permutations (the Gram structure and the tied variable
+    ids), so do both factors (B, A), and ``OrbitClass.spread`` reads them
+    onto every unit, divided by sqrt(w): h[gram] W^1/2 = A at a base with
+    fiber weights W, so the Gram block of the coefficient is A B^H, and
+    ||h|| is the largest row norm of A.  On the polar seed
+    (c U S U^H, V S V^H / c) this is the polar term A = sqrt(c) U S^1/2 V^H,
+    B = V S^1/2 V^H / sqrt(c)."""
+    tau = stieltjes.witness["tau"]
+    term = np.zeros((2, g.n_arrows), dtype=complex)
+    for c, o, kept in zip(g.fiber_classes, g.orbit_index, g.coefficient_layout.classes):
+        term[:, c.arrows] = o.spread(np.stack(_completion_factors(phi[kept.gram], tau[kept.gram])))
+    return (term / np.sqrt(g.weights))[None]
 
 
-def _completion_terms(g: FiniteGroupoid, phi, stieltjes: NormCertificate) -> np.ndarray:
-    """Terms from the PSD blocks C_b = [[rho_b, Phi_b], [Phi_b^H, tau_b]] of
-    the SDP's completion: one from their row factorizations when no orbit has
-    isotropy, else two from R = C_b^1/2, which commutes with the isotropy
-    permutations: Phi_b = (R R^H)_01 = R00 R10^H + R01 R11^H.  ValueError
-    when a C_b is not PSD to 1e-7."""
-    layout = g.coefficient_layout
-    rho, tau = stieltjes.witness["rho"], stieltjes.witness["tau"]
-    stacks = []
-    for c in layout.classes:
-        p, a, q = rho[c.gram], phi[c.gram], tau[c.gram]
-        if layout.free:
-            left, right = zip(*map(_factorize_completion, p, a, q))
-            stacks.append([[right, left]])
-        else:
-            r, m = hermitian_sqrt(np.block([[p, a], [_herm(a), q]]), 1e-7), c.m
-            stacks.append([[r[:, m:, :m], r[:, :m, :m]], [r[:, m:, m:], r[:, :m, m:]]])
-    return _spread_terms(g, stacks)
-
-
-def _candidates(g: FiniteGroupoid, phi, stieltjes: NormCertificate, orbits: _GroupOrbits):
+def _candidates(g: FiniteGroupoid, phi, stieltjes: NormCertificate):
     """Candidate decompositions, each a (k, 2, n_arrows) stack of terms
-    (f_k, h_k), built lazily: the polar term, the completion terms (skipped
-    when the completion is not PSD to 1e-7) and the point masses."""
-    yield _polar_term(g, orbits)
-    with suppress(ValueError):
-        yield _completion_terms(g, phi, stieltjes)
+    (f_k, h_k), built lazily: the completion term, then the point masses."""
+    yield _completion_term(g, phi, stieltjes)
     yield _delta_terms(g, phi)
 
 
@@ -537,23 +502,23 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     solver's seeded exit made the sup norm the bound).  On groups and group
     bundles Z is the closed form's, at the unit of the largest value.
     Upper: the cheapest decomposition that reproduces phi among
-    ``_candidates`` (the polar term, the completion terms and the point
-    masses), tried in turn until one costs at most the lower bound times
-    1 + 1e-7.  The closed-form lower bound is rounded down by the closed
-    form's rounding margin, and the upper bound up by 8 eps times the
-    largest fiber size (or as many ulps, below the normal range).
+    ``_candidates`` (the completion term, then the point masses), tried in
+    turn until one costs at most the lower bound times 1 + 1e-7.  The
+    closed-form lower bound is rounded down by the closed form's rounding
+    margin, and the upper bound up by 8 eps times the largest fiber size
+    (or as many ulps, below the normal range).
     """
     phi = arrow_function(g, phi)
     lift = _lift(phi)
     if lift:
         return _lowered_bounds(g, phi, lift)
-    stieltjes, solution, orbits = _solve_stieltjes(g, phi)
+    stieltjes, solution = _solve_stieltjes(g, phi)
     sup = float(np.abs(phi).max(initial=0.0))
     sup_arrow = int(np.abs(phi).argmax()) if g.n_arrows else 0
     lower = NormCertificate(max(sup, solution.lower), "lower",
                             {"sup_arrow": sup_arrow, "stieltjes": stieltjes, "dual": solution.dual})
     best_cost, best_terms = np.inf, None
-    for terms in _candidates(g, phi, stieltjes, orbits):
+    for terms in _candidates(g, phi, stieltjes):
         cost = _term_cost(g, terms) if _terms_reconstruct(g, terms, phi) else np.inf
         if cost < best_cost:
             best_cost, best_terms = cost, terms

@@ -90,17 +90,23 @@ def adjoint_op(g: FiniteGroupoid, op) -> np.ndarray:
     return np.where(same_fiber, op.conj().T * g.weights[None, :] / g.weights[:, None], 0)
 
 
+def _finite_operator(op) -> np.ndarray:
+    """op as a complex array; ValueError naming its first entry that is not finite."""
+    op = np.asarray(op, dtype=complex)
+    bad = np.argwhere(~np.isfinite(op))
+    if bad.size:
+        at = tuple(map(int, bad[0]))
+        raise ValueError(f"entry {at} is not finite: {op[at]}")
+    return op
+
+
 def operator_norm(g: FiniteGroupoid, op) -> float:
     """Exact operator norm for adjointable (block diagonal) operators.
 
     Per block, the spectral norm in the weighted fiber metric.  ValueError
     when an entry of op is not finite or the norm overflows.
     """
-    op = np.asarray(op, dtype=complex)
-    bad = np.argwhere(~np.isfinite(op))
-    if bad.size:
-        at = tuple(map(int, bad[0]))
-        raise ValueError(f"entry {at} is not finite: {op[at]}")
+    op = _finite_operator(op)
     if not is_adjointable(g, op):
         raise ValueError("exact operator norms are only computed blockwise")
     best = 0.0
@@ -162,27 +168,34 @@ def operator_norm_bounds(
     The max-of-fiber norm of a general operator is not a spectral quantity;
     the upper bound sums weighted spectral norms of the fiber-to-fiber blocks
     along each output fiber, the lower bound comes from random probing.  Both
-    collapse to the exact value for block diagonal operators.
+    collapse to the exact value for block diagonal operators.  ValueError
+    when an entry of op is not finite or a bound overflows.
     """
-    op = np.asarray(op, dtype=complex)
+    op = _finite_operator(op)
     rw = [np.sqrt(g.weights[t]) for t in g.r_fibers]
-    upper = 0.0
-    for u, tu in enumerate(g.r_fibers):
-        row = 0.0
-        for v, tv in enumerate(g.r_fibers):
-            block = op[np.ix_(tu, tv)] * (rw[u][:, None] / rw[v][None, :])
-            if block.size:
-                sigma = float(np.linalg.norm(block, 2))
-                row += sigma
-        upper = max(upper, row)
+    upper = lower = 0.0
     rng = np.random.default_rng(seed)
-    lower = 0.0
-    for _ in range(probes):
-        xi = rng.standard_normal(g.n_arrows) + 1j * rng.standard_normal(g.n_arrows)
-        nx = section_norm(g, xi)
-        if nx > 0:
-            lower = max(lower, section_norm(g, op @ xi) / nx)
-    return lower, upper
+    # an overflowing tilt or probe makes inf and nan parts, which LAPACK
+    # would read as zeros and section_norm refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u, tu in enumerate(g.r_fibers):
+            row = 0.0
+            for v, tv in enumerate(g.r_fibers):
+                block = op[np.ix_(tu, tv)] * (rw[u][:, None] / rw[v][None, :])
+                if not np.isfinite(block).all():
+                    row = np.inf
+                elif block.size:
+                    row += float(np.linalg.norm(block, 2))
+            upper = max(upper, row)
+        for _ in range(probes):
+            xi = rng.standard_normal(g.n_arrows) + 1j * rng.standard_normal(g.n_arrows)
+            image = op @ xi
+            nx = section_norm(g, xi)
+            if not np.isfinite(image).all():
+                lower = np.inf
+            elif nx > 0:
+                lower = max(lower, section_norm(g, image) / nx)
+    return _finite_norm(lower), _finite_norm(upper)
 
 
 def right_delta_ops(g: FiniteGroupoid) -> list[np.ndarray]:

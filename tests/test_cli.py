@@ -203,6 +203,30 @@ class TestInvalidGroupoidFiles:
         assert main(["check", str(f), "--suite", "axioms"]) == 2
         assert f"more units ({units}) than arrows (1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("arrows", 5), ("compose", 5), ("compose", [0]), ("unit_arrows", 5),
+        ("unit_arrows", [None]), ("weights", 5),
+    ])
+    def test_malformed_field_exits_2(self, tmp_path, capsys, field, value):
+        # a field of the wrong shape is a malformed file, not a failed check
+        data = groupoid_to_dict(gf.pair_groupoid(2))
+        data[field] = value
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(data))
+        assert main(["check", str(f), "--suite", "axioms"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("document", [{"values": {"0": {"re": 1}}}, []])
+    def test_malformed_function_file_exits_2(self, tmp_path, capsys, document):
+        gfile, ffile = tmp_path / "g.json", tmp_path / "f.json"
+        write_groupoid(str(gfile), gf.pair_groupoid(2))
+        ffile.write_text(json.dumps(document))
+        assert main(["norm", str(gfile), str(ffile), "--which", "stieltjes"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("bad_weight", [float("nan"), float("inf")])
     def test_non_finite_weight_exits_2(self, tmp_path, capsys, bad_weight):
         data = groupoid_to_dict(gf.pair_groupoid(2))

@@ -190,7 +190,7 @@ class TestDualCertificate:
         for _ in range(2):
             phi = random_function(g, rng)
             problem = stieltjes_problem(g, phi)
-            _, sol, _ = gf.norms._solve_stieltjes(g, phi)
+            _, sol = gf.norms._solve_stieltjes(g, phi)
             assert sol.status == "seeded" and sol.iterations == 0
             bound, residual, low = _dual_report(problem, sol.dual)
             scale = problem.data_scale()
@@ -264,6 +264,20 @@ class TestSchurCbNorm:
         row_bound = np.sqrt(cert.value) + 1e-6
         assert np.linalg.norm(left, axis=1).max() <= row_bound
         assert np.linalg.norm(right, axis=1).max() <= row_bound
+
+    @pytest.mark.parametrize("s", [1.0, 1e-310, 1e305])
+    def test_witness_rows_are_within_the_value_at_every_scale(self, s, rng):
+        # right = Q^1/2 and left = a (Q^1/2)^+ at a lifted scale: each takes
+        # back half of an even power of two, so neither carries a factor of 2
+        for n in (2, 3, 5):
+            for _ in range(3):
+                a = s * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                cert = gf.schur_cb_norm(a)
+                left, right = cert.witness["left"], cert.witness["right"]
+                assert np.abs(left @ right.conj().T - a).max() <= 1e-12 * np.abs(a).max()
+                for x in (left, right):
+                    rows = (np.abs(x / np.sqrt(cert.value)) ** 2).sum(axis=1)
+                    assert rows.max() <= 1 + 1e-12
 
 
 SCALES = [1e-306, 1e-12, 1e-8, 1e-4, 1e4]
@@ -584,30 +598,33 @@ class TestFourierStieltjesNorm:
         scale = float(np.abs(phi).max())
         assert min(float(np.linalg.eigvalsh(b)[0]) for b in blocks) >= -1e-9 * scale
 
-    def test_split_reconstructs_on_self_inverse_arrows(self, rng):
-        # the two-term split of the completion's square root must survive
-        # fibers containing self-inverse arrows: the isotropy group of S3 on
-        # three points is Z2, a transposition
+    def test_completion_term_reconstructs_on_self_inverse_arrows(self, rng):
+        # the completion term must survive fibers containing self-inverse
+        # arrows: the isotropy group of S3 on three points is Z2, a transposition
         g = s3_on_three_points()
         phi = random_function(g, rng)
         cert = gf.fourier_stieltjes_norm(g, phi)
-        terms = gf.norms._completion_terms(g, phi, cert)
-        assert len(terms) == 2
+        terms = gf.norms._completion_term(g, phi, cert)
+        assert len(terms) == 1
         total = sum(gf.regular_coefficient(g, f, h) for f, h in terms)
-        assert np.abs(total - phi).max() < 1e-7
+        assert np.abs(total - phi).max() <= 1e-8 * np.abs(phi).max()
         cost = sum(gf.section_norm(g, f) * gf.section_norm(g, h) for f, h in terms)
-        assert cost <= 2 * cert.value + 1e-6
+        assert cost <= cert.value * (1 + 1e-9)
 
     @pytest.mark.parametrize("name", sorted(SPLIT_GROUPOIDS))
-    def test_split_costs_what_the_doubled_groupoid_split_costs(self, name):
+    def test_completion_term_costs_at_most_the_doubled_groupoid_split(self, name):
+        # one term from the Schur complement of the completion, against the
+        # two terms of its square root on the product with pair(2)
         g = SPLIT_GROUPOIDS[name]()
         for seed in range(3):
             phi = random_function(g, np.random.default_rng(seed))
             cert = gf.fourier_stieltjes_norm(g, phi)
-            terms = gf.norms._completion_terms(g, phi, cert)
+            terms = gf.norms._completion_term(g, phi, cert)
             want = doubled_split_oracle(g, cert, phi)
-            assert len(terms) == 2
-            assert term_cost_oracle(g, terms) == pytest.approx(term_cost_oracle(g, want), rel=1e-9)
+            assert len(terms) == 1
+            cost = term_cost_oracle(g, terms)
+            assert cost <= cert.value * (1 + 1e-9)
+            assert cost <= term_cost_oracle(g, want)
             assert np.abs(terms_sum_oracle(g, terms) - phi).max() <= 1e-8 * np.abs(phi).max()
 
     def test_module_rescaling_bound(self, g3, rng):
@@ -693,7 +710,6 @@ class TestFourierNormBounds:
         # the terms are read from the orbit bases and divided by sqrt(w), so
         # unit weights that differ across an orbit keep the unweighted brackets
         g = WEIGHTED_ORBITS[name]()
-        generic = 1e-6 if name == "pair3w" else 0.25
         for seed in range(5):
             rng = np.random.default_rng(seed)
             lower, upper = gf.fourier_norm_bounds(g, random_pd(g, rng))
@@ -704,7 +720,43 @@ class TestFourierNormBounds:
             total = terms_sum_oracle(g, np.array(upper.witness["terms"]))
             assert np.abs(total - phi).max() <= 1e-8 * np.abs(phi).max()
             assert lower.value <= upper.value
-            assert (upper.value - lower.value) / upper.value <= generic
+            assert len(upper.witness["terms"]) == 1
+            assert (upper.value - lower.value) / upper.value <= 1e-6
+
+
+BRACKET_GROUPOIDS = {
+    "pair2xz3": lambda: gf.product_with_pair_groupoid(gf.group_groupoid(gf.cyclic_table(3))),
+    "pair3xI2": lambda: gf.product_with_pair_groupoid(gf.pair_groupoid(3)),
+    "z4-on-4-through-z2": z4_on_4_points_through_z2,
+    "z12-on-16": z12_on_16_points,
+    "s3-on-3": s3_on_three_points,
+    "z2-on-3-fixed": lambda: gf.transformation_groupoid(gf.cyclic_table(2), [[0, 1, 2], [1, 0, 2]]),
+    **{k: v for k, v in WEIGHTED_ORBITS.items() if k != "pair3w"},
+}
+
+
+def _bracket_inputs(g, rng):
+    """Generic, conjugation-symmetric, positive definite, unimodular and
+    30%-dense arrow functions on g."""
+    phi = random_function(g, rng)
+    sparse = np.where(rng.random(g.n_arrows) < 0.3, phi, 0.0)
+    return {"generic": phi, "symmetric": (phi + gf.star(g, phi)) / 2, "pd": random_pd(g, rng),
+            "unimodular": np.exp(2j * np.pi * rng.random(g.n_arrows)), "sparse": sparse}
+
+
+class TestBracketCloses:
+    """The completion term alone meets the certified lower bound on every
+    groupoid, orbits with isotropy and unequal unit weights included."""
+
+    @pytest.mark.parametrize("name", FIXTURE_GROUPOIDS + sorted(BRACKET_GROUPOIDS))
+    def test_one_term_within_1e_6_of_the_lower_bound(self, name, request):
+        g = BRACKET_GROUPOIDS[name]() if name in BRACKET_GROUPOIDS else request.getfixturevalue(name)
+        for seed in range(5):
+            for kind, phi in _bracket_inputs(g, np.random.default_rng(seed)).items():
+                lower, upper = gf.fourier_norm_bounds(g, phi)
+                assert len(upper.witness["terms"]) == 1, (seed, kind)
+                assert lower.value <= upper.value, (seed, kind)
+                assert upper.value - lower.value <= 1e-6 * upper.value, (seed, kind)
 
 
 class TestStackedTerms:
@@ -1036,7 +1088,7 @@ class TestNoRepeatedWork:
 
     def test_norms_build_no_term(self, monkeypatch, g3, bundle23, rng):
         calls = []
-        self._spy(monkeypatch, calls, (gf.norms,), ("_spread_terms", "_delta_terms"))
+        self._spy(monkeypatch, calls, (gf.norms,), ("_completion_term", "_delta_terms"))
         self._spy(monkeypatch, calls, (gf.groupoid.OrbitClass,), ("spread",))
         for g in (g3, bundle23, s3_on_three_points()):
             gf.fourier_stieltjes_norm(g, random_function(g, rng))

@@ -149,6 +149,25 @@ class TestOperatorNorm:
 
 
 class TestOperatorNormBounds:
+    def test_rejects_a_non_finite_entry(self, capfd):
+        g, op = TestOperatorNorm._weighted_right_op(1.0)
+        op[0, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"entry \(0, 1\) is not finite"):
+                gf.operator_norm_bounds(g, op)
+        assert capfd.readouterr() == ("", "")
+
+    def test_an_overflowing_weighted_tilt_raises(self, capfd):
+        # the entries are finite, their tilt and the probe images are not
+        g, op = TestOperatorNorm._weighted_right_op(4e307)
+        assert np.isfinite(op).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the norm overflows"):
+                gf.operator_norm_bounds(g, op)
+        assert capfd.readouterr() == ("", "")
+
     def test_sandwich_and_exactness_on_block_diagonal(self, weighted_bundle, rng):
         g = weighted_bundle
         f = random_function(g, rng)
