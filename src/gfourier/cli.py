@@ -168,6 +168,7 @@ def _print_stats(cert, cpu: float, wall: float) -> None:
     wall seconds, on stderr."""
     if cert is not None:
         w = cert.witness
+        print(f"stats scaling-steps {w['scaling_steps']}", file=sys.stderr)
         print(f"stats newton-steps {w['iterations']}", file=sys.stderr)
         print(f"stats status {w['status']}", file=sys.stderr)
         print(f"stats bracket {cert.value:.12g} {w['lower']:.12g}", file=sys.stderr)

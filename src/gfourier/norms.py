@@ -10,21 +10,28 @@ units of an orbit are permuted copies and are left out.  On pair groupoids
 (one orbit) the problem is, entry for entry, the classical Schur multiplier
 SDP, and ``schur_cb_norm`` is this solve.
 
-One stacked SVD per fiber class completes every block by its balanced polar
-parts (``_group_orbits``), a seed the solver re-verifies.  It is optimal, and
-no Newton step runs, on groups and group bundles (Eymard's norm, with a dual
-block from the same SVD), on positive definite phi and on rank-one blocks;
-elsewhere the interior-point method starts from the larger of the sup norm
-and the closed form on one-unit orbits.  The upper bound of
+The block of an orbit base is the Schur multiplier problem of its Gram
+block Phi, whose value is the largest ||D_alpha Phi D_beta||_tr over unit
+vectors alpha, beta >= 0 (Haagerup; Linial and Shraibman).
+``_scaled_completion`` iterates the fixed point of that maximum, one stacked
+SVD per fiber class per evaluation, extrapolated by SQUAREM, and every
+evaluation certifies both sides: a dual block from the SVD below, and the
+scaled polar completion above.  The first evaluation, at uniform weights,
+is the balanced polar completion; it closes with no further step on groups
+and group bundles (Eymard's norm), on positive definite phi and on rank-one
+blocks.  The completion goes to the solver's seeded exit, which re-verifies
+it; the interior-point method runs only where the scaling stalls, from its
+lower bound.  The upper bound of
 ``fourier_norm_bounds`` is one term per orbit base from the solver's
 completion block [[rho, Phi], [Phi^H, tau]], A = Phi (tau^1/2)^+ and
 B = tau^1/2, read onto every unit by ``OrbitClass.spread``: Phi = A B^H,
 and the PSD Schur complement rho - Phi tau^+ Phi^H puts its cost at most
-at the SDP value.  Point masses are the fallback.  The closed-form values
-and decomposition costs carry a rounding of a few ulps per fiber element,
-so the lower bound is rounded down, and the upper bound up, by 8 eps times
-the largest fiber size, or as many ulps where that is more.  A phi below the normal range or above
-2**1000 is solved brought into [1/2, 1) by a power of two, and its values
+at the SDP value.  Point masses are the fallback.  The scaling's lower
+bounds and the decomposition costs carry a rounding of a few ulps per fiber
+element, so the lower bound is rounded down, and the upper bound up, by
+8 eps times the largest fiber size, or as many ulps where that is more.  A
+phi below the normal range or above 2**1000 is solved brought into [1/2, 1)
+by a power of two, and its values
 are scaled back and rounded outwards by the same margin, or raise
 ValueError when they overflow.
 
@@ -39,8 +46,11 @@ groupoids of the last few sizes it solved on.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -48,11 +58,19 @@ import numpy as np
 from .algebra import arrow_function
 from .groupoid import FiniteGroupoid, pair_groupoid
 from .positivity import _stacks
-from .sdp import DiagBoundSdp, SdpSolution, _herm, solve_diag_bound_sdp
+from .sdp import _REL_GAP, DiagBoundSdp, SdpSolution, _herm, solve_diag_bound_sdp
 
-# the rounding margin of closed-form values and decomposition costs, in eps
-# (or ulps, below the normal range) per fiber element
+# the rounding margin of the scaling's lower bounds and of decomposition
+# costs, in eps (or ulps, below the normal range) per fiber element
 _ROUNDING = 8
+# scaling evaluations after the uniform one, at most, per fiber class
+_MAX_ITER = 300
+# evaluations in which the scaling's gap must halve, or it has stalled
+_STALL = 50
+# the longest SQUAREM step (steps above 2e3 were not seen), which keeps the
+# extrapolated weights finite
+_STEP = 1e4
+_TINY = np.finfo(float).tiny
 
 
 def _read_only(a) -> np.ndarray:
@@ -66,8 +84,9 @@ class NormCertificate:
     """A norm value together with the object that certifies it.
 
     kind 'optimal' carries a feasible completion (rho, tau) or (p, q) and the
-    solver's certified lower bound, Newton steps, status and number of SDP
-    blocks; 'upper' carries a list of coefficient factorization terms;
+    solver's certified lower bound, scaling steps, Newton steps, status and
+    number of SDP blocks; 'upper' carries a list of coefficient
+    factorization terms;
     'lower' carries the arrow that attains the sup bound and the dual blocks
     that certify the SDP bound.
     """
@@ -87,29 +106,29 @@ def _arrow_variables(g: FiniteGroupoid) -> tuple[np.ndarray, np.ndarray]:
 class _KeptClass(NamedTuple):
     """The orbit bases (``FiniteGroupoid.orbit_index``) in one fiber class,
     whose range fibers have m arrows: their Gram blocks ``gram``, the
-    variable ids and conjugation flags there, their ``blocks`` in the
-    declaration, and which of them are one-unit orbits, whose fiber is the
-    isotropy group (``alone``)."""
+    variable ids and conjugation flags there, and their ``blocks`` in the
+    declaration."""
 
     m: int
     gram: np.ndarray
     ids: np.ndarray
     flip: np.ndarray
     blocks: np.ndarray
-    alone: np.ndarray
 
 
 class CoefficientLayout:
     """Everything of the coefficient-norm problem on g that does not depend
     on phi, built once per groupoid (``FiniteGroupoid.coefficient_layout``).
 
-    It holds the variable ids and conjugation flags of the arrows, the kept
+    It holds the variable ids and conjugation flags of rho and tau at the
+    arrows, the kept
     rows of every fiber class (``_KeptClass``), the ``var``, ``conj``,
     ``sizes`` and ``objective`` of ``stieltjes_problem`` with the data
-    positions that phi fills, the range fibers as ``_term_cost`` reads
-    them, and the rounding margins: the largest fiber of a one-unit orbit
-    (``group_fiber``, 0 without one) and of any unit (``fiber``).  Every diagonal position of a block holds a unit arrow,
-    an objective variable: Gram[p, p] = inverse(x_p) x_p.  Its arrays are
+    positions that phi fills, the positions of rho's and tau's variables in
+    the kept blocks (``assign``), the range fibers as ``_term_cost`` reads
+    them, and the rounding margin, the largest fiber (``fiber``).  Every
+    diagonal position of a block holds a unit arrow, an objective variable:
+    Gram[p, p] = inverse(x_p) x_p, and no other position does.  Its arrays are
     read-only: a layout is shared by every solve on g, and a groupoid made
     from g by ``with_unit_weights`` or ``dataclasses.replace`` builds its own.
     """
@@ -123,13 +142,12 @@ class CoefficientLayout:
         classes = []
         for c, o in zip(g.fiber_classes, g.orbit_index):
             units, gram = c.units[o.bases], c.gram[o.bases]
-            # the orbits whose fiber is the isotropy group
-            alone = (g.source_of[c.arrows[o.bases]] == units[:, None]).all(1)
             classes.append(_KeptClass(gram.shape[1], *map(_read_only, (
-                gram, ids[gram], flip[gram], block_of[units], alone))))
-        self.ids, self.flip = _read_only(ids), _read_only(flip)
+                gram, ids[gram], flip[gram], block_of[units]))))
+        # rho's variable at every arrow, then tau's, and whether it is held conjugated
+        self.ids = _read_only(np.concatenate([ids, ids + g.n_arrows]))
+        self.flip = _read_only(np.concatenate([flip, flip]))
         self.classes = tuple(classes)
-        self.group_fiber = max((c.m for c in classes if c.alone.any()), default=0)
         s = 2 * max(c.m for c in classes)
         var = np.full((kept.sum(), s, s), -1)
         conj = np.zeros(var.shape, dtype=bool)
@@ -156,6 +174,35 @@ class CoefficientLayout:
         self.fiber_starts = _read_only(np.searchsorted(g.range_of[by_range], np.arange(g.n_units)))
         self.range_weights = _read_only(g.weights[by_range])
         self.fiber = int(np.bincount(g.range_of).max(initial=0))
+        # the variable id at every position of rho and tau in the kept blocks,
+        # block by block, whether it holds the conjugate, and how many
+        # positions hold each id
+        self.held = _read_only(np.concatenate([np.concatenate([c.ids, c.ids + g.n_arrows], axis=1).ravel()
+                                               for c in classes]))
+        self.held_flip = _read_only(np.concatenate([np.concatenate([c.flip, c.flip], axis=1).ravel()
+                                                    for c in classes]))
+        self.held_count = _read_only(np.maximum(np.bincount(self.held, minlength=2 * g.n_arrows), 1))
+
+    def assign(self, completions: list, mean: bool) -> np.ndarray:
+        """The assignment by variable id of a list of (blocks, 2, m, m) stacks
+        of (P, Q), one per fiber class, of the kept blocks' rho and tau: each
+        variable takes the value at its last position, or with ``mean`` the
+        mean over its positions.  The positions of a variable are the images of one pair
+        (p, q) under the isotropy permutations of the base fiber and the
+        transpose (conjugated), and, when weights that are not left invariant
+        make several units of an orbit bases, their permutations onto each
+        other.  A completion that commutes with these permutations agrees at
+        all of them; otherwise each image is a feasible completion of the
+        block, and their mean is feasible too, with no larger diagonal."""
+        values = np.concatenate([x.ravel() for x in completions])
+        values = np.where(self.held_flip, values.conj(), values)
+        size = self.held_count.size
+        if mean:
+            return (np.bincount(self.held, values.real, size) + 1j * np.bincount(self.held, values.imag, size)) \
+                / self.held_count
+        out = np.zeros(size, dtype=complex)
+        out[self.held] = values
+        return out
 
     def declare(self, phi: np.ndarray) -> DiagBoundSdp:
         """The problem of phi: its Gram blocks gathered into the layout."""
@@ -192,67 +239,198 @@ def stieltjes_problem(g: FiniteGroupoid, phi) -> DiagBoundSdp:
     return g.coefficient_layout.declare(arrow_function(g, phi))
 
 
-class _GroupOrbits(NamedTuple):
-    """The polar completion of every orbit block by variable id (``seed``)
-    and the closed form on one-unit orbits: ``value``, the largest
-    ||Phi_u||_tr / m (-inf without one), and the dual stack at its block."""
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Two (blocks, m, n) stacks as one (blocks, 2, m, n) stack."""
+    return np.concatenate([a, b], axis=1).reshape(len(a), 2, *a.shape[1:])
+
+
+class _Point(NamedTuple):
+    """One evaluation of the scaling on a stack of Gram blocks Phi at the
+    weights x = (alpha^2, beta^2), a (blocks, 2, m) stack (None: all 1): the
+    SVD D_alpha Phi D_beta = U S V^H (``u``, ``s``, ``vh``), the diagonals
+    of P' = D_alpha^-1 U S U^H D_alpha^-1 and
+    Q' = D_beta^-1 V S V^H D_beta^-1 (``ratio``, 0 where a weight is 0),
+    the lower bound tr S / (|alpha| |beta|), max P'_ii and max Q'_jj
+    (``high``), the cost sqrt(max P'_ii max Q'_jj) of the completion, and
+    at uniform weights the polar parts (U S U^H, V S V^H) = (P', Q')
+    themselves (``polar``)."""
+
+    x: np.ndarray | None
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    trace: np.ndarray
+    ratio: np.ndarray
+    lower: np.ndarray
+    high: np.ndarray
+    upper: np.ndarray
+    polar: np.ndarray | None
+
+    @property
+    def next(self) -> np.ndarray:
+        """The map's image of x: diag U S U^H / tr S and diag V S V^H / tr S
+        (0 on a block of zeros)."""
+        parts = self.ratio if self.x is None else self.ratio * self.x
+        return parts / np.maximum(self.trace, _TINY)[:, None, None]
+
+    def completion(self) -> np.ndarray:
+        """(c P', Q' / c) as a (blocks, 2, m, m) stack, of cost ``upper``:
+        c^2 = max Q'_jj / max P'_ii (1 on a block of zeros) evens its sides.
+        [[c P', Phi], [Phi^H, Q' / c]] is congruent, by D_alpha^-1 and
+        D_beta^-1, to [c^1/2 U; V / c^1/2] S [c^1/2 U; V / c^1/2]^H, so PSD.
+        The rows and columns of a weight 0 are 0."""
+        high = np.maximum(self.high, _TINY)
+        c = np.sqrt(high[:, ::-1] / high)[:, :, None, None]
+        if self.polar is not None:
+            return self.polar * c
+        factors = _pair(self.u, _herm(self.vh)) * np.sqrt(1 / np.where(self.x > 0, self.x, np.inf))[..., None]
+        return (factors * self.s[:, None, None, :]) @ _herm(factors) * c
+
+
+def _evaluate(gram: np.ndarray, x: np.ndarray | None = None) -> _Point:
+    """The scaling at the weights x on the stack gram: one batched SVD.  A
+    weight of 0 belongs to a zero row or column of Phi, which the map keeps
+    at 0, and costs nothing.  At uniform weights the completion is the
+    balanced polar one, built at once: it closes on most inputs."""
+    if x is None:  # D_alpha Phi D_beta is Phi
+        u, s, vh = np.linalg.svd(gram)
+        factors = _pair(u, _herm(vh))
+        polar = (factors * s[:, None, None, :]) @ _herm(factors)
+        ratio = polar.diagonal(0, 2, 3).real
+        size = gram.shape[-1]
+    else:
+        root = np.sqrt(x)
+        u, s, vh = np.linalg.svd(root[:, 0, :, None] * gram * root[:, 1, None, :])
+        # diag U S U^H and diag V S V^H over the weights
+        parts = (np.abs(_pair(u, vh.swapaxes(1, 2))) ** 2 @ s[:, None, :, None])[..., 0]
+        ratio, polar = parts / np.where(x > 0, x, np.inf), None
+        size = np.sqrt(x.sum(2).prod(1))
+    high, trace = ratio.max(2), s.sum(1)
+    return _Point(x, u, s, vh, trace, ratio, trace / size, high, np.sqrt(high[:, 0] * high[:, 1]), polar)
+
+
+def _squarem(evaluate, x: np.ndarray):
+    """The points of the scaling from the weights x, extrapolated by SQUAREM
+    (Varadhan and Roland 2008) on alpha = x^1/2: from alpha_0 and its two
+    images alpha_1, alpha_2 under the map, with r = alpha_1 - alpha_0 and
+    v = alpha_2 - 2 alpha_1 + alpha_0, the step to alpha_0 - 2 k r + k^2 v,
+    k = -|r| / |v| in [-``_STEP``, -1] (k = -1 is alpha_2), per block; the
+    weights of zero rows and columns stay 0.  It continues from the step's image when its
+    lower bound is no smaller than at alpha_1, else from alpha_2."""
+    while True:
+        p0 = evaluate(x)
+        yield p0
+        x1 = p0.next
+        p1 = evaluate(x1)
+        yield p1
+        x2 = p1.next
+        y0, y1 = np.sqrt(x), np.sqrt(x1)
+        r = y1 - y0
+        v = np.sqrt(x2) - y1 - r
+        k = -np.sqrt((r * r).sum((1, 2), keepdims=True) / np.maximum((v * v).sum((1, 2), keepdims=True), _TINY))
+        k = np.maximum(np.minimum(k, -1.0), -_STEP)
+        pe = evaluate((y0 - k * (2 * r - k * v)) ** 2)
+        yield pe
+        x = np.where((pe.lower >= p1.lower)[:, None, None], pe.next, x2)
+
+
+class _Scaled(NamedTuple):
+    """The scaled polar completion of every orbit block by variable id
+    (``seed``), the largest lower bound over the bases (``value``) and a dual
+    stack that certifies it (None below ``sup``), and the evaluations after
+    the uniform one (``steps``)."""
 
     value: float
     seed: np.ndarray
     dual: np.ndarray | None
+    steps: int
 
 
-def _group_orbits(g: FiniteGroupoid, phi, problem: DiagBoundSdp) -> _GroupOrbits:
-    """Complete every orbit block by the polar parts of its Gram block, and
-    solve the completion problem in closed form on one-unit orbits.
+def _scaled_completion(g: FiniteGroupoid, phi, problem: DiagBoundSdp, sup: float) -> _Scaled:
+    """Complete every orbit block, and bound the completion problem from
+    below, by the diagonal scaling of its Gram block.
 
-    At an orbit's first unit, with Phi = phi[gram] = U S V^H, the block with
-    rho = c U S U^H and tau = V S V^H / c is congruent to [U; V] S [U; V]^H,
-    so PSD.  The ties of ``stieltjes_problem`` are the permutations p -> k p
-    of the fiber by the isotropy arrows k; they commute with Phi, hence with
-    its polar parts, so every variable gets one value.  One scalar per
-    orbit, c^2 = max diag V S V^H / max diag U S U^H (1 when Phi = 0), puts
-    the block's value at sqrt(max diag U S U^H max diag V S V^H), at most
-    ||Phi||_2.  That is the optimum on positive definite phi (U S U^H =
-    V S V^H = Phi: the largest unit value), on rank-one Phi = x y^H
-    (|x|_inf |y|_inf, the sup norm) and on one-unit orbits.  When the
-    solver exits on this seed, ``_completion_term`` reads from it the term
-    A = sqrt(c) U S^1/2 V^H, B = V S^1/2 V^H / sqrt(c), of this cost.
+    The problem at an orbit base is the Schur multiplier problem of
+    Phi = phi[gram], whose value is the largest ||D_alpha Phi D_beta||_tr
+    over unit vectors alpha, beta >= 0 (Haagerup; Linial and Shraibman).
+    Every evaluation (``_evaluate``, one SVD D_alpha Phi D_beta = U S V^H
+    per fiber class) certifies both sides.  Below, with unit alpha and beta,
+    Z = [[D_alpha^2, -W], [-W^H, D_beta^2]] / 2, W = D_alpha U V^H D_beta, is
+    PSD (a Gram matrix of [D_alpha U; -D_beta V]), is zero at every free
+    variable, sums to 1 on the objective diagonal and has -<F0, Z> = tr S.
+    Above, the completion of ``_Point.completion`` costs
+    sqrt(max P'_ii max Q'_jj).  At a fixed point of the map
+    alpha^2 <- diag U S U^H / tr S, beta^2 <- diag V S V^H / tr S, every
+    P'_ii and Q'_jj is tr S and the sides meet.
 
-    On a one-unit orbit the fiber of u is the isotropy group and Phi_u a
-    group matrix, as are its polar parts, with diagonal tr S / m, so c = 1.
-    The dual Z = [[I, -W], [-W^H, I]] / (2m) with W = U V^H is PSD, is zero
-    at every free variable, sums to 1 on the objective diagonal, and has
-    -<F0, Z> = tr S / m: the optimum is ||Phi_u||_tr / m, Eymard's norm
-    sum_pi d_pi ||phi^(pi)||_1 / |G|.  The values carry the SVD's rounding
-    of a few ulps per fiber element.
+    The first evaluation, at uniform weights, is the balanced polar
+    completion rho = c U S U^H, tau = V S V^H / c of Phi, with the lower
+    bound ||Phi||_tr / m.  It closes with no further step on positive
+    definite phi (rho = tau = Phi, the largest unit value), on rank-one
+    Phi = x y^H (|x|_inf |y|_inf, the sup norm) and on one-unit orbits,
+    where Phi is a group matrix with constant diag U S U^H, a fixed point
+    (Eymard's norm sum_pi d_pi ||phi^(pi)||_1 / |G|).  Blocks above
+    1 + 1e-7 times the larger of sup and the best lower bound iterate,
+    extrapolated by ``_squarem``, until every block is within it, until the
+    gap fails to halve in ``_STALL`` evaluations, or for ``_MAX_ITER``
+    evaluations; a zero row or column of Phi keeps weight 0.  The map
+    commutes with the isotropy permutations, so from uniform weights every
+    completion meets the ties of ``stieltjes_problem`` up to rounding, which
+    ``CoefficientLayout.assign`` averages out.  ``_completion_term`` reads
+    its term from the completion the solver returns.
     """
-    seed = np.zeros(2 * g.n_arrows, dtype=complex)
-    top = None
-    for c in g.coefficient_layout.classes:
-        u, s, vh = np.linalg.svd(phi[c.gram])
-        rho, tau = (u * s[:, None, :]) @ _herm(u), (_herm(vh) * s[:, None, :]) @ vh
-        high_rho, high_tau = (x.diagonal(axis1=1, axis2=2).real.max(1) for x in (rho, tau))
-        balance = np.sqrt(np.divide(high_tau, high_rho, out=np.ones(c.blocks.size),
-                                    where=np.minimum(high_rho, high_tau) > 0))[:, None, None]
-        seed[c.ids] = np.where(c.flip, rho.conj(), rho) * balance
-        seed[c.ids + g.n_arrows] = np.where(c.flip, tau.conj(), tau) / balance
-        if not c.alone.any():
+    # on phi brought into [1/2, 1) by a power of two, exactly: scaled
+    # weights then keep the entries of D_alpha Phi D_beta out of the subnormal
+    # range, and every evaluation scales with phi
+    exponent = math.frexp(sup)[1]
+    phi, sup = phi * 2.0 ** -exponent, math.ldexp(sup, -exponent)
+    top = (-np.inf, 0, None, 0)  # the best lower bound, its block, and its point and row there
+    steps = 0
+
+    def record(point, blocks):
+        nonlocal top
+        i = int(point.lower.argmax())
+        if point.lower[i] > top[0]:
+            top = float(point.lower[i]), int(blocks[i]), point, i
+        return point
+
+    layout = g.coefficient_layout
+    grams = [phi[c.gram] for c in layout.classes]
+    firsts = [record(_evaluate(x), c.blocks) for c, x in zip(layout.classes, grams)]
+    completions = [first.completion() for first in firsts]
+    for c, gram, first, completion in zip(layout.classes, grams, firsts, completions):
+        target = (1 + _REL_GAP) * max(sup, top[0])
+        if first.upper.max() <= target or not _MAX_ITER:
             continue
-        u, s, vh = u[c.alone], s[c.alone], vh[c.alone]
-        values = s.sum(1) / c.m
-        i = int(values.argmax())
-        if top is None or values[i] > top[0]:
-            top = float(values[i]), c.blocks[c.alone][i], c.m, u[i] @ vh[i]
-    if top is None:
-        return _GroupOrbits(-np.inf, seed, None)
-    value, block, m, w = top
+        rows = np.flatnonzero(first.upper > target)
+        open_gram, open_blocks = gram[rows], c.blocks[rows]
+        # the zero rows and columns of Phi keep weight 0
+        live = np.stack([np.any(open_gram, axis=2), np.any(open_gram, axis=1)], axis=1)
+        best, since = np.inf, 0
+        points = _squarem(lambda x: record(_evaluate(open_gram, x), open_blocks), first.next[rows] * live)
+        for last in islice(points, _MAX_ITER):
+            steps += 1
+            gap = float(last.upper.max()) / max(sup, top[0]) - 1
+            best, since = (gap, 0) if gap <= best / 2 else (best, since + 1)
+            if gap <= _REL_GAP or since >= _STALL:
+                break
+        completion[rows] = last.completion()
+    value, block, point, i = top
+    # the uniform completion commutes with the isotropy permutations to a
+    # few ulps; a scaled one only to as many ulps divided by alpha_i alpha_j
+    seed = layout.assign(completions, steps > 0) * 2.0 ** exponent
+    if value < sup or not value:
+        return _Scaled(math.ldexp(value, exponent), seed, None, steps)
+    m = point.s.shape[-1]
+    x = np.ones((2, m)) if point.x is None else point.x[i]
+    a, b = x / x.sum(1, keepdims=True)
     dual = np.zeros(problem.data.shape, dtype=complex)
     z = dual[block, :2 * m, :2 * m]
-    z[:m, m:], z[m:, :m] = -w, -_herm(w)
-    z.flat[::2 * m + 1] = 1.0
-    z /= 2 * m
-    return _GroupOrbits(value, seed, dual)
+    z[:m, m:] = -np.sqrt(a)[:, None] * (point.u[i] @ point.vh[i]) * np.sqrt(b)
+    z[m:, :m] = _herm(z[:m, m:])
+    z.flat[::2 * m + 1] = np.concatenate([a, b])
+    z /= 2
+    return _Scaled(math.ldexp(value, exponent), seed, dual, steps)
 
 
 def _rounded(value: float, fiber: int, direction: int) -> float:
@@ -262,26 +440,29 @@ def _rounded(value: float, fiber: int, direction: int) -> float:
     if not value or not fiber:
         return value
     ulps = _ROUNDING * fiber
-    moved = value * (1 + direction * ulps * np.finfo(float).eps), value + direction * ulps * np.spacing(value)
+    moved = value * (1 + direction * ulps * sys.float_info.epsilon), value + direction * ulps * math.ulp(value)
     return float(max(moved) if direction > 0 else min(moved))
 
 
 def _solve_stieltjes(g: FiniteGroupoid, phi: np.ndarray) -> tuple[NormCertificate, SdpSolution]:
-    """The SDP of the arrow function phi from the polar completion and the
-    larger of the sup norm and the rounded closed form; an optimal seed
-    verifies with no Newton step."""
+    """The SDP of the arrow function phi from the scaled polar completion
+    and the larger of the sup norm and the rounded scaling bound: a
+    completion within the solver's gap verifies with no Newton step, with
+    status "seeded" when it is the uniform one and "scaled" after
+    ``scaling_steps`` further evaluations; otherwise the interior-point
+    method runs from that bound."""
     layout = g.coefficient_layout
     problem = layout.declare(phi)
-    orbits = _group_orbits(g, phi, problem)
     sup = float(np.abs(phi).max(initial=0.0))
-    lower = max(sup, _rounded(orbits.value, layout.group_fiber, -1))
-    # the closed-form dual certifies its unrounded value, hence lower, unless sup is larger
-    dual = orbits.dual if orbits.value >= sup else None
-    solution = solve_diag_bound_sdp(problem, lower=lower, seeds=(orbits.seed,), dual=dual)
-    rho, tau = (np.where(layout.flip, x.conj(), x)
-                for x in (solution.variables[layout.ids], solution.variables[layout.ids + g.n_arrows]))
+    scaled = _scaled_completion(g, phi, problem, sup)
+    # the scaling's dual certifies its unrounded value, hence lower, unless sup is larger
+    lower = max(sup, _rounded(scaled.value, layout.fiber, -1))
+    solution = solve_diag_bound_sdp(problem, lower=lower, seeds=(scaled.seed,), dual=scaled.dual)
+    values = solution.variables[layout.ids]
+    rho, tau = np.where(layout.flip, values.conj(), values).reshape(2, -1)
+    status = "scaled" if solution.status == "seeded" and scaled.steps else solution.status
     witness = {"rho": rho, "tau": tau, "lower": solution.lower, "iterations": solution.iterations,
-               "status": solution.status, "blocks": int(problem.sizes.size)}
+               "scaling_steps": scaled.steps, "status": status, "blocks": int(problem.sizes.size)}
     return NormCertificate(solution.value, "optimal", witness), solution
 
 
@@ -336,11 +517,16 @@ def fourier_stieltjes_norm(g: FiniteGroupoid, phi) -> NormCertificate:
     """Coefficient norm bound of phi via the block completion SDP.
 
     Always >= the sup norm; equal to the Schur multiplier cb-norm on pair
-    groupoids.  With no Newton step it is the largest unit value when phi is
-    positive definite, the sup norm when every orbit's Gram block has rank
-    one, and Eymard's norm, max over units of ||Phi_u||_tr / m, on groups
-    and group bundles.  The witness is a feasible (rho, tau) completion,
-    with the certified lower bound on the optimum under "lower".
+    groupoids, and the largest one over the orbit bases' Gram blocks.  With
+    no scaling step it is the largest unit value when phi is positive
+    definite, the sup norm when every orbit's Gram block has rank one, and
+    Eymard's norm, max over units of ||Phi_u||_tr / m, on groups and group
+    bundles; elsewhere the diagonal scaling closes the 1e-7 gap, with the
+    interior-point method as the fallback where it stalls.  The witness is
+    a feasible (rho, tau) completion, with the certified lower bound on the
+    optimum under "lower", and the work under "scaling_steps" (evaluations
+    after the uniform one), "iterations" (Newton steps) and "status"
+    ("seeded", "scaled" or the interior-point method's).
     """
     return _stieltjes_certificate(g, phi)
 
@@ -365,8 +551,10 @@ def schur_cb_norm(a) -> NormCertificate:
     and Q = tau.reshape(n, n), the factorization a_ij = sum_m left[i, m]
     conj(right[j, m]) of ``_completion_factors``, right = Q^1/2 and
     left = a (Q^1/2)^+, whose row norms are at most sqrt(t) (Haagerup's
-    a_ij = <x_i, y_j>), and the solver's certified lower bound, Newton
-    steps, status and number of SDP blocks.
+    a_ij = <x_i, y_j>), and the solver's certified lower bound, scaling
+    steps, Newton steps, status and number of SDP blocks.  The value is the
+    largest ||D_alpha a D_beta||_tr over unit vectors alpha, beta >= 0, which
+    the diagonal scaling of ``fourier_stieltjes_norm`` finds.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -380,8 +568,8 @@ def schur_cb_norm(a) -> NormCertificate:
         empty = {key: np.zeros((0, 0), dtype=complex)
                  for key in ("p_block", "q_block", "left", "right")}
         return NormCertificate(0.0, "optimal",
-                               {**empty, "lower": 0.0, "iterations": 0, "status": "seeded",
-                                "blocks": 0})
+                               {**empty, "lower": 0.0, "iterations": 0, "scaling_steps": 0,
+                                "status": "seeded", "blocks": 0})
     cert = _stieltjes_certificate(_pair_groupoid(n), a.ravel())
     telemetry = dict(cert.witness)
     pm, qm = telemetry.pop("rho").reshape(n, n), telemetry.pop("tau").reshape(n, n)
@@ -499,14 +687,14 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     coefficient norm SDP; its witness holds the dual blocks Z, one per orbit
     in the padded layout of ``stieltjes_problem(g, phi)``, PSD and dual
     feasible there, so that -<F0, Z> re-verifies the bound (None when the
-    solver's seeded exit made the sup norm the bound).  On groups and group
-    bundles Z is the closed form's, at the unit of the largest value.
-    Upper: the cheapest decomposition that reproduces phi among
+    sup norm is the bound).  Z is the diagonal scaling's, at the base of the
+    largest lower bound, or the interior-point method's where the scaling
+    stalled.  Upper: the cheapest decomposition that reproduces phi among
     ``_candidates`` (the completion term, then the point masses), tried in
     turn until one costs at most the lower bound times 1 + 1e-7.  The
-    closed-form lower bound is rounded down by the closed form's rounding
-    margin, and the upper bound up by 8 eps times the largest fiber size
-    (or as many ulps, below the normal range).
+    scaling's lower bound is rounded down by its rounding margin, and the
+    upper bound up by 8 eps times the largest fiber size (or as many ulps,
+    below the normal range).
     """
     phi = arrow_function(g, phi)
     lift = _lift(phi)

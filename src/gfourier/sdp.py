@@ -31,7 +31,11 @@ A problem (``DiagBoundSdp``) is its fixed data with the variable ids,
 conjugation flags, block sizes and objective ids of its positions.  The one
 problem declared is the coefficient norm's, by
 ``gfourier.norms.CoefficientLayout``, which builds those arrays once per
-groupoid, read-only, and gathers each phi into Hermitian data.
+groupoid, read-only, and gathers each phi into Hermitian data.  Its solves
+arrive with a seed from the diagonal scaling of ``gfourier.norms`` that is
+already within the gap of a certified lower bound, so most of them take the
+seeded exit, which re-verifies the seed's blocks; the interior-point method
+runs only where that scaling stalled.
 """
 
 from __future__ import annotations

@@ -441,8 +441,13 @@ class TestTimings:
 
 
 class TestNormStats:
+    @pytest.mark.parametrize("fallback", [False, True], ids=["scaled", "interior-point"])
     @pytest.mark.parametrize("which", ["stieltjes", "cb", "decomp", "reduced"])
-    def test_stats_go_to_stderr_only(self, tmp_path, capsys, rng, which):
+    def test_stats_go_to_stderr_only(self, tmp_path, capsys, rng, monkeypatch, which, fallback):
+        # a generic input closes by the diagonal scaling, or, with no scaling
+        # step allowed, by the interior-point method
+        if fallback:
+            monkeypatch.setattr(gf.norms, "_MAX_ITER", 0)
         gfile, ffile = tmp_path / "g.json", tmp_path / "f.json"
         write_groupoid(str(gfile), gf.pair_groupoid(3))
         write_arrow_function(str(ffile), rng.standard_normal(9) + 1j * rng.standard_normal(9))
@@ -458,9 +463,13 @@ class TestNormStats:
         if which == "reduced":
             assert keys == ["cpu"]
         else:
-            assert keys == ["newton-steps", "status", "bracket", "sdp-blocks", "cpu"]
+            assert keys == ["scaling-steps", "newton-steps", "status", "bracket", "sdp-blocks", "cpu"]
             stats = dict((ln[1], ln[2:]) for ln in lines)
-            assert int(stats["newton-steps"][0]) > 0 and stats["status"] == ["optimal"]
+            scaling, newton = int(stats["scaling-steps"][0]), int(stats["newton-steps"][0])
+            if fallback:
+                assert scaling == 0 and newton > 0 and stats["status"] == ["optimal"]
+            else:
+                assert scaling > 0 and newton == 0 and stats["status"] == ["scaled"]
             value, lower = map(float, stats["bracket"])
             assert 0 < lower <= value <= lower * (1 + 1e-6)
             assert stats["sdp-blocks"] == ["1"]  # pair(3) is one orbit
@@ -483,6 +492,7 @@ class TestNormStats:
         assert outputs[True].out == outputs[False].out
         stats = {ln.split()[1]: ln.split()[2:] for ln in outputs[True].err.splitlines()}
         assert stats["newton-steps"] == ["0"] and stats["status"] == ["seeded"]
+        assert stats["scaling-steps"] == ["0"]
 
 
 class TestStartup:

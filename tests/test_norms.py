@@ -11,6 +11,7 @@ from gfourier.sdp import DiagBoundSdp, solve_diag_bound_sdp
 from conftest import (
     random_function,
     random_pd,
+    range_weighted_pair3,
     s3_on_three_points,
     z4_on_4_points_through_z2,
     z12_on_16_points,
@@ -579,9 +580,14 @@ class TestFourierStieltjesNorm:
         top = max(float(rho[g.unit_arrows].real.max()), float(tau[g.unit_arrows].real.max()))
         assert top == pytest.approx(cert.value, rel=1e-6, abs=1e-9)
 
+    @pytest.mark.parametrize("fallback", [True, False], ids=["interior-point", "scaled"])
     @pytest.mark.parametrize("gname", ["g3", "transf", "s3", "z12_on_16", "g3xI2"])
-    def test_witness_is_psd_on_every_unit_block(self, gname, request, rng):
-        # the problem keeps one block per orbit; the witness must hold on all units
+    def test_witness_is_psd_on_every_unit_block(self, gname, fallback, request, rng, monkeypatch):
+        # the problem keeps one block per orbit; the witness must hold on all
+        # units, from the interior-point method (no scaling step allowed) and
+        # from the diagonal scaling
+        if fallback:
+            monkeypatch.setattr(gf.norms, "_MAX_ITER", 0)
         g = {
             "s3": _s3_transformation,
             "z12_on_16": z12_on_16_points,
@@ -589,7 +595,7 @@ class TestFourierStieltjesNorm:
         }.get(gname, lambda: request.getfixturevalue(gname))()
         phi = random_function(g, rng)
         cert = gf.fourier_stieltjes_norm(g, phi)
-        assert cert.witness["status"] == "optimal"
+        assert cert.witness["status"] == ("optimal" if fallback else "scaled")
         values = np.concatenate([cert.witness["rho"], cert.witness["tau"]])
         oracle = stieltjes_problem_oracle(g, phi)
         key_id = _stieltjes_key_id(g)
@@ -903,9 +909,11 @@ MORE_GROUPOIDS = {
 
 
 class TestPolarSeed:
-    """The balanced polar completion is optimal on rank-one matrices and is
-    taken with no Newton step; where it is not, the solve is the one seeded
-    with the candidates it replaced."""
+    """The balanced polar completion, the scaling's uniform evaluation, is
+    optimal on rank-one matrices and is taken with no Newton step; where it
+    is not, and no scaling step is allowed, the solve is the one seeded with
+    the candidates it replaced, and with scaling steps it is the diagonal
+    scaling's, with no Newton step either."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_rank_one_takes_the_seeded_exit(self, n, rng):
@@ -921,7 +929,8 @@ class TestPolarSeed:
         assert lower.value <= upper.value <= lower.value * (1 + 1e-12)
 
     @pytest.mark.parametrize("name", FIXTURE_GROUPOIDS + sorted(MORE_GROUPOIDS))
-    def test_other_inputs_solve_as_before(self, name, request):
+    def test_other_inputs_solve_as_before(self, name, request, monkeypatch):
+        monkeypatch.setattr(gf.norms, "_MAX_ITER", 0)
         g = request.getfixturevalue(name) if name in FIXTURE_GROUPOIDS else MORE_GROUPOIDS[name]()
         generic = 0
         for seed in range(3):
@@ -938,6 +947,121 @@ class TestPolarSeed:
                 assert got == (want.value, want.lower, want.iterations, want.status)
         # every orbit of a group bundle is one unit, where the seed is the closed form
         assert (generic == 0) == (name in GROUP_FIXTURES)
+
+    @pytest.mark.parametrize("name", FIXTURE_GROUPOIDS + sorted(MORE_GROUPOIDS))
+    def test_other_inputs_take_the_scaled_exit(self, name, request):
+        g = request.getfixturevalue(name) if name in FIXTURE_GROUPOIDS else MORE_GROUPOIDS[name]()
+        scaled = 0
+        for seed in range(3):
+            phi = random_function(g, np.random.default_rng(seed))
+            for f in (phi, (phi + gf.star(g, phi)) / 2):
+                cert = gf.fourier_stieltjes_norm(g, f)
+                w = cert.witness
+                want = stieltjes_solve_oracle(g, f, closed_form=True)
+                assert w["iterations"] == 0 and w["status"] in ("seeded", "scaled")
+                assert (w["status"] == "scaled") == (w["scaling_steps"] > 0)
+                scaled += w["status"] == "scaled"
+                assert cert.value == pytest.approx(want.value, rel=1e-7)
+                assert w["lower"] == pytest.approx(want.lower, rel=1e-7)
+                assert w["lower"] <= cert.value <= w["lower"] * (1 + 1e-7)
+        assert (scaled == 0) == (name in GROUP_FIXTURES)
+
+
+SCALED_GROUPOIDS = {
+    **{f"pair{n}": (lambda n=n: gf.pair_groupoid(n)) for n in range(5, 9)},
+    "z12-on-16": z12_on_16_points,
+    "z12-on-16w": lambda: z12_on_16_points(np.linspace(0.5, 2.0, 16)),
+    "pair2xz3": lambda: gf.product_with_pair_groupoid(gf.group_groupoid(gf.cyclic_table(3))),
+    "z4-on-4-through-z2": z4_on_4_points_through_z2,
+    "s3-on-3": s3_on_three_points,
+    "s3-on-3w": lambda: s3_on_three_points([0.5, 2.0, 1.5]),
+    "range-weighted-pair3": range_weighted_pair3,
+}
+
+
+def _scaled_inputs(g, seed):
+    """Dense, 70%-sparse and unimodular arrow functions on g."""
+    rng = np.random.default_rng(seed)
+    phi = random_function(g, rng)
+    return {"dense": phi, "sparse": np.where(rng.random(g.n_arrows) < 0.3, phi, 0.0),
+            "unimodular": np.exp(2j * np.pi * rng.random(g.n_arrows))}
+
+
+class TestScaledCompletion:
+    """The diagonal scaling against the interior-point solve of the tied
+    problem: the same value and lower bound to 1e-7, a completion PSD on the
+    block of every unit, and a dual certificate that re-verifies from the
+    declaration alone and fails when its off-diagonal part is scaled."""
+
+    @pytest.mark.parametrize("name", FIXTURE_GROUPOIDS + sorted(SCALED_GROUPOIDS))
+    def test_matches_the_interior_point_solve(self, name, request):
+        g = SCALED_GROUPOIDS[name]() if name in SCALED_GROUPOIDS else request.getfixturevalue(name)
+        fallbacks = []
+        for seed in range(5):
+            for kind, phi in _scaled_inputs(g, seed).items():
+                cert, solution = gf.norms._solve_stieltjes(g, phi)
+                w, want = cert.witness, stieltjes_solve_oracle(g, phi)
+                assert cert.value == pytest.approx(want.value, rel=1e-7), (seed, kind)
+                assert w["lower"] == pytest.approx(want.lower, rel=1e-7), (seed, kind)
+                assert w["lower"] <= cert.value <= w["lower"] * (1 + 1e-7), (seed, kind)
+                scale = float(np.abs(phi).max())
+                assert _min_eig_on_every_unit(g, phi, cert) >= -1e-9 * scale, (seed, kind)
+                if w["status"] not in ("seeded", "scaled"):
+                    fallbacks.append((seed, kind))
+                    continue
+                assert w["iterations"] == 0
+                if solution.dual is None:  # the sup norm is the bound, or phi is 0
+                    assert w["lower"] == scale
+                    continue
+                problem = stieltjes_problem(g, phi)
+                z = solution.dual
+                bound, residual, low = _dual_report(problem, z)
+                assert residual <= 1e-12 and low >= -1e-12 * float(np.abs(z).max()), (seed, kind)
+                # the lower bound is the larger of the sup norm and -<F0, Z> rounded down
+                assert w["lower"] <= max(bound, scale), (seed, kind)
+                assert bound == pytest.approx(w["lower"], rel=1e-12), (seed, kind)
+                block = int(np.abs(z).sum(axis=(1, 2)).argmax())
+                m = problem.sizes[block] // 2
+                z = z.copy()
+                z[block, :m, m:2 * m] *= 1.01
+                z[block, m:2 * m, :m] *= 1.01
+                assert _dual_report(problem, z)[2] < -1e-6 * float(np.abs(z).max()), (seed, kind)
+        # no input of this set reaches the interior-point method
+        assert not fallbacks, fallbacks
+
+    @pytest.mark.parametrize("seed, stop", [(1, "stall"), (25, "cap")])
+    def test_stalls_fall_back_to_the_interior_point_method(self, seed, stop):
+        # real inputs whose optimum puts a weight on the boundary, where the
+        # upper side of the scaling closes too slowly: the gap stops halving,
+        # or the evaluations run out, and the interior-point method finishes
+        g = gf.pair_groupoid(4)
+        phi = np.random.default_rng(seed).standard_normal(16)
+        cert = gf.fourier_stieltjes_norm(g, phi)
+        w = cert.witness
+        assert w["status"] == "optimal" and w["iterations"] > 0
+        assert (w["scaling_steps"] == gf.norms._MAX_ITER) == (stop == "cap")
+        want = stieltjes_solve_oracle(g, phi)
+        assert cert.value == pytest.approx(want.value, rel=1e-7)
+        assert w["lower"] == pytest.approx(want.lower, rel=1e-7)
+        assert _min_eig_on_every_unit(g, phi, cert) >= -1e-9 * float(np.abs(phi).max())
+
+    def test_zero_rows_and_columns_keep_zero_weight(self):
+        # a zero row of the Gram block keeps its weight at 0, its completion
+        # entries at 0 and its diagonal at t, with no 0/0 on the way
+        g = gf.pair_groupoid(4)
+        for seed in range(5):
+            a = random_function(g, np.random.default_rng(seed)).reshape(4, 4)
+            a[1], a[:, 2] = 0.0, 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cert = gf.fourier_stieltjes_norm(g, a.ravel())
+            w = cert.witness
+            assert w["status"] == "scaled" and w["iterations"] == 0
+            assert cert.value == pytest.approx(stieltjes_solve_oracle(g, a.ravel()).value, rel=1e-7)
+            rho, tau = w["rho"].reshape(4, 4), w["tau"].reshape(4, 4)
+            assert not np.any(np.delete(rho[1], 1)) and not np.any(np.delete(tau[2], 2))
+            assert rho[1, 1] == tau[2, 2] == cert.value
+            assert _min_eig_on_every_unit(g, a.ravel(), cert) >= -1e-9 * float(np.abs(a).max())
 
 
 class TestBruteForceOracle:

@@ -360,10 +360,13 @@ class TestKernelsAgainstLoops:
         assert _close(gf.operator_norm(g, op), block_norm_oracle(g, gf.unit_blocks(g, op)), 1e-12)
 
     @pytest.mark.parametrize("pd", [True, False])
-    def test_polar_seed(self, g, pd):
+    def test_polar_seed(self, g, pd, monkeypatch):
+        # the scaling's uniform evaluation, alone when no further step is allowed
+        monkeypatch.setattr(gf.norms, "_MAX_ITER", 0)
         rng = _rng(g)
         phi = random_pd(g, rng) if pd else random_function(g, rng)
-        seed = gf.norms._group_orbits(g, phi, gf.norms.stieltjes_problem(g, phi)).seed
+        sup = float(np.abs(phi).max())
+        seed = gf.norms._scaled_completion(g, phi, gf.norms.stieltjes_problem(g, phi), sup).seed
         want, sigma = polar_seed_oracle(g, phi)
         # the oracle's ("r", c) and ("t", c) are the variable ids c and c + n_arrows
         key_id = {key: key[1] + (g.n_arrows if key[0] == "t" else 0) for key in want}
