@@ -66,7 +66,7 @@ _ROUNDING = 8
 # scaling evaluations after the uniform one, at most, per fiber class
 _MAX_ITER = 300
 # evaluations in which the scaling's gap must halve, or it has stalled
-_STALL = 50
+_STALL = 80
 # the longest SQUAREM step (steps above 2e3 were not seen), which keeps the
 # extrapolated weights finite
 _STEP = 1e4
