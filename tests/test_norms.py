@@ -993,7 +993,7 @@ class TestScaledCompletion:
     block of every unit, and a dual certificate that re-verifies from the
     declaration alone and fails when its off-diagonal part is scaled."""
 
-    @pytest.mark.parametrize("name", FIXTURE_GROUPOIDS + sorted(SCALED_GROUPOIDS))
+    @pytest.mark.parametrize("name", FIXTURE_GROUPOIDS + ["s3_moved"] + sorted(SCALED_GROUPOIDS))
     def test_matches_the_interior_point_solve(self, name, request):
         g = SCALED_GROUPOIDS[name]() if name in SCALED_GROUPOIDS else request.getfixturevalue(name)
         fallbacks = []
