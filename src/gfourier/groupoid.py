@@ -23,7 +23,12 @@ weights so are its weighted kernel and its right convolution block.  So the
 positivity verdicts, the GNS factors, the square roots, the reduced norm and
 the coefficient-norm problem decompose one block per orbit; with weights
 that are not left invariant every unit is its own base.  A base is carried
-by its unit arrow, so its permutation is the identity.  These indexes need
+by its unit arrow, so its permutation is the identity.  A fourth
+(``FiniteGroupoid.isotropy_blocks``) holds, for each base whose isotropy
+group H is nontrivial, a unitary F_b in which every base matrix that commutes
+with the translations of the fiber by H is block diagonal, with one block of
+size d_pi |X| per eigenvalue of a generic element of H's group algebra; the
+decompositions per orbit run on those blocks.  These indexes need
 every product inverse(t) x to be defined and raise ``UndefinedProductError``
 otherwise.  ``validate`` reads the composition table instead, because its
 input may not be a groupoid: it checks associativity on the composable
@@ -53,6 +58,11 @@ UNDEFINED = -1
 # triples ran fastest on pair(16..48) and Z30+Z40+Z50 on a 2-core machine (the
 # arrays of a pass stay in cache)
 _STACK = 1 << 14
+# the generic element of an isotropy group algebra that splits a base fiber
+# into blocks: its coefficients come from this seed, and its eigenvalues
+# within this fraction of its norm share a block
+_BLOCK_SEED = 2003
+_BLOCK_TOL = 1e-8
 
 
 class UndefinedProductError(ValueError):
@@ -118,6 +128,27 @@ class OrbitClass:
         factors of ``gfourier.norms`` do), or any M with trivial isotropy,
         gives the x with x[gram[b]] = M."""
         return stack[..., self.orbit[:, None], self.home[:, None], self.perm]
+
+
+@dataclass(frozen=True)
+class IsotropyBlocks:
+    """Bases of one fiber class whose isotropy groups are nontrivial, with one
+    block layout, and the unitaries that split their matrices into blocks.
+
+    ``bases`` indexes ``OrbitClass.bases``, ascending.  A base matrix M that
+    commutes with the left translations of its fiber by the isotropy group H
+    (the Gram block, the Haar kernel, the right convolution block) is block
+    diagonal in F = ``unitary[i]``: F^H M F holds, along its diagonal, the
+    blocks of ``runs`` in order, n blocks of size s for each (s, n), s
+    ascending.  There are sum_pi d_pi blocks, one of size d_pi |X| for each
+    irreducible representation pi of H and each of d_pi eigenvalues of a
+    generic Hermitian element of the group algebra, where |X| is the number
+    of units of the orbit.
+    """
+
+    bases: np.ndarray
+    unitary: np.ndarray
+    runs: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -226,6 +257,74 @@ class FiniteGroupoid:
             home = place[self.inverse_of[c.arrows[rows, transport]]]
             classes.append(OrbitClass(np.flatnonzero(own), orbit, transport, perm, home))
         return tuple(classes)
+
+    @cached_property
+    def isotropy_blocks(self) -> tuple[tuple[IsotropyBlocks, ...], ...]:
+        """The isotropy blocks of the orbit bases, per fiber class in the order
+        of ``orbit_index``: one ``IsotropyBlocks`` per block layout, holding
+        only the bases whose isotropy group H is nontrivial.  A base with
+        trivial isotropy (every base of a pair groupoid) is one block, and
+        with weights that are not left invariant the kernels need not commute
+        with the translations, so neither gets a unitary.
+
+        The translations T_h of the base fiber, e_p -> e_place(h x_p), span a
+        copy of H's group algebra; a = sum_h c_h T_h + conj(c_h) T_h^H with
+        fixed complex c_h (so that a character and its conjugate differ) has,
+        for generic c_h, exactly one eigenspace per block, and any matrix that
+        commutes with every T_h commutes with a and keeps its eigenspaces.
+        One ``eigh`` of a per base gives the blocks: eigenvalues within
+        ``_BLOCK_TOL`` of ||a|| share one, since merging two blocks is always
+        safe and only a split would be wrong.  Its eigenvectors leak between
+        close eigenvalues (by 2e-12 of a matrix's norm on Z40 and Z50), so a
+        second ``eigh``, of an element of the algebra whose eigenvalues are
+        the block numbers 0, 1, 2, ..., gives F, accurate to rounding, with
+        its blocks ordered by size.
+        """
+        place = np.empty(self.n_arrows, dtype=int)
+        for c in self.fiber_classes:
+            place[c.arrows] = np.arange(c.arrows.shape[1])
+        invariant = np.array_equal(self.weights, self.unit_weights[self.source_of])
+        out = []
+        for c, o in zip(self.fiber_classes, self.orbit_index):
+            m = c.arrows.shape[1]
+            rows = o.bases
+            isotropy = self.source_of[c.arrows[rows]] == c.units[rows][:, None]
+            nontrivial = np.flatnonzero(isotropy.sum(axis=1) > 1) if invariant else []
+            if not len(nontrivial):
+                out.append(())
+                continue
+            # h x_p = inverse(inverse(h)) x_p is the Gram id at (place of inverse(h), p)
+            which, at = np.nonzero(isotropy[nontrivial])
+            base = rows[nontrivial][which]
+            moved = place[c.gram[base, place[self.inverse_of[c.arrows[base, at]]]]]
+            coefficients = np.random.default_rng(_BLOCK_SEED).standard_normal((m, 2)) @ [1, 1j]
+            a = np.zeros((nontrivial.size, m, m), dtype=complex)
+            # the supports of the T_h are disjoint: each entry takes one c_h
+            a[which[:, None], moved, np.arange(m)] = coefficients[at][:, None]
+            vals, vecs = np.linalg.eigh(a + a.conj().swapaxes(1, 2))
+            layouts = {}
+            for i in range(nontrivial.size):
+                split = np.diff(vals[i]) > _BLOCK_TOL * np.abs(vals[i]).max()
+                block = np.concatenate([[0], np.cumsum(split)])
+                # the blocks numbered by size, ascending: sum_j j P_j over the
+                # eigenprojections P_j of a lies in the algebra, and so does its
+                # average over the support of each T_h, which drops the leak
+                # between close eigenvalues of a; its eigenvalues are the
+                # integers j, so its eigenvectors are accurate to rounding
+                size = np.bincount(block)[block]
+                number = np.unique(size * m + block, return_inverse=True)[1]
+                spread = (vecs[i] * number) @ vecs[i].conj().T
+                support = (moved[which == i], np.arange(m))
+                numbered = np.zeros((m, m), dtype=complex)
+                numbered[support] = spread[support].mean(axis=1, keepdims=True)
+                ids, f = np.linalg.eigh((numbered + numbered.conj().T) / 2)
+                sizes = np.bincount(np.rint(ids).astype(int))
+                runs = tuple((int(s), int(n)) for s, n in zip(*np.unique(sizes, return_counts=True)))
+                layouts.setdefault(runs, []).append((nontrivial[i], f))
+            out.append(tuple(IsotropyBlocks(np.array([b for b, _ in group]),
+                                            np.stack([f for _, f in group]), runs)
+                             for runs, group in layouts.items()))
+        return tuple(out)
 
     @cached_property
     def coefficient_layout(self) -> CoefficientLayout:

@@ -373,7 +373,8 @@ def _scaled_completion(g: FiniteGroupoid, phi, problem: DiagBoundSdp, sup: float
     1 + 1e-7 times the larger of sup and the best lower bound iterate,
     extrapolated by ``_squarem``, until every block is within it, until the
     gap fails to halve in ``_STALL`` evaluations, or for ``_MAX_ITER``
-    evaluations; a zero row or column of Phi keeps weight 0.  The map
+    evaluations; a zero row or column of Phi keeps weight 0, and any other
+    weight is floored at the smallest normal float.  The map
     commutes with the isotropy permutations, so from uniform weights every
     completion meets the ties of ``stieltjes_problem`` up to rounding, which
     ``CoefficientLayout.assign`` averages out.  ``_completion_term`` reads
@@ -404,10 +405,14 @@ def _scaled_completion(g: FiniteGroupoid, phi, problem: DiagBoundSdp, sup: float
             continue
         rows = np.flatnonzero(first.upper > target)
         open_gram, open_blocks = gram[rows], c.blocks[rows]
-        # the zero rows and columns of Phi keep weight 0
+        # the zero rows and columns of Phi keep weight 0; a live weight that
+        # underflows is evaluated at the smallest normal float, never at 0,
+        # which would read its row as a zero row; weights above it are kept
         live = np.stack([np.any(open_gram, axis=2), np.any(open_gram, axis=1)], axis=1)
+        floor = live * _TINY
         best, since = np.inf, 0
-        points = _squarem(lambda x: record(_evaluate(open_gram, x), open_blocks), first.next[rows] * live)
+        points = _squarem(lambda x: record(_evaluate(open_gram, np.maximum(x, floor)), open_blocks),
+                          first.next[rows] * live)
         for last in islice(points, _MAX_ITER):
             steps += 1
             gap = float(last.upper.max()) / max(sup, top[0]) - 1

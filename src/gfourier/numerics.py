@@ -2,17 +2,126 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    from .groupoid import IsotropyBlocks
 
 RANK_TOL = 1e-9
 
 
-def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
+def block_spectra(stack: np.ndarray, blocks: tuple[IsotropyBlocks, ...] = (), how: str = "eigh"):
+    """``np.linalg.eigvalsh``, ``eigh`` or the singular values of ``svd`` of a
+    (k, m, m) stack of orbit-base matrices, each split into its isotropy blocks.
+
+    Row i of the stack is the matrix of base i of its fiber class, and
+    ``blocks`` are the class's ``FiniteGroupoid.isotropy_blocks`` (or
+    ``select_blocks`` of them for some of its bases): every matrix must
+    commute with the isotropy translations of its base fiber, so that F^H M F
+    is block diagonal.  One stacked product M F serves every base of a
+    layout.  A 1x1 block is the diagonal entry of F^H M F, its own eigenvalue
+    (its real part) or singular value (its modulus), with no LAPACK call;
+    larger blocks are cut from F^H M F and decomposed one stacked call per
+    size.  Eigenvectors come back through F: the block's columns of F times
+    the block's eigenvectors.  A base with no unitary (trivial isotropy: one
+    block) is decomposed whole.  Eigenvalues come ascending and singular
+    values descending, as numpy gives them; ``how`` = "eigh" returns
+    (values, vectors), the others the values.  Where a product overflows
+    (entries near the largest float), the stack is decomposed whole, as
+    LAPACK scales its input.
+    """
+    if not blocks:
+        return _whole(stack, how)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _split_spectra(stack, blocks, how)
+    except (FloatingPointError, np.linalg.LinAlgError):
+        pass
+    return _whole(stack, how)
+
+
+def _split_spectra(stack: np.ndarray, blocks: tuple[IsotropyBlocks, ...], how: str):
+    """``block_spectra`` through the blocks, for a nonempty ``blocks``."""
+    k, m = stack.shape[0], stack.shape[-1]
+    vals = np.empty((k, m))
+    vecs = np.empty((k, m, m), dtype=complex) if how == "eigh" else None
+    for layout in blocks:
+        rows = layout.bases
+        f = layout.unitary
+        fh = f.conj()
+        mf = (stack if rows.size == k else stack[rows]) @ f
+        product = None
+        lo = 0
+        for size, n in layout.runs:
+            hi = lo + size * n
+            if size == 1:
+                diagonal = (fh[:, :, lo:hi] * mf[:, :, lo:hi]).sum(axis=1)
+                vals[rows, lo:hi] = np.abs(diagonal) if how == "svd" else diagonal.real
+                if vecs is not None:
+                    vecs[rows, :, lo:hi] = f[:, :, lo:hi]
+                lo = hi
+                continue
+            if product is None:
+                product = fh.swapaxes(1, 2) @ mf
+            at = np.arange(lo, hi).reshape(n, size)
+            block = product[:, at[:, :, None], at[:, None, :]]
+            if how == "svd":
+                vals[rows, lo:hi] = np.linalg.svd(block, compute_uv=False).reshape(-1, hi - lo)
+            elif vecs is None:
+                vals[rows, lo:hi] = np.linalg.eigvalsh(block).reshape(-1, hi - lo)
+            else:
+                w, v = np.linalg.eigh(block)
+                vals[rows, lo:hi] = w.reshape(-1, hi - lo)
+                # (rows, n, m, size): the columns of F of each block, times its eigenvectors
+                vecs[rows, :, lo:hi] = (f[:, :, at].transpose(0, 2, 1, 3) @ v).transpose(0, 2, 1, 3).reshape(
+                    -1, m, hi - lo)
+            lo = hi
+    if sum(layout.bases.size for layout in blocks) < k:
+        whole = np.ones(k, dtype=bool)
+        for layout in blocks:
+            whole[layout.bases] = False
+        got = _whole(stack[whole], how)
+        if vecs is None:
+            vals[whole] = got
+        else:
+            vals[whole], vecs[whole] = got
+    if vecs is None:
+        vals.sort(axis=1)
+        return vals[:, ::-1] if how == "svd" else vals
+    order = vals.argsort(axis=1)
+    at = np.arange(k)[:, None]
+    return vals[at, order], vecs.swapaxes(1, 2)[at, order].swapaxes(1, 2)
+
+
+def select_blocks(blocks: tuple[IsotropyBlocks, ...], rows) -> tuple[IsotropyBlocks, ...]:
+    """The isotropy blocks of a class's bases ``rows`` (ascending), for the
+    stack of their matrices alone: row i of it is base rows[i]."""
+    rows = np.asarray(rows)
+    out = []
+    for layout in blocks if rows.size else ():
+        where = np.minimum(np.searchsorted(rows, layout.bases), rows.size - 1)
+        hit = rows[where] == layout.bases
+        if hit.any():
+            out.append(replace(layout, bases=where[hit], unitary=layout.unitary[hit]))
+    return tuple(out)
+
+
+def _whole(stack: np.ndarray, how: str):
+    if how == "svd":
+        return np.linalg.svd(stack, compute_uv=False)
+    return np.linalg.eigh(stack) if how == "eigh" else np.linalg.eigvalsh(stack)
+
+
+def hermitian_eigen(m, blocks: tuple[IsotropyBlocks, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending, real) and orthonormal eigenvectors of a Hermitian matrix.
 
-    A stack of matrices (the last two axes) is decomposed in one call.  The
-    input is symmetrized internally; each matrix must be Hermitian to 1e-12
-    relative to its largest entry.
+    A stack of matrices (the last two axes) is decomposed in one call, through
+    the isotropy blocks of its orbit bases when given (``block_spectra``).
+    The input is symmetrized internally; each matrix must be Hermitian to
+    1e-12 relative to its largest entry.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -21,17 +130,18 @@ def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
     if np.any(np.abs(m - h).max(axis=(-2, -1), initial=0.0) > 1e-12 * scale):
         raise ValueError("matrix is not Hermitian")
-    vals, vecs = np.linalg.eigh((m + h) / 2)
+    vals, vecs = block_spectra((m + h) / 2, blocks)
     return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
-def hermitian_sqrt(m, tol: float = 1e-9) -> np.ndarray:
+def hermitian_sqrt(m, tol: float = 1e-9, blocks: tuple[IsotropyBlocks, ...] = ()) -> np.ndarray:
     """Hermitian PSD square root; eigenvalues in [-tol*scale, 0) are clamped to 0.
 
-    A stack of matrices (the last two axes) is handled in one call; the error
-    names the smallest eigenvalue of the first matrix that is not PSD.
+    A stack of matrices (the last two axes) is handled in one call, through
+    the isotropy blocks of its orbit bases when given; the error names the
+    smallest eigenvalue of the first matrix that is not PSD.
     """
-    vals, vecs = hermitian_eigen(m)
+    vals, vecs = hermitian_eigen(m, blocks)
     if vals.shape[-1]:
         scale = np.maximum(1.0, vals[..., 0])
         bad = vals[..., -1] < -tol * scale

@@ -4,9 +4,9 @@ A function on arrows is positive definite when every unit's Gram matrix
 phi(inverse(x) y), indexed by the range fiber, is positive semidefinite.  The
 Haar-integral criterion uses the weighted kernel instead, which is congruent
 to the Gram matrix.  All three verdicts use one threshold per unit and decide
-it exactly: the eigenvalue test by ``eigvalsh``, the point-set and integral
-tests by the inertia of an LDL^H factorization (Sylvester's law of inertia).
-Every "not positive definite" verdict carries a witness vector.
+it exactly: the eigenvalue test by its eigenvalues, the point-set and
+integral tests by the inertia of an LDL^H factorization (Sylvester's law of
+inertia).  Every "not positive definite" verdict carries a witness vector.
 
 The units are decided, factored and square-rooted once per orbit, at the
 orbit's smallest unit (``FiniteGroupoid.orbit_index``): every other unit's
@@ -15,12 +15,19 @@ rows and columns permuted alike.  That rests on the groupoid axioms and on
 left-invariant weights, as the one block per orbit of
 ``gfourier.norms.stieltjes_problem`` does; with weights that are not left
 invariant the index makes every unit its own base.  The bases of a fiber class of
-``FiniteGroupoid.fiber_classes`` are one gather and their linear algebra one
-stacked call, and the GNS bundle is induced from each base's isotropy group,
-with one map per isotropy element.  A base kernel of full rank commutes with
-the translations of its isotropy group, and so does its Hermitian square
-root, so with that root as the factor every map of the orbit is the 0/1
-translation matrix itself, written without a product.
+``FiniteGroupoid.fiber_classes`` are one gather.  Each base matrix commutes
+with the translations of its fiber by the base's isotropy group H, so the
+eigenvalue verdict, the GNS factor and the square root decompose it through
+the unitary of ``FiniteGroupoid.isotropy_blocks`` into sum_pi d_pi blocks of
+size d_pi |X|, one stacked call per block size and none for 1x1 blocks
+(``gfourier.numerics.block_spectra``); a base with trivial isotropy, as on a
+pair groupoid, is one block and is decomposed whole.  The LDL^H criteria
+factor the matrices whole, with no LAPACK call, so they stay an independent
+check of that path.  The GNS bundle is induced from each base's isotropy
+group, with one map per isotropy element.  A base kernel of full rank
+commutes with the translations of its isotropy group, and so does its
+Hermitian square root, so with that root as the factor every map of the
+orbit is the 0/1 translation matrix itself, written without a product.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import arrow_function, convolve, star
-from .groupoid import FiniteGroupoid
-from .numerics import hermitian_eigen, hermitian_sqrt
+from .groupoid import FiniteGroupoid, IsotropyBlocks
+from .numerics import block_spectra, hermitian_eigen, hermitian_sqrt, select_blocks
 from .regular import _right_op_blocks
 
 PSD_TOL = 1e-9
@@ -94,7 +101,7 @@ def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False)
     """
     phi = arrow_function(g, phi)
     first = None
-    for c, o in zip(g.fiber_classes, g.orbit_index):
+    for c, o, blocks in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks):
         units = c.units[o.rows]
         if first is not None and units[0] > first[0]:
             continue
@@ -114,7 +121,9 @@ def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False)
         a[:, diagonal, diagonal] += shift
         # only the bases before the first non-Hermitian one can fail first
         cut = int(np.argmax(non_hermitian)) if non_hermitian.any() else units.size
-        not_pd, direction = decide(a[:cut]) if cut else ([], None)
+        if cut < units.size:
+            blocks = select_blocks(blocks, np.arange(cut))
+        not_pd, direction = decide(a[:cut], blocks) if cut else ([], None)
         i = int(np.argmax(not_pd)) if np.any(not_pd) else cut
         if i < units.size and (first is None or units[i] < first[0]):
             vec = direction(i) if i < cut else _non_hermitian_witness(m[i])
@@ -128,21 +137,28 @@ def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False)
 def is_positive_definite(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerdict:
     """Gram-PSD criterion: every unit Gram has smallest eigenvalue >= -delta.
 
-    The witness is the eigenvector of the smallest eigenvalue.
+    The eigenvalues are those of the isotropy blocks of the orbit bases
+    (``FiniteGroupoid.isotropy_blocks``).  The witness is an eigenvector of
+    the smallest eigenvalue: F_b times the eigenvector of the block that holds
+    it.
     """
     return _verdict(g, phi, tol, _lowest_eigenvalues)
 
 
-def _lowest_eigenvalues(a: np.ndarray):
-    """Decide the stack by ``eigvalsh``; only a witness needs the eigenvectors."""
-    return np.linalg.eigvalsh(a)[:, 0] < 0, lambda i: np.linalg.eigh(a[i])[1][:, 0]
+def _lowest_eigenvalues(a: np.ndarray, blocks: tuple[IsotropyBlocks, ...]):
+    """Decide the stack by its eigenvalues, through the isotropy blocks of its
+    bases (``block_spectra``); only a witness needs eigenvectors, those of its
+    base alone, where it is the lowest eigenvector of one block mapped back."""
+    return (block_spectra(a, blocks, "eigvalsh")[:, 0] < 0,
+            lambda i: block_spectra(a[i : i + 1], select_blocks(blocks, [i]), "eigh")[1][0, :, 0])
 
 
-def _negative_directions(a: np.ndarray):
+def _negative_directions(a: np.ndarray, _blocks=()):
     """Unpivoted LDL^H of a stack of Hermitian matrices in plain numpy; a is overwritten.
 
-    No LAPACK call.  By Sylvester's law of inertia a matrix is positive
-    definite exactly when every pivot is positive.  Returns the mask of the
+    No LAPACK call, and no isotropy blocks: the matrices are factored whole.
+    By Sylvester's law of inertia a matrix is positive definite exactly when
+    every pivot is positive.  Returns the mask of the
     matrices with a pivot d_k <= 0 and a function giving, for row i of the
     stack, the unit vector v = L^{-H} e_k of its first such pivot, which has
     v^H a v = d_k.
@@ -341,12 +357,15 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
 
     The bundle is induced from the isotropy group of each orbit's base b
     (``FiniteGroupoid.orbit_index``).  The kernel of a unit u is the base's
-    permuted by perm_u, so one ``eigh`` per orbit factors it as C_b^H C_b and
-    C_u = C_b[:, perm_u] factors u's.  With a_v the transport arrow from b to
-    v, the map of an arrow x from s to t is then pi(h) = C_b T_h C_b^+ for
-    the isotropy element h = inverse(a_t) x a_s, where T_h translates the base
-    fiber by h; one map per isotropy element, shared read-only by every arrow
-    that reaches it.  When K_b has full rank, C_b is its Hermitian square root
+    permuted by perm_u, so one eigen decomposition per orbit factors it as
+    C_b^H C_b and C_u = C_b[:, perm_u] factors u's.  The verdict and that
+    decomposition both run on the isotropy blocks of the base
+    (``FiniteGroupoid.isotropy_blocks``): the eigenvectors are those of the
+    blocks mapped back through F_b, with no call at all on 1x1 blocks.  With
+    a_v the transport arrow from b to v, the map of an arrow x from s to t is
+    then pi(h) = C_b T_h C_b^+ for the isotropy element h = inverse(a_t) x a_s,
+    where T_h translates the base fiber by h; one map per isotropy element,
+    shared read-only by every arrow that reaches it.  When K_b has full rank, C_b is its Hermitian square root
     V sqrt(L) V^H (one product per orbit), which commutes with every T_h, so
     pi(h) = T_h: the exact permutation matrix, gathered from the identity with
     no product.  On a pair groupoid every map is then the identity.  A
@@ -364,14 +383,14 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
     place = np.empty(g.n_arrows, dtype=int)
     maps = np.empty(g.n_arrows, dtype=object)
     vectors = np.empty(g.n_units, dtype=object)
-    for c, o in zip(g.fiber_classes, g.orbit_index):
+    for c, o, blocks in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks):
         k, m = c.arrows.shape
         kernels = _integral_kernels(g.weights[c.arrows[o.rows]], phi[c.gram[o.rows]])
-        # one eigh per orbit: the kept eigenpairs (L, V) of a base give the
-        # factor C = sqrt(L) V^H with C^H C = kernel and its pseudo-inverse
-        # V / sqrt(L); the stacks hold d >= rank columns, and an orbit of rank r
-        # only ever reads its first r
-        vals, vecs = hermitian_eigen((kernels + kernels.conj().swapaxes(1, 2)) / 2)
+        # one decomposition per orbit, through its isotropy blocks: the kept
+        # eigenpairs (L, V) of a base give the factor C = sqrt(L) V^H with
+        # C^H C = kernel and its pseudo-inverse V / sqrt(L); the stacks hold
+        # d >= rank columns, and an orbit of rank r only ever reads its first r
+        vals, vecs = hermitian_eigen((kernels + kernels.conj().swapaxes(1, 2)) / 2, blocks)
         top = vals[:, :1]
         keep = vals > tol * np.where(top > 0, top, 1.0)
         rank = keep.sum(axis=1)
@@ -441,6 +460,9 @@ def pd_to_section(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> np.ndarray:
     Haar systems (all weights 1).  A unit's block is its orbit base's permuted
     by perm_u (``FiniteGroupoid.orbit_index``), and so is its square root, so
     one ``hermitian_sqrt`` per orbit serves every unit (``OrbitClass.spread``).
+    The root is taken through the isotropy blocks of the base
+    (``FiniteGroupoid.isotropy_blocks``): V sqrt(L) V^H with V the blocks'
+    eigenvectors mapped back through F_b.
     """
     phi = arrow_function(g, phi)
     if np.abs(g.weights - 1.0).max(initial=0.0) > 1e-12:
@@ -455,10 +477,12 @@ def pd_to_section(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> np.ndarray:
     marked[g.range_of[support]] = marked[g.source_of[support]] = True
     xi = np.zeros(g.n_arrows, dtype=complex)
     rows = [o.rows for o in g.orbit_index]
-    for c, o, blocks in zip(g.fiber_classes, g.orbit_index, _right_op_blocks(g, phi, rows)):
+    for c, o, blocks, right in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks,
+                                   _right_op_blocks(g, phi, rows)):
         # the root at u applied to the point mass at its unit arrow: the column
         # of the base root at the place of inverse(a_u), permuted by perm_u
-        xi[c.arrows] = o.spread(hermitian_sqrt(blocks, tol).swapaxes(1, 2)) * marked[c.units][:, None]
+        root = hermitian_sqrt(right, tol, blocks)
+        xi[c.arrows] = o.spread(root.swapaxes(1, 2)) * marked[c.units][:, None]
     return xi
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import _finite_norm, arrow_function, convolve, delta, star
 from .duality import ModuleMap
 from .groupoid import FiniteGroupoid
-from .numerics import RANK_TOL, nullspace, orthonormal_span
+from .numerics import RANK_TOL, block_spectra, nullspace, orthonormal_span
 
 # relative disagreement of tie scales around a cycle that empties a commutant class
 TIE_TOL = 1e-10
@@ -142,21 +142,25 @@ def reduced_norm(g: FiniteGroupoid, f) -> float:
     In the weighted metric the block of a range fiber is, up to transposition,
     f(inverse(x) t) sqrt(w(x) w(t)): the Gram matrix of f scaled on both sides.
     A unit's block is its orbit base's permuted by perm_u
-    (``FiniteGroupoid.orbit_index``), with the same norm, so one SVD per orbit
-    decides it.  ValueError when the norm overflows.
+    (``FiniteGroupoid.orbit_index``), with the same norm, so the base alone
+    decides it.  The base block commutes with the translations of its fiber
+    by its isotropy group, so its singular values are those of its isotropy
+    blocks (``FiniteGroupoid.isotropy_blocks``): one stacked SVD per block
+    size, and the modulus of a 1x1 block with no SVD; a base with trivial
+    isotropy is one block.  ValueError when the norm overflows.
     """
     f = arrow_function(g, f)
     best = 0.0
     # a complex product that overflows also makes nan parts (inf * 0), which
     # LAPACK would read as zeros
     with np.errstate(over="ignore", invalid="ignore"):
-        for c, o in zip(g.fiber_classes, g.orbit_index):
+        for c, o, blocks in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks):
             rw = np.sqrt(g.weights[c.arrows[o.rows]])
             tilted = f[c.gram[o.rows]] * (rw[:, :, None] * rw[:, None, :])
             if not np.isfinite(tilted).all():
                 best = np.inf
                 break
-            best = max(best, float(np.linalg.svd(tilted, compute_uv=False)[:, 0].max()))
+            best = max(best, float(block_spectra(tilted, blocks, "svd")[:, 0].max()))
     return _finite_norm(best)
 
 

@@ -1051,6 +1051,32 @@ class TestScaledCompletion:
         assert w["lower"] == pytest.approx(want.lower, rel=1e-7)
         assert _min_eig_on_every_unit(g, phi, cert) >= -1e-9 * float(np.abs(phi).max())
 
+    def test_a_live_weight_is_never_evaluated_at_zero(self, monkeypatch):
+        # a 40%-dense real input whose scaling drives live weights below the
+        # normal range: each is evaluated at the smallest normal float, never
+        # at 0, where its row or column of Phi, which is not zero, would read
+        # as a zero row (42 of its 64 evaluations did)
+        evaluate, at_zero = gf.norms._evaluate, []
+
+        def spy(gram, x=None):
+            if x is not None:
+                live = np.stack([np.any(gram, axis=2), np.any(gram, axis=1)], axis=1)
+                at_zero.append(bool(np.any((x == 0) & live)))
+            return evaluate(gram, x)
+
+        monkeypatch.setattr(gf.norms, "_evaluate", spy)
+        rng = np.random.default_rng([4, 117])
+        a = rng.standard_normal((4, 4))
+        a = a * (rng.random((4, 4)) < 0.4)
+        cert = gf.schur_cb_norm(a)
+        assert at_zero and not any(at_zero)
+        want = stieltjes_solve_oracle(gf.pair_groupoid(4), a.ravel())
+        assert cert.value == pytest.approx(want.value, rel=1e-7)
+        # the optimum lies on the boundary, where a weight tends to 0 and the
+        # upper side of the scaling closes too slowly: the interior-point
+        # method may still finish the solve here
+        assert cert.witness["status"] in ("scaled", "optimal")
+
     def test_zero_rows_and_columns_keep_zero_weight(self):
         # a zero row of the Gram block keeps its weight at 0, its completion
         # entries at 0 and its diagonal at t, with no 0/0 on the way

@@ -13,6 +13,7 @@ import pytest
 
 import gfourier as gf
 from conftest import (
+    _s3,
     forced_arrow_structure,
     random_function,
     random_pd,
@@ -21,6 +22,7 @@ from conftest import (
     z12_on_16_points,
 )
 from gfourier.checks import run_suites
+from gfourier.positivity import _integral_kernels
 from gfourier.regular import _right_op_blocks
 from reference import (
     adjoint_op_oracle,
@@ -58,6 +60,8 @@ LARGE = {
     "z12-on-16w": lambda: z12_on_16_points(unit_weights=np.linspace(0.5, 2.0, 16)),
     # the unit arrow last in every fiber, after the other arrows from the base
     "s3-on-3w-moved": lambda: s3_on_three_points(unit_weights=[1.0, 2.0, 0.5], identity_last=True),
+    # nonabelian isotropy on an orbit of two units
+    "s3xI2": lambda: gf.product_with_pair_groupoid(gf.group_groupoid(_s3()[1])),
 }
 _built = {}
 
@@ -174,13 +178,8 @@ class TestOnePerOrbit:
         g = build()
         rng = _rng(g)
         phi, f = random_pd(g, rng), random_function(g, rng)
-        calls = []
-        for name in ("eigh", "eigvalsh", "svd"):
-            def spy(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-                calls.append((_name, np.shape(a)))
-                return _real(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, spy)
+        g.isotropy_blocks  # built before the spies, with the eigh calls that find the blocks
+        calls = _spy_on_linalg(monkeypatch)
         for verdict, _ in VERDICTS:
             assert verdict(g, phi)
         gf.gns_bundle(g, phi)
@@ -188,8 +187,14 @@ class TestOnePerOrbit:
         gf.reduced_norm(g, f)
         # one fiber class, whose units fall into one orbit (pair16) or two (Z12 on 16 points)
         assert len(g.fiber_classes) == 1
-        assert all(len(shape) == 3 and shape[0] == _orbit_count(g) for _, shape in calls), calls
         assert {name for name, _ in calls} == {"eigh", "eigvalsh", "svd"}
+        if not any(g.isotropy_blocks):
+            assert all(len(shape) == 3 and shape[0] == _orbit_count(g) for _, shape in calls), calls
+            return
+        # every call's matrices are at most the largest isotropy block of the
+        # class: the free orbit's whole 12x12 block, one matrix, or the three
+        # 4x4 blocks (one per character of Z3, |X| = 4) of the other orbit
+        assert all(shape in ((1, 12, 12), (1, 3, 4, 4)) for _, shape in calls), calls
 
     @pytest.mark.parametrize("build", [
         lambda: gf.pair_groupoid(2),
@@ -236,6 +241,18 @@ class TestOnePerOrbit:
             finally:
                 tracemalloc.stop()
             assert peak <= 4e6
+
+
+def _spy_on_linalg(monkeypatch) -> list:
+    """The (name, shape of the stack) of every eigh, eigvalsh and svd call from now on."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def spy(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
 
 
 NONSINGULAR = {name: LARGE[name] for name in ("bundle30-40-50w", "z12-on-16", "pair7xI2")}
@@ -417,8 +434,18 @@ class TestVerdictsAgainstLoops:
         got, want = verdict(g, phi), oracle(g, phi)
         assert got.is_pd == want.is_pd == (kind == "pd")
         assert got.unit == want.unit
-        if kind != "pd":
+        if kind == "not-pd" and which == 0 and any(g.isotropy_blocks):
+            # the lowest eigenvector of an isotropy block mapped back: in the
+            # oracle's lowest eigenspace, in another basis or phase
+            a = gram_matrix_oracle(g, phi, got.unit)
+            a = (a + a.conj().T) / 2
+            low = np.linalg.eigvalsh(a)[0]
+            v = got.vector
+            assert abs(np.linalg.norm(v) - 1) <= 1e-12
+            assert np.linalg.norm(a @ v - low * v) <= 1e-12 * np.abs(a).max() * a.shape[0]
+        elif kind != "pd":
             assert np.abs(got.vector - want.vector).max() <= 1e-12
+        if kind != "pd":
             assert abs(got.value - want.value) <= 1e-12 * max(1.0, abs(want.value))
         if kind in ("not-pd", "non-hermitian-orbit"):
             assert got.unit == _orbit_of_last_unit(g).min()
@@ -539,3 +566,113 @@ class TestVnBasisFromPairs:
         size = sum(m.nbytes for m in basis)
         assert len(basis) == 64 and size == 64 * 64 * 64 * 16
         assert peak <= 1.6 * size
+
+
+def _isotropy(g, c, row) -> np.ndarray:
+    """The isotropy arrows of the unit of row ``row`` of the fiber class c."""
+    fiber = c.arrows[row]
+    return fiber[g.source_of[fiber] == c.units[row]]
+
+
+def _irrep_dims(g, h) -> list[int]:
+    """The dimensions of the irreducible representations of the isotropy group
+    with arrows h: all 1 when it is abelian; the zoo's one nonabelian
+    isotropy group is S3."""
+    table = g.compose_table[np.ix_(h, h)]
+    if np.array_equal(table, table.T):
+        return [1] * h.size
+    assert h.size == 6
+    return [1, 1, 2]
+
+
+def _block_mask(runs, m) -> np.ndarray:
+    mask = np.zeros((m, m), dtype=bool)
+    lo = 0
+    for size, n in runs:
+        for _ in range(n):
+            mask[lo : lo + size, lo : lo + size] = True
+            lo += size
+    assert lo == m
+    return mask
+
+
+class TestIsotropyBlocks:
+    """``FiniteGroupoid.isotropy_blocks`` and the decompositions through it.
+
+    The verdicts (unit and witness), the GNS bundles (dimensions and
+    reconstruction), the square-root sections and the reduced norms that run
+    through these blocks are held to the loop oracles on the same zoo by
+    ``TestVerdictsAgainstLoops``, ``TestReconstructionsAgainstLoops`` and
+    ``TestKernelsAgainstLoops``."""
+
+    def test_exactly_the_bases_with_isotropy_have_a_unitary(self, g):
+        invariant = np.array_equal(g.weights, g.unit_weights[g.source_of])
+        assert len(g.isotropy_blocks) == len(g.fiber_classes)
+        for c, o, blocks in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks):
+            split = np.concatenate([np.zeros(0, dtype=int)] + [layout.bases for layout in blocks])
+            want = [i for i, row in enumerate(o.bases) if invariant and _isotropy(g, c, row).size > 1]
+            assert sorted(split.tolist()) == want
+            assert len({layout.runs for layout in blocks}) == len(blocks)
+
+    def test_unitary_and_block_diagonal(self, g):
+        f = random_function(g, _rng(g))
+        rights = _right_op_blocks(g, f, [o.bases for o in g.orbit_index])
+        for c, o, blocks, right in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks, rights):
+            m = c.arrows.shape[1]
+            for layout in blocks:
+                off = ~_block_mask(layout.runs, m)
+                for unitary, base in zip(layout.unitary, layout.bases):
+                    assert np.abs(unitary.conj().T @ unitary - np.eye(m)).max() <= 1e-12
+                    row = o.bases[base]
+                    gram = f[c.gram[row]]
+                    for a in (gram, _integral_kernels(g.weights[c.arrows[row]], gram), right[base]):
+                        blocked = unitary.conj().T @ a @ unitary
+                        assert np.abs(blocked[off]).max() <= 1e-12 * np.abs(a).max()
+
+    def test_block_sizes_are_irrep_dimensions_times_orbit_size(self, g):
+        for c, o, blocks in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks):
+            m = c.arrows.shape[1]
+            for layout in blocks:
+                sizes = [size for size, n in layout.runs for _ in range(n)]
+                for base in layout.bases:
+                    h = _isotropy(g, c, o.bases[base])
+                    dims = _irrep_dims(g, h)
+                    # d_pi blocks of size d_pi |X| for each irreducible pi
+                    assert sizes == sorted(d * (m // h.size) for d in dims for _ in range(d))
+                    assert len(sizes) == sum(dims)
+
+    @pytest.mark.parametrize("name, runs", [
+        ("s3_moved", ((1, 2), (2, 2))),
+        ("s3xI2", ((2, 2), (4, 2))),
+        ("z12-on-16", ((4, 3),)),
+        ("s3-on-3w", ((3, 2),)),
+        ("bundle30-40-50w", ((1, 30),)),
+    ])
+    def test_layouts_of_the_zoo(self, name, runs, request):
+        g = request.getfixturevalue(name) if name in FIXTURES else LARGE[name]()
+        assert g.isotropy_blocks[0][0].runs == runs
+
+    def test_entries_near_the_largest_float(self):
+        # on Z4 the reduced norm of 8e307 f is 1.6e308; at 1.5e308 f it
+        # overflows, and so do the block products, whose nan parts must not
+        # read as a norm: the stack is decomposed whole and the norm raises
+        g = gf.group_groupoid(gf.cyclic_table(4))
+        f = np.array([1.0, 1.0, 1.0, -1.0])
+        assert _close(gf.reduced_norm(g, 8e307 * f), reduced_norm_loop_oracle(g, 8e307 * f), 1e-12)
+        with pytest.raises(ValueError, match="the norm overflows"):
+            gf.reduced_norm(g, 1.5e308 * f)
+
+    def test_no_lapack_call_on_the_bundle(self, monkeypatch):
+        # every isotropy block of Z30, Z40 and Z50 is 1x1
+        g = LARGE["bundle30-40-50w"]()
+        rng = _rng(g)
+        phi, f = random_pd(g, rng), random_function(g, rng)
+        g.isotropy_blocks  # built before the spies, with the eigh calls that find the blocks
+        calls = _spy_on_linalg(monkeypatch)
+        assert gf.is_positive_definite(g, phi)
+        verdict = gf.is_positive_definite(g, -phi)
+        assert not verdict and gf.quadratic_form(g, -phi, verdict.unit, verdict.vector).real < 0
+        bundle, xi = gf.gns_bundle(g, phi)
+        assert _close(gf.coefficient(g, bundle, xi, xi), phi, 1e-10)
+        assert _close(gf.reduced_norm(g, f), reduced_norm_loop_oracle(g, f), 1e-10)
+        assert all(shape[-2:] == (1, 1) for _, shape in calls), calls
