@@ -36,21 +36,15 @@ triples (x with source u, y with range u, z in the range fiber of source(y))
 stacked over the units with equal fiber sizes, by flat gathers from the table
 in passes of at most 2^14 triples.  The group-table check of the constructors
 compares (ab)c with a(bc) in passes of the same size, so no k^3 array is
-built for a group of order k.  The coefficient-norm problem keeps its
-function-independent layout with the groupoid too
-(``FiniteGroupoid.coefficient_layout``, built by ``gfourier.norms``).
+built for a group of order k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .norms import CoefficientLayout
 
 UNDEFINED = -1
 
@@ -325,14 +319,6 @@ class FiniteGroupoid:
                                             np.stack([f for _, f in group]), runs)
                              for runs, group in layouts.items()))
         return tuple(out)
-
-    @cached_property
-    def coefficient_layout(self) -> CoefficientLayout:
-        """The part of the coefficient-norm problem that does not depend on
-        the function (``gfourier.norms.CoefficientLayout``), built on first use."""
-        from .norms import CoefficientLayout  # norms imports this module
-
-        return CoefficientLayout(self)
 
     @property
     def unit_weights(self) -> np.ndarray:

@@ -1,28 +1,26 @@
 """Factorization norms: the coefficient norm SDP, Schur multiplier cb-norms,
 and two-sided bounds for the decomposition norm.
 
-The coefficient norm of phi is computed from its block completion problem:
-one Hermitian block per orbit of units, read at the range fiber of the
-orbit's smallest unit, holding phi and its involution off-diagonal and two
-free conjugation-symmetric functions on the diagonal, with the largest unit
-value minimized subject to every block being PSD.  The blocks of the other
-units of an orbit are permuted copies and are left out.  On pair groupoids
-(one orbit) the problem is, entry for entry, the classical Schur multiplier
-SDP, and ``schur_cb_norm`` is this solve.
+The coefficient norm of phi is the largest Schur multiplier norm of the Gram
+blocks Phi_b = phi[gram] of the orbit bases b (``FiniteGroupoid.orbit_index``),
+each base's untied block [[P, Phi_b], [Phi_b^H, Q]] solved alone (Bozejko and
+Fendler; for groupoids Renault).  Averaged over the isotropy group H_b, an
+optimal completion stays optimal and becomes the Gram block of functions rho
+and tau, the witness.  ``schur_cb_norm`` is the same solve on one block.
 
 The block of an orbit base is the Schur multiplier problem of its Gram
 block Phi, whose value is the largest ||D_alpha Phi D_beta||_tr over unit
 vectors alpha, beta >= 0 (Haagerup; Linial and Shraibman).
 ``_scaled_completion`` iterates the fixed point of that maximum, one stacked
-SVD per fiber class per evaluation, extrapolated by SQUAREM, and every
+SVD per block size per evaluation, extrapolated by SQUAREM, and every
 evaluation certifies both sides: a dual block from the SVD below, and the
 scaled polar completion above.  The first evaluation, at uniform weights,
 is the balanced polar completion; it closes with no further step on groups
 and group bundles (Eymard's norm), on positive definite phi and on rank-one
-blocks.  The completion goes to the solver's seeded exit, which re-verifies
-it; the interior-point method runs only where the scaling stalls, from its
-lower bound.  The upper bound of
-``fourier_norm_bounds`` is one term per orbit base from the solver's
+blocks.  The averaged completion goes to the solver's seeded exit, which
+re-verifies it; the interior-point method runs on the untied blocks only
+where the scaling stalls, from its lower bound.  The upper bound of
+``fourier_norm_bounds`` is one term per orbit base from the witness's
 completion block [[rho, Phi], [Phi^H, tau]], A = Phi (tau^1/2)^+ and
 B = tau^1/2, read onto every unit by ``OrbitClass.spread``: Phi = A B^H,
 and the PSD Schur complement rho - Phi tau^+ Phi^H puts its cost at most
@@ -34,14 +32,6 @@ phi below the normal range or above 2**1000 is solved brought into [1/2, 1)
 by a power of two, and its values
 are scaled back and rounded outwards by the same margin, or raise
 ValueError when they overflow.
-
-Everything of the problem that does not depend on phi (the variable ids,
-conjugation flags, sizes and objective of the blocks, the positions phi
-fills, the kept rows of each fiber class and the range-fiber index of the
-term costs) is built once per groupoid, as
-``FiniteGroupoid.coefficient_layout``, and shared read-only by every solve;
-a solve only gathers phi into it.  ``schur_cb_norm`` keeps the pair
-groupoids of the last few sizes it solved on.
 """
 
 from __future__ import annotations
@@ -49,21 +39,21 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import arrow_function
-from .groupoid import FiniteGroupoid, pair_groupoid
+from .groupoid import FiniteGroupoid
 from .positivity import _stacks
 from .sdp import _REL_GAP, DiagBoundSdp, SdpSolution, _herm, solve_diag_bound_sdp
 
 # the rounding margin of the scaling's lower bounds and of decomposition
 # costs, in eps (or ulps, below the normal range) per fiber element
 _ROUNDING = 8
-# scaling evaluations after the uniform one, at most, per fiber class
+# scaling evaluations after the uniform one, at most, per block size
 _MAX_ITER = 300
 # evaluations in which the scaling's gap must halve, or it has stalled
 _STALL = 80
@@ -71,12 +61,6 @@ _STALL = 80
 # extrapolated weights finite
 _STEP = 1e4
 _TINY = np.finfo(float).tiny
-
-
-def _read_only(a) -> np.ndarray:
-    view = np.asarray(a).view()
-    view.flags.writeable = False
-    return view
 
 
 @dataclass(frozen=True)
@@ -96,147 +80,96 @@ class NormCertificate:
     witness: dict
 
 
-def _arrow_variables(g: FiniteGroupoid) -> tuple[np.ndarray, np.ndarray]:
-    """The variable id of rho at each arrow z, min(z, inverse(z)), and whether
-    z holds its conjugate (z > inverse(z)); tau's ids are these plus n_arrows."""
-    z = np.arange(g.n_arrows)
-    return np.minimum(z, g.inverse_of), z > g.inverse_of
+class _Layout(NamedTuple):
+    """The coefficient-norm problem's parts that depend only on the shapes
+    (k, m) of its stacks of bases, read-only: the ``var``, ``conj``, ``sizes``
+    and ``objective`` of the untied blocks, padded to the largest m
+    (``fiber``), whose P and Q variables are numbered in the order of
+    ``_Bases.at``, P's first; the flat indices of P, Q, Phi and Phi^H in that
+    order (``places``); and per stack m, its block slice and numbers."""
+
+    var: np.ndarray
+    conj: np.ndarray
+    sizes: np.ndarray
+    objective: np.ndarray
+    places: np.ndarray
+    classes: tuple
+    fiber: int
 
 
-class _KeptClass(NamedTuple):
-    """The orbit bases (``FiniteGroupoid.orbit_index``) in one fiber class,
-    whose range fibers have m arrows: their Gram blocks ``gram``, the
-    variable ids and conjugation flags there, and their ``blocks`` in the
-    declaration."""
-
-    m: int
-    gram: np.ndarray
-    ids: np.ndarray
-    flip: np.ndarray
-    blocks: np.ndarray
-
-
-class CoefficientLayout:
-    """Everything of the coefficient-norm problem on g that does not depend
-    on phi, built once per groupoid (``FiniteGroupoid.coefficient_layout``).
-
-    It holds the variable ids and conjugation flags of rho and tau at the
-    arrows, the kept
-    rows of every fiber class (``_KeptClass``), the ``var``, ``conj``,
-    ``sizes`` and ``objective`` of ``stieltjes_problem`` with the data
-    positions that phi fills, the positions of rho's and tau's variables in
-    the kept blocks (``assign``), the range fibers as ``_term_cost`` reads
-    them, and the rounding margin, the largest fiber (``fiber``).  Every
-    diagonal position of a block holds a unit arrow, an objective variable:
-    Gram[p, p] = inverse(x_p) x_p, and no other position does.  Its arrays are
-    read-only: a layout is shared by every solve on g, and a groupoid made
-    from g by ``with_unit_weights`` or ``dataclasses.replace`` builds its own.
-    """
-
-    def __init__(self, g: FiniteGroupoid):
-        ids, flip = _arrow_variables(g)
-        kept = np.zeros(g.n_units, dtype=bool)
-        for c, o in zip(g.fiber_classes, g.orbit_index):
-            kept[c.units[o.bases]] = True
-        block_of = np.cumsum(kept) - 1
-        classes = []
-        for c, o in zip(g.fiber_classes, g.orbit_index):
-            units, gram = c.units[o.bases], c.gram[o.bases]
-            classes.append(_KeptClass(gram.shape[1], *map(_read_only, (
-                gram, ids[gram], flip[gram], block_of[units]))))
-        # rho's variable at every arrow, then tau's, and whether it is held conjugated
-        self.ids = _read_only(np.concatenate([ids, ids + g.n_arrows]))
-        self.flip = _read_only(np.concatenate([flip, flip]))
-        self.classes = tuple(classes)
-        s = 2 * max(c.m for c in classes)
-        var = np.full((kept.sum(), s, s), -1)
-        conj = np.zeros(var.shape, dtype=bool)
-        sizes = np.zeros(var.shape[0], dtype=int)
-        upper, lower, sources = [], [], []
-        for c in classes:
-            m, b = c.m, c.blocks
-            top, bottom = slice(0, m), slice(m, 2 * m)
-            var[b, top, top] = c.ids
-            var[b, bottom, bottom] = c.ids + g.n_arrows
-            conj[b, top, top] = conj[b, bottom, bottom] = c.flip
-            sizes[b] = 2 * m
-            # phi[gram] at the top right of block b, its conjugate transpose at the bottom left
-            corner, p, q = b[:, None, None] * s * s, np.arange(m)[:, None], np.arange(m)
-            upper.append((corner + p * s + q + m).ravel())
-            lower.append((corner + (q + m) * s + p).ravel())
-            sources.append(c.gram.ravel())
-        objective = np.concatenate([g.unit_arrows, g.unit_arrows + g.n_arrows])
-        self.var, self.conj, self.sizes, self.objective = map(_read_only, (var, conj, sizes, objective))
-        self.upper, self.lower, self.sources = (_read_only(np.concatenate(x))
-                                                for x in (upper, lower, sources))
-        by_range = np.argsort(g.range_of, kind="stable")
-        self.by_range = _read_only(by_range)
-        self.fiber_starts = _read_only(np.searchsorted(g.range_of[by_range], np.arange(g.n_units)))
-        self.range_weights = _read_only(g.weights[by_range])
-        self.fiber = int(np.bincount(g.range_of).max(initial=0))
-        # the variable id at every position of rho and tau in the kept blocks,
-        # block by block, whether it holds the conjugate, and how many
-        # positions hold each id
-        self.held = _read_only(np.concatenate([np.concatenate([c.ids, c.ids + g.n_arrows], axis=1).ravel()
-                                               for c in classes]))
-        self.held_flip = _read_only(np.concatenate([np.concatenate([c.flip, c.flip], axis=1).ravel()
-                                                    for c in classes]))
-        self.held_count = _read_only(np.maximum(np.bincount(self.held, minlength=2 * g.n_arrows), 1))
-
-    def assign(self, completions: list, mean: bool) -> np.ndarray:
-        """The assignment by variable id of a list of (blocks, 2, m, m) stacks
-        of (P, Q), one per fiber class, of the kept blocks' rho and tau: each
-        variable takes the value at its last position, or with ``mean`` the
-        mean over its positions.  The positions of a variable are the images of one pair
-        (p, q) under the isotropy permutations of the base fiber and the
-        transpose (conjugated), and, when weights that are not left invariant
-        make several units of an orbit bases, their permutations onto each
-        other.  A completion that commutes with these permutations agrees at
-        all of them; otherwise each image is a feasible completion of the
-        block, and their mean is feasible too, with no larger diagonal."""
-        values = np.concatenate([x.ravel() for x in completions])
-        values = np.where(self.held_flip, values.conj(), values)
-        size = self.held_count.size
-        if mean:
-            return (np.bincount(self.held, values.real, size) + 1j * np.bincount(self.held, values.imag, size)) \
-                / self.held_count
-        out = np.zeros(size, dtype=complex)
-        out[self.held] = values
-        return out
-
-    def declare(self, phi: np.ndarray) -> DiagBoundSdp:
-        """The problem of phi: its Gram blocks gathered into the layout."""
-        data = np.zeros(self.var.shape, dtype=complex)
-        values = phi[self.sources]
-        data.flat[self.upper] = values
-        data.flat[self.lower] = values.conj()
-        return DiagBoundSdp(data, self.var, self.conj, self.sizes, self.objective)
+@lru_cache(maxsize=32)
+def _layout(shapes: tuple[tuple[int, int], ...]) -> _Layout:
+    m = np.repeat(*np.array(shapes)[:, ::-1].T)
+    s = 2 * int(m.max())
+    places, classes, start = [], [], 0
+    for k, size in shapes:
+        b, p, q = np.ogrid[start:start + k, :size, :size]
+        top, low = (b * s + p) * s, (b * s + p + size) * s
+        places.append(np.stack(np.broadcast_arrays(top + q, low + q + size, top + q + size,
+                                                   (b * s + q + size) * s + p)).reshape(4, -1))
+        classes.append((size, slice(start, start + k), np.arange(start, start + k)))
+        start += k
+    places = np.concatenate(places, axis=1)
+    var = np.full(m.size * s * s, -1)
+    var[places[:2]] = np.arange(places[:2].size).reshape(2, -1)
+    i, j = np.arange(s)[:, None], np.arange(s)
+    var = np.where(i <= j, var.reshape(-1, s, s), var.reshape(-1, s, s).swapaxes(1, 2))
+    diagonal = var.diagonal(0, 1, 2)
+    layout = _Layout(var, (var >= 0) & (i > j), 2 * m, diagonal[diagonal >= 0], places, tuple(classes), s // 2)
+    for x in (*layout[:5], *(c[2] for c in classes)):
+        x.flags.writeable = False
+    return layout
 
 
-def stieltjes_problem(g: FiniteGroupoid, phi) -> DiagBoundSdp:
-    """The block completion problem whose optimum is the coefficient norm bound.
+class _Bases(NamedTuple):
+    """The orbit bases of a coefficient-norm problem: their (k, m, m) stacks
+    of Gram ids, one per fiber class, raveled into one array (``at``) in
+    which every id occurs; the id of the inverse of every id (``inverse``),
+    the ids on the diagonals (``units``) and the ``layout`` of the stacks.
+    The blocks of the problem are the bases in this order."""
 
-    One block per orbit, at the orbit's smallest unit u, in ascending order of
-    u: [[rho, phi], [phi*, tau]] read at the Gram block of arrow ids of the
-    range fiber of u.  Conjugation symmetry holds by construction: the arrows
-    z and inverse(z) share a variable, conjugated at the larger id, and a
-    self-inverse arrow holds its variable unconjugated at both orientations,
-    which pins it to the real axis.
+    at: np.ndarray
+    inverse: np.ndarray
+    units: np.ndarray
+    layout: _Layout
 
-    The other units' blocks are left out because the groupoid axioms make
-    them copies: for an arrow gamma from u to v, the range fiber of v is
-    gamma times that of u and inverse(gamma x) gamma y = inverse(x) y, so the
-    block of v is the block of u with rows and columns permuted alike.  The
-    same axioms put every arrow of the orbit, unit arrows included, in the
-    block of u.  Dropping blocks can only lower the optimum, so a dual bound
-    of this problem bounds the all-units problem too; that its optimum equals
-    the all-units one rests on g being a groupoid.
 
-    The layout is g's cached ``coefficient_layout``; only phi is gathered.
-    Its orbits are those of ``FiniteGroupoid.orbit_index``, which makes every
-    unit its own base when the weights are not left invariant.
-    """
-    return g.coefficient_layout.declare(arrow_function(g, phi))
+def _bases(g: FiniteGroupoid) -> _Bases:
+    """The orbit bases of g, class by class (``fiber_classes``,
+    ``orbit_index``)."""
+    ids = [c.gram[o.rows] for c, o in zip(g.fiber_classes, g.orbit_index)]
+    return _Bases(np.concatenate([x.ravel() for x in ids]), g.inverse_of, g.unit_arrows,
+                  _layout(tuple(x.shape[:2] for x in ids)))
+
+
+def _matrix_bases(n: int) -> _Bases:
+    """One n x n block whose position (i, j) has id i n + j and inverse
+    j n + i: the one orbit base of the pair groupoid of n points."""
+    ids = np.arange(n * n).reshape(n, n)
+    return _Bases(ids.ravel(), ids.T.ravel(), np.arange(n) * (n + 1), _layout(((1, n),)))
+
+
+def _declare(bases: _Bases, phi: np.ndarray) -> DiagBoundSdp:
+    """The coefficient-norm problem of phi: one untied block
+    [[P, Phi_b], [Phi_b^H, Q]] per base, Phi_b = phi[ids]."""
+    var, conj, sizes, objective, places = bases.layout[:5]
+    data, values = np.zeros(var.size, dtype=complex), phi[bases.at]
+    data[places[2]], data[places[3]] = values, values.conj()
+    return DiagBoundSdp(data.reshape(var.shape), var, conj, sizes, objective)
+
+
+def _average(bases: _Bases, values: np.ndarray) -> np.ndarray:
+    """(rho, tau) by id from the (2, len(at)) values of P and Q at the
+    positions of the Gram ids ``bases.at``: their means over the base
+    positions of each id, an orbit of the base's isotropy group.  The
+    transposed position carries the inverse id, so the mean is conjugation
+    symmetric; its half-sum with its conjugate there makes that exact."""
+    n = bases.inverse.size
+    index = np.concatenate([bases.at, bases.at + n])
+    values = values.ravel()
+    sums = np.bincount(index, values.real, 2 * n) + 1j * np.bincount(index, values.imag, 2 * n)
+    mean = (sums / np.bincount(index, minlength=2 * n)).reshape(2, n)
+    return (mean + mean[:, bases.inverse].conj()) / 2
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -335,26 +268,23 @@ def _squarem(evaluate, x: np.ndarray):
 
 
 class _Scaled(NamedTuple):
-    """The scaled polar completion of every orbit block by variable id
-    (``seed``), the largest lower bound over the bases (``value``) and a dual
-    stack that certifies it (None below ``sup``), and the evaluations after
-    the uniform one (``steps``)."""
+    """The scaled polar completion, P and Q in the order of ``_Bases.at``
+    (``completion``), the largest lower bound over the blocks (``value``), a
+    dual stack that certifies it (None below ``sup``), and the evaluations
+    after the uniform one (``steps``)."""
 
     value: float
-    seed: np.ndarray
+    completion: np.ndarray
     dual: np.ndarray | None
     steps: int
 
 
-def _scaled_completion(g: FiniteGroupoid, phi, problem: DiagBoundSdp, sup: float) -> _Scaled:
-    """Complete every orbit block, and bound the completion problem from
+def _scaled_completion(bases: _Bases, problem: DiagBoundSdp, sup: float) -> _Scaled:
+    """Complete every block of the problem on the bases, and bound it from
     below, by the diagonal scaling of its Gram block.
 
-    The problem at an orbit base is the Schur multiplier problem of
-    Phi = phi[gram], whose value is the largest ||D_alpha Phi D_beta||_tr
-    over unit vectors alpha, beta >= 0 (Haagerup; Linial and Shraibman).
     Every evaluation (``_evaluate``, one SVD D_alpha Phi D_beta = U S V^H
-    per fiber class) certifies both sides.  Below, with unit alpha and beta,
+    per stack of bases) certifies both sides.  Below, with unit alpha and beta,
     Z = [[D_alpha^2, -W], [-W^H, D_beta^2]] / 2, W = D_alpha U V^H D_beta, is
     PSD (a Gram matrix of [D_alpha U; -D_beta V]), is zero at every free
     variable, sums to 1 on the objective diagonal and has -<F0, Z> = tr S.
@@ -374,17 +304,13 @@ def _scaled_completion(g: FiniteGroupoid, phi, problem: DiagBoundSdp, sup: float
     extrapolated by ``_squarem``, until every block is within it, until the
     gap fails to halve in ``_STALL`` evaluations, or for ``_MAX_ITER``
     evaluations; a zero row or column of Phi keeps weight 0, and any other
-    weight is floored at the smallest normal float.  The map
-    commutes with the isotropy permutations, so from uniform weights every
-    completion meets the ties of ``stieltjes_problem`` up to rounding, which
-    ``CoefficientLayout.assign`` averages out.  ``_completion_term`` reads
-    its term from the completion the solver returns.
+    weight is floored at the smallest normal float.
     """
     # on phi brought into [1/2, 1) by a power of two, exactly: scaled
     # weights then keep the entries of D_alpha Phi D_beta out of the subnormal
     # range, and every evaluation scales with phi
     exponent = math.frexp(sup)[1]
-    phi, sup = phi * 2.0 ** -exponent, math.ldexp(sup, -exponent)
+    sup = math.ldexp(sup, -exponent)
     top = (-np.inf, 0, None, 0)  # the best lower bound, its block, and its point and row there
     steps = 0
 
@@ -395,16 +321,16 @@ def _scaled_completion(g: FiniteGroupoid, phi, problem: DiagBoundSdp, sup: float
             top = float(point.lower[i]), int(blocks[i]), point, i
         return point
 
-    layout = g.coefficient_layout
-    grams = [phi[c.gram] for c in layout.classes]
-    firsts = [record(_evaluate(x), c.blocks) for c, x in zip(layout.classes, grams)]
+    classes = bases.layout.classes
+    grams = [problem.data[b, :m, m:2 * m] * 2.0 ** -exponent for m, b, _ in classes]
+    firsts = [record(_evaluate(x), blocks) for (_, _, blocks), x in zip(classes, grams)]
     completions = [first.completion() for first in firsts]
-    for c, gram, first, completion in zip(layout.classes, grams, firsts, completions):
+    for (_, _, blocks), gram, first, completion in zip(classes, grams, firsts, completions):
         target = (1 + _REL_GAP) * max(sup, top[0])
         if first.upper.max() <= target or not _MAX_ITER:
             continue
         rows = np.flatnonzero(first.upper > target)
-        open_gram, open_blocks = gram[rows], c.blocks[rows]
+        open_gram, open_blocks = gram[rows], blocks[rows]
         # the zero rows and columns of Phi keep weight 0; a live weight that
         # underflows is evaluated at the smallest normal float, never at 0,
         # which would read its row as a zero row; weights above it are kept
@@ -420,12 +346,10 @@ def _scaled_completion(g: FiniteGroupoid, phi, problem: DiagBoundSdp, sup: float
             if gap <= _REL_GAP or since >= _STALL:
                 break
         completion[rows] = last.completion()
+    completion = np.concatenate([x.swapaxes(0, 1).reshape(2, -1) for x in completions], axis=1) * 2.0 ** exponent
     value, block, point, i = top
-    # the uniform completion commutes with the isotropy permutations to a
-    # few ulps; a scaled one only to as many ulps divided by alpha_i alpha_j
-    seed = layout.assign(completions, steps > 0) * 2.0 ** exponent
     if value < sup or not value:
-        return _Scaled(math.ldexp(value, exponent), seed, None, steps)
+        return _Scaled(math.ldexp(value, exponent), completion, None, steps)
     m = point.s.shape[-1]
     x = np.ones((2, m)) if point.x is None else point.x[i]
     a, b = x / x.sum(1, keepdims=True)
@@ -435,7 +359,7 @@ def _scaled_completion(g: FiniteGroupoid, phi, problem: DiagBoundSdp, sup: float
     z[m:, :m] = _herm(z[:m, m:])
     z.flat[::2 * m + 1] = np.concatenate([a, b])
     z /= 2
-    return _Scaled(math.ldexp(value, exponent), seed, dual, steps)
+    return _Scaled(math.ldexp(value, exponent), completion, dual, steps)
 
 
 def _rounded(value: float, fiber: int, direction: int) -> float:
@@ -449,24 +373,27 @@ def _rounded(value: float, fiber: int, direction: int) -> float:
     return float(max(moved) if direction > 0 else min(moved))
 
 
-def _solve_stieltjes(g: FiniteGroupoid, phi: np.ndarray) -> tuple[NormCertificate, SdpSolution]:
-    """The SDP of the arrow function phi from the scaled polar completion
-    and the larger of the sup norm and the rounded scaling bound: a
-    completion within the solver's gap verifies with no Newton step, with
-    status "seeded" when it is the uniform one and "scaled" after
-    ``scaling_steps`` further evaluations; otherwise the interior-point
-    method runs from that bound."""
-    layout = g.coefficient_layout
-    problem = layout.declare(phi)
+def _solve(bases: _Bases, phi: np.ndarray) -> tuple[NormCertificate, SdpSolution]:
+    """The SDP of phi from the scaled polar completion, averaged, and the
+    larger of the sup norm and the rounded scaling bound: a completion within
+    the solver's gap verifies with no Newton step, with status "seeded" when
+    it is the uniform one and "scaled" after ``scaling_steps`` further
+    evaluations; otherwise the interior-point method runs from that bound,
+    and its completion is averaged.  The witness holds the value at units."""
+    problem = _declare(bases, phi)
     sup = float(np.abs(phi).max(initial=0.0))
-    scaled = _scaled_completion(g, phi, problem, sup)
+    scaled = _scaled_completion(bases, problem, sup)
     # the scaling's dual certifies its unrounded value, hence lower, unless sup is larger
-    lower = max(sup, _rounded(scaled.value, layout.fiber, -1))
-    solution = solve_diag_bound_sdp(problem, lower=lower, seeds=(scaled.seed,), dual=scaled.dual)
-    values = solution.variables[layout.ids]
-    rho, tau = np.where(layout.flip, values.conj(), values).reshape(2, -1)
+    lower = max(sup, _rounded(scaled.value, bases.layout.fiber, -1))
+    averaged = _average(bases, scaled.completion)
+    # the seeded exit verifies the averaged completion, the one the witness holds
+    seed = averaged[:, bases.at].ravel()
+    solution = solve_diag_bound_sdp(problem, lower=lower, seeds=(seed,), dual=scaled.dual)
+    if solution.status != "seeded":
+        averaged = _average(bases, problem.blocks_for(solution.variables).ravel()[bases.layout.places[:2]])
+    averaged[:, bases.units] = solution.value
     status = "scaled" if solution.status == "seeded" and scaled.steps else solution.status
-    witness = {"rho": rho, "tau": tau, "lower": solution.lower, "iterations": solution.iterations,
+    witness = {"rho": averaged[0], "tau": averaged[1], "lower": solution.lower, "iterations": solution.iterations,
                "scaling_steps": scaled.steps, "status": status, "blocks": int(problem.sizes.size)}
     return NormCertificate(solution.value, "optimal", witness), solution
 
@@ -494,28 +421,27 @@ def _ldexp(x: np.ndarray, k: int) -> np.ndarray:
     return np.ldexp(np.ascontiguousarray(x, dtype=complex).view(float), k).view(complex)
 
 
-def _lowered(g: FiniteGroupoid, cert: NormCertificate, lift: int, sup: float) -> NormCertificate:
+def _lowered(cert: NormCertificate, lift: int, sup: float, fiber: int) -> NormCertificate:
     """The coefficient-norm certificate of phi from that of phi lifted by
     2**lift: the completion scaled back, the value rounded up and the lower
-    bound down, by the rounding margin, because scaling back into the
-    subnormal range rounds (ValueError on overflow); sup, the sup norm of
-    phi, stays a lower bound."""
-    fiber, w = g.coefficient_layout.fiber, cert.witness
+    bound down, by the rounding margin of ``fiber``, because scaling back
+    into the subnormal range rounds (ValueError on overflow); sup, the sup
+    norm of phi, stays a lower bound."""
+    w = cert.witness
     value = _scaled_back(cert.value, lift, fiber, 1)
     witness = {**w, "rho": _ldexp(w["rho"], -lift), "tau": _ldexp(w["tau"], -lift),
                "lower": max(sup, _scaled_back(w["lower"], lift, fiber, -1))}
     return NormCertificate(value, cert.kind, witness)
 
 
-def _stieltjes_certificate(g: FiniteGroupoid, phi) -> NormCertificate:
-    """The certificate of ``_solve_stieltjes``; phi below the normal range or
+def _stieltjes_certificate(bases: _Bases, phi: np.ndarray) -> NormCertificate:
+    """The certificate of ``_solve``; phi below the normal range or
     above 2**1000 is solved brought into [1/2, 1) by a power of two, where
     the closed form and the seeded exit keep their margins, and scaled back."""
-    phi = arrow_function(g, phi)
     lift = _lift(phi)
     if not lift:
-        return _solve_stieltjes(g, phi)[0]
-    return _lowered(g, _solve_stieltjes(g, _ldexp(phi, lift))[0], lift, float(np.abs(phi).max()))
+        return _solve(bases, phi)[0]
+    return _lowered(_solve(bases, _ldexp(phi, lift))[0], lift, float(np.abs(phi).max()), bases.layout.fiber)
 
 
 def fourier_stieltjes_norm(g: FiniteGroupoid, phi) -> NormCertificate:
@@ -533,28 +459,22 @@ def fourier_stieltjes_norm(g: FiniteGroupoid, phi) -> NormCertificate:
     after the uniform one), "iterations" (Newton steps) and "status"
     ("seeded", "scaled" or the interior-point method's).
     """
-    return _stieltjes_certificate(g, phi)
+    return _stieltjes_certificate(_bases(g), arrow_function(g, phi))
 
 
 # ---------------------------------------------------------------------------
 # Schur multipliers
 
 
-@lru_cache(maxsize=8)
-def _pair_groupoid(n: int) -> FiniteGroupoid:
-    """``pair_groupoid(n)`` with its cached indexes and coefficient-norm
-    layout, kept for the 8 sizes ``schur_cb_norm`` used last."""
-    return pair_groupoid(n)
-
-
 def schur_cb_norm(a) -> NormCertificate:
     """Completely bounded norm of the Schur (entrywise) multiplier by a.
 
-    The coefficient norm of a.ravel() on the pair groupoid of n points, whose
-    arrow (i, j) has id i n + j, by the solve of ``fourier_stieltjes_norm``.
-    The witness carries the completion's diagonal blocks P = rho.reshape(n, n)
-    and Q = tau.reshape(n, n), the factorization a_ij = sum_m left[i, m]
-    conj(right[j, m]) of ``_completion_factors``, right = Q^1/2 and
+    The solve of ``fourier_stieltjes_norm`` on the one block a, whose
+    position (i, j) has the id i n + j of the arrow (i, j) of the pair
+    groupoid of n points, so that both give one result there, with no
+    groupoid built.  The witness carries the completion's diagonal blocks
+    P = rho.reshape(n, n) and Q = tau.reshape(n, n), the factorization
+    a_ij = sum_m left[i, m] conj(right[j, m]) of ``_completion_factors``, right = Q^1/2 and
     left = a (Q^1/2)^+, whose row norms are at most sqrt(t) (Haagerup's
     a_ij = <x_i, y_j>), and the solver's certified lower bound, scaling
     steps, Newton steps, status and number of SDP blocks.  The value is the
@@ -575,7 +495,7 @@ def schur_cb_norm(a) -> NormCertificate:
         return NormCertificate(0.0, "optimal",
                                {**empty, "lower": 0.0, "iterations": 0, "scaling_steps": 0,
                                 "status": "seeded", "blocks": 0})
-    cert = _stieltjes_certificate(_pair_groupoid(n), a.ravel())
+    cert = _stieltjes_certificate(_matrix_bases(n), a.ravel())
     telemetry = dict(cert.witness)
     pm, qm = telemetry.pop("rho").reshape(n, n), telemetry.pop("tau").reshape(n, n)
     # factored near the scale the solve ran at, by an even power of two whose
@@ -603,16 +523,17 @@ def _pair_structure(g: FiniteGroupoid) -> np.ndarray | None:
 
 
 def _term_cost(g: FiniteGroupoid, terms: np.ndarray) -> float:
-    """sum over k of ||f_k|| ||h_k|| for a (k, 2, n_arrows) stack of terms (f_k, h_k);
-    each section is divided by a power of two near its largest modulus before
-    it is squared, so subnormal entries do not square to zero."""
-    layout = g.coefficient_layout
+    """sum over k of ||f_k|| ||h_k|| for a (k, 2, n_arrows) stack of terms (f_k, h_k),
+    read on the range fibers of ``fiber_classes``; each section is divided by
+    a power of two near its largest modulus before it is squared, so
+    subnormal entries do not square to zero."""
     cost = 0.0
     for part in _stacks(np.arange(len(terms)), 2 * g.n_arrows):
-        size = np.abs(terms[part][:, :, layout.by_range])
+        size = np.abs(terms[part])
         _, exponent = np.frexp(size.max(axis=2, initial=0.0))
-        mass = layout.range_weights * np.ldexp(size, -exponent[:, :, None]) ** 2
-        norms = np.ldexp(np.sqrt(np.add.reduceat(mass, layout.fiber_starts, axis=2).max(axis=2)), exponent)
+        mass = g.weights * np.ldexp(size, -exponent[:, :, None]) ** 2
+        fibers = (mass[:, :, c.arrows].sum(axis=3).max(axis=2) for c in g.fiber_classes)
+        norms = np.ldexp(np.sqrt(reduce(np.maximum, fibers)), exponent)
         cost += float(np.sum(norms[:, 0] * norms[:, 1]))
     return cost
 
@@ -664,8 +585,8 @@ def _completion_term(g: FiniteGroupoid, phi, stieltjes: NormCertificate) -> np.n
     """The (1, 2, n_arrows) term (f, h) of ``_completion_factors`` of each
     orbit base's block [[rho_b, Phi_b], [Phi_b^H, tau_b]] of the SDP's
     completion, at most the SDP value in cost.  Phi_b and tau_b commute with
-    the isotropy permutations (the Gram structure and the tied variable
-    ids), so do both factors (B, A), and ``OrbitClass.spread`` reads them
+    the isotropy permutations (both are functions of the Gram id), so do both
+    factors (B, A), and ``OrbitClass.spread`` reads them
     onto every unit, divided by sqrt(w): h[gram] W^1/2 = A at a base with
     fiber weights W, so the Gram block of the coefficient is A B^H, and
     ||h|| is the largest row norm of A.  On the polar seed
@@ -673,8 +594,9 @@ def _completion_term(g: FiniteGroupoid, phi, stieltjes: NormCertificate) -> np.n
     B = V S^1/2 V^H / sqrt(c)."""
     tau = stieltjes.witness["tau"]
     term = np.zeros((2, g.n_arrows), dtype=complex)
-    for c, o, kept in zip(g.fiber_classes, g.orbit_index, g.coefficient_layout.classes):
-        term[:, c.arrows] = o.spread(np.stack(_completion_factors(phi[kept.gram], tau[kept.gram])))
+    for c, o in zip(g.fiber_classes, g.orbit_index):
+        gram = c.gram[o.rows]
+        term[:, c.arrows] = o.spread(np.stack(_completion_factors(phi[gram], tau[gram])))
     return (term / np.sqrt(g.weights))[None]
 
 
@@ -690,8 +612,9 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
 
     Lower: the larger of the sup norm and the certified dual bound of the
     coefficient norm SDP; its witness holds the dual blocks Z, one per orbit
-    in the padded layout of ``stieltjes_problem(g, phi)``, PSD and dual
-    feasible there, so that -<F0, Z> re-verifies the bound (None when the
+    base in the order of ``fiber_classes``, padded to the largest: PSD and
+    zero off the diagonals of their P and Q parts, so dual feasible also where
+    rho and tau are shared, and -<F0, Z> re-verifies the bound (None when the
     sup norm is the bound).  Z is the diagonal scaling's, at the base of the
     largest lower bound, or the interior-point method's where the scaling
     stalled.  Upper: the cheapest decomposition that reproduces phi among
@@ -705,7 +628,8 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     lift = _lift(phi)
     if lift:
         return _lowered_bounds(g, phi, lift)
-    stieltjes, solution = _solve_stieltjes(g, phi)
+    bases = _bases(g)
+    stieltjes, solution = _solve(bases, phi)
     sup = float(np.abs(phi).max(initial=0.0))
     sup_arrow = int(np.abs(phi).argmax()) if g.n_arrows else 0
     lower = NormCertificate(max(sup, solution.lower), "lower",
@@ -720,7 +644,7 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     if best_terms is None:
         raise RuntimeError("no decomposition reconstructed the input; this should not happen")
     # a term cost rounds like the closed form, by a few ulps per fiber element
-    upper = NormCertificate(_rounded(best_cost, g.coefficient_layout.fiber, 1), "upper",
+    upper = NormCertificate(_rounded(best_cost, bases.layout.fiber, 1), "upper",
                             {"terms": tuple(map(tuple, best_terms))})
     return lower, upper
 
@@ -733,9 +657,9 @@ def _lowered_bounds(g: FiniteGroupoid, phi: np.ndarray, lift: int) -> tuple[Norm
     term's two sections scaled back by half the lift, which stays exact, and
     the dual blocks as they are, since they are scale-free."""
     lower, upper = fourier_norm_bounds(g, _ldexp(phi, lift))
-    fiber, sup = g.coefficient_layout.fiber, float(np.abs(phi).max())
+    fiber, sup = _bases(g).layout.fiber, float(np.abs(phi).max())
     half = lift // 2
     terms = tuple((_ldexp(f, -half), _ldexp(h, half - lift)) for f, h in upper.witness["terms"])
-    witness = {**lower.witness, "stieltjes": _lowered(g, lower.witness["stieltjes"], lift, sup)}
+    witness = {**lower.witness, "stieltjes": _lowered(lower.witness["stieltjes"], lift, sup, fiber)}
     return (NormCertificate(max(sup, _scaled_back(lower.value, lift, fiber, -1)), "lower", witness),
             NormCertificate(_scaled_back(upper.value, lift, fiber, 1), "upper", {"terms": terms}))

@@ -12,8 +12,8 @@ The units are decided, factored and square-rooted once per orbit, at the
 orbit's smallest unit (``FiniteGroupoid.orbit_index``): every other unit's
 Gram matrix, weighted kernel and right convolution block is the base's with
 rows and columns permuted alike.  That rests on the groupoid axioms and on
-left-invariant weights, as the one block per orbit of
-``gfourier.norms.stieltjes_problem`` does; with weights that are not left
+left-invariant weights, as the one Schur block per orbit base of
+``gfourier.norms`` does; with weights that are not left
 invariant the index makes every unit its own base.  The bases of a fiber class of
 ``FiniteGroupoid.fiber_classes`` are one gather.  Each base matrix commutes
 with the translations of its fiber by the base's isotropy group H, so the

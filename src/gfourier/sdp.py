@@ -28,14 +28,10 @@ scaling the data scales the value and both certificates, down to the
 subnormal range.
 
 A problem (``DiagBoundSdp``) is its fixed data with the variable ids,
-conjugation flags, block sizes and objective ids of its positions.  The one
-problem declared is the coefficient norm's, by
-``gfourier.norms.CoefficientLayout``, which builds those arrays once per
-groupoid, read-only, and gathers each phi into Hermitian data.  Its solves
-arrive with a seed from the diagonal scaling of ``gfourier.norms`` that is
-already within the gap of a certified lower bound, so most of them take the
-seeded exit, which re-verifies the seed's blocks; the interior-point method
-runs only where that scaling stalled.
+conjugation flags, block sizes and objective ids of its positions.
+``gfourier.norms`` declares one untied Schur block per orbit base and
+seeds each solve with a completion already within the gap of a certified
+lower bound, which the seeded exit re-verifies.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from gfourier.groupoid import (
     identity_bisection,
     product_with_pair_groupoid,
 )
-from gfourier.norms import stieltjes_problem
 from gfourier.numerics import RANK_TOL, hermitian_eigen, hermitian_sqrt, nullspace
 from gfourier.positivity import (
     PSD_TOL,
@@ -47,7 +46,7 @@ from gfourier.positivity import (
     regular_coefficient,
 )
 from gfourier.regular import left_op, operator_norm, right_op, section_norm, unit_blocks
-from gfourier.sdp import solve_diag_bound_sdp
+from gfourier.sdp import DiagBoundSdp, solve_diag_bound_sdp
 
 
 def convolve_oracle(g, f, h):
@@ -851,13 +850,14 @@ class EntrySdp:
         return mats
 
 
-def stieltjes_problem_oracle(g, phi) -> EntrySdp:
-    """The coefficient-norm completion problem, one entry at a time: block u
-    holds rho, phi and tau on the Gram block of the range fiber of u, with
-    variables ("r", c) and ("t", c) for the smaller id c of {z, inverse(z)}."""
+def stieltjes_problem_oracle(g, phi, units=None) -> EntrySdp:
+    """The coefficient-norm completion problem, one entry at a time: a block
+    per unit u, or per unit of ``units`` in their order, holds rho, phi and
+    tau on the Gram block of the range fiber of u, with variables ("r", c)
+    and ("t", c) for the smaller id c of {z, inverse(z)}."""
     phi = arrow_function(g, phi)
     p = EntrySdp()
-    for u in range(g.n_units):
+    for u in range(g.n_units) if units is None else units:
         fiber = np.flatnonzero(g.range_of == u)
         m = fiber.size
         b = p.add_block(2 * m)
@@ -877,6 +877,47 @@ def stieltjes_problem_oracle(g, phi) -> EntrySdp:
         p.objective_var(("r", e))
         p.objective_var(("t", e))
     return p
+
+
+def orbit_bases_oracle(g) -> list[int]:
+    """The orbit bases: the smallest source of the arrows into each unit, or
+    every unit when the weights are not left invariant, grouped by the size
+    of their range fibers, the sizes in the order of their first units, and
+    ascending within one size."""
+    units = range(g.n_units)
+    if np.array_equal(g.weights, g.weights[g.unit_arrows][g.source_of]):
+        units = {int(g.source_of[g.range_of == u].min()) for u in units}
+    size = np.bincount(g.range_of, minlength=g.n_units)
+    first = {}
+    for u in range(g.n_units):
+        first.setdefault(size[u], u)
+    return sorted(units, key=lambda u: (first[size[u]], u))
+
+
+def tied_problem_oracle(g, phi) -> DiagBoundSdp:
+    """The completion problem whose blocks share rho and tau, as the package
+    declared it before its untied Schur blocks: the blocks of
+    ``stieltjes_problem_oracle`` at the orbit bases, in the order of
+    ``orbit_bases_oracle``, padded to the largest, with ("r", c) at the
+    variable id c and ("t", c) at c + n_arrows.  A position declared once
+    holds its variable, and its mirror the conjugate; a self-inverse arrow,
+    declared at both, holds it the same way at both, which makes it real."""
+    entry = stieltjes_problem_oracle(g, phi, orbit_bases_oracle(g))
+    sizes = np.array(entry.block_sizes)
+    s = int(sizes.max())
+    data = np.zeros((sizes.size, s, s), dtype=complex)
+    var = np.full(data.shape, -1)
+    conj = np.zeros(data.shape, dtype=bool)
+    for b, i, j, v in entry._fixed:
+        data[b, i, j], data[b, j, i] = v, np.conj(v)
+    key_id = {key: key[1] + (g.n_arrows if key[0] == "t" else 0) for key in entry._var_occ}
+    occurrences = [(key_id[key], b, i, j, cj) for key, occs in entry._var_occ.items() for b, i, j, cj in occs]
+    for k, b, i, j, cj in occurrences:  # the mirrors first, so that a declared position wins
+        var[b, j, i], conj[b, j, i] = k, not cj if i != j else cj
+    for k, b, i, j, cj in occurrences:
+        var[b, i, j], conj[b, i, j] = k, cj
+    objective = np.array(sorted(key_id[key] for key in entry._objective))
+    return DiagBoundSdp(data, var, conj, sizes, objective)
 
 
 def schur_problem_oracle(a) -> EntrySdp:
@@ -1027,7 +1068,7 @@ def closed_form_oracle(g, phi):
 
 
 def stieltjes_solve_oracle(g, phi, closed_form=False):
-    """The completion SDP of ``stieltjes_problem`` solved from the sup-norm
+    """The completion SDP of ``tied_problem_oracle`` solved from the sup-norm
     bound and the candidate witnesses of ``stieltjes_seeds_oracle`` alone, as
     the coefficient norm was computed before its closed form on one-unit
     orbits: the interior-point method runs on groups too.
@@ -1048,7 +1089,7 @@ def stieltjes_solve_oracle(g, phi, closed_form=False):
         for (name, c), v in seed.items():
             values[c + (g.n_arrows if name == "t" else 0)] = v
         arrays.append(values)
-    return solve_diag_bound_sdp(stieltjes_problem(g, phi), lower=lower, seeds=tuple(arrays))
+    return solve_diag_bound_sdp(tied_problem_oracle(g, phi), lower=lower, seeds=tuple(arrays))
 
 
 def fourier_norm_oracle(irreps, phi) -> float:

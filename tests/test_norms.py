@@ -1,12 +1,12 @@
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import gfourier as gf
-from gfourier.norms import stieltjes_problem
 from gfourier.sdp import DiagBoundSdp, solve_diag_bound_sdp
 from conftest import (
     random_function,
@@ -20,12 +20,15 @@ from reference import (
     brute_force_factorization_norm,
     doubled_split_oracle,
     fourier_norm_oracle,
+    gram_matrix_oracle,
+    orbit_bases_oracle,
     s3_irreps,
     schur_problem_oracle,
     stieltjes_problem_oracle,
     stieltjes_solve_oracle,
     term_cost_oracle,
     terms_sum_oracle,
+    tied_problem_oracle,
 )
 
 
@@ -73,20 +76,26 @@ class TestHermitianSqrt:
 
 
 def _schur_problem(a) -> DiagBoundSdp:
-    """The coefficient-norm declaration of a.ravel() on the pair groupoid of
-    n points, the Schur multiplier problem of a."""
-    return stieltjes_problem(gf.pair_groupoid(a.shape[0]), a.ravel())
+    """The untied declaration of the one block a, the Schur multiplier
+    problem of a."""
+    return gf.norms._declare(gf.norms._matrix_bases(len(a)), np.asarray(a, dtype=complex).ravel())
+
+
+def _untied(g, phi) -> DiagBoundSdp:
+    """The coefficient-norm declaration of phi on g: one untied Schur block
+    per orbit base."""
+    return gf.norms._declare(gf.norms._bases(g), gf.arrow_function(g, phi))
 
 
 class TestSolveDiagBoundSdp:
     def test_two_by_two_completion(self):
         # the one block [[rho, 1], [1, tau]] of pair(1): the optimum is 1
-        sol = solve_diag_bound_sdp(stieltjes_problem(gf.pair_groupoid(1), [1]))
+        sol = solve_diag_bound_sdp(_schur_problem(np.ones((1, 1))))
         assert sol.status == "optimal" and sol.iterations > 0
         assert sol.value == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_data_answers_zero(self):
-        assert solve_diag_bound_sdp(stieltjes_problem(gf.pair_groupoid(1), [0])).value == 0.0
+        assert solve_diag_bound_sdp(_schur_problem(np.zeros((1, 1)))).value == 0.0
 
     def test_cross_validated_against_factorization_search(self, g2, rng):
         for i in range(3):
@@ -164,9 +173,12 @@ class TestDualCertificate:
 
     @pytest.mark.parametrize("name", sorted(DUAL_GROUPOIDS))
     def test_stieltjes_problems(self, name, rng):
+        # the untied blocks the package solves, and the tied problem of the oracle
         g = DUAL_GROUPOIDS[name]()
         for _ in range(2):
-            self._check(stieltjes_problem(g, random_function(g, rng)))
+            phi = random_function(g, rng)
+            self._check(_untied(g, phi))
+            self._check(tied_problem_oracle(g, phi))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_schur_problems(self, n, rng):
@@ -190,10 +202,10 @@ class TestDualCertificate:
         g = DUAL_GROUPOIDS[name]()
         for _ in range(2):
             phi = random_function(g, rng)
-            problem = stieltjes_problem(g, phi)
-            _, sol = gf.norms._solve_stieltjes(g, phi)
+            problem = _untied(g, phi)
+            _, sol = gf.norms._solve(gf.norms._bases(g), phi)
             assert sol.status == "seeded" and sol.iterations == 0
-            bound, residual, low = _dual_report(problem, sol.dual)
+            bound, residual, low = _dual_report(tied_problem_oracle(g, phi), sol.dual)
             scale = problem.data_scale()
             assert low >= -1e-12 * float(np.abs(sol.dual).max())
             assert residual <= 1e-12 * scale
@@ -240,13 +252,16 @@ class TestSchurCbNorm:
         with pytest.raises(ValueError, match=r"entry \(1, 2\) is not finite"):
             gf.schur_cb_norm(a)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16])
     def test_is_the_coefficient_norm_on_the_pair_groupoid(self, n, rng):
-        # one solve behind both; a PSD matrix is a positive definite function
-        # on the pair groupoid and takes the seeded exit (n = 1: the closed form)
+        # one per-base solve behind both, on the matrix and on the pair
+        # groupoid's one orbit base; a PSD matrix is a positive definite
+        # function on the pair groupoid and takes the seeded exit (n = 1: the
+        # closed form)
         g = gf.pair_groupoid(n)
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        for a in (x, x @ x.conj().T):
+        sparse = np.where(rng.random((n, n)) < 0.3, x, 0.0)
+        for a in (x, sparse, x @ x.conj().T):
             cb, fs = gf.schur_cb_norm(a), gf.fourier_stieltjes_norm(g, a.ravel())
             assert cb.value == fs.value
             for key in ("lower", "iterations", "status", "blocks"):
@@ -255,6 +270,36 @@ class TestSchurCbNorm:
             assert np.array_equal(cb.witness["q_block"], fs.witness["tau"].reshape(n, n))
         assert cb.witness["status"] == "seeded"
         assert cb.value == pytest.approx(a.diagonal().real.max(), rel=1e-12)
+
+    def test_builds_no_groupoid(self, monkeypatch, rng):
+        # the Schur problem of one block needs no groupoid: the pair groupoid
+        # of 64 points alone holds a 134 MB composition table
+        calls = []
+
+        def spy(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(gf.FiniteGroupoid, "__init__")
+        for owner in (gf, gf.groupoid, gf.norms):
+            if hasattr(owner, "pair_groupoid"):
+                spy(owner, "pair_groupoid")
+        a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            value = gf.schur_cb_norm(a).value
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak - before <= 10e6
+        assert after - before < 1e6
+        assert value >= np.abs(a).max()
 
     def test_witness_factorization_reconstructs(self, rng):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -440,16 +485,18 @@ def _random_assignment(real, rng):
     return v
 
 
-def _assert_same_blocks(new, old, key_id, real, rng):
+def _assert_same_blocks(new, old, key_id, real, rng, units=None):
     """The array declaration and the entry-by-entry one declare the same
     problem: the same objective, and the same blocks up to their order for
-    random assignments by id (real where the variable is)."""
+    random assignments by id (real where the variable is), of the
+    entry-by-entry blocks of ``units`` when it is given."""
     assert sorted(map(key_id, old._objective)) == sorted(new.objective.tolist())
     for _ in range(3):
         v = _random_assignment(real, rng)
         stack = new.blocks_for(v)
         unmatched = [stack[b, :k, :k] for b, k in enumerate(new.sizes)]
         want = old.blocks_for({key: v[key_id(key)] for key in old._var_occ})
+        want = want if units is None else [want[u] for u in units]
         assert len(unmatched) == len(want)
         for block in want:
             hits = [i for i, m in enumerate(unmatched)
@@ -462,8 +509,10 @@ def _stieltjes_key_id(g):
     return lambda key: key[1] + (g.n_arrows if key[0] == "t" else 0)
 
 
-def _schur_key_id(n):
-    return lambda key: (key[0] == "q") * n * n + key[1] * n + key[2]
+def _schur_key_id(problem, m, b=0):
+    """The id that the untied declaration holds where the Schur oracle puts
+    its key ("p" or "q", i, j), in block b of m x m parts."""
+    return lambda key: int(problem.var[b, key[1] + m * (key[0] == "q"), key[2] + m * (key[0] == "q")])
 
 
 def _stieltjes_real_ids(g):
@@ -471,22 +520,47 @@ def _stieltjes_real_ids(g):
     return g.inverse_of[arrow] == arrow
 
 
+def _assert_bases_are_schur_problems(g, phi, rng):
+    """Block b of the untied declaration is the Schur problem of the Gram
+    block of the b-th orbit base, for random assignments by id (real on the
+    diagonal), and is zero in its padding."""
+    problem = _untied(g, phi)
+    grams = [gram_matrix_oracle(g, phi, u) for u in orbit_bases_oracle(g)]
+    assert problem.sizes.tolist() == [2 * len(a) for a in grams]
+    olds = [schur_problem_oracle(a) for a in grams]
+    key_ids = [_schur_key_id(problem, len(a), b) for b, a in enumerate(grams)]
+    # untied: every key of every block has its own variable
+    held = [key_id(key) for old, key_id in zip(olds, key_ids) for key in old._var_occ]
+    assert len(set(held)) == len(held) and min(held) >= 0
+    objective = [key_id(key) for old, key_id in zip(olds, key_ids) for key in old._objective]
+    assert sorted(objective) == sorted(problem.objective.tolist())
+    for _ in range(3):
+        v = _random_assignment(np.isin(np.arange(problem.n_vars), problem.objective), rng)
+        stack = problem.blocks_for(v)
+        for b, (old, key_id) in enumerate(zip(olds, key_ids)):
+            k = old.block_sizes[0]
+            want = old.blocks_for({key: v[key_id(key)] for key in old._var_occ})[0]
+            assert np.array_equal(stack[b, :k, :k], want)
+            assert not stack[b, k:].any() and not stack[b, :, k:].any()
+
+
 class TestArrayDeclaration:
     @pytest.mark.parametrize("gname", FIXTURE_GROUPOIDS)
-    def test_stieltjes_problem_matches_entry_builder(self, gname, request, rng):
-        """One block per orbit, equal to the entry-by-entry block of the orbit's
-        first unit; the block of every unit w is that block under the
-        simultaneous permutation x -> gamma x, for an arrow gamma from the
-        first unit u to w."""
+    def test_tied_oracle_matches_entry_builder(self, gname, request, rng):
+        """The tied declaration of the oracle: one block per orbit, equal to
+        the entry-by-entry block of the orbit's first unit; the block of every
+        unit w is that block under the simultaneous permutation x -> gamma x,
+        for an arrow gamma from the first unit u to w."""
         g = request.getfixturevalue(gname)
         phi = random_function(g, rng)
-        new, old = stieltjes_problem(g, phi), stieltjes_problem_oracle(g, phi)
+        new, old = tied_problem_oracle(g, phi), stieltjes_problem_oracle(g, phi)
         key_id = _stieltjes_key_id(g)
         assert sorted(map(key_id, old._objective)) == sorted(new.objective.tolist())
         # the orbit of w is the set of sources of the arrows into w
         first_of = [int(g.source_of[g.range_of == w].min()) for w in range(g.n_units)]
-        firsts = sorted(set(first_of))
-        assert new.sizes.size == len(firsts)
+        firsts = orbit_bases_oracle(g)
+        assert sorted(firsts) == sorted(set(first_of)) and new.sizes.size == len(firsts)
+        _assert_same_blocks(new, old, key_id, _stieltjes_real_ids(g), rng, firsts)
         for _ in range(3):
             v = _random_assignment(_stieltjes_real_ids(g), rng)
             stack = new.blocks_for(v)
@@ -501,22 +575,22 @@ class TestArrayDeclaration:
                 perm = np.concatenate([at, at + at.size])
                 assert np.array_equal(want[w][np.ix_(perm, perm)], kept[firsts.index(u)])
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_stieltjes_problem_on_pair_groupoids_is_the_schur_problem(self, n, rng):
-        # one block, whose P and Q entries (i, j) are rho and tau at the arrow id i n + j
-        g = gf.pair_groupoid(n)
-        phi = random_function(g, rng)
-        new = stieltjes_problem(g, phi)
-        assert new.sizes.tolist() == [2 * n]
-        _assert_same_blocks(new, schur_problem_oracle(phi.reshape(n, n)), _schur_key_id(n),
-                            _stieltjes_real_ids(g), rng)
+    @pytest.mark.parametrize("gname", FIXTURE_GROUPOIDS + ["s3", "z12_on_16", "pair3w", "range_weighted"])
+    def test_each_base_is_the_schur_problem(self, gname, request, rng):
+        g = {
+            "s3": s3_on_three_points,
+            "z12_on_16": z12_on_16_points,
+            "pair3w": lambda: gf.pair_groupoid(3).with_unit_weights([0.5, 2.0, 1.5]),
+            "range_weighted": range_weighted_pair3,
+        }.get(gname, lambda: request.getfixturevalue(gname))()
+        _assert_bases_are_schur_problems(g, random_function(g, rng), rng)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_schur_problem_matches_entry_builder(self, n, rng):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        position = np.arange(2 * n * n) % (n * n)
-        _assert_same_blocks(_schur_problem(a), schur_problem_oracle(a), _schur_key_id(n),
-                            position // n == position % n, rng)
+        problem = _schur_problem(a)
+        real = np.isin(np.arange(problem.n_vars), problem.objective)
+        _assert_same_blocks(problem, schur_problem_oracle(a), _schur_key_id(problem, n), real, rng)
 
 
 SPLIT_GROUPOIDS = {
@@ -707,7 +781,7 @@ class TestFourierNormBounds:
             lower, upper = gf.fourier_norm_bounds(g, phi)
             assert lower.value <= exact <= upper.value
             assert lower.value == pytest.approx(exact, rel=1e-7)
-            bound, residual, low = _dual_report(stieltjes_problem(g, phi), lower.witness["dual"])
+            bound, residual, low = _dual_report(tied_problem_oracle(g, phi), lower.witness["dual"])
             assert bound == pytest.approx(lower.value, rel=1e-12)
             assert residual <= 1e-12 and low >= -1e-12
 
@@ -836,7 +910,7 @@ class TestGroupOrbits:
         assert _min_eig_on_every_unit(g, phi, cert) >= -1e-12 * scale
         assert max(cert.witness["rho"][g.unit_arrows].real.max(),
                    cert.witness["tau"][g.unit_arrows].real.max()) <= cert.value
-        bound, residual, low = _dual_report(stieltjes_problem(g, phi), lower.witness["dual"])
+        bound, residual, low = _dual_report(tied_problem_oracle(g, phi), lower.witness["dual"])
         assert low >= -1e-12 and residual <= 1e-12 * scale
         assert lower.value <= bound == pytest.approx(cert.value, rel=1e-12)
         terms = np.array(upper.witness["terms"])
@@ -894,7 +968,7 @@ class TestGroupOrbits:
         phi = random_function(g, rng)
         lower, _ = gf.fourier_norm_bounds(g, phi)
         z = lower.witness["dual"].copy()
-        problem = stieltjes_problem(g, phi)
+        problem = tied_problem_oracle(g, phi)
         assert _dual_report(problem, z)[2] >= -1e-12
         z[:, :5, 5:] *= 1.01
         z[:, 5:, :5] *= 1.01
@@ -943,8 +1017,13 @@ class TestPolarSeed:
                     assert w["iterations"] == 0 and cert.value <= want.value * (1 + 1e-7)
                     continue
                 generic += 1
-                got = cert.value, w["lower"], w["iterations"], w["status"]
-                assert got == (want.value, want.lower, want.iterations, want.status)
+                # the same Newton steps on the untied blocks as on the tied
+                # problem; with isotropy their sums run in another order, and
+                # the final dual iterate is made feasible for more constraints
+                # (the lower bounds differed by 1.1e-12 relative at most)
+                assert (w["iterations"], w["status"]) == (want.iterations, want.status)
+                assert cert.value == pytest.approx(want.value, rel=1e-12)
+                assert w["lower"] == pytest.approx(want.lower, rel=1e-10)
         # every orbit of a group bundle is one unit, where the seed is the closed form
         assert (generic == 0) == (name in GROUP_FIXTURES)
 
@@ -999,7 +1078,7 @@ class TestScaledCompletion:
         fallbacks = []
         for seed in range(5):
             for kind, phi in _scaled_inputs(g, seed).items():
-                cert, solution = gf.norms._solve_stieltjes(g, phi)
+                cert, solution = gf.norms._solve(gf.norms._bases(g), phi)
                 w, want = cert.witness, stieltjes_solve_oracle(g, phi)
                 assert cert.value == pytest.approx(want.value, rel=1e-7), (seed, kind)
                 assert w["lower"] == pytest.approx(want.lower, rel=1e-7), (seed, kind)
@@ -1013,7 +1092,7 @@ class TestScaledCompletion:
                 if solution.dual is None:  # the sup norm is the bound, or phi is 0
                     assert w["lower"] == scale
                     continue
-                problem = stieltjes_problem(g, phi)
+                problem = tied_problem_oracle(g, phi)
                 z = solution.dual
                 bound, residual, low = _dual_report(problem, z)
                 assert residual <= 1e-12 and low >= -1e-12 * float(np.abs(z).max()), (seed, kind)
@@ -1129,68 +1208,40 @@ def _results(g, phi):
     return flat((gf.fourier_stieltjes_norm(g, phi), gf.fourier_norm_bounds(g, phi)))
 
 
-class TestCoefficientLayout:
-    """The layout of the coefficient-norm problem is built once per groupoid
-    object and shared, read-only, by every solve on it."""
+class TestUntiedDeclaration:
+    """The coefficient-norm problem is declared afresh on every solve, from
+    the groupoid's indexes and read-only arrays shared by block sizes."""
 
     def test_interleaved_solves_match_a_fresh_groupoid(self, bundle23, weighted_bundle, rng):
         for _ in range(4):
             for g in (bundle23, weighted_bundle):
                 phi = random_function(g, rng)
                 fresh = dataclasses.replace(g)
-                problem = stieltjes_problem(g, phi)
-                assert problem.var is g.coefficient_layout.var
-                assert problem.var is not fresh.coefficient_layout.var
-                _assert_same_blocks(problem, stieltjes_problem_oracle(g, phi), _stieltjes_key_id(g),
-                                    _stieltjes_real_ids(g), rng)
+                _assert_bases_are_schur_problems(g, phi, rng)
                 assert _results(g, phi) == _results(fresh, phi)
 
     def test_new_weights_build_a_new_layout(self, bundle23, rng):
         # the weights enter the closed-form term, so a reweighted copy of a
-        # groupoid solved before must not read its layout
+        # groupoid solved before must give what a fresh build gives
         phi = random_function(bundle23, rng)
         gf.fourier_norm_bounds(bundle23, phi)
         want = gf.group_bundle([gf.cyclic_table(2), gf.cyclic_table(3)], unit_weights=[2.0, 0.5])
         for g in (bundle23.with_unit_weights([2.0, 0.5]),
                   dataclasses.replace(bundle23, weights=want.weights)):
-            assert g.coefficient_layout is not bundle23.coefficient_layout
             assert _results(g, phi) == _results(want, phi)
             assert _results(g, phi) != _results(bundle23, phi)
 
     def test_cached_arrays_are_read_only(self, g3, rng):
         phi = random_function(g3, rng)
         before = _results(g3, phi)
-        problem = stieltjes_problem(g3, phi)
+        problem = _untied(g3, phi)
         for name in ("var", "conj", "sizes", "objective"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(problem, name)[...] = 0
-        layout = g3.coefficient_layout
-        arrays = [x for x in (*vars(layout).values(), *(x for c in layout.classes for x in c))
-                  if isinstance(x, np.ndarray)]
-        assert arrays and not any(x.flags.writeable for x in arrays)
+        shared = gf.norms._bases(g3).layout
+        assert shared.var is problem.var
+        assert not any(x.flags.writeable for x in (*shared[:5], *(c[2] for c in shared.classes)))
         assert _results(g3, phi) == before
-
-    def test_built_once_per_groupoid(self, monkeypatch, rng):
-        calls = {}
-
-        def counted(fn):
-            def wrapper(*args):
-                calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
-                return fn(*args)
-            return wrapper
-
-        for name in ("_arrow_variables", "pair_groupoid"):
-            monkeypatch.setattr(gf.norms, name, counted(getattr(gf.norms, name)))
-        g = gf.transformation_groupoid(gf.cyclic_table(2), [[0, 1, 2], [1, 0, 2]])
-        for _ in range(2):
-            gf.fourier_stieltjes_norm(g, random_function(g, rng))
-        gf.fourier_norm_bounds(g, random_function(g, rng))
-        assert calls == {"_arrow_variables": 1}
-        gf.norms._pair_groupoid.cache_clear()
-        for _ in range(2):
-            gf.schur_cb_norm(rng.standard_normal((4, 4)))
-        assert calls["pair_groupoid"] == 1
-        assert calls["_arrow_variables"] == 2
 
     @pytest.mark.parametrize("gname", [*FIXTURE_GROUPOIDS, "s3", "z12_on_16", "pair2xz3", "pair1",
                                        "weighted_pair3"])
@@ -1205,7 +1256,7 @@ class TestCoefficientLayout:
             "pair1": lambda: gf.pair_groupoid(1),
             "weighted_pair3": lambda: gf.pair_groupoid(3).with_unit_weights([1.0, 4.0, 0.5]),
         }.get(gname, lambda: request.getfixturevalue(gname))()
-        problem = stieltjes_problem(g, random_function(g, rng))
+        problem = _untied(g, random_function(g, rng))
         assert problem.sizes.size and problem.objective.size
         for b, k in enumerate(problem.sizes):
             assert np.isin(problem.var[b, range(k), range(k)], problem.objective).all()

@@ -167,7 +167,7 @@ class TestOrbitIndex:
         assert bundle.dims == gns_bundle_oracle(g, phi)[0].dims
         assert _close(gf.coefficient(g, bundle, xi, xi), phi, 1e-10)
         # the coefficient-norm problem keeps a block per unit, to the same value
-        assert gf.norms.stieltjes_problem(g, phi).data.shape[0] == 3
+        assert gf.norms._declare(gf.norms._bases(g), phi).data.shape[0] == 3
         assert gf.fourier_stieltjes_norm(g, phi).value == pytest.approx(
             gf.fourier_stieltjes_norm(gf.pair_groupoid(3), phi).value, rel=1e-9)
 
@@ -383,7 +383,9 @@ class TestKernelsAgainstLoops:
         rng = _rng(g)
         phi = random_pd(g, rng) if pd else random_function(g, rng)
         sup = float(np.abs(phi).max())
-        seed = gf.norms._scaled_completion(g, phi, gf.norms.stieltjes_problem(g, phi), sup).seed
+        bases = gf.norms._bases(g)
+        scaled = gf.norms._scaled_completion(bases, gf.norms._declare(bases, phi), sup)
+        seed = gf.norms._average(bases, scaled.completion).ravel()
         want, sigma = polar_seed_oracle(g, phi)
         # the oracle's ("r", c) and ("t", c) are the variable ids c and c + n_arrows
         key_id = {key: key[1] + (g.n_arrows if key[0] == "t" else 0) for key in want}
