@@ -29,9 +29,8 @@ bounds and the decomposition costs carry a rounding of a few ulps per fiber
 element, so the lower bound is rounded down, and the upper bound up, by
 8 eps times the largest fiber size, or as many ulps where that is more.  A
 phi below the normal range or above 2**1000 is solved brought into [1/2, 1)
-by a power of two, and its values
-are scaled back and rounded outwards by the same margin, or raise
-ValueError when they overflow.
+by a power of two, and its values are scaled back and rounded outwards by
+the same margin, or raise ValueError when they overflow.
 """
 
 from __future__ import annotations
@@ -70,9 +69,8 @@ class NormCertificate:
     kind 'optimal' carries a feasible completion (rho, tau) or (p, q) and the
     solver's certified lower bound, scaling steps, Newton steps, status and
     number of SDP blocks; 'upper' carries a list of coefficient
-    factorization terms;
-    'lower' carries the arrow that attains the sup bound and the dual blocks
-    that certify the SDP bound.
+    factorization terms; 'lower' carries the arrow that attains the sup
+    bound and the dual blocks that certify the SDP bound.
     """
 
     value: float
@@ -98,7 +96,7 @@ class _Layout(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _layout(shapes: tuple[tuple[int, int], ...]) -> _Layout:
+def _kept_layout(shapes: tuple[tuple[int, int], ...]) -> _Layout:
     m = np.repeat(*np.array(shapes)[:, ::-1].T)
     s = 2 * int(m.max())
     places, classes, start = [], [], 0
@@ -119,6 +117,14 @@ def _layout(shapes: tuple[tuple[int, int], ...]) -> _Layout:
     for x in (*layout[:5], *(c[2] for c in classes)):
         x.flags.writeable = False
     return layout
+
+
+def _layout(shapes: tuple[tuple[int, int], ...]) -> _Layout:
+    """The layout of stacks of k bases of m units, (k, m) in ``shapes``, kept
+    where its blocks hold at most 2**14 positions (a 64 x 64 Schur block), of
+    about 17 bytes each: the 32 kept hold at most about 9 MB."""
+    small = sum(k for k, _ in shapes) * (2 * max(m for _, m in shapes)) ** 2 <= 2 ** 14
+    return _kept_layout(shapes) if small else _kept_layout.__wrapped__(shapes)
 
 
 class _Bases(NamedTuple):
@@ -168,7 +174,7 @@ def _average(bases: _Bases, values: np.ndarray) -> np.ndarray:
     index = np.concatenate([bases.at, bases.at + n])
     values = values.ravel()
     sums = np.bincount(index, values.real, 2 * n) + 1j * np.bincount(index, values.imag, 2 * n)
-    mean = (sums / np.bincount(index, minlength=2 * n)).reshape(2, n)
+    mean = sums.reshape(2, n) / np.bincount(bases.at, minlength=n)
     return (mean + mean[:, bases.inverse].conj()) / 2
 
 
@@ -490,11 +496,9 @@ def schur_cb_norm(a) -> NormCertificate:
         raise ValueError(f"entry ({i}, {j}) is not finite: {a[i, j]}")
     n = a.shape[0]
     if n == 0:
-        empty = {key: np.zeros((0, 0), dtype=complex)
-                 for key in ("p_block", "q_block", "left", "right")}
-        return NormCertificate(0.0, "optimal",
-                               {**empty, "lower": 0.0, "iterations": 0, "scaling_steps": 0,
-                                "status": "seeded", "blocks": 0})
+        empty = {key: np.zeros((0, 0), dtype=complex) for key in ("p_block", "q_block", "left", "right")}
+        witness = {**empty, "lower": 0.0, "iterations": 0, "scaling_steps": 0, "status": "seeded", "blocks": 0}
+        return NormCertificate(0.0, "optimal", witness)
     cert = _stieltjes_certificate(_matrix_bases(n), a.ravel())
     telemetry = dict(cert.witness)
     pm, qm = telemetry.pop("rho").reshape(n, n), telemetry.pop("tau").reshape(n, n)
@@ -657,7 +661,7 @@ def _lowered_bounds(g: FiniteGroupoid, phi: np.ndarray, lift: int) -> tuple[Norm
     term's two sections scaled back by half the lift, which stays exact, and
     the dual blocks as they are, since they are scale-free."""
     lower, upper = fourier_norm_bounds(g, _ldexp(phi, lift))
-    fiber, sup = _bases(g).layout.fiber, float(np.abs(phi).max())
+    fiber, sup = max(c.arrows.shape[1] for c in g.fiber_classes), float(np.abs(phi).max())
     half = lift // 2
     terms = tuple((_ldexp(f, -half), _ldexp(h, half - lift)) for f, h in upper.witness["terms"])
     witness = {**lower.witness, "stieltjes": _lowered(lower.witness["stieltjes"], lift, sup, fiber)}

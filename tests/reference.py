@@ -894,15 +894,11 @@ def orbit_bases_oracle(g) -> list[int]:
     return sorted(units, key=lambda u: (first[size[u]], u))
 
 
-def tied_problem_oracle(g, phi) -> DiagBoundSdp:
-    """The completion problem whose blocks share rho and tau, as the package
-    declared it before its untied Schur blocks: the blocks of
-    ``stieltjes_problem_oracle`` at the orbit bases, in the order of
-    ``orbit_bases_oracle``, padded to the largest, with ("r", c) at the
-    variable id c and ("t", c) at c + n_arrows.  A position declared once
-    holds its variable, and its mirror the conjugate; a self-inverse arrow,
-    declared at both, holds it the same way at both, which makes it real."""
-    entry = stieltjes_problem_oracle(g, phi, orbit_bases_oracle(g))
+def _padded_oracle(entry: EntrySdp, key_id) -> DiagBoundSdp:
+    """``entry`` as one padded stack, the variable of each key at the id
+    ``key_id(key)``.  A position declared once holds its variable, and its
+    mirror the conjugate; a variable declared the same way at both holds it
+    the same way at both, which makes it real."""
     sizes = np.array(entry.block_sizes)
     s = int(sizes.max())
     data = np.zeros((sizes.size, s, s), dtype=complex)
@@ -910,14 +906,55 @@ def tied_problem_oracle(g, phi) -> DiagBoundSdp:
     conj = np.zeros(data.shape, dtype=bool)
     for b, i, j, v in entry._fixed:
         data[b, i, j], data[b, j, i] = v, np.conj(v)
-    key_id = {key: key[1] + (g.n_arrows if key[0] == "t" else 0) for key in entry._var_occ}
-    occurrences = [(key_id[key], b, i, j, cj) for key, occs in entry._var_occ.items() for b, i, j, cj in occs]
+    occurrences = [(key_id(key), b, i, j, cj) for key, occs in entry._var_occ.items() for b, i, j, cj in occs]
     for k, b, i, j, cj in occurrences:  # the mirrors first, so that a declared position wins
         var[b, j, i], conj[b, j, i] = k, not cj if i != j else cj
     for k, b, i, j, cj in occurrences:
         var[b, i, j], conj[b, i, j] = k, cj
-    objective = np.array(sorted(key_id[key] for key in entry._objective))
+    objective = np.array(sorted(key_id(key) for key in entry._objective))
     return DiagBoundSdp(data, var, conj, sizes, objective)
+
+
+def tied_problem_oracle(g, phi) -> DiagBoundSdp:
+    """The completion problem whose blocks share rho and tau, as the package
+    declared it before its untied Schur blocks: the blocks of
+    ``stieltjes_problem_oracle`` at the orbit bases, in the order of
+    ``orbit_bases_oracle``, padded to the largest, with ("r", c) at the
+    variable id c and ("t", c) at c + n_arrows; a self-inverse arrow,
+    declared at both orientations, is real."""
+    entry = stieltjes_problem_oracle(g, phi, orbit_bases_oracle(g))
+    return _padded_oracle(entry, lambda key: key[1] + (g.n_arrows if key[0] == "t" else 0))
+
+
+def _base_ids_oracle(g) -> list[np.ndarray]:
+    """The Gram ids inverse(x) y over the range fiber of each orbit base."""
+    fibers = [np.flatnonzero(g.range_of == u) for u in orbit_bases_oracle(g)]
+    return [g.compose_table[np.ix_(g.inverse_of[f], f)] for f in fibers]
+
+
+def untied_problem_oracle(g, phi) -> DiagBoundSdp:
+    """The completion problem with one untied block per orbit base: the
+    block of ``schur_problem_oracle`` of each base's Gram block, in the
+    order of ``orbit_bases_oracle``, padded to the largest.  With every
+    base's m x m positions numbered in turn, ("p", i, j) of a base is at
+    the id of its position (i, j), and ("q", i, j) there plus the number of
+    positions of every base."""
+    phi = arrow_function(g, phi)
+    ids = _base_ids_oracle(g)
+    starts = np.cumsum([0] + [x.size for x in ids])
+    entry = EntrySdp()
+    for b, x in enumerate(ids):
+        part = schur_problem_oracle(phi[x])
+        entry.add_block(part.block_sizes[0])
+        entry._fixed += [(b, i, j, v) for _, i, j, v in part._fixed]
+        for key, occs in part._var_occ.items():
+            entry._var_occ[(b, *key)] = [(b, i, j, cj) for _, i, j, cj in occs]
+        entry._objective += [(b, *key) for key in part._objective]
+
+    def key_id(key):
+        b, name, i, j = key
+        return int(starts[b] + i * len(ids[b]) + j + (starts[-1] if name == "q" else 0))
+    return _padded_oracle(entry, key_id)
 
 
 def schur_problem_oracle(a) -> EntrySdp:
@@ -1067,6 +1104,23 @@ def closed_form_oracle(g, phi):
     return value, size
 
 
+def _solve_inputs_oracle(g, phi, closed_form):
+    """The seeds of ``stieltjes_seeds_oracle`` as (2, n_arrows) arrays of
+    rho and tau, conjugation symmetric, and the lower bound of
+    ``stieltjes_solve_oracle``."""
+    seeds, lower = stieltjes_seeds_oracle(g, phi)
+    if closed_form:
+        value, size = closed_form_oracle(g, phi)
+        lower = max(lower, value * (1 - 8 * float(np.finfo(float).eps) * size))
+    arrays = []
+    for seed in seeds:
+        values = np.zeros((2, g.n_arrows), dtype=complex)
+        for (name, c), v in seed.items():
+            values[int(name == "t"), [g.inverse_of[c], c]] = np.conj(v), v
+        arrays.append(values)
+    return arrays, lower
+
+
 def stieltjes_solve_oracle(g, phi, closed_form=False):
     """The completion SDP of ``tied_problem_oracle`` solved from the sup-norm
     bound and the candidate witnesses of ``stieltjes_seeds_oracle`` alone, as
@@ -1079,17 +1133,19 @@ def stieltjes_solve_oracle(g, phi, closed_form=False):
     groupoid with an orbit of more than one unit (the closed form's own
     completion, then its third seed, verifies only when every orbit is one
     unit)."""
-    seeds, lower = stieltjes_seeds_oracle(g, phi)
-    if closed_form:
-        value, size = closed_form_oracle(g, phi)
-        lower = max(lower, value * (1 - 8 * float(np.finfo(float).eps) * size))
-    arrays = []
-    for seed in seeds:
-        values = np.zeros(2 * g.n_arrows, dtype=complex)
-        for (name, c), v in seed.items():
-            values[c + (g.n_arrows if name == "t" else 0)] = v
-        arrays.append(values)
-    return solve_diag_bound_sdp(tied_problem_oracle(g, phi), lower=lower, seeds=tuple(arrays))
+    seeds, lower = _solve_inputs_oracle(g, phi, closed_form)
+    return solve_diag_bound_sdp(tied_problem_oracle(g, phi), lower=lower,
+                                seeds=tuple(x.ravel() for x in seeds))
+
+
+def untied_solve_oracle(g, phi, closed_form=False):
+    """The solve of ``stieltjes_solve_oracle``, from the same bound and
+    seeds, on ``untied_problem_oracle``: each seed is read at the Gram ids
+    of every base position."""
+    seeds, lower = _solve_inputs_oracle(g, phi, closed_form)
+    at = np.concatenate([x.ravel() for x in _base_ids_oracle(g)])
+    return solve_diag_bound_sdp(untied_problem_oracle(g, phi), lower=lower,
+                                seeds=tuple(x[:, at].ravel() for x in seeds))
 
 
 def fourier_norm_oracle(irreps, phi) -> float:

@@ -29,6 +29,8 @@ from reference import (
     term_cost_oracle,
     terms_sum_oracle,
     tied_problem_oracle,
+    untied_problem_oracle,
+    untied_solve_oracle,
 )
 
 
@@ -271,9 +273,11 @@ class TestSchurCbNorm:
         assert cb.witness["status"] == "seeded"
         assert cb.value == pytest.approx(a.diagonal().real.max(), rel=1e-12)
 
-    def test_builds_no_groupoid(self, monkeypatch, rng):
+    @pytest.mark.parametrize("n, peak", [(64, 10e6), (128, 20e6)])
+    def test_builds_no_groupoid(self, n, peak, monkeypatch, rng):
         # the Schur problem of one block needs no groupoid: the pair groupoid
-        # of 64 points alone holds a 134 MB composition table
+        # of 64 points alone holds a 134 MB composition table; the layout of
+        # 128 points is not kept either
         calls = []
 
         def spy(owner, name):
@@ -288,16 +292,16 @@ class TestSchurCbNorm:
         for owner in (gf, gf.groupoid, gf.norms):
             if hasattr(owner, "pair_groupoid"):
                 spy(owner, "pair_groupoid")
-        a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             value = gf.schur_cb_norm(a).value
-            after, peak = tracemalloc.get_traced_memory()
+            after, traced = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert calls == []
-        assert peak - before <= 10e6
+        assert traced - before <= peak
         assert after - before < 1e6
         assert value >= np.abs(a).max()
 
@@ -583,7 +587,10 @@ class TestArrayDeclaration:
             "pair3w": lambda: gf.pair_groupoid(3).with_unit_weights([0.5, 2.0, 1.5]),
             "range_weighted": range_weighted_pair3,
         }.get(gname, lambda: request.getfixturevalue(gname))()
-        _assert_bases_are_schur_problems(g, random_function(g, rng), rng)
+        phi = random_function(g, rng)
+        _assert_bases_are_schur_problems(g, phi, rng)
+        # the oracle's untied problem, built entry by entry, is the same declaration
+        assert _same_problem(_untied(g, phi), untied_problem_oracle(g, phi))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_schur_problem_matches_entry_builder(self, n, rng):
@@ -976,6 +983,13 @@ class TestGroupOrbits:
 
 
 GROUP_FIXTURES = ["z2", "z3", "bundle23", "weighted_bundle"]
+
+
+def _same_problem(a: DiagBoundSdp, b: DiagBoundSdp) -> bool:
+    """Whether two declarations are one problem with its variables numbered
+    alike (the order of the objective ids aside)."""
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("data", "var", "conj", "sizes")) \
+        and np.array_equal(np.sort(a.objective), np.sort(b.objective))
 MORE_GROUPOIDS = {
     "z12-on-16": z12_on_16_points,
     "pair2xz3": lambda: gf.product_with_pair_groupoid(gf.group_groupoid(gf.cyclic_table(3))),
@@ -1017,10 +1031,20 @@ class TestPolarSeed:
                     assert w["iterations"] == 0 and cert.value <= want.value * (1 + 1e-7)
                     continue
                 generic += 1
-                # the same Newton steps on the untied blocks as on the tied
-                # problem; with isotropy their sums run in another order, and
-                # the final dual iterate is made feasible for more constraints
-                # (the lower bounds differed by 1.1e-12 relative at most)
+                # the Newton steps of the oracle's untied problem, from the
+                # same bound and seeds
+                got = cert.value, w["lower"], w["iterations"], w["status"]
+                untied = untied_solve_oracle(g, f, closed_form=True)
+                assert got == (untied.value, untied.lower, untied.iterations, untied.status)
+                # on the pair groupoids, whose arrow ids are the base's
+                # positions, the tied problem is the untied one
+                same = _same_problem(tied_problem_oracle(g, f), untied_problem_oracle(g, f))
+                assert same == (name in ("g2", "g3", "g4"))
+                if same:
+                    assert got == (want.value, want.lower, want.iterations, want.status)
+                    continue
+                # elsewhere the tied problem has fewer variables, or numbers
+                # them in another order, so its sums run in another order
                 assert (w["iterations"], w["status"]) == (want.iterations, want.status)
                 assert cert.value == pytest.approx(want.value, rel=1e-12)
                 assert w["lower"] == pytest.approx(want.lower, rel=1e-10)
@@ -1242,6 +1266,13 @@ class TestUntiedDeclaration:
         assert shared.var is problem.var
         assert not any(x.flags.writeable for x in (*shared[:5], *(c[2] for c in shared.classes)))
         assert _results(g3, phi) == before
+
+    def test_only_small_layouts_are_kept(self):
+        # 2 x 64 points fill 2**14 positions, the most a kept layout holds
+        small, large = ((1, 64),), ((1, 65),)
+        assert gf.norms._layout(small) is gf.norms._layout(small)
+        assert gf.norms._layout(large) is not gf.norms._layout(large)
+        assert gf.norms._layout(large).var.size == 130 ** 2
 
     @pytest.mark.parametrize("gname", [*FIXTURE_GROUPOIDS, "s3", "z12_on_16", "pair2xz3", "pair1",
                                        "weighted_pair3"])
