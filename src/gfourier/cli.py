@@ -339,7 +339,8 @@ def make_parser() -> argparse.ArgumentParser:
     n.add_argument("--which", choices=("stieltjes", "cb", "decomp", "reduced", "i"),
                    default="stieltjes")
     n.add_argument("--stats", action="store_true",
-                   help="print the SDP's Newton steps, status, bracket, block count and "
+                   help="print the SDP's scaling steps, Newton steps of the stall-closing step, "
+                        "status (seeded, scaled, active-set or open), bracket, block count and "
                         "the CPU and wall seconds to stderr")
     common(n)
 

@@ -9,17 +9,16 @@ optimal completion stays optimal and becomes the Gram block of functions rho
 and tau, the witness.  ``schur_cb_norm`` is the same solve on one block.
 
 The block of an orbit base is the Schur multiplier problem of its Gram
-block Phi, whose value is the largest ||D_alpha Phi D_beta||_tr over unit
-vectors alpha, beta >= 0 (Haagerup; Linial and Shraibman).
-``_scaled_completion`` iterates the fixed point of that maximum, one stacked
-SVD per block size per evaluation, extrapolated by SQUAREM, and every
-evaluation certifies both sides: a dual block from the SVD below, and the
-scaled polar completion above.  The first evaluation, at uniform weights,
-is the balanced polar completion; it closes with no further step on groups
-and group bundles (Eymard's norm), on positive definite phi and on rank-one
-blocks.  The averaged completion goes to the solver's seeded exit, which
-re-verifies it; the interior-point method runs on the untied blocks only
-where the scaling stalls, from its lower bound.  The upper bound of
+block Phi, the largest f(a, b) = ||D_a^1/2 Phi D_b^1/2||_tr over weights
+a, b on two unit simplices (Haagerup; Linial and Shraibman), a concave
+function.  ``_complete`` iterates its fixed point, one stacked SVD per block
+size per evaluation, extrapolated by SQUAREM, each evaluation certifying a
+dual block below and a scaled polar completion above; the first, at uniform
+weights, closes on groups and group bundles (Eymard's norm), on positive
+definite phi and on rank-one blocks.  Where the scaling stalls, at an
+optimum on the boundary, ``_close`` finishes the block on its active face by
+Newton steps.  The averaged completion goes to the seeded re-check of
+``gfourier.sdp``.  The upper bound of
 ``fourier_norm_bounds`` is one term per orbit base from the witness's
 completion block [[rho, Phi], [Phi^H, tau]], A = Phi (tau^1/2)^+ and
 B = tau^1/2, read onto every unit by ``OrbitClass.spread``: Phi = A B^H,
@@ -38,7 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import islice
 from typing import NamedTuple
 
@@ -47,7 +46,7 @@ import numpy as np
 from .algebra import arrow_function
 from .groupoid import FiniteGroupoid
 from .positivity import _stacks
-from .sdp import _REL_GAP, DiagBoundSdp, SdpSolution, _herm, solve_diag_bound_sdp
+from .sdp import _REL_GAP, SdpSolution, _blocks, _herm, solve_diag_bound_sdp
 
 # the rounding margin of the scaling's lower bounds and of decomposition
 # costs, in eps (or ulps, below the normal range) per fiber element
@@ -60,6 +59,9 @@ _STALL = 80
 # extrapolated weights finite
 _STEP = 1e4
 _TINY = np.finfo(float).tiny
+# a weight of the stall-closing step below this fraction of the largest on
+# its side is 0: the face it spans is the active set
+_ACTIVE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,90 +80,33 @@ class NormCertificate:
     witness: dict
 
 
-class _Layout(NamedTuple):
-    """The coefficient-norm problem's parts that depend only on the shapes
-    (k, m) of its stacks of bases, read-only: the ``var``, ``conj``, ``sizes``
-    and ``objective`` of the untied blocks, padded to the largest m
-    (``fiber``), whose P and Q variables are numbered in the order of
-    ``_Bases.at``, P's first; the flat indices of P, Q, Phi and Phi^H in that
-    order (``places``); and per stack m, its block slice and numbers."""
-
-    var: np.ndarray
-    conj: np.ndarray
-    sizes: np.ndarray
-    objective: np.ndarray
-    places: np.ndarray
-    classes: tuple
-    fiber: int
-
-
-@lru_cache(maxsize=32)
-def _kept_layout(shapes: tuple[tuple[int, int], ...]) -> _Layout:
-    m = np.repeat(*np.array(shapes)[:, ::-1].T)
-    s = 2 * int(m.max())
-    places, classes, start = [], [], 0
-    for k, size in shapes:
-        b, p, q = np.ogrid[start:start + k, :size, :size]
-        top, low = (b * s + p) * s, (b * s + p + size) * s
-        places.append(np.stack(np.broadcast_arrays(top + q, low + q + size, top + q + size,
-                                                   (b * s + q + size) * s + p)).reshape(4, -1))
-        classes.append((size, slice(start, start + k), np.arange(start, start + k)))
-        start += k
-    places = np.concatenate(places, axis=1)
-    var = np.full(m.size * s * s, -1)
-    var[places[:2]] = np.arange(places[:2].size).reshape(2, -1)
-    i, j = np.arange(s)[:, None], np.arange(s)
-    var = np.where(i <= j, var.reshape(-1, s, s), var.reshape(-1, s, s).swapaxes(1, 2))
-    diagonal = var.diagonal(0, 1, 2)
-    layout = _Layout(var, (var >= 0) & (i > j), 2 * m, diagonal[diagonal >= 0], places, tuple(classes), s // 2)
-    for x in (*layout[:5], *(c[2] for c in classes)):
-        x.flags.writeable = False
-    return layout
-
-
-def _layout(shapes: tuple[tuple[int, int], ...]) -> _Layout:
-    """The layout of stacks of k bases of m units, (k, m) in ``shapes``, kept
-    where its blocks hold at most 2**14 positions (a 64 x 64 Schur block), of
-    about 17 bytes each: the 32 kept hold at most about 9 MB."""
-    small = sum(k for k, _ in shapes) * (2 * max(m for _, m in shapes)) ** 2 <= 2 ** 14
-    return _kept_layout(shapes) if small else _kept_layout.__wrapped__(shapes)
-
-
 class _Bases(NamedTuple):
     """The orbit bases of a coefficient-norm problem: their (k, m, m) stacks
-    of Gram ids, one per fiber class, raveled into one array (``at``) in
-    which every id occurs; the id of the inverse of every id (``inverse``),
-    the ids on the diagonals (``units``) and the ``layout`` of the stacks.
-    The blocks of the problem are the bases in this order."""
+    of Gram ids, one per fiber class (``grams``), raveled into one array
+    (``at``) in which every id occurs; the id of the inverse of every id
+    (``inverse``), the ids on the diagonals (``units``) and the largest m
+    (``fiber``).  The blocks of the problem are the bases in this order."""
 
     at: np.ndarray
     inverse: np.ndarray
     units: np.ndarray
-    layout: _Layout
+    grams: tuple
+    fiber: int
 
 
 def _bases(g: FiniteGroupoid) -> _Bases:
     """The orbit bases of g, class by class (``fiber_classes``,
     ``orbit_index``)."""
-    ids = [c.gram[o.rows] for c, o in zip(g.fiber_classes, g.orbit_index)]
-    return _Bases(np.concatenate([x.ravel() for x in ids]), g.inverse_of, g.unit_arrows,
-                  _layout(tuple(x.shape[:2] for x in ids)))
+    ids = tuple(c.gram[o.rows] for c, o in zip(g.fiber_classes, g.orbit_index))
+    return _Bases(np.concatenate([x.ravel() for x in ids]), g.inverse_of, g.unit_arrows, ids,
+                  max(x.shape[1] for x in ids))
 
 
 def _matrix_bases(n: int) -> _Bases:
     """One n x n block whose position (i, j) has id i n + j and inverse
     j n + i: the one orbit base of the pair groupoid of n points."""
     ids = np.arange(n * n).reshape(n, n)
-    return _Bases(ids.ravel(), ids.T.ravel(), np.arange(n) * (n + 1), _layout(((1, n),)))
-
-
-def _declare(bases: _Bases, phi: np.ndarray) -> DiagBoundSdp:
-    """The coefficient-norm problem of phi: one untied block
-    [[P, Phi_b], [Phi_b^H, Q]] per base, Phi_b = phi[ids]."""
-    var, conj, sizes, objective, places = bases.layout[:5]
-    data, values = np.zeros(var.size, dtype=complex), phi[bases.at]
-    data[places[2]], data[places[3]] = values, values.conj()
-    return DiagBoundSdp(data.reshape(var.shape), var, conj, sizes, objective)
+    return _Bases(ids.ravel(), ids.T.ravel(), np.arange(n) * (n + 1), (ids[None],), n)
 
 
 def _average(bases: _Bases, values: np.ndarray) -> np.ndarray:
@@ -212,25 +157,28 @@ class _Point(NamedTuple):
         parts = self.ratio if self.x is None else self.ratio * self.x
         return parts / np.maximum(self.trace, _TINY)[:, None, None]
 
-    def completion(self) -> np.ndarray:
-        """(c P', Q' / c) as a (blocks, 2, m, m) stack, of cost ``upper``:
-        c^2 = max Q'_jj / max P'_ii (1 on a block of zeros) evens its sides.
-        [[c P', Phi], [Phi^H, Q' / c]] is congruent, by D_alpha^-1 and
-        D_beta^-1, to [c^1/2 U; V / c^1/2] S [c^1/2 U; V / c^1/2]^H, so PSD.
-        The rows and columns of a weight 0 are 0."""
-        high = np.maximum(self.high, _TINY)
+    def completion(self, rows=slice(None)) -> np.ndarray:
+        """(c P', Q' / c) of the blocks ``rows`` as a (blocks, 2, m, m)
+        stack, of cost ``upper``: c^2 = max Q'_jj / max P'_ii (1 on a block
+        of zeros) evens its sides.  [[c P', Phi], [Phi^H, Q' / c]] is
+        congruent, by D_alpha^-1 and D_beta^-1, to
+        [c^1/2 U; V / c^1/2] S [c^1/2 U; V / c^1/2]^H, so PSD.  The rows and
+        columns of a weight 0 are 0."""
+        high = np.maximum(self.high[rows], _TINY)
         c = np.sqrt(high[:, ::-1] / high)[:, :, None, None]
         if self.polar is not None:
-            return self.polar * c
-        factors = _pair(self.u, _herm(self.vh)) * np.sqrt(1 / np.where(self.x > 0, self.x, np.inf))[..., None]
-        return (factors * self.s[:, None, None, :]) @ _herm(factors) * c
+            return self.polar[rows] * c
+        x = self.x[rows]
+        factors = _pair(self.u[rows], _herm(self.vh[rows])) * np.sqrt(1 / np.where(x > 0, x, np.inf))[..., None]
+        return (factors * self.s[rows][:, None, None, :]) @ _herm(factors) * c
 
 
 def _evaluate(gram: np.ndarray, x: np.ndarray | None = None) -> _Point:
     """The scaling at the weights x on the stack gram: one batched SVD.  A
     weight of 0 belongs to a zero row or column of Phi, which the map keeps
-    at 0, and costs nothing.  At uniform weights the completion is the
-    balanced polar one, built at once: it closes on most inputs."""
+    at 0, or lies off the active set of ``_close``, and costs nothing.  At
+    uniform weights the completion is the balanced polar one, built at once:
+    it closes on most inputs."""
     if x is None:  # D_alpha Phi D_beta is Phi
         u, s, vh = np.linalg.svd(gram)
         factors = _pair(u, _herm(vh))
@@ -273,52 +221,184 @@ def _squarem(evaluate, x: np.ndarray):
         x = np.where((pe.lower >= p1.lower)[:, None, None], pe.next, x2)
 
 
-class _Scaled(NamedTuple):
-    """The scaled polar completion, P and Q in the order of ``_Bases.at``
-    (``completion``), the largest lower bound over the blocks (``value``), a
-    dual stack that certifies it (None below ``sup``), and the evaluations
-    after the uniform one (``steps``)."""
-
-    value: float
-    completion: np.ndarray
-    dual: np.ndarray | None
-    steps: int
+def _cost(completion: np.ndarray) -> float:
+    """sqrt(max P_ii max Q_jj) of a (2, m, m) completion."""
+    return math.sqrt(float(completion.diagonal(0, 1, 2).real.max(1).prod()))
 
 
-def _scaled_completion(bases: _Bases, problem: DiagBoundSdp, sup: float) -> _Scaled:
-    """Complete every block of the problem on the bases, and bound it from
-    below, by the diagonal scaling of its Gram block.
+def _spectral(face: np.ndarray, w: np.ndarray):
+    """f = ||D_a^1/2 Phi D_b^1/2||_tr on the p x q face Phi at the positive
+    weights w = (a, b), its gradient (diag U S U^H / a, diag V S V^H / b) / 2,
+    the scaling's ratio over 2, and its Hessian, from one SVD M = U S V^H:
+    the derivative of (M M^H)^1/2 = U S U^H divides U-basis entries by
+    s_k + s_l (Daleckii and Krein), which gives the divided differences
+    (s_k^2 + s_l^2) / (s_k + s_l) between two rows and s_k s_l / (s_k + s_l)
+    between a row and a column, 0 where both are 0."""
+    p = face.shape[0]
+    u, s, vh = np.linalg.svd(np.sqrt(w[:p])[:, None] * face * np.sqrt(w[p:]))
+    v, r = _herm(vh), s.size
 
-    Every evaluation (``_evaluate``, one SVD D_alpha Phi D_beta = U S V^H
-    per stack of bases) certifies both sides.  Below, with unit alpha and beta,
-    Z = [[D_alpha^2, -W], [-W^H, D_beta^2]] / 2, W = D_alpha U V^H D_beta, is
-    PSD (a Gram matrix of [D_alpha U; -D_beta V]), is zero at every free
-    variable, sums to 1 on the objective diagonal and has -<F0, Z> = tr S.
-    Above, the completion of ``_Point.completion`` costs
-    sqrt(max P'_ii max Q'_jj).  At a fixed point of the map
-    alpha^2 <- diag U S U^H / tr S, beta^2 <- diag V S V^H / tr S, every
-    P'_ii and Q'_jj is tr S and the sides meet.
+    def between(x, y, num, sx, sy):  # Re sum_kl x_ik conj(x_il) num_kl / (sx_k + sy_l) conj(y_jk) y_jl
+        den = sx[:, None] + sy
+        d = np.divide(num, den, out=np.zeros_like(den), where=den > 0).ravel()
+        px, py = ((z[:, :, None] * z.conj()[:, None, :]).reshape(len(z), -1) for z in (x, y))
+        return ((px * d) @ _herm(py)).real
 
-    The first evaluation, at uniform weights, is the balanced polar
-    completion rho = c U S U^H, tau = V S V^H / c of Phi, with the lower
-    bound ||Phi||_tr / m.  It closes with no further step on positive
-    definite phi (rho = tau = Phi, the largest unit value), on rank-one
-    Phi = x y^H (|x|_inf |y|_inf, the sup norm) and on one-unit orbits,
-    where Phi is a group matrix with constant diag U S U^H, a fixed point
-    (Eymard's norm sum_pi d_pi ||phi^(pi)||_1 / |G|).  Blocks above
-    1 + 1e-7 times the larger of sup and the best lower bound iterate,
-    extrapolated by ``_squarem``, until every block is within it, until the
-    gap fails to halve in ``_STALL`` evaluations, or for ``_MAX_ITER``
-    evaluations; a zero row or column of Phi keeps weight 0, and any other
-    weight is floored at the smallest normal float.
-    """
-    # on phi brought into [1/2, 1) by a power of two, exactly: scaled
-    # weights then keep the entries of D_alpha Phi D_beta out of the subnormal
-    # range, and every evaluation scales with phi
-    exponent = math.frexp(sup)[1]
-    sup = math.ldexp(sup, -exponent)
+    sides = []
+    for x in (u, v):
+        t = np.pad(s, (0, len(x) - r))
+        sides.append(between(x, x, t[:, None] ** 2 + t ** 2, t, t) / 2)
+    cross = between(u[:, :r], v[:, :r], s[:, None] * s, s, s)
+    diag = np.concatenate([(np.abs(u[:, :r]) ** 2) @ s, (np.abs(v[:, :r]) ** 2) @ s])
+    k = np.block([[sides[0], cross], [cross.T, sides[1]]]) / 2
+    return float(s.sum()), diag / (2 * w), k / np.outer(w, w) - np.diag(diag / (2 * w * w))
+
+
+def _ascend(face: np.ndarray, w: np.ndarray, mu: float = 1e-3) -> tuple[np.ndarray, np.ndarray, int]:
+    """The weights that maximize f on the face from the positive weights w
+    (a of its rows, then b of its columns): Newton steps on f + mu sum log w
+    under sum a = sum b = 1, scaled by w so that tiny weights keep their
+    scale, each raising that objective and keeping 1% of the way to the
+    boundary; mu falls from ``mu`` f / |w| a hundredfold to 1e-15 f / |w|
+    once the Newton decrement is below mu / 1000.  Returns the weights,
+    which stay (above ``_ACTIVE`` of the largest on their side, with a ratio
+    within 1e-6 of f) and the steps."""
+    p = face.shape[0]
+    w = np.concatenate([w[:p] / w[:p].sum(), w[p:] / w[p:].sum()])
+    sums = np.zeros((2, w.size))
+    sums[0, :p] = sums[1, p:] = 1.0
+    value, gradient, hessian = _spectral(face, w)
+    mu, steps = mu * value / w.size, 0
+    while mu > 1e-15 * value / w.size:
+        for _ in range(30):
+            g, h = gradient + mu / w, hessian - np.diag(mu / w ** 2)
+            kkt = np.block([[h * np.outer(w, w), (sums * w).T], [sums * w, np.zeros((2, 2))]])
+            d = w * np.linalg.lstsq(kkt, np.concatenate([-g * w, [0.0, 0.0]]), rcond=None)[0][:w.size]
+            steps += 1
+            alpha = min(1.0, 0.99 * float((-w[d < 0] / d[d < 0]).min(initial=np.inf)))
+            objective = value + mu * np.log(w).sum()
+            for _ in range(30):
+                step = w + alpha * d
+                trial = _spectral(face, step)
+                if trial[0] + mu * np.log(step).sum() >= objective - 1e-15 * abs(objective):
+                    break
+                alpha /= 2
+            else:
+                break
+            w, (value, gradient, hessian) = step, trial
+            if d @ g <= 1e-3 * mu:
+                break
+        mu /= 100
+    top = np.repeat([w[:p].max(), w[p:].max()], [p, w.size - p])
+    return w, (w >= _ACTIVE * top) & (2 * gradient >= (1 - 1e-6) * value), steps
+
+
+def _close(gram: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The stall-closing step on one m x m Gram block from the weights x,
+    (2, m), of the scaling's best lower point: the cheapest completion, the
+    weights of the best lower bound (0 off the active set), Newton steps.
+
+    ``_ascend`` maximizes f on the face A x B of the weights above 1e-10 of
+    the largest, and on the weights that stay; the face's SVD there gives
+    balanced factors Phi_AB = X_A Y_B^H of squared row norms t = f.  The
+    other rows take the least-norm X_I = Phi_IB (Y_B^H)^+, the other columns
+    Y_J = Phi_AJ^H (X_A^H)^+; one not reached that way, or above t, is a
+    violator.  The lower-rank rest R = Phi_IJ - X_I Y_J^H fills the budgets
+    t - |x_i|^2 and t - |y_j|^2 when ``_complete`` on R, divided by their
+    roots, is at most 1; else the active weights of that solve violate.
+    Violators join at 1e-3 of the largest weight, until the bracket closes,
+    nothing violates or a face repeats.  The completion [X; Y][X; Y]^H has
+    its diagonal raised by the Frobenius norm of Phi - X Y^H, so it is PSD
+    whatever the rounding."""
+    m = len(gram)
+    live = np.concatenate([np.any(gram, axis=1), np.any(gram, axis=0)])
+    active = live & (x.ravel() > 1e-10 * np.repeat(x.max(1), m))
+    w = np.where(active, x.ravel(), 0.0)
+    best, best_cost, low, newton, seen = None, np.inf, (-np.inf, None), 0, set()
+    while active.tobytes() not in seen:
+        seen.add(active.tobytes())
+        start = 1e-3
+        while True:  # shrink to the weights that stay, and re-solve from near the optimum
+            rows, cols = np.flatnonzero(active[:m]), np.flatnonzero(active[m:])
+            face = np.concatenate([rows, m + cols])
+            w[face], keep, steps = _ascend(gram[np.ix_(rows, cols)], w[face], start)
+            newton, start = newton + steps, 1e-9
+            if keep.all():
+                break
+            w[face[~keep]], active[face[~keep]] = 0.0, False
+        a, b = w[rows] / w[rows].sum(), w[m + cols] / w[m + cols].sum()
+        u, s, vh = np.linalg.svd(np.sqrt(a)[:, None] * gram[np.ix_(rows, cols)] * np.sqrt(b))
+        if s.sum() > low[0]:
+            low = (float(s.sum()), np.zeros((2, m)))
+            low[1][0, rows], low[1][1, cols] = a, b
+        r = s.size
+        xa, yb = u[:, :r] * np.sqrt(s / a[:, None]), _herm(vh)[:, :r] * np.sqrt(s / b[:, None])
+        scale = ((np.abs(yb) ** 2).sum(1).max() / (np.abs(xa) ** 2).sum(1).max()) ** 0.25
+        xa, yb = xa * scale, yb / scale  # balanced: both sides' squared row norms are f
+        t = float((np.abs(xa) ** 2).sum(1).max())
+        others = np.flatnonzero(~active[:m]), np.flatnonzero(~active[m:])
+        factors = np.zeros((2, m, r), dtype=complex)
+        factors[0, rows], factors[1, cols] = xa, yb
+        factors[0, others[0]] = gram[np.ix_(others[0], cols)] @ np.linalg.pinv(_herm(yb))
+        factors[1, others[1]] = _herm(gram[np.ix_(rows, others[1])]) @ np.linalg.pinv(_herm(xa))
+        rest = gram - factors[0] @ _herm(factors[1])
+        budget = [t - (np.abs(factors[k, others[k]]) ** 2).sum(1) for k in (0, 1)]
+        off = 1e-12 * float(np.abs(gram).max())
+        grow = np.zeros(2 * m, dtype=bool)
+        grow[others[0]] = (budget[0] < -1e-10 * t) | (np.abs(rest[np.ix_(others[0], cols)]).max(1, initial=0) > off)
+        grow[m + others[1]] = (budget[1] < -1e-10 * t) | (np.abs(rest[np.ix_(rows, others[1])]).max(0, initial=0) > off)
+        schur = rest[np.ix_(*others)]
+        schur[np.abs(schur) <= off] = 0.0
+        if not grow.any() and schur.any():
+            roots = [np.sqrt(np.maximum(x, 1e-30 * t)) for x in budget]
+            size = max(schur.shape)
+            scaled = np.zeros((1, size, size), dtype=complex)
+            scaled[0, :len(roots[0]), :len(roots[1])] = schur / roots[0][:, None] / roots[1]
+            (completion,), (_, _, point, i), _, n, _ = _complete([scaled], float(np.abs(scaled).max()))
+            newton += n
+            right, left = _completion_factors(scaled[0], completion[0, 1])
+            extra = np.zeros((2, m, size), dtype=complex)
+            extra[0, others[0]] = left[:len(roots[0])] * roots[0][:, None]
+            extra[1, others[1]] = right[:len(roots[1])] * roots[1][:, None]
+            factors = np.concatenate([factors, extra], axis=2)
+            if _cost(completion[0]) > 1 + 1e-9:  # the solve's active weights join
+                weights = np.ones((2, size)) if point.x is None else point.x[i]
+                hit = weights > _ACTIVE * weights.max(1, keepdims=True)
+                grow[others[0]] = hit[0, :len(roots[0])]
+                grow[m + others[1]] = hit[1, :len(roots[1])]
+        slack = float(np.linalg.norm(gram - factors[0] @ _herm(factors[1])))
+        completion = factors @ _herm(factors) + slack * np.eye(m)
+        high = completion.diagonal(0, 1, 2).real.max(1)
+        completion *= np.sqrt(high[::-1] / high)[:, None, None]
+        if _cost(completion) < best_cost:
+            best, best_cost = completion, _cost(completion)
+        if best_cost <= low[0] * (1 + _REL_GAP) or not grow.any():
+            break
+        w[grow] = 1e-3 * np.repeat([w[:m].max(), w[m:].max()], m)[grow]
+        active |= grow
+    return best, low[1], newton
+
+
+def _complete(grams: list[np.ndarray], sup: float):
+    """Complete the blocks of the (k, m, m) stacks ``grams`` (numbered in
+    turn) by the diagonal scaling, and bound them from below.
+
+    Every evaluation (``_evaluate``) certifies both sides; the first, at
+    uniform weights, is the balanced polar completion.  Blocks above
+    1 + 1e-7 times the larger of sup and the
+    best lower bound iterate the map alpha^2 <- diag U S U^H / tr S,
+    beta^2 <- diag V S V^H / tr S, whose fixed point meets both sides,
+    extrapolated by ``_squarem``, each keeping its cheapest completion, until
+    every block is within it, the gap of the cheapest fails to halve in
+    ``_STALL`` evaluations, or for ``_MAX_ITER`` evaluations (0: the uniform
+    one alone); a zero row or column of Phi keeps weight 0, and any other
+    weight is floored at the smallest normal float.  A block still open then
+    takes ``_close`` from its best lower point.  Returns the completions, one
+    (k, 2, m, m) stack per class, the best lower bound with its block, point
+    and row there, the evaluations after the uniform one, the Newton steps
+    and the ``_close`` calls."""
     top = (-np.inf, 0, None, 0)  # the best lower bound, its block, and its point and row there
-    steps = 0
+    steps = newton = closes = 0
 
     def record(point, blocks):
         nonlocal top
@@ -327,11 +407,11 @@ def _scaled_completion(bases: _Bases, problem: DiagBoundSdp, sup: float) -> _Sca
             top = float(point.lower[i]), int(blocks[i]), point, i
         return point
 
-    classes = bases.layout.classes
-    grams = [problem.data[b, :m, m:2 * m] * 2.0 ** -exponent for m, b, _ in classes]
-    firsts = [record(_evaluate(x), blocks) for (_, _, blocks), x in zip(classes, grams)]
+    starts = np.cumsum([0] + [len(x) for x in grams])
+    firsts = [record(_evaluate(gram), np.arange(a, b)) for gram, a, b in zip(grams, starts, starts[1:])]
     completions = [first.completion() for first in firsts]
-    for (_, _, blocks), gram, first, completion in zip(classes, grams, firsts, completions):
+    for gram, first, completion, start in zip(grams, firsts, completions, starts):
+        blocks = start + np.arange(len(gram))
         target = (1 + _REL_GAP) * max(sup, top[0])
         if first.upper.max() <= target or not _MAX_ITER:
             continue
@@ -342,30 +422,91 @@ def _scaled_completion(bases: _Bases, problem: DiagBoundSdp, sup: float) -> _Sca
         # which would read its row as a zero row; weights above it are kept
         live = np.stack([np.any(open_gram, axis=2), np.any(open_gram, axis=1)], axis=1)
         floor = live * _TINY
+        # per open block its cheapest upper bound, the evaluations that may
+        # hold one (the uniform one first), and every evaluation's lower bounds
+        held = [first if rows.size == len(gram) else _Point(*(x if x is None else x[rows] for x in first))]
+        cheap = held[0].upper
+        lows = [(first.lower[rows], np.ones(live.shape))]
         best, since = np.inf, 0
         points = _squarem(lambda x: record(_evaluate(open_gram, np.maximum(x, floor)), open_blocks),
                           first.next[rows] * live)
-        for last in islice(points, _MAX_ITER):
-            steps += 1
-            gap = float(last.upper.max()) / max(sup, top[0]) - 1
+        for count, last in enumerate(islice(points, _MAX_ITER), 1):
+            cheap = np.minimum(last.upper, cheap)
+            held.append(last)
+            if len(held) > 16:  # keep the evaluations that hold a cheapest completion
+                held = [held[j] for j in np.unique(np.argmin([p.upper for p in held], axis=0))]
+            lows.append((last.lower, last.x))
+            gap = float(cheap.max()) / max(sup, top[0]) - 1
             best, since = (gap, 0) if gap <= best / 2 else (best, since + 1)
             if gap <= _REL_GAP or since >= _STALL:
                 break
-        completion[rows] = last.completion()
+        steps += count
+        doubt, owner = np.zeros(rows.size, dtype=bool), np.argmin([p.upper for p in held], axis=0)
+        owners = np.unique(owner)
+        for j in owners:
+            mine, point = slice(None) if owners.size == 1 else owner == j, held[j]
+            completion[rows[mine]] = point.completion(mine)
+            if point.x is not None:
+                # read through a weight below 1e-10 of the largest, a
+                # completion may round away from PSD
+                x = point.x[mine]
+                doubt[mine] = np.any((x < 1e-10 * x.max(2, keepdims=True)) & live[mine], axis=(1, 2))
+        if doubt.any():  # such a completion counts only where it is PSD
+            pinned = _blocks(completion[rows[doubt]], open_gram[doubt], cheap[doubt])  # as the re-check pins them
+            bad = np.linalg.eigvalsh(pinned)[:, 0] < -1e-10 * np.abs(open_gram[doubt]).max((1, 2))
+            cheap[np.flatnonzero(doubt)[bad]] = np.inf
+        target = (1 + _REL_GAP) * max(sup, top[0])
+        for i in np.flatnonzero(cheap > target):
+            closed, x, n = _close(open_gram[i], max(lows, key=lambda e: e[0][i])[1][i])  # from the best lower point
+            newton, closes = newton + n, closes + 1
+            with np.errstate(over="ignore"):  # its upper side, read through zero weights, goes unused
+                record(_evaluate(open_gram[i:i + 1], np.maximum(x, floor[i])[None]), open_blocks[i:i + 1])
+            if _cost(closed) < cheap[i]:
+                completion[rows[i]] = closed
+    return completions, top, steps, newton, closes
+
+
+class _Scaled(NamedTuple):
+    """``_complete`` on the bases: P and Q in the order of ``_Bases.at``, the
+    largest lower bound, a dual stack that certifies it (None below sup),
+    the evaluations after the uniform one, Newton steps and ``_close`` calls."""
+
+    value: float
+    completion: np.ndarray
+    dual: np.ndarray | None
+    steps: int
+    newton: int
+    closes: int
+
+
+def _scaled_completion(bases: _Bases, phi: np.ndarray, sup: float) -> _Scaled:
+    """``_complete`` on every orbit base's Gram block of phi, and the dual
+    block of its best lower bound tr S at unit alpha and beta, padded to the
+    largest base (zero elsewhere): Z = [[D_alpha^2, -W], [-W^H, D_beta^2]] / 2
+    with W = D_alpha U V^H D_beta is PSD, zero at every free variable, sums
+    to 1 on the objective diagonal and has -<F0, Z> = tr S."""
+    # on phi brought into [1/2, 1) by a power of two, exactly: scaled
+    # weights then keep the entries of D_alpha Phi D_beta out of the subnormal
+    # range, and every evaluation scales with phi
+    exponent = math.frexp(sup)[1]
+    sup = math.ldexp(sup, -exponent)
+    grams = [phi[ids] * 2.0 ** -exponent for ids in bases.grams]
+    completions, top, steps, newton, closes = _complete(grams, sup)
     completion = np.concatenate([x.swapaxes(0, 1).reshape(2, -1) for x in completions], axis=1) * 2.0 ** exponent
     value, block, point, i = top
     if value < sup or not value:
-        return _Scaled(math.ldexp(value, exponent), completion, None, steps)
+        return _Scaled(math.ldexp(value, exponent), completion, None, steps, newton, closes)
     m = point.s.shape[-1]
     x = np.ones((2, m)) if point.x is None else point.x[i]
     a, b = x / x.sum(1, keepdims=True)
-    dual = np.zeros(problem.data.shape, dtype=complex)
+    s = 2 * bases.fiber
+    dual = np.zeros((sum(len(x) for x in grams), s, s), dtype=complex)
     z = dual[block, :2 * m, :2 * m]
     z[:m, m:] = -np.sqrt(a)[:, None] * (point.u[i] @ point.vh[i]) * np.sqrt(b)
     z[m:, :m] = _herm(z[:m, m:])
     z.flat[::2 * m + 1] = np.concatenate([a, b])
     z /= 2
-    return _Scaled(math.ldexp(value, exponent), completion, dual, steps)
+    return _Scaled(math.ldexp(value, exponent), completion, dual, steps, newton, closes)
 
 
 def _rounded(value: float, fiber: int, direction: int) -> float:
@@ -380,27 +521,22 @@ def _rounded(value: float, fiber: int, direction: int) -> float:
 
 
 def _solve(bases: _Bases, phi: np.ndarray) -> tuple[NormCertificate, SdpSolution]:
-    """The SDP of phi from the scaled polar completion, averaged, and the
-    larger of the sup norm and the rounded scaling bound: a completion within
-    the solver's gap verifies with no Newton step, with status "seeded" when
-    it is the uniform one and "scaled" after ``scaling_steps`` further
-    evaluations; otherwise the interior-point method runs from that bound,
-    and its completion is averaged.  The witness holds the value at units."""
-    problem = _declare(bases, phi)
+    """The completion of ``_scaled_completion``, averaged, re-checked by the
+    seeded exit of ``gfourier.sdp`` against the larger of the sup norm and
+    the rounded scaling bound, with the status of ``fourier_stieltjes_norm``.
+    The witness holds the value at units."""
     sup = float(np.abs(phi).max(initial=0.0))
-    scaled = _scaled_completion(bases, problem, sup)
+    scaled = _scaled_completion(bases, phi, sup)
     # the scaling's dual certifies its unrounded value, hence lower, unless sup is larger
-    lower = max(sup, _rounded(scaled.value, bases.layout.fiber, -1))
+    lower = max(sup, _rounded(scaled.value, bases.fiber, -1))
     averaged = _average(bases, scaled.completion)
-    # the seeded exit verifies the averaged completion, the one the witness holds
-    seed = averaged[:, bases.at].ravel()
-    solution = solve_diag_bound_sdp(problem, lower=lower, seeds=(seed,), dual=scaled.dual)
-    if solution.status != "seeded":
-        averaged = _average(bases, problem.blocks_for(solution.variables).ravel()[bases.layout.places[:2]])
+    solution = solve_diag_bound_sdp(bases.grams, phi, averaged, lower, scaled.dual, scaled.closes, scaled.newton)
     averaged[:, bases.units] = solution.value
-    status = "scaled" if solution.status == "seeded" and scaled.steps else solution.status
+    status = solution.status
+    if status == "seeded" and (scaled.closes or scaled.steps):
+        status = "active-set" if scaled.closes else "scaled"
     witness = {"rho": averaged[0], "tau": averaged[1], "lower": solution.lower, "iterations": solution.iterations,
-               "scaling_steps": scaled.steps, "status": status, "blocks": int(problem.sizes.size)}
+               "scaling_steps": scaled.steps, "status": status, "blocks": sum(len(x) for x in bases.grams)}
     return NormCertificate(solution.value, "optimal", witness), solution
 
 
@@ -447,7 +583,7 @@ def _stieltjes_certificate(bases: _Bases, phi: np.ndarray) -> NormCertificate:
     lift = _lift(phi)
     if not lift:
         return _solve(bases, phi)[0]
-    return _lowered(_solve(bases, _ldexp(phi, lift))[0], lift, float(np.abs(phi).max()), bases.layout.fiber)
+    return _lowered(_solve(bases, _ldexp(phi, lift))[0], lift, float(np.abs(phi).max()), bases.fiber)
 
 
 def fourier_stieltjes_norm(g: FiniteGroupoid, phi) -> NormCertificate:
@@ -458,12 +594,13 @@ def fourier_stieltjes_norm(g: FiniteGroupoid, phi) -> NormCertificate:
     no scaling step it is the largest unit value when phi is positive
     definite, the sup norm when every orbit's Gram block has rank one, and
     Eymard's norm, max over units of ||Phi_u||_tr / m, on groups and group
-    bundles; elsewhere the diagonal scaling closes the 1e-7 gap, with the
-    interior-point method as the fallback where it stalls.  The witness is
+    bundles; elsewhere the diagonal scaling closes the 1e-7 gap, and where
+    it stalls the stall-closing step on its active weights.  The witness is
     a feasible (rho, tau) completion, with the certified lower bound on the
     optimum under "lower", and the work under "scaling_steps" (evaluations
-    after the uniform one), "iterations" (Newton steps) and "status"
-    ("seeded", "scaled" or the interior-point method's).
+    after the uniform one), "iterations" (Newton steps of the stall-closing
+    step) and "status": "seeded", "scaled", "active-set", or "open" where
+    the bracket stays wider than 1e-7 (value and lower bound still hold).
     """
     return _stieltjes_certificate(_bases(g), arrow_function(g, phi))
 
@@ -619,9 +756,9 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     base in the order of ``fiber_classes``, padded to the largest: PSD and
     zero off the diagonals of their P and Q parts, so dual feasible also where
     rho and tau are shared, and -<F0, Z> re-verifies the bound (None when the
-    sup norm is the bound).  Z is the diagonal scaling's, at the base of the
-    largest lower bound, or the interior-point method's where the scaling
-    stalled.  Upper: the cheapest decomposition that reproduces phi among
+    sup norm is the bound).  Z is the diagonal scaling's, at the base and
+    weights of the largest lower bound, those of the stall-closing step's
+    active face included (zero off it).  Upper: the cheapest decomposition that reproduces phi among
     ``_candidates`` (the completion term, then the point masses), tried in
     turn until one costs at most the lower bound times 1 + 1e-7.  The
     scaling's lower bound is rounded down by its rounding margin, and the
@@ -648,7 +785,7 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     if best_terms is None:
         raise RuntimeError("no decomposition reconstructed the input; this should not happen")
     # a term cost rounds like the closed form, by a few ulps per fiber element
-    upper = NormCertificate(_rounded(best_cost, bases.layout.fiber, 1), "upper",
+    upper = NormCertificate(_rounded(best_cost, bases.fiber, 1), "upper",
                             {"terms": tuple(map(tuple, best_terms))})
     return lower, upper
 

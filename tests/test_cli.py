@@ -441,13 +441,13 @@ class TestTimings:
 
 
 class TestNormStats:
-    @pytest.mark.parametrize("fallback", [False, True], ids=["scaled", "interior-point"])
+    @pytest.mark.parametrize("fallback", [False, True], ids=["scaled", "active-set"])
     @pytest.mark.parametrize("which", ["stieltjes", "cb", "decomp", "reduced"])
     def test_stats_go_to_stderr_only(self, tmp_path, capsys, rng, monkeypatch, which, fallback):
-        # a generic input closes by the diagonal scaling, or, with no scaling
-        # step allowed, by the interior-point method
+        # a generic input closes by the diagonal scaling, or, with a stall
+        # window of one evaluation, by the stall-closing step
         if fallback:
-            monkeypatch.setattr(gf.norms, "_MAX_ITER", 0)
+            monkeypatch.setattr(gf.norms, "_STALL", 1)
         gfile, ffile = tmp_path / "g.json", tmp_path / "f.json"
         write_groupoid(str(gfile), gf.pair_groupoid(3))
         write_arrow_function(str(ffile), rng.standard_normal(9) + 1j * rng.standard_normal(9))
@@ -467,7 +467,7 @@ class TestNormStats:
             stats = dict((ln[1], ln[2:]) for ln in lines)
             scaling, newton = int(stats["scaling-steps"][0]), int(stats["newton-steps"][0])
             if fallback:
-                assert scaling == 0 and newton > 0 and stats["status"] == ["optimal"]
+                assert scaling > 0 and newton > 0 and stats["status"] == ["active-set"]
             else:
                 assert scaling > 0 and newton == 0 and stats["status"] == ["scaled"]
             value, lower = map(float, stats["bracket"])

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import time
 import tracemalloc
 import warnings
 
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 import gfourier as gf
-from gfourier.sdp import DiagBoundSdp, solve_diag_bound_sdp
 from conftest import (
     random_function,
     random_pd,
@@ -16,14 +16,19 @@ from conftest import (
     z4_on_4_points_through_z2,
     z12_on_16_points,
 )
+from stall_corpus import STALLS, stall_input
 from reference import (
+    DiagBoundSdp,
+    _base_ids_oracle,
     brute_force_factorization_norm,
     doubled_split_oracle,
     fourier_norm_oracle,
     gram_matrix_oracle,
+    interior_point_oracle,
     orbit_bases_oracle,
     s3_irreps,
     schur_problem_oracle,
+    schur_untied_oracle,
     stieltjes_problem_oracle,
     stieltjes_solve_oracle,
     term_cost_oracle,
@@ -78,26 +83,42 @@ class TestHermitianSqrt:
 
 
 def _schur_problem(a) -> DiagBoundSdp:
-    """The untied declaration of the one block a, the Schur multiplier
-    problem of a."""
-    return gf.norms._declare(gf.norms._matrix_bases(len(a)), np.asarray(a, dtype=complex).ravel())
+    """The oracle's untied declaration of the one block a, the Schur
+    multiplier problem of a."""
+    return schur_untied_oracle(np.asarray(a, dtype=complex))
 
 
 def _untied(g, phi) -> DiagBoundSdp:
-    """The coefficient-norm declaration of phi on g: one untied Schur block
-    per orbit base."""
-    return gf.norms._declare(gf.norms._bases(g), gf.arrow_function(g, phi))
+    """The oracle's coefficient-norm declaration of phi on g: one untied
+    Schur block per orbit base."""
+    return untied_problem_oracle(g, phi)
 
 
 class TestSolveDiagBoundSdp:
+    """The seeded re-check of ``gfourier.sdp`` on the one block of pair(1),
+    [[rho, 1], [1, tau]], whose optimum is 1."""
+
+    @staticmethod
+    def _recheck(rho, tau, lower, phi=1.0):
+        ids = np.zeros((1, 1, 1), dtype=int)
+        return gf.sdp.solve_diag_bound_sdp((ids,), np.array([phi], dtype=complex),
+                                           np.array([[rho], [tau]], dtype=complex), lower)
+
     def test_two_by_two_completion(self):
-        # the one block [[rho, 1], [1, tau]] of pair(1): the optimum is 1
-        sol = solve_diag_bound_sdp(_schur_problem(np.ones((1, 1))))
-        assert sol.status == "optimal" and sol.iterations > 0
-        assert sol.value == pytest.approx(1.0, abs=1e-6)
+        sol = self._recheck(1.0, 1.0, 1.0)
+        assert sol.status == "seeded" and sol.iterations == 0 and sol.probes == 0
+        assert sol.value == 1.0
+
+    def test_a_completion_that_is_not_psd_raises_the_value(self):
+        # rho = tau = 0.5 with the diagonal pinned to the bound 0.5: the block
+        # [[0.5, 1], [1, 0.5]] has eigenvalue -0.5, so the value rises to 1
+        sol = self._recheck(0.5, 0.5, 0.5)
+        assert sol.status == "open" and sol.lower == 0.5
+        assert sol.value == pytest.approx(1.0, rel=1e-15)
 
     def test_zero_data_answers_zero(self):
-        assert solve_diag_bound_sdp(_schur_problem(np.zeros((1, 1)))).value == 0.0
+        sol = self._recheck(0.0, 0.0, 0.0, phi=0.0)
+        assert sol.value == 0.0 and sol.status == "seeded"
 
     def test_cross_validated_against_factorization_search(self, g2, rng):
         for i in range(3):
@@ -157,44 +178,51 @@ def _dual_report(problem: DiagBoundSdp, z: np.ndarray):
 
 
 class TestDualCertificate:
-    """The interior-point solve's dual blocks are PSD, exactly dual feasible,
-    and bound the value from below to within the requested gap."""
+    """The solve's dual blocks are PSD, exactly dual feasible in the
+    oracle's declarations, and bound the value from below to within the
+    requested gap; the oracle's interior-point solve meets the same value."""
 
-    def _check(self, problem):
-        sol = solve_diag_bound_sdp(problem)
-        assert sol.status == "optimal"
-        assert sol.probes == 1 and 0 < sol.iterations <= 100
-        bound, residual, low = _dual_report(problem, sol.dual)
-        scale = problem.data_scale()
-        assert low >= -1e-12 * float(np.abs(sol.dual).max())
-        assert residual <= 1e-12 * scale
-        assert bound == pytest.approx(sol.lower, rel=1e-12, abs=1e-12)
-        assert bound <= sol.value
-        assert (sol.value - bound) / sol.value <= 1e-7
-        assert problem.min_eigenvalue(sol.variables) >= 0.0
+    def _check(self, bases, phi, problems, rng=None):
+        cert, sol = gf.norms._solve(bases, phi)
+        want = interior_point_oracle(problems[0])
+        assert cert.value == pytest.approx(want.value, rel=1e-7)
+        assert sol.status == "seeded"
+        if sol.dual is None:  # the sup norm is the bound
+            assert sol.lower == float(np.abs(phi).max())
+            return
+        for problem in problems:
+            bound, residual, low = _dual_report(problem, sol.dual)
+            scale = problem.data_scale()
+            assert low >= -1e-12 * float(np.abs(sol.dual).max())
+            assert residual <= 1e-12 * scale
+            assert bound == pytest.approx(sol.lower, rel=1e-12, abs=1e-12)
+            # where the sides meet (one-unit orbits) -<F0, Z> can exceed the
+            # value by a rounding; the certified bound is rounded below both
+            assert sol.lower <= min(bound, sol.value) and bound <= sol.value * (1 + 1e-12)
+            assert (sol.value - bound) / sol.value <= 1e-7
 
     @pytest.mark.parametrize("name", sorted(DUAL_GROUPOIDS))
     def test_stieltjes_problems(self, name, rng):
-        # the untied blocks the package solves, and the tied problem of the oracle
+        # the untied blocks of the oracle, one per base as the package
+        # solves them, and its tied problem
         g = DUAL_GROUPOIDS[name]()
         for _ in range(2):
             phi = random_function(g, rng)
-            self._check(_untied(g, phi))
-            self._check(tied_problem_oracle(g, phi))
+            self._check(gf.norms._bases(g), phi, (_untied(g, phi), tied_problem_oracle(g, phi)))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_schur_problems(self, n, rng):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        self._check(_schur_problem(a))
+        self._check(gf.norms._matrix_bases(n), a.ravel(), (_schur_problem(a),))
 
-    def test_stops_at_a_lower_bound_it_reaches(self, rng):
+    def test_oracle_stops_at_a_lower_bound_it_reaches(self, rng):
         # rank one: the cb norm is |x|_inf |y|_inf, the sup norm
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         a = np.outer(x, y.conj())
         sup = float(np.abs(a).max())
-        full = solve_diag_bound_sdp(_schur_problem(a))
-        early = solve_diag_bound_sdp(_schur_problem(a), lower=sup)
+        full = interior_point_oracle(_schur_problem(a))
+        early = interior_point_oracle(_schur_problem(a), lower=sup)
         assert early.iterations < full.iterations
         assert sup <= early.value <= sup * (1 + 1e-7)
         assert early.lower >= sup
@@ -204,17 +232,16 @@ class TestDualCertificate:
         g = DUAL_GROUPOIDS[name]()
         for _ in range(2):
             phi = random_function(g, rng)
-            problem = _untied(g, phi)
-            _, sol = gf.norms._solve(gf.norms._bases(g), phi)
+            cert, sol = gf.norms._solve(gf.norms._bases(g), phi)
             assert sol.status == "seeded" and sol.iterations == 0
             bound, residual, low = _dual_report(tied_problem_oracle(g, phi), sol.dual)
-            scale = problem.data_scale()
+            scale = float(np.abs(phi).max())
             assert low >= -1e-12 * float(np.abs(sol.dual).max())
             assert residual <= 1e-12 * scale
             # the reported bound is rounded down from -<F0, Z> by a few ulps
             assert sol.lower <= bound == pytest.approx(sol.lower, rel=1e-12)
             assert bound == pytest.approx(sol.value, rel=1e-12)
-            assert problem.min_eigenvalue(sol.variables) >= -1e-12 * scale
+            assert _min_eig_on_every_unit(g, phi, cert) >= -1e-12 * scale
 
     def test_seeded_exit_reports_the_given_lower_bound(self, g3, rng):
         cert = gf.fourier_stieltjes_norm(g3, random_pd(g3, rng))
@@ -276,8 +303,7 @@ class TestSchurCbNorm:
     @pytest.mark.parametrize("n, peak", [(64, 10e6), (128, 20e6)])
     def test_builds_no_groupoid(self, n, peak, monkeypatch, rng):
         # the Schur problem of one block needs no groupoid: the pair groupoid
-        # of 64 points alone holds a 134 MB composition table; the layout of
-        # 128 points is not kept either
+        # of 64 points alone holds a 134 MB composition table
         calls = []
 
         def spy(owner, name):
@@ -373,9 +399,8 @@ class TestDataScale:
     @pytest.mark.parametrize("s", [1e-306, 1e-310])
     @pytest.mark.parametrize("case", ["pair3", "z2_on_3", "schur3"])
     def test_solve_at_the_bottom_of_the_float_range(self, s, case, rng):
-        # subnormal data is lifted by a power of two and the interior-point
-        # method runs on the data divided by its scale, so it takes the same
-        # Newton steps to the scaled value
+        # subnormal data is lifted by a power of two, so the solve takes the
+        # same steps to the scaled value
         if case == "z2_on_3":
             g = gf.transformation_groupoid(gf.cyclic_table(2), [[0, 1, 2], [1, 0, 2]])
         else:
@@ -589,8 +614,9 @@ class TestArrayDeclaration:
         }.get(gname, lambda: request.getfixturevalue(gname))()
         phi = random_function(g, rng)
         _assert_bases_are_schur_problems(g, phi, rng)
-        # the oracle's untied problem, built entry by entry, is the same declaration
-        assert _same_problem(_untied(g, phi), untied_problem_oracle(g, phi))
+        # the package's Gram stacks are the oracle's orbit bases, in order
+        ids = [base.tolist() for x in gf.norms._bases(g).grams for base in x]
+        assert ids == [x.tolist() for x in _base_ids_oracle(g)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_schur_problem_matches_entry_builder(self, n, rng):
@@ -661,14 +687,14 @@ class TestFourierStieltjesNorm:
         top = max(float(rho[g.unit_arrows].real.max()), float(tau[g.unit_arrows].real.max()))
         assert top == pytest.approx(cert.value, rel=1e-6, abs=1e-9)
 
-    @pytest.mark.parametrize("fallback", [True, False], ids=["interior-point", "scaled"])
+    @pytest.mark.parametrize("fallback", [True, False], ids=["active-set", "scaled"])
     @pytest.mark.parametrize("gname", ["g3", "transf", "s3", "z12_on_16", "g3xI2"])
     def test_witness_is_psd_on_every_unit_block(self, gname, fallback, request, rng, monkeypatch):
         # the problem keeps one block per orbit; the witness must hold on all
-        # units, from the interior-point method (no scaling step allowed) and
-        # from the diagonal scaling
+        # units, from the stall-closing step (a stall window of one
+        # evaluation) and from the diagonal scaling
         if fallback:
-            monkeypatch.setattr(gf.norms, "_MAX_ITER", 0)
+            monkeypatch.setattr(gf.norms, "_STALL", 1)
         g = {
             "s3": _s3_transformation,
             "z12_on_16": z12_on_16_points,
@@ -676,7 +702,7 @@ class TestFourierStieltjesNorm:
         }.get(gname, lambda: request.getfixturevalue(gname))()
         phi = random_function(g, rng)
         cert = gf.fourier_stieltjes_norm(g, phi)
-        assert cert.witness["status"] == ("optimal" if fallback else "scaled")
+        assert cert.witness["status"] == ("active-set" if fallback else "scaled")
         values = np.concatenate([cert.witness["rho"], cert.witness["tau"]])
         oracle = stieltjes_problem_oracle(g, phi)
         key_id = _stieltjes_key_id(g)
@@ -960,7 +986,7 @@ class TestGroupOrbits:
 
     def test_mixed_orbits_match_the_solve_without_closed_form(self):
         # Z2 swaps points 0 and 1 and fixes 2: the closed form bounds the
-        # fixed point's block, and the interior-point method does the rest
+        # fixed point's block, and the scaling does the rest
         g = gf.transformation_groupoid(gf.cyclic_table(2), [[0, 1, 2], [1, 0, 2]])
         for seed in range(20):
             phi = random_function(g, np.random.default_rng(seed))
@@ -1018,6 +1044,7 @@ class TestPolarSeed:
 
     @pytest.mark.parametrize("name", FIXTURE_GROUPOIDS + sorted(MORE_GROUPOIDS))
     def test_other_inputs_solve_as_before(self, name, request, monkeypatch):
+        # with no scaling step allowed the uniform evaluation answers alone
         monkeypatch.setattr(gf.norms, "_MAX_ITER", 0)
         g = request.getfixturevalue(name) if name in FIXTURE_GROUPOIDS else MORE_GROUPOIDS[name]()
         generic = 0
@@ -1031,23 +1058,26 @@ class TestPolarSeed:
                     assert w["iterations"] == 0 and cert.value <= want.value * (1 + 1e-7)
                     continue
                 generic += 1
-                # the Newton steps of the oracle's untied problem, from the
-                # same bound and seeds
-                got = cert.value, w["lower"], w["iterations"], w["status"]
+                # the polar completion alone: a certified bracket that the
+                # oracle's optimum lies in, left open
+                assert w["status"] == "open" and w["iterations"] == 0
+                assert w["lower"] <= want.value * (1 + 1e-7) and want.value <= cert.value * (1 + 1e-7)
+                assert _min_eig_on_every_unit(g, f, cert) >= -1e-9 * float(np.abs(f).max())
+                # the oracle's Newton steps on its untied problem, from the
+                # same bound and seeds; on the pair groupoids, whose arrow ids
+                # are the base's positions, the tied problem is the untied one
                 untied = untied_solve_oracle(g, f, closed_form=True)
-                assert got == (untied.value, untied.lower, untied.iterations, untied.status)
-                # on the pair groupoids, whose arrow ids are the base's
-                # positions, the tied problem is the untied one
                 same = _same_problem(tied_problem_oracle(g, f), untied_problem_oracle(g, f))
                 assert same == (name in ("g2", "g3", "g4"))
+                got = untied.value, untied.lower, untied.iterations, untied.status
                 if same:
                     assert got == (want.value, want.lower, want.iterations, want.status)
                     continue
                 # elsewhere the tied problem has fewer variables, or numbers
                 # them in another order, so its sums run in another order
-                assert (w["iterations"], w["status"]) == (want.iterations, want.status)
-                assert cert.value == pytest.approx(want.value, rel=1e-12)
-                assert w["lower"] == pytest.approx(want.lower, rel=1e-10)
+                assert (untied.iterations, untied.status) == (want.iterations, want.status)
+                assert untied.value == pytest.approx(want.value, rel=1e-12)
+                assert untied.lower == pytest.approx(want.lower, rel=1e-10)
         # every orbit of a group bundle is one unit, where the seed is the closed form
         assert (generic == 0) == (name in GROUP_FIXTURES)
 
@@ -1091,10 +1121,11 @@ def _scaled_inputs(g, seed):
 
 
 class TestScaledCompletion:
-    """The diagonal scaling against the interior-point solve of the tied
-    problem: the same value and lower bound to 1e-7, a completion PSD on the
-    block of every unit, and a dual certificate that re-verifies from the
-    declaration alone and fails when its off-diagonal part is scaled."""
+    """The diagonal scaling, with its stall-closing step, against the
+    oracle's interior-point solve of the tied problem: the same value and
+    lower bound to 1e-7, a completion PSD on the block of every unit, and a
+    dual certificate that re-verifies from the declaration alone and fails
+    when its off-diagonal part is scaled."""
 
     @pytest.mark.parametrize("name", FIXTURE_GROUPOIDS + ["s3_moved"] + sorted(SCALED_GROUPOIDS))
     def test_matches_the_interior_point_solve(self, name, request):
@@ -1109,10 +1140,10 @@ class TestScaledCompletion:
                 assert w["lower"] <= cert.value <= w["lower"] * (1 + 1e-7), (seed, kind)
                 scale = float(np.abs(phi).max())
                 assert _min_eig_on_every_unit(g, phi, cert) >= -1e-9 * scale, (seed, kind)
-                if w["status"] not in ("seeded", "scaled"):
+                if w["status"] not in ("seeded", "scaled", "active-set"):
                     fallbacks.append((seed, kind))
                     continue
-                assert w["iterations"] == 0
+                assert (w["iterations"] == 0) == (w["status"] != "active-set")
                 if solution.dual is None:  # the sup norm is the bound, or phi is 0
                     assert w["lower"] == scale
                     continue
@@ -1129,22 +1160,22 @@ class TestScaledCompletion:
                 z[block, :m, m:2 * m] *= 1.01
                 z[block, m:2 * m, :m] *= 1.01
                 assert _dual_report(problem, z)[2] < -1e-6 * float(np.abs(z).max()), (seed, kind)
-        # no input of this set reaches the interior-point method
+        # every input of this set closes
         assert not fallbacks, fallbacks
 
     @pytest.mark.parametrize("limit", ["_STALL", "_MAX_ITER"])
-    def test_stalls_fall_back_to_the_interior_point_method(self, limit, monkeypatch):
+    def test_stalls_close_on_the_active_set(self, limit, monkeypatch):
         # a real input whose optimum puts a weight on the boundary, where the
         # upper side of the scaling closes too slowly (its gap is still 4e-7
         # after 600 evaluations): with a stall window of 3 the gap soon fails
         # to halve in time, and with a cap of 5 the evaluations run out; the
-        # interior-point method finishes from the scaling's lower bound
+        # stall-closing step finishes from the scaling's best lower point
         monkeypatch.setattr(gf.norms, limit, 3 if limit == "_STALL" else 5)
         g = gf.pair_groupoid(4)
         phi = np.random.default_rng(90).standard_normal(16)
         cert = gf.fourier_stieltjes_norm(g, phi)
         w = cert.witness
-        assert w["status"] == "optimal" and w["iterations"] > 0
+        assert w["status"] == "active-set" and w["iterations"] > 0
         if limit == "_MAX_ITER":
             assert w["scaling_steps"] == 5
         else:
@@ -1176,9 +1207,9 @@ class TestScaledCompletion:
         want = stieltjes_solve_oracle(gf.pair_groupoid(4), a.ravel())
         assert cert.value == pytest.approx(want.value, rel=1e-7)
         # the optimum lies on the boundary, where a weight tends to 0 and the
-        # upper side of the scaling closes too slowly: the interior-point
-        # method may still finish the solve here
-        assert cert.witness["status"] in ("scaled", "optimal")
+        # upper side of the scaling closes too slowly: the stall-closing step
+        # may finish the solve here
+        assert cert.witness["status"] in ("scaled", "active-set")
 
     def test_zero_rows_and_columns_keep_zero_weight(self):
         # a zero row of the Gram block keeps its weight at 0, its completion
@@ -1197,6 +1228,60 @@ class TestScaledCompletion:
             assert not np.any(np.delete(rho[1], 1)) and not np.any(np.delete(tau[2], 2))
             assert rho[1, 1] == tau[2, 2] == cert.value
             assert _min_eig_on_every_unit(g, a.ravel(), cert) >= -1e-9 * float(np.abs(a).max())
+
+
+def _corpus_id(entry):
+    return "-".join(map(str, entry))
+
+
+class TestStallCorpus:
+    """Every input on which the scaling stalls closes: the bracket to 1e-7,
+    a dual that re-verifies from the oracle's declaration, a completion PSD
+    on the block, and where the oracle's interior-point solve is affordable
+    (n <= 12, and n = 24 at seeds 8 and 18, two of its three fallbacks),
+    its value to 1e-7."""
+
+    @pytest.mark.parametrize("entry", STALLS, ids=_corpus_id)
+    def test_closes(self, entry):
+        a = stall_input(*entry)
+        n = len(a)
+        cert, sol = gf.norms._solve(gf.norms._matrix_bases(n), a.ravel().astype(complex))
+        w = cert.witness
+        assert w["status"] in ("seeded", "scaled", "active-set")
+        assert w["lower"] <= cert.value <= w["lower"] * (1 + 1e-7)
+        scale = float(np.abs(a).max())
+        if sol.dual is None:
+            assert w["lower"] == scale
+        else:
+            bound, residual, low = _dual_report(_schur_problem(a), sol.dual)
+            assert residual <= 1e-12 * scale and low >= -1e-12 * float(np.abs(sol.dual).max())
+            assert bound == pytest.approx(w["lower"], rel=1e-12)
+        block = np.block([[w["rho"].reshape(n, n), a], [a.T, w["tau"].reshape(n, n)]])
+        assert np.linalg.eigvalsh(block)[0] >= -1e-9 * scale
+        if n <= 12 or entry in ((24, 8, "rank2"), (24, 18, "rank2")):
+            # a is real, so the oracle solves the real problem, of the same optimum
+            want = interior_point_oracle(schur_untied_oracle(a, real=True), lower=scale)
+            assert cert.value == pytest.approx(want.value, rel=1e-7)
+
+    def test_rank_two_on_pair_24_closes(self):
+        # seeds 8 and 18 fell back to the interior-point method; seed 18's
+        # cheapest completion reaches the gap after 71 evaluations but is
+        # read through weights below 1e-40 and fails the PSD check, so both
+        # close on the active set
+        g = gf.pair_groupoid(24)
+        for seed in (8, 18):
+            cert = gf.fourier_stieltjes_norm(g, stall_input(24, seed, "rank2").ravel())
+            assert cert.witness["status"] == "active-set" and cert.witness["iterations"] > 0
+            assert cert.value <= cert.witness["lower"] * (1 + 1e-7)
+
+    def test_pair_48_within_its_cpu_budget(self):
+        # the interior-point fallback took 79 s here; the target is 0.5 s
+        a = stall_input(48, 1, "rank2")
+        start = time.process_time()
+        cert = gf.schur_cb_norm(a)
+        assert time.process_time() - start <= 5.0
+        assert cert.witness["status"] == "active-set"
+        assert cert.value <= cert.witness["lower"] * (1 + 1e-7)
 
 
 class TestBruteForceOracle:
@@ -1233,8 +1318,9 @@ def _results(g, phi):
 
 
 class TestUntiedDeclaration:
-    """The coefficient-norm problem is declared afresh on every solve, from
-    the groupoid's indexes and read-only arrays shared by block sizes."""
+    """The coefficient-norm problem is read afresh on every solve from the
+    groupoid's indexes, and the oracle's declaration holds one untied Schur
+    block per orbit base."""
 
     def test_interleaved_solves_match_a_fresh_groupoid(self, bundle23, weighted_bundle, rng):
         for _ in range(4):
@@ -1255,31 +1341,13 @@ class TestUntiedDeclaration:
             assert _results(g, phi) == _results(want, phi)
             assert _results(g, phi) != _results(bundle23, phi)
 
-    def test_cached_arrays_are_read_only(self, g3, rng):
-        phi = random_function(g3, rng)
-        before = _results(g3, phi)
-        problem = _untied(g3, phi)
-        for name in ("var", "conj", "sizes", "objective"):
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(problem, name)[...] = 0
-        shared = gf.norms._bases(g3).layout
-        assert shared.var is problem.var
-        assert not any(x.flags.writeable for x in (*shared[:5], *(c[2] for c in shared.classes)))
-        assert _results(g3, phi) == before
-
-    def test_only_small_layouts_are_kept(self):
-        # 2 x 64 points fill 2**14 positions, the most a kept layout holds
-        small, large = ((1, 64),), ((1, 65),)
-        assert gf.norms._layout(small) is gf.norms._layout(small)
-        assert gf.norms._layout(large) is not gf.norms._layout(large)
-        assert gf.norms._layout(large).var.size == 130 ** 2
-
     @pytest.mark.parametrize("gname", [*FIXTURE_GROUPOIDS, "s3", "z12_on_16", "pair2xz3", "pair1",
                                        "weighted_pair3"])
     def test_objective_holds_every_diagonal_position(self, gname, request, rng):
-        """The premise of the solver's feasible start and of its dual lift by
-        the identity: every diagonal entry of every declared block is rho or
-        tau at a unit arrow, Gram[p, p] = inverse(x_p) x_p."""
+        """The premise of the oracle's feasible start, of its dual lift by
+        the identity and of the re-check's pinned diagonal: every diagonal
+        entry of every declared block is rho or tau at a unit arrow,
+        Gram[p, p] = inverse(x_p) x_p."""
         g = {
             "s3": s3_on_three_points,
             "z12_on_16": z12_on_16_points,
@@ -1314,7 +1382,7 @@ class TestNoRepeatedWork:
         g = {"s3-on-3": s3_on_three_points, "z12-on-16": z12_on_16_points,
              "pair5": lambda: gf.pair_groupoid(5)}.get(gname, lambda: request.getfixturevalue(gname))()
         phi = random_pd(g, rng)
-        gf.fourier_norm_bounds(g, phi)  # builds the cached indexes and layout
+        gf.fourier_norm_bounds(g, phi)  # builds the cached indexes
         calls = []
         self._spy(monkeypatch, calls, (gf.positivity, gf.norms, gf),
                   ("pd_to_section", "is_positive_definite", "_verdict"))

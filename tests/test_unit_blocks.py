@@ -167,7 +167,7 @@ class TestOrbitIndex:
         assert bundle.dims == gns_bundle_oracle(g, phi)[0].dims
         assert _close(gf.coefficient(g, bundle, xi, xi), phi, 1e-10)
         # the coefficient-norm problem keeps a block per unit, to the same value
-        assert gf.norms._declare(gf.norms._bases(g), phi).data.shape[0] == 3
+        assert sum(len(x) for x in gf.norms._bases(g).grams) == 3
         assert gf.fourier_stieltjes_norm(g, phi).value == pytest.approx(
             gf.fourier_stieltjes_norm(gf.pair_groupoid(3), phi).value, rel=1e-9)
 
@@ -384,7 +384,7 @@ class TestKernelsAgainstLoops:
         phi = random_pd(g, rng) if pd else random_function(g, rng)
         sup = float(np.abs(phi).max())
         bases = gf.norms._bases(g)
-        scaled = gf.norms._scaled_completion(bases, gf.norms._declare(bases, phi), sup)
+        scaled = gf.norms._scaled_completion(bases, phi, sup)
         seed = gf.norms._average(bases, scaled.completion).ravel()
         want, sigma = polar_seed_oracle(g, phi)
         # the oracle's ("r", c) and ("t", c) are the variable ids c and c + n_arrows
