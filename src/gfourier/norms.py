@@ -176,9 +176,8 @@ class _Point(NamedTuple):
 def _evaluate(gram: np.ndarray, x: np.ndarray | None = None) -> _Point:
     """The scaling at the weights x on the stack gram: one batched SVD.  A
     weight of 0 belongs to a zero row or column of Phi, which the map keeps
-    at 0, or lies off the active set of ``_close``, and costs nothing.  At
-    uniform weights the completion is the balanced polar one, built at once:
-    it closes on most inputs."""
+    at 0, and costs nothing.  At uniform weights the completion is the
+    balanced polar one, built at once: it closes on most inputs."""
     if x is None:  # D_alpha Phi D_beta is Phi
         u, s, vh = np.linalg.svd(gram)
         factors = _pair(u, _herm(vh))
@@ -259,17 +258,17 @@ def _ascend(face: np.ndarray, w: np.ndarray, mu: float = 1e-3) -> tuple[np.ndarr
     (a of its rows, then b of its columns): Newton steps on f + mu sum log w
     under sum a = sum b = 1, scaled by w so that tiny weights keep their
     scale, each raising that objective and keeping 1% of the way to the
-    boundary; mu falls from ``mu`` f / |w| a hundredfold to 1e-15 f / |w|
-    once the Newton decrement is below mu / 1000.  Returns the weights,
+    boundary; mu falls from ``mu`` f / |w| a hundredfold to 1e-15 f / |w|,
+    then to 0, once the Newton decrement is below mu / 1000 (or 1e-15 f, the
+    rounding of f).  Returns the weights,
     which stay (above ``_ACTIVE`` of the largest on their side, with a ratio
     within 1e-6 of f) and the steps."""
     p = face.shape[0]
     w = np.concatenate([w[:p] / w[:p].sum(), w[p:] / w[p:].sum()])
-    sums = np.zeros((2, w.size))
-    sums[0, :p] = sums[1, p:] = 1.0
+    sums = np.repeat(np.eye(2), [p, w.size - p], axis=1)  # the rows of sum a and sum b
     value, gradient, hessian = _spectral(face, w)
-    mu, steps = mu * value / w.size, 0
-    while mu > 1e-15 * value / w.size:
+    steps, scale = 0, value / w.size
+    for mu in [*(mu * scale * 0.01 ** np.arange(round(np.log10(mu / 1e-15)) // 2 + 1)), 0.0]:
         for _ in range(30):
             g, h = gradient + mu / w, hessian - np.diag(mu / w ** 2)
             kkt = np.block([[h * np.outer(w, w), (sums * w).T], [sums * w, np.zeros((2, 2))]])
@@ -286,9 +285,8 @@ def _ascend(face: np.ndarray, w: np.ndarray, mu: float = 1e-3) -> tuple[np.ndarr
             else:
                 break
             w, (value, gradient, hessian) = step, trial
-            if d @ g <= 1e-3 * mu:
+            if d @ g <= max(1e-3 * mu, 1e-15 * value):
                 break
-        mu /= 100
     top = np.repeat([w[:p].max(), w[p:].max()], [p, w.size - p])
     return w, (w >= _ACTIVE * top) & (2 * gradient >= (1 - 1e-6) * value), steps
 
@@ -354,15 +352,20 @@ def _close(gram: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
             size = max(schur.shape)
             scaled = np.zeros((1, size, size), dtype=complex)
             scaled[0, :len(roots[0]), :len(roots[1])] = schur / roots[0][:, None] / roots[1]
-            (completion,), (_, _, point, i), _, n, _ = _complete([scaled], float(np.abs(scaled).max()))
+            (completion,), (value, _, point, i), _, n, _ = _complete([scaled], float(np.abs(scaled).max()))
             newton += n
-            right, left = _completion_factors(scaled[0], completion[0, 1])
+            tau = completion[0, 1].copy()  # pinned to the cost, as checked, so both factors keep within it
+            tau.flat[::size + 1] = _cost(completion[0])
+            right, left = _completion_factors(scaled[0], tau)
             extra = np.zeros((2, m, size), dtype=complex)
             extra[0, others[0]] = left[:len(roots[0])] * roots[0][:, None]
             extra[1, others[1]] = right[:len(roots[1])] * roots[1][:, None]
             factors = np.concatenate([factors, extra], axis=2)
-            if _cost(completion[0]) > 1 + 1e-9:  # the solve's active weights join
-                weights = np.ones((2, size)) if point.x is None else point.x[i]
+            if _cost(completion[0]) > 1 + 1e-9:  # the weights of the solve's lower bound join
+                if value < np.abs(scaled).max():  # the sup norm, at its entry
+                    weights = np.eye(size)[list(np.unravel_index(np.abs(scaled[0]).argmax(), (size, size)))]
+                else:
+                    weights = np.ones((2, size)) if point.x is None else point.x[i]
                 hit = weights > _ACTIVE * weights.max(1, keepdims=True)
                 grow[others[0]] = hit[0, :len(roots[0])]
                 grow[m + others[1]] = hit[1, :len(roots[1])]
