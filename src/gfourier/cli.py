@@ -157,10 +157,13 @@ def cmd_check(args) -> int:
     return _emit(report, args.format, args.out)
 
 
-def _gap(cert) -> str:
-    """The relative gap (value - lower) / value the SDP solve reached."""
+def _solved(name: str, value: float, cert) -> CheckRecord:
+    """The record of a norm from the SDP solve behind ``cert``, with the
+    relative gap (value - lower) / value it reached: "warn" where the
+    bracket stayed open, so the value is an upper bound only."""
     gap = (cert.value - cert.witness["lower"]) / cert.value if cert.value else 0.0
-    return f"gap {gap:.1e}"
+    status = "warn" if cert.witness["status"] == "open" else "info"
+    return CheckRecord(name, status, f"{value:.12g}", f"gap {gap:.1e}")
 
 
 def _print_stats(cert, cpu: float, wall: float) -> None:
@@ -193,12 +196,10 @@ def cmd_norm(args) -> int:
                 "unsupported: the cb norm is exact only on pair groupoids"
             )
         cert = solved = nrm.schur_cb_norm(phi[arrow_of])
-        report.records.append(CheckRecord("norm/cb", "info", f"{cert.value:.12g}", _gap(cert)))
+        report.records.append(_solved("norm/cb", cert.value, cert))
     elif args.which == "stieltjes":
         cert = solved = nrm.fourier_stieltjes_norm(g, phi)
-        report.records.append(
-            CheckRecord("norm/stieltjes", "info", f"{cert.value:.12g}", _gap(cert))
-        )
+        report.records.append(_solved("norm/stieltjes", cert.value, cert))
         report.records.append(
             CheckRecord(
                 "norm/order-chain",
@@ -210,11 +211,7 @@ def cmd_norm(args) -> int:
     elif args.which == "decomp":
         lower, upper = nrm.fourier_norm_bounds(g, phi)
         solved = lower.witness["stieltjes"]
-        report.records.append(
-            CheckRecord(
-                "norm/decomp-lower", "info", f"{lower.value:.12g}", _gap(lower.witness["stieltjes"])
-            )
-        )
+        report.records.append(_solved("norm/decomp-lower", lower.value, solved))
         report.records.append(
             CheckRecord("norm/decomp-upper", "info", f"{upper.value:.12g}", "")
         )

@@ -307,7 +307,9 @@ def _close(gram: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
     Violators join at 1e-3 of the largest weight, until the bracket closes,
     nothing violates or a face repeats.  The completion [X; Y][X; Y]^H has
     its diagonal raised by the Frobenius norm of Phi - X Y^H, so it is PSD
-    whatever the rounding."""
+    whatever the rounding.  A real block is solved in real arithmetic."""
+    if not gram.imag.any():
+        gram = gram.real
     m = len(gram)
     live = np.concatenate([np.any(gram, axis=1), np.any(gram, axis=0)])
     active = live & (x.ravel() > 1e-10 * np.repeat(x.max(1), m))
@@ -335,7 +337,7 @@ def _close(gram: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
         xa, yb = xa * scale, yb / scale  # balanced: both sides' squared row norms are f
         t = float((np.abs(xa) ** 2).sum(1).max())
         others = np.flatnonzero(~active[:m]), np.flatnonzero(~active[m:])
-        factors = np.zeros((2, m, r), dtype=complex)
+        factors = np.zeros((2, m, r), dtype=gram.dtype)
         factors[0, rows], factors[1, cols] = xa, yb
         factors[0, others[0]] = gram[np.ix_(others[0], cols)] @ np.linalg.pinv(_herm(yb))
         factors[1, others[1]] = _herm(gram[np.ix_(rows, others[1])]) @ np.linalg.pinv(_herm(xa))
@@ -350,14 +352,14 @@ def _close(gram: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
         if not grow.any() and schur.any():
             roots = [np.sqrt(np.maximum(x, 1e-30 * t)) for x in budget]
             size = max(schur.shape)
-            scaled = np.zeros((1, size, size), dtype=complex)
+            scaled = np.zeros((1, size, size), dtype=gram.dtype)
             scaled[0, :len(roots[0]), :len(roots[1])] = schur / roots[0][:, None] / roots[1]
             (completion,), (value, _, point, i), _, n, _ = _complete([scaled], float(np.abs(scaled).max()))
             newton += n
             tau = completion[0, 1].copy()  # pinned to the cost, as checked, so both factors keep within it
             tau.flat[::size + 1] = _cost(completion[0])
             right, left = _completion_factors(scaled[0], tau)
-            extra = np.zeros((2, m, size), dtype=complex)
+            extra = np.zeros((2, m, size), dtype=gram.dtype)
             extra[0, others[0]] = left[:len(roots[0])] * roots[0][:, None]
             extra[1, others[1]] = right[:len(roots[1])] * roots[1][:, None]
             factors = np.concatenate([factors, extra], axis=2)
@@ -391,15 +393,17 @@ def _complete(grams: list[np.ndarray], sup: float):
     1 + 1e-7 times the larger of sup and the
     best lower bound iterate the map alpha^2 <- diag U S U^H / tr S,
     beta^2 <- diag V S V^H / tr S, whose fixed point meets both sides,
-    extrapolated by ``_squarem``, each keeping its cheapest completion, until
-    every block is within it, the gap of the cheapest fails to halve in
-    ``_STALL`` evaluations, or for ``_MAX_ITER`` evaluations (0: the uniform
-    one alone); a zero row or column of Phi keeps weight 0, and any other
-    weight is floored at the smallest normal float.  A block still open then
-    takes ``_close`` from its best lower point.  Returns the completions, one
-    (k, 2, m, m) stack per class, the best lower bound with its block, point
-    and row there, the evaluations after the uniform one, the Newton steps
-    and the ``_close`` calls."""
+    extrapolated by ``_squarem``, until every block is within it, the gap
+    of the cheapest evaluation fails to halve in ``_STALL`` evaluations, or
+    for ``_MAX_ITER`` evaluations (0: the uniform one alone); a zero row or
+    column of Phi keeps weight 0, and any other weight is floored at the
+    smallest normal float.  Each block keeps its cheapest completion.  A
+    block still open then takes ``_close`` from its best lower point, and so
+    does one whose cheapest completion, read through a weight below 1e-10 of
+    the largest, is not PSD.  Returns the completions, one (k, 2, m, m)
+    stack per class, the best lower bound with its block, point and row
+    there, the evaluations after the uniform one, the Newton steps and the
+    ``_close`` calls."""
     top = (-np.inf, 0, None, 0)  # the best lower bound, its block, and its point and row there
     steps = newton = closes = 0
 
@@ -425,42 +429,44 @@ def _complete(grams: list[np.ndarray], sup: float):
         # which would read its row as a zero row; weights above it are kept
         live = np.stack([np.any(open_gram, axis=2), np.any(open_gram, axis=1)], axis=1)
         floor = live * _TINY
-        # per open block its cheapest upper bound, the evaluations that may
-        # hold one (the uniform one first), and every evaluation's lower bounds
-        held = [first if rows.size == len(gram) else _Point(*(x if x is None else x[rows] for x in first))]
-        cheap = held[0].upper
-        lows = [(first.lower[rows], np.ones(live.shape))]
-        best, since = np.inf, 0
+        # every evaluation's bounds and weights (the uniform one first), from
+        # which each block's cheapest completion and best lower point are
+        # rebuilt; the gap is judged on the cheapest evaluation
+        uppers, lowers, xs = [first.upper[rows]], [first.lower[rows]], [np.ones(live.shape)]
+        least, best, since = float(uppers[0].max()), np.inf, 0
         points = _squarem(lambda x: record(_evaluate(open_gram, np.maximum(x, floor)), open_blocks),
                           first.next[rows] * live)
         for count, last in enumerate(islice(points, _MAX_ITER), 1):
-            cheap = np.minimum(last.upper, cheap)
-            held.append(last)
-            if len(held) > 16:  # keep the evaluations that hold a cheapest completion
-                held = [held[j] for j in np.unique(np.argmin([p.upper for p in held], axis=0))]
-            lows.append((last.lower, last.x))
-            gap = float(cheap.max()) / max(sup, top[0]) - 1
+            uppers.append(last.upper)
+            lowers.append(last.lower)
+            xs.append(last.x)
+            least = min(least, float(last.upper.max()))
+            gap = least / max(sup, top[0]) - 1
             best, since = (gap, 0) if gap <= best / 2 else (best, since + 1)
             if gap <= _REL_GAP or since >= _STALL:
                 break
         steps += count
-        doubt, owner = np.zeros(rows.size, dtype=bool), np.argmin([p.upper for p in held], axis=0)
-        owners = np.unique(owner)
-        for j in owners:
-            mine, point = slice(None) if owners.size == 1 else owner == j, held[j]
-            completion[rows[mine]] = point.completion(mine)
-            if point.x is not None:
-                # read through a weight below 1e-10 of the largest, a
-                # completion may round away from PSD
-                x = point.x[mine]
-                doubt[mine] = np.any((x < 1e-10 * x.max(2, keepdims=True)) & live[mine], axis=(1, 2))
-        if doubt.any():  # such a completion counts only where it is PSD
-            pinned = _blocks(completion[rows[doubt]], open_gram[doubt], cheap[doubt])  # as the re-check pins them
+        target = (1 + _REL_GAP) * max(sup, top[0])
+        if last.upper.max() <= target and last.x.min() >= 1e-10 * last.x.max():  # closed, through no tiny weight
+            completion[rows] = last.completion()
+            continue
+        # per block the evaluation of its cheapest completion (0, the uniform one, is in place); one
+        # read through a weight below 1e-10 of the largest may round away from PSD, and counts only
+        # where, pinned as the re-check pins it, it is PSD
+        owner = np.argmin(uppers, axis=0)
+        cheap, doubt = np.min(uppers, axis=0), np.zeros(rows.size, dtype=bool)
+        for j in np.unique(owner[owner > 0]):
+            mine = owner == j
+            point, at = (last, mine) if j == count else (_evaluate(open_gram[mine], xs[j][mine]), slice(None))
+            completion[rows[mine]], x = point.completion(at), xs[j][mine]
+            doubt[mine] = np.any((x < 1e-10 * x.max(2, keepdims=True)) & live[mine], axis=(1, 2))
+        if doubt.any():
+            pinned = _blocks(completion[rows[doubt]], open_gram[doubt], cheap[doubt])
             bad = np.linalg.eigvalsh(pinned)[:, 0] < -1e-10 * np.abs(open_gram[doubt]).max((1, 2))
             cheap[np.flatnonzero(doubt)[bad]] = np.inf
-        target = (1 + _REL_GAP) * max(sup, top[0])
         for i in np.flatnonzero(cheap > target):
-            closed, x, n = _close(open_gram[i], max(lows, key=lambda e: e[0][i])[1][i])  # from the best lower point
+            start = xs[int(np.argmax([low[i] for low in lowers]))][i]  # the best lower point
+            closed, x, n = _close(open_gram[i], start)
             newton, closes = newton + n, closes + 1
             with np.errstate(over="ignore"):  # its upper side, read through zero weights, goes unused
                 record(_evaluate(open_gram[i:i + 1], np.maximum(x, floor[i])[None]), open_blocks[i:i + 1])
@@ -534,6 +540,9 @@ def _solve(bases: _Bases, phi: np.ndarray) -> tuple[NormCertificate, SdpSolution
     lower = max(sup, _rounded(scaled.value, bases.fiber, -1))
     averaged = _average(bases, scaled.completion)
     solution = solve_diag_bound_sdp(bases.grams, phi, averaged, lower, scaled.dual, scaled.closes, scaled.newton)
+    # rounded up as lower is rounded down, the scaling's bound keeps
+    # lower <= optimum <= value where the sides meet (raised, a block stays PSD)
+    solution.value = max(solution.value, _rounded(scaled.value, bases.fiber, 1))
     averaged[:, bases.units] = solution.value
     status = solution.status
     if status == "seeded" and (scaled.closes or scaled.steps):

@@ -15,6 +15,14 @@ Each entry is (n, seed, kind), an n x n real matrix, solved as
   77-87 s.
 * ``PAIR4``: the two pair(4) inputs ``default_rng(seed).standard_normal(16)``
   whose scaling ran all 300 evaluations before the fallback, seeds 25 and 90.
+
+``OPEN`` holds the inputs on which the stall-closing step still leaves the
+bracket open, solved as ``schur_cb_norm(open_input(n, seed, kind))``: every
+such input of a scan of n = 24, 40, 64, seeds 6-15, which draws from
+``default_rng([n, seed, 13])`` in turn a complex rank-2 product, a real
+rank-3 product, a real matrix with about 90% of its entries zeroed
+("sparse10") and a real rank-2 product with about half of its entries
+zeroed ("mask"), 3 of 480.
 """
 
 import numpy as np
@@ -31,6 +39,7 @@ SCAN = [
 RANK2 = [(n, seed, "rank2") for n in (24, 48) for seed in range(20)]
 PAIR4 = [(4, 25, "pair4"), (4, 90, "pair4")]
 STALLS = SCAN + RANK2 + PAIR4
+OPEN = [(40, 13, "mask"), (64, 9, "sparse10"), (64, 12, "mask")]
 
 
 def stall_input(n: int, seed: int, kind: str) -> np.ndarray:
@@ -43,3 +52,14 @@ def stall_input(n: int, seed: int, kind: str) -> np.ndarray:
     x = rng.standard_normal((n, n))
     drawn["sparse"] = x * (rng.random((n, n)) < 0.3)
     return drawn[kind]
+
+
+def open_input(n: int, seed: int, kind: str) -> np.ndarray:
+    """The n x n matrix of an ``OPEN`` entry."""
+    rng = np.random.default_rng([n, seed, 13])
+    for shape in ((n, 2), (n, 2), (2, n), (2, n), (n, 3), (3, n)):  # the complex rank-2 and real rank-3 draws
+        rng.standard_normal(shape)
+    sparse = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.1)
+    if kind == "sparse10":
+        return sparse
+    return (rng.standard_normal((n, 2)) @ rng.standard_normal((2, n))) * (rng.random((n, n)) < 0.5)

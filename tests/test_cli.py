@@ -478,6 +478,22 @@ class TestNormStats:
         assert lines[-1][4] == "wall" and float(lines[-1][5]) >= 0 and lines[-1][6] == "s"
 
     @pytest.mark.parametrize("which", ["stieltjes", "cb", "decomp"])
+    def test_an_open_bracket_warns(self, tmp_path, capsys, rng, monkeypatch, which):
+        # with no scaling step a generic input keeps its bracket open: its
+        # record warns, and the command still succeeds
+        monkeypatch.setattr(gf.norms, "_MAX_ITER", 0)
+        gfile, ffile = tmp_path / "g.json", tmp_path / "f.json"
+        write_groupoid(str(gfile), gf.pair_groupoid(3))
+        write_arrow_function(str(ffile), rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        out = tmp_path / "out.json"
+        assert main(["norm", str(gfile), str(ffile), "--which", which, "--format", "machine", "--out", str(out)]) == 0
+        records = {r["name"]: r for r in json.loads(out.read_text())["records"]}
+        name = {"stieltjes": "norm/stieltjes", "cb": "norm/cb", "decomp": "norm/decomp-lower"}[which]
+        assert records[name]["status"] == "warn"
+        assert float(records[name]["tolerance"].split()[1]) > 1e-7
+        assert all(r["status"] in ("info", "pass") for r in records.values() if r["name"] != name)
+
+    @pytest.mark.parametrize("which", ["stieltjes", "cb", "decomp"])
     def test_rank_one_takes_no_newton_step(self, tmp_path, capsys, rng, which):
         # the cb norm of x y* is |x|_inf |y|_inf, the sup norm: the seed is optimal
         gfile, ffile = tmp_path / "g.json", tmp_path / "f.json"

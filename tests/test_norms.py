@@ -16,7 +16,7 @@ from conftest import (
     z4_on_4_points_through_z2,
     z12_on_16_points,
 )
-from stall_corpus import STALLS, stall_input
+from stall_corpus import OPEN, STALLS, open_input, stall_input
 from reference import (
     DiagBoundSdp,
     _base_ids_oracle,
@@ -182,23 +182,40 @@ class TestDualCertificate:
     oracle's declarations, and bound the value from below to within the
     requested gap; the oracle's interior-point solve meets the same value."""
 
-    def _check(self, bases, phi, problems, rng=None):
+    def _check(self, bases, phi, problems, min_eig):
+        # the oracle's interior-point solve of every declaration: its dual
+        # certifies its value, and its completion is PSD
+        values = []
+        for problem in problems:
+            want = interior_point_oracle(problem)
+            assert want.status == "optimal"
+            assert want.probes == 1 and 0 < want.iterations <= 100
+            bound, residual, low = _dual_report(problem, want.dual)
+            scale = problem.data_scale()
+            assert low >= -1e-12 * float(np.abs(want.dual).max())
+            assert residual <= 1e-12 * scale
+            assert bound == pytest.approx(want.lower, rel=1e-12, abs=1e-12)
+            assert bound <= want.value
+            assert (want.value - bound) / want.value <= 1e-7
+            assert problem.min_eigenvalue(want.variables) >= 0.0
+            values.append(want.value)
+        assert values == pytest.approx([values[0]] * len(values), rel=1e-7)
+        # the package meets that value; its dual re-verifies in every
+        # declaration, and its witness is PSD on every unit's block
         cert, sol = gf.norms._solve(bases, phi)
-        want = interior_point_oracle(problems[0])
-        assert cert.value == pytest.approx(want.value, rel=1e-7)
+        assert cert.value == pytest.approx(values[0], rel=1e-7)
         assert sol.status == "seeded"
+        scale = float(np.abs(phi).max())
+        assert min_eig(cert) >= -1e-12 * scale
         if sol.dual is None:  # the sup norm is the bound
-            assert sol.lower == float(np.abs(phi).max())
+            assert sol.lower == scale
             return
         for problem in problems:
             bound, residual, low = _dual_report(problem, sol.dual)
-            scale = problem.data_scale()
             assert low >= -1e-12 * float(np.abs(sol.dual).max())
-            assert residual <= 1e-12 * scale
+            assert residual <= 1e-12 * problem.data_scale()
             assert bound == pytest.approx(sol.lower, rel=1e-12, abs=1e-12)
-            # where the sides meet (one-unit orbits) -<F0, Z> can exceed the
-            # value by a rounding; the certified bound is rounded below both
-            assert sol.lower <= min(bound, sol.value) and bound <= sol.value * (1 + 1e-12)
+            assert sol.lower <= bound <= sol.value
             assert (sol.value - bound) / sol.value <= 1e-7
 
     @pytest.mark.parametrize("name", sorted(DUAL_GROUPOIDS))
@@ -208,12 +225,13 @@ class TestDualCertificate:
         g = DUAL_GROUPOIDS[name]()
         for _ in range(2):
             phi = random_function(g, rng)
-            self._check(gf.norms._bases(g), phi, (_untied(g, phi), tied_problem_oracle(g, phi)))
+            self._check(gf.norms._bases(g), phi, (_untied(g, phi), tied_problem_oracle(g, phi)),
+                        lambda cert: _min_eig_on_every_unit(g, phi, cert))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_schur_problems(self, n, rng):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        self._check(gf.norms._matrix_bases(n), a.ravel(), (_schur_problem(a),))
+        self._check(gf.norms._matrix_bases(n), a.ravel(), (_schur_problem(a),), lambda cert: _min_eig_on_block(a, cert))
 
     def test_oracle_stops_at_a_lower_bound_it_reaches(self, rng):
         # rank one: the cb norm is |x|_inf |y|_inf, the sup norm
@@ -922,6 +940,15 @@ def _cyclic_bundle_norm(g, phi) -> float:
                for u in range(g.n_units))
 
 
+def _min_eig_on_block(a, cert) -> float:
+    """The smallest eigenvalue of the completion [[rho, a], [a^H, tau]] of
+    the Schur problem of the n x n matrix a, rho and tau read by the pair
+    groupoid's arrow ids i n + j."""
+    n = len(a)
+    w = cert.witness
+    return float(np.linalg.eigvalsh(np.block([[w["rho"].reshape(n, n), a], [a.conj().T, w["tau"].reshape(n, n)]]))[0])
+
+
 def _min_eig_on_every_unit(g, phi, cert) -> float:
     """The completion's smallest eigenvalue over the blocks of all units, from
     the entry-by-entry builder."""
@@ -1256,8 +1283,7 @@ class TestStallCorpus:
             bound, residual, low = _dual_report(_schur_problem(a), sol.dual)
             assert residual <= 1e-12 * scale and low >= -1e-12 * float(np.abs(sol.dual).max())
             assert bound == pytest.approx(w["lower"], rel=1e-12)
-        block = np.block([[w["rho"].reshape(n, n), a], [a.T, w["tau"].reshape(n, n)]])
-        assert np.linalg.eigvalsh(block)[0] >= -1e-9 * scale
+        assert _min_eig_on_block(a, cert) >= -1e-9 * scale
         if n <= 12 or entry in ((24, 8, "rank2"), (24, 18, "rank2")):
             # a is real, so the oracle solves the real problem, of the same optimum
             want = interior_point_oracle(schur_untied_oracle(a, real=True), lower=scale)
@@ -1282,6 +1308,22 @@ class TestStallCorpus:
         assert time.process_time() - start <= 5.0
         assert cert.witness["status"] == "active-set"
         assert cert.value <= cert.witness["lower"] * (1 + 1e-7)
+
+    @pytest.mark.parametrize("entry", OPEN, ids=_corpus_id)
+    def test_open_inputs_keep_a_certified_bracket(self, entry):
+        # the faces that the stall-closing step tries here repeat before the
+        # bracket closes; it ends "open", within 1e-4, with a dual that
+        # re-verifies and a completion PSD on the block
+        a = open_input(*entry)
+        cert, sol = gf.norms._solve(gf.norms._matrix_bases(len(a)), a.ravel().astype(complex))
+        w = cert.witness
+        assert w["status"] == "open"
+        assert w["lower"] * (1 + 1e-7) < cert.value <= w["lower"] * (1 + 1e-4)
+        scale = float(np.abs(a).max())
+        bound, residual, low = _dual_report(_schur_problem(a), sol.dual)
+        assert residual <= 1e-12 * scale and low >= -1e-12 * float(np.abs(sol.dual).max())
+        assert bound == pytest.approx(w["lower"], rel=1e-12)
+        assert _min_eig_on_block(a, cert) >= -1e-9 * scale
 
 
 class TestBruteForceOracle:
