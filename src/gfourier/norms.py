@@ -45,9 +45,12 @@ import numpy as np
 
 from .algebra import arrow_function
 from .groupoid import FiniteGroupoid
-from .positivity import _stacks
 from .sdp import _REL_GAP, SdpSolution, _blocks, _herm, solve_diag_bound_sdp
 
+# entries that ``_term_cost`` and ``_terms_reconstruct`` stack at once: 64 KB
+# of complex values, below the size from which the allocator maps fresh pages,
+# whose faults would cost more than the stacked work saves
+STACK_ENTRIES = 1 << 12
 # the rounding margin of the scaling's lower bounds and of decomposition
 # costs, in eps (or ulps, below the normal range) per fiber element
 _ROUNDING = 8
@@ -675,6 +678,13 @@ def _pair_structure(g: FiniteGroupoid) -> np.ndarray | None:
     return arrow_of if arrow_of.min(initial=0) >= 0 else None
 
 
+def _stacks(ids: np.ndarray, entries: int) -> list[np.ndarray]:
+    """ids in consecutive parts of at most STACK_ENTRIES entries (at least one id
+    each), at ``entries`` entries per id."""
+    step = max(1, STACK_ENTRIES // max(1, entries))
+    return [ids[i : i + step] for i in range(0, ids.size, step)]
+
+
 def _term_cost(g: FiniteGroupoid, terms: np.ndarray) -> float:
     """sum over k of ||f_k|| ||h_k|| for a (k, 2, n_arrows) stack of terms (f_k, h_k),
     read on the range fibers of ``fiber_classes``; each section is divided by
@@ -709,13 +719,16 @@ def _terms_reconstruct(g: FiniteGroupoid, terms: np.ndarray, phi, tol: float = 1
 def _delta_terms(g: FiniteGroupoid, phi) -> np.ndarray:
     """Per-arrow point-mass decomposition; always succeeds, rarely tight.
 
-    Term k pairs the normalized unit point mass at the source of the k-th
-    arrow x in the support of phi with phi(x) at x."""
+    Term k pairs the normalized unit point mass at the unit e of the source
+    of the k-th arrow x in the support of phi with phi(x) w(e) / w(x) at x:
+    the coefficient of the pair is w(x) / w(e) times its value at x, so the
+    factor reproduces phi(x) under any weights, and it is exactly 1 under
+    left-invariant ones."""
     xs = np.flatnonzero(phi)
     units = g.unit_arrows[g.source_of[xs]]
     terms = np.zeros((xs.size, 2, g.n_arrows), dtype=complex)
     terms[np.arange(xs.size), 0, units] = 1.0 / g.weights[units]
-    terms[np.arange(xs.size), 1, xs] = phi[xs]
+    terms[np.arange(xs.size), 1, xs] = phi[xs] * (g.weights[units] / g.weights[xs])
     return terms
 
 

@@ -8,26 +8,22 @@ it exactly: the eigenvalue test by its eigenvalues, the point-set and
 integral tests by the inertia of an LDL^H factorization (Sylvester's law of
 inertia).  Every "not positive definite" verdict carries a witness vector.
 
-The units are decided, factored and square-rooted once per orbit, at the
-orbit's smallest unit (``FiniteGroupoid.orbit_index``): every other unit's
-Gram matrix, weighted kernel and right convolution block is the base's with
-rows and columns permuted alike.  That rests on the groupoid axioms and on
-left-invariant weights, as the one Schur block per orbit base of
-``gfourier.norms`` does; with weights that are not left
-invariant the index makes every unit its own base.  The bases of a fiber class of
-``FiniteGroupoid.fiber_classes`` are one gather.  Each base matrix commutes
-with the translations of its fiber by the base's isotropy group H, so the
-eigenvalue verdict, the GNS factor and the square root decompose it through
-the unitary of ``FiniteGroupoid.isotropy_blocks`` into sum_pi d_pi blocks of
-size d_pi |X|, one stacked call per block size and none for 1x1 blocks
-(``gfourier.numerics.block_spectra``); a base with trivial isotropy, as on a
-pair groupoid, is one block and is decomposed whole.  The LDL^H criteria
+The units are decided, factored and square-rooted once per orbit, at its
+smallest unit (``FiniteGroupoid.orbit_index``): by the groupoid axioms and
+left-invariant weights, every other unit's Gram matrix, weighted kernel and
+right convolution block is the base's with rows and columns permuted alike
+(with weights that are not left invariant every unit is its own base).  The
+bases of a fiber class are one gather.  Each base matrix commutes with the
+translations of its fiber by the base's isotropy group, so the eigenvalue
+verdict, the GNS factor and the square root split it into the blocks of
+``FiniteGroupoid.isotropy_blocks``, one stacked call per block size and none
+for 1x1 blocks (``gfourier.numerics.block_spectra``).  The LDL^H criteria
 factor the matrices whole, with no LAPACK call, so they stay an independent
 check of that path.  The GNS bundle is induced from each base's isotropy
-group, with one map per isotropy element.  A base kernel of full rank
-commutes with the translations of its isotropy group, and so does its
-Hermitian square root, so with that root as the factor every map of the
-orbit is the 0/1 translation matrix itself, written without a product.
+group: a ``GHilbertBundle`` holds one stack of distinct maps per map shape
+and an index per arrow into it.  On an orbit whose kernel has full rank
+every map is an isotropy translation, held as permutation rows, which
+``coefficient`` applies by one gather.
 """
 
 from __future__ import annotations
@@ -38,15 +34,10 @@ import numpy as np
 
 from .algebra import arrow_function, convolve, star
 from .groupoid import FiniteGroupoid, IsotropyBlocks
-from .numerics import block_spectra, hermitian_eigen, hermitian_sqrt, select_blocks
+from .numerics import block_spectra, hermitian_sqrt, select_blocks
 from .regular import _right_op_blocks
 
 PSD_TOL = 1e-9
-# matrix entries that ``gns_bundle`` (translation matrices, gathered rows of a
-# pseudo-inverse) and ``coefficient`` (moved vectors read by their arrows) stack
-# at once: 64 KB of complex values, below the size from which the allocator
-# maps fresh pages, whose faults would cost more than the stacked work saves
-STACK_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -224,7 +215,8 @@ def pd_verdict_pointset(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerdi
 def integral_form(g: FiniteGroupoid, phi, u: int, f) -> complex:
     """Weighted double sum of phi(inverse(y) x) f(y) conj(f(x)) over the fiber of u."""
     f = np.asarray(f, dtype=complex)
-    return complex(f.conj() @ _integral_kernel(g, phi, u) @ f)
+    kernel = _integral_kernels(g.weights[g.r_fibers[u]], gram_matrix(g, phi, u))
+    return complex(f.conj() @ kernel @ f)
 
 
 def pd_verdict_integral(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerdict:
@@ -237,11 +229,6 @@ def pd_verdict_integral(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerdi
     return _verdict(g, phi, tol, _negative_directions, weighted=True)
 
 
-def _integral_kernel(g: FiniteGroupoid, phi, u: int) -> np.ndarray:
-    """The weighted kernel w(x) w(y) phi(inverse(y) x) over the fiber of u."""
-    return _integral_kernels(g.weights[g.r_fibers[u]], gram_matrix(g, phi, u))
-
-
 def _integral_kernels(w: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Weighted kernels from Gram matrices (last two axes) and fiber weights w."""
     return (w[..., :, None] * w[..., None, :]) * gram.swapaxes(-1, -2)
@@ -252,17 +239,62 @@ def _integral_kernels(w: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class MapStack:
+    """The distinct maps of one shape, and the arrows that carry them: arrow
+    ``arrows[j]`` carries map ``at[j]``.  ``maps`` holds permutation rows,
+    (n, m) integers, row i the map v -> v[maps[i]] (the matrix
+    ``np.eye(m)[maps[i]]``), or matrices, (n, rows, cols)."""
+
+    maps: np.ndarray
+    arrows: np.ndarray
+    at: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The shape of each map as a matrix."""
+        return (self.maps.shape[1],) * 2 if self.maps.ndim == 2 else self.maps.shape[1:]
+
+
 class GHilbertBundle:
     """Finite-dimensional Hilbert fibers over units with arrow isometries.
 
-    ``maps[x]`` is a complex or real matrix from the fiber at source(x) to the
-    fiber at range(x); composable arrows multiply, inverses transpose-conjugate,
-    and unit arrows map to identities (all checked by the test suites, not
-    assumed here).
+    The map of an arrow x goes from the fiber at source(x) to the fiber at
+    range(x); composable arrows multiply, inverses transpose-conjugate, and
+    unit arrows map to identities (checked by the test suites, not assumed).
+    ``stacks`` holds one ``MapStack`` of distinct maps per shape; the tuple of
+    one matrix per arrow of ``GHilbertBundle(dims, maps)`` is stacked an entry
+    per arrow.  ``maps`` is that tuple, derived on first read and kept:
+    read-only views, one object per distinct map.
     """
 
-    dims: tuple[int, ...]
-    maps: tuple[np.ndarray, ...]
+    def __init__(self, dims, maps=(), stacks=None):
+        self.dims = tuple(dims)
+        self.stacks = _stacked(maps) if stacks is None else tuple(stacks)
+        self._maps = None
+
+    @property
+    def maps(self) -> tuple[np.ndarray, ...]:
+        if self._maps is None:
+            views, entry = [], np.empty(sum(s.arrows.size for s in self.stacks), dtype=int)
+            for s in self.stacks:
+                entry[s.arrows] = s.at + len(views)
+                dense = np.eye(s.maps.shape[1])[s.maps] if s.maps.ndim == 2 else s.maps.view()
+                dense.flags.writeable = False
+                views.extend(dense)
+            self._maps = tuple(map(views.__getitem__, entry.tolist()))
+        return self._maps
+
+
+def _stacked(maps) -> tuple[MapStack, ...]:
+    """A tuple of one matrix per arrow as one ``MapStack`` per shape, an entry per arrow."""
+    shapes = list(map(np.shape, maps))
+    stacks = []
+    for shape in sorted(set(shapes)):
+        arrows = np.flatnonzero([s == shape for s in shapes])
+        if len(shape) != 2:
+            raise ValueError(f"map of arrow {arrows[0]} is not a matrix")
+        stacks.append(MapStack(np.stack([maps[x] for x in arrows]), arrows, np.arange(arrows.size)))
+    return tuple(stacks)
 
 
 @dataclass(frozen=True)
@@ -271,8 +303,9 @@ class BundleSection:
 
 
 def trivial_bundle(g: FiniteGroupoid, dim: int = 1) -> GHilbertBundle:
-    eye = np.eye(dim, dtype=complex)
-    return GHilbertBundle(dims=(dim,) * g.n_units, maps=(eye,) * g.n_arrows)
+    """Fibers C^dim with the identity on every arrow: one permutation, carried by all."""
+    identity = MapStack(np.arange(dim)[None], np.arange(g.n_arrows), np.zeros(g.n_arrows, dtype=int))
+    return GHilbertBundle((dim,) * g.n_units, stacks=(identity,))
 
 
 def constant_section(g: FiniteGroupoid, bundle: GHilbertBundle, value=1.0) -> BundleSection:
@@ -282,42 +315,38 @@ def constant_section(g: FiniteGroupoid, bundle: GHilbertBundle, value=1.0) -> Bu
 def coefficient(g: FiniteGroupoid, bundle: GHilbertBundle, xi: BundleSection, eta: BundleSection) -> np.ndarray:
     """The arrow function <L_x xi(source x), eta(range x)>, conjugate linear in xi.
 
-    Arrows that carry the same map object (``gns_bundle`` shares one per
-    isotropy element) and the same source share the moved vector
-    L_x xi(source x): each map is applied once, to the stacked vectors of its
-    sources.  The object identity decides only which work is shared, never a
-    value.  The inner products are taken in stacks of about ``STACK_ENTRIES``
-    entries.
+    Each stack of ``bundle.stacks`` moves the vectors at the sources of its
+    arrows at once: permutation rows by one gather, which moves entries
+    exactly as their 0/1 matrix does, and matrices by one batched product.
+    The moved vectors, zero past each fiber's dimension, meet eta at the
+    ranges in one row sum.
     """
     dims = np.asarray(bundle.dims, dtype=int)
     for name, sec in (("xi", xi), ("eta", eta)):
-        u = _first_mismatch(list(map(np.shape, sec.vectors)), list(zip(bundle.dims)))
-        if u is not None:
+        got, want = list(map(np.shape, sec.vectors)), list(zip(bundle.dims))
+        if got != want:
+            u = next((u for u, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
             raise ValueError(f"{name} has wrong dimension at unit {u}")
-    rows, cols = dims[g.range_of], dims[g.source_of]
-    x = _first_mismatch(list(map(np.shape, bundle.maps)), list(zip(rows.tolist(), cols.tolist())))
-    if x is not None:
-        raise ValueError(f"map of arrow {x} does not go from its source fiber to its range fiber")
-    # each arrow is keyed by the first arrow that carries its map object; sorted
-    # by that key, the (map, source) pairs of one map are consecutive
-    first = {}
-    holder = np.fromiter(map(first.setdefault, map(id, bundle.maps), range(g.n_arrows)),
-                         dtype=int, count=g.n_arrows)
-    pairs, which = np.unique(holder * g.n_units + g.source_of, return_inverse=True)
-    pair_holder, pair_source = divmod(pairs, g.n_units)
+    # one comparison per stack, and every arrow past the stacks' count or g's is wrong
+    count = sum(s.arrows.size for s in bundle.stacks)
+    misfits = [min(count, g.n_arrows)] if count != g.n_arrows else []
+    for s in bundle.stacks:
+        x = s.arrows[s.arrows < g.n_arrows]
+        misfits += x[(dims[g.range_of[x]] != s.shape[0]) | (dims[g.source_of[x]] != s.shape[1])].tolist()
+    if misfits:
+        raise ValueError(f"map of arrow {min(misfits)} does not go from its source fiber to its range fiber")
     width = int(dims.max(initial=0))
     moving = _padded(xi, dims, width)
     onto = moving if eta is xi else _padded(eta, dims, width)
-    moved = np.zeros((pairs.size, width), dtype=complex)
-    firsts = list(first.values())
-    bounds = np.searchsorted(pair_holder, firsts + [g.n_arrows]).tolist()
-    for arrow, lo, hi in zip(firsts, bounds, bounds[1:]):
-        a = bundle.maps[arrow]
-        moved[lo:hi, : a.shape[0]] = moving[pair_source[lo:hi], : a.shape[1]] @ a.T
-    out = np.empty(g.n_arrows, dtype=complex)
-    for part in _stacks(np.arange(g.n_arrows), width):
-        out[part] = np.sum(moved[which[part]].conj() * onto[g.range_of[part]], axis=1)
-    return out
+    moved = np.zeros((g.n_arrows, width), dtype=complex)
+    for s in bundle.stacks:
+        rows, cols = s.shape
+        sources = g.source_of[s.arrows]
+        if s.maps.ndim == 2:
+            moved[s.arrows, :rows] = moving.ravel()[sources[:, None] * width + s.maps[s.at]]
+        else:
+            moved[s.arrows, :rows] = (s.maps[s.at] @ moving[sources, :cols, None])[:, :, 0]
+    return np.sum(moved.conj() * onto[g.range_of], axis=1)
 
 
 def _padded(section: BundleSection, dims: np.ndarray, width: int) -> np.ndarray:
@@ -326,25 +355,6 @@ def _padded(section: BundleSection, dims: np.ndarray, width: int) -> np.ndarray:
     # a row-major mask takes the concatenated vectors in order
     out[dims[:, None] > np.arange(width)] = np.concatenate([np.zeros(0), *section.vectors])
     return out
-
-
-def _groups(sizes: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """(size, ids) for each distinct size, in ascending order."""
-    return [(size, np.flatnonzero(sizes == size)) for size in sorted(set(sizes.tolist()))]
-
-
-def _stacks(ids: np.ndarray, entries: int) -> list[np.ndarray]:
-    """ids in consecutive parts of at most STACK_ENTRIES entries (at least one id
-    each), at ``entries`` entries per id."""
-    step = max(1, STACK_ENTRIES // max(1, entries))
-    return [ids[i : i + step] for i in range(0, ids.size, step)]
-
-
-def _first_mismatch(got: list, want: list) -> int | None:
-    """The first index where two lists differ, or None when they are equal."""
-    if got == want:
-        return None
-    return next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
 
 
 def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBundle, BundleSection]:
@@ -356,21 +366,16 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
     Raises with the Gram witness when phi is not positive definite.
 
     The bundle is induced from the isotropy group of each orbit's base b
-    (``FiniteGroupoid.orbit_index``).  The kernel of a unit u is the base's
-    permuted by perm_u, so one eigen decomposition per orbit factors it as
-    C_b^H C_b and C_u = C_b[:, perm_u] factors u's.  The verdict and that
-    decomposition both run on the isotropy blocks of the base
-    (``FiniteGroupoid.isotropy_blocks``): the eigenvectors are those of the
-    blocks mapped back through F_b, with no call at all on 1x1 blocks.  With
-    a_v the transport arrow from b to v, the map of an arrow x from s to t is
-    then pi(h) = C_b T_h C_b^+ for the isotropy element h = inverse(a_t) x a_s,
-    where T_h translates the base fiber by h; one map per isotropy element,
-    shared read-only by every arrow that reaches it.  When K_b has full rank, C_b is its Hermitian square root
-    V sqrt(L) V^H (one product per orbit), which commutes with every T_h, so
-    pi(h) = T_h: the exact permutation matrix, gathered from the identity with
-    no product.  On a pair groupoid every map is then the identity.  A
-    rank-deficient orbit keeps C_b = sqrt(L) V^H and one product per element.
-    The section at u is C_b[:, home_u] / w_u either way.
+    (``FiniteGroupoid.orbit_index``).  One eigen decomposition per orbit,
+    through the isotropy blocks of the base, factors its kernel as C_b^H C_b,
+    and C_u = C_b[:, perm_u] factors u's.  With a_v the transport arrow from
+    b to v, the map of an arrow x from s to t is pi(h) = C_b T_h C_b^+ for
+    h = inverse(a_t) x a_s, where T_h translates the base fiber by h: one map
+    per isotropy element, in the stack of its shape.  When K_b has full rank,
+    C_b is its Hermitian square root, which commutes with every T_h, so
+    pi(h) = T_h, held as its permutation rows (on a pair groupoid, the
+    identity).  A rank-deficient orbit keeps C_b = sqrt(L) V^H, with one
+    batched product per rank.  The section at u is C_b[:, home_u] / w_u.
     """
     phi = arrow_function(g, phi)
     verdict = is_positive_definite(g, phi, tol)
@@ -378,27 +383,24 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
         raise ValueError(
             f"not positive definite: unit {verdict.unit} has form value {verdict.value}"
         )
-    dims = np.empty(g.n_units, dtype=int)
-    row = np.empty(g.n_units, dtype=int)
+    dims, row = np.empty((2, g.n_units), dtype=int)
     place = np.empty(g.n_arrows, dtype=int)
-    maps = np.empty(g.n_arrows, dtype=object)
-    vectors = np.empty(g.n_units, dtype=object)
+    section = np.zeros((g.n_units, np.bincount(g.range_of, minlength=1).max()), dtype=complex)
+    parts = {}
     for c, o, blocks in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks):
         k, m = c.arrows.shape
         kernels = _integral_kernels(g.weights[c.arrows[o.rows]], phi[c.gram[o.rows]])
-        # one decomposition per orbit, through its isotropy blocks: the kept
-        # eigenpairs (L, V) of a base give the factor C = sqrt(L) V^H with
-        # C^H C = kernel and its pseudo-inverse V / sqrt(L); the stacks hold
-        # d >= rank columns, and an orbit of rank r only ever reads its first r
-        vals, vecs = hermitian_eigen((kernels + kernels.conj().swapaxes(1, 2)) / 2, blocks)
-        top = vals[:, :1]
-        keep = vals > tol * np.where(top > 0, top, 1.0)
+        # one decomposition per orbit, through its isotropy blocks, eigenvalues
+        # descending: the kept pairs (L, V) of a base give C = sqrt(L) V^H, with
+        # C^H C = kernel and pseudo-inverse V / sqrt(L); the stacks hold d >=
+        # rank columns, and an orbit of rank r only ever reads its first r
+        vals, vecs = block_spectra((kernels + kernels.conj().swapaxes(1, 2)) / 2, blocks)
+        vals, vecs = vals[:, ::-1].copy(), vecs[:, :, ::-1].copy()
+        keep = vals > tol * np.where(vals[:, :1] > 0, vals[:, :1], 1.0)
         rank = keep.sum(axis=1)
         d = rank.max()
         root = np.sqrt(np.where(keep, vals, 1.0))[:, :d]
-        # C order keeps the gathered products below on BLAS
-        factor = root[:, :, None] * np.ascontiguousarray(vecs[:, :, :d].conj().swapaxes(1, 2))
-        pinv = vecs[:, :, :d] / root[:, None, :]
+        factor = root[:, :, None] * vecs[:, :, :d].conj().swapaxes(1, 2)
         # a full-rank orbit takes the Hermitian root V sqrt(L) V^H as its factor
         # (d = m exactly when some orbit has full rank)
         full = rank == m
@@ -413,35 +415,32 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
         # inverse(h) = inverse(a_s) inverse(x) a_t is read from the Gram ids of
         # t's fiber, where inverse(x) a_t lies
         t, s = np.repeat(np.arange(k), m), row[g.source_of[xs]]
-        key = o.perm[s, place[c.gram[t, place[xs], o.transport[t]]]]
-        elements, which = np.unique(o.orbit[t] * m + key, return_inverse=True)
-        owner, key = divmod(elements, m)
+        code = o.orbit[t] * m + o.perm[s, place[c.gram[t, place[xs], o.transport[t]]]]
+        # the distinct elements, ascending, and the one of each arrow
+        seen = np.zeros(o.bases.size * m, dtype=bool)
+        seen[code] = True
+        owner, key = divmod(np.flatnonzero(seen), m)
+        which = (np.cumsum(seen) - 1)[code]
         base = o.bases[owner]
         back = place[c.gram[base, place[g.inverse_of[c.arrows[base, key]]]]]
-        shared = np.empty(owner.size, dtype=object)
-        # real 0/1 entries: half the memory of complex ones, and exact
-        identity = np.eye(m)
-        for part in _stacks(np.flatnonzero(full[owner]), m * m):
-            shared[part] = _read_only(identity[back[part]])
-        # elsewhere pi(h) = C T_h C^+, one product per element
-        for b in np.flatnonzero(~full):
-            r = rank[b]
-            inverse = pinv[b, :, :r]
-            for part in _stacks(np.flatnonzero(owner == b), m * r):
-                shared[part] = _read_only(factor[b, :r] @ inverse[back[part]])
-        maps[xs] = shared[which]
+        # a full-rank orbit's maps are those permutation rows; elsewhere
+        # pi(h) = C T_h C^+, one batched product per rank
+        kind = np.where(full, -1, rank)[owner]
+        for r in np.unique(kind).tolist():
+            mine = np.flatnonzero(kind == r)
+            own = owner[mine]
+            maps = back[mine] if r < 0 else (
+                factor[own, :r] @ (vecs[own[:, None], back[mine], :r] / root[own, None, :r]))
+            arrows = np.flatnonzero(kind[which] == r)
+            found = parts.setdefault(maps.shape[1:], [])
+            found.append((maps, xs[arrows],
+                          np.searchsorted(mine, which[arrows]) + sum(len(f[0]) for f in found)))
         # the unit point mass of u sits at the place of inverse(a_u) in the base fiber
-        at_units = factor[o.orbit, :, o.home] / g.unit_weights[c.units][:, None]
-        for r, ids in _groups(rank[o.orbit]):
-            vectors[c.units[ids]] = np.fromiter(at_units[ids, :r], dtype=object, count=ids.size)
-    bundle = GHilbertBundle(dims=tuple(dims.tolist()), maps=tuple(maps))
-    return bundle, BundleSection(tuple(vectors))
-
-
-def _read_only(stack: np.ndarray) -> np.ndarray:
-    """An object array of the matrices of a stack, as read-only views."""
-    stack.flags.writeable = False
-    return np.fromiter(stack, dtype=object, count=len(stack))
+        section[c.units, :d] = factor[o.orbit, :, o.home] / g.unit_weights[c.units][:, None]
+    # one stack per shape: classes with the same rank join theirs
+    stacks = [MapStack(*map(np.concatenate, zip(*found))) for found in parts.values()]
+    bundle = GHilbertBundle(tuple(dims.tolist()), stacks=stacks)
+    return bundle, BundleSection(tuple(section[u, :n] for u, n in enumerate(bundle.dims)))
 
 
 def regular_coefficient(g: FiniteGroupoid, f, h) -> np.ndarray:

@@ -667,6 +667,30 @@ def gns_bundle_oracle(g, phi, tol=PSD_TOL):
     return bundle, BundleSection(tuple(vectors))
 
 
+def translation_maps_oracle(g):
+    """The map of every arrow x on an orbit of full rank, one arrow at a time
+    from the composition table: the 0/1 matrix ``np.eye(m)[back]`` of the
+    translation T_h of the base fiber by h = inverse(a_t) x a_s.  The base b
+    of a unit is the smallest source of the arrows into it (weights must be
+    left invariant), a_v is the first arrow from b into v (the unit arrow on
+    v = b), and back[p] is the place of inverse(h) y_p, for y_p the p-th arrow
+    into b."""
+    if not np.array_equal(g.weights, g.unit_weights[g.source_of]):
+        raise ValueError("needs left-invariant weights")
+    base = [int(g.source_of[fiber].min()) for fiber in g.r_fibers]
+    transport = [int(g.unit_arrows[v]) if base[v] == v
+                 else int(next(a for a in g.r_fibers[v] if g.source_of[a] == base[v]))
+                 for v in range(g.n_units)]
+    maps = []
+    for x in range(g.n_arrows):
+        s, t = int(g.source_of[x]), int(g.range_of[x])
+        h = g.compose_table[g.inverse_of[transport[t]], g.compose_table[x, transport[s]]]
+        fiber = g.r_fibers[base[t]].tolist()
+        back = [fiber.index(g.compose_table[g.inverse_of[h], y]) for y in fiber]
+        maps.append(np.eye(len(fiber))[back])
+    return maps
+
+
 def right_op_blocks_oracle(g, f):
     """unit_blocks(g, right_op(g, f)), one fiber at a time from the composition table."""
     f = arrow_function(g, f)

@@ -22,7 +22,7 @@ from conftest import (
     z12_on_16_points,
 )
 from gfourier.checks import run_suites
-from gfourier.positivity import _integral_kernels
+from gfourier.positivity import _integral_kernels, constant_section
 from gfourier.regular import _right_op_blocks
 from reference import (
     adjoint_op_oracle,
@@ -42,6 +42,7 @@ from reference import (
     right_op_blocks_oracle,
     section_norm_oracle,
     stieltjes_problem_oracle,
+    translation_maps_oracle,
 )
 
 
@@ -81,6 +82,11 @@ def _rng(g):
 
 def _orbit_of_last_unit(g) -> np.ndarray:
     return np.unique(g.source_of[g.r_fibers[g.n_units - 1]])
+
+
+def _relative(a, b) -> float:
+    """The largest difference of a and b relative to the largest modulus of b."""
+    return float(np.abs(np.asarray(a) - b).max(initial=0.0) / np.abs(b).max(initial=0.0))
 
 
 def _close(a, b, tol):
@@ -278,6 +284,19 @@ class TestTranslationMaps:
         assert not any(a.flags.writeable for a in bundle.maps)
         assert _close(gf.coefficient(g, bundle, xi, xi), phi, 1e-10)
 
+    @pytest.mark.parametrize("name", list(LARGE))
+    def test_maps_are_the_translation_matrices_bit_for_bit(self, name):
+        # on an orbit of full rank the map of an arrow is np.eye(m)[back], the
+        # 0/1 matrix that the bundle wrote per isotropy element before it kept
+        # permutation rows, read here one arrow at a time
+        g = LARGE[name]()
+        bundle, _ = gf.gns_bundle(g, random_pd(g, _rng(g)))
+        want = translation_maps_oracle(g)
+        full = [x for x in range(g.n_arrows) if bundle.dims[g.range_of[x]] == g.r_fibers[g.range_of[x]].size]
+        assert full
+        for x in full:
+            assert bundle.maps[x].dtype == want[x].dtype and np.array_equal(bundle.maps[x], want[x]), x
+
     @pytest.mark.parametrize("name", list(NONSINGULAR))
     def test_bundle_axioms_hold_exactly(self, name):
         g = NONSINGULAR[name]()
@@ -309,7 +328,9 @@ class TestTranslationMaps:
 
 
 class TestCoefficientSharing:
-    """``coefficient`` applies each map object once per source, whatever is shared."""
+    """``coefficient`` against the oracle's one product per arrow, to 1e-14
+    relative, whatever is shared: permutation stacks, matrix stacks and
+    stacks of several shapes."""
 
     def _sections(self, g, dims):
         rng = _rng(g)
@@ -317,7 +338,8 @@ class TestCoefficientSharing:
                                        for d in dims)) for _ in range(2)]
 
     @pytest.mark.parametrize("build", [lambda: gf.pair_groupoid(16), z12_on_16_points,
-                                       NONSINGULAR["bundle30-40-50w"]])
+                                       NONSINGULAR["bundle30-40-50w"]] + [
+        build for name, build in LARGE.items() if name not in ("pair16", "z12-on-16", "bundle30-40-50w")])
     def test_shared_maps_and_their_copies(self, build):
         g = build()
         bundle, _ = gf.gns_bundle(g, random_pd(g, _rng(g)))
@@ -327,8 +349,31 @@ class TestCoefficientSharing:
         assert len({id(a) for a in copies.maps}) == g.n_arrows
         for b in (bundle, copies):
             for left, right in ((xi, xi), (xi, eta), (eta, xi)):
-                assert _close(gf.coefficient(g, b, left, right),
-                              bundle_coefficient_oracle(g, b, left, right), 1e-12)
+                assert _relative(gf.coefficient(g, b, left, right),
+                                 bundle_coefficient_oracle(g, b, left, right)) <= 1e-14
+
+    def test_peak_memory_stays_near_the_stacks(self):
+        # the bundle that held one 0/1 matrix per isotropy element peaked at
+        # 2.1 MB here; its maps as tuple are not read
+        g = NONSINGULAR["bundle30-40-50w"]()
+        phi = random_pd(g, _rng(g))
+        bundle, xi = gf.gns_bundle(g, phi)  # builds the cached indexes of g
+        tracemalloc.start()
+        try:
+            bundle, xi = gf.gns_bundle(g, phi)
+            gf.coefficient(g, bundle, xi, xi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6e6
+        assert bundle._maps is None and bundle.maps is bundle.maps
+
+    def test_trivial_bundle_is_one_identity_permutation(self, g3):
+        bundle = gf.trivial_bundle(g3, 2)
+        assert len(bundle.stacks) == 1 and len({id(a) for a in bundle.maps}) == 1
+        assert np.array_equal(bundle.maps[0], np.eye(2))
+        xi = constant_section(g3, bundle, 1 + 1j)
+        assert np.array_equal(gf.coefficient(g3, bundle, xi, xi), np.full(g3.n_arrows, 4.0))
 
     def test_all_distinct_maps_of_mixed_shapes(self):
         # fibers of dimension 1 on the free orbit and 3 on the orbit with isotropy
@@ -339,8 +384,8 @@ class TestCoefficientSharing:
                      for r, s in zip(g.range_of, g.source_of))
         bundle = gf.GHilbertBundle(dims, maps)
         xi, eta = self._sections(g, dims)
-        assert _close(gf.coefficient(g, bundle, xi, eta),
-                      bundle_coefficient_oracle(g, bundle, xi, eta), 1e-12)
+        assert _relative(gf.coefficient(g, bundle, xi, eta),
+                         bundle_coefficient_oracle(g, bundle, xi, eta)) <= 1e-14
 
     def test_one_map_object_of_each_shape(self):
         g = gf.pair_groupoid(5)
@@ -349,8 +394,8 @@ class TestCoefficientSharing:
         bundle = gf.GHilbertBundle(dims, tuple(shared[dims[r], dims[s]]
                                                for r, s in zip(g.range_of, g.source_of)))
         xi, eta = self._sections(g, dims)
-        assert _close(gf.coefficient(g, bundle, xi, eta),
-                      bundle_coefficient_oracle(g, bundle, xi, eta), 1e-12)
+        assert _relative(gf.coefficient(g, bundle, xi, eta),
+                         bundle_coefficient_oracle(g, bundle, xi, eta)) <= 1e-14
 
 
 class TestKernelsAgainstLoops:
@@ -538,6 +583,24 @@ class TestReconstructionsAgainstLoops:
         maps[4] = np.zeros((1, 1))
         with pytest.raises(ValueError, match="map of arrow 4"):
             gf.coefficient(g3, gf.GHilbertBundle(bundle.dims, tuple(maps)), xi, xi)
+
+    def test_coefficient_rejects_sections_and_map_tuples_of_the_wrong_size(self, g3):
+        bundle, xi = gf.gns_bundle(g3, random_pd(g3, _rng(g3)))
+        vectors = list(xi.vectors)
+        vectors[1] = np.zeros(bundle.dims[1] + 1)
+        bad = gf.BundleSection(tuple(vectors))
+        with pytest.raises(ValueError, match="xi has wrong dimension at unit 1"):
+            gf.coefficient(g3, bundle, bad, xi)
+        with pytest.raises(ValueError, match="eta has wrong dimension at unit 1"):
+            gf.coefficient(g3, bundle, xi, bad)
+        with pytest.raises(ValueError, match="xi has wrong dimension at unit 3"):
+            gf.coefficient(g3, bundle, gf.BundleSection(xi.vectors + xi.vectors[:1]), xi)
+        maps = bundle.maps
+        for short, x in ((maps[:-1], g3.n_arrows - 1), (maps + maps[:1], g3.n_arrows)):
+            with pytest.raises(ValueError, match=f"map of arrow {x} "):
+                gf.coefficient(g3, gf.GHilbertBundle(bundle.dims, short), xi, xi)
+        with pytest.raises(ValueError, match="map of arrow 0 is not a matrix"):
+            gf.GHilbertBundle(bundle.dims, (np.zeros(3),) + maps[1:])
 
 
 class TestVnBasisFromPairs:
