@@ -13,7 +13,7 @@ if TYPE_CHECKING:
 RANK_TOL = 1e-9
 
 
-def block_spectra(stack: np.ndarray, blocks: tuple[IsotropyBlocks, ...] = (), how: str = "eigh"):
+def block_spectra(stack: np.ndarray, blocks: tuple[IsotropyBlocks, ...], how: str):
     """``np.linalg.eigvalsh``, ``eigh`` or the singular values of ``svd`` of a
     (k, m, m) stack of orbit-base matrices, each split into its isotropy blocks.
 
@@ -115,13 +115,12 @@ def _whole(stack: np.ndarray, how: str):
     return np.linalg.eigh(stack) if how == "eigh" else np.linalg.eigvalsh(stack)
 
 
-def hermitian_eigen(m, blocks: tuple[IsotropyBlocks, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending, real) and orthonormal eigenvectors of a Hermitian matrix.
 
-    A stack of matrices (the last two axes) is decomposed in one call, through
-    the isotropy blocks of its orbit bases when given (``block_spectra``).
-    The input is symmetrized internally; each matrix must be Hermitian to
-    1e-12 relative to its largest entry.
+    A stack of matrices (the last two axes) is decomposed in one call.  The
+    input is symmetrized internally; each matrix must be Hermitian to 1e-12
+    relative to its largest entry.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -130,24 +129,21 @@ def hermitian_eigen(m, blocks: tuple[IsotropyBlocks, ...] = ()) -> tuple[np.ndar
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
     if np.any(np.abs(m - h).max(axis=(-2, -1), initial=0.0) > 1e-12 * scale):
         raise ValueError("matrix is not Hermitian")
-    vals, vecs = block_spectra((m + h) / 2, blocks)
+    vals, vecs = np.linalg.eigh((m + h) / 2)
     return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
-def hermitian_sqrt(m, tol: float = 1e-9, blocks: tuple[IsotropyBlocks, ...] = ()) -> np.ndarray:
+def hermitian_sqrt(m, tol: float = 1e-9) -> np.ndarray:
     """Hermitian PSD square root; eigenvalues in [-tol*scale, 0) are clamped to 0.
 
-    A stack of matrices (the last two axes) is handled in one call, through
-    the isotropy blocks of its orbit bases when given; the error names the
-    smallest eigenvalue of the first matrix that is not PSD.
+    A stack of matrices (the last two axes) is handled in one call; the error
+    names the smallest eigenvalue of the first matrix that is not PSD.
     """
-    vals, vecs = hermitian_eigen(m, blocks)
-    if vals.shape[-1]:
-        scale = np.maximum(1.0, vals[..., 0])
-        bad = vals[..., -1] < -tol * scale
-        if bad.any():
-            low = vals[..., -1][bad][0]
-            raise ValueError(f"matrix is not positive semidefinite (eigenvalue {low:.3e})")
+    vals, vecs = hermitian_eigen(m)
+    low = vals[..., -1:]
+    bad = low < -tol * np.maximum(1.0, vals[..., :1])
+    if bad.any():
+        raise ValueError(f"matrix is not positive semidefinite (eigenvalue {low[bad][0]:.3e})")
     root = np.sqrt(np.clip(vals, 0.0, None))
     return (vecs * root[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 

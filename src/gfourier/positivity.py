@@ -8,22 +8,21 @@ it exactly: the eigenvalue test by its eigenvalues, the point-set and
 integral tests by the inertia of an LDL^H factorization (Sylvester's law of
 inertia).  Every "not positive definite" verdict carries a witness vector.
 
-The units are decided, factored and square-rooted once per orbit, at its
-smallest unit (``FiniteGroupoid.orbit_index``): by the groupoid axioms and
-left-invariant weights, every other unit's Gram matrix, weighted kernel and
-right convolution block is the base's with rows and columns permuted alike
-(with weights that are not left invariant every unit is its own base).  The
-bases of a fiber class are one gather.  Each base matrix commutes with the
-translations of its fiber by the base's isotropy group, so the eigenvalue
-verdict, the GNS factor and the square root split it into the blocks of
+The units are decided once per orbit, at its smallest unit
+(``FiniteGroupoid.orbit_index``), the bases of a fiber class in one stack: by
+the groupoid axioms and left-invariant weights, every other unit's Gram
+matrix and weighted kernel is the base's with rows and columns permuted alike
+(with weights that are not left invariant every unit is its own base).  A
+base Gram matrix commutes with the translations of its fiber by the base's
+isotropy group, so the eigenvalue verdict splits it into the blocks of
 ``FiniteGroupoid.isotropy_blocks``, one stacked call per block size and none
-for 1x1 blocks (``gfourier.numerics.block_spectra``).  The LDL^H criteria
-factor the matrices whole, with no LAPACK call, so they stay an independent
-check of that path.  The GNS bundle is induced from each base's isotropy
-group: a ``GHilbertBundle`` holds one stack of distinct maps per map shape
-and an index per arrow into it.  On an orbit whose kernel has full rank
-every map is an isotropy translation, held as permutation rows, which
-``coefficient`` applies by one gather.
+for 1x1 blocks (``gfourier.numerics.block_spectra``), and the GNS bundle and
+the square-root section are factored from those eigenpairs.  The LDL^H
+criteria factor the matrices whole, with no LAPACK call, so they stay an
+independent check of that path.  The GNS bundle is induced from each base's
+isotropy group: a ``GHilbertBundle`` holds one stack of distinct maps per
+shape and an index per arrow into it; on an orbit of full rank every map is
+an isotropy translation, held as permutation rows and applied by a gather.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ import numpy as np
 
 from .algebra import arrow_function, convolve, star
 from .groupoid import FiniteGroupoid, IsotropyBlocks
-from .numerics import block_spectra, hermitian_sqrt, select_blocks
-from .regular import _right_op_blocks
+from .numerics import block_spectra, select_blocks
 
 PSD_TOL = 1e-9
 
@@ -75,12 +73,12 @@ def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False)
     fails with a non-real form.  Otherwise the form matrix k is the Gram
     matrix with shift delta or, when ``weighted``, the Haar kernel
     K = D conj(Gram) D with shift delta * w**2; K + delta D^2 is congruent to
-    conj(Gram) + delta, so both have the same inertia.  ``decide(a)`` takes a
-    stack of a = Hermitian part of k + diag(shift) and returns the mask of the
-    matrices that are not positive definite, with a function giving, for row
-    i of the stack, a direction v with v^H a v <= 0; then
-    v^H k v <= -v^H diag(shift) v < 0.  The witness is taken at the first
-    failing unit.
+    conj(Gram) + delta, so both have the same inertia.  ``decide(a, blocks,
+    shift)`` takes a stack of a = Hermitian part of k + diag(shift), the
+    isotropy blocks of its bases and the shift, and returns the mask of the
+    matrices that are not positive definite, with a function giving, for row i
+    of the stack, a direction v with v^H a v <= 0; then v^H k v <=
+    -v^H diag(shift) v < 0.  The witness is taken at the first failing unit.
 
     Only the base of each orbit (``FiniteGroupoid.orbit_index``) is decided:
     the other units' Gram matrices, fiber weights and so their form matrices
@@ -114,7 +112,7 @@ def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False)
         cut = int(np.argmax(non_hermitian)) if non_hermitian.any() else units.size
         if cut < units.size:
             blocks = select_blocks(blocks, np.arange(cut))
-        not_pd, direction = decide(a[:cut], blocks) if cut else ([], None)
+        not_pd, direction = decide(a[:cut], blocks, shift[:cut]) if cut else ([], None)
         i = int(np.argmax(not_pd)) if np.any(not_pd) else cut
         if i < units.size and (first is None or units[i] < first[0]):
             vec = direction(i) if i < cut else _non_hermitian_witness(m[i])
@@ -129,14 +127,13 @@ def is_positive_definite(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerd
     """Gram-PSD criterion: every unit Gram has smallest eigenvalue >= -delta.
 
     The eigenvalues are those of the isotropy blocks of the orbit bases
-    (``FiniteGroupoid.isotropy_blocks``).  The witness is an eigenvector of
-    the smallest eigenvalue: F_b times the eigenvector of the block that holds
-    it.
+    (``FiniteGroupoid.isotropy_blocks``).  The witness is an eigenvector of the
+    smallest eigenvalue: F_b times the eigenvector of the block that holds it.
     """
     return _verdict(g, phi, tol, _lowest_eigenvalues)
 
 
-def _lowest_eigenvalues(a: np.ndarray, blocks: tuple[IsotropyBlocks, ...]):
+def _lowest_eigenvalues(a: np.ndarray, blocks: tuple[IsotropyBlocks, ...], _shift=None):
     """Decide the stack by its eigenvalues, through the isotropy blocks of its
     bases (``block_spectra``); only a witness needs eigenvectors, those of its
     base alone, where it is the lowest eigenvector of one block mapped back."""
@@ -144,15 +141,32 @@ def _lowest_eigenvalues(a: np.ndarray, blocks: tuple[IsotropyBlocks, ...]):
             lambda i: block_spectra(a[i : i + 1], select_blocks(blocks, [i]), "eigh")[1][0, :, 0])
 
 
-def _negative_directions(a: np.ndarray, _blocks=()):
+def _eigenpairs(g: FiniteGroupoid, phi: np.ndarray, tol: float) -> list[tuple[np.ndarray, ...]]:
+    """Per fiber class, the eigenvalues (ascending) and eigenvectors V of each
+    orbit base's Herm(G_b) + shift from the one ``block_spectra`` that decides
+    it, and the shift: Herm(G_b) = V L V^H, L = eigenvalues - shift >= -delta.
+    Raises with ``is_positive_definite``'s unit and value on failure."""
+    spectra = []
+
+    def decide(a, blocks, shift):
+        vals, vecs = block_spectra(a, blocks, "eigh")
+        spectra.append((vals, vecs, shift))
+        return vals[:, 0] < 0, lambda i: vecs[i, :, 0]
+
+    verdict = _verdict(g, phi, tol, decide)
+    if not verdict:
+        raise ValueError(f"not positive definite: unit {verdict.unit} has form value {verdict.value}")
+    return spectra
+
+
+def _negative_directions(a: np.ndarray, _blocks=(), _shift=None):
     """Unpivoted LDL^H of a stack of Hermitian matrices in plain numpy; a is overwritten.
 
     No LAPACK call, and no isotropy blocks: the matrices are factored whole.
     By Sylvester's law of inertia a matrix is positive definite exactly when
-    every pivot is positive.  Returns the mask of the
-    matrices with a pivot d_k <= 0 and a function giving, for row i of the
-    stack, the unit vector v = L^{-H} e_k of its first such pivot, which has
-    v^H a v = d_k.
+    every pivot is positive.  Returns the mask of the matrices with a pivot
+    d_k <= 0 and a function giving, for row i of the stack, the unit vector
+    v = L^{-H} e_k of its first such pivot, which has v^H a v = d_k.
     """
     n, m, _ = a.shape
     low = np.zeros_like(a)
@@ -182,17 +196,19 @@ def _negative_directions(a: np.ndarray, _blocks=()):
 
 
 def _non_hermitian_witness(m: np.ndarray) -> np.ndarray:
-    """A vector whose quadratic form against m is not real (conjugate-symmetry failure)."""
+    """A vector whose quadratic form against m is not real (conjugate-symmetry failure).
+
+    The form's imaginary part is v^H s v, s = (m - m^H) / 2i: s_pp at e_p, and
+    at e_p + z e_q, |z| = 1, s_pp + s_qq + 2 Re(z s_pq), at least 2|s_pq| when z
+    turns s_pq to the sign of s_pp + s_qq; the larger of the two bounds wins.
+    """
+    s = (m - m.conj().T) / 2j
+    reach = np.abs(s) * (2 - np.eye(len(s)))
+    p, q = np.unravel_index(int(reach.argmax()), reach.shape)
     v = np.zeros(m.shape[0], dtype=complex)
-    diag = np.abs(m.diagonal().imag)
-    if diag.max() > 0:
-        v[int(diag.argmax())] = 1.0
-        return v
-    # e_p + phase e_q has form imaginary part Im(d) (phase 1) or Re(d) (phase i)
-    defect = m - m.conj().T
-    p, q = np.unravel_index(int(np.abs(defect).argmax()), defect.shape)
     v[p] = 1.0
-    v[q] = 1.0 if abs(defect[p, q].imag) >= abs(defect[p, q].real) else 1j
+    if q != p:
+        v[q] = np.copysign(1.0, (s[p, p] + s[q, q]).real) * s[p, q].conj() / abs(s[p, q])
     return v
 
 
@@ -366,46 +382,39 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
     Raises with the Gram witness when phi is not positive definite.
 
     The bundle is induced from the isotropy group of each orbit's base b
-    (``FiniteGroupoid.orbit_index``).  One eigen decomposition per orbit,
-    through the isotropy blocks of the base, factors its kernel as C_b^H C_b,
-    and C_u = C_b[:, perm_u] factors u's.  With a_v the transport arrow from
-    b to v, the map of an arrow x from s to t is pi(h) = C_b T_h C_b^+ for
-    h = inverse(a_t) x a_s, where T_h translates the base fiber by h: one map
-    per isotropy element, in the stack of its shape.  When K_b has full rank,
-    C_b is its Hermitian square root, which commutes with every T_h, so
-    pi(h) = T_h, held as its permutation rows (on a pair groupoid, the
-    identity).  A rank-deficient orbit keeps C_b = sqrt(L) V^H, with one
-    batched product per rank.  The section at u is C_b[:, home_u] / w_u.
+    (``FiniteGroupoid.orbit_index``) and factored by the eigenvalue verdict's
+    Herm(G_b) = V L V^H: C_b = sqrt(L) V^T D, D the fiber weights, has
+    C_b^H C_b = K_b = D conj(G_b) D, and C_b[:, perm_u] factors u's kernel.
+    With a_v the transport arrow from b to v, the map of an arrow x from s to
+    t is pi(h) = C_b T_h C_b^+ for h = inverse(a_t) x a_s, where T_h
+    translates the base fiber by h: one map per isotropy element.  On an orbit
+    of full rank C_b = conj(G_b)^(1/2) D commutes with every T_h (T_h is real
+    and commutes with G_b, and h y has the source, so the weight, of y), so
+    pi(h) = T_h, held as its permutation rows.  Elsewhere C_b keeps the pairs
+    above the rank threshold, and C_b^+ = D^-1 conj(V) L^(-1/2): one batched
+    product per rank.  The section at u is C_b[:, home_u] / w_u.  As D commutes
+    with T_h and D[home_u] = w_u, neither sees D, which is never formed.
     """
     phi = arrow_function(g, phi)
-    verdict = is_positive_definite(g, phi, tol)
-    if not verdict:
-        raise ValueError(
-            f"not positive definite: unit {verdict.unit} has form value {verdict.value}"
-        )
     dims, row = np.empty((2, g.n_units), dtype=int)
     place = np.empty(g.n_arrows, dtype=int)
     section = np.zeros((g.n_units, np.bincount(g.range_of, minlength=1).max()), dtype=complex)
     parts = {}
-    for c, o, blocks in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks):
+    for c, o, (vals, vecs, shift) in zip(g.fiber_classes, g.orbit_index, _eigenpairs(g, phi, tol)):
         k, m = c.arrows.shape
-        kernels = _integral_kernels(g.weights[c.arrows[o.rows]], phi[c.gram[o.rows]])
-        # one decomposition per orbit, through its isotropy blocks, eigenvalues
-        # descending: the kept pairs (L, V) of a base give C = sqrt(L) V^H, with
-        # C^H C = kernel and pseudo-inverse V / sqrt(L); the stacks hold d >=
-        # rank columns, and an orbit of rank r only ever reads its first r
-        vals, vecs = block_spectra((kernels + kernels.conj().swapaxes(1, 2)) / 2, blocks)
-        vals, vecs = vals[:, ::-1].copy(), vecs[:, :, ::-1].copy()
-        keep = vals > tol * np.where(vals[:, :1] > 0, vals[:, :1], 1.0)
+        # L descending; an orbit of rank r reads the first r of d columns.  Rank
+        # is relative to the top of Herm(G_b) + shift: a zero G_b's L is rounding
+        top = vals[:, -1:]
+        vals, vecs = vals[:, ::-1] - shift, vecs[:, :, ::-1]
+        keep = vals > tol * top
         rank = keep.sum(axis=1)
         d = rank.max()
         root = np.sqrt(np.where(keep, vals, 1.0))[:, :d]
-        factor = root[:, :, None] * vecs[:, :, :d].conj().swapaxes(1, 2)
-        # a full-rank orbit takes the Hermitian root V sqrt(L) V^H as its factor
-        # (d = m exactly when some orbit has full rank)
+        factor = root[:, :, None] * vecs[:, :, :d].swapaxes(1, 2)
+        # a full-rank orbit's factor is conj(V) sqrt(L) V^T; d = m exactly when one is
         full = rank == m
         if d == m:
-            np.copyto(factor, vecs @ factor, where=full[:, None, None])
+            np.copyto(factor, vecs.conj() @ factor, where=full[:, None, None])
         dims[c.units] = rank[o.orbit]
         row[c.units] = np.arange(k)
         place[c.arrows] = np.arange(m)
@@ -430,13 +439,13 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
             mine = np.flatnonzero(kind == r)
             own = owner[mine]
             maps = back[mine] if r < 0 else (
-                factor[own, :r] @ (vecs[own[:, None], back[mine], :r] / root[own, None, :r]))
+                factor[own, :r] @ (vecs[own[:, None], back[mine], :r].conj() / root[own, None, :r]))
             arrows = np.flatnonzero(kind[which] == r)
             found = parts.setdefault(maps.shape[1:], [])
             found.append((maps, xs[arrows],
                           np.searchsorted(mine, which[arrows]) + sum(len(f[0]) for f in found)))
         # the unit point mass of u sits at the place of inverse(a_u) in the base fiber
-        section[c.units, :d] = factor[o.orbit, :, o.home] / g.unit_weights[c.units][:, None]
+        section[c.units, :d] = factor[o.orbit, :, o.home]
     # one stack per shape: classes with the same rank join theirs
     stacks = [MapStack(*map(np.concatenate, zip(*found))) for found in parts.values()]
     bundle = GHilbertBundle(tuple(dims.tolist()), stacks=stacks)
@@ -458,30 +467,22 @@ def pd_to_section(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> np.ndarray:
     of the units meeting the support of phi.  Only defined for counting-measure
     Haar systems (all weights 1).  A unit's block is its orbit base's permuted
     by perm_u (``FiniteGroupoid.orbit_index``), and so is its square root, so
-    one ``hermitian_sqrt`` per orbit serves every unit (``OrbitClass.spread``).
-    The root is taken through the isotropy blocks of the base
-    (``FiniteGroupoid.isotropy_blocks``): V sqrt(L) V^H with V the blocks'
-    eigenvectors mapped back through F_b.
+    one root per orbit serves every unit (``OrbitClass.spread``).  The base
+    block is G_b^T, whose root is conj(V sqrt(L+) V^H) for the eigenvalue
+    verdict's Herm(G_b) = V L V^H, with L+ = max(L, 0) and L >= -delta.
     """
     phi = arrow_function(g, phi)
     if np.abs(g.weights - 1.0).max(initial=0.0) > 1e-12:
         raise ValueError("square-root section construction needs all Haar weights equal to 1")
-    verdict = is_positive_definite(g, phi, tol)
-    if not verdict:
-        raise ValueError(
-            f"not positive definite: unit {verdict.unit} has form value {verdict.value}"
-        )
     support = np.abs(phi) > 1e-13 * float(np.abs(phi).max(initial=0.0))
     marked = np.zeros(g.n_units, dtype=bool)
     marked[g.range_of[support]] = marked[g.source_of[support]] = True
     xi = np.zeros(g.n_arrows, dtype=complex)
-    rows = [o.rows for o in g.orbit_index]
-    for c, o, blocks, right in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks,
-                                   _right_op_blocks(g, phi, rows)):
-        # the root at u applied to the point mass at its unit arrow: the column
-        # of the base root at the place of inverse(a_u), permuted by perm_u
-        root = hermitian_sqrt(right, tol, blocks)
-        xi[c.arrows] = o.spread(root.swapaxes(1, 2)) * marked[c.units][:, None]
+    for c, o, (vals, vecs, shift) in zip(g.fiber_classes, g.orbit_index, _eigenpairs(g, phi, tol)):
+        # the root at u applied to the point mass at its unit arrow: row home_u
+        # of the transposed base root V sqrt(L+) V^H, permuted by perm_u
+        root = (vecs * np.sqrt(np.clip(vals - shift, 0.0, None))[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+        xi[c.arrows] = o.spread(root) * marked[c.units][:, None]
     return xi
 
 

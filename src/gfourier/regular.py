@@ -124,18 +124,6 @@ def operator_norm(g: FiniteGroupoid, op) -> float:
     return _finite_norm(best)
 
 
-def _right_op_blocks(g: FiniteGroupoid, f, rows=None) -> list[np.ndarray]:
-    """unit_blocks(g, right_op(g, f)), stacked per fiber class, or at the given
-    ``rows`` of each class.
-
-    Entry (a, b) of the block of a fiber is w(t) f(inverse(t) x) at x = fiber[a],
-    t = fiber[b], which is the transposed Gram entry at (b, a).
-    """
-    f = arrow_function(g, f)
-    return [f[c.gram[at]].swapaxes(1, 2) * g.weights[c.arrows[at]][:, None, :]
-            for c, at in zip(g.fiber_classes, rows or [slice(None)] * len(g.fiber_classes))]
-
-
 def reduced_norm(g: FiniteGroupoid, f) -> float:
     """C*-norm of f: the largest spectral norm of a unit block of right convolution.
 

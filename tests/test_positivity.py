@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -181,13 +184,8 @@ class TestVerdictsByInertia:
     @pytest.mark.parametrize("gname", list(BOUNDARY_GROUPOIDS))
     def test_witnesses_are_strictly_negative(self, gname, request):
         g = BOUNDARY_GROUPOIDS[gname](request)
-        rng = np.random.default_rng(sum(map(ord, gname)) + 1)
-        inputs = [phi for inside, phi in _boundary_family(g, rng, 24) if not inside]
-        for _ in range(12):
-            phi = random_function(g, rng)
-            inputs.append((phi + gf.star(g, phi)) / 2)
         failures = 0
-        for phi in inputs:
+        for phi in _failing_inputs(g, gname):
             for verdict, form in VERDICT_FORMS:
                 out = verdict(g, phi)
                 if not out:
@@ -234,14 +232,70 @@ class TestVerdictsByInertia:
     @pytest.mark.parametrize("gname", ["g3", "weighted_pair3"])
     def test_non_hermitian_input_has_non_real_witness(self, gname, request, rng):
         g = BOUNDARY_GROUPOIDS[gname](request)
-        for i in range(12):
-            # real inputs are non-Hermitian at every unit of a pair groupoid and have
-            # real diagonals, so only a pair of points with phase i gives a non-real form
-            phi = random_function(g, rng).real if i % 2 else random_function(g, rng)
+        # real inputs are non-Hermitian at every unit of a pair groupoid and have
+        # real diagonals, so only a pair of points with phase i gives a non-real form
+        inputs = [(g, random_function(g, rng).real if i % 2 else random_function(g, rng))
+                  for i in range(12)]
+        # a rounding-level imaginary part on the diagonal beside a defect of 0.3
+        # off it; and a regular coefficient on Z3 with arrow weights 1, 2, 0.5,
+        # which are not left invariant: its diagonal is 0.906 + 1.5e-17j, and
+        # its Hermitian defect 0.63
+        z3w = replace(gf.group_groupoid(gf.cyclic_table(3)), weights=np.array([1.0, 2.0, 0.5]))
+        draw = np.random.default_rng(0)
+        f = draw.standard_normal(3) + 1j * draw.standard_normal(3)
+        inputs += [(gf.pair_groupoid(2), np.array([1 + 1e-17j, 0.5, 0.2, 1.0])),
+                   (z3w, gf.regular_coefficient(z3w, f, f))]
+        assert 0 < abs(inputs[-1][1][z3w.unit_arrows[0]].imag) < 1e-16
+        for h, phi in inputs:
             for verdict, form in VERDICT_FORMS:
-                out = verdict(g, phi)
+                out = verdict(h, phi)
                 assert not out
-                assert abs(form(g, phi, out.unit, out.vector).imag) > 0
+                scale = np.abs(gf.gram_matrix(h, phi, out.unit)).max()
+                assert abs(form(h, phi, out.unit, out.vector).imag) > gf.positivity.PSD_TOL * scale
+
+
+def _failing_inputs(g, gname):
+    """The outside members of a boundary family on g and Hermitian parts of
+    random functions, most of which are not positive definite."""
+    rng = np.random.default_rng(sum(map(ord, gname)) + 1)
+    inputs = [phi for inside, phi in _boundary_family(g, rng, 24) if not inside]
+    for _ in range(12):
+        phi = random_function(g, rng)
+        inputs.append((phi + gf.star(g, phi)) / 2)
+    return inputs
+
+
+class TestConstructionsRaiseWithTheVerdict:
+    """``gns_bundle`` and ``pd_to_section`` decide positivity by the eigenvalue
+    verdict's own decomposition, and raise with its unit and form value."""
+
+    @staticmethod
+    def _raise_with_the_verdict(g, phi):
+        verdict = gf.is_positive_definite(g, phi)
+        assert not verdict
+        message = f"not positive definite: unit {verdict.unit} has form value {verdict.value}"
+        builds = [gf.gns_bundle] + ([gf.pd_to_section] if np.all(g.weights == 1.0) else [])
+        for build in builds:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(g, phi)
+        return verdict
+
+    @pytest.mark.parametrize("gname", list(BOUNDARY_GROUPOIDS))
+    def test_on_the_failing_inputs(self, gname, request, rng):
+        g = BOUNDARY_GROUPOIDS[gname](request)
+        failing = [phi for phi in _failing_inputs(g, gname) if not gf.is_positive_definite(g, phi)]
+        assert len(failing) >= 12
+        # not Hermitian: the witness of a non-real form, with no eigenvector
+        for phi in failing + [random_function(g, rng)]:
+            self._raise_with_the_verdict(g, phi)
+
+    def test_at_a_later_fiber_class(self):
+        # units 0, 2 have fibers of size 2 and units 1, 3 of size 3; the first
+        # class is positive definite and the second fails at unit 1
+        g = gf.group_bundle([gf.cyclic_table(k) for k in (2, 3, 2, 3)])
+        phi = random_pd(g, np.random.default_rng(0))
+        phi[g.unit_arrows[1]] -= 100.0
+        assert self._raise_with_the_verdict(g, phi).unit == 1
 
 
 class TestGnsBundle:

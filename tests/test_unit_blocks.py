@@ -23,7 +23,6 @@ from conftest import (
 )
 from gfourier.checks import run_suites
 from gfourier.positivity import _integral_kernels, constant_section
-from gfourier.regular import _right_op_blocks
 from reference import (
     adjoint_op_oracle,
     block_norm_oracle,
@@ -201,6 +200,27 @@ class TestOnePerOrbit:
         # class: the free orbit's whole 12x12 block, one matrix, or the three
         # 4x4 blocks (one per character of Z3, |X| = 4) of the other orbit
         assert all(shape in ((1, 12, 12), (1, 3, 4, 4)) for _, shape in calls), calls
+
+    @pytest.mark.parametrize("build", [lambda: gf.pair_groupoid(16), z12_on_16_points])
+    def test_constructions_decompose_only_in_the_verdict(self, build, monkeypatch):
+        # gns_bundle and pd_to_section factor each base by the eigh that decides
+        # it: no eigvalsh, and exactly the eigh calls of the verdict's stacks
+        g = build()
+        phi = random_pd(g, _rng(g))
+        g.isotropy_blocks  # built before the spies, with the eigh calls that find the blocks
+        calls = _spy_on_linalg(monkeypatch)
+        for c, o, blocks in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks):
+            gram = phi[c.gram[o.rows]]
+            gf.numerics.block_spectra((gram + gram.conj().swapaxes(1, 2)) / 2, blocks, "eigh")
+        verdict_calls = calls[:]
+        # the whole 16x16 of pair(16); the free orbit's whole 12x12 and the Z3 orbit's three 4x4 blocks
+        want = [(1, 3, 4, 4), (1, 12, 12)] if any(g.isotropy_blocks) else [(1, 16, 16)]
+        assert sorted(shape for _, shape in verdict_calls) == want
+        assert {name for name, _ in verdict_calls} == {"eigh"}
+        for build_from in (gf.gns_bundle, gf.pd_to_section):
+            calls.clear()
+            build_from(g, phi)
+            assert calls == verdict_calls, build_from
 
     @pytest.mark.parametrize("build", [
         lambda: gf.pair_groupoid(2),
@@ -404,10 +424,6 @@ class TestKernelsAgainstLoops:
         f, h = random_function(g, rng), random_function(g, rng)
         for u in range(g.n_units):
             assert np.array_equal(gf.gram_matrix(g, f, u), gram_matrix_oracle(g, f, u))
-        loops = right_op_blocks_oracle(g, f)
-        for c, stack in zip(g.fiber_classes, _right_op_blocks(g, f)):
-            for i, u in enumerate(c.units):
-                assert np.array_equal(stack[i], loops[u])
         assert _close(gf.reduced_norm(g, f), reduced_norm_loop_oracle(g, f), 1e-12)
         assert _close(gf.d_inner(g, f, h), d_inner_loop_oracle(g, f, h), 1e-12)
         assert _close(gf.section_norm(g, f), section_norm_oracle(g, f), 1e-12)
@@ -530,13 +546,13 @@ class TestReconstructionsAgainstLoops:
         want_bundle, want_xi = gns_bundle_oracle(g, phi)
         assert bundle.dims == want_bundle.dims
         back = gf.coefficient(g, bundle, xi, xi)
-        assert _close(back, phi, 1e-10)
+        assert _relative(back, phi) <= 1e-12
         assert _close(back, bundle_coefficient_oracle(g, bundle, xi, xi), 1e-12)
         assert _close(gf.coefficient(g, want_bundle, want_xi, want_xi), phi, 1e-10)
         if np.all(g.weights == 1.0):
             section = gf.pd_to_section(g, phi)
             assert _close(section, pd_to_section_loop_oracle(g, phi), 1e-10)
-            assert _close(gf.regular_coefficient(g, section, section), phi, 1e-10)
+            assert _relative(gf.regular_coefficient(g, section, section), phi) <= 1e-12
 
     @pytest.mark.parametrize("build, phi", [
         # constant 1 on the first Z3 (rank 1), the unit point mass on the second (rank 3)
@@ -552,7 +568,7 @@ class TestReconstructionsAgainstLoops:
         want_bundle, _ = gns_bundle_oracle(g, phi)
         assert bundle.dims == want_bundle.dims and len(set(bundle.dims)) == len(bundle.dims)
         assert [m.shape for m in bundle.maps] == [m.shape for m in want_bundle.maps]
-        assert _close(gf.coefficient(g, bundle, xi, xi), phi, 1e-10)
+        assert _relative(gf.coefficient(g, bundle, xi, xi), phi) <= 1e-12
         other = gf.BundleSection(tuple(v * (1 + 1j) for v in xi.vectors))
         assert _close(gf.coefficient(g, bundle, xi, other),
                       bundle_coefficient_oracle(g, bundle, xi, other), 1e-12)
@@ -576,6 +592,21 @@ class TestReconstructionsAgainstLoops:
         assert len(g.fiber_classes) == 1
         assert bundle.dims == gns_bundle_oracle(g, phi)[0].dims == (1,) * 12 + (3,) * 4
         assert _close(gf.coefficient(g, bundle, xi, xi), phi, 1e-10)
+
+    @pytest.mark.parametrize("name, unit, dims", [
+        ("z12-on-16", 0, (1,) * 12 + (0,) * 4),
+        ("bundle30-40-50w", 1, (0, 40, 0)),
+    ])
+    def test_an_orbit_where_phi_is_zero_has_rank_0(self, name, unit, dims):
+        # the verdict shifts a zero Gram matrix by 1, and its eigenvalues through
+        # the isotropy blocks are 1 up to rounding: what is left once the shift
+        # is taken off is not rank
+        g = LARGE[name]()
+        f = gf.delta(g, g.unit_arrows[unit])
+        phi = gf.regular_coefficient(g, f, f)
+        bundle, xi = gf.gns_bundle(g, phi)
+        assert bundle.dims == gns_bundle_oracle(g, phi)[0].dims == dims
+        assert _relative(gf.coefficient(g, bundle, xi, xi), phi) <= 1e-12
 
     def test_coefficient_rejects_a_map_of_the_wrong_shape(self, g3):
         bundle, xi = gf.gns_bundle(g3, random_pd(g3, _rng(g3)))
@@ -681,8 +712,8 @@ class TestIsotropyBlocks:
 
     def test_unitary_and_block_diagonal(self, g):
         f = random_function(g, _rng(g))
-        rights = _right_op_blocks(g, f, [o.bases for o in g.orbit_index])
-        for c, o, blocks, right in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks, rights):
+        rights = right_op_blocks_oracle(g, f)
+        for c, o, blocks in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks):
             m = c.arrows.shape[1]
             for layout in blocks:
                 off = ~_block_mask(layout.runs, m)
@@ -690,7 +721,7 @@ class TestIsotropyBlocks:
                     assert np.abs(unitary.conj().T @ unitary - np.eye(m)).max() <= 1e-12
                     row = o.bases[base]
                     gram = f[c.gram[row]]
-                    for a in (gram, _integral_kernels(g.weights[c.arrows[row]], gram), right[base]):
+                    for a in (gram, _integral_kernels(g.weights[c.arrows[row]], gram), rights[c.units[row]]):
                         blocked = unitary.conj().T @ a @ unitary
                         assert np.abs(blocked[off]).max() <= 1e-12 * np.abs(a).max()
 
