@@ -14,16 +14,19 @@ by a sum over each arrow's segment or a scatter into a matrix.  A second
 cached index built from it (``FiniteGroupoid.fiber_classes``) stacks the unit
 blocks: the units are grouped by range-fiber size, so that the Gram matrices
 or the right convolution blocks of all units of a group are one gather, and
-the per-unit linear algebra is one stacked LAPACK call.  A third
-(``FiniteGroupoid.orbit_index``) names, in each fiber class, the base of every
-unit's orbit (its smallest unit) and the permutation of the base fiber that a
-transport arrow from the base makes: by the groupoid axioms a unit's Gram
-block is its base's with rows and columns permuted, and with left-invariant
-weights so are its weighted kernel and its right convolution block.  So the
-positivity verdicts, the GNS factors, the square roots, the reduced norm and
-the coefficient-norm problem decompose one block per orbit; with weights
-that are not left invariant every unit is its own base.  A base is carried
-by its unit arrow, so its permutation is the identity.  A fourth
+the per-unit linear algebra is one stacked LAPACK call.  Each class
+(``FiberClass``) also names the base of every unit's orbit (its smallest
+unit) and the permutation of the base fiber that a transport arrow from the
+base makes: by the groupoid axioms a unit's Gram block is its base's with
+rows and columns permuted, and with left-invariant weights so are its
+weighted kernel and its right convolution block.  So the positivity
+verdicts, the GNS factors, the square roots, the reduced norm and the
+coefficient-norm problem decompose one block per orbit; with weights that
+are not left invariant every unit is its own base.  A base is carried by its
+unit arrow, so its permutation is the identity.  An orbit is the pair
+groupoid of its units times its base's isotropy group H, and the class lists
+every arrow's coordinate h in H and the translation of the base fiber by h,
+from which the GNS bundle is induced.  A third
 (``FiniteGroupoid.isotropy_blocks``) holds, for each base whose isotropy
 group H is nontrivial, a unitary F_b in which every base matrix that commutes
 with the translations of the fiber by H is block diagonal, with one block of
@@ -65,21 +68,12 @@ class UndefinedProductError(ValueError):
 
 @dataclass(frozen=True)
 class FiberClass:
-    """The units whose range fibers have the same size m, with their unit blocks.
+    """The units whose range fibers have the same size m, with their unit
+    blocks, their orbits and the isotropy elements of their arrows.
 
     Row i of ``arrows`` is the range fiber of ``units[i]``, ascending, and
     ``gram[i, p, q]`` is the arrow inverse(arrows[i, p]) arrows[i, q], so that
     ``phi[gram]`` stacks the Gram matrices of an arrow function phi.
-    """
-
-    units: np.ndarray
-    arrows: np.ndarray
-    gram: np.ndarray
-
-
-@dataclass(frozen=True)
-class OrbitClass:
-    """The orbits of the units of one fiber class, each read at its base.
 
     The base of an orbit is its smallest unit.  ``bases`` holds the rows of
     the class that are bases, ascending, and ``orbit[i]`` the index in
@@ -95,13 +89,30 @@ class OrbitClass:
     the base fiber, where perm[i] sends the unit arrow of ``units[i]``; on a
     base row it is the place of the unit arrow.  ``spread`` reads base
     matrices onto every row's fiber by this index.
+
+    The arrow x = ``arrows[i, p]`` from s to t carries the element
+    h = inverse(a_t) x a_s of its base b's isotropy group, a_v the transport
+    arrow of v: element ``element[i, p]``.  Element j is
+    inverse(arrows[b, ``element_place[j]``]), b = ``bases[element_base[j]]``,
+    ascending in (base, place), so a base's elements are the inverses of the
+    arrows of its fiber with source b.  ``translation[j]`` holds the
+    permutation rows of T_h, v -> v[translation[j]]: row q is the place of
+    inverse(h) y_q, y_q the q-th arrow of the base fiber, so T_h takes the
+    point mass at y_q to the one at h y_q.
     """
 
+    units: np.ndarray
+    arrows: np.ndarray
+    gram: np.ndarray
     bases: np.ndarray
     orbit: np.ndarray
     transport: np.ndarray
     perm: np.ndarray
     home: np.ndarray
+    element: np.ndarray
+    element_base: np.ndarray
+    element_place: np.ndarray
+    translation: np.ndarray
 
     @property
     def alone(self) -> bool:
@@ -129,7 +140,7 @@ class IsotropyBlocks:
     """Bases of one fiber class whose isotropy groups are nontrivial, with one
     block layout, and the unitaries that split their matrices into blocks.
 
-    ``bases`` indexes ``OrbitClass.bases``, ascending.  A base matrix M that
+    ``bases`` indexes ``FiberClass.bases``, ascending.  A base matrix M that
     commutes with the left translations of its fiber by the isotropy group H
     (the Gram block, the Haar kernel, the right convolution block) is block
     diagonal in F = ``unitary[i]``: F^H M F holds, along its diagonal, the
@@ -201,7 +212,8 @@ class FiniteGroupoid:
 
     @cached_property
     def fiber_classes(self) -> tuple[FiberClass, ...]:
-        """The units grouped by range-fiber size, with their Gram arrow ids.
+        """The units grouped by range-fiber size, with their Gram arrow ids,
+        their orbits and the isotropy elements of their arrows.
 
         The groups come in the order of their first units, so unit 0 is the
         first unit of the first group.
@@ -209,63 +221,64 @@ class FiniteGroupoid:
         Within the group of size m the entries of the arrows x of a fiber come
         x-ascending in the composable pairs, t ascending within each x, so the
         segment of the q-th arrow is column q of the fiber's Gram block.
+
+        The smallest source of the arrows into v is the smallest unit of v's
+        orbit, and an orbit's units, so the sources of a class's arrows, lie
+        in one class.  With weights that are not left invariant (no Haar
+        system; ``validate`` rejects them) every unit is its own base.
         """
         _, _, y, starts = self.composable_pairs
         counts = np.bincount(self.range_of, minlength=self.n_units)
         by_range = np.argsort(self.range_of, kind="stable")
         fiber_starts = np.cumsum(counts) - counts
+        # every arrow's place in its range fiber
+        place = np.empty(self.n_arrows, dtype=int)
+        place[by_range] = np.arange(self.n_arrows) - np.repeat(fiber_starts, counts)
+        invariant = np.array_equal(self.weights, self.unit_weights[self.source_of])
         classes = []
         sizes, first_units = np.unique(counts, return_index=True)
         for m in sizes[np.argsort(first_units)]:
             units = np.flatnonzero(counts == m)
+            rows = np.arange(units.size)
             arrows = by_range[fiber_starts[units][:, None] + np.arange(m)]
             gram = y[starts[arrows][:, None, :] + np.arange(m)[:, None]]
-            classes.append(FiberClass(units, arrows, gram))
-        return tuple(classes)
-
-    @cached_property
-    def orbit_index(self) -> tuple[OrbitClass, ...]:
-        """The orbits of the units, one ``OrbitClass`` per fiber class, in the
-        order of ``fiber_classes``.
-
-        Every unit of an orbit has an arrow into v, so the smallest source of
-        the arrows into v is the smallest unit of its orbit, and the units of
-        an orbit have fibers of one size.  Weights that are not left
-        invariant (no Haar system; ``validate`` rejects them) are not carried
-        across an orbit, and then every unit is its own base.
-        """
-        place = np.empty(self.n_arrows, dtype=int)
-        for c in self.fiber_classes:
-            place[c.arrows] = np.arange(c.arrows.shape[1])
-        invariant = np.array_equal(self.weights, self.unit_weights[self.source_of])
-        classes = []
-        for c in self.fiber_classes:
-            sources = self.source_of[c.arrows]
-            base = sources.min(axis=1) if invariant else c.units
-            own = base == c.units
-            orbit = (np.cumsum(own) - 1)[np.searchsorted(c.units, base)]
-            transport = np.where(own, place[self.unit_arrows[c.units]],
+            sources = self.source_of[arrows]
+            base = sources.min(axis=1) if invariant else units
+            own = base == units
+            bases = np.flatnonzero(own)
+            orbit = (np.cumsum(own) - 1)[np.searchsorted(units, base)]
+            transport = np.where(own, place[self.unit_arrows[units]],
                                  (sources == base[:, None]).argmax(axis=1))
-            rows = np.arange(c.units.size)
-            perm = place[c.gram[rows, transport]]
-            home = place[self.inverse_of[c.arrows[rows, transport]]]
-            classes.append(OrbitClass(np.flatnonzero(own), orbit, transport, perm, home))
+            perm = place[gram[rows, transport]]
+            home = place[self.inverse_of[arrows[rows, transport]]]
+            # inverse(h) = inverse(a_s) inverse(x) a_t: perm[s] takes the place in
+            # s's fiber of inverse(x) a_t, the Gram id of t's at (x, a_t), to the base's
+            code = orbit[:, None] * m + perm[np.searchsorted(units, sources), place[gram[rows, :, transport]]]
+            # the distinct elements, ascending, and the one of each arrow
+            seen = np.zeros(bases.size * m, dtype=bool)
+            seen[code] = True
+            element_base, element_place = divmod(np.flatnonzero(seen), m)
+            b = bases[element_base]
+            translation = place[gram[b, place[self.inverse_of[arrows[b, element_place]]]]]
+            classes.append(FiberClass(units, arrows, gram, bases, orbit, transport, perm, home,
+                                      (np.cumsum(seen) - 1)[code], element_base, element_place,
+                                      translation))
         return tuple(classes)
 
     @cached_property
     def isotropy_blocks(self) -> tuple[tuple[IsotropyBlocks, ...], ...]:
         """The isotropy blocks of the orbit bases, per fiber class in the order
-        of ``orbit_index``: one ``IsotropyBlocks`` per block layout, holding
+        of ``fiber_classes``: one ``IsotropyBlocks`` per block layout, holding
         only the bases whose isotropy group H is nontrivial.  A base with
         trivial isotropy (every base of a pair groupoid) is one block, and
         with weights that are not left invariant the kernels need not commute
         with the translations, so neither gets a unitary.
 
-        The translations T_h of the base fiber, e_p -> e_place(h x_p), span a
-        copy of H's group algebra; a = sum_h c_h T_h + conj(c_h) T_h^H with
-        fixed complex c_h (so that a character and its conjugate differ) has,
-        for generic c_h, exactly one eigenspace per block, and any matrix that
-        commutes with every T_h commutes with a and keeps its eigenspaces.
+        The translations T_h of the base fiber (``FiberClass.translation``)
+        span a copy of H's group algebra; a = sum_h c_h T_h + conj(c_h) T_h^H
+        with fixed complex c_h (so that a character and its conjugate differ)
+        has, for generic c_h, exactly one eigenspace per block, and any matrix
+        that commutes with every T_h commutes with a and keeps its eigenspaces.
         One ``eigh`` of a per base gives the blocks: eigenvalues within
         ``_BLOCK_TOL`` of ||a|| share one, since merging two blocks is always
         safe and only a split would be wrong.  Its eigenvectors leak between
@@ -274,23 +287,20 @@ class FiniteGroupoid:
         the block numbers 0, 1, 2, ..., gives F, accurate to rounding, with
         its blocks ordered by size.
         """
-        place = np.empty(self.n_arrows, dtype=int)
-        for c in self.fiber_classes:
-            place[c.arrows] = np.arange(c.arrows.shape[1])
         invariant = np.array_equal(self.weights, self.unit_weights[self.source_of])
         out = []
-        for c, o in zip(self.fiber_classes, self.orbit_index):
+        for c in self.fiber_classes:
             m = c.arrows.shape[1]
-            rows = o.bases
-            isotropy = self.source_of[c.arrows[rows]] == c.units[rows][:, None]
-            nontrivial = np.flatnonzero(isotropy.sum(axis=1) > 1) if invariant else []
+            order = np.bincount(c.element_base, minlength=c.bases.size)
+            nontrivial = np.flatnonzero(order > 1) if invariant else []
             if not len(nontrivial):
                 out.append(())
                 continue
-            # h x_p = inverse(inverse(h)) x_p is the Gram id at (place of inverse(h), p)
-            which, at = np.nonzero(isotropy[nontrivial])
-            base = rows[nontrivial][which]
-            moved = place[c.gram[base, place[self.inverse_of[c.arrows[base, at]]]]]
+            # the elements h of the nontrivial bases: T_h^H, the translation by
+            # the arrow inverse(h) at place ``at``, is 1 at (moved[p], p)
+            mine = order[c.element_base] > 1
+            which = np.searchsorted(nontrivial, c.element_base[mine])
+            at, moved = c.element_place[mine], c.translation[mine]
             coefficients = np.random.default_rng(_BLOCK_SEED).standard_normal((m, 2)) @ [1, 1j]
             a = np.zeros((nontrivial.size, m, m), dtype=complex)
             # the supports of the T_h are disjoint: each entry takes one c_h

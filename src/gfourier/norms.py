@@ -2,8 +2,8 @@
 and two-sided bounds for the decomposition norm.
 
 The coefficient norm of phi is the largest Schur multiplier norm of the Gram
-blocks Phi_b = phi[gram] of the orbit bases b (``FiniteGroupoid.orbit_index``),
-each base's untied block [[P, Phi_b], [Phi_b^H, Q]] solved alone (Bozejko and
+blocks Phi_b = phi[gram] of the orbit bases b (``FiberClass.bases``), each
+base's untied block [[P, Phi_b], [Phi_b^H, Q]] solved alone (Bozejko and
 Fendler; for groupoids Renault).  Averaged over the isotropy group H_b, an
 optimal completion stays optimal and becomes the Gram block of functions rho
 and tau, the witness.  ``schur_cb_norm`` is the same solve on one block.
@@ -21,7 +21,7 @@ Newton steps.  The averaged completion goes to the seeded re-check of
 ``gfourier.sdp``.  The upper bound of
 ``fourier_norm_bounds`` is one term per orbit base from the witness's
 completion block [[rho, Phi], [Phi^H, tau]], A = Phi (tau^1/2)^+ and
-B = tau^1/2, read onto every unit by ``OrbitClass.spread``: Phi = A B^H,
+B = tau^1/2, read onto every unit by ``FiberClass.spread``: Phi = A B^H,
 and the PSD Schur complement rho - Phi tau^+ Phi^H puts its cost at most
 at the SDP value.  Point masses are the fallback.  The scaling's lower
 bounds and the decomposition costs carry a rounding of a few ulps per fiber
@@ -98,9 +98,8 @@ class _Bases(NamedTuple):
 
 
 def _bases(g: FiniteGroupoid) -> _Bases:
-    """The orbit bases of g, class by class (``fiber_classes``,
-    ``orbit_index``)."""
-    ids = tuple(c.gram[o.rows] for c, o in zip(g.fiber_classes, g.orbit_index))
+    """The orbit bases of g, class by class (``fiber_classes``)."""
+    ids = tuple(c.gram[c.rows] for c in g.fiber_classes)
     return _Bases(np.concatenate([x.ravel() for x in ids]), g.inverse_of, g.unit_arrows, ids,
                   max(x.shape[1] for x in ids))
 
@@ -752,7 +751,7 @@ def _completion_term(g: FiniteGroupoid, phi, stieltjes: NormCertificate) -> np.n
     orbit base's block [[rho_b, Phi_b], [Phi_b^H, tau_b]] of the SDP's
     completion, at most the SDP value in cost.  Phi_b and tau_b commute with
     the isotropy permutations (both are functions of the Gram id), so do both
-    factors (B, A), and ``OrbitClass.spread`` reads them
+    factors (B, A), and ``FiberClass.spread`` reads them
     onto every unit, divided by sqrt(w): h[gram] W^1/2 = A at a base with
     fiber weights W, so the Gram block of the coefficient is A B^H, and
     ||h|| is the largest row norm of A.  On the polar seed
@@ -760,9 +759,9 @@ def _completion_term(g: FiniteGroupoid, phi, stieltjes: NormCertificate) -> np.n
     B = V S^1/2 V^H / sqrt(c)."""
     tau = stieltjes.witness["tau"]
     term = np.zeros((2, g.n_arrows), dtype=complex)
-    for c, o in zip(g.fiber_classes, g.orbit_index):
-        gram = c.gram[o.rows]
-        term[:, c.arrows] = o.spread(np.stack(_completion_factors(phi[gram], tau[gram])))
+    for c in g.fiber_classes:
+        gram = c.gram[c.rows]
+        term[:, c.arrows] = c.spread(np.stack(_completion_factors(phi[gram], tau[gram])))
     return (term / np.sqrt(g.weights))[None]
 
 

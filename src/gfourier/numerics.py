@@ -120,13 +120,13 @@ def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
 
     A stack of matrices (the last two axes) is decomposed in one call.  The
     input is symmetrized internally; each matrix must be Hermitian to 1e-12
-    relative to its largest entry.
+    relative to its largest entry, with no absolute floor.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("need a square matrix")
     h = m.conj().swapaxes(-1, -2)
-    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
     if np.any(np.abs(m - h).max(axis=(-2, -1), initial=0.0) > 1e-12 * scale):
         raise ValueError("matrix is not Hermitian")
     vals, vecs = np.linalg.eigh((m + h) / 2)
@@ -134,14 +134,15 @@ def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermitian_sqrt(m, tol: float = 1e-9) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues in [-tol*scale, 0) are clamped to 0.
+    """Hermitian PSD square root; eigenvalues in [-tol*scale, 0) are clamped to 0,
+    with scale each matrix's largest eigenvalue modulus (no absolute floor).
 
     A stack of matrices (the last two axes) is handled in one call; the error
     names the smallest eigenvalue of the first matrix that is not PSD.
     """
     vals, vecs = hermitian_eigen(m)
     low = vals[..., -1:]
-    bad = low < -tol * np.maximum(1.0, vals[..., :1])
+    bad = low < -tol * np.abs(vals).max(axis=-1, keepdims=True, initial=0.0)
     if bad.any():
         raise ValueError(f"matrix is not positive semidefinite (eigenvalue {low[bad][0]:.3e})")
     root = np.sqrt(np.clip(vals, 0.0, None))

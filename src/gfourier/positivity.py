@@ -8,21 +8,22 @@ it exactly: the eigenvalue test by its eigenvalues, the point-set and
 integral tests by the inertia of an LDL^H factorization (Sylvester's law of
 inertia).  Every "not positive definite" verdict carries a witness vector.
 
-The units are decided once per orbit, at its smallest unit
-(``FiniteGroupoid.orbit_index``), the bases of a fiber class in one stack: by
-the groupoid axioms and left-invariant weights, every other unit's Gram
-matrix and weighted kernel is the base's with rows and columns permuted alike
-(with weights that are not left invariant every unit is its own base).  A
-base Gram matrix commutes with the translations of its fiber by the base's
+The units are decided once per orbit, at its smallest unit (``bases`` of
+``FiniteGroupoid.fiber_classes``), the bases of a fiber class in one stack:
+by the groupoid axioms and left-invariant weights, every other unit's Gram
+matrix and weighted kernel is the base's with rows and columns permuted
+alike (with weights that are not left invariant every unit is its own
+base).  A base Gram matrix commutes with the translations of its fiber by the base's
 isotropy group, so the eigenvalue verdict splits it into the blocks of
 ``FiniteGroupoid.isotropy_blocks``, one stacked call per block size and none
 for 1x1 blocks (``gfourier.numerics.block_spectra``), and the GNS bundle and
 the square-root section are factored from those eigenpairs.  The LDL^H
 criteria factor the matrices whole, with no LAPACK call, so they stay an
 independent check of that path.  The GNS bundle is induced from each base's
-isotropy group: a ``GHilbertBundle`` holds one stack of distinct maps per
-shape and an index per arrow into it; on an orbit of full rank every map is
-an isotropy translation, held as permutation rows and applied by a gather.
+isotropy group (``FiberClass.translation``): a ``GHilbertBundle`` holds one
+stack of distinct maps per shape and an index per arrow into it; on an orbit
+of full rank every map is an isotropy translation, held as permutation rows
+and applied by a gather.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False)
     of the stack, a direction v with v^H a v <= 0; then v^H k v <=
     -v^H diag(shift) v < 0.  The witness is taken at the first failing unit.
 
-    Only the base of each orbit (``FiniteGroupoid.orbit_index``) is decided:
+    Only the base of each orbit (``FiberClass.bases``) is decided:
     the other units' Gram matrices, fiber weights and so their form matrices
     are permuted copies of the base's, by the groupoid axioms and the left
     invariance of the weights.  A unit fails exactly when its base does, and
@@ -90,11 +91,11 @@ def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False)
     """
     phi = arrow_function(g, phi)
     first = None
-    for c, o, blocks in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks):
-        units = c.units[o.rows]
+    for c, blocks in zip(g.fiber_classes, g.isotropy_blocks):
+        units = c.units[c.rows]
         if first is not None and units[0] > first[0]:
             continue
-        m = phi[c.gram[o.rows]]
+        m = phi[c.gram[c.rows]]
         mh = m.conj().swapaxes(1, 2)
         scale = np.abs(m).max(axis=(1, 2))
         delta = tol * scale
@@ -102,7 +103,7 @@ def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False)
         # a zero Gram matrix is PSD, and any positive shift says so
         shift = np.where(scale > 0, delta, 1.0)[:, None]
         if weighted:
-            w = g.weights[c.arrows[o.rows]]
+            w = g.weights[c.arrows[c.rows]]
             m, shift = _integral_kernels(w, m), shift * w**2
             mh = m.conj().swapaxes(1, 2)
         a = (m + mh) / 2
@@ -381,27 +382,28 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
     translation; the section is the class of the normalized unit point mass.
     Raises with the Gram witness when phi is not positive definite.
 
-    The bundle is induced from the isotropy group of each orbit's base b
-    (``FiniteGroupoid.orbit_index``) and factored by the eigenvalue verdict's
-    Herm(G_b) = V L V^H: C_b = sqrt(L) V^T D, D the fiber weights, has
-    C_b^H C_b = K_b = D conj(G_b) D, and C_b[:, perm_u] factors u's kernel.
-    With a_v the transport arrow from b to v, the map of an arrow x from s to
-    t is pi(h) = C_b T_h C_b^+ for h = inverse(a_t) x a_s, where T_h
-    translates the base fiber by h: one map per isotropy element.  On an orbit
-    of full rank C_b = conj(G_b)^(1/2) D commutes with every T_h (T_h is real
-    and commutes with G_b, and h y has the source, so the weight, of y), so
+    The bundle is induced from the isotropy group of each orbit's base b and
+    factored by the eigenvalue verdict's Herm(G_b) = V L V^H:
+    C_b = sqrt(L) V^T D, D the fiber weights, has C_b^H C_b = K_b =
+    D conj(G_b) D, and C_b[:, perm_u] factors u's kernel.  With a_v the
+    transport arrow from b to v, the map of an arrow x from s to t is
+    pi(h) = C_b T_h C_b^+ for h = inverse(a_t) x a_s, where T_h translates
+    the base fiber by h: one map per isotropy element, read with its
+    permutation rows from the tables of ``FiberClass``.  On an orbit of full
+    rank C_b = conj(G_b)^(1/2) D commutes with every T_h (T_h is real and
+    commutes with G_b, and h y has the source, so the weight, of y), so
     pi(h) = T_h, held as its permutation rows.  Elsewhere C_b keeps the pairs
     above the rank threshold, and C_b^+ = D^-1 conj(V) L^(-1/2): one batched
-    product per rank.  The section at u is C_b[:, home_u] / w_u.  As D commutes
-    with T_h and D[home_u] = w_u, neither sees D, which is never formed.
+    product per rank.  The section at u is C_b[:, home_u] / w_u.  As D
+    commutes with T_h and D[home_u] = w_u, neither sees D, which is never
+    formed.
     """
     phi = arrow_function(g, phi)
-    dims, row = np.empty((2, g.n_units), dtype=int)
-    place = np.empty(g.n_arrows, dtype=int)
+    dims = np.empty(g.n_units, dtype=int)
     section = np.zeros((g.n_units, np.bincount(g.range_of, minlength=1).max()), dtype=complex)
     parts = {}
-    for c, o, (vals, vecs, shift) in zip(g.fiber_classes, g.orbit_index, _eigenpairs(g, phi, tol)):
-        k, m = c.arrows.shape
+    for c, (vals, vecs, shift) in zip(g.fiber_classes, _eigenpairs(g, phi, tol)):
+        m = c.arrows.shape[1]
         # L descending; an orbit of rank r reads the first r of d columns.  Rank
         # is relative to the top of Herm(G_b) + shift: a zero G_b's L is rounding
         top = vals[:, -1:]
@@ -415,37 +417,21 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
         full = rank == m
         if d == m:
             np.copyto(factor, vecs.conj() @ factor, where=full[:, None, None])
-        dims[c.units] = rank[o.orbit]
-        row[c.units] = np.arange(k)
-        place[c.arrows] = np.arange(m)
-        xs = c.arrows.ravel()
-        # translation by h sends inverse(h) y to y: row p of T_h picks the place
-        # of inverse(h) y for the p-th arrow y of the base fiber; the place of
-        # inverse(h) = inverse(a_s) inverse(x) a_t is read from the Gram ids of
-        # t's fiber, where inverse(x) a_t lies
-        t, s = np.repeat(np.arange(k), m), row[g.source_of[xs]]
-        code = o.orbit[t] * m + o.perm[s, place[c.gram[t, place[xs], o.transport[t]]]]
-        # the distinct elements, ascending, and the one of each arrow
-        seen = np.zeros(o.bases.size * m, dtype=bool)
-        seen[code] = True
-        owner, key = divmod(np.flatnonzero(seen), m)
-        which = (np.cumsum(seen) - 1)[code]
-        base = o.bases[owner]
-        back = place[c.gram[base, place[g.inverse_of[c.arrows[base, key]]]]]
-        # a full-rank orbit's maps are those permutation rows; elsewhere
-        # pi(h) = C T_h C^+, one batched product per rank
-        kind = np.where(full, -1, rank)[owner]
+        dims[c.units] = rank[c.orbit]
+        # a full-rank orbit's maps are the translations' permutation rows;
+        # elsewhere pi(h) = C T_h C^+, one batched product per rank
+        kind = np.where(full, -1, rank)[c.element_base]
         for r in np.unique(kind).tolist():
             mine = np.flatnonzero(kind == r)
-            own = owner[mine]
-            maps = back[mine] if r < 0 else (
-                factor[own, :r] @ (vecs[own[:, None], back[mine], :r].conj() / root[own, None, :r]))
-            arrows = np.flatnonzero(kind[which] == r)
+            own, moves = c.element_base[mine], c.translation[mine]
+            maps = moves if r < 0 else (
+                factor[own, :r] @ (vecs[own[:, None], moves, :r].conj() / root[own, None, :r]))
+            hit = kind[c.element] == r
             found = parts.setdefault(maps.shape[1:], [])
-            found.append((maps, xs[arrows],
-                          np.searchsorted(mine, which[arrows]) + sum(len(f[0]) for f in found)))
+            found.append((maps, c.arrows[hit],
+                          np.searchsorted(mine, c.element[hit]) + sum(len(f[0]) for f in found)))
         # the unit point mass of u sits at the place of inverse(a_u) in the base fiber
-        section[c.units, :d] = factor[o.orbit, :, o.home]
+        section[c.units, :d] = factor[c.orbit, :, c.home]
     # one stack per shape: classes with the same rank join theirs
     stacks = [MapStack(*map(np.concatenate, zip(*found))) for found in parts.values()]
     bundle = GHilbertBundle(tuple(dims.tolist()), stacks=stacks)
@@ -466,10 +452,10 @@ def pd_to_section(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> np.ndarray:
     Uses the square root of right convolution by phi applied to the indicator
     of the units meeting the support of phi.  Only defined for counting-measure
     Haar systems (all weights 1).  A unit's block is its orbit base's permuted
-    by perm_u (``FiniteGroupoid.orbit_index``), and so is its square root, so
-    one root per orbit serves every unit (``OrbitClass.spread``).  The base
-    block is G_b^T, whose root is conj(V sqrt(L+) V^H) for the eigenvalue
-    verdict's Herm(G_b) = V L V^H, with L+ = max(L, 0) and L >= -delta.
+    by perm_u (``FiberClass.perm``), and so is its square root, so one root
+    per orbit serves every unit (``FiberClass.spread``).  The base block is
+    G_b^T, whose root is conj(V sqrt(L+) V^H) for the eigenvalue verdict's
+    Herm(G_b) = V L V^H, with L+ = max(L, 0) and L >= -delta.
     """
     phi = arrow_function(g, phi)
     if np.abs(g.weights - 1.0).max(initial=0.0) > 1e-12:
@@ -478,11 +464,11 @@ def pd_to_section(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> np.ndarray:
     marked = np.zeros(g.n_units, dtype=bool)
     marked[g.range_of[support]] = marked[g.source_of[support]] = True
     xi = np.zeros(g.n_arrows, dtype=complex)
-    for c, o, (vals, vecs, shift) in zip(g.fiber_classes, g.orbit_index, _eigenpairs(g, phi, tol)):
+    for c, (vals, vecs, shift) in zip(g.fiber_classes, _eigenpairs(g, phi, tol)):
         # the root at u applied to the point mass at its unit arrow: row home_u
         # of the transposed base root V sqrt(L+) V^H, permuted by perm_u
         root = (vecs * np.sqrt(np.clip(vals - shift, 0.0, None))[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-        xi[c.arrows] = o.spread(root) * marked[c.units][:, None]
+        xi[c.arrows] = c.spread(root) * marked[c.units][:, None]
     return xi
 
 

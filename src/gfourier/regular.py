@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _finite_norm, arrow_function, convolve, delta, star
+from .algebra import _finite_norm, arrow_function, convolve, star
 from .duality import ModuleMap
 from .groupoid import FiniteGroupoid
 from .numerics import RANK_TOL, block_spectra, nullspace, orthonormal_span
@@ -129,22 +129,21 @@ def reduced_norm(g: FiniteGroupoid, f) -> float:
 
     In the weighted metric the block of a range fiber is, up to transposition,
     f(inverse(x) t) sqrt(w(x) w(t)): the Gram matrix of f scaled on both sides.
-    A unit's block is its orbit base's permuted by perm_u
-    (``FiniteGroupoid.orbit_index``), with the same norm, so the base alone
-    decides it.  The base block commutes with the translations of its fiber
-    by its isotropy group, so its singular values are those of its isotropy
-    blocks (``FiniteGroupoid.isotropy_blocks``): one stacked SVD per block
-    size, and the modulus of a 1x1 block with no SVD; a base with trivial
-    isotropy is one block.  ValueError when the norm overflows.
+    A unit's block is its orbit base's permuted by perm_u (``FiberClass.perm``),
+    with the same norm, so the base alone decides it.  The base block commutes
+    with the translations of its fiber by its isotropy group, so its singular
+    values are those of its isotropy blocks (``FiniteGroupoid.isotropy_blocks``):
+    one stacked SVD per block size, and the modulus of a 1x1 block with no
+    SVD; a base with trivial isotropy is one block.  ValueError when the norm overflows.
     """
     f = arrow_function(g, f)
     best = 0.0
     # a complex product that overflows also makes nan parts (inf * 0), which
     # LAPACK would read as zeros
     with np.errstate(over="ignore", invalid="ignore"):
-        for c, o, blocks in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks):
-            rw = np.sqrt(g.weights[c.arrows[o.rows]])
-            tilted = f[c.gram[o.rows]] * (rw[:, :, None] * rw[:, None, :])
+        for c, blocks in zip(g.fiber_classes, g.isotropy_blocks):
+            rw = np.sqrt(g.weights[c.arrows[c.rows]])
+            tilted = f[c.gram[c.rows]] * (rw[:, :, None] * rw[:, None, :])
             if not np.isfinite(tilted).all():
                 best = np.inf
                 break
@@ -199,7 +198,11 @@ def right_delta_ops(g: FiniteGroupoid) -> list[np.ndarray]:
 
 
 def left_delta_ops(g: FiniteGroupoid) -> list[np.ndarray]:
-    return [left_op(g, delta(g, x)) for x in range(g.n_arrows)]
+    """left_op(g, delta(g, a)) for every arrow a, scattered from the composable pairs."""
+    x, t, y, _ = g.composable_pairs
+    ops = np.zeros((g.n_arrows,) * 3, dtype=complex)
+    ops[t, x, y] = g.weights[t]
+    return list(ops)
 
 
 def span_basis(mats, tol: float = RANK_TOL) -> list[np.ndarray]:

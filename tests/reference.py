@@ -512,6 +512,21 @@ def right_delta_ops_oracle(g):
     return ops
 
 
+def left_delta_ops_oracle(g):
+    """Left convolution by each point mass a, straight from the composition table:
+    w(a) at (a y, y) for every arrow y with range source(a).  Undefined products
+    contribute nothing."""
+    ops = [np.zeros((g.n_arrows, g.n_arrows), dtype=complex) for _ in range(g.n_arrows)]
+    for a in range(g.n_arrows):
+        for y in range(g.n_arrows):
+            if g.range_of[y] != g.source_of[a]:
+                continue
+            x = g.compose_table[a, y]
+            if x != UNDEFINED:
+                ops[a][x, y] = g.weights[a]
+    return ops
+
+
 def commutant_oracle(generators, dim: int, tol: float = RANK_TOL) -> list[np.ndarray]:
     """Basis of {T : TA = AT for every generator A}, by null-space extraction.
 
@@ -667,25 +682,35 @@ def gns_bundle_oracle(g, phi, tol=PSD_TOL):
     return bundle, BundleSection(tuple(vectors))
 
 
-def translation_maps_oracle(g):
-    """The map of every arrow x on an orbit of full rank, one arrow at a time
-    from the composition table: the 0/1 matrix ``np.eye(m)[back]`` of the
-    translation T_h of the base fiber by h = inverse(a_t) x a_s.  The base b
-    of a unit is the smallest source of the arrows into it (weights must be
-    left invariant), a_v is the first arrow from b into v (the unit arrow on
-    v = b), and back[p] is the place of inverse(h) y_p, for y_p the p-th arrow
-    into b."""
+def isotropy_elements_oracle(g):
+    """The base of every unit and the isotropy element h = inverse(a_t) x a_s
+    of every arrow x from s to t, one arrow at a time from the composition
+    table.  The base b of a unit is the smallest source of the arrows into it
+    (weights must be left invariant), and a_v is the first arrow from b into v
+    (the unit arrow on v = b)."""
     if not np.array_equal(g.weights, g.unit_weights[g.source_of]):
         raise ValueError("needs left-invariant weights")
     base = [int(g.source_of[fiber].min()) for fiber in g.r_fibers]
     transport = [int(g.unit_arrows[v]) if base[v] == v
                  else int(next(a for a in g.r_fibers[v] if g.source_of[a] == base[v]))
                  for v in range(g.n_units)]
-    maps = []
+    elements = []
     for x in range(g.n_arrows):
         s, t = int(g.source_of[x]), int(g.range_of[x])
-        h = g.compose_table[g.inverse_of[transport[t]], g.compose_table[x, transport[s]]]
-        fiber = g.r_fibers[base[t]].tolist()
+        elements.append(int(g.compose_table[g.inverse_of[transport[t]], g.compose_table[x, transport[s]]]))
+    return base, elements
+
+
+def translation_maps_oracle(g):
+    """The map of every arrow x on an orbit of full rank, one arrow at a time
+    from the composition table: the 0/1 matrix ``np.eye(m)[back]`` of the
+    translation T_h of the base fiber by the element h of x
+    (``isotropy_elements_oracle``), where back[p] is the place of
+    inverse(h) y_p, for y_p the p-th arrow into the base."""
+    base, elements = isotropy_elements_oracle(g)
+    maps = []
+    for x, h in enumerate(elements):
+        fiber = g.r_fibers[base[g.range_of[x]]].tolist()
         back = [fiber.index(g.compose_table[g.inverse_of[h], y]) for y in fiber]
         maps.append(np.eye(len(fiber))[back])
     return maps

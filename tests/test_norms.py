@@ -61,6 +61,16 @@ class TestHermitianEigen:
         with pytest.raises(ValueError):
             gf.hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-300])
+    def test_hermitian_test_is_relative_to_the_largest_entry(self, scale):
+        # no absolute floor: a small matrix is judged as its scaled-up copy
+        with pytest.raises(ValueError, match="not Hermitian"):
+            gf.hermitian_eigen(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            gf.hermitian_eigen(scale * np.array([[1.0, 0.1], [0.0, 1.0]]))
+        vals, _ = gf.hermitian_eigen(scale * np.array([[2.0, 1j], [-1j, 2.0]]))
+        assert np.allclose(vals, [3.0 * scale, scale], rtol=1e-12, atol=0.0)
+
 
 class TestHermitianSqrt:
     def test_identity(self):
@@ -80,6 +90,16 @@ class TestHermitianSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="not positive semidefinite"):
             gf.hermitian_sqrt(np.diag([1.0, -0.5]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-300])
+    def test_psd_test_is_relative_to_the_largest_eigenvalue(self, scale):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            gf.hermitian_sqrt(scale * np.diag([1.0, -0.5]))
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            gf.hermitian_sqrt(scale * np.diag([-1.0, -2.0]))
+        # within tol of the largest eigenvalue, a negative one is clamped to 0
+        root = gf.hermitian_sqrt(scale * np.diag([4.0, -1e-10]))
+        assert np.abs(root - np.diag([2.0 * np.sqrt(scale), 0.0])).max() <= 1e-12 * np.sqrt(scale)
 
 
 def _schur_problem(a) -> DiagBoundSdp:
@@ -1467,7 +1487,7 @@ class TestNoRepeatedWork:
     def test_norms_build_no_term(self, monkeypatch, g3, bundle23, rng):
         calls = []
         self._spy(monkeypatch, calls, (gf.norms,), ("_completion_term", "_delta_terms"))
-        self._spy(monkeypatch, calls, (gf.groupoid.OrbitClass,), ("spread",))
+        self._spy(monkeypatch, calls, (gf.groupoid.FiberClass,), ("spread",))
         for g in (g3, bundle23, s3_on_three_points()):
             gf.fourier_stieltjes_norm(g, random_function(g, rng))
         gf.schur_cb_norm(rng.standard_normal((4, 4)))

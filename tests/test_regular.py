@@ -13,6 +13,7 @@ from conftest import (
 from reference import (
     commutant_oracle,
     d_inner_oracle,
+    left_delta_ops_oracle,
     module_map_matrix_oracle,
     right_delta_ops_oracle,
     vn_commutation_defect_oracle,
@@ -319,6 +320,16 @@ class TestCommutant:
                 gf.right_delta_ops(g)
             return
         for got, want in zip(gf.right_delta_ops(g), right_delta_ops_oracle(g), strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(COMMUTANT_CASES))
+    def test_left_delta_ops_match_dense_loop(self, name):
+        g = COMMUTANT_CASES[name]()
+        if name == "no_bisection":
+            with pytest.raises(gf.UndefinedProductError, match=r"arrows 1 = inverse\(1\) and 1 "):
+                gf.left_delta_ops(g)
+            return
+        for got, want in zip(gf.left_delta_ops(g), left_delta_ops_oracle(g), strict=True):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [2, 3])

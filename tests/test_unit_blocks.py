@@ -33,6 +33,7 @@ from reference import (
     i_norm_range_oracle,
     i_norm_source_oracle,
     is_positive_definite_oracle,
+    isotropy_elements_oracle,
     pd_to_section_loop_oracle,
     pd_verdict_integral_oracle,
     pd_verdict_pointset_oracle,
@@ -130,36 +131,35 @@ def _orbit_count(g) -> int:
     return sum(int(g.source_of[fiber].min()) == u for u, fiber in enumerate(g.r_fibers))
 
 
-class TestOrbitIndex:
+class TestFiberClassOrbits:
     def test_every_unit_is_a_permuted_copy_of_its_base(self, g):
-        assert len(g.orbit_index) == len(g.fiber_classes)
         bases = 0
-        for c, o in zip(g.fiber_classes, g.orbit_index):
+        for c in g.fiber_classes:
             k, m = c.arrows.shape
-            assert np.array_equal(o.orbit[o.bases], np.arange(o.bases.size))
-            assert np.all(np.diff(o.bases) > 0) and o.alone == (o.bases.size == k)
-            bases += o.bases.size
+            assert np.array_equal(c.orbit[c.bases], np.arange(c.bases.size))
+            assert np.all(np.diff(c.bases) > 0) and c.alone == (c.bases.size == k)
+            bases += c.bases.size
             for i in range(k):
-                b, p = o.bases[o.orbit[i]], o.perm[i]
+                b, p = c.bases[c.orbit[i]], c.perm[i]
                 assert c.units[b] == g.source_of[g.r_fibers[c.units[i]]].min()
-                a = c.arrows[i, o.transport[i]]
+                a = c.arrows[i, c.transport[i]]
                 assert g.source_of[a] == c.units[b] and g.range_of[a] == c.units[i]
                 assert np.array_equal(np.sort(p), np.arange(m))
                 assert np.array_equal(c.gram[i], c.gram[b][np.ix_(p, p)])
                 assert np.array_equal(g.weights[c.arrows[i]], g.weights[c.arrows[b]][p])
-                assert c.arrows[b, o.home[i]] == g.inverse_of[a]
-                assert o.home[i] == p[list(c.arrows[i]).index(g.unit_arrows[c.units[i]])]
+                assert c.arrows[b, c.home[i]] == g.inverse_of[a]
+                assert c.home[i] == p[list(c.arrows[i]).index(g.unit_arrows[c.units[i]])]
                 if i == b:
                     # a base is carried by its unit arrow
-                    assert a == g.unit_arrows[c.units[i]] == c.arrows[i, o.home[i]]
+                    assert a == g.unit_arrows[c.units[i]] == c.arrows[i, c.home[i]]
                     assert np.array_equal(p, np.arange(m))
         assert bases == _orbit_count(g)
 
     def test_weights_that_are_not_left_invariant_keep_every_unit(self):
         g = range_weighted_pair3()
-        (c,), (o,) = g.fiber_classes, g.orbit_index
-        assert np.array_equal(o.bases, np.arange(3)) and o.alone
-        assert np.array_equal(o.perm, np.tile(np.arange(3), (3, 1)))
+        (c,) = g.fiber_classes
+        assert np.array_equal(c.bases, np.arange(3)) and c.alone
+        assert np.array_equal(c.perm, np.tile(np.arange(3), (3, 1)))
         rng = _rng(g)
         # positive definite on pair(3) whatever the weights
         phi, f = random_pd(gf.pair_groupoid(3), rng), random_function(g, rng)
@@ -175,6 +175,67 @@ class TestOrbitIndex:
         assert sum(len(x) for x in gf.norms._bases(g).grams) == 3
         assert gf.fourier_stieltjes_norm(g, phi).value == pytest.approx(
             gf.fourier_stieltjes_norm(gf.pair_groupoid(3), phi).value, rel=1e-9)
+
+
+# orbits whose unit arrows come last in their fibers, and orbits of two units
+# with Z2 and Z3 isotropy
+ISOTROPY_ZOO = {
+    "s3-on-3-moved": lambda: s3_on_three_points(identity_last=True),
+    "z2+z3xI2": lambda: gf.product_with_pair_groupoid(
+        gf.group_bundle([gf.cyclic_table(2), gf.cyclic_table(3)])),
+}
+
+
+@pytest.fixture(params=FIXTURES + list(LARGE) + list(ISOTROPY_ZOO))
+def ig(request):
+    if request.param in FIXTURES:
+        return request.getfixturevalue(request.param)
+    if request.param not in _built:
+        _built[request.param] = {**LARGE, **ISOTROPY_ZOO}[request.param]()
+    return _built[request.param]
+
+
+class TestIsotropyElements:
+    """The element tables of ``FiberClass`` against the composition table."""
+
+    def test_every_arrow_carries_its_element(self, ig):
+        g = ig
+        base, elements = isotropy_elements_oracle(g)
+        seen = []
+        for c in g.fiber_classes:
+            k, m = c.arrows.shape
+            for i in range(k):
+                for p in range(m):
+                    j = c.element[i, p]
+                    assert c.element_base[j] == c.orbit[i]
+                    b = c.bases[c.element_base[j]]
+                    assert c.units[b] == base[c.units[i]]
+                    # element j is the inverse of the base-fiber arrow at its place
+                    assert g.inverse_of[c.arrows[b, c.element_place[j]]] == elements[c.arrows[i, p]]
+            seen += c.arrows.ravel().tolist()
+        assert sorted(seen) == list(range(g.n_arrows))
+
+    def test_translation_rows_move_the_base_fiber_as_h_does(self, ig):
+        g = ig
+        for c in g.fiber_classes:
+            m = c.arrows.shape[1]
+            assert c.translation.shape == (c.element_base.size, m)
+            for j, (k, place) in enumerate(zip(c.element_base, c.element_place)):
+                fiber = c.arrows[c.bases[k]].tolist()
+                h = g.inverse_of[fiber[place]]
+                # T_h = np.eye(m)[rows] takes the point mass at y_q to the one at h y_q
+                moved = [fiber.index(g.compose_table[h, y]) for y in fiber]
+                assert np.array_equal(np.eye(m)[c.translation[j]], np.eye(m)[:, moved])
+
+    def test_a_bases_elements_are_its_isotropy_arrows(self, ig):
+        g = ig
+        for c in g.fiber_classes:
+            m = c.arrows.shape[1]
+            # base by base, each base's by place
+            assert np.all(np.diff(c.element_base * m + c.element_place) > 0)
+            for k, b in enumerate(c.bases):
+                isotropy = np.flatnonzero(g.source_of[c.arrows[b]] == c.units[b])
+                assert np.array_equal(c.element_place[c.element_base == k], isotropy)
 
 
 class TestOnePerOrbit:
@@ -209,8 +270,8 @@ class TestOnePerOrbit:
         phi = random_pd(g, _rng(g))
         g.isotropy_blocks  # built before the spies, with the eigh calls that find the blocks
         calls = _spy_on_linalg(monkeypatch)
-        for c, o, blocks in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks):
-            gram = phi[c.gram[o.rows]]
+        for c, blocks in zip(g.fiber_classes, g.isotropy_blocks):
+            gram = phi[c.gram[c.rows]]
             gf.numerics.block_spectra((gram + gram.conj().swapaxes(1, 2)) / 2, blocks, "eigh")
         verdict_calls = calls[:]
         # the whole 16x16 of pair(16); the free orbit's whole 12x12 and the Z3 orbit's three 4x4 blocks
@@ -704,34 +765,34 @@ class TestIsotropyBlocks:
     def test_exactly_the_bases_with_isotropy_have_a_unitary(self, g):
         invariant = np.array_equal(g.weights, g.unit_weights[g.source_of])
         assert len(g.isotropy_blocks) == len(g.fiber_classes)
-        for c, o, blocks in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks):
+        for c, blocks in zip(g.fiber_classes, g.isotropy_blocks):
             split = np.concatenate([np.zeros(0, dtype=int)] + [layout.bases for layout in blocks])
-            want = [i for i, row in enumerate(o.bases) if invariant and _isotropy(g, c, row).size > 1]
+            want = [i for i, row in enumerate(c.bases) if invariant and _isotropy(g, c, row).size > 1]
             assert sorted(split.tolist()) == want
             assert len({layout.runs for layout in blocks}) == len(blocks)
 
     def test_unitary_and_block_diagonal(self, g):
         f = random_function(g, _rng(g))
         rights = right_op_blocks_oracle(g, f)
-        for c, o, blocks in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks):
+        for c, blocks in zip(g.fiber_classes, g.isotropy_blocks):
             m = c.arrows.shape[1]
             for layout in blocks:
                 off = ~_block_mask(layout.runs, m)
                 for unitary, base in zip(layout.unitary, layout.bases):
                     assert np.abs(unitary.conj().T @ unitary - np.eye(m)).max() <= 1e-12
-                    row = o.bases[base]
+                    row = c.bases[base]
                     gram = f[c.gram[row]]
                     for a in (gram, _integral_kernels(g.weights[c.arrows[row]], gram), rights[c.units[row]]):
                         blocked = unitary.conj().T @ a @ unitary
                         assert np.abs(blocked[off]).max() <= 1e-12 * np.abs(a).max()
 
     def test_block_sizes_are_irrep_dimensions_times_orbit_size(self, g):
-        for c, o, blocks in zip(g.fiber_classes, g.orbit_index, g.isotropy_blocks):
+        for c, blocks in zip(g.fiber_classes, g.isotropy_blocks):
             m = c.arrows.shape[1]
             for layout in blocks:
                 sizes = [size for size, n in layout.runs for _ in range(n)]
                 for base in layout.bases:
-                    h = _isotropy(g, c, o.bases[base])
+                    h = _isotropy(g, c, c.bases[base])
                     dims = _irrep_dims(g, h)
                     # d_pi blocks of size d_pi |X| for each irreducible pi
                     assert sizes == sorted(d * (m // h.size) for d in dims for _ in range(d))
