@@ -310,7 +310,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--format", choices=("human", "machine"), default="human")
         p.add_argument("--out", default="-")
 
@@ -328,6 +327,7 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
     c.add_argument("--timings", action="store_true",
                    help="print each suite's CPU and wall seconds to stderr")
+    c.add_argument("--tol", type=float, default=1e-9)
     common(c)
 
     n = sub.add_parser("norm", help="compute norms of a function file")

@@ -234,7 +234,6 @@ class FiniteGroupoid:
         # every arrow's place in its range fiber
         place = np.empty(self.n_arrows, dtype=int)
         place[by_range] = np.arange(self.n_arrows) - np.repeat(fiber_starts, counts)
-        invariant = np.array_equal(self.weights, self.unit_weights[self.source_of])
         classes = []
         sizes, first_units = np.unique(counts, return_index=True)
         for m in sizes[np.argsort(first_units)]:
@@ -243,7 +242,7 @@ class FiniteGroupoid:
             arrows = by_range[fiber_starts[units][:, None] + np.arange(m)]
             gram = y[starts[arrows][:, None, :] + np.arange(m)[:, None]]
             sources = self.source_of[arrows]
-            base = sources.min(axis=1) if invariant else units
+            base = units if self._misweighted else sources.min(axis=1)
             own = base == units
             bases = np.flatnonzero(own)
             orbit = (np.cumsum(own) - 1)[np.searchsorted(units, base)]
@@ -287,12 +286,11 @@ class FiniteGroupoid:
         the block numbers 0, 1, 2, ..., gives F, accurate to rounding, with
         its blocks ordered by size.
         """
-        invariant = np.array_equal(self.weights, self.unit_weights[self.source_of])
         out = []
         for c in self.fiber_classes:
             m = c.arrows.shape[1]
             order = np.bincount(c.element_base, minlength=c.bases.size)
-            nontrivial = np.flatnonzero(order > 1) if invariant else []
+            nontrivial = [] if self._misweighted else np.flatnonzero(order > 1)
             if not len(nontrivial):
                 out.append(())
                 continue
@@ -334,8 +332,12 @@ class FiniteGroupoid:
     def unit_weights(self) -> np.ndarray:
         return self.weights[self.unit_arrows]
 
-    def is_composable(self, x: int, y: int) -> bool:
-        return self.source_of[x] == self.range_of[y]
+    @cached_property
+    def _misweighted(self) -> str:
+        """``validate``'s violation at the first arrow whose Haar weight is not
+        exactly its source unit's, or "" when the weights are left invariant."""
+        bad = np.flatnonzero(self.weights != self.unit_weights[self.source_of])
+        return _weight_violation(self, int(bad[0])) if bad.size else ""
 
     def compose(self, x: int, y: int) -> int:
         z = int(self.compose_table[x, y])
@@ -693,10 +695,15 @@ def validate(g: FiniteGroupoid, max_report: int = 50) -> ValidationReport:
         expect = g.weights[e][src]
         note_where((
             np.abs(g.weights - expect) > 1e-12 * np.maximum(1.0, np.abs(expect)),
-            lambda x: f"Haar weight of arrow {x} is {g.weights[x]}, "
-            f"but left invariance needs the source-unit weight {expect[x]}",
+            lambda x: _weight_violation(g, x),
         ))
     return ValidationReport(tuple(bad))
+
+
+def _weight_violation(g: FiniteGroupoid, x: int) -> str:
+    """The violation of left invariance at arrow x, whose Haar weight is not its source unit's."""
+    return (f"Haar weight of arrow {x} is {g.weights[x]}, "
+            f"but left invariance needs the source-unit weight {g.unit_weights[g.source_of[x]]}")
 
 
 # ---------------------------------------------------------------------------

@@ -719,15 +719,14 @@ def _delta_terms(g: FiniteGroupoid, phi) -> np.ndarray:
     """Per-arrow point-mass decomposition; always succeeds, rarely tight.
 
     Term k pairs the normalized unit point mass at the unit e of the source
-    of the k-th arrow x in the support of phi with phi(x) w(e) / w(x) at x:
-    the coefficient of the pair is w(x) / w(e) times its value at x, so the
-    factor reproduces phi(x) under any weights, and it is exactly 1 under
-    left-invariant ones."""
+    of the k-th arrow x in the support of phi with phi(x) at x: under
+    left-invariant weights w(x) = w(e), so the coefficient of the pair is
+    its value at x."""
     xs = np.flatnonzero(phi)
     units = g.unit_arrows[g.source_of[xs]]
     terms = np.zeros((xs.size, 2, g.n_arrows), dtype=complex)
     terms[np.arange(xs.size), 0, units] = 1.0 / g.weights[units]
-    terms[np.arange(xs.size), 1, xs] = phi[xs] * (g.weights[units] / g.weights[xs])
+    terms[np.arange(xs.size), 1, xs] = phi[xs]
     return terms
 
 
@@ -787,8 +786,10 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     turn until one costs at most the lower bound times 1 + 1e-7.  The
     scaling's lower bound is rounded down by its rounding margin, and the
     upper bound up by 8 eps times the largest fiber size (or as many ulps,
-    below the normal range).
+    below the normal range).  Weights that are not left invariant raise.
     """
+    if g._misweighted:
+        raise ValueError(g._misweighted)
     phi = arrow_function(g, phi)
     lift = _lift(phi)
     if lift:

@@ -1,8 +1,7 @@
-"""Dense Hermitian linear-algebra kernels shared by the norm and GNS machinery."""
+"""Stacked spectra of orbit-base matrices on their isotropy blocks, spans and null spaces."""
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -14,14 +13,13 @@ RANK_TOL = 1e-9
 
 
 def block_spectra(stack: np.ndarray, blocks: tuple[IsotropyBlocks, ...], how: str):
-    """``np.linalg.eigvalsh``, ``eigh`` or the singular values of ``svd`` of a
-    (k, m, m) stack of orbit-base matrices, each split into its isotropy blocks.
+    """``np.linalg.eigh`` or the singular values of ``svd`` of a (k, m, m)
+    stack of orbit-base matrices, each split into its isotropy blocks.
 
     Row i of the stack is the matrix of base i of its fiber class, and
-    ``blocks`` are the class's ``FiniteGroupoid.isotropy_blocks`` (or
-    ``select_blocks`` of them for some of its bases): every matrix must
-    commute with the isotropy translations of its base fiber, so that F^H M F
-    is block diagonal.  One stacked product M F serves every base of a
+    ``blocks`` are the class's ``FiniteGroupoid.isotropy_blocks``: every
+    matrix must commute with the isotropy translations of its base fiber, so
+    that F^H M F is block diagonal.  One stacked product M F serves every base of a
     layout.  A 1x1 block is the diagonal entry of F^H M F, its own eigenvalue
     (its real part) or singular value (its modulus), with no LAPACK call;
     larger blocks are cut from F^H M F and decomposed one stacked call per
@@ -29,7 +27,7 @@ def block_spectra(stack: np.ndarray, blocks: tuple[IsotropyBlocks, ...], how: st
     the block's eigenvectors.  A base with no unitary (trivial isotropy: one
     block) is decomposed whole.  Eigenvalues come ascending and singular
     values descending, as numpy gives them; ``how`` = "eigh" returns
-    (values, vectors), the others the values.  Where a product overflows
+    (values, vectors), "svd" the values.  Where a product overflows
     (entries near the largest float), the stack is decomposed whole, as
     LAPACK scales its input.
     """
@@ -59,7 +57,7 @@ def _split_spectra(stack: np.ndarray, blocks: tuple[IsotropyBlocks, ...], how: s
             hi = lo + size * n
             if size == 1:
                 diagonal = (fh[:, :, lo:hi] * mf[:, :, lo:hi]).sum(axis=1)
-                vals[rows, lo:hi] = np.abs(diagonal) if how == "svd" else diagonal.real
+                vals[rows, lo:hi] = np.abs(diagonal) if vecs is None else diagonal.real
                 if vecs is not None:
                     vecs[rows, :, lo:hi] = f[:, :, lo:hi]
                 lo = hi
@@ -68,10 +66,8 @@ def _split_spectra(stack: np.ndarray, blocks: tuple[IsotropyBlocks, ...], how: s
                 product = fh.swapaxes(1, 2) @ mf
             at = np.arange(lo, hi).reshape(n, size)
             block = product[:, at[:, :, None], at[:, None, :]]
-            if how == "svd":
+            if vecs is None:
                 vals[rows, lo:hi] = np.linalg.svd(block, compute_uv=False).reshape(-1, hi - lo)
-            elif vecs is None:
-                vals[rows, lo:hi] = np.linalg.eigvalsh(block).reshape(-1, hi - lo)
             else:
                 w, v = np.linalg.eigh(block)
                 vals[rows, lo:hi] = w.reshape(-1, hi - lo)
@@ -89,64 +85,14 @@ def _split_spectra(stack: np.ndarray, blocks: tuple[IsotropyBlocks, ...], how: s
         else:
             vals[whole], vecs[whole] = got
     if vecs is None:
-        vals.sort(axis=1)
-        return vals[:, ::-1] if how == "svd" else vals
+        return -np.sort(-vals, axis=1)
     order = vals.argsort(axis=1)
     at = np.arange(k)[:, None]
     return vals[at, order], vecs.swapaxes(1, 2)[at, order].swapaxes(1, 2)
 
 
-def select_blocks(blocks: tuple[IsotropyBlocks, ...], rows) -> tuple[IsotropyBlocks, ...]:
-    """The isotropy blocks of a class's bases ``rows`` (ascending), for the
-    stack of their matrices alone: row i of it is base rows[i]."""
-    rows = np.asarray(rows)
-    out = []
-    for layout in blocks if rows.size else ():
-        where = np.minimum(np.searchsorted(rows, layout.bases), rows.size - 1)
-        hit = rows[where] == layout.bases
-        if hit.any():
-            out.append(replace(layout, bases=where[hit], unitary=layout.unitary[hit]))
-    return tuple(out)
-
-
 def _whole(stack: np.ndarray, how: str):
-    if how == "svd":
-        return np.linalg.svd(stack, compute_uv=False)
-    return np.linalg.eigh(stack) if how == "eigh" else np.linalg.eigvalsh(stack)
-
-
-def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending, real) and orthonormal eigenvectors of a Hermitian matrix.
-
-    A stack of matrices (the last two axes) is decomposed in one call.  The
-    input is symmetrized internally; each matrix must be Hermitian to 1e-12
-    relative to its largest entry, with no absolute floor.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError("need a square matrix")
-    h = m.conj().swapaxes(-1, -2)
-    scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
-    if np.any(np.abs(m - h).max(axis=(-2, -1), initial=0.0) > 1e-12 * scale):
-        raise ValueError("matrix is not Hermitian")
-    vals, vecs = np.linalg.eigh((m + h) / 2)
-    return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
-
-
-def hermitian_sqrt(m, tol: float = 1e-9) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues in [-tol*scale, 0) are clamped to 0,
-    with scale each matrix's largest eigenvalue modulus (no absolute floor).
-
-    A stack of matrices (the last two axes) is handled in one call; the error
-    names the smallest eigenvalue of the first matrix that is not PSD.
-    """
-    vals, vecs = hermitian_eigen(m)
-    low = vals[..., -1:]
-    bad = low < -tol * np.abs(vals).max(axis=-1, keepdims=True, initial=0.0)
-    if bad.any():
-        raise ValueError(f"matrix is not positive semidefinite (eigenvalue {low[bad][0]:.3e})")
-    root = np.sqrt(np.clip(vals, 0.0, None))
-    return (vecs * root[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return np.linalg.svd(stack, compute_uv=False) if how == "svd" else np.linalg.eigh(stack)
 
 
 def orthonormal_span(vectors, tol: float = RANK_TOL) -> np.ndarray:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import arrow_function, convolve, star
-from .groupoid import FiniteGroupoid, IsotropyBlocks
-from .numerics import block_spectra, select_blocks
+from .groupoid import FiniteGroupoid
+from .numerics import block_spectra
 
 PSD_TOL = 1e-9
 
@@ -87,7 +87,8 @@ def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False)
     invariance of the weights.  A unit fails exactly when its base does, and
     the base is the orbit's smallest unit, so the first failing unit is the
     base of the first failing orbit.  The bases are stacked per fiber class,
-    and a stack whose bases all come after a failure already found is skipped.
+    each stack decided whole, where the first base not Hermitian or not positive
+    definite fails; a stack whose bases all come after a failure is skipped.
     """
     phi = arrow_function(g, phi)
     first = None
@@ -109,14 +110,11 @@ def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False)
         a = (m + mh) / 2
         diagonal = np.arange(m.shape[1])
         a[:, diagonal, diagonal] += shift
-        # only the bases before the first non-Hermitian one can fail first
-        cut = int(np.argmax(non_hermitian)) if non_hermitian.any() else units.size
-        if cut < units.size:
-            blocks = select_blocks(blocks, np.arange(cut))
-        not_pd, direction = decide(a[:cut], blocks, shift[:cut]) if cut else ([], None)
-        i = int(np.argmax(not_pd)) if np.any(not_pd) else cut
-        if i < units.size and (first is None or units[i] < first[0]):
-            vec = direction(i) if i < cut else _non_hermitian_witness(m[i])
+        not_pd, direction = decide(a, blocks, shift)
+        fails = non_hermitian | not_pd
+        i = int(np.argmax(fails))
+        if fails[i] and (first is None or units[i] < first[0]):
+            vec = _non_hermitian_witness(m[i]) if non_hermitian[i] else direction(i)
             first = (int(units[i]), vec, m[i])
     if first is None:
         return PdVerdict(True)
@@ -127,19 +125,24 @@ def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False)
 def is_positive_definite(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerdict:
     """Gram-PSD criterion: every unit Gram has smallest eigenvalue >= -delta.
 
-    The eigenvalues are those of the isotropy blocks of the orbit bases
-    (``FiniteGroupoid.isotropy_blocks``).  The witness is an eigenvector of the
-    smallest eigenvalue: F_b times the eigenvector of the block that holds it.
+    The eigenpairs are those of the isotropy blocks of the orbit bases
+    (``FiniteGroupoid.isotropy_blocks``), one ``block_spectra`` per fiber
+    class.  The witness is an eigenvector of the smallest eigenvalue: F_b
+    times the eigenvector of the block that holds it.
     """
-    return _verdict(g, phi, tol, _lowest_eigenvalues)
+    return _verdict(g, phi, tol, _eigen_decider([]))
 
 
-def _lowest_eigenvalues(a: np.ndarray, blocks: tuple[IsotropyBlocks, ...], _shift=None):
-    """Decide the stack by its eigenvalues, through the isotropy blocks of its
-    bases (``block_spectra``); only a witness needs eigenvectors, those of its
-    base alone, where it is the lowest eigenvector of one block mapped back."""
-    return (block_spectra(a, blocks, "eigvalsh")[:, 0] < 0,
-            lambda i: block_spectra(a[i : i + 1], select_blocks(blocks, [i]), "eigh")[1][0, :, 0])
+def _eigen_decider(spectra: list):
+    """``is_positive_definite``'s decider: one ``block_spectra`` of a stack, whose (eigenvalues,
+    eigenvectors, shift) go to ``spectra``; a failing base's witness is its lowest eigenvector."""
+
+    def decide(a, blocks, shift):
+        vals, vecs = block_spectra(a, blocks, "eigh")
+        spectra.append((vals, vecs, shift))
+        return vals[:, 0] < 0, lambda i: vecs[i, :, 0]
+
+    return decide
 
 
 def _eigenpairs(g: FiniteGroupoid, phi: np.ndarray, tol: float) -> list[tuple[np.ndarray, ...]]:
@@ -148,13 +151,7 @@ def _eigenpairs(g: FiniteGroupoid, phi: np.ndarray, tol: float) -> list[tuple[np
     it, and the shift: Herm(G_b) = V L V^H, L = eigenvalues - shift >= -delta.
     Raises with ``is_positive_definite``'s unit and value on failure."""
     spectra = []
-
-    def decide(a, blocks, shift):
-        vals, vecs = block_spectra(a, blocks, "eigh")
-        spectra.append((vals, vecs, shift))
-        return vals[:, 0] < 0, lambda i: vecs[i, :, 0]
-
-    verdict = _verdict(g, phi, tol, decide)
+    verdict = _verdict(g, phi, tol, _eigen_decider(spectra))
     if not verdict:
         raise ValueError(f"not positive definite: unit {verdict.unit} has form value {verdict.value}")
     return spectra
@@ -396,8 +393,10 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
     above the rank threshold, and C_b^+ = D^-1 conj(V) L^(-1/2): one batched
     product per rank.  The section at u is C_b[:, home_u] / w_u.  As D
     commutes with T_h and D[home_u] = w_u, neither sees D, which is never
-    formed.
+    formed.  Weights that are not left invariant (no such model) raise.
     """
+    if g._misweighted:
+        raise ValueError(g._misweighted)
     phi = arrow_function(g, phi)
     dims = np.empty(g.n_units, dtype=int)
     section = np.zeros((g.n_units, np.bincount(g.range_of, minlength=1).max()), dtype=complex)

@@ -38,7 +38,7 @@ from gfourier.groupoid import (
     identity_bisection,
     product_with_pair_groupoid,
 )
-from gfourier.numerics import RANK_TOL, hermitian_eigen, hermitian_sqrt, nullspace
+from gfourier.numerics import RANK_TOL, nullspace
 from gfourier.positivity import (
     PSD_TOL,
     BundleSection,
@@ -484,7 +484,7 @@ def pd_to_section_oracle(g, phi, tol=PSD_TOL):
     op = right_op(g, phi)
     root = np.zeros_like(op)
     for fiber, block in zip(g.r_fibers, unit_blocks(g, op)):
-        root[np.ix_(fiber, fiber)] = hermitian_sqrt(block, tol)
+        root[np.ix_(fiber, fiber)] = _psd_root_oracle(block, tol)
     support = np.abs(phi) > 1e-13 * max(1.0, float(np.abs(phi).max(initial=0.0)))
     marked = set(map(int, g.range_of[support])) | set(map(int, g.source_of[support]))
     h = np.zeros(g.n_arrows, dtype=complex)
@@ -495,6 +495,16 @@ def pd_to_section_oracle(g, phi, tol=PSD_TOL):
 
 # ---------------------------------------------------------------------------
 # the commutant as a Kronecker null space, and the dense per-generator loops
+
+
+def _psd_root_oracle(m, tol):
+    """The PSD square root of the Hermitian part of m by one ``eigh``;
+    eigenvalues in [-tol * scale, 0) are clamped to 0, with scale the largest
+    eigenvalue modulus, and a lower one raises."""
+    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    if vals.size and vals[0] < -tol * np.abs(vals).max():
+        raise ValueError(f"matrix is not positive semidefinite (eigenvalue {vals[0]:.3e})")
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
 def right_delta_ops_oracle(g):
@@ -661,7 +671,8 @@ def gns_bundle_oracle(g, phi, tol=PSD_TOL):
     pinvs = []
     for u in range(g.n_units):
         kernel = _integral_kernel_oracle(g, phi, u)
-        vals, vecs = hermitian_eigen((kernel + kernel.conj().T) / 2)
+        vals, vecs = np.linalg.eigh((kernel + kernel.conj().T) / 2)
+        vals, vecs = vals[::-1], vecs[:, ::-1]
         keep = vals > tol * (vals[0] if vals.size and vals[0] > 0 else 1.0)
         root = np.sqrt(vals[keep])
         factors.append(root[:, None] * vecs[:, keep].conj().T)
@@ -757,7 +768,7 @@ def pd_to_section_loop_oracle(g, phi, tol=PSD_TOL):
     h[g.unit_arrows[marked]] = 1.0
     xi = np.zeros(g.n_arrows, dtype=complex)
     for fiber, block in zip(g.r_fibers, right_op_blocks_oracle(g, phi)):
-        xi[fiber] = hermitian_sqrt(block, tol) @ h[fiber]
+        xi[fiber] = _psd_root_oracle(block, tol) @ h[fiber]
     return xi
 
 

@@ -287,6 +287,17 @@ class TestNormCommand:
         write_arrow_function(str(ffile), np.ones(5))
         assert main(["norm", str(gfile), str(ffile), "--which", "cb"]) == 2
 
+    def test_tol_is_for_check_and_report_only(self, tmp_path, capsys):
+        # norm and duality never read a tolerance, so they take none
+        gfile, ffile = tmp_path / "g.json", tmp_path / "f.json"
+        write_groupoid(str(gfile), gf.pair_groupoid(2))
+        write_arrow_function(str(ffile), np.ones(4))
+        assert main(["norm", str(gfile), str(ffile), "--tol", "1e-6"]) == 2
+        assert main(["duality", str(gfile), "--tol", "1e-6"]) == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        assert main(["check", str(gfile), "--suite", "axioms", "--tol", "1e-6"]) == 0
+        assert main(["report", str(gfile), "--tol", "1e-6", "--out", str(tmp_path / "r.json")]) == 0
+
     def test_reduced_norm_of_identity(self, tmp_path, capsys, g3):
         gfile = tmp_path / "g.json"
         write_groupoid(str(gfile), g3)

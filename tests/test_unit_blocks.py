@@ -5,6 +5,7 @@ compared with its loop version in ``reference.py`` on the conftest fixtures and
 on the larger groupoids of the kernels benchmark.
 """
 
+import dataclasses
 import time
 import tracemalloc
 
@@ -168,13 +169,42 @@ class TestFiberClassOrbits:
             for x in (phi, phi - 10.0 * (1 + np.abs(phi).max()) * gf.delta(g, g.unit_arrows[2])):
                 got, want = verdict(g, x), oracle(g, x)
                 assert got.is_pd == want.is_pd and got.unit == want.unit
-        bundle, xi = gf.gns_bundle(g, phi)
-        assert bundle.dims == gns_bundle_oracle(g, phi)[0].dims
-        assert _close(gf.coefficient(g, bundle, xi, xi), phi, 1e-10)
+        # the GNS bundle has no model for such weights (nor has its oracle)
+        with pytest.raises(ValueError, match=r"^Haar weight of arrow 1 is 1\.0, but left invariance"):
+            gf.gns_bundle(g, phi)
         # the coefficient-norm problem keeps a block per unit, to the same value
         assert sum(len(x) for x in gf.norms._bases(g).grams) == 3
         assert gf.fourier_stieltjes_norm(g, phi).value == pytest.approx(
             gf.fourier_stieltjes_norm(gf.pair_groupoid(3), phi).value, rel=1e-9)
+
+    @pytest.mark.parametrize("build", [range_weighted_pair3, lambda: _relabelled(
+        gf.product_with_pair_groupoid(gf.group_groupoid(gf.cyclic_table(3))), np.random.default_rng(1).permutation(12))])
+    def test_constructions_that_need_left_invariance_refuse_other_weights(self, build):
+        # phi is positive definite whatever the weights; on the relabelled
+        # Z3 x pair(2), whose orbit's fibers are not numbered alike, the bundle
+        # built from such weights was off by 0.43 of max|phi|
+        g = build()
+        f = random_function(g, np.random.default_rng(1))
+        phi = gf.regular_coefficient(dataclasses.replace(g, weights=np.ones(g.n_arrows)), f, f)
+        first = gf.validate(g).violations[0]
+        for construct in (gf.gns_bundle, gf.fourier_norm_bounds):
+            with pytest.raises(ValueError) as err:
+                construct(g, phi)
+            assert str(err.value) == first, construct
+        for verdict, oracle in VERDICTS:
+            assert verdict(g, phi) and oracle(g, phi)
+
+
+def _relabelled(g, new):
+    """g with arrow x renamed new[x], and Haar weights 0.5 .. 2.0 of the range
+    unit, which are not left invariant."""
+    x, y = np.nonzero(g.compose_table != gf.groupoid.UNDEFINED)
+    table = np.full_like(g.compose_table, gf.groupoid.UNDEFINED)
+    table[new[x], new[y]] = new[g.compose_table[x, y]]
+    moved = [np.empty_like(a) for a in (g.range_of, g.source_of, g.inverse_of)]
+    for a, old in zip(moved, (g.range_of, g.source_of, new[g.inverse_of])):
+        a[new] = old
+    return gf.FiniteGroupoid(*moved, table, new[g.unit_arrows], np.linspace(0.5, 2.0, g.n_units)[moved[0]])
 
 
 # orbits whose unit arrows come last in their fibers, and orbits of two units
@@ -253,7 +283,7 @@ class TestOnePerOrbit:
         gf.reduced_norm(g, f)
         # one fiber class, whose units fall into one orbit (pair16) or two (Z12 on 16 points)
         assert len(g.fiber_classes) == 1
-        assert {name for name, _ in calls} == {"eigh", "eigvalsh", "svd"}
+        assert {name for name, _ in calls} == {"eigh", "svd"}
         if not any(g.isotropy_blocks):
             assert all(len(shape) == 3 and shape[0] == _orbit_count(g) for _, shape in calls), calls
             return
@@ -265,23 +295,31 @@ class TestOnePerOrbit:
     @pytest.mark.parametrize("build", [lambda: gf.pair_groupoid(16), z12_on_16_points])
     def test_constructions_decompose_only_in_the_verdict(self, build, monkeypatch):
         # gns_bundle and pd_to_section factor each base by the eigh that decides
-        # it: no eigvalsh, and exactly the eigh calls of the verdict's stacks
+        # it: exactly the eigh calls of the verdict's stacks
         g = build()
         phi = random_pd(g, _rng(g))
         g.isotropy_blocks  # built before the spies, with the eigh calls that find the blocks
         calls = _spy_on_linalg(monkeypatch)
-        for c, blocks in zip(g.fiber_classes, g.isotropy_blocks):
-            gram = phi[c.gram[c.rows]]
-            gf.numerics.block_spectra((gram + gram.conj().swapaxes(1, 2)) / 2, blocks, "eigh")
-        verdict_calls = calls[:]
-        # the whole 16x16 of pair(16); the free orbit's whole 12x12 and the Z3 orbit's three 4x4 blocks
-        want = [(1, 3, 4, 4), (1, 12, 12)] if any(g.isotropy_blocks) else [(1, 16, 16)]
-        assert sorted(shape for _, shape in verdict_calls) == want
-        assert {name for name, _ in verdict_calls} == {"eigh"}
-        for build_from in (gf.gns_bundle, gf.pd_to_section):
+        verdict_calls = _class_eigh_calls(g, phi, calls)
+        for build_from in (gf.is_positive_definite, gf.gns_bundle, gf.pd_to_section):
             calls.clear()
             build_from(g, phi)
             assert calls == verdict_calls, build_from
+
+    @pytest.mark.parametrize("build", [lambda: gf.pair_groupoid(16), z12_on_16_points])
+    def test_a_failing_verdict_decides_and_witnesses_by_one_eigh_per_stack(self, build, monkeypatch):
+        # the witness is an eigenvector of the decomposition that decides: no
+        # second one for the failing base, and no eigvalsh
+        g = build()
+        phi = _verdict_inputs(g)["not-pd"]
+        want = is_positive_definite_oracle(g, phi)
+        g.isotropy_blocks
+        calls = _spy_on_linalg(monkeypatch)
+        verdict_calls = _class_eigh_calls(g, phi, calls)
+        calls.clear()
+        got = gf.is_positive_definite(g, phi)
+        assert calls == verdict_calls
+        assert not got and got.unit == want.unit
 
     @pytest.mark.parametrize("build", [
         lambda: gf.pair_groupoid(2),
@@ -328,6 +366,23 @@ class TestOnePerOrbit:
             finally:
                 tracemalloc.stop()
             assert peak <= 4e6
+
+
+def _class_eigh_calls(g, phi, calls) -> list:
+    """The calls that one ``block_spectra(..., "eigh")`` per fiber class of
+    the shifted Gram stacks of g's orbit bases adds to the spied ``calls``:
+    one stacked eigh per block size, the whole matrix where the isotropy is
+    trivial."""
+    start = len(calls)
+    for c, blocks in zip(g.fiber_classes, g.isotropy_blocks):
+        gram = phi[c.gram[c.rows]]
+        gf.numerics.block_spectra((gram + gram.conj().swapaxes(1, 2)) / 2, blocks, "eigh")
+    got = calls[start:]
+    # the whole 16x16 of pair(16); the free orbit's whole 12x12 and the Z3 orbit's three 4x4 blocks
+    want = [(1, 3, 4, 4), (1, 12, 12)] if any(g.isotropy_blocks) else [(1, 16, 16)]
+    assert sorted(shape for _, shape in got) == want
+    assert {name for name, _ in got} == {"eigh"}
+    return got
 
 
 def _spy_on_linalg(monkeypatch) -> list:
@@ -586,6 +641,27 @@ class TestVerdictsAgainstLoops:
             got, want = verdict(g, phi), oracle(g, phi)
             assert not got and not want and got.unit == want.unit == 0
             assert np.array_equal(got.vector, want.vector)
+
+    @pytest.mark.parametrize("which", range(3))
+    @pytest.mark.parametrize("build, hermitian, negative", [
+        # one fiber class of three Z3 bases, and the free orbit (base 0) and Z3 orbit (base 12)
+        (lambda: gf.group_bundle([gf.cyclic_table(3)] * 3), 1, 2),
+        (z12_on_16_points, 0, 12),
+    ])
+    def test_an_earlier_non_hermitian_base_fails_before_a_later_negative_one(
+            self, which, build, hermitian, negative):
+        # the stack is decided whole: the later base, not positive definite,
+        # must not take the verdict from the earlier one, not Hermitian
+        g = build()
+        assert len(g.fiber_classes) == 1
+        phi = random_pd(g, _rng(g))
+        phi[g.unit_arrows[negative]] -= 10.0 * (1.0 + np.abs(phi).max() * max(f.size for f in g.r_fibers))
+        phi[g.unit_arrows[hermitian]] += 0.5j * np.abs(phi).max()
+        verdict, oracle = VERDICTS[which]
+        got, want = verdict(g, phi), oracle(g, phi)
+        assert got.unit == want.unit == hermitian
+        assert np.abs(got.vector - want.vector).max() <= 1e-12
+        assert abs(got.value - want.value) <= 1e-12 * max(1.0, abs(want.value))
 
     @pytest.mark.parametrize("which", range(3))
     def test_first_failure_across_interleaved_fiber_classes(self, which):
