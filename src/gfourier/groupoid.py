@@ -30,8 +30,13 @@ from which the GNS bundle is induced.  A third
 (``FiniteGroupoid.isotropy_blocks``) holds, for each base whose isotropy
 group H is nontrivial, a unitary F_b in which every base matrix that commutes
 with the translations of the fiber by H is block diagonal, with one block of
-size d_pi |X| per eigenvalue of a generic element of H's group algebra; the
-decompositions per orbit run on those blocks.  These indexes need
+size d_pi |X| per eigenvalue of a generic element of H's group algebra.  The
+decompositions per orbit take one of three paths by those blocks
+(``gfourier.numerics.base_paths``): a base whose blocks are all 1x1 (abelian
+H, an orbit of one unit) reads its spectrum from the values on its fiber,
+one Gram row, with no block gathered; the other bases of a fiber class are
+decomposed whole where one of them has trivial isotropy, and split into
+their blocks otherwise.  These indexes need
 every product inverse(t) x to be defined and raise ``UndefinedProductError``
 otherwise.  ``validate`` reads the composition table instead, because its
 input may not be a groupoid: it checks associativity on the composable
@@ -134,6 +139,19 @@ class FiberClass:
         gives the x with x[gram[b]] = M."""
         return stack[..., self.orbit[:, None], self.home[:, None], self.perm]
 
+    def select(self, ids: np.ndarray) -> FiberClass:
+        """The class of the orbits of ``bases[ids]`` alone (``ids`` ascending),
+        with their rows, bases and elements renumbered."""
+        at = np.full(self.bases.size, -1)
+        at[ids] = np.arange(ids.size)
+        rows = np.flatnonzero(at[self.orbit] >= 0)
+        mine = at[self.element_base] >= 0
+        return FiberClass(self.units[rows], self.arrows[rows], self.gram[rows],
+                          np.searchsorted(rows, self.bases[ids]), at[self.orbit[rows]],
+                          self.transport[rows], self.perm[rows], self.home[rows],
+                          (np.cumsum(mine) - 1)[self.element[rows]], at[self.element_base[mine]],
+                          self.element_place[mine], self.translation[mine])
+
 
 @dataclass(frozen=True)
 class IsotropyBlocks:
@@ -148,7 +166,11 @@ class IsotropyBlocks:
     ascending.  There are sum_pi d_pi blocks, one of size d_pi |X| for each
     irreducible representation pi of H and each of d_pi eigenvalues of a
     generic Hermitian element of the group algebra, where |X| is the number
-    of units of the orbit.
+    of units of the orbit.  The spectra of such a matrix take one of three
+    paths (``gfourier.numerics.base_paths``): row, where ``runs`` is
+    ((1, m),) (abelian H, |X| = 1), and the eigenvalues come from one row of
+    M times F; whole, for the other bases of a fiber class where one of them
+    has trivial isotropy (no layout); split, into these blocks, otherwise.
     """
 
     bases: np.ndarray

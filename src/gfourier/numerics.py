@@ -2,36 +2,75 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from .groupoid import IsotropyBlocks
+    from .groupoid import FiberClass, FiniteGroupoid, IsotropyBlocks
 
 RANK_TOL = 1e-9
 
 
+def base_paths(g: FiniteGroupoid) -> Iterator[tuple[FiberClass, tuple[IsotropyBlocks, ...], bool]]:
+    """The orbit bases of every fiber class of g by decomposition path, as
+    (class, blocks, row) triples, a class's bases in at most two of them.
+
+    A base whose isotropy layout is all 1x1 (``IsotropyBlocks.runs`` is
+    ((1, m),): abelian H, an orbit of one unit) takes the row path
+    (``row_spectra``, row true): the class of such bases and their one
+    layout.  The other bases take ``block_spectra`` with their layouts, which
+    decomposes them whole or split.  A class with bases on both paths is cut
+    by ``FiberClass.select``, its layouts renumbered to the part they split.
+    """
+    for c, blocks in zip(g.fiber_classes, g.isotropy_blocks):
+        m = c.arrows.shape[1]
+        row = next((layout for layout in blocks if layout.runs == ((1, m),)), None)
+        if row is None or row.bases.size == c.bases.size:
+            yield c, blocks, row is not None
+            continue
+        rest = np.setdiff1d(np.arange(c.bases.size), row.bases)
+        yield c.select(row.bases), (replace(row, bases=np.arange(row.bases.size)),), True
+        yield c.select(rest), tuple(replace(layout, bases=np.searchsorted(rest, layout.bases))
+                                    for layout in blocks if layout is not row), False
+
+
+def row_spectra(rows: np.ndarray, unitary: np.ndarray, homes: np.ndarray) -> np.ndarray:
+    """The eigenvalues of base matrices M that the columns of F = ``unitary``
+    diagonalize (each its own 1x1 block), from their rows at the unit arrows.
+
+    Row i of ``rows`` is row ``homes[i]`` of M_i.  As M F = F diag(lambda),
+    lambda_j = (M[home] @ F[:, j]) / F[home, j], where |F[home, j]| =
+    1/sqrt(m): one m-vector times F per base, with no LAPACK call and no
+    m x m matrix.  The eigenvalues come in the column order of F, and F's
+    columns are the eigenvectors; a Hermitian M has them real to rounding.
+    """
+    return (rows[:, None, :] @ unitary)[:, 0] / unitary[np.arange(homes.size), homes]
+
+
 def block_spectra(stack: np.ndarray, blocks: tuple[IsotropyBlocks, ...], how: str):
     """``np.linalg.eigh`` or the singular values of ``svd`` of a (k, m, m)
-    stack of orbit-base matrices, each split into its isotropy blocks.
+    stack of orbit-base matrices, whole or split into their isotropy blocks.
 
-    Row i of the stack is the matrix of base i of its fiber class, and
-    ``blocks`` are the class's ``FiniteGroupoid.isotropy_blocks``: every
-    matrix must commute with the isotropy translations of its base fiber, so
-    that F^H M F is block diagonal.  One stacked product M F serves every base of a
-    layout.  A 1x1 block is the diagonal entry of F^H M F, its own eigenvalue
-    (its real part) or singular value (its modulus), with no LAPACK call;
-    larger blocks are cut from F^H M F and decomposed one stacked call per
-    size.  Eigenvectors come back through F: the block's columns of F times
-    the block's eigenvectors.  A base with no unitary (trivial isotropy: one
-    block) is decomposed whole.  Eigenvalues come ascending and singular
-    values descending, as numpy gives them; ``how`` = "eigh" returns
-    (values, vectors), "svd" the values.  Where a product overflows
-    (entries near the largest float), the stack is decomposed whole, as
-    LAPACK scales its input.
+    Row i of the stack is the matrix of base i, and ``blocks`` are the
+    layouts of its bases (``FiniteGroupoid.isotropy_blocks``, through
+    ``base_paths``): every matrix must commute with the isotropy translations
+    of its base fiber, so that F^H M F is block diagonal.  When some base has
+    trivial isotropy (one block, no layout) the stack is decomposed whole, in
+    one stacked call.  Otherwise one stacked product M F serves every base of
+    a layout: a 1x1 block is the diagonal entry of F^H M F, its own
+    eigenvalue (its real part) or singular value (its modulus), with no
+    LAPACK call; larger blocks are cut from F^H M F and decomposed one
+    stacked call per size.  Eigenvectors come back through F: the block's
+    columns of F times the block's eigenvectors.  ``how`` = "eigh" returns
+    (values, vectors), "svd" the values, in no particular order: the
+    eigenvalue in column j goes with the eigenvector in column j.  Where a
+    product overflows (entries near the largest float), the stack is
+    decomposed whole, as LAPACK scales its input.
     """
-    if not blocks:
+    if sum(layout.bases.size for layout in blocks) < stack.shape[0]:
         return _whole(stack, how)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -42,7 +81,7 @@ def block_spectra(stack: np.ndarray, blocks: tuple[IsotropyBlocks, ...], how: st
 
 
 def _split_spectra(stack: np.ndarray, blocks: tuple[IsotropyBlocks, ...], how: str):
-    """``block_spectra`` through the blocks, for a nonempty ``blocks``."""
+    """``block_spectra`` through the blocks, whose layouts hold every base of the stack."""
     k, m = stack.shape[0], stack.shape[-1]
     vals = np.empty((k, m))
     vecs = np.empty((k, m, m), dtype=complex) if how == "eigh" else None
@@ -75,20 +114,7 @@ def _split_spectra(stack: np.ndarray, blocks: tuple[IsotropyBlocks, ...], how: s
                 vecs[rows, :, lo:hi] = (f[:, :, at].transpose(0, 2, 1, 3) @ v).transpose(0, 2, 1, 3).reshape(
                     -1, m, hi - lo)
             lo = hi
-    if sum(layout.bases.size for layout in blocks) < k:
-        whole = np.ones(k, dtype=bool)
-        for layout in blocks:
-            whole[layout.bases] = False
-        got = _whole(stack[whole], how)
-        if vecs is None:
-            vals[whole] = got
-        else:
-            vals[whole], vecs[whole] = got
-    if vecs is None:
-        return -np.sort(-vals, axis=1)
-    order = vals.argsort(axis=1)
-    at = np.arange(k)[:, None]
-    return vals[at, order], vecs.swapaxes(1, 2)[at, order].swapaxes(1, 2)
+    return vals if vecs is None else (vals, vecs)
 
 
 def _whole(stack: np.ndarray, how: str):

@@ -9,17 +9,23 @@ integral tests by the inertia of an LDL^H factorization (Sylvester's law of
 inertia).  Every "not positive definite" verdict carries a witness vector.
 
 The units are decided once per orbit, at its smallest unit (``bases`` of
-``FiniteGroupoid.fiber_classes``), the bases of a fiber class in one stack:
-by the groupoid axioms and left-invariant weights, every other unit's Gram
-matrix and weighted kernel is the base's with rows and columns permuted
+``FiniteGroupoid.fiber_classes``), the bases of a fiber class in at most two
+stacks: by the groupoid axioms and left-invariant weights, every other unit's
+Gram matrix and weighted kernel is the base's with rows and columns permuted
 alike (with weights that are not left invariant every unit is its own
-base).  A base Gram matrix commutes with the translations of its fiber by the base's
-isotropy group, so the eigenvalue verdict splits it into the blocks of
-``FiniteGroupoid.isotropy_blocks``, one stacked call per block size and none
-for 1x1 blocks (``gfourier.numerics.block_spectra``), and the GNS bundle and
-the square-root section are factored from those eigenpairs.  The LDL^H
-criteria factor the matrices whole, with no LAPACK call, so they stay an
-independent check of that path.  The GNS bundle is induced from each base's
+base).  A base Gram matrix commutes with the translations of its fiber by the
+base's isotropy group, and the eigenvalue verdict takes each base on one of
+three paths (``gfourier.numerics.base_paths``).  Row: where every block of
+``FiniteGroupoid.isotropy_blocks`` is 1x1 (abelian H, an orbit of one unit)
+the Gram matrix is a group matrix that F_b diagonalizes, and its eigenvalues
+come from phi on the base fiber, its Gram row at the unit arrow, with no
+block gathered (``row_spectra``).  Whole: the other bases of a fiber class
+are decomposed in one stacked call when one of them has trivial isotropy.
+Split: otherwise their blocks are, one stacked call per block size and none
+for 1x1 blocks (``block_spectra``).  The GNS bundle and the square-root
+section are factored from those eigenpairs.  The LDL^H criteria factor the
+matrices whole, with no LAPACK call, so they stay an independent check of
+these paths.  The GNS bundle is induced from each base's
 isotropy group (``FiberClass.translation``): a ``GHilbertBundle`` holds one
 stack of distinct maps per shape and an index per arrow into it; on an orbit
 of full rank every map is an isotropy translation, held as permutation rows
@@ -34,7 +40,7 @@ import numpy as np
 
 from .algebra import arrow_function, convolve, star
 from .groupoid import FiniteGroupoid
-from .numerics import block_spectra
+from .numerics import base_paths, block_spectra, row_spectra
 
 PSD_TOL = 1e-9
 
@@ -65,91 +71,132 @@ def gram_matrix(g: FiniteGroupoid, phi, u: int) -> np.ndarray:
     return phi[y[starts[fiber] + np.arange(fiber.size)[:, None]]]
 
 
-def _verdict(g: FiniteGroupoid, phi, tol: float, decide, weighted: bool = False) -> PdVerdict:
+def _verdict(g: FiniteGroupoid, phi, tol: float, decide) -> PdVerdict:
     """The three criteria, decided for every unit at delta = tol * max|Gram entry|.
 
     The threshold is relative to each unit's own entries, with no absolute
     floor, so a verdict does not change when phi is scaled; a unit whose Gram
     matrix is zero passes.  A Gram matrix that is not Hermitian to delta
     fails with a non-real form.  Otherwise the form matrix k is the Gram
-    matrix with shift delta or, when ``weighted``, the Haar kernel
+    matrix with shift delta or, for the integral criterion, the Haar kernel
     K = D conj(Gram) D with shift delta * w**2; K + delta D^2 is congruent to
-    conj(Gram) + delta, so both have the same inertia.  ``decide(a, blocks,
-    shift)`` takes a stack of a = Hermitian part of k + diag(shift), the
-    isotropy blocks of its bases and the shift, and returns the mask of the
-    matrices that are not positive definite, with a function giving, for row i
-    of the stack, a direction v with v^H a v <= 0; then v^H k v <=
-    -v^H diag(shift) v < 0.  The witness is taken at the first failing unit.
+    conj(Gram) + delta, so both have the same inertia.  ``decide(g, c,
+    blocks, row, phi, tol)`` decides the orbit bases of one part of a fiber
+    class (``gfourier.numerics.base_paths``) and returns the mask of those
+    that fail and a function giving, for base i, the witness v and its form
+    v^H k v: negative, as v^H a v <= 0 for a = Hermitian part of k +
+    diag(shift) gives v^H k v <= -v^H diag(shift) v < 0, or not real.  The
+    witness is taken at the first failing unit.
 
     Only the base of each orbit (``FiberClass.bases``) is decided:
     the other units' Gram matrices, fiber weights and so their form matrices
     are permuted copies of the base's, by the groupoid axioms and the left
     invariance of the weights.  A unit fails exactly when its base does, and
     the base is the orbit's smallest unit, so the first failing unit is the
-    base of the first failing orbit.  The bases are stacked per fiber class,
-    each stack decided whole, where the first base not Hermitian or not positive
+    base of the first failing orbit.  The bases are decided a stack at a
+    time, each stack whole, where the first base not Hermitian or not positive
     definite fails; a stack whose bases all come after a failure is skipped.
     """
     phi = arrow_function(g, phi)
     first = None
-    for c, blocks in zip(g.fiber_classes, g.isotropy_blocks):
+    for c, blocks, row in base_paths(g):
         units = c.units[c.rows]
         if first is not None and units[0] > first[0]:
             continue
-        m = phi[c.gram[c.rows]]
-        mh = m.conj().swapaxes(1, 2)
-        scale = np.abs(m).max(axis=(1, 2))
-        delta = tol * scale
-        non_hermitian = np.abs(m - mh).max(axis=(1, 2)) > delta
-        # a zero Gram matrix is PSD, and any positive shift says so
-        shift = np.where(scale > 0, delta, 1.0)[:, None]
-        if weighted:
-            w = g.weights[c.arrows[c.rows]]
-            m, shift = _integral_kernels(w, m), shift * w**2
-            mh = m.conj().swapaxes(1, 2)
-        a = (m + mh) / 2
-        diagonal = np.arange(m.shape[1])
-        a[:, diagonal, diagonal] += shift
-        not_pd, direction = decide(a, blocks, shift)
-        fails = non_hermitian | not_pd
+        fails, witness = decide(g, c, blocks, row, phi, tol)
         i = int(np.argmax(fails))
         if fails[i] and (first is None or units[i] < first[0]):
-            vec = _non_hermitian_witness(m[i]) if non_hermitian[i] else direction(i)
-            first = (int(units[i]), vec, m[i])
+            first = (int(units[i]), *witness(i))
     if first is None:
         return PdVerdict(True)
-    u, vec, m = first
-    return PdVerdict(False, u, vec, complex(vec.conj() @ m @ vec))
+    return PdVerdict(False, *first)
+
+
+def _forms(c, phi: np.ndarray, tol: float, w: np.ndarray | None = None):
+    """The Gram matrices m of the orbit bases of c, the mask of those not
+    Hermitian to delta, the Hermitian parts a of their form matrices plus the
+    shift, and the shift; with fiber weights w the form matrices are the Haar
+    kernels."""
+    m = phi[c.gram[c.rows]]
+    mh = m.conj().swapaxes(1, 2)
+    scale = np.abs(m).max(axis=(1, 2))
+    delta = tol * scale
+    non_hermitian = np.abs(m - mh).max(axis=(1, 2)) > delta
+    # a zero Gram matrix is PSD, and any positive shift says so
+    shift = np.where(scale > 0, delta, 1.0)[:, None]
+    if w is not None:
+        m, shift = _integral_kernels(w, m), shift * w**2
+        mh = m.conj().swapaxes(1, 2)
+    a = (m + mh) / 2
+    diagonal = np.arange(m.shape[1])
+    a[:, diagonal, diagonal] += shift
+    return m, non_hermitian, a, shift
+
+
+def _form_witness(m: np.ndarray, vec: np.ndarray) -> tuple[np.ndarray, complex]:
+    return vec, complex(vec.conj() @ m @ vec)
 
 
 def is_positive_definite(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerdict:
     """Gram-PSD criterion: every unit Gram has smallest eigenvalue >= -delta.
 
-    The eigenpairs are those of the isotropy blocks of the orbit bases
-    (``FiniteGroupoid.isotropy_blocks``), one ``block_spectra`` per fiber
-    class.  The witness is an eigenvector of the smallest eigenvalue: F_b
-    times the eigenvector of the block that holds it.
+    The eigenpairs of each orbit base come from one of three paths
+    (``gfourier.numerics.base_paths``): the row path of
+    ``gfourier.numerics.row_spectra`` for a base whose isotropy blocks are
+    all 1x1, and ``block_spectra``, whole or split into isotropy blocks, for
+    the others.  The witness is an eigenvector of the smallest eigenvalue:
+    F_b times the eigenvector of the block that holds it.
     """
     return _verdict(g, phi, tol, _eigen_decider([]))
 
 
 def _eigen_decider(spectra: list):
-    """``is_positive_definite``'s decider: one ``block_spectra`` of a stack, whose (eigenvalues,
-    eigenvectors, shift) go to ``spectra``; a failing base's witness is its lowest eigenvector."""
+    """``is_positive_definite``'s decider, whose (class, eigenvalues,
+    eigenvectors, shift) go to ``spectra``; a failing base's witness is its
+    lowest eigenvector.
 
-    def decide(a, blocks, shift):
-        vals, vecs = block_spectra(a, blocks, "eigh")
-        spectra.append((vals, vecs, shift))
-        return vals[:, 0] < 0, lambda i: vecs[i, :, 0]
+    On the row path the Gram row at the unit arrow of base b is phi on its
+    fiber, G_b[home, q] = phi(y_q), and its column there is
+    phi(inverse(y_q)): they give the Hermitian part's row, the largest entry
+    and the Hermitian defect, the same maxima as over the whole matrix, as
+    G_b holds phi(h) and phi(inverse(h)) for every h in H.  The eigenvectors
+    are the cached F_b itself.  Only a failing base gathers its own block, for
+    its witness form.
+    """
+
+    def decide(g, c, blocks, row, phi, tol):
+        if row:
+            at = phi[c.arrows]
+            scale = np.abs(at).max(axis=1)
+            delta = tol * scale
+            non_hermitian = np.abs(at - phi[g.inverse_of[c.arrows]].conj()).max(axis=1) > delta
+            shift = np.where(scale > 0, delta, 1.0)[:, None]
+            vecs = blocks[0].unitary
+            # G_b is normal, so Herm(G_b) has the real parts of its eigenvalues
+            vals = row_spectra(at, vecs, c.home).real + shift
+        else:
+            gram, non_hermitian, a, shift = _forms(c, phi, tol)
+            vals, vecs = block_spectra(a, blocks, "eigh")
+        spectra.append((c, vals, vecs, shift))
+
+        def witness(i):
+            # a copy: on the row path vecs is the cached F_b
+            m = phi[c.gram[i]] if row else gram[i]
+            vec = _non_hermitian_witness(m) if non_hermitian[i] else vecs[i, :, vals[i].argmin()].copy()
+            return _form_witness(m, vec)
+
+        return non_hermitian | (vals.min(axis=1) < 0), witness
 
     return decide
 
 
-def _eigenpairs(g: FiniteGroupoid, phi: np.ndarray, tol: float) -> list[tuple[np.ndarray, ...]]:
-    """Per fiber class, the eigenvalues (ascending) and eigenvectors V of each
-    orbit base's Herm(G_b) + shift from the one ``block_spectra`` that decides
-    it, and the shift: Herm(G_b) = V L V^H, L = eigenvalues - shift >= -delta.
-    Raises with ``is_positive_definite``'s unit and value on failure."""
+def _eigenpairs(g: FiniteGroupoid, phi: np.ndarray, tol: float) -> list[tuple]:
+    """Per part of a fiber class (``gfourier.numerics.base_paths``), the
+    class, the eigenvalues and eigenvectors V of each orbit base's
+    Herm(G_b) + shift, in no particular order, from the one decomposition
+    that decides it, and the shift: Herm(G_b) = V L V^H, L = eigenvalues -
+    shift >= -delta.  Raises with ``is_positive_definite``'s unit and value
+    on failure."""
     spectra = []
     verdict = _verdict(g, phi, tol, _eigen_decider(spectra))
     if not verdict:
@@ -157,7 +204,20 @@ def _eigenpairs(g: FiniteGroupoid, phi: np.ndarray, tol: float) -> list[tuple[np
     return spectra
 
 
-def _negative_directions(a: np.ndarray, _blocks=(), _shift=None):
+def _inertia_decider(weighted: bool):
+    """The point-set (or, ``weighted``, the integral) criterion's decider:
+    ``_negative_directions`` of the whole form matrices."""
+
+    def decide(g, c, blocks, row, phi, tol):
+        m, non_hermitian, a, _ = _forms(c, phi, tol, g.weights[c.arrows[c.rows]] if weighted else None)
+        not_pd, direction = _negative_directions(a)
+        return non_hermitian | not_pd, lambda i: _form_witness(
+            m[i], _non_hermitian_witness(m[i]) if non_hermitian[i] else direction(i))
+
+    return decide
+
+
+def _negative_directions(a: np.ndarray):
     """Unpivoted LDL^H of a stack of Hermitian matrices in plain numpy; a is overwritten.
 
     No LAPACK call, and no isotropy blocks: the matrices are factored whole.
@@ -223,7 +283,7 @@ def pd_verdict_pointset(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerdi
     LAPACK-free, so it stays independent of the eigenvalue test.  The witness
     makes ``quadratic_form`` negative.
     """
-    return _verdict(g, phi, tol, _negative_directions)
+    return _verdict(g, phi, tol, _inertia_decider(False))
 
 
 def integral_form(g: FiniteGroupoid, phi, u: int, f) -> complex:
@@ -240,7 +300,7 @@ def pd_verdict_integral(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerdi
     The witness is a test function on the fiber that makes ``integral_form``
     negative.
     """
-    return _verdict(g, phi, tol, _negative_directions, weighted=True)
+    return _verdict(g, phi, tol, _inertia_decider(True))
 
 
 def _integral_kernels(w: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -393,7 +453,11 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
     above the rank threshold, and C_b^+ = D^-1 conj(V) L^(-1/2): one batched
     product per rank.  The section at u is C_b[:, home_u] / w_u.  As D
     commutes with T_h and D[home_u] = w_u, neither sees D, which is never
-    formed.  Weights that are not left invariant (no such model) raise.
+    formed.  So C_b itself is formed only on an orbit of lower rank: on a
+    full-rank orbit the section is column home_u of conj(V) sqrt(L) V^T, which
+    on an orbit of one unit is one product of V with a vector, where V is the
+    cached F_b on the row path (``_root_rows``).  Weights that are not left
+    invariant (no such model) raise.
     """
     if g._misweighted:
         raise ValueError(g._misweighted)
@@ -401,40 +465,63 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
     dims = np.empty(g.n_units, dtype=int)
     section = np.zeros((g.n_units, np.bincount(g.range_of, minlength=1).max()), dtype=complex)
     parts = {}
-    for c, (vals, vecs, shift) in zip(g.fiber_classes, _eigenpairs(g, phi, tol)):
+    for c, vals, vecs, shift in _eigenpairs(g, phi, tol):
         m = c.arrows.shape[1]
-        # L descending; an orbit of rank r reads the first r of d columns.  Rank
-        # is relative to the top of Herm(G_b) + shift: a zero G_b's L is rounding
-        top = vals[:, -1:]
-        vals, vecs = vals[:, ::-1] - shift, vecs[:, :, ::-1]
-        keep = vals > tol * top
+        # rank is relative to the top of Herm(G_b) + shift: a zero G_b's L is rounding
+        lam = vals - shift
+        keep = lam > tol * vals.max(axis=1, keepdims=True)
         rank = keep.sum(axis=1)
-        d = rank.max()
-        root = np.sqrt(np.where(keep, vals, 1.0))[:, :d]
-        factor = root[:, :, None] * vecs[:, :, :d].swapaxes(1, 2)
-        # a full-rank orbit's factor is conj(V) sqrt(L) V^T; d = m exactly when one is
         full = rank == m
-        if d == m:
-            np.copyto(factor, vecs.conj() @ factor, where=full[:, None, None])
         dims[c.units] = rank[c.orbit]
+        # a full-rank orbit's section: column home_u of conj(V) sqrt(L) V^T
+        section[c.units, :m] = _root_rows(c, vecs, np.sqrt(np.where(keep, lam, 0.0)))
+        low = np.flatnonzero(~full)
+        if low.size:
+            # an orbit of rank r < m: C_b = sqrt(L) V^T on its r largest pairs
+            # (of d columns, the class's largest such rank), and its section
+            d = rank[low].max()
+            order = np.argsort(-lam[low], axis=1)[:, :d]
+            kept = np.take_along_axis(vecs[low], order[:, None, :], axis=2)
+            root = np.sqrt(np.take_along_axis(np.where(keep[low], lam[low], 1.0), order, axis=1))
+            factor = root[:, :, None] * kept.swapaxes(1, 2)
+            slot = np.cumsum(~full) - 1
+            rows = np.flatnonzero(~full[c.orbit])
+            section[c.units[rows], :d] = factor[slot[c.orbit[rows]], :, c.home[rows]]
         # a full-rank orbit's maps are the translations' permutation rows;
         # elsewhere pi(h) = C T_h C^+, one batched product per rank
-        kind = np.where(full, -1, rank)[c.element_base]
-        for r in np.unique(kind).tolist():
-            mine = np.flatnonzero(kind == r)
-            own, moves = c.element_base[mine], c.translation[mine]
-            maps = moves if r < 0 else (
-                factor[own, :r] @ (vecs[own[:, None], moves, :r].conj() / root[own, None, :r]))
-            hit = kind[c.element] == r
+        kind = np.where(full, -1, rank)
+        kinds = sorted(set(kind.tolist()))
+        for r in kinds:
+            if len(kinds) == 1:
+                mine, arrows, at = slice(None), c.arrows, c.element
+            else:
+                mine = np.flatnonzero(kind[c.element_base] == r)
+                hit = kind[c.orbit] == r
+                arrows, at = c.arrows[hit], np.searchsorted(mine, c.element[hit])
+            maps = c.translation[mine]
+            if r >= 0:
+                own = slot[c.element_base[mine]]
+                maps = factor[own, :r] @ (kept[own[:, None], maps, :r].conj() / root[own, None, :r])
             found = parts.setdefault(maps.shape[1:], [])
-            found.append((maps, c.arrows[hit],
-                          np.searchsorted(mine, c.element[hit]) + sum(len(f[0]) for f in found)))
-        # the unit point mass of u sits at the place of inverse(a_u) in the base fiber
-        section[c.units, :d] = factor[c.orbit, :, c.home]
+            found.append((maps, arrows.ravel(), at.ravel() + sum(len(f[0]) for f in found)))
     # one stack per shape: classes with the same rank join theirs
     stacks = [MapStack(*map(np.concatenate, zip(*found))) for found in parts.values()]
     bundle = GHilbertBundle(tuple(dims.tolist()), stacks=stacks)
     return bundle, BundleSection(tuple(section[u, :n] for u, n in enumerate(bundle.dims)))
+
+
+def _root_rows(c, vecs: np.ndarray, s: np.ndarray, spread: bool = False) -> np.ndarray:
+    """Row home_u of R_b = V_b diag(s_b) V_b^H for every row u of the class c,
+    from the eigenvectors V and the (k, m) weights s of its bases, in any
+    column order; with ``spread``, permuted by perm_u (``FiberClass.spread``).
+    When every orbit of c is one unit (so perm is the identity) this is one
+    product of V_b with a vector per base, conj(V_b (s_b * conj(V_b[home]))),
+    with no m x m matrix formed; otherwise one product R_b per base."""
+    if c.alone:
+        y = s * vecs[np.arange(s.shape[0]), c.home].conj()
+        return (vecs @ y[:, :, None])[:, :, 0].conj()
+    root = (vecs * s[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    return c.spread(root) if spread else root[c.orbit, c.home]
 
 
 def regular_coefficient(g: FiniteGroupoid, f, h) -> np.ndarray:
@@ -463,11 +550,11 @@ def pd_to_section(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> np.ndarray:
     marked = np.zeros(g.n_units, dtype=bool)
     marked[g.range_of[support]] = marked[g.source_of[support]] = True
     xi = np.zeros(g.n_arrows, dtype=complex)
-    for c, (vals, vecs, shift) in zip(g.fiber_classes, _eigenpairs(g, phi, tol)):
+    for c, vals, vecs, shift in _eigenpairs(g, phi, tol):
         # the root at u applied to the point mass at its unit arrow: row home_u
         # of the transposed base root V sqrt(L+) V^H, permuted by perm_u
-        root = (vecs * np.sqrt(np.clip(vals - shift, 0.0, None))[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-        xi[c.arrows] = c.spread(root) * marked[c.units][:, None]
+        rows = _root_rows(c, vecs, np.sqrt(np.clip(vals - shift, 0.0, None)), spread=True)
+        xi[c.arrows] = rows * marked[c.units][:, None]
     return xi
 
 

@@ -284,13 +284,9 @@ class TestOnePerOrbit:
         # one fiber class, whose units fall into one orbit (pair16) or two (Z12 on 16 points)
         assert len(g.fiber_classes) == 1
         assert {name for name, _ in calls} == {"eigh", "svd"}
-        if not any(g.isotropy_blocks):
-            assert all(len(shape) == 3 and shape[0] == _orbit_count(g) for _, shape in calls), calls
-            return
-        # every call's matrices are at most the largest isotropy block of the
-        # class: the free orbit's whole 12x12 block, one matrix, or the three
-        # 4x4 blocks (one per character of Z3, |X| = 4) of the other orbit
-        assert all(shape in ((1, 12, 12), (1, 3, 4, 4)) for _, shape in calls), calls
+        # the free orbit of Z12 on 16 points has trivial isotropy, so its class
+        # is decomposed whole, the Z3 orbit's 12x12 block with it
+        assert all(len(shape) == 3 and shape[0] == _orbit_count(g) for _, shape in calls), calls
 
     @pytest.mark.parametrize("build", [lambda: gf.pair_groupoid(16), z12_on_16_points])
     def test_constructions_decompose_only_in_the_verdict(self, build, monkeypatch):
@@ -371,15 +367,15 @@ class TestOnePerOrbit:
 def _class_eigh_calls(g, phi, calls) -> list:
     """The calls that one ``block_spectra(..., "eigh")`` per fiber class of
     the shifted Gram stacks of g's orbit bases adds to the spied ``calls``:
-    one stacked eigh per block size, the whole matrix where the isotropy is
-    trivial."""
+    one stacked eigh of the whole matrices, as some base of the class has
+    trivial isotropy."""
     start = len(calls)
     for c, blocks in zip(g.fiber_classes, g.isotropy_blocks):
         gram = phi[c.gram[c.rows]]
         gf.numerics.block_spectra((gram + gram.conj().swapaxes(1, 2)) / 2, blocks, "eigh")
     got = calls[start:]
-    # the whole 16x16 of pair(16); the free orbit's whole 12x12 and the Z3 orbit's three 4x4 blocks
-    want = [(1, 3, 4, 4), (1, 12, 12)] if any(g.isotropy_blocks) else [(1, 16, 16)]
+    # the whole 16x16 of pair(16); the whole 12x12 of the free orbit and of the Z3 orbit
+    want = [(2, 12, 12)] if any(g.isotropy_blocks) else [(1, 16, 16)]
     assert sorted(shape for _, shape in got) == want
     assert {name for name, _ in got} == {"eigh"}
     return got
@@ -909,3 +905,189 @@ class TestIsotropyBlocks:
         assert _close(gf.coefficient(g, bundle, xi, xi), phi, 1e-10)
         assert _close(gf.reduced_norm(g, f), reduced_norm_loop_oracle(g, f), 1e-10)
         assert all(shape[-2:] == (1, 1) for _, shape in calls), calls
+
+
+def _klein_four():
+    """Z2 x Z2 from its table: abelian, not cyclic."""
+    return gf.group_groupoid([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+
+
+def _z6_identity_last():
+    """Z6 relabelled by a -> 5 - a, so that its identity, and every unit arrow, is last."""
+    a = 5 - np.arange(6)
+    return gf.group_groupoid(5 - (a[:, None] + a[None, :]) % 6)
+
+
+def _z12_on_13_points():
+    """Z12 acting on a free orbit of 12 points and a fixed point: one fiber
+    class, whose base 12 (isotropy Z12) takes the row path and whose base 0
+    (trivial isotropy) is decomposed whole."""
+    action = [[(p + k) % 12 for p in range(12)] + [12] for k in range(12)]
+    return gf.transformation_groupoid(gf.cyclic_table(12), action)
+
+
+ROW_PATH = {
+    "klein-four": _klein_four,
+    "z6-identity-last": _z6_identity_last,
+    "z200": lambda: gf.group_groupoid(gf.cyclic_table(200)),
+    "z12-on-13": _z12_on_13_points,
+}
+
+
+@pytest.fixture(params=list(ROW_PATH))
+def rg(request):
+    if request.param not in _built:
+        _built[request.param] = ROW_PATH[request.param]()
+    return _built[request.param]
+
+
+def _row_units(g) -> list:
+    """The units of the bases on the row path."""
+    return [u for c, _, row in gf.numerics.base_paths(g) if row for u in c.units[c.bases].tolist()]
+
+
+class TestRowPath:
+    """Bases whose isotropy blocks are all 1x1 (abelian H, one-unit orbits)
+    read their spectra from phi on the base fiber (``row_spectra``), with no
+    block gathered: against ``np.linalg.eigh`` of the gathered block and the
+    loop oracles."""
+
+    def test_paths(self, rg):
+        paths = list(gf.numerics.base_paths(rg))
+        if rg.n_units == 1:
+            assert [(c, row) for c, _, row in paths] == [(rg.fiber_classes[0], True)]
+            return
+        # the fixed point on the row path, the free orbit whole, in one fiber class
+        assert len(rg.fiber_classes) == 1
+        assert [(c.units.tolist(), c.bases.tolist(), row, blocks[0].runs if row else blocks)
+                for c, blocks, row in paths] == [([12], [0], True, ((1, 12),)), (list(range(12)), [0], False, ())]
+
+    def test_eigenpairs_match_eigh_of_the_gathered_block(self, rg):
+        phi = random_pd(rg, _rng(rg))
+        hermitian = random_function(rg, _rng(rg))
+        hermitian = (hermitian + gf.star(rg, hermitian)) / 2
+        seen = []
+        for c, vals, vecs, shift in gf.positivity._eigenpairs(rg, phi, gf.positivity.PSD_TOL):
+            for i, u in enumerate(c.units[c.rows].tolist()):
+                a = gram_matrix_oracle(rg, phi, u)
+                want = np.linalg.eigh((a + a.conj().T) / 2)[0]
+                lam = vals[i] - shift[i]
+                assert np.abs(np.sort(lam) - want).max() <= 1e-12 * np.abs(want).max()
+                assert np.abs(a @ vecs[i] - vecs[i] * lam).max() <= 1e-12 * np.abs(want).max()
+                seen.append(u)
+        assert sorted(seen) == [u for u, fiber in enumerate(rg.r_fibers) if rg.source_of[fiber].min() == u]
+        # an indefinite Hermitian phi, on the row path itself
+        for c, blocks, row in gf.numerics.base_paths(rg):
+            if row:
+                lam = gf.numerics.row_spectra(hermitian[c.arrows], blocks[0].unitary, c.home)
+                for i, u in enumerate(c.units.tolist()):
+                    want = np.linalg.eigh(gram_matrix_oracle(rg, hermitian, u))[0]
+                    assert np.abs(np.sort(lam[i].real) - want).max() <= 1e-12 * np.abs(want).max()
+                    assert np.abs(lam[i].imag).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", ["pd", "not-pd", "non-hermitian-orbit", "non-hermitian"])
+    @pytest.mark.parametrize("which", range(3))
+    def test_verdicts_against_the_loop_oracles(self, rg, kind, which):
+        phi = _verdict_inputs(rg)[kind]
+        verdict, oracle = VERDICTS[which]
+        got, want = verdict(rg, phi), oracle(rg, phi)
+        assert got.is_pd == want.is_pd == (kind == "pd")
+        assert got.unit == want.unit
+        if kind == "pd":
+            return
+        if kind == "not-pd" and which == 0:
+            assert got.unit in _row_units(rg)
+            a = gram_matrix_oracle(rg, phi, got.unit)
+            low = np.linalg.eigh((a + a.conj().T) / 2)[0][0]
+            assert abs(np.linalg.norm(got.vector) - 1) <= 1e-12
+            assert np.linalg.norm(a @ got.vector - low * got.vector) <= 1e-12 * np.abs(a).max() * a.shape[0]
+        else:
+            assert np.abs(got.vector - want.vector).max() <= 1e-12
+        assert abs(got.value - want.value) <= 1e-12 * max(1.0, abs(want.value))
+
+    def test_reconstructions_against_the_loop_oracles(self, rg):
+        rng = _rng(rg)
+        phi, f = random_pd(rg, rng), random_function(rg, rng)
+        bundle, xi = gf.gns_bundle(rg, phi)
+        assert bundle.dims == gns_bundle_oracle(rg, phi)[0].dims == tuple(fiber.size for fiber in rg.r_fibers)
+        assert all(_exact_permutation(a) for a in bundle.maps)
+        assert _relative(gf.coefficient(rg, bundle, xi, xi), phi) <= 1e-12
+        section = gf.pd_to_section(rg, phi)
+        assert _close(section, pd_to_section_loop_oracle(rg, phi), 1e-10)
+        assert _relative(gf.regular_coefficient(rg, section, section), phi) <= 1e-12
+        assert _close(gf.reduced_norm(rg, f), reduced_norm_loop_oracle(rg, f), 1e-12)
+
+    def test_no_block_is_decomposed_on_the_row_path(self, rg, monkeypatch):
+        rng = _rng(rg)
+        phi, f = random_pd(rg, rng), random_function(rg, rng)
+        rg.isotropy_blocks  # built before the spies, with the eigh calls that find the blocks
+        calls = _spy_on_linalg(monkeypatch)
+        assert gf.is_positive_definite(rg, phi)
+        assert not gf.is_positive_definite(rg, -phi)
+        gf.gns_bundle(rg, phi)
+        gf.pd_to_section(rg, phi)
+        gf.reduced_norm(rg, f)
+        # Z12 on 13 points: only the free orbit's whole 12x12, in each of the five calls
+        want = [] if rg.n_units == 1 else [("eigh", (1, 12, 12))] * 4 + [("svd", (1, 12, 12))]
+        assert sorted(calls) == want
+
+    def test_rank_deficient_phi_has_matrix_maps(self):
+        # phi = sum of a_j chi_j over three characters of Z12: positive definite of
+        # rank 3, its transform zero at the nine others, so that each map is
+        # C T_h C^+, the 3x3 diagonal of the characters at h
+        g = gf.group_groupoid(gf.cyclic_table(12))
+        k = np.arange(12)
+        phi = sum(a * np.exp(2j * np.pi * j * k / 12) for j, a in ((0, 2.0), (1, 0.5), (5, 1.5)))
+        bundle, xi = gf.gns_bundle(g, phi)
+        assert bundle.dims == gns_bundle_oracle(g, phi)[0].dims == (3,)
+        assert [s.maps.shape for s in bundle.stacks] == [(12, 3, 3)]
+        for h, a in enumerate(bundle.maps):
+            assert np.abs(a - np.diag(np.diag(a))).max() <= 1e-12
+            assert np.abs(a @ bundle.maps[1] - bundle.maps[(h + 1) % 12]).max() <= 1e-12
+        assert np.abs(bundle.maps[0] - np.eye(3)).max() <= 1e-12
+        assert _relative(gf.coefficient(g, bundle, xi, xi), phi) <= 1e-12
+        assert _close(gf.coefficient(g, bundle, xi, xi), bundle_coefficient_oracle(g, bundle, xi, xi), 1e-12)
+        # the nine zero eigenvalues are rounding, whose square roots (about
+        # 1e-8) the package and the oracle each keep in their own way
+        section = gf.pd_to_section(g, phi)
+        assert _close(section, pd_to_section_loop_oracle(g, phi), 1e-6)
+        assert _relative(gf.regular_coefficient(g, section, section), phi) <= 1e-12
+
+    def test_a_non_hermitian_phi_on_z5_gets_a_non_real_form(self):
+        g = gf.group_groupoid(gf.cyclic_table(5))
+        phi = random_pd(g, _rng(g))
+        phi[1] += 0.3 * np.abs(phi).max()
+        for verdict, oracle in VERDICTS:
+            got, want = verdict(g, phi), oracle(g, phi)
+            assert not got and got.unit == want.unit == 0
+            assert np.abs(got.vector - want.vector).max() <= 1e-12
+            assert abs(got.value.imag) > 0.1 * np.abs(phi).max()
+            assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
+        got = gf.is_positive_definite(g, phi)
+        assert got.value == gf.quadratic_form(g, phi, 0, got.vector)
+
+    def test_z400_within_budget(self):
+        # the gathered 400x400 blocks took 16.8 ms and an 18 MB peak in
+        # is_positive_definite alone; a complex 400x400 block is 2.56 MB
+        g = gf.group_groupoid(gf.cyclic_table(400))
+        rng = _rng(g)
+        phi, f = random_pd(g, rng), random_function(g, rng)
+        calls = (lambda: gf.is_positive_definite(g, phi), lambda: gf.gns_bundle(g, phi),
+                 lambda: gf.pd_to_section(g, phi), lambda: gf.reduced_norm(g, f))
+        for call in calls:
+            call()  # builds the cached indexes of g
+        cpu = []
+        for _ in range(3):
+            start = time.process_time()
+            for call in calls:
+                call()
+            cpu.append(time.process_time() - start)
+        assert min(cpu) <= 0.02
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 400 * 400
