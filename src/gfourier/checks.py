@@ -277,7 +277,6 @@ def suite_positivity(g: FiniteGroupoid, rng, tol: float, trials: int = 30) -> li
     agree = True
     recon_worst = 0.0
     sqrt_worst = 0.0
-    unit_w = bool(np.abs(g.weights - 1.0).max(initial=0.0) <= 1e-12)
     for i in range(trials):
         if i % 3 == 0:
             phi = _random_pd(g, rng)
@@ -295,7 +294,7 @@ def suite_positivity(g: FiniteGroupoid, rng, tol: float, trials: int = 30) -> li
             bundle, xi = pos.gns_bundle(g, phi)
             back = pos.coefficient(g, bundle, xi, xi)
             recon_worst = max(recon_worst, float(np.abs(back - phi).max()))
-            if unit_w:
+            if g.counting:
                 sec = pos.pd_to_section(g, phi)
                 back2 = pos.regular_coefficient(g, sec, sec)
                 sqrt_worst = max(sqrt_worst, float(np.abs(back2 - phi).max()))
@@ -303,7 +302,7 @@ def suite_positivity(g: FiniteGroupoid, rng, tol: float, trials: int = 30) -> li
         CheckRecord("positivity/criteria-agree", "pass" if agree else "fail", "", f"{tol:.1e}")
     )
     out.append(_rec("positivity/gns-reconstruction", recon_worst, 1e-10))
-    if unit_w:
+    if g.counting:
         out.append(_rec("positivity/sqrt-reconstruction", sqrt_worst, 1e-10))
     delta_worst = 0.0
     for x in range(g.n_arrows):

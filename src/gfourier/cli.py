@@ -90,7 +90,7 @@ def _emit(report: RunReport, fmt: str, out: str) -> int:
 
 def _summary(g: FiniteGroupoid) -> str:
     w = g.unit_weights
-    profile = "counting" if np.allclose(w, 1.0) else f"weights in [{w.min():g}, {w.max():g}]"
+    profile = "counting" if g.counting else f"weights in [{w.min():g}, {w.max():g}]"
     return f"{g.n_arrows} arrows, {g.n_units} units, {profile}"
 
 

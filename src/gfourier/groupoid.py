@@ -21,8 +21,10 @@ base makes: by the groupoid axioms a unit's Gram block is its base's with
 rows and columns permuted, and with left-invariant weights so are its
 weighted kernel and its right convolution block.  So the positivity
 verdicts, the GNS factors, the square roots, the reduced norm and the
-coefficient-norm problem decompose one block per orbit; with weights that
-are not left invariant every unit is its own base.  A base is carried by its
+coefficient-norm problem decompose one block per orbit.  The index is built
+only for a left Haar system: weights that ``validate`` flags make it raise
+``ValueError`` with ``validate``'s first weight violation, so everything
+built on it refuses them in one place.  A base is carried by its
 unit arrow, so its permutation is the identity.  An orbit is the pair
 groupoid of its units times its base's isotropy group H, and the class lists
 every arrow's coordinate h in H and the translation of the base fiber by h,
@@ -246,9 +248,12 @@ class FiniteGroupoid:
 
         The smallest source of the arrows into v is the smallest unit of v's
         orbit, and an orbit's units, so the sources of a class's arrows, lie
-        in one class.  With weights that are not left invariant (no Haar
-        system; ``validate`` rejects them) every unit is its own base.
+        in one class.  Raises ``ValueError`` with ``validate``'s first weight
+        violation when the weights are not a left Haar system.
         """
+        misweighted = _weight_violations(self, 1)
+        if misweighted:
+            raise ValueError(misweighted[0])
         _, _, y, starts = self.composable_pairs
         counts = np.bincount(self.range_of, minlength=self.n_units)
         by_range = np.argsort(self.range_of, kind="stable")
@@ -264,7 +269,7 @@ class FiniteGroupoid:
             arrows = by_range[fiber_starts[units][:, None] + np.arange(m)]
             gram = y[starts[arrows][:, None, :] + np.arange(m)[:, None]]
             sources = self.source_of[arrows]
-            base = units if self._misweighted else sources.min(axis=1)
+            base = sources.min(axis=1)
             own = base == units
             bases = np.flatnonzero(own)
             orbit = (np.cumsum(own) - 1)[np.searchsorted(units, base)]
@@ -291,9 +296,8 @@ class FiniteGroupoid:
         """The isotropy blocks of the orbit bases, per fiber class in the order
         of ``fiber_classes``: one ``IsotropyBlocks`` per block layout, holding
         only the bases whose isotropy group H is nontrivial.  A base with
-        trivial isotropy (every base of a pair groupoid) is one block, and
-        with weights that are not left invariant the kernels need not commute
-        with the translations, so neither gets a unitary.
+        trivial isotropy (every base of a pair groupoid) is one block, so it
+        gets no unitary.
 
         The translations T_h of the base fiber (``FiberClass.translation``)
         span a copy of H's group algebra; a = sum_h c_h T_h + conj(c_h) T_h^H
@@ -312,8 +316,8 @@ class FiniteGroupoid:
         for c in self.fiber_classes:
             m = c.arrows.shape[1]
             order = np.bincount(c.element_base, minlength=c.bases.size)
-            nontrivial = [] if self._misweighted else np.flatnonzero(order > 1)
-            if not len(nontrivial):
+            nontrivial = np.flatnonzero(order > 1)
+            if not nontrivial.size:
                 out.append(())
                 continue
             # the elements h of the nontrivial bases: T_h^H, the translation by
@@ -354,12 +358,10 @@ class FiniteGroupoid:
     def unit_weights(self) -> np.ndarray:
         return self.weights[self.unit_arrows]
 
-    @cached_property
-    def _misweighted(self) -> str:
-        """``validate``'s violation at the first arrow whose Haar weight is not
-        exactly its source unit's, or "" when the weights are left invariant."""
-        bad = np.flatnonzero(self.weights != self.unit_weights[self.source_of])
-        return _weight_violation(self, int(bad[0])) if bad.size else ""
+    @property
+    def counting(self) -> bool:
+        """Whether the Haar weights are the counting measure: all within 1e-12 of 1."""
+        return bool(np.abs(self.weights - 1.0).max(initial=0.0) <= 1e-12)
 
     def compose(self, x: int, y: int) -> int:
         z = int(self.compose_table[x, y])
@@ -708,24 +710,26 @@ def validate(g: FiniteGroupoid, max_report: int = 50) -> ValidationReport:
     if len(bad) < max_report:
         for x, y, z in _associativity_failures(g, max_report - len(bad)):
             note(f"associativity fails on ({x}, {y}, {z})")
-    finite = bool(np.all(np.isfinite(g.weights)))
-    if not finite:
-        note("weights must be finite")
-    if np.any(g.weights <= 0):
-        note("weights must be positive")
-    elif finite:
-        expect = g.weights[e][src]
-        note_where((
-            np.abs(g.weights - expect) > 1e-12 * np.maximum(1.0, np.abs(expect)),
-            lambda x: _weight_violation(g, x),
-        ))
+    for msg in _weight_violations(g, max_report):
+        note(msg)
     return ValidationReport(tuple(bad))
 
 
-def _weight_violation(g: FiniteGroupoid, x: int) -> str:
-    """The violation of left invariance at arrow x, whose Haar weight is not its source unit's."""
-    return (f"Haar weight of arrow {x} is {g.weights[x]}, "
-            f"but left invariance needs the source-unit weight {g.unit_weights[g.source_of[x]]}")
+def _weight_violations(g: FiniteGroupoid, limit: int) -> list[str]:
+    """The first ``limit`` violations of a left Haar system by the weights:
+    not finite, not positive, or, arrow by arrow ascending, not within 1e-12
+    (relative to the larger of 1 and the source-unit weight) of the weight of
+    the arrow's source unit, which left invariance makes it."""
+    w = g.weights
+    out = [] if np.all(np.isfinite(w)) else ["weights must be finite"]
+    if np.any(w <= 0):
+        return out + ["weights must be positive"]
+    if out:
+        return out
+    expect = w[g.unit_arrows][g.source_of]
+    bad = np.flatnonzero(np.abs(w - expect) > 1e-12 * np.maximum(1.0, np.abs(expect)))
+    return [f"Haar weight of arrow {x} is {w[x]}, "
+            f"but left invariance needs the source-unit weight {expect[x]}" for x in bad[:limit]]
 
 
 # ---------------------------------------------------------------------------

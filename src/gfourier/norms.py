@@ -786,10 +786,8 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     turn until one costs at most the lower bound times 1 + 1e-7.  The
     scaling's lower bound is rounded down by its rounding margin, and the
     upper bound up by 8 eps times the largest fiber size (or as many ulps,
-    below the normal range).  Weights that are not left invariant raise.
+    below the normal range).
     """
-    if g._misweighted:
-        raise ValueError(g._misweighted)
     phi = arrow_function(g, phi)
     lift = _lift(phi)
     if lift:

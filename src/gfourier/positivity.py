@@ -12,8 +12,7 @@ The units are decided once per orbit, at its smallest unit (``bases`` of
 ``FiniteGroupoid.fiber_classes``), the bases of a fiber class in at most two
 stacks: by the groupoid axioms and left-invariant weights, every other unit's
 Gram matrix and weighted kernel is the base's with rows and columns permuted
-alike (with weights that are not left invariant every unit is its own
-base).  A base Gram matrix commutes with the translations of its fiber by the
+alike.  A base Gram matrix commutes with the translations of its fiber by the
 base's isotropy group, and the eigenvalue verdict takes each base on one of
 three paths (``gfourier.numerics.base_paths``).  Row: where every block of
 ``FiniteGroupoid.isotropy_blocks`` is 1x1 (abelian H, an orbit of one unit)
@@ -456,11 +455,8 @@ def gns_bundle(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> tuple[GHilbertBu
     formed.  So C_b itself is formed only on an orbit of lower rank: on a
     full-rank orbit the section is column home_u of conj(V) sqrt(L) V^T, which
     on an orbit of one unit is one product of V with a vector, where V is the
-    cached F_b on the row path (``_root_rows``).  Weights that are not left
-    invariant (no such model) raise.
+    cached F_b on the row path (``_root_rows``).
     """
-    if g._misweighted:
-        raise ValueError(g._misweighted)
     phi = arrow_function(g, phi)
     dims = np.empty(g.n_units, dtype=int)
     section = np.zeros((g.n_units, np.bincount(g.range_of, minlength=1).max()), dtype=complex)
@@ -544,7 +540,8 @@ def pd_to_section(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> np.ndarray:
     Herm(G_b) = V L V^H, with L+ = max(L, 0) and L >= -delta.
     """
     phi = arrow_function(g, phi)
-    if np.abs(g.weights - 1.0).max(initial=0.0) > 1e-12:
+    if not g.counting:
+        g.fiber_classes  # weights that are not a left Haar system are refused first, in validate's words
         raise ValueError("square-root section construction needs all Haar weights equal to 1")
     support = np.abs(phi) > 1e-13 * float(np.abs(phi).max(initial=0.0))
     marked = np.zeros(g.n_units, dtype=bool)

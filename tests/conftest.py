@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 
@@ -134,6 +135,31 @@ def range_weighted_pair3():
     """pair(3) with Haar weights of the range unit: not left invariant."""
     g = gf.pair_groupoid(3)
     return dataclasses.replace(g, weights=np.array([1.0, 2.0, 0.5])[g.range_of])
+
+
+# every function that reads the orbit index (``FiniteGroupoid.fiber_classes``),
+# as a call on a groupoid and an arrow function
+INDEX_READERS = {
+    "is_positive_definite": gf.is_positive_definite,
+    "pd_verdict_pointset": gf.pd_verdict_pointset,
+    "pd_verdict_integral": gf.pd_verdict_integral,
+    "gns_bundle": gf.gns_bundle,
+    "pd_to_section": gf.pd_to_section,
+    "reduced_norm": gf.reduced_norm,
+    "operator_norm": lambda g, phi: gf.operator_norm(g, gf.right_op(g, phi)),
+    "fourier_stieltjes_norm": gf.fourier_stieltjes_norm,
+    "fourier_norm_bounds": gf.fourier_norm_bounds,
+}
+
+
+@contextlib.contextmanager
+def refused_by_the_index(g):
+    """Expect ``ValueError`` with ``validate``'s first violation of g, word for
+    word: the orbit index refuses weights that are not a left Haar system."""
+    first = gf.validate(g).violations[0]
+    with pytest.raises(ValueError) as err:
+        yield
+    assert str(err.value) == first
 
 
 def random_function(g, rng):

@@ -1243,13 +1243,11 @@ def stieltjes_problem_oracle(g, phi, units=None) -> EntrySdp:
 
 
 def orbit_bases_oracle(g) -> list[int]:
-    """The orbit bases: the smallest source of the arrows into each unit, or
-    every unit when the weights are not left invariant, grouped by the size
-    of their range fibers, the sizes in the order of their first units, and
-    ascending within one size."""
-    units = range(g.n_units)
-    if np.array_equal(g.weights, g.weights[g.unit_arrows][g.source_of]):
-        units = {int(g.source_of[g.range_of == u].min()) for u in units}
+    """The orbit bases: the smallest source of the arrows into each unit,
+    grouped by the size of their range fibers, the sizes in the order of their
+    first units, and ascending within one size.  Like the orbit index, it
+    assumes a Haar system: weights that depend on the source unit alone."""
+    units = {int(g.source_of[g.range_of == u].min()) for u in range(g.n_units)}
     size = np.bincount(g.range_of, minlength=g.n_units)
     first = {}
     for u in range(g.n_units):

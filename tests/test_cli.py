@@ -162,6 +162,24 @@ class TestCheckCommand:
         assert rec["name"] == "regular/composable-pairs" and rec["status"] == "fail"
         assert rec["witness"] == "arrows 3 = inverse(3) and 0 do not compose"
 
+    @pytest.mark.parametrize("second, counting", [(1 + 1e-9, False), (1 + 1e-13, True), (1.0, True)])
+    def test_header_and_records_agree_on_the_counting_measure(self, second, counting, tmp_path, capsys):
+        # one predicate, at 1e-12 from 1, decides the header's "counting", the
+        # square-root reconstruction record and whether pd_to_section answers
+        f = tmp_path / "g.json"
+        write_groupoid(str(f), gf.pair_groupoid(2, unit_weights=[1.0, second]))
+        assert main(["check", str(f), "--suite", "positivity"]) == 0
+        text = capsys.readouterr().out
+        assert ("groupoid: 4 arrows, 2 units, counting\n" in text) == counting
+        assert ("positivity/sqrt-reconstruction" in text) == counting
+        g = read_groupoid(str(f))
+        phi = random_pd(g, np.random.default_rng(0))
+        if counting:
+            assert np.allclose(gf.regular_coefficient(g, *[gf.pd_to_section(g, phi)] * 2), phi, atol=1e-10)
+        else:
+            with pytest.raises(ValueError, match="needs all Haar weights equal to 1"):
+                gf.pd_to_section(g, phi)
+
     def test_reports_byte_stable_and_mirrored(self, tmp_path):
         f = tmp_path / "g.json"
         main(["build", "pair", "2", "--out", str(f)])

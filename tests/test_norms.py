@@ -12,6 +12,7 @@ from conftest import (
     random_function,
     random_pd,
     range_weighted_pair3,
+    refused_by_the_index,
     s3_on_three_points,
     z4_on_4_points_through_z2,
     z12_on_16_points,
@@ -588,6 +589,11 @@ class TestArrayDeclaration:
             "range_weighted": range_weighted_pair3,
         }.get(gname, lambda: request.getfixturevalue(gname))()
         phi = random_function(g, rng)
+        if gname == "range_weighted":
+            # weights that are not left invariant: the orbit index refuses them
+            with refused_by_the_index(g):
+                gf.norms._bases(g)
+            return
         _assert_bases_are_schur_problems(g, phi, rng)
         # the package's Gram stacks are the oracle's orbit bases, in order
         ids = [base.tolist() for x in gf.norms._bases(g).grams for base in x]
@@ -1136,6 +1142,11 @@ class TestScaledCompletion:
         fallbacks = []
         for seed in range(5):
             for kind, phi in _scaled_inputs(g, seed).items():
+                if name == "range-weighted-pair3":
+                    # weights that are not left invariant: the orbit index refuses them
+                    with refused_by_the_index(g):
+                        gf.fourier_stieltjes_norm(g, phi)
+                    continue
                 cert, solution = gf.norms._solve(gf.norms._bases(g), phi)
                 w, want = cert.witness, stieltjes_solve_oracle(g, phi)
                 assert cert.value == pytest.approx(want.value, rel=1e-7), (seed, kind)

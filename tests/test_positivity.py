@@ -237,15 +237,16 @@ class TestVerdictsByInertia:
         inputs = [(g, random_function(g, rng).real if i % 2 else random_function(g, rng))
                   for i in range(12)]
         # a rounding-level imaginary part on the diagonal beside a defect of 0.3
-        # off it; and a regular coefficient on Z3 with arrow weights 1, 2, 0.5,
-        # which are not left invariant: its diagonal is 0.906 + 1.5e-17j, and
-        # its Hermitian defect 0.63
-        z3w = replace(gf.group_groupoid(gf.cyclic_table(3)), weights=np.array([1.0, 2.0, 0.5]))
+        # off it; and, decided on Z3, a regular coefficient computed with arrow
+        # weights 1, 2, 0.5, which are not left invariant: its diagonal is
+        # 0.906 + 1.5e-17j, and its Hermitian defect 0.63
+        z3 = gf.group_groupoid(gf.cyclic_table(3))
+        z3w = replace(z3, weights=np.array([1.0, 2.0, 0.5]))
         draw = np.random.default_rng(0)
         f = draw.standard_normal(3) + 1j * draw.standard_normal(3)
         inputs += [(gf.pair_groupoid(2), np.array([1 + 1e-17j, 0.5, 0.2, 1.0])),
-                   (z3w, gf.regular_coefficient(z3w, f, f))]
-        assert 0 < abs(inputs[-1][1][z3w.unit_arrows[0]].imag) < 1e-16
+                   (z3, gf.regular_coefficient(z3w, f, f))]
+        assert 0 < abs(inputs[-1][1][z3.unit_arrows[0]].imag) < 1e-16
         for h, phi in inputs:
             for verdict, form in VERDICT_FORMS:
                 out = verdict(h, phi)

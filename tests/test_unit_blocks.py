@@ -14,11 +14,13 @@ import pytest
 
 import gfourier as gf
 from conftest import (
+    INDEX_READERS,
     _s3,
     forced_arrow_structure,
     random_function,
     random_pd,
     range_weighted_pair3,
+    refused_by_the_index,
     s3_on_three_points,
     z12_on_16_points,
 )
@@ -28,6 +30,8 @@ from reference import (
     adjoint_op_oracle,
     block_norm_oracle,
     bundle_coefficient_oracle,
+    coefficient_oracle,
+    convolve_oracle,
     d_inner_loop_oracle,
     gns_bundle_oracle,
     gram_matrix_oracle,
@@ -35,11 +39,13 @@ from reference import (
     i_norm_source_oracle,
     is_positive_definite_oracle,
     isotropy_elements_oracle,
+    left_delta_ops_oracle,
     pd_to_section_loop_oracle,
     pd_verdict_integral_oracle,
     pd_verdict_pointset_oracle,
     polar_seed_oracle,
     reduced_norm_loop_oracle,
+    right_delta_ops_oracle,
     right_op_blocks_oracle,
     section_norm_oracle,
     stieltjes_problem_oracle,
@@ -156,26 +162,30 @@ class TestFiberClassOrbits:
                     assert np.array_equal(p, np.arange(m))
         assert bases == _orbit_count(g)
 
-    def test_weights_that_are_not_left_invariant_keep_every_unit(self):
+    def test_weights_that_are_not_left_invariant_are_refused_by_the_index(self):
         g = range_weighted_pair3()
-        (c,) = g.fiber_classes
-        assert np.array_equal(c.bases, np.arange(3)) and c.alone
-        assert np.array_equal(c.perm, np.tile(np.arange(3), (3, 1)))
+        first = gf.validate(g).violations[0]
+        assert first.startswith("Haar weight of arrow 1 is 1.0, but left invariance")
+        for index in ("fiber_classes", "isotropy_blocks"):
+            with refused_by_the_index(g):
+                getattr(g, index)
         rng = _rng(g)
         # positive definite on pair(3) whatever the weights
         phi, f = random_pd(gf.pair_groupoid(3), rng), random_function(g, rng)
-        assert _close(gf.reduced_norm(g, f), reduced_norm_loop_oracle(g, f), 1e-12)
+        with refused_by_the_index(g):
+            gf.reduced_norm(g, f)
+        # the loop oracles, which read no index, still answer
+        assert np.isfinite(reduced_norm_loop_oracle(g, f))
         for verdict, oracle in VERDICTS:
             for x in (phi, phi - 10.0 * (1 + np.abs(phi).max()) * gf.delta(g, g.unit_arrows[2])):
-                got, want = verdict(g, x), oracle(g, x)
-                assert got.is_pd == want.is_pd and got.unit == want.unit
-        # the GNS bundle has no model for such weights (nor has its oracle)
-        with pytest.raises(ValueError, match=r"^Haar weight of arrow 1 is 1\.0, but left invariance"):
-            gf.gns_bundle(g, phi)
-        # the coefficient-norm problem keeps a block per unit, to the same value
-        assert sum(len(x) for x in gf.norms._bases(g).grams) == 3
-        assert gf.fourier_stieltjes_norm(g, phi).value == pytest.approx(
-            gf.fourier_stieltjes_norm(gf.pair_groupoid(3), phi).value, rel=1e-9)
+                with refused_by_the_index(g):
+                    verdict(g, x)
+                assert bool(oracle(g, x)) == (x is phi)
+        for construct in (gf.gns_bundle, gf.fourier_stieltjes_norm):
+            with refused_by_the_index(g):
+                construct(g, phi)
+        with refused_by_the_index(g):
+            gf.norms._bases(g)
 
     @pytest.mark.parametrize("build", [range_weighted_pair3, lambda: _relabelled(
         gf.product_with_pair_groupoid(gf.group_groupoid(gf.cyclic_table(3))), np.random.default_rng(1).permutation(12))])
@@ -186,13 +196,75 @@ class TestFiberClassOrbits:
         g = build()
         f = random_function(g, np.random.default_rng(1))
         phi = gf.regular_coefficient(dataclasses.replace(g, weights=np.ones(g.n_arrows)), f, f)
-        first = gf.validate(g).violations[0]
-        for construct in (gf.gns_bundle, gf.fourier_norm_bounds):
-            with pytest.raises(ValueError) as err:
-                construct(g, phi)
-            assert str(err.value) == first, construct
-        for verdict, oracle in VERDICTS:
-            assert verdict(g, phi) and oracle(g, phi)
+        for reader in INDEX_READERS.values():
+            with refused_by_the_index(g):
+                reader(g, phi)
+        for _, oracle in VERDICTS:
+            assert oracle(g, phi)
+
+
+def _nudged_pair2(factor):
+    """pair(2) with the Haar weight of arrow 1 = (0, 1) times factor."""
+    g = gf.pair_groupoid(2)
+    weights = g.weights.copy()
+    weights[1] *= factor
+    return dataclasses.replace(g, weights=weights)
+
+
+def _rel_close(got, want, rel=1e-13):
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.abs(got - want).max(initial=0.0)) <= rel * max(float(np.abs(want).max(initial=0.0)), 1e-300)
+
+
+class TestHaarContract:
+    """One threshold, ``validate``'s 1e-12 relative, decides which weights are
+    a left Haar system, for ``validate`` and for the orbit index alike; the
+    formula-level functions read no index and answer on any positive weights."""
+
+    def test_weights_within_the_threshold_are_a_haar_system(self):
+        g, plain = _nudged_pair2(1 + 4e-16), gf.pair_groupoid(2)
+        assert g.weights[1] == 1.0000000000000004
+        assert gf.validate(g).ok and g.counting
+        assert [c.bases.size for c in g.fiber_classes] == [1]
+        rng = np.random.default_rng(32)
+        for phi in (random_pd(plain, rng), random_function(plain, rng), random_function(plain, rng).real):
+            got, want = gf.is_positive_definite(g, phi), gf.is_positive_definite(plain, phi)
+            assert got.is_pd == want.is_pd and got.unit == want.unit
+            if not want:
+                assert _rel_close(got.value, want.value) and _rel_close(got.vector, want.vector)
+            else:
+                (bundle, xi), (bundle0, xi0) = gf.gns_bundle(g, phi), gf.gns_bundle(plain, phi)
+                assert bundle.dims == bundle0.dims
+                assert all(_rel_close(a, b) for a, b in zip(xi.vectors, xi0.vectors))
+                assert _rel_close(gf.pd_to_section(g, phi), gf.pd_to_section(plain, phi))
+            for got, want in zip(gf.fourier_norm_bounds(g, phi), gf.fourier_norm_bounds(plain, phi)):
+                assert _rel_close(got.value, want.value)
+            assert _rel_close(gf.reduced_norm(g, phi), gf.reduced_norm(plain, phi))
+
+    def test_weights_past_the_threshold_are_refused_everywhere(self):
+        g = _nudged_pair2(1 + 1e-11)
+        assert not g.counting
+        (first,) = gf.validate(g).violations
+        assert first.startswith("Haar weight of arrow 1 is 1.00000000001, but left invariance")
+        for index in ("fiber_classes", "isotropy_blocks"):
+            with refused_by_the_index(g):
+                getattr(g, index)
+        phi = random_pd(gf.pair_groupoid(2), np.random.default_rng(32))
+        for reader in INDEX_READERS.values():
+            with refused_by_the_index(g):
+                reader(g, phi)
+
+    def test_formula_level_functions_answer_without_the_index(self):
+        g = range_weighted_pair3()
+        assert not gf.validate(g).ok
+        rng = np.random.default_rng(32)
+        f, h = random_function(g, rng), random_function(g, rng)
+        assert _rel_close(gf.convolve(g, f, h), convolve_oracle(g, f, h), 1e-12)
+        assert np.array_equal(gf.star(g, gf.star(g, f)), f)
+        assert _rel_close(gf.regular_coefficient(g, f, h), coefficient_oracle(g, f, h), 1e-12)
+        for ops, oracle in ((gf.right_delta_ops, right_delta_ops_oracle), (gf.left_delta_ops, left_delta_ops_oracle)):
+            assert all(np.array_equal(a, b) for a, b in zip(ops(g), oracle(g), strict=True))
+        assert len(gf.vn_basis(g)) == len(gf.commutant(gf.right_delta_ops(g), g.n_arrows)) == 3
 
 
 def _relabelled(g, new):
