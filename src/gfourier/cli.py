@@ -89,8 +89,10 @@ def _emit(report: RunReport, fmt: str, out: str) -> int:
 
 
 def _summary(g: FiniteGroupoid) -> str:
-    w = g.unit_weights
-    profile = "counting" if g.counting else f"weights in [{w.min():g}, {w.max():g}]"
+    low, high = float(g.unit_weights.min()), float(g.unit_weights.max())
+    # :g keeps six digits; weights that differ beyond them are printed in full
+    show = repr if low != high and f"{low:g}" == f"{high:g}" else "{:g}".format
+    profile = "counting" if g.counting else f"weights in [{show(low)}, {show(high)}]"
     return f"{g.n_arrows} arrows, {g.n_units} units, {profile}"
 
 

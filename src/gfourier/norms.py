@@ -23,7 +23,9 @@ Newton steps.  The averaged completion goes to the seeded re-check of
 completion block [[rho, Phi], [Phi^H, tau]], A = Phi (tau^1/2)^+ and
 B = tau^1/2, read onto every unit by ``FiberClass.spread``: Phi = A B^H,
 and the PSD Schur complement rho - Phi tau^+ Phi^H puts its cost at most
-at the SDP value.  Point masses are the fallback.  The scaling's lower
+at the SDP value.  Where its coefficient misses phi by more than 1e-8 of
+the sup norm, the residual r joins as a second term (e, r), e the
+convolution identity, whose coefficient is r.  The scaling's lower
 bounds and the decomposition costs carry a rounding of a few ulps per fiber
 element, so the lower bound is rounded down, and the upper bound up, by
 8 eps times the largest fiber size, or as many ulps where that is more.  A
@@ -43,14 +45,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import arrow_function
+from .algebra import arrow_function, convolution_identity, convolve, star
 from .groupoid import FiniteGroupoid
 from .sdp import _REL_GAP, SdpSolution, _blocks, _herm, solve_diag_bound_sdp
 
-# entries that ``_term_cost`` and ``_terms_reconstruct`` stack at once: 64 KB
-# of complex values, below the size from which the allocator maps fresh pages,
-# whose faults would cost more than the stacked work saves
-STACK_ENTRIES = 1 << 12
 # the rounding margin of the scaling's lower bounds and of decomposition
 # costs, in eps (or ulps, below the normal range) per fiber element
 _ROUNDING = 8
@@ -677,57 +675,17 @@ def _pair_structure(g: FiniteGroupoid) -> np.ndarray | None:
     return arrow_of if arrow_of.min(initial=0) >= 0 else None
 
 
-def _stacks(ids: np.ndarray, entries: int) -> list[np.ndarray]:
-    """ids in consecutive parts of at most STACK_ENTRIES entries (at least one id
-    each), at ``entries`` entries per id."""
-    step = max(1, STACK_ENTRIES // max(1, entries))
-    return [ids[i : i + step] for i in range(0, ids.size, step)]
-
-
 def _term_cost(g: FiniteGroupoid, terms: np.ndarray) -> float:
     """sum over k of ||f_k|| ||h_k|| for a (k, 2, n_arrows) stack of terms (f_k, h_k),
     read on the range fibers of ``fiber_classes``; each section is divided by
     a power of two near its largest modulus before it is squared, so
     subnormal entries do not square to zero."""
-    cost = 0.0
-    for part in _stacks(np.arange(len(terms)), 2 * g.n_arrows):
-        size = np.abs(terms[part])
-        _, exponent = np.frexp(size.max(axis=2, initial=0.0))
-        mass = g.weights * np.ldexp(size, -exponent[:, :, None]) ** 2
-        fibers = (mass[:, :, c.arrows].sum(axis=3).max(axis=2) for c in g.fiber_classes)
-        norms = np.ldexp(np.sqrt(reduce(np.maximum, fibers)), exponent)
-        cost += float(np.sum(norms[:, 0] * norms[:, 1]))
-    return cost
-
-
-def _terms_reconstruct(g: FiniteGroupoid, terms: np.ndarray, phi, tol: float = 1e-8) -> bool:
-    """Whether sum over k of regular_coefficient(f_k, h_k) is phi to tol relative.
-
-    The coefficient at x sums w(t) conj(f(inverse(y))) h(t) over the
-    composable pairs x = t y; the terms are summed first, a stack of them at a
-    time."""
-    _, t, y, starts = g.composable_pairs
-    back = g.inverse_of[y]
-    paired = np.zeros(t.size, dtype=complex)
-    for part in _stacks(np.arange(len(terms)), t.size):
-        paired += np.sum(terms[part, 0][:, back].conj() * terms[part, 1][:, t], axis=0)
-    total = np.add.reduceat(g.weights[t] * paired, starts)
-    return bool(np.abs(total - phi).max(initial=0.0) <= tol * np.abs(phi).max(initial=0.0))
-
-
-def _delta_terms(g: FiniteGroupoid, phi) -> np.ndarray:
-    """Per-arrow point-mass decomposition; always succeeds, rarely tight.
-
-    Term k pairs the normalized unit point mass at the unit e of the source
-    of the k-th arrow x in the support of phi with phi(x) at x: under
-    left-invariant weights w(x) = w(e), so the coefficient of the pair is
-    its value at x."""
-    xs = np.flatnonzero(phi)
-    units = g.unit_arrows[g.source_of[xs]]
-    terms = np.zeros((xs.size, 2, g.n_arrows), dtype=complex)
-    terms[np.arange(xs.size), 0, units] = 1.0 / g.weights[units]
-    terms[np.arange(xs.size), 1, xs] = phi[xs]
-    return terms
+    size = np.abs(terms)
+    _, exponent = np.frexp(size.max(axis=2, initial=0.0))
+    mass = g.weights * np.ldexp(size, -exponent[:, :, None]) ** 2
+    fibers = (mass[:, :, c.arrows].sum(axis=3).max(axis=2) for c in g.fiber_classes)
+    norms = np.ldexp(np.sqrt(reduce(np.maximum, fibers)), exponent)
+    return float(np.sum(norms[:, 0] * norms[:, 1]))
 
 
 def _completion_factors(phi: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -764,13 +722,6 @@ def _completion_term(g: FiniteGroupoid, phi, stieltjes: NormCertificate) -> np.n
     return (term / np.sqrt(g.weights))[None]
 
 
-def _candidates(g: FiniteGroupoid, phi, stieltjes: NormCertificate):
-    """Candidate decompositions, each a (k, 2, n_arrows) stack of terms
-    (f_k, h_k), built lazily: the completion term, then the point masses."""
-    yield _completion_term(g, phi, stieltjes)
-    yield _delta_terms(g, phi)
-
-
 def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCertificate]:
     """Two-sided bounds for the decomposition norm inf sum ||f_k|| ||g_k||.
 
@@ -781,10 +732,12 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     rho and tau are shared, and -<F0, Z> re-verifies the bound (None when the
     sup norm is the bound).  Z is the diagonal scaling's, at the base and
     weights of the largest lower bound, those of the stall-closing step's
-    active face included (zero off it).  Upper: the cheapest decomposition that reproduces phi among
-    ``_candidates`` (the completion term, then the point masses), tried in
-    turn until one costs at most the lower bound times 1 + 1e-7.  The
-    scaling's lower bound is rounded down by its rounding margin, and the
+    active face included (zero off it).  Upper: the one term of
+    ``_completion_term``, and, where its coefficient misses phi by more than
+    1e-8 of the sup norm, the residual r as a second term (e, r), e the
+    convolution identity: under left-invariant weights x^-1 t is a unit arrow
+    only at t = x, so the coefficient of (e, r) is r.  The scaling's lower
+    bound is rounded down by its rounding margin, and the
     upper bound up by 8 eps times the largest fiber size (or as many ulps,
     below the normal range).
     """
@@ -798,25 +751,21 @@ def fourier_norm_bounds(g: FiniteGroupoid, phi) -> tuple[NormCertificate, NormCe
     sup_arrow = int(np.abs(phi).argmax()) if g.n_arrows else 0
     lower = NormCertificate(max(sup, solution.lower), "lower",
                             {"sup_arrow": sup_arrow, "stieltjes": stieltjes, "dual": solution.dual})
-    best_cost, best_terms = np.inf, None
-    for terms in _candidates(g, phi, stieltjes):
-        cost = _term_cost(g, terms) if _terms_reconstruct(g, terms, phi) else np.inf
-        if cost < best_cost:
-            best_cost, best_terms = cost, terms
-        if cost <= lower.value * (1 + 1e-7):
-            break
-    if best_terms is None:
-        raise RuntimeError("no decomposition reconstructed the input; this should not happen")
+    terms = _completion_term(g, phi, stieltjes)
+    f, h = terms[0]
+    residual = phi - convolve(g, h, star(g, f))
+    if np.abs(residual).max(initial=0.0) > 1e-8 * sup:
+        terms = np.concatenate([terms, [[convolution_identity(g), residual]]])
     # a term cost rounds like the closed form, by a few ulps per fiber element
-    upper = NormCertificate(_rounded(best_cost, bases.fiber, 1), "upper",
-                            {"terms": tuple(map(tuple, best_terms))})
+    upper = NormCertificate(_rounded(_term_cost(g, terms), bases.fiber, 1), "upper",
+                            {"terms": tuple(map(tuple, terms))})
     return lower, upper
 
 
 def _lowered_bounds(g: FiniteGroupoid, phi: np.ndarray, lift: int) -> tuple[NormCertificate, NormCertificate]:
     """The bounds of phi below the normal range, or above 2**1000, from
-    those of phi brought into [1/2, 1) by 2**lift, whose closed form, term
-    reconstruction and costs keep their relative margins: the bounds scaled
+    those of phi brought into [1/2, 1) by 2**lift, whose closed form,
+    residual test and costs keep their relative margins: the bounds scaled
     back and moved out by the rounding margin (ValueError on overflow), each
     term's two sections scaled back by half the lift, which stays exact, and
     the dual blocks as they are, since they are scale-free."""

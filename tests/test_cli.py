@@ -171,6 +171,9 @@ class TestCheckCommand:
         assert main(["check", str(f), "--suite", "positivity"]) == 0
         text = capsys.readouterr().out
         assert ("groupoid: 4 arrows, 2 units, counting\n" in text) == counting
+        if not counting:  # the header names both weights, however close
+            header = next(ln for ln in text.splitlines() if ln.startswith("groupoid: "))
+            assert [float(x) for x in header.split("[")[1].rstrip("]").split(", ")] == [1.0, second]
         assert ("positivity/sqrt-reconstruction" in text) == counting
         g = read_groupoid(str(f))
         phi = random_pd(g, np.random.default_rng(0))

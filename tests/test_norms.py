@@ -872,26 +872,74 @@ class TestBracketCloses:
                 assert upper.value - lower.value <= 1e-6 * upper.value, (seed, kind)
 
 
+def _near_one(terms):
+    """Each term as a one-term list with its two sections brought near 1 by
+    powers of two, and the product of those powers, so that subnormal and
+    huge sections keep their digits when they are multiplied."""
+    for f, h in terms:
+        a, b = (int(np.frexp(np.abs(x).max())[1]) for x in (f, h))
+        yield [(f * 2.0 ** -a, h * 2.0 ** -b)], 2.0 ** (a + b)
+
+
 class TestStackedTerms:
-    """The stacked reverification of candidate decompositions against the
-    per-term loop; pair(16)'s point-mass terms take many stacks."""
+    """The stacked term cost against the per-term loop, and the residual
+    term that completes a completion term whose coefficient misses phi."""
 
     @pytest.mark.parametrize("gname", FIXTURE_GROUPOIDS + ["pair16"])
-    def test_cost_and_reconstruction_match_the_loop(self, gname, request, rng):
+    def test_cost_matches_the_loop(self, gname, request, rng):
         g = gf.pair_groupoid(16) if gname == "pair16" else request.getfixturevalue(gname)
-        phi = random_function(g, rng)
-        phi[rng.random(g.n_arrows) < 0.3] = 0.0
         shape = (3, 2, g.n_arrows)
-        generic = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for terms in (gf.norms._delta_terms(g, phi), generic):
-            cost = gf.norms._term_cost(g, terms)
-            assert cost == pytest.approx(term_cost_oracle(g, terms), rel=1e-12)
-            total = terms_sum_oracle(g, terms)
-            assert gf.norms._terms_reconstruct(g, terms, total)
-            off = total.copy()
-            off[rng.integers(g.n_arrows)] += 1e-6 * np.abs(total).max()
-            assert not gf.norms._terms_reconstruct(g, terms, off)
-        assert gf.norms._terms_reconstruct(g, gf.norms._delta_terms(g, phi), phi)
+        terms = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert gf.norms._term_cost(g, terms) == pytest.approx(term_cost_oracle(g, terms), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-310, 1e305])
+    @pytest.mark.parametrize("gname", FIXTURE_GROUPOIDS + ["pair3w"])
+    def test_a_residual_joins_as_the_identity_term(self, gname, s, request, rng, monkeypatch):
+        # a completion term whose h is 1e-6 too large misses phi by about
+        # 1e-6 phi; the residual r then joins as (e, r), e the convolution
+        # identity, whose coefficient is r (below and above the normal range
+        # both sections carry their power of two of the lift)
+        g = WEIGHTED_ORBITS["pair3w"]() if gname == "pair3w" else request.getfixturevalue(gname)
+        completion_term = gf.norms._completion_term
+        monkeypatch.setattr(gf.norms, "_completion_term",
+                            lambda *args: completion_term(*args) * np.array([[1.0], [1 + 1e-6]]))
+        phi = s * random_function(g, rng)
+        lower, upper = gf.fourier_norm_bounds(g, phi)
+        terms = upper.witness["terms"]
+        assert len(terms) == 2
+        e = gf.convolution_identity(g)
+        scale = terms[1][0][g.unit_arrows[0]] / e[g.unit_arrows[0]]
+        assert scale.imag == 0 and np.frexp(scale.real)[0] == 0.5  # a power of two
+        assert np.array_equal(terms[1][0], e * scale)
+        first, second = (terms_sum_oracle(g, term) * (power / s) for term, power in _near_one(terms))
+        unscaled = phi.real / s + 1j * (phi.imag / s)  # a complex quotient by 1e-310 overflows
+        sup = float(np.abs(unscaled).max())
+        assert np.abs(first + second - unscaled).max() <= 1e-12 * sup  # second is r = phi - first
+        assert np.abs(second + 1e-6 * unscaled).max() <= 1e-10 * sup
+        fiber = max(c.arrows.shape[1] for c in g.fiber_classes)
+        cost = sum(term_cost_oracle(g, term) * power for term, power in _near_one(terms))
+        margin = 2 * (gf.norms._ROUNDING * fiber + 1) * max(np.finfo(float).eps * cost, np.spacing(cost))
+        assert cost <= upper.value <= cost + margin
+        assert lower.value <= upper.value
+
+    def test_an_open_bracket_builds_one_term_in_little_memory(self, monkeypatch):
+        # with no scaling step a generic phi on pair(32) keeps its bracket
+        # open; the completion term alone reproduces phi, so the upper side
+        # is that one term, with nothing of nnz x 2 x n_arrows entries (32 MB
+        # here) built
+        monkeypatch.setattr(gf.norms, "_MAX_ITER", 0)
+        g = gf.pair_groupoid(32)
+        phi = random_function(g, np.random.default_rng(32))
+        gf.fourier_norm_bounds(g, phi)  # builds the cached indexes
+        tracemalloc.start()
+        try:
+            lower, upper = gf.fourier_norm_bounds(g, phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lower.witness["stieltjes"].witness["status"] == "open"
+        assert len(upper.witness["terms"]) == 1
+        assert peak <= 4e6
 
 
 class TestGroupCase:
@@ -1423,7 +1471,7 @@ class TestNoRepeatedWork:
 
     def test_norms_build_no_term(self, monkeypatch, g3, bundle23, rng):
         calls = []
-        self._spy(monkeypatch, calls, (gf.norms,), ("_completion_term", "_delta_terms"))
+        self._spy(monkeypatch, calls, (gf.norms,), ("_completion_term",))
         self._spy(monkeypatch, calls, (gf.groupoid.FiberClass,), ("spread",))
         for g in (g3, bundle23, s3_on_three_points()):
             gf.fourier_stieltjes_norm(g, random_function(g, rng))
