@@ -87,13 +87,8 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
             raise FileFormatError(f"arrow {x} references out-of-range data")
         rng[x], src[x], inv[x] = r, s, iv
     compose = np.full((n, n), UNDEFINED, dtype=int)
-    for triple in _list_field(data, "compose"):
-        x, y, xy = _ints(triple, "compose (entries are [x, y, xy])", 3)
-        if not (0 <= x < n and 0 <= y < n and 0 <= xy < n):
-            raise FileFormatError(f"composition entry {triple!r} out of range")
-        if compose[x, y] != UNDEFINED and compose[x, y] != xy:
-            raise FileFormatError(f"conflicting compositions declared for ({x}, {y})")
-        compose[x, y] = xy
+    x, y, xy = _compose_rows(_list_field(data, "compose"), n).T
+    compose[x, y] = xy
     unit_weights = np.ones(n_units)
     seen_units = set()
     for entry in _list_field(data, "weights"):
@@ -122,6 +117,37 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
         unit_arrows=unit_arrows,
         weights=unit_weights[src],
     )
+
+
+def _compose_rows(triples: list, n: int) -> np.ndarray:
+    """The compose entries [x, y, xy] as one (len, 3) int array, parsed in one
+    pass.  FileFormatError names the first malformed entry, else the first
+    entry out of range, else the first pair whose product differs from the
+    one declared for it earlier in the list."""
+    field = "compose (entries are [x, y, xy])"
+    try:
+        rows = np.array(triples, dtype=int)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        # entry by entry: the first malformed one raises; values past int64
+        # are clipped to -1 or n, which are out of range as they were
+        rows = np.array([[min(max(v, -1), n) for v in _ints(t, field, 3)] for t in triples],
+                        dtype=int).reshape(-1, 3)
+    outside = np.flatnonzero(((rows < 0) | (rows >= n)).any(axis=1))
+    if outside.size:
+        raise FileFormatError(f"composition entry {triples[outside[0]]!r} out of range")
+    key = rows[:, 0] * n + rows[:, 1]
+    order = np.argsort(key, kind="stable")
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    # each entry against the first entry of its pair in the list
+    declared = order[first][np.cumsum(first) - 1]
+    clash = order[rows[order, 2] != rows[declared, 2]]
+    if clash.size:
+        x, y, _ = rows[clash.min()]
+        raise FileFormatError(f"conflicting compositions declared for ({x}, {y})")
+    return rows
 
 
 def _derive_unit_arrows(n_units, rng, src, inv, compose) -> list[int]:

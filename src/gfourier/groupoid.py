@@ -41,12 +41,18 @@ decomposed whole where one of them has trivial isotropy, and split into
 their blocks otherwise.  These indexes need
 every product inverse(t) x to be defined and raise ``UndefinedProductError``
 otherwise.  ``validate`` reads the composition table instead, because its
-input may not be a groupoid: it checks associativity on the composable
-triples (x with source u, y with range u, z in the range fiber of source(y))
-stacked over the units with equal fiber sizes, by flat gathers from the table
-in passes of at most 2^14 triples.  The group-table check of the constructors
-compares (ab)c with a(bc) in passes of the same size, so no k^3 array is
-built for a group of order k.
+input may not be a groupoid.  A table that passes its other checks is
+associative by Light's test on a generating set: only the triples (x, a, y)
+whose middle arrow a is a transport, its inverse or an isotropy generator
+are compared, (2 |X| - 2 + k) |X|^2 |H|^2 of the |X|^4 |H|^3 composable
+triples of an orbit of |X| units with isotropy group H and k <= log2 |H|
+generators.  Any other input, or a failed test, runs the scan of every
+composable triple (x with source u, y with range u, z in the range fiber of
+source(y)), stacked over the units with equal fiber sizes, which lists the
+failures.  Both compare by flat gathers from the table in passes of at most
+2^14 triples.  The group-table check of the constructors is the same test
+on the table's one-unit groupoid: at most k^2 log2 k triples, and no k^3
+array, for a group of order k.
 """
 
 from __future__ import annotations
@@ -423,7 +429,12 @@ def pair_groupoid(n: int, unit_weights=None) -> FiniteGroupoid:
 
 
 def _check_group_table(table: np.ndarray) -> tuple[int, np.ndarray]:
-    """Return (identity, inverses) of a group multiplication table, or raise."""
+    """Return (identity, inverses) of a group multiplication table, or raise.
+
+    Associativity is Light's test on the table's one-unit groupoid, which
+    passes the other checks of ``validate`` once the identity and the
+    two-sided inverses are found; when it fails, the first (a, b) of the
+    scan of every triple, ascending, is named."""
     k = table.shape[0]
     if table.shape != (k, k) or k == 0:
         raise ValueError("multiplication table must be square and nonempty")
@@ -439,15 +450,12 @@ def _check_group_table(table: np.ndarray) -> tuple[int, np.ndarray]:
     no_inverse = (hits.sum(axis=1) != 1) | (table[inv, ids] != identity)
     if no_inverse.any():
         raise ValueError(f"element {no_inverse.argmax()} has no two-sided inverse")
-    flat = table.ravel()
-    rows = max(1, _STACK // k)
-    for r0 in range(0, k * k, rows):
-        # (ab)c against a(bc) for the pairs (a, b) = divmod(r, k) of the chunk and every c
-        a, b = divmod(np.arange(r0, min(r0 + rows, k * k)), k)
-        bad = np.any(table[flat[r0 : r0 + rows]] != flat.take(a[:, None] * k + table[b]), axis=1)
-        if bad.any():
-            a, b = divmod(r0 + int(bad.argmax()), k)
-            raise ValueError(f"table is not associative at ({a}, {b})")
+    # the one-unit groupoid of the table passes every other check of validate
+    zeros = np.zeros(k, dtype=int)
+    g = _build(zeros, zeros, inv, table, [identity])
+    if not _light_test(g):
+        a, b, _ = _associativity_failures(g, 1)[0]
+        raise ValueError(f"table is not associative at ({a}, {b})")
     return identity, inv
 
 
@@ -638,20 +646,121 @@ def _associativity_failures(g: FiniteGroupoid, limit: int) -> list[tuple[int, in
     return list(zip(x.tolist(), *(v.tolist() for v in divmod(yz, n))))
 
 
+def _light_test(g: FiniteGroupoid) -> bool:
+    """Whether Light's associativity test on a generating set passes.
+
+    The table must pass every other check of ``validate``, with unit ids in
+    [0, n_units) and entries in [-1, n_arrows).  The arrows a with
+    (xa)y = x(ay) for all x, y composable with a contain the unit arrows and
+    are closed under products, by the identity, definedness and endpoint
+    laws alone (Light's test; Clifford and Preston, The Algebraic Theory of
+    Semigroups I, 1.2).  So the table is associative when they contain a set
+    S whose products reach every arrow.  S holds the transport t_v of each
+    unit v that is not the base of its orbit (an arrow from the base, the
+    least source of the arrows into v), its inverse, and greedy generators
+    of each base's isotropy group; the generators' closure is built from
+    products of members only, and every arrow x from u to v must be
+    (t_v h) inverse(t_u) with h = (inverse(t_v) x) t_u in it.  The triples
+    (x, a, y), a in S, are compared by flat gathers from the table in passes
+    of at most ``_STACK``.  False when a comparison fails, or when the
+    closure takes more rounds than a group's would, so that the exact scan
+    of ``_associativity_failures`` can list the failures.
+    """
+    n, n_units = g.n_arrows, g.n_units
+    rng, src, inv, e = g.range_of, g.source_of, g.inverse_of, g.unit_arrows
+    flat = g.compose_table.ravel()
+    # range fibers, ascending within each; every one holds its unit arrow
+    order = np.argsort(rng, kind="stable")
+    counts = np.bincount(rng, minlength=n_units)
+    starts = np.cumsum(counts) - counts
+    ranges, sources = rng[order], src[order]
+    base = np.minimum.reduceat(sources, starts)
+    moved = base != np.arange(n_units)
+    # the least arrow from the base into each unit; a base keeps its unit arrow
+    first = np.minimum.reduceat(np.where(sources == base[ranges], order, n), starts)
+    transport = np.where(moved, first, e)
+    gens = [transport[moved], inv[transport[moved]]]
+    # the isotropy arrows of the bases, ascending, as one row per base in one
+    # array per isotropy order above 1, with the products of each row's pairs
+    loops = order[(sources == ranges) & ~moved[ranges]]
+    orders = np.bincount(rng[loops], minlength=n_units)[rng[loops]]
+    rows = [loops[orders == k].reshape(-1, k) for k in sorted(set(orders.tolist()) - {1})]
+    products = [flat.take(iso[:, :, None] * n + iso[:, None, :]) for iso in rows]
+    reach = np.zeros(n, dtype=bool)
+    reach[e] = True
+    # products of base loops are base loops, so reach stays in the units and loops
+    target = n_units + loops.size - np.count_nonzero(~moved)
+    # a group of order k needs at most log2 k greedy generators, each closed
+    # by at most log2 k + 1 squarings (words of length below k)
+    width = int(orders.max(initial=1))
+    stalled = True  # the unit arrows are closed under products
+    for _ in range(width.bit_length() * ((width - 1).bit_length() + 1)):
+        if stalled:  # one more generator, the least arrow missing on each open base
+            for iso in rows:
+                missing = ~reach[iso]
+                open_rows = np.flatnonzero(missing.any(axis=1))
+                gens.append(iso[open_rows, missing[open_rows].argmax(axis=1)])
+                reach[gens[-1]] = True
+        size = np.count_nonzero(reach)
+        if size == target:
+            break
+        for iso, product in zip(rows, products):
+            inside = reach[iso]
+            reach[product[inside[:, :, None] & inside[:, None, :]]] = True
+        stalled = np.count_nonzero(reach) == size
+    else:
+        return False
+    if moved.any():  # else every arrow is a base loop, reached, and h is the arrow itself
+        ids = np.arange(n)
+        tv, tu = transport[rng], transport[src]
+        h = flat.take(flat.take(inv[tv] * n + ids) * n + tu)
+        if not (reach[h].all() and np.array_equal(flat.take(flat.take(tv * n + h) * n + inv[tu]), ids)):
+            return False
+    s = np.concatenate(gens)
+    # x runs over the arrows with source range(a) (the inverses of its range
+    # fiber), y over the range fiber of source(a)
+    key = counts[rng[s]] * (n + 1) + counts[src[s]]
+    for k in sorted(set(key.tolist())):
+        a = s[key == k]
+        p, q = divmod(k, n + 1)
+        xs = inv[order[starts[rng[a]][:, None] + np.arange(p)]]
+        ys = order[starts[src[a]][:, None] + np.arange(q)]
+        xa = flat.take(xs * n + a[:, None]) * n
+        ay = flat.take(a[:, None] * n + ys)
+        xs *= n
+        per_pass = max(1, _STACK // q)  # x's per pass
+        a_step, x_step = max(1, per_pass // p), min(p, per_pass)
+        for a0 in range(0, a.size, a_step):
+            for x0 in range(0, p, x_step):
+                i, j = slice(a0, a0 + a_step), slice(x0, x0 + x_step)
+                if (flat.take(xa[i, j, None] + ys[i, None]) != flat.take(xs[i, j, None] + ay[i, None])).any():
+                    return False
+    return True
+
+
 def validate(g: FiniteGroupoid, max_report: int = 50) -> ValidationReport:
     """Check every groupoid axiom and Haar left-invariance; list violations.
 
     The violations come check by check, each check's ascending by arrow,
     pair or triple, and at most ``max_report`` in all.  The endpoint,
-    identity and inverse laws are whole-array comparisons.  Associativity
-    compares (xy)z with x(yz) on exactly the composable triples, where x(yz)
-    is undefined when yz is, as stacked passes of at most ``_STACK`` triples
-    per class of units with equal source- and range-fiber sizes
-    (``_associativity_failures``); no Python loop runs per arrow.
+    identity and inverse laws are whole-array comparisons; the pairs that
+    should compose are read from the range-sorted arrows, and the n^2
+    definedness mask is built only when the count of defined entries or a
+    product of those pairs shows a mismatch.  When every check so far has
+    passed, with unit ids in [0, n_units) and products that are arrows,
+    Light's test on a generating set decides associativity
+    (``_light_test``).  Otherwise, or when it fails, (xy)z is compared with
+    x(yz) on every composable triple, where x(yz) is undefined when yz is,
+    as stacked passes of at most ``_STACK`` triples per class of units with
+    equal source- and range-fiber sizes (``_associativity_failures``); no
+    Python loop runs per arrow.
     """
     bad: list[str] = []
+    failed = 0  # failed checks, also those past max_report
 
     def note(msg):
+        nonlocal failed
+        failed += 1
         if len(bad) < max_report:
             bad.append(msg)
 
@@ -683,17 +792,24 @@ def validate(g: FiniteGroupoid, max_report: int = 50) -> ValidationReport:
          lambda x: f"inverse of {x} swaps range/source incorrectly"),
         (inv[inv] != ids, lambda x: f"inversion is not involutive at {x}"),
     )
-    # the n^2 masks are dropped once read, before the associativity passes
-    should = src[:, None] == rng[None, :]
-    mismatch = (table != UNDEFINED) != should
-    # products of the pairs that should compose, checked for their endpoints
-    left, right = np.nonzero(should)
-    del should
+    # the pairs (x, y) that should compose, ascending, from the fibers: each x
+    # meets the run of the range-sorted arrows whose range is source(x)
+    by_range = np.argsort(rng, kind="stable")
+    ranges = rng[by_range]
+    lo = np.searchsorted(ranges, src, "left")
+    meets = np.searchsorted(ranges, src, "right") - lo
+    left = np.repeat(ids, meets)
+    right = by_range[np.arange(left.size) + np.repeat(lo - (np.cumsum(meets) - meets), meets)]
     prod = table[left, right]
-    wrong_ends = (prod != UNDEFINED) & ((rng[prod] != rng[left]) | (src[prod] != src[right]))
+    defined = prod != UNDEFINED
+    wrong_ends = defined & ((rng[prod] != rng[left]) | (src[prod] != src[right]))
+    if defined.all() and np.count_nonzero(table != UNDEFINED) == prod.size:
+        mismatch = ids[:0]
+    else:  # the n^2 mask only when some pair is defined where it should not be, or not where it should
+        mismatch = ((table != UNDEFINED) != (src[:, None] == rng[None, :])).ravel()
     # pairs (x, y) by flat index k = x n + y
     note_where(
-        (mismatch.ravel(),
+        (mismatch,
          lambda k: f"composition of ({k // n}, {k % n}) defined={table.flat[k] != UNDEFINED}, "
          f"expected {src[k // n] == rng[k % n]}"),
         ((left * n + right)[wrong_ends],
@@ -707,7 +823,12 @@ def validate(g: FiniteGroupoid, max_report: int = 50) -> ValidationReport:
         (table[inv, ids] != es, lambda x: f"inverse(x).x is not the source unit at arrow {x}"),
         (table[ids, inv] != er, lambda x: f"x.inverse(x) is not the range unit at arrow {x}"),
     )
-    if len(bad) < max_report:
+    # Light's test decides a table that passed every check so far, with unit
+    # ids that index units and products that are arrows; the scan of every
+    # triple lists the failures
+    ends = np.concatenate([rng, src])
+    clean = not failed and prod.min(initial=0) >= 0 and np.all((ends >= 0) & (ends < g.n_units))
+    if len(bad) < max_report and not (clean and _light_test(g)):
         for x, y, z in _associativity_failures(g, max_report - len(bad)):
             note(f"associativity fails on ({x}, {y}, {z})")
     for msg in _weight_violations(g, max_report):

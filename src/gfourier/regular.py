@@ -37,10 +37,14 @@ def d_inner(g: FiniteGroupoid, xi, eta) -> np.ndarray:
 
 
 def section_norm(g: FiniteGroupoid, xi) -> float:
-    """max over units of the weighted l2 norm of the range-fiber restriction."""
-    xi = arrow_function(g, xi)
-    mass = g.weights * np.abs(xi) ** 2
-    return float(np.sqrt(np.bincount(g.range_of, mass, g.n_units).max()))
+    """max over units of the weighted l2 norm of the range-fiber restriction.
+
+    The moduli are divided by a power of two near the largest before they
+    are squared, so subnormal and huge sections keep their value."""
+    size = np.abs(arrow_function(g, xi))
+    _, exponent = np.frexp(size.max(initial=0.0))
+    mass = g.weights * np.ldexp(size, -exponent) ** 2
+    return float(np.ldexp(np.sqrt(np.bincount(g.range_of, mass, g.n_units).max()), exponent))
 
 
 def right_op(g: FiniteGroupoid, f) -> np.ndarray:

@@ -94,6 +94,28 @@ class TestFileRoundtrip:
         with pytest.raises(FileFormatError):
             arrow_function_from_dict({"values": {"1": [0.0]}}, g3)
 
+    def test_first_malformed_compose_entry_named(self, g3):
+        data = groupoid_to_dict(g3)
+        data["compose"][2:2] = [[0, 1], "x"]
+        with pytest.raises(FileFormatError, match=r"^malformed compose \(entries are \[x, y, xy\]\) "
+                                                  r"entry \[0, 1\]$"):
+            groupoid_from_dict(data)
+
+    def test_first_compose_entry_out_of_range_named(self, g3):
+        data = groupoid_to_dict(g3)
+        data["compose"][3:3] = [[0, 9, 0], [-1, 0, 0]]
+        with pytest.raises(FileFormatError, match=r"^composition entry \[0, 9, 0\] out of range$"):
+            groupoid_from_dict(data)
+
+    def test_first_conflicting_composition_in_file_order_named(self, g3):
+        # the pair of entry 0 conflicts too, but after the pair of entry 5 does
+        data = groupoid_to_dict(g3)
+        (x0, y0, _), (x5, y5, _) = data["compose"][0], data["compose"][5]
+        data["compose"] += [[x5, y5, 4], [x5, y5, 4], [x0, y0, 4]]
+        assert (x0, y0) < (x5, y5)
+        with pytest.raises(FileFormatError, match=rf"^conflicting compositions declared for \({x5}, {y5}\)$"):
+            groupoid_from_dict(data)
+
 
 class TestBuildCommand:
     def test_build_pair_three(self, tmp_path):

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import gfourier as gf
-from conftest import forced_arrow_structure, no_bisection_structure, random_function
+from conftest import (
+    forced_arrow_structure,
+    no_bisection_structure,
+    random_function,
+    s3_on_three_points,
+    z4_on_4_points_through_z2,
+    z12_on_16_points,
+)
 from reference import (
     act_bisection_oracle,
     coefficient_oracle,
@@ -168,6 +175,60 @@ class TestValidateMatchesLoopOracle:
             associativity += any(v.startswith("associativity") for v in expect)
         if max_report == 50 and g.n_arrows > 2:
             assert associativity
+
+
+def _associativity_only_corruptions():
+    """Every single-entry change of a product, on pair(3), Z4, Z2+Z3 and S3 on
+    3 points, after which only associativity fails: the new product is
+    another arrow with the same endpoints, off the identity and inverse laws."""
+    out = []
+    for g in (gf.pair_groupoid(3), gf.group_groupoid(gf.cyclic_table(4)),
+              gf.group_bundle([gf.cyclic_table(2), gf.cyclic_table(3)]), s3_on_three_points()):
+        for x, y in np.argwhere(g.compose_table != gf.groupoid.UNDEFINED):
+            ends = (g.range_of == g.range_of[x]) & (g.source_of == g.source_of[y])
+            for z in np.flatnonzero(ends & (np.arange(g.n_arrows) != g.compose_table[x, y])):
+                table = g.compose_table.copy()
+                table[x, y] = z
+                bad = dataclasses.replace(g, compose_table=table)
+                violations = validate_oracle(bad, 10**6).violations
+                if violations and all(v.startswith("associativity") for v in violations):
+                    out.append(bad)
+    return out
+
+
+@pytest.fixture(scope="module")
+def associativity_only():
+    return _associativity_only_corruptions()
+
+
+def _kernels_groupoids():
+    return [gf.pair_groupoid(12), gf.pair_groupoid(16),
+            gf.group_bundle([gf.cyclic_table(k) for k in (30, 40, 50)], unit_weights=[0.5, 1.5, 2.0]),
+            z12_on_16_points(), gf.product_with_pair_groupoid(gf.pair_groupoid(7))]
+
+
+class TestAssociativityByGenerators:
+    """Light's test on a generating set decides the tables that pass every
+    other check; the scan of every composable triple lists the failures."""
+
+    @pytest.mark.parametrize("max_report", [1, 3, 50])
+    def test_every_associativity_only_corruption_matches_the_oracle(self, associativity_only, max_report):
+        assert len(associativity_only) == 82
+        for bad in associativity_only:
+            assert gf.validate(bad, max_report).violations == validate_oracle(bad, max_report).violations
+
+    def test_valid_groupoids_scan_no_triples(self, monkeypatch, request):
+        def scan(*_):
+            raise AssertionError("every composable triple scanned")
+
+        monkeypatch.setattr(gf.groupoid, "_associativity_failures", scan)
+        # g3xI2 is no conftest fixture: the groupoid fixture builds it, as the first entry below does
+        fixtures = [request.getfixturevalue(name) for name in FIXTURES if name != "g3xI2"]
+        # built here, so that the group-table checks of the constructors run under the patch
+        built = [gf.product_with_pair_groupoid(gf.pair_groupoid(3)), gf.group_groupoid(gf.cyclic_table(200)),
+                 s3_on_three_points(identity_last=True), z4_on_4_points_through_z2(), *_kernels_groupoids()]
+        for g in fixtures + built:
+            assert gf.validate(g).ok
 
 
 class TestConstructorTables:

@@ -917,7 +917,7 @@ class TestStackedTerms:
         assert np.abs(first + second - unscaled).max() <= 1e-12 * sup  # second is r = phi - first
         assert np.abs(second + 1e-6 * unscaled).max() <= 1e-10 * sup
         fiber = max(c.arrows.shape[1] for c in g.fiber_classes)
-        cost = sum(term_cost_oracle(g, term) * power for term, power in _near_one(terms))
+        cost = term_cost_oracle(g, terms)
         margin = 2 * (gf.norms._ROUNDING * fiber + 1) * max(np.finfo(float).eps * cost, np.spacing(cost))
         assert cost <= upper.value <= cost + margin
         assert lower.value <= upper.value

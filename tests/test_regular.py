@@ -16,6 +16,7 @@ from reference import (
     left_delta_ops_oracle,
     module_map_matrix_oracle,
     right_delta_ops_oracle,
+    section_norm_oracle,
     vn_commutation_defect_oracle,
 )
 
@@ -45,6 +46,18 @@ class TestDInner:
         assert np.abs(
             gf.d_inner(weighted_bundle, xi, eta) - d_inner_oracle(weighted_bundle, xi, eta)
         ).max() < 1e-12
+
+
+class TestSectionNorm:
+    @pytest.mark.parametrize("s", [1e-170, 1e160, 1e-310])
+    @pytest.mark.parametrize("gname", ["g3", "weighted_bundle"])
+    def test_keeps_its_value_at_extreme_scales(self, gname, s, request, rng):
+        # squared as they are, moduli of 1e-170 underflow to 0 and of 1e160
+        # overflow to inf; the oracle reads the unscaled section
+        g = request.getfixturevalue(gname)
+        xi = random_function(g, rng)
+        want = s * section_norm_oracle(g, xi)
+        assert abs(gf.section_norm(g, s * xi) - want) <= 1e-12 * want
 
 
 class TestRightOp:
