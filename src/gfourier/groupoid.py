@@ -41,16 +41,15 @@ decomposed whole where one of them has trivial isotropy, and split into
 their blocks otherwise.  These indexes need
 every product inverse(t) x to be defined and raise ``UndefinedProductError``
 otherwise.  ``validate`` reads the composition table instead, because its
-input may not be a groupoid.  A table that passes its other checks is
-associative by Light's test on a generating set: only the triples (x, a, y)
-whose middle arrow a is a transport, its inverse or an isotropy generator
-are compared, (2 |X| - 2 + k) |X|^2 |H|^2 of the |X|^4 |H|^3 composable
-triples of an orbit of |X| units with isotropy group H and k <= log2 |H|
-generators.  Any other input, or a failed test, runs the scan of every
-composable triple (x with source u, y with range u, z in the range fiber of
-source(y)), stacked over the units with equal fiber sizes, which lists the
-failures.  Both compare by flat gathers from the table in passes of at most
-2^14 triples.  The group-table check of the constructors is the same test
+input may not be a groupoid.  One kernel compares (xy)z with x(yz) by
+flat gathers from the table: the triples of each middle arrow, stacked
+over the middles with equal fiber sizes.  A table that passes the other
+checks is associative by Light's test on a generating set, the kernel on
+the middles that are a transport, its inverse or an isotropy generator:
+(2 |X| - 2 + k) |X|^2 |H|^2 of the |X|^4 |H|^3 composable triples of an
+orbit of |X| units with isotropy group H and k <= log2 |H| generators.
+Any other input, or a failed test, runs it on every middle, which lists
+the failures.  The group-table check of the constructors is the same test
 on the table's one-unit groupoid: at most k^2 log2 k triples, and no k^3
 array, for a group of order k.
 """
@@ -217,6 +216,12 @@ class FiniteGroupoid:
         return tuple(np.flatnonzero(self.range_of == u) for u in range(self.n_units))
 
     @cached_property
+    def range_fibers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, counts, starts): the arrows sorted by range, ascending
+        within each fiber, and each unit's fiber size and start in ``order``."""
+        return _fibers(self.range_of, self.n_units)
+
+    @cached_property
     def composable_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The composable pairs G^(2) as flat arrays (x, t, y, starts).
 
@@ -225,12 +230,10 @@ class FiniteGroupoid:
         ascending order, t ascending within a group, and the group of x starts
         at ``starts[x]``; there are sum over units u of |fiber(u)|^2 entries.
         """
-        counts = np.array([fiber.size for fiber in self.r_fibers])
+        by_range, counts, fiber_starts = self.range_fibers
         sizes = counts[self.range_of]
         starts = np.cumsum(sizes) - sizes
         x = np.repeat(np.arange(self.n_arrows), sizes)
-        by_range = np.concatenate(self.r_fibers)
-        fiber_starts = np.cumsum(counts) - counts
         t = by_range[fiber_starts[self.range_of[x]] + np.arange(x.size) - starts[x]]
         y = self.compose_table[self.inverse_of[t], x]
         if np.any(y == UNDEFINED):
@@ -261,9 +264,7 @@ class FiniteGroupoid:
         if misweighted:
             raise ValueError(misweighted[0])
         _, _, y, starts = self.composable_pairs
-        counts = np.bincount(self.range_of, minlength=self.n_units)
-        by_range = np.argsort(self.range_of, kind="stable")
-        fiber_starts = np.cumsum(counts) - counts
+        by_range, counts, fiber_starts = self.range_fibers
         # every arrow's place in its range fiber
         place = np.empty(self.n_arrows, dtype=int)
         place[by_range] = np.arange(self.n_arrows) - np.repeat(fiber_starts, counts)
@@ -391,6 +392,11 @@ class FiniteGroupoid:
             unit_arrows=self.unit_arrows,
             weights=uw[self.source_of],
         )
+
+
+def _fibers(ends: np.ndarray, n_units: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    counts = np.bincount(ends, minlength=n_units)
+    return ends.argsort(kind="stable"), counts, counts.cumsum() - counts
 
 
 def _build(range_of, source_of, inverse_of, compose_table, unit_arrows, unit_weights=None):
@@ -574,70 +580,54 @@ class ValidationReport:
         return not self.violations
 
 
-def _associativity_failures(g: FiniteGroupoid, limit: int) -> list[tuple[int, int, int]]:
+def _associativity_failures(g: FiniteGroupoid, limit: int, middles=None) -> list[tuple[int, int, int]]:
     """The first ``limit`` triples (x, y, z), ascending, whose (xy)z and x(yz) differ.
 
-    The triples are those of ``validate``: xy defined, z in the range fiber
-    of source(y); x(yz) counts as undefined where yz is.  The triples of a
-    unit u are x with source u, y with range u and z in the range fiber of
-    source(y), padded to the widest such fiber and masked.  Units with equal
-    (source-fiber, range-fiber) sizes form one class and are compared as
-    stacked arrays through flat gathers from the composition table, whole
-    units or runs of x at a time, at most ``_STACK`` triples a pass (or one
-    x when its (y, z) block alone is larger).  Each pass keeps its first
-    ``limit`` failures; the kept ones are merged in order at the end.
+    The triples are those of ``validate`` whose middle arrow y is in
+    ``middles`` (distinct arrow ids; every arrow when None): x with source
+    range(y) and xy defined, z with range source(y); x(yz) counts as
+    undefined where yz is.  Needs the ids and products that ``validate``
+    checks first.  The middles with equal (x count, z count) form one group,
+    compared as (middles, x, z) arrays through flat gathers from the table,
+    at most ``_STACK`` triples a pass (or one x when its z's alone are
+    more).  Each pass keeps its first ``limit`` failures, merged in order.
     """
-    n = g.n_arrows
-    flat = g.compose_table.ravel()
-    # unit ids shifted to start at 0, so that a negative one (not a unit) has a
-    # fiber too; range fibers are rows [0, m) of ``fibers``, source fibers rows [m, 2m)
-    low = min(0, int(g.range_of.min(initial=0)), int(g.source_of.min(initial=0)))
-    m = max(int(g.range_of.max(initial=-1)), int(g.source_of.max(initial=-1))) + 1 - low
-    s_key = g.source_of - low
-    keys = np.concatenate([g.range_of - low, s_key + m])
-    counts = np.bincount(keys, minlength=2 * m)
-    order = np.argsort(keys, kind="stable")
-    starts = np.cumsum(counts) - counts
-    fibers = np.zeros((2 * m, counts.max(initial=0)), dtype=int)
-    fibers[keys[order], np.arange(2 * n) - starts[keys[order]]] = order % n
-    r_counts, s_counts = counts[:m], counts[m:]
+    n, flat = g.n_arrows, g.compose_table.ravel()
+    ys = np.arange(n) if middles is None else middles
+    by_range, r_counts, r_starts = g.range_fibers
+    by_source, s_counts, s_starts = _fibers(g.source_of, g.n_units)
+    x_units, z_units = g.range_of[ys], g.source_of[ys]
+    sizes = s_counts[x_units] * (n + 1) + r_counts[z_units]  # (p, q) as p (n + 1) + q
     hits = []  # failures as (x n + y) n + z
-    sizes = s_counts * (n + 1) + r_counts  # (a, b) as a (n + 1) + b
-    for size in sorted(set(sizes[(s_counts > 0) & (r_counts > 0)].tolist())):
-        units = np.flatnonzero(sizes == size)
-        a, b = divmod(size, n + 1)
-        xs = fibers[units + m, :a]
-        ys = fibers[units, :b]
-        z_counts = r_counts[s_key[ys]]
-        w = int(z_counts.max())
-        zs = fibers[s_key[ys], :w]
-        z_ok = np.arange(w) < z_counts[..., None]
-        # an undefined product (-1) indexes the table from its end: the masks drop
-        # the triples with xy undefined, and x(yz) is set back to UNDEFINED below
-        yz = flat[ys[..., None] * n + zs]
-        yz_undefined = (yz == UNDEFINED) & z_ok
-        some_yz_undefined = bool(yz_undefined.any())
-        xy = flat[xs[..., None] * n + ys[:, None, :]]
-        xy_defined = xy != UNDEFINED
-        left_at = xy[..., None] * n
-        per_pass = max(1, _STACK // max(b * w, 1))  # x's per pass
-        unit_step, x_step = max(1, per_pass // a), min(a, per_pass)
-        for u0 in range(0, units.size, unit_step):
-            u = slice(u0, u0 + unit_step)
-            for x0 in range(0, a, x_step):
-                x = slice(x0, x0 + x_step)
-                left = flat.take(left_at[u, x] + zs[u, None])
-                right = flat.take(xs[u, x, None, None] * n + yz[u, None])
+    for size in sorted(set(sizes.tolist())):
+        at = sizes == size
+        y = ys[at]
+        p, q = divmod(size, n + 1)
+        # the x's as the offsets x n of their rows in the flat table
+        x_rows = by_source[s_starts[x_units[at]][:, None] + np.arange(p)] * n
+        zs = by_range[r_starts[z_units[at]][:, None] + np.arange(q)]
+        # an undefined product (-1) indexes the table from its end: the triples
+        # with xy undefined are dropped, and x(yz) is set back to UNDEFINED
+        xy = flat.take(x_rows + y[:, None])
+        yz = flat.take(y[:, None] * n + zs)
+        yz_undefined = yz == UNDEFINED
+        some_yz_undefined = np.count_nonzero(yz_undefined)
+        xy_rows = xy * n
+        per_pass = max(1, _STACK // max(q, 1))  # x's per pass
+        y_step, x_step = max(1, per_pass // max(p, 1)), max(1, min(p, per_pass))
+        for y0 in range(0, y.size, y_step):
+            for x0 in range(0, p, x_step):
+                i, j = slice(y0, y0 + y_step), slice(x0, x0 + x_step)
+                right = flat.take(x_rows[i, j, None] + yz[i, None])
                 if some_yz_undefined:
-                    right = np.where(yz_undefined[u, None], UNDEFINED, right)
-                fails = left != right
-                fails &= xy_defined[u, x, :, None]
-                fails &= z_ok[u, None]
-                if not fails.any():
+                    right = np.where(yz_undefined[i, None], UNDEFINED, right)
+                fails = flat.take(xy_rows[i, j, None] + zs[i, None]) != right
+                if not np.count_nonzero(fails):
                     continue
-                ui, xi, yi, zi = np.nonzero(fails)
-                ui += u0
-                key = (xs[ui, xi + x0] * n + ys[ui, yi]) * n + zs[ui, yi, zi]
+                fails &= xy[i, j, None] != UNDEFINED
+                yi, xi, zi = np.nonzero(fails)
+                yi += y0
+                key = (x_rows[yi, xi + x0] + y[yi]) * n + zs[yi, zi]
                 hits.append(np.sort(key)[:limit])
     if not hits:
         return []
@@ -649,30 +639,26 @@ def _associativity_failures(g: FiniteGroupoid, limit: int) -> list[tuple[int, in
 def _light_test(g: FiniteGroupoid) -> bool:
     """Whether Light's associativity test on a generating set passes.
 
-    The table must pass every other check of ``validate``, with unit ids in
-    [0, n_units) and entries in [-1, n_arrows).  The arrows a with
-    (xa)y = x(ay) for all x, y composable with a contain the unit arrows and
-    are closed under products, by the identity, definedness and endpoint
-    laws alone (Light's test; Clifford and Preston, The Algebraic Theory of
-    Semigroups I, 1.2).  So the table is associative when they contain a set
-    S whose products reach every arrow.  S holds the transport t_v of each
+    The table must pass every other check of ``validate``.  The arrows a
+    with (xa)y = x(ay) for all x, y composable with a contain the unit
+    arrows and are closed under products, by the identity, definedness and
+    endpoint laws alone (Light's test; Clifford and Preston, The Algebraic
+    Theory of Semigroups I, 1.2).  So the table is associative when they
+    contain a set S whose products reach every arrow.  S holds the transport t_v of each
     unit v that is not the base of its orbit (an arrow from the base, the
     least source of the arrows into v), its inverse, and greedy generators
     of each base's isotropy group; the generators' closure is built from
     products of members only, and every arrow x from u to v must be
     (t_v h) inverse(t_u) with h = (inverse(t_v) x) t_u in it.  The triples
-    (x, a, y), a in S, are compared by flat gathers from the table in passes
-    of at most ``_STACK``.  False when a comparison fails, or when the
-    closure takes more rounds than a group's would, so that the exact scan
-    of ``_associativity_failures`` can list the failures.
+    whose middle arrow is in S are compared by ``_associativity_failures``;
+    False when one fails, or when the closure takes more rounds than a
+    group's would.
     """
     n, n_units = g.n_arrows, g.n_units
     rng, src, inv, e = g.range_of, g.source_of, g.inverse_of, g.unit_arrows
     flat = g.compose_table.ravel()
     # range fibers, ascending within each; every one holds its unit arrow
-    order = np.argsort(rng, kind="stable")
-    counts = np.bincount(rng, minlength=n_units)
-    starts = np.cumsum(counts) - counts
+    order, _, starts = g.range_fibers
     ranges, sources = rng[order], src[order]
     base = np.minimum.reduceat(sources, starts)
     moved = base != np.arange(n_units)
@@ -688,18 +674,18 @@ def _light_test(g: FiniteGroupoid) -> bool:
     products = [flat.take(iso[:, :, None] * n + iso[:, None, :]) for iso in rows]
     reach = np.zeros(n, dtype=bool)
     reach[e] = True
-    # products of base loops are base loops, so reach stays in the units and loops
-    target = n_units + loops.size - np.count_nonzero(~moved)
+    # products of base loops are base loops, so reach stays in the units and
+    # loops: the base loops and the unit arrows of the other units
+    target = loops.size + np.count_nonzero(moved)
     # a group of order k needs at most log2 k greedy generators, each closed
     # by at most log2 k + 1 squarings (words of length below k)
-    width = int(orders.max(initial=1))
+    width = rows[-1].shape[1] if rows else 1
     stalled = True  # the unit arrows are closed under products
     for _ in range(width.bit_length() * ((width - 1).bit_length() + 1)):
         if stalled:  # one more generator, the least arrow missing on each open base
-            for iso in rows:
-                missing = ~reach[iso]
-                open_rows = np.flatnonzero(missing.any(axis=1))
-                gens.append(iso[open_rows, missing[open_rows].argmax(axis=1)])
+            for iso in rows:  # on a closed base argmax picks a reached arrow, dropped
+                least = iso[np.arange(len(iso)), (~reach[iso]).argmax(axis=1)]
+                gens.append(least[~reach[least]])
                 reach[gens[-1]] = True
         size = np.count_nonzero(reach)
         if size == target:
@@ -716,45 +702,26 @@ def _light_test(g: FiniteGroupoid) -> bool:
         h = flat.take(flat.take(inv[tv] * n + ids) * n + tu)
         if not (reach[h].all() and np.array_equal(flat.take(flat.take(tv * n + h) * n + inv[tu]), ids)):
             return False
-    s = np.concatenate(gens)
-    # x runs over the arrows with source range(a) (the inverses of its range
-    # fiber), y over the range fiber of source(a)
-    key = counts[rng[s]] * (n + 1) + counts[src[s]]
-    for k in sorted(set(key.tolist())):
-        a = s[key == k]
-        p, q = divmod(k, n + 1)
-        xs = inv[order[starts[rng[a]][:, None] + np.arange(p)]]
-        ys = order[starts[src[a]][:, None] + np.arange(q)]
-        xa = flat.take(xs * n + a[:, None]) * n
-        ay = flat.take(a[:, None] * n + ys)
-        xs *= n
-        per_pass = max(1, _STACK // q)  # x's per pass
-        a_step, x_step = max(1, per_pass // p), min(p, per_pass)
-        for a0 in range(0, a.size, a_step):
-            for x0 in range(0, p, x_step):
-                i, j = slice(a0, a0 + a_step), slice(x0, x0 + x_step)
-                if (flat.take(xa[i, j, None] + ys[i, None]) != flat.take(xs[i, j, None] + ay[i, None])).any():
-                    return False
-    return True
+    return not _associativity_failures(g, 1, np.concatenate(gens))
 
 
 def validate(g: FiniteGroupoid, max_report: int = 50) -> ValidationReport:
     """Check every groupoid axiom and Haar left-invariance; list violations.
 
     The violations come check by check, each check's ascending by arrow,
-    pair or triple, and at most ``max_report`` in all.  The endpoint,
-    identity and inverse laws are whole-array comparisons; the pairs that
-    should compose are read from the range-sorted arrows, and the n^2
-    definedness mask is built only when the count of defined entries or a
-    product of those pairs shows a mismatch.  When every check so far has
-    passed, with unit ids in [0, n_units) and products that are arrows,
-    Light's test on a generating set decides associativity
-    (``_light_test``).  Otherwise, or when it fails, (xy)z is compared with
-    x(yz) on every composable triple, where x(yz) is undefined when yz is,
-    as stacked passes of at most ``_STACK`` triples per class of units with
-    equal source- and range-fiber sizes (``_associativity_failures``); no
-    Python loop runs per arrow.
+    pair or triple, and at most ``max_report`` (at least 1) in all.  The
+    array shapes come first, then the ids (ranges and sources are units,
+    inverses and unit arrows are arrows), then the products of the pairs
+    that should compose (arrows or ``UNDEFINED``): a stage that fails ends
+    the report, as the later checks index by them.  The other laws are
+    whole-array comparisons, and the n^2 definedness mask is built only
+    when the count of defined entries or a product of those pairs shows a
+    mismatch.  Light's test on a generating set decides associativity once
+    every check has passed; otherwise, or when it fails,
+    ``_associativity_failures`` lists the failing triples of every middle.
     """
+    if max_report < 1:
+        raise ValueError(f"max_report must be at least 1, got {max_report}")
     bad: list[str] = []
     failed = 0  # failed checks, also those past max_report
 
@@ -768,6 +735,8 @@ def validate(g: FiniteGroupoid, max_report: int = 50) -> ValidationReport:
         """Note per-index checks (failure mask, message of the index) by index, then by check.
 
         A mask may also be given as its failing indices, ascending."""
+        if not any(np.count_nonzero(fails) if fails.dtype == bool else fails.size for fails, _ in checks):
+            return
         hits = [set((np.flatnonzero(fails) if fails.dtype == bool else fails)[:max_report].tolist())
                 for fails, _ in checks]
         for i in sorted(set().union(*hits))[:max_report]:
@@ -775,13 +744,34 @@ def validate(g: FiniteGroupoid, max_report: int = 50) -> ValidationReport:
                 if i in at:
                     note(msg(i))
 
-    n = g.n_arrows
+    n, n_units = g.n_arrows, g.n_units
     ids = np.arange(n)
     table = g.compose_table
     rng, src, inv, e = g.range_of, g.source_of, g.inverse_of, g.unit_arrows
+    for name, shape in (("source_of", (n,)), ("inverse_of", (n,)), ("compose_table", (n, n)),
+                        ("weights", (n,))):
+        if getattr(g, name).shape != shape:
+            note(f"{name} has shape {getattr(g, name).shape}, expected {shape}")
+    if not failed:
+        note_where(
+            ((rng < 0) | (rng >= n_units), lambda x: f"arrow {x} has range {rng[x]}, which is not a unit"),
+            ((src < 0) | (src >= n_units), lambda x: f"arrow {x} has source {src[x]}, which is not a unit"),
+            ((inv < 0) | (inv >= n), lambda x: f"arrow {x} has inverse {inv[x]}, which is not an arrow"),
+        )
+        note_where(((e < 0) | (e >= n), lambda u: f"unit {u} has unit arrow {e[u]}, which is not an arrow"))
+    if not failed:  # the pairs (x, y) that should compose, ascending: x meets the range fiber of source(x)
+        by_range, counts, starts = g.range_fibers
+        meets = counts[src]
+        left = np.repeat(ids, meets)
+        right = by_range[np.arange(left.size) + np.repeat(starts[src] - (np.cumsum(meets) - meets), meets)]
+        prod = table[left, right]
+        note_where(((prod < UNDEFINED) | (prod >= n),
+                    lambda k: f"product of ({left[k]}, {right[k]}) is {prod[k]}, which is not an arrow"))
+    if failed:
+        return ValidationReport(tuple(bad))
     if len(set(e.tolist())) != e.size:
         note("unit arrows are not distinct")
-    units = np.arange(g.n_units)
+    units = np.arange(n_units)
     note_where(
         ((rng[e] != units) | (src[e] != units),
          lambda u: f"unit arrow {e[u]} of unit {u} has range {rng[e[u]]}, source {src[e[u]]}"),
@@ -792,15 +782,6 @@ def validate(g: FiniteGroupoid, max_report: int = 50) -> ValidationReport:
          lambda x: f"inverse of {x} swaps range/source incorrectly"),
         (inv[inv] != ids, lambda x: f"inversion is not involutive at {x}"),
     )
-    # the pairs (x, y) that should compose, ascending, from the fibers: each x
-    # meets the run of the range-sorted arrows whose range is source(x)
-    by_range = np.argsort(rng, kind="stable")
-    ranges = rng[by_range]
-    lo = np.searchsorted(ranges, src, "left")
-    meets = np.searchsorted(ranges, src, "right") - lo
-    left = np.repeat(ids, meets)
-    right = by_range[np.arange(left.size) + np.repeat(lo - (np.cumsum(meets) - meets), meets)]
-    prod = table[left, right]
     defined = prod != UNDEFINED
     wrong_ends = defined & ((rng[prod] != rng[left]) | (src[prod] != src[right]))
     if defined.all() and np.count_nonzero(table != UNDEFINED) == prod.size:
@@ -823,12 +804,9 @@ def validate(g: FiniteGroupoid, max_report: int = 50) -> ValidationReport:
         (table[inv, ids] != es, lambda x: f"inverse(x).x is not the source unit at arrow {x}"),
         (table[ids, inv] != er, lambda x: f"x.inverse(x) is not the range unit at arrow {x}"),
     )
-    # Light's test decides a table that passed every check so far, with unit
-    # ids that index units and products that are arrows; the scan of every
-    # triple lists the failures
-    ends = np.concatenate([rng, src])
-    clean = not failed and prod.min(initial=0) >= 0 and np.all((ends >= 0) & (ends < g.n_units))
-    if len(bad) < max_report and not (clean and _light_test(g)):
+    # Light's test decides a table that passed every check so far; the scan
+    # of every triple lists the failures
+    if len(bad) < max_report and (failed or not _light_test(g)):
         for x, y, z in _associativity_failures(g, max_report - len(bad)):
             note(f"associativity fails on ({x}, {y}, {z})")
     for msg in _weight_violations(g, max_report):

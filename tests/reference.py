@@ -170,6 +170,25 @@ def _respects_structure(g1, g2, assignment):
     return True
 
 
+def associativity_failures_oracle(g):
+    """The triples (x, y, z), ascending, with xy defined, y and z composable
+    and (xy)z != x(yz), where x(yz) is undefined when yz is."""
+    out = []
+    for x in range(g.n_arrows):
+        for y in np.flatnonzero(g.range_of == g.source_of[x]):
+            xy = g.compose_table[x, y]
+            if xy == UNDEFINED:
+                continue
+            for z in np.flatnonzero(g.range_of == g.source_of[y]):
+                left = g.compose_table[xy, z]
+                yz = g.compose_table[y, z]
+                # x(yz) is undefined when yz is
+                right = UNDEFINED if yz == UNDEFINED else g.compose_table[x, yz]
+                if left != right:
+                    out.append((x, int(y), int(z)))
+    return out
+
+
 def validate_oracle(g, max_report=50):
     """The axiom check as a plain loop over arrows, pairs and triples."""
     bad: list[str] = []
@@ -178,7 +197,33 @@ def validate_oracle(g, max_report=50):
         if len(bad) < max_report:
             bad.append(msg)
 
-    n = g.n_arrows
+    n, n_units = g.n_arrows, g.n_units
+    # the shapes, the ids and the products of the pairs that should compose
+    # come first; a stage that fails ends the report
+    for name, shape in (("source_of", (n,)), ("inverse_of", (n,)), ("compose_table", (n, n)),
+                        ("weights", (n,))):
+        if np.shape(getattr(g, name)) != shape:
+            note(f"{name} has shape {np.shape(getattr(g, name))}, expected {shape}")
+    if bad:
+        return ValidationReport(tuple(bad))
+    for x in range(n):
+        if not 0 <= g.range_of[x] < n_units:
+            note(f"arrow {x} has range {g.range_of[x]}, which is not a unit")
+        if not 0 <= g.source_of[x] < n_units:
+            note(f"arrow {x} has source {g.source_of[x]}, which is not a unit")
+        if not 0 <= g.inverse_of[x] < n:
+            note(f"arrow {x} has inverse {g.inverse_of[x]}, which is not an arrow")
+    for u, e in enumerate(g.unit_arrows):
+        if not 0 <= e < n:
+            note(f"unit {u} has unit arrow {e}, which is not an arrow")
+    if bad:
+        return ValidationReport(tuple(bad))
+    for x in range(n):
+        for y in range(n):
+            if g.source_of[x] == g.range_of[y] and not UNDEFINED <= g.compose_table[x, y] < n:
+                note(f"product of ({x}, {y}) is {g.compose_table[x, y]}, which is not an arrow")
+    if bad:
+        return ValidationReport(tuple(bad))
     if sorted(map(int, g.unit_arrows)) != sorted(set(map(int, g.unit_arrows))):
         note("unit arrows are not distinct")
     for u, e in enumerate(g.unit_arrows):
@@ -213,18 +258,8 @@ def validate_oracle(g, max_report=50):
             note(f"inverse(x).x is not the source unit at arrow {x}")
         if g.compose_table[x, g.inverse_of[x]] != er:
             note(f"x.inverse(x) is not the range unit at arrow {x}")
-    for x in range(n):
-        for y in np.flatnonzero(g.range_of == g.source_of[x]):
-            xy = g.compose_table[x, y]
-            if xy == UNDEFINED:
-                continue
-            for z in np.flatnonzero(g.range_of == g.source_of[y]):
-                left = g.compose_table[xy, z]
-                yz = g.compose_table[y, z]
-                # x(yz) is undefined when yz is
-                right = UNDEFINED if yz == UNDEFINED else g.compose_table[x, yz]
-                if left != right:
-                    note(f"associativity fails on ({x}, {y}, {z})")
+    for x, y, z in associativity_failures_oracle(g):
+        note(f"associativity fails on ({x}, {y}, {z})")
     finite = all(np.isfinite(w) for w in g.weights)
     if not finite:
         note("weights must be finite")

@@ -18,6 +18,7 @@ from conftest import (
 )
 from reference import (
     act_bisection_oracle,
+    associativity_failures_oracle,
     coefficient_oracle,
     convolve_oracle,
     pair_table_oracle,
@@ -150,31 +151,39 @@ class TestValidateMatchesLoopOracle:
     @pytest.mark.parametrize("max_report", [1, 3, 50])
     def test_random_single_entry_corruptions(self, groupoid, max_report, rng):
         g = groupoid
-        pairs = np.argwhere(g.compose_table != gf.groupoid.UNDEFINED)
         associativity = 0
-        for kind in ("removed", "changed", "range_of", "source_of") * 3:
-            if kind in ("range_of", "source_of"):
-                if g.n_units == 1:
-                    continue
-                x = rng.integers(g.n_arrows)
-                # another unit, so that the fiber sizes become unequal
-                moved = getattr(g, kind).copy()
-                moved[x] = (moved[x] + rng.integers(1, g.n_units)) % g.n_units
-                bad = dataclasses.replace(g, **{kind: moved})
-            else:
-                x, y = pairs[rng.integers(len(pairs))]
-                table = g.compose_table.copy()
-                if kind == "removed":
-                    table[x, y] = gf.groupoid.UNDEFINED
-                else:
-                    table[x, y] = (table[x, y] + rng.integers(1, g.n_arrows)) % g.n_arrows
-                bad = dataclasses.replace(g, compose_table=table)
+        for bad in _random_single_entry_corruptions(g, rng):
             expect = validate_oracle(bad, max_report).violations
             assert expect
             assert gf.validate(bad, max_report).violations == expect
             associativity += any(v.startswith("associativity") for v in expect)
         if max_report == 50 and g.n_arrows > 2:
             assert associativity
+
+
+def _random_single_entry_corruptions(g, rng):
+    """Three each of a removed product, a changed product, a changed range and
+    a changed source (these two only with more than one unit)."""
+    pairs = np.argwhere(g.compose_table != gf.groupoid.UNDEFINED)
+    out = []
+    for kind in ("removed", "changed", "range_of", "source_of") * 3:
+        if kind in ("range_of", "source_of"):
+            if g.n_units == 1:
+                continue
+            x = rng.integers(g.n_arrows)
+            # another unit, so that the fiber sizes become unequal
+            moved = getattr(g, kind).copy()
+            moved[x] = (moved[x] + rng.integers(1, g.n_units)) % g.n_units
+            out.append(dataclasses.replace(g, **{kind: moved}))
+        else:
+            x, y = pairs[rng.integers(len(pairs))]
+            table = g.compose_table.copy()
+            if kind == "removed":
+                table[x, y] = gf.groupoid.UNDEFINED
+            else:
+                table[x, y] = (table[x, y] + rng.integers(1, g.n_arrows)) % g.n_arrows
+            out.append(dataclasses.replace(g, compose_table=table))
+    return out
 
 
 def _associativity_only_corruptions():
@@ -218,8 +227,13 @@ class TestAssociativityByGenerators:
             assert gf.validate(bad, max_report).violations == validate_oracle(bad, max_report).violations
 
     def test_valid_groupoids_scan_no_triples(self, monkeypatch, request):
-        def scan(*_):
-            raise AssertionError("every composable triple scanned")
+        kernel = gf.groupoid._associativity_failures
+
+        def scan(g, limit, middles=None):
+            # Light's test compares the triples of its generators through the same kernel
+            if middles is None:
+                raise AssertionError("every composable triple scanned")
+            return kernel(g, limit, middles)
 
         monkeypatch.setattr(gf.groupoid, "_associativity_failures", scan)
         # g3xI2 is no conftest fixture: the groupoid fixture builds it, as the first entry below does
@@ -229,6 +243,28 @@ class TestAssociativityByGenerators:
                  s3_on_three_points(identity_last=True), z4_on_4_points_through_z2(), *_kernels_groupoids()]
         for g in fixtures + built:
             assert gf.validate(g).ok
+
+    @pytest.mark.parametrize("limit", [1, 3, 10**6])
+    def test_kernel_on_middles_matches_the_oracle_on_associativity_only_corruptions(
+            self, associativity_only, rng, limit):
+        for bad in associativity_only:
+            _check_kernel_on_random_middles(bad, limit, rng)
+
+    @pytest.mark.parametrize("groupoid", FIXTURES, indirect=True)
+    @pytest.mark.parametrize("limit", [1, 3, 10**6])
+    def test_kernel_on_middles_matches_the_oracle_on_random_corruptions(self, groupoid, rng, limit):
+        # each groupoid's corruptions include removed products, so triples with
+        # xy or yz undefined
+        for bad in _random_single_entry_corruptions(groupoid, rng):
+            _check_kernel_on_random_middles(bad, limit, rng)
+
+
+def _check_kernel_on_random_middles(g, limit, rng):
+    """The kernel on a random subset of the middles, in random order, lists
+    the oracle's failing triples whose middle is in the subset."""
+    middles = rng.permutation(g.n_arrows)[:rng.integers(1, g.n_arrows + 1)]
+    expect = [t for t in associativity_failures_oracle(g) if t[1] in set(middles.tolist())]
+    assert gf.groupoid._associativity_failures(g, limit, middles) == expect[:limit]
 
 
 class TestConstructorTables:
@@ -286,3 +322,48 @@ class TestConstructorTables:
             tracemalloc.stop()
         # all 200^3 triples at once would take 64 MB per int64 array
         assert peak <= 4e6
+
+
+def _pair2_with(field, index, value):
+    g = gf.pair_groupoid(2)
+    array = getattr(g, field).copy()
+    array[index] = value
+    return dataclasses.replace(g, **{field: array})
+
+
+class TestValidateChecksItsInputsFirst:
+    """An id or a shape that later checks would index by is reported, alone,
+    instead of raising or being read from the end of an array."""
+
+    @pytest.mark.parametrize("field, index, value, violation", [
+        ("compose_table", (0, 0), 99, "product of (0, 0) is 99, which is not an arrow"),
+        ("compose_table", (0, 0), 4, "product of (0, 0) is 4, which is not an arrow"),
+        ("compose_table", (0, 0), -5, "product of (0, 0) is -5, which is not an arrow"),
+        ("inverse_of", 1, 9, "arrow 1 has inverse 9, which is not an arrow"),
+        ("range_of", 1, 5, "arrow 1 has range 5, which is not a unit"),
+        ("range_of", 1, -1, "arrow 1 has range -1, which is not a unit"),
+        ("unit_arrows", 1, 7, "unit 1 has unit arrow 7, which is not an arrow"),
+    ])
+    def test_an_id_out_of_range_is_named(self, field, index, value, violation):
+        g = _pair2_with(field, index, value)
+        assert gf.validate(g).violations == (violation,)
+        assert validate_oracle(g).violations == (violation,)
+
+    @pytest.mark.parametrize("field, shape, violation", [
+        ("compose_table", (4, 3), "compose_table has shape (4, 3), expected (4, 4)"),
+        ("source_of", (3,), "source_of has shape (3,), expected (4,)"),
+        ("weights", (3,), "weights has shape (3,), expected (4,)"),
+    ])
+    def test_a_wrong_shape_is_named(self, field, shape, violation):
+        g = gf.pair_groupoid(2)
+        g = dataclasses.replace(g, **{field: getattr(g, field)[tuple(slice(k) for k in shape)]})
+        assert gf.validate(g).violations == (violation,)
+        assert validate_oracle(g).violations == (violation,)
+
+    @pytest.mark.parametrize("max_report", [0, -1])
+    def test_max_report_below_one_is_refused(self, max_report):
+        # with the product (0, 0) removed the report is never "ok"
+        g = _pair2_with("compose_table", (0, 0), gf.groupoid.UNDEFINED)
+        assert not gf.validate(g, 1).ok
+        with pytest.raises(ValueError, match="max_report must be at least 1"):
+            gf.validate(g, max_report)
