@@ -5,11 +5,14 @@ A groupoid file has fields ``units`` (count), ``arrows`` (list of
 undefined) and ``weights`` (list of {unit, w}).  Constructors also emit
 ``unit_arrows`` explicitly; when absent, identities are derived from the
 composition behavior.  A function file maps arrow ids to [re, im] pairs.
+Every id is a JSON integer (not a bool, a float or a string), and an id that
+keys a function value is its canonical decimal, ``str(id)``.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -28,15 +31,20 @@ def _list_field(data: dict, name: str) -> list:
     return value
 
 
+def _id(data: dict, name: str) -> int:
+    """data[name] when it is a JSON integer (an int, not a bool); TypeError
+    naming the field otherwise, KeyError when it is absent."""
+    if type(data[name]) is not int:
+        raise TypeError(f"{name!r} must be an integer, got {data[name]!r}")
+    return data[name]
+
+
 def _ints(entry, field: str, length: int | None = None) -> list[int]:
-    """The list entry of field as ints; FileFormatError naming field when it
-    is not a list (of ``length`` items) of integers."""
-    try:
-        if not isinstance(entry, list) or length is not None and len(entry) != length:
-            raise TypeError
-        return [int(v) for v in entry]
-    except (TypeError, ValueError) as err:
-        raise FileFormatError(f"malformed {field} entry {entry!r}") from err
+    """The list entry of field; FileFormatError naming field when it is not a
+    list (of ``length`` items) of JSON integers."""
+    if not isinstance(entry, list) or length not in (None, len(entry)) or {*map(type, entry)} - {int}:
+        raise FileFormatError(f"malformed {field} entry {entry!r}")
+    return entry
 
 
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:
@@ -58,9 +66,9 @@ def groupoid_to_dict(g: FiniteGroupoid) -> dict:
 
 def groupoid_from_dict(data: dict) -> FiniteGroupoid:
     try:
-        n_units = int(data["units"])
+        n_units = _id(data, "units")
         arrows = data["arrows"]
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError) as err:
         raise FileFormatError(f"missing or malformed required field: {err}") from err
     if not isinstance(arrows, list):
         raise FileFormatError(f"field 'arrows' must be a list; got {arrows!r}")
@@ -76,10 +84,9 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
     seen = set()
     for entry in arrows:
         try:
-            x = int(entry["id"])
-            r, s, iv = int(entry["r"]), int(entry["s"]), int(entry["inv"])
-        except (KeyError, TypeError, ValueError) as err:
-            raise FileFormatError(f"malformed arrow entry {entry!r}") from err
+            x, r, s, iv = (_id(entry, name) for name in ("id", "r", "s", "inv"))
+        except (KeyError, TypeError) as err:
+            raise FileFormatError(f"malformed arrow entry {entry!r}: {err}") from err
         if not 0 <= x < n or x in seen:
             raise FileFormatError(f"arrow ids must be dense and unique; got {x}")
         seen.add(x)
@@ -93,9 +100,9 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
     seen_units = set()
     for entry in _list_field(data, "weights"):
         try:
-            u, w = int(entry["unit"]), float(entry["w"])
+            u, w = _id(entry, "unit"), float(entry["w"])
         except (KeyError, TypeError, ValueError) as err:
-            raise FileFormatError(f"malformed weight entry {entry!r}") from err
+            raise FileFormatError(f"malformed weight entry {entry!r}: {err}") from err
         if not 0 <= u < n_units or u in seen_units:
             raise FileFormatError(f"weights must name each unit at most once; got {u}")
         seen_units.add(u)
@@ -126,10 +133,12 @@ def _compose_rows(triples: list, n: int) -> np.ndarray:
     one declared for it earlier in the list."""
     field = "compose (entries are [x, y, xy])"
     try:
-        rows = np.array(triples, dtype=int)
-        if rows.ndim != 2 or rows.shape[1] != 3:
+        rows = np.array(triples)
+        # the types too: an int64 array also holds bools that come with ints
+        if (rows.dtype.kind != "i" or rows.shape[1:] != (3,)
+                or {*map(type, chain.from_iterable(triples))} != {int}):
             raise ValueError
-    except (TypeError, ValueError, OverflowError):
+    except ValueError:
         # entry by entry: the first malformed one raises; values past int64
         # are clipped to -1 or n, which are out of range as they were
         rows = np.array([[min(max(v, -1), n) for v in _ints(t, field, 3)] for t in triples],
@@ -209,6 +218,8 @@ def arrow_function_from_dict(data: dict, g: FiniteGroupoid) -> np.ndarray:
             re, im = float(pair[0]), float(pair[1])
         except (TypeError, ValueError, IndexError, KeyError) as err:
             raise FileFormatError(f"malformed value entry {key!r}: {pair!r}") from err
+        if key != str(x):
+            raise FileFormatError(f"arrow id {key!r} must be written {str(x)!r}")
         if not 0 <= x < g.n_arrows:
             raise FileFormatError(f"value for unknown arrow id {x}")
         f[x] = re + 1j * im

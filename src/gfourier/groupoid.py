@@ -29,18 +29,15 @@ unit arrow, so its permutation is the identity.  An orbit is the pair
 groupoid of its units times its base's isotropy group H, and the class lists
 every arrow's coordinate h in H and the translation of the base fiber by h,
 from which the GNS bundle is induced.  A third
-(``FiniteGroupoid.isotropy_blocks``) holds, for each base whose isotropy
-group H is nontrivial, a unitary F_b in which every base matrix that commutes
-with the translations of the fiber by H is block diagonal, with one block of
-size d_pi |X| per eigenvalue of a generic element of H's group algebra.  The
-decompositions per orbit take one of three paths by those blocks
-(``gfourier.numerics.base_paths``): a base whose blocks are all 1x1 (abelian
-H, an orbit of one unit) reads its spectrum from the values on its fiber,
-one Gram row, with no block gathered; the other bases of a fiber class are
-decomposed whole where one of them has trivial isotropy, and split into
-their blocks otherwise.  These indexes need
-every product inverse(t) x to be defined and raise ``UndefinedProductError``
-otherwise.  ``validate`` reads the composition table instead, because its
+(``FiniteGroupoid.isotropy_blocks``) holds, for each base of a one-unit
+orbit whose isotropy group H is abelian and nontrivial, a unitary F_b that
+diagonalizes every base matrix that commutes with the translations of the
+fiber by H.  The decompositions per orbit take one of two paths
+(``gfourier.numerics.base_paths``): such a base (the row path) reads its
+spectrum from the values on its fiber, one Gram row, with no block
+gathered; the other bases of a fiber class are decomposed whole.  These
+indexes need every product inverse(t) x to be defined and raise
+``UndefinedProductError`` otherwise.  ``validate`` reads the composition table instead, because its
 input may not be a groupoid.  One kernel compares (xy)z with x(yz) by
 flat gathers from the table: the triples of each middle arrow, stacked
 over the middles with equal fiber sizes.  A table that passes the other
@@ -67,9 +64,9 @@ UNDEFINED = -1
 # triples ran fastest on pair(16..48) and Z30+Z40+Z50 on a 2-core machine (the
 # arrays of a pass stay in cache)
 _STACK = 1 << 14
-# the generic element of an isotropy group algebra that splits a base fiber
-# into blocks: its coefficients come from this seed, and its eigenvalues
-# within this fraction of its norm share a block
+# the generic element of an isotropy group algebra that tells an abelian
+# group: its coefficients come from this seed, and its eigenvalues within this
+# fraction of its norm count as one
 _BLOCK_SEED = 2003
 _BLOCK_TOL = 1e-8
 
@@ -158,31 +155,6 @@ class FiberClass:
                           self.transport[rows], self.perm[rows], self.home[rows],
                           (np.cumsum(mine) - 1)[self.element[rows]], at[self.element_base[mine]],
                           self.element_place[mine], self.translation[mine])
-
-
-@dataclass(frozen=True)
-class IsotropyBlocks:
-    """Bases of one fiber class whose isotropy groups are nontrivial, with one
-    block layout, and the unitaries that split their matrices into blocks.
-
-    ``bases`` indexes ``FiberClass.bases``, ascending.  A base matrix M that
-    commutes with the left translations of its fiber by the isotropy group H
-    (the Gram block, the Haar kernel, the right convolution block) is block
-    diagonal in F = ``unitary[i]``: F^H M F holds, along its diagonal, the
-    blocks of ``runs`` in order, n blocks of size s for each (s, n), s
-    ascending.  There are sum_pi d_pi blocks, one of size d_pi |X| for each
-    irreducible representation pi of H and each of d_pi eigenvalues of a
-    generic Hermitian element of the group algebra, where |X| is the number
-    of units of the orbit.  The spectra of such a matrix take one of three
-    paths (``gfourier.numerics.base_paths``): row, where ``runs`` is
-    ((1, m),) (abelian H, |X| = 1), and the eigenvalues come from one row of
-    M times F; whole, for the other bases of a fiber class where one of them
-    has trivial isotropy (no layout); split, into these blocks, otherwise.
-    """
-
-    bases: np.ndarray
-    unitary: np.ndarray
-    runs: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -299,66 +271,63 @@ class FiniteGroupoid:
         return tuple(classes)
 
     @cached_property
-    def isotropy_blocks(self) -> tuple[tuple[IsotropyBlocks, ...], ...]:
-        """The isotropy blocks of the orbit bases, per fiber class in the order
-        of ``fiber_classes``: one ``IsotropyBlocks`` per block layout, holding
-        only the bases whose isotropy group H is nontrivial.  A base with
-        trivial isotropy (every base of a pair groupoid) is one block, so it
-        gets no unitary.
+    def isotropy_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray] | None, ...]:
+        """The orbit bases that take the row path, per fiber class in the order
+        of ``fiber_classes``: (bases, unitaries), ``bases`` indexing
+        ``FiberClass.bases`` ascending and ``unitaries[i]`` the F_b of base
+        ``bases[i]`` whose columns are eigenvectors of every base matrix that
+        commutes with the translations of its fiber by its isotropy group H
+        (the Gram block, the Haar kernel, the right convolution block); None
+        where no base of the class takes it.  These are the bases of one-unit
+        orbits (|H| = m) with abelian, nontrivial H.
 
         The translations T_h of the base fiber (``FiberClass.translation``)
         span a copy of H's group algebra; a = sum_h c_h T_h + conj(c_h) T_h^H
         with fixed complex c_h (so that a character and its conjugate differ)
-        has, for generic c_h, exactly one eigenspace per block, and any matrix
-        that commutes with every T_h commutes with a and keeps its eigenspaces.
-        One ``eigh`` of a per base gives the blocks: eigenvalues within
-        ``_BLOCK_TOL`` of ||a|| share one, since merging two blocks is always
-        safe and only a split would be wrong.  Its eigenvectors leak between
-        close eigenvalues (by 2e-12 of a matrix's norm on Z40 and Z50), so a
-        second ``eigh``, of an element of the algebra whose eigenvalues are
-        the block numbers 0, 1, 2, ..., gives F, accurate to rounding, with
-        its blocks ordered by size.
+        has, for generic c_h on a one-unit orbit, d_pi eigenvalues of
+        multiplicity d_pi for each irreducible representation pi of H, and
+        any matrix that commutes with every T_h keeps its eigenspaces.  So H
+        is abelian exactly when a has m eigenvalues apart by more than
+        ``_BLOCK_TOL`` of ||a|| (one ``eigh`` per base); merging two
+        eigenvalues only sends a base to the whole path.  The eigenvectors of
+        a leak between close eigenvalues (by 2e-12 of a matrix's norm on Z40
+        and Z50), so a second ``eigh``, of an element of the algebra whose
+        eigenvalues are 0, 1, ..., m - 1, gives F_b, accurate to rounding.
         """
         out = []
         for c in self.fiber_classes:
             m = c.arrows.shape[1]
             order = np.bincount(c.element_base, minlength=c.bases.size)
-            nontrivial = np.flatnonzero(order > 1)
-            if not nontrivial.size:
-                out.append(())
+            alone = np.flatnonzero((order == m) & (order > 1))
+            if not alone.size:
+                out.append(None)
                 continue
-            # the elements h of the nontrivial bases: T_h^H, the translation by
-            # the arrow inverse(h) at place ``at``, is 1 at (moved[p], p)
-            mine = order[c.element_base] > 1
-            which = np.searchsorted(nontrivial, c.element_base[mine])
+            # the elements h of those bases: T_h^H, the translation by the
+            # arrow inverse(h) at place ``at``, is 1 at (moved[p], p)
+            mine = order[c.element_base] == m
+            which = np.searchsorted(alone, c.element_base[mine])
             at, moved = c.element_place[mine], c.translation[mine]
             coefficients = np.random.default_rng(_BLOCK_SEED).standard_normal((m, 2)) @ [1, 1j]
-            a = np.zeros((nontrivial.size, m, m), dtype=complex)
+            a = np.zeros((alone.size, m, m), dtype=complex)
             # the supports of the T_h are disjoint: each entry takes one c_h
             a[which[:, None], moved, np.arange(m)] = coefficients[at][:, None]
             vals, vecs = np.linalg.eigh(a + a.conj().swapaxes(1, 2))
-            layouts = {}
-            for i in range(nontrivial.size):
-                split = np.diff(vals[i]) > _BLOCK_TOL * np.abs(vals[i]).max()
-                block = np.concatenate([[0], np.cumsum(split)])
-                # the blocks numbered by size, ascending: sum_j j P_j over the
-                # eigenprojections P_j of a lies in the algebra, and so does its
-                # average over the support of each T_h, which drops the leak
-                # between close eigenvalues of a; its eigenvalues are the
-                # integers j, so its eigenvectors are accurate to rounding
-                size = np.bincount(block)[block]
-                number = np.unique(size * m + block, return_inverse=True)[1]
-                spread = (vecs[i] * number) @ vecs[i].conj().T
+            bases, unitaries = [], []
+            for i in range(alone.size):
+                if not np.all(np.diff(vals[i]) > _BLOCK_TOL * np.abs(vals[i]).max()):
+                    continue
+                # sum_j j P_j over the eigenprojections P_j of a lies in the
+                # algebra, and so does its average over the support of each
+                # T_h, which drops the leak between close eigenvalues of a;
+                # its eigenvalues are the integers j, so its eigenvectors are
+                # accurate to rounding
+                spread = (vecs[i] * np.arange(m)) @ vecs[i].conj().T
                 support = (moved[which == i], np.arange(m))
                 numbered = np.zeros((m, m), dtype=complex)
                 numbered[support] = spread[support].mean(axis=1, keepdims=True)
-                ids, f = np.linalg.eigh((numbered + numbered.conj().T) / 2)
-                sizes = np.bincount(np.rint(ids).astype(int))
-                runs = tuple((int(s), int(n)) for s, n in zip(*np.unique(sizes, return_counts=True)))
-                layouts.setdefault(runs, []).append((nontrivial[i], f))
-            out.append(tuple(IsotropyBlocks(np.array([b for b, _ in group]),
-                                            np.stack([f for _, f in group]), runs)
-                             for runs, group in layouts.items()))
+                bases.append(alone[i])
+                unitaries.append(np.linalg.eigh((numbered + numbered.conj().T) / 2)[1])
+            out.append((np.array(bases), np.stack(unitaries)) if bases else None)
         return tuple(out)
 
     @property

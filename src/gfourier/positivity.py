@@ -14,17 +14,15 @@ stacks: by the groupoid axioms and left-invariant weights, every other unit's
 Gram matrix and weighted kernel is the base's with rows and columns permuted
 alike.  A base Gram matrix commutes with the translations of its fiber by the
 base's isotropy group, and the eigenvalue verdict takes each base on one of
-three paths (``gfourier.numerics.base_paths``).  Row: where every block of
-``FiniteGroupoid.isotropy_blocks`` is 1x1 (abelian H, an orbit of one unit)
-the Gram matrix is a group matrix that F_b diagonalizes, and its eigenvalues
+two paths (``gfourier.numerics.base_paths``).  Row: on an orbit of one unit
+with abelian isotropy H the Gram matrix is a group matrix that the cached
+F_b of ``FiniteGroupoid.isotropy_blocks`` diagonalizes, and its eigenvalues
 come from phi on the base fiber, its Gram row at the unit arrow, with no
 block gathered (``row_spectra``).  Whole: the other bases of a fiber class
-are decomposed in one stacked call when one of them has trivial isotropy.
-Split: otherwise their blocks are, one stacked call per block size and none
-for 1x1 blocks (``block_spectra``).  The GNS bundle and the square-root
+are decomposed in one stacked ``eigh``.  The GNS bundle and the square-root
 section are factored from those eigenpairs.  The LDL^H criteria factor the
 matrices whole, with no LAPACK call, so they stay an independent check of
-these paths.  The GNS bundle is induced from each base's
+the eigenvalue verdict.  The GNS bundle is induced from each base's
 isotropy group (``FiberClass.translation``): a ``GHilbertBundle`` holds one
 stack of distinct maps per shape and an index per arrow into it; on an orbit
 of full rank every map is an isotropy translation, held as permutation rows
@@ -39,7 +37,7 @@ import numpy as np
 
 from .algebra import arrow_function, convolve, star
 from .groupoid import FiniteGroupoid
-from .numerics import base_paths, block_spectra, row_spectra
+from .numerics import base_paths, row_spectra
 
 PSD_TOL = 1e-9
 
@@ -80,7 +78,7 @@ def _verdict(g: FiniteGroupoid, phi, tol: float, decide) -> PdVerdict:
     matrix with shift delta or, for the integral criterion, the Haar kernel
     K = D conj(Gram) D with shift delta * w**2; K + delta D^2 is congruent to
     conj(Gram) + delta, so both have the same inertia.  ``decide(g, c,
-    blocks, row, phi, tol)`` decides the orbit bases of one part of a fiber
+    unitaries, phi, tol)`` decides the orbit bases of one part of a fiber
     class (``gfourier.numerics.base_paths``) and returns the mask of those
     that fail and a function giving, for base i, the witness v and its form
     v^H k v: negative, as v^H a v <= 0 for a = Hermitian part of k +
@@ -98,11 +96,11 @@ def _verdict(g: FiniteGroupoid, phi, tol: float, decide) -> PdVerdict:
     """
     phi = arrow_function(g, phi)
     first = None
-    for c, blocks, row in base_paths(g):
+    for c, unitaries in base_paths(g):
         units = c.units[c.rows]
         if first is not None and units[0] > first[0]:
             continue
-        fails, witness = decide(g, c, blocks, row, phi, tol)
+        fails, witness = decide(g, c, unitaries, phi, tol)
         i = int(np.argmax(fails))
         if fails[i] and (first is None or units[i] < first[0]):
             first = (int(units[i]), *witness(i))
@@ -139,12 +137,12 @@ def _form_witness(m: np.ndarray, vec: np.ndarray) -> tuple[np.ndarray, complex]:
 def is_positive_definite(g: FiniteGroupoid, phi, tol: float = PSD_TOL) -> PdVerdict:
     """Gram-PSD criterion: every unit Gram has smallest eigenvalue >= -delta.
 
-    The eigenpairs of each orbit base come from one of three paths
+    The eigenpairs of each orbit base come from one of two paths
     (``gfourier.numerics.base_paths``): the row path of
-    ``gfourier.numerics.row_spectra`` for a base whose isotropy blocks are
-    all 1x1, and ``block_spectra``, whole or split into isotropy blocks, for
-    the others.  The witness is an eigenvector of the smallest eigenvalue:
-    F_b times the eigenvector of the block that holds it.
+    ``gfourier.numerics.row_spectra`` for a one-unit orbit with abelian
+    isotropy, and one stacked ``np.linalg.eigh`` of the whole Gram matrices
+    for the others.  The witness is an eigenvector of the smallest
+    eigenvalue.
     """
     return _verdict(g, phi, tol, _eigen_decider([]))
 
@@ -163,19 +161,20 @@ def _eigen_decider(spectra: list):
     its witness form.
     """
 
-    def decide(g, c, blocks, row, phi, tol):
+    def decide(g, c, unitaries, phi, tol):
+        row = unitaries is not None
         if row:
             at = phi[c.arrows]
             scale = np.abs(at).max(axis=1)
             delta = tol * scale
             non_hermitian = np.abs(at - phi[g.inverse_of[c.arrows]].conj()).max(axis=1) > delta
             shift = np.where(scale > 0, delta, 1.0)[:, None]
-            vecs = blocks[0].unitary
+            vecs = unitaries
             # G_b is normal, so Herm(G_b) has the real parts of its eigenvalues
             vals = row_spectra(at, vecs, c.home).real + shift
         else:
             gram, non_hermitian, a, shift = _forms(c, phi, tol)
-            vals, vecs = block_spectra(a, blocks, "eigh")
+            vals, vecs = np.linalg.eigh(a)
         spectra.append((c, vals, vecs, shift))
 
         def witness(i):
@@ -207,7 +206,7 @@ def _inertia_decider(weighted: bool):
     """The point-set (or, ``weighted``, the integral) criterion's decider:
     ``_negative_directions`` of the whole form matrices."""
 
-    def decide(g, c, blocks, row, phi, tol):
+    def decide(g, c, unitaries, phi, tol):
         m, non_hermitian, a, _ = _forms(c, phi, tol, g.weights[c.arrows[c.rows]] if weighted else None)
         not_pd, direction = _negative_directions(a)
         return non_hermitian | not_pd, lambda i: _form_witness(
@@ -219,7 +218,7 @@ def _inertia_decider(weighted: bool):
 def _negative_directions(a: np.ndarray):
     """Unpivoted LDL^H of a stack of Hermitian matrices in plain numpy; a is overwritten.
 
-    No LAPACK call, and no isotropy blocks: the matrices are factored whole.
+    No LAPACK call, and no row path: the matrices are factored whole.
     By Sylvester's law of inertia a matrix is positive definite exactly when
     every pivot is positive.  Returns the mask of the matrices with a pivot
     d_k <= 0 and a function giving, for row i of the stack, the unit vector

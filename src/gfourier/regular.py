@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import _finite_norm, arrow_function, convolve, star
 from .duality import ModuleMap
 from .groupoid import FiniteGroupoid
-from .numerics import RANK_TOL, base_paths, block_spectra, nullspace, orthonormal_span, row_spectra
+from .numerics import RANK_TOL, base_paths, nullspace, orthonormal_span, row_spectra
 
 # relative disagreement of tie scales around a cycle that empties a commutant class
 TIE_TOL = 1e-10
@@ -136,33 +136,30 @@ def reduced_norm(g: FiniteGroupoid, f) -> float:
     A unit's block is its orbit base's permuted by perm_u (``FiberClass.perm``),
     with the same norm, so the base alone decides it.  The base block commutes
     with the translations of its fiber by its isotropy group, and each base
-    takes one of three paths (``gfourier.numerics.base_paths``).  Row: on a
-    base whose isotropy blocks are all 1x1 (abelian H, an orbit of one unit),
-    the singular values are w_b |lambda_j(f)|, read by ``row_spectra`` from f
-    on the base fiber, with no block gathered.  Whole or split: the block is
-    gathered and ``block_spectra`` takes the singular values of the whole
-    blocks, where some base of the stack has trivial isotropy, or of its
-    isotropy blocks (``FiniteGroupoid.isotropy_blocks``), one stacked SVD per
-    block size and the modulus of a 1x1 block.  ValueError when the norm
-    overflows.
+    takes one of two paths (``gfourier.numerics.base_paths``).  Row: on an
+    orbit of one unit with abelian isotropy, the singular values are
+    w_b |lambda_j(f)|, read by ``row_spectra`` from f on the base fiber, with
+    no block gathered.  Whole: the blocks of the other bases are gathered and
+    their singular values taken by one stacked ``np.linalg.svd``.  ValueError
+    when the norm overflows.
     """
     f = arrow_function(g, f)
     best = 0.0
     # a complex product that overflows also makes nan parts (inf * 0), which
     # LAPACK would read as zeros and a maximum would pass over
     with np.errstate(over="ignore", invalid="ignore"):
-        for c, blocks, row in base_paths(g):
-            if row:
+        for c, unitaries in base_paths(g):
+            if unitaries is not None:
                 # the base block's row at the unit arrow is f on the fiber, whose
                 # arrows all have the source b, and so the weight w_b
-                sigma = np.abs(row_spectra(f[c.arrows], blocks[0].unitary, c.home)) * g.weights[c.arrows[:, :1]]
+                sigma = np.abs(row_spectra(f[c.arrows], unitaries, c.home)) * g.weights[c.arrows[:, :1]]
             else:
                 rw = np.sqrt(g.weights[c.arrows[c.rows]])
                 tilted = f[c.gram[c.rows]] * (rw[:, :, None] * rw[:, None, :])
                 if not np.isfinite(tilted).all():
                     best = np.inf
                     break
-                sigma = block_spectra(tilted, blocks, "svd")
+                sigma = np.linalg.svd(tilted, compute_uv=False)
             top = float(sigma.max())
             best = np.inf if np.isnan(top) else max(best, top)
     return _finite_norm(best)

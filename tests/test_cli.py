@@ -64,6 +64,7 @@ class TestFileRoundtrip:
         write_groupoid(str(path), g)
         want = {**groupoid_to_dict(g), "compose": compose_triples_oracle(g)}
         assert path.read_text(encoding="utf-8") == json.dumps(want, indent=1) + "\n"
+        assert groupoid_to_dict(read_groupoid(str(path))) == groupoid_to_dict(g)
 
     def test_unit_arrows_derived_when_absent(self, g3):
         data = groupoid_to_dict(g3)
@@ -284,6 +285,46 @@ class TestInvalidGroupoidFiles:
             assert main(["norm", str(gfile), str(ffile), "--which", which]) == 2
         assert "positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edits, named", [
+        # read by int(): an infinite range or product was an OverflowError
+        ({("arrows", 1, "r"): float("inf")}, "'r' must be an integer, got inf"),
+        ({("compose", 0, 1): float("inf")}, "malformed compose"),
+        # truncated by int(): pair(2) with 2.5 units and an inverse of 0.7 passed the axioms
+        ({("units",): 2.5, ("arrows", 1, "inv"): 0.7}, "'units' must be an integer, got 2.5"),
+        # a bool is a Python int: true as a range passed the axioms
+        ({("arrows", 1, "r"): True}, "'r' must be an integer, got True"),
+        # an int64 array holds a bool that comes with integers
+        ({("compose", 0, 0): True}, "entry [True, 0, 0]"),
+        ({("weights", 0, "unit"): "0"}, "'unit' must be an integer, got '0'"),
+        ({("unit_arrows", 0): 0.0}, "malformed unit_arrows entry [0.0, 3]"),
+    ], ids=["inf-range", "inf-product", "float-units", "bool-range", "bool-in-compose", "string-unit",
+            "float-unit-arrow"])
+    def test_ids_that_are_not_json_integers_exit_2(self, tmp_path, capsys, edits, named):
+        data = groupoid_to_dict(gf.pair_groupoid(2))
+        for (*path, last), value in edits.items():
+            entry = data
+            for key in path:
+                entry = entry[key]
+            entry[last] = value
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(data))
+        assert main(["check", str(f), "--suite", "axioms"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("values, key", [
+        # int(key) read each as arrow 1, and the last one won
+        ({"1": [1.0, 0.0], "01": [2.0, 0.0]}, "'01'"),
+        ({" 1": [1.0, 0.0]}, "' 1'"),
+        ({"+1": [1.0, 0.0]}, "'+1'"),
+    ], ids=["leading-zero", "leading-space", "plus-sign"])
+    def test_function_keys_other_than_the_canonical_decimal_exit_2(self, tmp_path, capsys, values, key):
+        gfile, ffile = tmp_path / "g.json", tmp_path / "f.json"
+        write_groupoid(str(gfile), gf.pair_groupoid(2))
+        ffile.write_text(json.dumps({"arrows": 4, "values": values}))
+        assert main(["norm", str(gfile), str(ffile), "--which", "i"]) == 2
+        captured = capsys.readouterr()
+        assert f"arrow id {key} must be written '1'" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("which", ["stieltjes", "reduced"])
     def test_norm_exits_2_with_first_violation(self, tmp_path, capsys, which):

@@ -6,6 +6,7 @@ on the larger groupoids of the kernels benchmark.
 """
 
 import dataclasses
+import itertools
 import time
 import tracemalloc
 
@@ -53,6 +54,17 @@ from reference import (
 )
 
 
+def _permutation_group(perms) -> list:
+    """The multiplication table of a list of permutations closed under composition."""
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(a[b[i]] for i in range(len(a)))] for b in perms] for a in perms]
+
+
+def _dihedral(n) -> list:
+    """The rotations and reflections of the regular n-gon, as permutations of its corners."""
+    return [tuple((k + s * i) % n for i in range(n)) for s in (1, -1) for k in range(n)]
+
+
 FIXTURES = ["g2", "g3", "g4", "z2", "z3", "bundle23", "weighted_bundle", "transf", "s3_moved"]
 LARGE = {
     # Haar weights that vary within a fiber, unlike those of the fixtures
@@ -70,6 +82,9 @@ LARGE = {
     "s3-on-3w-moved": lambda: s3_on_three_points(unit_weights=[1.0, 2.0, 0.5], identity_last=True),
     # nonabelian isotropy on an orbit of two units
     "s3xI2": lambda: gf.product_with_pair_groupoid(gf.group_groupoid(_s3()[1])),
+    # nonabelian groups with irreducible representations of dimensions 1, 1, 2, 3, 3 (S4) and 1 and 2 (D10)
+    "s4": lambda: gf.group_groupoid(_permutation_group(list(itertools.permutations(range(4))))),
+    "d10": lambda: gf.group_groupoid(_permutation_group(_dihedral(10))),
 }
 _built = {}
 
@@ -356,8 +371,8 @@ class TestOnePerOrbit:
         # one fiber class, whose units fall into one orbit (pair16) or two (Z12 on 16 points)
         assert len(g.fiber_classes) == 1
         assert {name for name, _ in calls} == {"eigh", "svd"}
-        # the free orbit of Z12 on 16 points has trivial isotropy, so its class
-        # is decomposed whole, the Z3 orbit's 12x12 block with it
+        # the Z3 orbit of Z12 on 16 points has four units, so its 12x12 block is
+        # decomposed whole, with the free orbit's
         assert all(len(shape) == 3 and shape[0] == _orbit_count(g) for _, shape in calls), calls
 
     @pytest.mark.parametrize("build", [lambda: gf.pair_groupoid(16), z12_on_16_points])
@@ -437,18 +452,17 @@ class TestOnePerOrbit:
 
 
 def _class_eigh_calls(g, phi, calls) -> list:
-    """The calls that one ``block_spectra(..., "eigh")`` per fiber class of
-    the shifted Gram stacks of g's orbit bases adds to the spied ``calls``:
-    one stacked eigh of the whole matrices, as some base of the class has
-    trivial isotropy."""
+    """The calls that one stacked eigh per fiber class of the shifted Gram
+    stacks of g's orbit bases adds to the spied ``calls``: the whole
+    matrices, as no base of pair(16) or Z12 on 16 points takes the row path."""
     start = len(calls)
-    for c, blocks in zip(g.fiber_classes, g.isotropy_blocks):
+    for c in g.fiber_classes:
         gram = phi[c.gram[c.rows]]
-        gf.numerics.block_spectra((gram + gram.conj().swapaxes(1, 2)) / 2, blocks, "eigh")
+        np.linalg.eigh((gram + gram.conj().swapaxes(1, 2)) / 2)
     got = calls[start:]
     # the whole 16x16 of pair(16); the whole 12x12 of the free orbit and of the Z3 orbit
-    want = [(2, 12, 12)] if any(g.isotropy_blocks) else [(1, 16, 16)]
-    assert sorted(shape for _, shape in got) == want
+    m = g.r_fibers[0].size
+    assert [shape for _, shape in got] == [(_orbit_count(g), m, m)]
     assert {name for name, _ in got} == {"eigh"}
     return got
 
@@ -681,9 +695,9 @@ class TestVerdictsAgainstLoops:
         got, want = verdict(g, phi), oracle(g, phi)
         assert got.is_pd == want.is_pd == (kind == "pd")
         assert got.unit == want.unit
-        if kind == "not-pd" and which == 0 and any(g.isotropy_blocks):
-            # the lowest eigenvector of an isotropy block mapped back: in the
-            # oracle's lowest eigenspace, in another basis or phase
+        if kind == "not-pd" and which == 0 and got.unit in _row_units(g):
+            # a column of F_b: in the oracle's lowest eigenspace, in another
+            # basis or phase
             a = gram_matrix_oracle(g, phi, got.unit)
             a = (a + a.conj().T) / 2
             low = np.linalg.eigvalsh(a)[0]
@@ -803,8 +817,8 @@ class TestReconstructionsAgainstLoops:
         ("bundle30-40-50w", 1, (0, 40, 0)),
     ])
     def test_an_orbit_where_phi_is_zero_has_rank_0(self, name, unit, dims):
-        # the verdict shifts a zero Gram matrix by 1, and its eigenvalues through
-        # the isotropy blocks are 1 up to rounding: what is left once the shift
+        # the verdict shifts a zero Gram matrix by 1, and its eigenvalues, whole
+        # or on the row path, are 1 up to rounding: what is left once the shift
         # is taken off is not rank
         g = LARGE[name]()
         f = gf.delta(g, g.unit_arrows[unit])
@@ -875,96 +889,69 @@ def _isotropy(g, c, row) -> np.ndarray:
     return fiber[g.source_of[fiber] == c.units[row]]
 
 
-def _irrep_dims(g, h) -> list[int]:
-    """The dimensions of the irreducible representations of the isotropy group
-    with arrows h: all 1 when it is abelian; the zoo's one nonabelian
-    isotropy group is S3."""
+def _abelian(g, h) -> bool:
+    """Whether the isotropy group with arrows h is abelian."""
     table = g.compose_table[np.ix_(h, h)]
-    if np.array_equal(table, table.T):
-        return [1] * h.size
-    assert h.size == 6
-    return [1, 1, 2]
-
-
-def _block_mask(runs, m) -> np.ndarray:
-    mask = np.zeros((m, m), dtype=bool)
-    lo = 0
-    for size, n in runs:
-        for _ in range(n):
-            mask[lo : lo + size, lo : lo + size] = True
-            lo += size
-    assert lo == m
-    return mask
+    return np.array_equal(table, table.T)
 
 
 class TestIsotropyBlocks:
-    """``FiniteGroupoid.isotropy_blocks`` and the decompositions through it.
+    """``FiniteGroupoid.isotropy_blocks``: the unitaries F_b of the bases on
+    the row path.
 
     The verdicts (unit and witness), the GNS bundles (dimensions and
     reconstruction), the square-root sections and the reduced norms that run
-    through these blocks are held to the loop oracles on the same zoo by
-    ``TestVerdictsAgainstLoops``, ``TestReconstructionsAgainstLoops`` and
-    ``TestKernelsAgainstLoops``."""
+    through them, or decompose the other bases whole, are held to the loop
+    oracles on the same zoo by ``TestVerdictsAgainstLoops``,
+    ``TestReconstructionsAgainstLoops`` and ``TestKernelsAgainstLoops``."""
 
-    def test_exactly_the_bases_with_isotropy_have_a_unitary(self, g):
-        invariant = np.array_equal(g.weights, g.unit_weights[g.source_of])
+    def test_exactly_the_one_unit_abelian_bases_have_a_unitary(self, g):
         assert len(g.isotropy_blocks) == len(g.fiber_classes)
-        for c, blocks in zip(g.fiber_classes, g.isotropy_blocks):
-            split = np.concatenate([np.zeros(0, dtype=int)] + [layout.bases for layout in blocks])
-            want = [i for i, row in enumerate(c.bases) if invariant and _isotropy(g, c, row).size > 1]
-            assert sorted(split.tolist()) == want
-            assert len({layout.runs for layout in blocks}) == len(blocks)
+        for c, row in zip(g.fiber_classes, g.isotropy_blocks):
+            m = c.arrows.shape[1]
+            want = [i for i, b in enumerate(c.bases)
+                    if 1 < _isotropy(g, c, b).size == m and _abelian(g, _isotropy(g, c, b))]
+            assert ([] if row is None else row[0].tolist()) == want
+            if row is not None:
+                assert row[1].shape == (len(want), m, m)
 
-    def test_unitary_and_block_diagonal(self, g):
+    def test_the_unitary_diagonalizes_the_gram_block_kernel_and_right_block(self, g):
         f = random_function(g, _rng(g))
         rights = right_op_blocks_oracle(g, f)
-        for c, blocks in zip(g.fiber_classes, g.isotropy_blocks):
+        for c, row in zip(g.fiber_classes, g.isotropy_blocks):
+            if row is None:
+                continue
             m = c.arrows.shape[1]
-            for layout in blocks:
-                off = ~_block_mask(layout.runs, m)
-                for unitary, base in zip(layout.unitary, layout.bases):
-                    assert np.abs(unitary.conj().T @ unitary - np.eye(m)).max() <= 1e-12
-                    row = c.bases[base]
-                    gram = f[c.gram[row]]
-                    for a in (gram, _integral_kernels(g.weights[c.arrows[row]], gram), rights[c.units[row]]):
-                        blocked = unitary.conj().T @ a @ unitary
-                        assert np.abs(blocked[off]).max() <= 1e-12 * np.abs(a).max()
-
-    def test_block_sizes_are_irrep_dimensions_times_orbit_size(self, g):
-        for c, blocks in zip(g.fiber_classes, g.isotropy_blocks):
-            m = c.arrows.shape[1]
-            for layout in blocks:
-                sizes = [size for size, n in layout.runs for _ in range(n)]
-                for base in layout.bases:
-                    h = _isotropy(g, c, c.bases[base])
-                    dims = _irrep_dims(g, h)
-                    # d_pi blocks of size d_pi |X| for each irreducible pi
-                    assert sizes == sorted(d * (m // h.size) for d in dims for _ in range(d))
-                    assert len(sizes) == sum(dims)
-
-    @pytest.mark.parametrize("name, runs", [
-        ("s3_moved", ((1, 2), (2, 2))),
-        ("s3xI2", ((2, 2), (4, 2))),
-        ("z12-on-16", ((4, 3),)),
-        ("s3-on-3w", ((3, 2),)),
-        ("bundle30-40-50w", ((1, 30),)),
-    ])
-    def test_layouts_of_the_zoo(self, name, runs, request):
-        g = request.getfixturevalue(name) if name in FIXTURES else LARGE[name]()
-        assert g.isotropy_blocks[0][0].runs == runs
+            off = ~np.eye(m, dtype=bool)
+            for base, unitary in zip(*row):
+                assert np.abs(unitary.conj().T @ unitary - np.eye(m)).max() <= 1e-12
+                b = c.bases[base]
+                gram = f[c.gram[b]]
+                for a in (gram, _integral_kernels(g.weights[c.arrows[b]], gram), rights[c.units[b]]):
+                    diagonal = unitary.conj().T @ a @ unitary
+                    assert np.abs(diagonal[off]).max() <= 1e-12 * np.abs(a).max()
 
     def test_entries_near_the_largest_float(self):
         # on Z4 the reduced norm of 8e307 f is 1.6e308; at 1.5e308 f it
-        # overflows, and so do the block products, whose nan parts must not
-        # read as a norm: the stack is decomposed whole and the norm raises
+        # overflows, and so does the row product, whose nan parts must not
+        # read as a norm: the norm raises
         g = gf.group_groupoid(gf.cyclic_table(4))
         f = np.array([1.0, 1.0, 1.0, -1.0])
         assert _close(gf.reduced_norm(g, 8e307 * f), reduced_norm_loop_oracle(g, 8e307 * f), 1e-12)
         with pytest.raises(ValueError, match="the norm overflows"):
             gf.reduced_norm(g, 1.5e308 * f)
 
+    def test_entries_near_the_largest_float_on_the_whole_path(self):
+        # S3 is decomposed whole, by an SVD that scales its input: the norm of
+        # the constant c on its six arrows is 6 c, which overflows at c = max / 4
+        g = gf.group_groupoid(_s3()[1])
+        f = np.full(6, np.finfo(float).max / 8)
+        assert gf.reduced_norm(g, f) == pytest.approx(0.75 * np.finfo(float).max, rel=1e-12)
+        with pytest.raises(ValueError, match="the norm overflows"):
+            gf.reduced_norm(g, 2 * f)
+
     def test_no_lapack_call_on_the_bundle(self, monkeypatch):
-        # every isotropy block of Z30, Z40 and Z50 is 1x1
+        # Z30, Z40 and Z50 are abelian: every base takes the row path
         g = LARGE["bundle30-40-50w"]()
         rng = _rng(g)
         phi, f = random_pd(g, rng), random_function(g, rng)
@@ -1015,24 +1002,24 @@ def rg(request):
 
 def _row_units(g) -> list:
     """The units of the bases on the row path."""
-    return [u for c, _, row in gf.numerics.base_paths(g) if row for u in c.units[c.bases].tolist()]
+    return [u for c, unitaries in gf.numerics.base_paths(g) if unitaries is not None
+            for u in c.units[c.bases].tolist()]
 
 
 class TestRowPath:
-    """Bases whose isotropy blocks are all 1x1 (abelian H, one-unit orbits)
-    read their spectra from phi on the base fiber (``row_spectra``), with no
+    """Bases of one-unit orbits with abelian isotropy read their spectra from phi on the base fiber (``row_spectra``), with no
     block gathered: against ``np.linalg.eigh`` of the gathered block and the
     loop oracles."""
 
     def test_paths(self, rg):
         paths = list(gf.numerics.base_paths(rg))
         if rg.n_units == 1:
-            assert [(c, row) for c, _, row in paths] == [(rg.fiber_classes[0], True)]
+            assert [(c, unitaries.shape) for c, unitaries in paths] == [(rg.fiber_classes[0], (1,) + rg.compose_table.shape)]
             return
         # the fixed point on the row path, the free orbit whole, in one fiber class
         assert len(rg.fiber_classes) == 1
-        assert [(c.units.tolist(), c.bases.tolist(), row, blocks[0].runs if row else blocks)
-                for c, blocks, row in paths] == [([12], [0], True, ((1, 12),)), (list(range(12)), [0], False, ())]
+        assert [(c.units.tolist(), c.bases.tolist(), None if unitaries is None else unitaries.shape)
+                for c, unitaries in paths] == [([12], [0], (1, 12, 12)), (list(range(12)), [0], None)]
 
     def test_eigenpairs_match_eigh_of_the_gathered_block(self, rg):
         phi = random_pd(rg, _rng(rg))
@@ -1049,9 +1036,9 @@ class TestRowPath:
                 seen.append(u)
         assert sorted(seen) == [u for u, fiber in enumerate(rg.r_fibers) if rg.source_of[fiber].min() == u]
         # an indefinite Hermitian phi, on the row path itself
-        for c, blocks, row in gf.numerics.base_paths(rg):
-            if row:
-                lam = gf.numerics.row_spectra(hermitian[c.arrows], blocks[0].unitary, c.home)
+        for c, unitaries in gf.numerics.base_paths(rg):
+            if unitaries is not None:
+                lam = gf.numerics.row_spectra(hermitian[c.arrows], unitaries, c.home)
                 for i, u in enumerate(c.units.tolist()):
                     want = np.linalg.eigh(gram_matrix_oracle(rg, hermitian, u))[0]
                     assert np.abs(np.sort(lam[i].real) - want).max() <= 1e-12 * np.abs(want).max()
